@@ -172,11 +172,15 @@ func retryable(status int) bool {
 // binary reports whether this client speaks the binary wire protocol.
 func (c *Client) binary() bool { return c.opt.Wire != "json" }
 
-// jsonBody marshals a JSON request body. The request structs marshal
-// without error; the error return exists for do()'s contract.
-func jsonBody(in any) ([]byte, string, error) {
-	b, err := json.Marshal(in)
-	return b, "application/json", err
+// render produces a request body in this client's wire: bin renders the
+// binary frame, js builds the JSON request struct (only when the client
+// speaks JSON — its WireHypergraph intermediate is the expensive part).
+func (c *Client) render(bin func() []byte, js func() any) (body []byte, contentType string, err error) {
+	if c.binary() {
+		return bin(), server.ContentTypeBinary, nil
+	}
+	body, err = json.Marshal(js())
+	return body, "application/json", err
 }
 
 // backoffDelay computes the full-jitter retry delay for an attempt:
@@ -205,8 +209,8 @@ func backoffDelay(attempt int, base, max time.Duration, u float64) time.Duration
 // skips decoding. owner, when non-nil, is the session's redirect override:
 // 307 + X-Hyperbal-Owner answers update it and the call is re-issued at
 // the new owner; a transport error at an owner falls back to the primary
-// base URL. Returns the final status code.
-func (c *Client) do(ctx context.Context, op, method, path string, body []byte, contentType string, out any, owner *string) (int, error) {
+// base URL.
+func (c *Client) do(ctx context.Context, op, method, path string, body []byte, contentType string, out any, owner *string) error {
 	obsClientRequests.With(op).Inc()
 	if body != nil {
 		obsClientBytesSent.With(op).Add(int64(len(body)))
@@ -224,7 +228,7 @@ func (c *Client) do(ctx context.Context, op, method, path string, body []byte, c
 				// chase): out was never decoded, so falling through to success
 				// would hand the caller a zero-valued response.
 				obsClientErrors.Inc()
-				return status, &APIError{Status: status, Code: "moved",
+				return &APIError{Status: status, Code: "moved",
 					Msg: "unexpected owner redirect to " + moved}
 			}
 			// The replica handed the session off; chase the new owner
@@ -232,18 +236,18 @@ func (c *Client) do(ctx context.Context, op, method, path string, body []byte, c
 			hops++
 			if hops > 4 {
 				obsClientErrors.Inc()
-				return status, &APIError{Status: status, Code: "moved", Msg: "redirect loop chasing session owner"}
+				return &APIError{Status: status, Code: "moved", Msg: "redirect loop chasing session owner"}
 			}
 			obsClientOwnerHops.Inc()
 			*owner = strings.TrimRight(moved, "/")
 			continue
 		}
 		if err == nil {
-			return status, nil
+			return nil
 		}
 		if nr, ok := err.(errNonRetryable); ok {
 			obsClientErrors.Inc()
-			return status, nr
+			return nr.err
 		}
 		// Transport error or retryable API status.
 		if status == 0 && owner != nil && *owner != "" {
@@ -254,13 +258,13 @@ func (c *Client) do(ctx context.Context, op, method, path string, body []byte, c
 		}
 		if attempt >= c.opt.MaxRetries {
 			obsClientErrors.Inc()
-			return status, err
+			return err
 		}
 		obsClientRetries.Inc()
 		select {
 		case <-ctx.Done():
 			obsClientErrors.Inc()
-			return status, ctx.Err()
+			return ctx.Err()
 		case <-time.After(backoffDelay(attempt, c.opt.Backoff, c.opt.MaxBackoff, rand.Float64())):
 		}
 		attempt++
@@ -359,19 +363,11 @@ func decodeResponse(contentType string, data []byte, out any) error {
 	return nil
 }
 
-// errNonRetryable wraps an APIError that must not be retried.
+// errNonRetryable marks, between attempt and do, an APIError that must not
+// be retried; do returns the APIError itself.
 type errNonRetryable struct{ err error }
 
 func (e errNonRetryable) Error() string { return e.err.Error() }
-func (e errNonRetryable) Unwrap() error { return e.err }
-
-// unwrapFinal strips the non-retryable marker for callers.
-func unwrapFinal(err error) error {
-	if nr, ok := err.(errNonRetryable); ok {
-		return nr.err
-	}
-	return err
-}
 
 // RemoteSession is a session held by a balancerd instance. It is not safe
 // for concurrent use: epoch submissions are ordered (the server enforces
@@ -396,24 +392,20 @@ type RemoteSession struct {
 // CreateSession creates a server-side session: the server computes (or
 // serves from cache) the epoch-1 static partition of h under cfg.
 func (c *Client) CreateSession(ctx context.Context, cfg BalancerConfig, h *Hypergraph) (*RemoteSession, RemoteResult, error) {
-	var (
-		body []byte
-		ct   string
-		err  error
-	)
-	if c.binary() {
+	wcfg := server.WireConfigFrom(cfg)
+	body, ct, err := c.render(
 		// Rendered straight from the CSR arrays — no WireHypergraph
 		// intermediate, no per-net JSON materialization.
-		body, ct = server.AppendCreateRequestBinary(nil, server.WireConfigFrom(cfg), h), server.ContentTypeBinary
-	} else if body, ct, err = jsonBody(server.CreateSessionRequest{
-		Config:     server.WireConfigFrom(cfg),
-		Hypergraph: server.EncodeHypergraph(h),
-	}); err != nil {
+		func() []byte { return server.AppendCreateRequestBinary(nil, wcfg, h) },
+		func() any {
+			return server.CreateSessionRequest{Config: wcfg, Hypergraph: server.EncodeHypergraph(h)}
+		})
+	if err != nil {
 		return nil, RemoteResult{}, err
 	}
 	var resp server.SessionResponse
-	if _, err := c.do(ctx, "create", http.MethodPost, "/v1/sessions", body, ct, &resp, nil); err != nil {
-		return nil, RemoteResult{}, unwrapFinal(err)
+	if err := c.do(ctx, "create", http.MethodPost, "/v1/sessions", body, ct, &resp, nil); err != nil {
+		return nil, RemoteResult{}, err
 	}
 	return &RemoteSession{c: c, ID: resp.SessionID, baseH: h}, remoteResult(resp.Result), nil
 }
@@ -423,8 +415,8 @@ func (c *Client) CreateSession(ctx context.Context, cfg BalancerConfig, h *Hyper
 func (c *Client) Session(ctx context.Context, id string) (*RemoteSession, error) {
 	s := &RemoteSession{c: c, ID: id}
 	var info server.SessionInfo
-	if _, err := c.do(ctx, "info", http.MethodGet, "/v1/sessions/"+id, nil, "", &info, &s.owner); err != nil {
-		return nil, unwrapFinal(err)
+	if err := c.do(ctx, "info", http.MethodGet, "/v1/sessions/"+id, nil, "", &info, &s.owner); err != nil {
+		return nil, err
 	}
 	s.epoch = info.Epoch
 	return s, nil
@@ -457,17 +449,13 @@ func (s *RemoteSession) SubmitEpochIfUnbalanced(ctx context.Context, h *Hypergra
 // asks the server to warm-start the repartition from the previous
 // distribution, restricted to the delta's dirty region.
 func (s *RemoteSession) SubmitEpochDelta(ctx context.Context, h *Hypergraph, warm bool) (RemoteResult, error) {
-	if s.baseH == nil {
-		obsClientDeltaFallbacks.Inc()
-		return s.SubmitEpoch(ctx, h)
+	if s.baseH != nil {
+		if d, ok := hypergraph.ComputeDelta(s.baseH, h); ok {
+			return s.submitDelta(ctx, h, d, nil, warm)
+		}
 	}
-	d, ok := hypergraph.ComputeDelta(s.baseH, h)
-	if !ok {
-		obsClientDeltaFallbacks.Inc()
-		return s.SubmitEpoch(ctx, h)
-	}
-	return s.submitDelta(ctx, d, nil, warm, h,
-		func() (RemoteResult, error) { return s.SubmitEpoch(ctx, h) })
+	obsClientDeltaFallbacks.Inc()
+	return s.SubmitEpoch(ctx, h)
 }
 
 // SubmitEpochDeltaMapped submits a structurally changed hypergraph as a
@@ -476,40 +464,66 @@ func (s *RemoteSession) SubmitEpochDelta(ctx context.Context, h *Hypergraph, war
 // Falls back to SubmitEpochInherited when the transition is not
 // delta-able or on a base fingerprint mismatch.
 func (s *RemoteSession) SubmitEpochDeltaMapped(ctx context.Context, h *Hypergraph, vmap []int32, inherited Partition, warm bool) (RemoteResult, error) {
-	if s.baseH == nil {
-		obsClientDeltaFallbacks.Inc()
-		return s.SubmitEpochInherited(ctx, h, inherited)
+	if s.baseH != nil {
+		if d, ok := hypergraph.ComputeDeltaMapped(s.baseH, h, vmap); ok {
+			return s.submitDelta(ctx, h, d, inherited.Parts, warm)
+		}
 	}
-	d, ok := hypergraph.ComputeDeltaMapped(s.baseH, h, vmap)
-	if !ok {
-		obsClientDeltaFallbacks.Inc()
-		return s.SubmitEpochInherited(ctx, h, inherited)
-	}
-	return s.submitDelta(ctx, d, inherited.Parts, warm, h,
-		func() (RemoteResult, error) { return s.SubmitEpochInherited(ctx, h, inherited) })
+	obsClientDeltaFallbacks.Inc()
+	return s.SubmitEpochInherited(ctx, h, inherited)
 }
 
+// submit sends h as a full epoch submission (POST).
 func (s *RemoteSession) submit(ctx context.Context, h *Hypergraph, inherited []int32, onlyIfUnbalanced bool) (RemoteResult, error) {
 	epoch := s.epoch + 1
-	var (
-		body []byte
-		ct   string
-		err  error
-	)
-	if s.c.binary() {
-		body, ct = server.AppendEpochRequestBinary(nil, h, inherited, epoch, onlyIfUnbalanced), server.ContentTypeBinary
-	} else if body, ct, err = jsonBody(server.EpochRequest{
-		Hypergraph:       server.EncodeHypergraph(h),
-		Inherited:        inherited,
-		Epoch:            epoch,
-		OnlyIfUnbalanced: onlyIfUnbalanced,
-	}); err != nil {
+	body, ct, err := s.c.render(
+		func() []byte { return server.AppendEpochRequestBinary(nil, h, inherited, epoch, onlyIfUnbalanced) },
+		func() any {
+			return server.EpochRequest{
+				Hypergraph:       server.EncodeHypergraph(h),
+				Inherited:        inherited,
+				Epoch:            epoch,
+				OnlyIfUnbalanced: onlyIfUnbalanced,
+			}
+		})
+	if err != nil {
 		return RemoteResult{}, err
 	}
-	var resp server.SessionResponse
-	status, err := s.c.do(ctx, "epoch", http.MethodPost, "/v1/sessions/"+s.ID+"/epochs", body, ct, &resp, &s.owner)
+	return s.send(ctx, "epoch", http.MethodPost, body, ct, epoch, h)
+}
+
+// submitDelta sends h as the delta d against the held base (PATCH). When
+// the server rejects the base fingerprint — the session's base moved under
+// us, or the server never held one — it falls back to a full submission
+// of h with the same inherited assignment.
+func (s *RemoteSession) submitDelta(ctx context.Context, h *Hypergraph, d *hypergraph.Delta, inherited []int32, warm bool) (RemoteResult, error) {
+	epoch := s.epoch + 1
+	body, ct, err := s.c.render(
+		func() []byte { return server.AppendDeltaRequestBinary(nil, d, inherited, epoch, warm) },
+		func() any {
+			return server.DeltaEpochRequest{Delta: *d, Inherited: inherited, Epoch: epoch, Warm: warm}
+		})
 	if err != nil {
-		if status == http.StatusConflict {
+		return RemoteResult{}, err
+	}
+	res, err := s.send(ctx, "delta", http.MethodPatch, body, ct, epoch, h)
+	var apiErr *APIError
+	if errors.As(err, &apiErr) && apiErr.Code == "fingerprint_mismatch" {
+		obsClientDeltaFallbacks.Inc()
+		return s.submit(ctx, h, inherited, false)
+	}
+	return res, err
+}
+
+// send POSTs or PATCHes one rendered epoch submission tagged with the
+// expected epoch, and keeps the session's epoch and delta base in step with
+// the answer: h becomes the base once the server has accepted it.
+func (s *RemoteSession) send(ctx context.Context, op, method string, body []byte, contentType string, epoch int64, h *Hypergraph) (RemoteResult, error) {
+	var resp server.SessionResponse
+	err := s.c.do(ctx, op, method, "/v1/sessions/"+s.ID+"/epochs", body, contentType, &resp, &s.owner)
+	if err != nil {
+		var apiErr *APIError
+		if errors.As(err, &apiErr) && apiErr.Code == "epoch_conflict" {
 			// A retried submission may have landed before its response was
 			// lost; reconcile against the server's view.
 			if res, rerr := s.reconcile(ctx, epoch); rerr == nil {
@@ -517,54 +531,7 @@ func (s *RemoteSession) submit(ctx context.Context, h *Hypergraph, inherited []i
 				return res, nil
 			}
 		}
-		return RemoteResult{}, unwrapFinal(err)
-	}
-	res := remoteResult(resp.Result)
-	if res.Rebalanced {
-		s.epoch = res.Epoch
-		s.baseH = h
-	}
-	return res, nil
-}
-
-// submitDelta performs one PATCH epoch submission; full is the fallback
-// used on a base fingerprint mismatch.
-func (s *RemoteSession) submitDelta(ctx context.Context, d *hypergraph.Delta, inherited []int32, warm bool, h *Hypergraph, full func() (RemoteResult, error)) (RemoteResult, error) {
-	epoch := s.epoch + 1
-	var (
-		body []byte
-		ct   string
-		err  error
-	)
-	if s.c.binary() {
-		body, ct = server.AppendDeltaRequestBinary(nil, d, inherited, epoch, warm), server.ContentTypeBinary
-	} else if body, ct, err = jsonBody(server.DeltaEpochRequest{
-		Delta:     *d,
-		Inherited: inherited,
-		Epoch:     epoch,
-		Warm:      warm,
-	}); err != nil {
 		return RemoteResult{}, err
-	}
-	var resp server.SessionResponse
-	status, err := s.c.do(ctx, "delta", http.MethodPatch, "/v1/sessions/"+s.ID+"/epochs", body, ct, &resp, &s.owner)
-	if err != nil {
-		if status == http.StatusConflict {
-			var apiErr *APIError
-			if errors.As(unwrapFinal(err), &apiErr) && apiErr.Code == "fingerprint_mismatch" {
-				// The session's base moved under us (or the server never
-				// held one): hard fallback to a full resync.
-				obsClientDeltaFallbacks.Inc()
-				return full()
-			}
-			// epoch_conflict: a retried submission may have landed before
-			// its response was lost; reconcile against the server's view.
-			if res, rerr := s.reconcile(ctx, epoch); rerr == nil {
-				s.baseH = h
-				return res, nil
-			}
-		}
-		return RemoteResult{}, unwrapFinal(err)
 	}
 	res := remoteResult(resp.Result)
 	if res.Rebalanced {
@@ -579,8 +546,8 @@ func (s *RemoteSession) submitDelta(ctx context.Context, d *hypergraph.Delta, in
 // the expected epoch, its last result IS our submission's result.
 func (s *RemoteSession) reconcile(ctx context.Context, expected int64) (RemoteResult, error) {
 	var info server.SessionInfo
-	if _, err := s.c.do(ctx, "info", http.MethodGet, "/v1/sessions/"+s.ID, nil, "", &info, &s.owner); err != nil {
-		return RemoteResult{}, unwrapFinal(err)
+	if err := s.c.do(ctx, "info", http.MethodGet, "/v1/sessions/"+s.ID, nil, "", &info, &s.owner); err != nil {
+		return RemoteResult{}, err
 	}
 	if expected == 0 || info.Epoch != expected {
 		return RemoteResult{}, &APIError{Status: http.StatusConflict, Code: "epoch_conflict",
@@ -597,14 +564,13 @@ func (s *RemoteSession) Epoch() int64 { return s.epoch }
 // plan summary of the latest epoch (nil before the first rebalance).
 func (s *RemoteSession) Partition(ctx context.Context) (Partition, *RemoteMigration, error) {
 	var resp server.PartitionResponse
-	if _, err := s.c.do(ctx, "partition", http.MethodGet, "/v1/sessions/"+s.ID+"/partition", nil, "", &resp, &s.owner); err != nil {
-		return Partition{}, nil, unwrapFinal(err)
+	if err := s.c.do(ctx, "partition", http.MethodGet, "/v1/sessions/"+s.ID+"/partition", nil, "", &resp, &s.owner); err != nil {
+		return Partition{}, nil, err
 	}
 	return Partition{Parts: resp.Parts, K: resp.K}, resp.Migration, nil
 }
 
 // Close deletes the server-side session.
 func (s *RemoteSession) Close(ctx context.Context) error {
-	_, err := s.c.do(ctx, "delete", http.MethodDelete, "/v1/sessions/"+s.ID, nil, "", nil, &s.owner)
-	return unwrapFinal(err)
+	return s.c.do(ctx, "delete", http.MethodDelete, "/v1/sessions/"+s.ID, nil, "", nil, &s.owner)
 }

@@ -264,7 +264,6 @@ func (s *Server) handoffSession(ctx context.Context, entry *session, self string
 		H:      entry.baseH,
 		FP:     entry.baseFP,
 	}
-	st.Last.Warm = last.Warm
 	entry.mu.Unlock()
 	if st.H == nil {
 		// A session created but never submitted to still has no base; its

@@ -11,10 +11,16 @@
 //	POST   /v1/sessions                create a session (config + hypergraph)
 //	GET    /v1/sessions/{id}           session info
 //	POST   /v1/sessions/{id}/epochs    submit an epoch (drifted hypergraph)
+//	PATCH  /v1/sessions/{id}/epochs    submit an epoch as a delta against the last
 //	GET    /v1/sessions/{id}/partition current partition + last migration plan
 //	DELETE /v1/sessions/{id}           close a session
 //	GET    /healthz                    liveness + drain state
 //	GET    /metrics, /metrics.json     the internal/obs registry
+//	GET    /internal/cache/{key}       replica-to-replica: partition-cache lookup
+//	POST   /internal/handoff           replica-to-replica: adopt a drained session
+//
+// POST and PATCH epochs differ only in how the epoch's hypergraph reaches
+// the server; once decoded, both run the one pipeline in serveEpoch.
 //
 // Backpressure contract: when the queue is full the server answers 429
 // (code "busy"); during drain it answers 503 (code "draining"). Both are
@@ -334,14 +340,6 @@ func wantsBinary(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), ContentTypeBinary)
 }
 
-// requestCodec labels the request body codec for the wire metrics.
-func requestCodec(r *http.Request) string {
-	if isBinaryRequest(r) {
-		return "binary"
-	}
-	return "json"
-}
-
 // writeNegotiated writes the success response in the codec the client
 // asked for: binEnc appends the binary rendering when Accept negotiates
 // application/x-hyperbal, otherwise jsonBody is marshaled. Both render
@@ -374,47 +372,55 @@ func writeNegotiated(w http.ResponseWriter, r *http.Request, status int, jsonBod
 	putWireBuf(bp, buf)
 }
 
+// writeSessionResponse answers a create or an epoch submission.
+func writeSessionResponse(w http.ResponseWriter, r *http.Request, status int, id string, res WireResult) {
+	resp := SessionResponse{SessionID: id, Result: res}
+	writeNegotiated(w, r, status, resp, func(buf []byte) []byte {
+		return appendSessionResponseBinary(buf, resp)
+	})
+}
+
+// decodeBody reads the request body into a pooled buffer, decodes it with
+// the decoder matching its Content-Type (bin for application/x-hyperbal, js
+// otherwise) and releases the buffer. It counts the body in
+// server_wire_rx_bytes_total, times the decode in server_codec_ns, and
+// answers 400 itself when the body does not decode. n is the body size.
+func decodeBody[T any](s *Server, w http.ResponseWriter, r *http.Request, bin, js func([]byte) (T, error)) (v T, n int64, ok bool) {
+	body, release, ok := s.readBody(w, r)
+	if !ok {
+		return v, 0, false
+	}
+	defer release()
+	n = int64(len(body))
+	codec, op, dec, prefix := "json", "json_decode", js, ""
+	if isBinaryRequest(r) {
+		codec, op, dec, prefix = "binary", "binary_decode", bin, "binary: "
+	}
+	obsWireRxBytes.With(codec).Add(n)
+	start := time.Now()
+	v, err := dec(body)
+	obsCodecNs.With(op).ObserveSince(start)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad_request", prefix+err.Error())
+		return v, n, false
+	}
+	return v, n, true
+}
+
+// createRequest is the decoded body of POST /v1/sessions; FP is the
+// hypergraph fingerprint computed during decode.
+type createRequest struct {
+	Config WireConfig
+	H      *hypergraph.Hypergraph
+	FP     string
+}
+
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	body, releaseBuf, ok := s.readBody(w, r)
+	req, _, ok := decodeBody(s, w, r, decodeCreateRequestBinary, decodeCreateRequestJSON)
 	if !ok {
 		return
 	}
-	codec := requestCodec(r)
-	obsWireRxBytes.With(codec).Add(int64(len(body)))
-	var (
-		wcfg WireConfig
-		h    *hypergraph.Hypergraph
-		fp   string
-	)
-	if codec == "binary" {
-		start := time.Now()
-		var err error
-		wcfg, h, fp, err = decodeCreateRequestBinary(body)
-		obsCodecNs.With("binary_decode").ObserveSince(start)
-		releaseBuf()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", "binary: "+err.Error())
-			return
-		}
-	} else {
-		var req CreateSessionRequest
-		start := time.Now()
-		if err := json.Unmarshal(body, &req); err != nil {
-			releaseBuf()
-			writeError(w, http.StatusBadRequest, "bad_request", "invalid request body: "+err.Error())
-			return
-		}
-		wcfg = req.Config
-		var err error
-		h, fp, err = req.Hypergraph.DecodeFingerprint()
-		obsCodecNs.With("json_decode").ObserveSince(start)
-		releaseBuf()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", "hypergraph: "+err.Error())
-			return
-		}
-	}
-	cfg, err := wcfg.ToCore()
+	cfg, err := req.Config.ToCore()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
@@ -447,10 +453,10 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	eff := bal.Config()
-	key := cacheKey(eff, 0, fp, partition.Partition{}, "")
+	key := cacheKey(eff, 0, req.FP, partition.Partition{}, "")
 	res, origin, err := s.solveShared(r.Context(), key, func() (core.Result, error) {
 		s.faultDelay(int64(obsSessionsCreated.Load() + 1))
-		_, res, err := core.NewSession(bal, core.Problem{H: h})
+		_, res, err := core.NewSession(bal, core.Problem{H: req.H})
 		if err == nil {
 			s.cache.put(key, res)
 		}
@@ -465,7 +471,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	sess := core.NewSessionWith(bal, res)
 	cached := origin != originLeader
 
-	entry := &session{id: id, cfg: eff, sess: sess, baseH: h, baseFP: fp}
+	entry := &session{id: id, cfg: eff, sess: sess, baseH: req.H, baseFP: req.FP}
 	s.clearHandoff(id)
 	// The pre-solve duplicate check is only a cheap fast path; the insert
 	// itself must be atomic or two concurrent creates with the same
@@ -476,64 +482,57 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	obsSessionsCreated.Inc()
 	s.cfg.Logf("server: session %s created (k=%d method=%s |V|=%d cached=%v)",
-		entry.id, eff.K, eff.Method, h.NumVertices(), cached)
-	resp := SessionResponse{
-		SessionID: entry.id,
-		Result:    wireResult(0, res, cached, true),
-	}
-	writeNegotiated(w, r, http.StatusCreated, resp, func(buf []byte) []byte {
-		return appendSessionResponseBinary(buf, resp)
-	})
+		entry.id, eff.K, eff.Method, req.H.NumVertices(), cached)
+	writeSessionResponse(w, r, http.StatusCreated, entry.id, wireResult(0, res, cached, true))
 }
 
+// submission is one decoded epoch submission, the same whatever route and
+// codec carried it. The epoch's hypergraph arrives whole on POST (H, with
+// the fingerprint FP computed during decode) or as Delta against the
+// session's last accepted hypergraph on PATCH; exactly one of the two is
+// set. Only the POST wire has OnlyIfUnbalanced, only the PATCH wire Warm.
+type submission struct {
+	H                *hypergraph.Hypergraph
+	FP               string
+	Delta            *hypergraph.Delta
+	Inherited        []int32
+	Epoch            int64
+	OnlyIfUnbalanced bool
+	Warm             bool
+}
+
+// handleEpoch is the full epoch submission: the body carries the epoch's
+// drifted hypergraph.
 func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
+	s.serveEpoch(w, r, decodeEpochRequestBinary, decodeEpochRequestJSON)
+}
+
+// handleDeltaEpoch is the PATCH-style epoch submission: the epoch's
+// hypergraph arrives as a delta against the session's last accepted
+// hypergraph, keyed by base fingerprint.
+func (s *Server) handleDeltaEpoch(w http.ResponseWriter, r *http.Request) {
+	s.serveEpoch(w, r, decodeDeltaRequestBinary, decodeDeltaRequestJSON)
+}
+
+// serveEpoch is the one epoch pipeline behind both submission routes, which
+// differ only in the decoders they pass. The stages run in this order:
+// decode, admit, session lock, epoch-conflict check, materialise the
+// hypergraph, settle the inherited assignment, only-if-unbalanced skip,
+// solve, commit, respond.
+func (s *Server) serveEpoch(w http.ResponseWriter, r *http.Request, bin, js func([]byte) (*submission, error)) {
 	entry, releaseSess := s.store.acquire(r.PathValue("id"))
 	if entry == nil {
 		s.sessionGone(w, r.PathValue("id"))
 		return
 	}
 	defer releaseSess()
-	body, releaseBuf, ok := s.readBody(w, r)
+	sub, bodyBytes, ok := decodeBody(s, w, r, bin, js)
 	if !ok {
 		return
 	}
-	codec := requestCodec(r)
-	obsWireRxBytes.With(codec).Add(int64(len(body)))
-	var req binEpochRequest
-	if codec == "binary" {
-		start := time.Now()
-		breq, err := decodeEpochRequestBinary(body)
-		obsCodecNs.With("binary_decode").ObserveSince(start)
-		releaseBuf()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", "binary: "+err.Error())
-			return
-		}
-		req = *breq
-	} else {
-		var jreq EpochRequest
-		start := time.Now()
-		if err := json.Unmarshal(body, &jreq); err != nil {
-			releaseBuf()
-			writeError(w, http.StatusBadRequest, "bad_request", "invalid request body: "+err.Error())
-			return
-		}
-		h, fp, err := jreq.Hypergraph.DecodeFingerprint()
-		obsCodecNs.With("json_decode").ObserveSince(start)
-		releaseBuf()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", "hypergraph: "+err.Error())
-			return
-		}
-		req = binEpochRequest{
-			H: h, FP: fp,
-			Inherited:        jreq.Inherited,
-			Epoch:            jreq.Epoch,
-			OnlyIfUnbalanced: jreq.OnlyIfUnbalanced,
-		}
-	}
-	h, fp := req.H, req.FP
 
+	// Admission before the session lock: 429 and 503 are answered before
+	// any session state changes, so clients retry them safely.
 	release, ok := s.admit(w, r)
 	if !ok {
 		return
@@ -546,38 +545,65 @@ func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
 	defer entry.mu.Unlock()
 
 	epoch := entry.sess.Epoch()
-	if req.Epoch > 0 && req.Epoch != epoch+1 {
-		writeJSON(w, http.StatusConflict, ErrorResponse{
-			Error: fmt.Sprintf("expected epoch %d, session is at %d", req.Epoch, epoch),
+	if sub.Epoch > 0 && sub.Epoch != epoch+1 {
+		conflict := ErrorResponse{
+			Error: fmt.Sprintf("expected epoch %d, session is at %d", sub.Epoch, epoch),
 			Code:  "epoch_conflict",
 			Epoch: epoch,
-		})
+		}
+		if sub.Delta != nil {
+			conflict.Base = entry.baseFP
+		}
+		writeJSON(w, http.StatusConflict, conflict)
 		return
+	}
+
+	h, fp := sub.H, sub.FP
+	if d := sub.Delta; d != nil {
+		// A base mismatch (the session advanced since the client computed
+		// the delta, or the server lost the base) carries the current base:
+		// the client's hard signal to fall back to a full epoch submission.
+		if entry.baseH == nil || d.Base != entry.baseFP {
+			obsDeltaMismatches.Inc()
+			writeJSON(w, http.StatusConflict, ErrorResponse{
+				Error: fmt.Sprintf("delta base %s does not match session base %s; resubmit a full epoch", d.Base, entry.baseFP),
+				Code:  "fingerprint_mismatch",
+				Epoch: epoch,
+				Base:  entry.baseFP,
+			})
+			return
+		}
+		var err error
+		if h, err = d.Apply(entry.baseH); err != nil {
+			writeError(w, http.StatusBadRequest, "bad_request", "delta: "+err.Error())
+			return
+		}
+		fp = h.Fingerprint()
 	}
 
 	old := entry.sess.Current()
 	structural := h.NumVertices() != len(old.Parts)
 	inherited := old
-	if structural {
-		if len(req.Inherited) != h.NumVertices() {
-			writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf(
-				"vertex set changed (%d -> %d); submit `inherited` with one part per new vertex",
-				len(old.Parts), h.NumVertices()))
+	switch {
+	case len(sub.Inherited) > 0:
+		inherited = partition.Partition{Parts: sub.Inherited, K: entry.cfg.K}
+		if err := checkInherited(inherited, h.NumVertices()); err != nil {
+			writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 			return
 		}
-	}
-	if len(req.Inherited) > 0 {
-		for v, p := range req.Inherited {
-			if p < 0 || int(p) >= entry.cfg.K {
-				writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf(
-					"inherited[%d] = %d out of range [0,%d)", v, p, entry.cfg.K))
-				return
-			}
-		}
-		inherited = partition.Partition{Parts: req.Inherited, K: entry.cfg.K}
+	case structural && sub.Delta != nil:
+		// Derive the inherited assignment from the delta's vertex map:
+		// mapped vertices keep their parts; new vertices go to the
+		// currently lightest part (deterministic: ties break low).
+		inherited = deriveInherited(h, old, sub.Delta, entry.cfg.K)
+	case structural:
+		writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf(
+			"vertex set changed (%d -> %d); submit `inherited` with one part per new vertex",
+			len(old.Parts), h.NumVertices()))
+		return
 	}
 
-	if req.OnlyIfUnbalanced && !structural {
+	if sub.OnlyIfUnbalanced && !structural {
 		should, err := entry.sess.ShouldRebalance(core.Problem{H: h})
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, "internal", err.Error())
@@ -585,176 +611,19 @@ func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
 		}
 		if !should {
 			obsEpochSkipped.Inc()
-			cur := entry.sess.Current()
-			resp := SessionResponse{
-				SessionID: entry.id,
-				Result: WireResult{
-					Epoch:      epoch,
-					K:          cur.K,
-					Parts:      cur.Parts,
-					CommVolume: partition.CutSize(h, cur),
-					Rebalanced: false,
-				},
-			}
-			writeNegotiated(w, r, http.StatusOK, resp, func(buf []byte) []byte {
-				return appendSessionResponseBinary(buf, resp)
-			})
+			unchanged := core.Result{Partition: old, CommVolume: partition.CutSize(h, old)}
+			writeSessionResponse(w, r, http.StatusOK, entry.id, wireResult(epoch, unchanged, false, false))
 			return
 		}
-	}
-
-	key := cacheKey(entry.cfg, epoch+1, fp, inherited, "")
-	res, origin, err := s.solveShared(r.Context(), key, func() (core.Result, error) {
-		s.faultDelay(int64(obsEpochs.Load() + 1))
-		start := time.Now()
-		var res core.Result
-		var err error
-		if structural || len(req.Inherited) > 0 {
-			res, err = entry.sess.RebalanceInherited(core.Problem{H: h}, inherited)
-		} else {
-			res, err = entry.sess.Rebalance(core.Problem{H: h})
-		}
-		if err == nil {
-			obsEpochColdNs.ObserveSince(start)
-			s.cache.put(key, res)
-		}
-		return res, err
-	})
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "internal", err.Error())
-		return
-	}
-	cached := origin != originLeader
-	if cached {
-		entry.sess.Adopt(res)
-	}
-	obsEpochs.Inc()
-	entry.baseH, entry.baseFP = h, fp
-
-	entry.lastMig = migrationSummary(h, inherited, res.Partition)
-	resp := SessionResponse{
-		SessionID: entry.id,
-		Result:    wireResult(entry.sess.Epoch(), res, cached, true),
-	}
-	writeNegotiated(w, r, http.StatusOK, resp, func(buf []byte) []byte {
-		return appendSessionResponseBinary(buf, resp)
-	})
-}
-
-// handleDeltaEpoch is the PATCH-style epoch submission: the epoch's
-// hypergraph arrives as a delta against the session's last accepted
-// hypergraph, keyed by base fingerprint. A base mismatch (the session
-// advanced since the client computed the delta, or the server lost the
-// base) is a 409 "fingerprint_mismatch" carrying the current base — the
-// client's hard signal to fall back to a full epoch submission.
-func (s *Server) handleDeltaEpoch(w http.ResponseWriter, r *http.Request) {
-	entry, releaseSess := s.store.acquire(r.PathValue("id"))
-	if entry == nil {
-		s.sessionGone(w, r.PathValue("id"))
-		return
-	}
-	defer releaseSess()
-	body, releaseBuf, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	codec := requestCodec(r)
-	bodyBytes := int64(len(body))
-	obsWireRxBytes.With(codec).Add(bodyBytes)
-	var req binDeltaRequest
-	if codec == "binary" {
-		start := time.Now()
-		breq, err := decodeDeltaRequestBinary(body)
-		obsCodecNs.With("binary_decode").ObserveSince(start)
-		releaseBuf()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", "binary: "+err.Error())
-			return
-		}
-		req = *breq
-	} else {
-		var jreq DeltaEpochRequest
-		start := time.Now()
-		err := json.Unmarshal(body, &jreq)
-		obsCodecNs.With("json_decode").ObserveSince(start)
-		releaseBuf()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", "invalid request body: "+err.Error())
-			return
-		}
-		req = binDeltaRequest{
-			Delta:     &jreq.Delta,
-			Inherited: jreq.Inherited,
-			Epoch:     jreq.Epoch,
-			Warm:      jreq.Warm,
-		}
-	}
-
-	release, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-
-	entry.mu.Lock()
-	defer entry.mu.Unlock()
-
-	epoch := entry.sess.Epoch()
-	if req.Epoch > 0 && req.Epoch != epoch+1 {
-		writeJSON(w, http.StatusConflict, ErrorResponse{
-			Error: fmt.Sprintf("expected epoch %d, session is at %d", req.Epoch, epoch),
-			Code:  "epoch_conflict",
-			Epoch: epoch,
-			Base:  entry.baseFP,
-		})
-		return
-	}
-	if entry.baseH == nil || req.Delta.Base != entry.baseFP {
-		obsDeltaMismatches.Inc()
-		writeJSON(w, http.StatusConflict, ErrorResponse{
-			Error: fmt.Sprintf("delta base %s does not match session base %s; resubmit a full epoch", req.Delta.Base, entry.baseFP),
-			Code:  "fingerprint_mismatch",
-			Epoch: epoch,
-			Base:  entry.baseFP,
-		})
-		return
-	}
-	h, err := req.Delta.Apply(entry.baseH)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "delta: "+err.Error())
-		return
-	}
-	fp := h.Fingerprint()
-
-	old := entry.sess.Current()
-	structural := h.NumVertices() != len(old.Parts)
-	inherited := old
-	if len(req.Inherited) > 0 {
-		if len(req.Inherited) != h.NumVertices() {
-			writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf(
-				"inherited covers %d vertices, delta result has %d", len(req.Inherited), h.NumVertices()))
-			return
-		}
-		for v, p := range req.Inherited {
-			if p < 0 || int(p) >= entry.cfg.K {
-				writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf(
-					"inherited[%d] = %d out of range [0,%d)", v, p, entry.cfg.K))
-				return
-			}
-		}
-		inherited = partition.Partition{Parts: req.Inherited, K: entry.cfg.K}
-	} else if structural {
-		// Derive the inherited assignment from the delta's vertex map:
-		// mapped vertices keep their parts; new vertices go to the
-		// currently lightest part (deterministic: ties break low).
-		inherited = deriveInherited(h, old, req.Delta, entry.cfg.K)
 	}
 
 	var dirty []bool
 	warmKey := ""
-	if req.Warm {
-		dirty = req.Delta.DirtyVertices(entry.baseH, h)
-		warmKey = "warm:" + req.Delta.Digest()
+	solveNs := obsEpochColdNs
+	if sub.Warm {
+		dirty = sub.Delta.DirtyVertices(entry.baseH, h)
+		warmKey = "warm:" + sub.Delta.Digest()
+		solveNs = obsEpochWarmNs
 		d := 0
 		for _, b := range dirty {
 			if b {
@@ -772,22 +641,13 @@ func (s *Server) handleDeltaEpoch(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		var res core.Result
 		var err error
-		switch {
-		case req.Warm && (structural || len(req.Inherited) > 0):
+		if sub.Warm {
 			res, err = entry.sess.RebalanceWarmInherited(core.Problem{H: h}, inherited, dirty)
-		case req.Warm:
-			res, err = entry.sess.RebalanceWarm(core.Problem{H: h}, dirty)
-		case structural || len(req.Inherited) > 0:
+		} else {
 			res, err = entry.sess.RebalanceInherited(core.Problem{H: h}, inherited)
-		default:
-			res, err = entry.sess.Rebalance(core.Problem{H: h})
 		}
 		if err == nil {
-			if req.Warm {
-				obsEpochWarmNs.ObserveSince(start)
-			} else {
-				obsEpochColdNs.ObserveSince(start)
-			}
+			solveNs.ObserveSince(start)
 			s.cache.put(key, res)
 		}
 		return res, err
@@ -796,25 +656,33 @@ func (s *Server) handleDeltaEpoch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "internal", err.Error())
 		return
 	}
+	// The leader's solve already advanced the session; every other origin
+	// installs the byte-identical result without running the partitioner.
 	cached := origin != originLeader
 	if cached {
 		entry.sess.Adopt(res)
 	}
 	obsEpochs.Inc()
-	obsDeltaEpochs.Inc()
-	if bodyBytes > 0 {
+	if sub.Delta != nil {
+		obsDeltaEpochs.Inc()
 		obsDeltaBytes.Add(bodyBytes)
+		obsDeltaFullBytesEst.Add(fullWireEstimate(h))
 	}
-	obsDeltaFullBytesEst.Add(fullWireEstimate(h))
 	entry.baseH, entry.baseFP = h, fp
-
 	entry.lastMig = migrationSummary(h, inherited, res.Partition)
-	wr := wireResult(entry.sess.Epoch(), res, cached, true)
-	wr.Warm = res.Warm
-	resp := SessionResponse{SessionID: entry.id, Result: wr}
-	writeNegotiated(w, r, http.StatusOK, resp, func(buf []byte) []byte {
-		return appendSessionResponseBinary(buf, resp)
-	})
+	writeSessionResponse(w, r, http.StatusOK, entry.id, wireResult(entry.sess.Epoch(), res, cached, true))
+}
+
+// checkInherited validates a submitted inherited assignment: one part in
+// [0, k) for each of the epoch hypergraph's n vertices.
+func checkInherited(inherited partition.Partition, n int) error {
+	if len(inherited.Parts) != n {
+		return fmt.Errorf("inherited covers %d vertices, the epoch's hypergraph has %d", len(inherited.Parts), n)
+	}
+	if err := inherited.Validate(); err != nil {
+		return fmt.Errorf("inherited: %w", err)
+	}
+	return nil
 }
 
 // deriveInherited maps the previous distribution through a structural
@@ -921,7 +789,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, map[string]any{"status": status, "sessions": s.store.len()})
 }
 
-// wireResult renders a core.Result.
+// wireResult renders a core.Result. Warm comes from the result itself: a
+// cold solve never sets it, and the cache key's "warm:" component keeps a
+// cold submission from adopting a warm entry.
 func wireResult(epoch int64, res core.Result, cached, rebalanced bool) WireResult {
 	return WireResult{
 		Epoch:           epoch,
@@ -933,6 +803,7 @@ func wireResult(epoch int64, res core.Result, cached, rebalanced bool) WireResul
 		RepartMs:        float64(res.RepartTime.Microseconds()) / 1000,
 		Cached:          cached,
 		Rebalanced:      rebalanced,
+		Warm:            res.Warm,
 	}
 }
 

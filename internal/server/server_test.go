@@ -22,6 +22,7 @@ import (
 	"hyperbal/internal/datasets"
 	"hyperbal/internal/dynamics"
 	"hyperbal/internal/graph"
+	"hyperbal/internal/hypergraph"
 	"hyperbal/internal/mpi"
 	"hyperbal/internal/partition"
 	"hyperbal/internal/server"
@@ -482,9 +483,12 @@ func TestWireHypergraphRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBadRequests: malformed inputs map to 400/404 with stable codes.
+// TestBadRequests: malformed inputs map to 400/404/409 with stable codes.
+// The epoch-submission rows are one error contract checked over both
+// routes (POST full, PATCH delta) and both request codecs: the routes share
+// one pipeline, so a mistake must draw the same answer however it arrives.
 func TestBadRequests(t *testing.T) {
-	_, ts, _ := newTestServer(t, server.Config{})
+	_, ts, client := newTestServer(t, server.Config{})
 
 	// Unknown method name.
 	body, _ := json.Marshal(server.CreateSessionRequest{
@@ -512,10 +516,79 @@ func TestBadRequests(t *testing.T) {
 		t.Errorf("bad pins: status %d, want 400", resp.StatusCode)
 	}
 
-	// Unknown session.
-	status, _, fail := postEpoch(t, ts.URL, "s-missing", server.EpochRequest{})
-	if status != http.StatusNotFound || fail.Code != "not_found" {
-		t.Errorf("unknown session: status %d code %q, want 404 not_found", status, fail.Code)
+	// Every row resubmits the session's own hypergraph (the vertex set is
+	// unchanged, the identity delta is valid), so only the named mistake
+	// can be what the server rejects, and no row advances the session.
+	const k = 4
+	h := codecTestHypergraph(1)
+	id, wh := createRawH(t, ts, server.WireConfig{K: k, Alpha: 50, Seed: 8}, h)
+	identity, ok := hypergraph.ComputeDelta(h, h)
+	if !ok {
+		t.Fatal("identity transition not delta-able")
+	}
+	n := h.NumVertices()
+	outOfRange := make([]int32, n)
+	outOfRange[n-1] = k
+
+	cases := []struct {
+		name      string
+		session   string
+		inherited []int32
+		epoch     int64
+		status    int
+		code      string
+	}{
+		{"stale epoch", id, nil, 5, http.StatusConflict, "epoch_conflict"},
+		{"inherited out of range", id, outOfRange, 0, http.StatusBadRequest, "bad_request"},
+		{"inherited wrong length", id, make([]int32, 3), 0, http.StatusBadRequest, "bad_request"},
+		{"unknown session", "s-missing", nil, 0, http.StatusNotFound, "not_found"},
+	}
+	for _, route := range []string{http.MethodPost, http.MethodPatch} {
+		for _, codec := range []string{"json", "binary"} {
+			for _, tc := range cases {
+				t.Run(route+" "+codec+" "+tc.name, func(t *testing.T) {
+					var body []byte
+					contentType := "application/json"
+					switch {
+					case route == http.MethodPost && codec == "json":
+						body, _ = json.Marshal(server.EpochRequest{Hypergraph: wh, Inherited: tc.inherited, Epoch: tc.epoch})
+					case route == http.MethodPost:
+						body, contentType = server.AppendEpochRequestBinary(nil, h, tc.inherited, tc.epoch, false), server.ContentTypeBinary
+					case codec == "json":
+						body, _ = json.Marshal(server.DeltaEpochRequest{Delta: *identity, Inherited: tc.inherited, Epoch: tc.epoch})
+					default:
+						body, contentType = server.AppendDeltaRequestBinary(nil, identity, tc.inherited, tc.epoch, false), server.ContentTypeBinary
+					}
+					req, err := http.NewRequest(route, ts.URL+"/v1/sessions/"+tc.session+"/epochs", bytes.NewReader(body))
+					if err != nil {
+						t.Fatal(err)
+					}
+					req.Header.Set("Content-Type", contentType)
+					resp, err := http.DefaultClient.Do(req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer resp.Body.Close()
+					var fail server.ErrorResponse
+					_ = json.NewDecoder(resp.Body).Decode(&fail)
+					if resp.StatusCode != tc.status || fail.Code != tc.code {
+						t.Fatalf("status %d code %q (%s), want %d %s", resp.StatusCode, fail.Code, fail.Error, tc.status, tc.code)
+					}
+					// The conflict carries the authoritative epoch: the
+					// session has accepted nothing yet.
+					if tc.code == "epoch_conflict" && fail.Epoch != 0 {
+						t.Errorf("conflict reports session epoch %d, want 0", fail.Epoch)
+					}
+				})
+			}
+		}
+	}
+	sess, err := client.Session(context.Background(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sess.Epoch(); got != 0 {
+		t.Errorf("rejected submissions advanced the session to epoch %d", got)
 	}
 }
 

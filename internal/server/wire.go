@@ -1,6 +1,9 @@
 package server
 
 import (
+	"encoding/json"
+	"fmt"
+
 	"hyperbal/internal/core"
 	"hyperbal/internal/hypergraph"
 )
@@ -158,6 +161,18 @@ type CreateSessionRequest struct {
 	Hypergraph WireHypergraph `json:"hypergraph"`
 }
 
+func decodeCreateRequestJSON(data []byte) (createRequest, error) {
+	var req CreateSessionRequest
+	if err := json.Unmarshal(data, &req); err != nil {
+		return createRequest{}, fmt.Errorf("invalid request body: %w", err)
+	}
+	h, fp, err := req.Hypergraph.DecodeFingerprint()
+	if err != nil {
+		return createRequest{}, fmt.Errorf("hypergraph: %w", err)
+	}
+	return createRequest{Config: req.Config, H: h, FP: fp}, nil
+}
+
 // EpochRequest is the body of POST /v1/sessions/{id}/epochs: the epoch's
 // drifted hypergraph, plus the inherited assignment when the vertex set
 // changed. Epoch, when positive, is the expected epoch number of this
@@ -171,6 +186,23 @@ type EpochRequest struct {
 	Inherited        []int32        `json:"inherited,omitempty"`
 	Epoch            int64          `json:"epoch,omitempty"`
 	OnlyIfUnbalanced bool           `json:"only_if_unbalanced,omitempty"`
+}
+
+func decodeEpochRequestJSON(data []byte) (*submission, error) {
+	var req EpochRequest
+	if err := json.Unmarshal(data, &req); err != nil {
+		return nil, fmt.Errorf("invalid request body: %w", err)
+	}
+	h, fp, err := req.Hypergraph.DecodeFingerprint()
+	if err != nil {
+		return nil, fmt.Errorf("hypergraph: %w", err)
+	}
+	return &submission{
+		H: h, FP: fp,
+		Inherited:        req.Inherited,
+		Epoch:            req.Epoch,
+		OnlyIfUnbalanced: req.OnlyIfUnbalanced,
+	}, nil
 }
 
 // DeltaEpochRequest is the body of PATCH /v1/sessions/{id}/epochs: the
@@ -187,6 +219,19 @@ type DeltaEpochRequest struct {
 	Inherited []int32          `json:"inherited,omitempty"`
 	Epoch     int64            `json:"epoch,omitempty"`
 	Warm      bool             `json:"warm,omitempty"`
+}
+
+func decodeDeltaRequestJSON(data []byte) (*submission, error) {
+	var req DeltaEpochRequest
+	if err := json.Unmarshal(data, &req); err != nil {
+		return nil, fmt.Errorf("invalid request body: %w", err)
+	}
+	return &submission{
+		Delta:     &req.Delta,
+		Inherited: req.Inherited,
+		Epoch:     req.Epoch,
+		Warm:      req.Warm,
+	}, nil
 }
 
 // WireResult is one load-balance operation in wire form.

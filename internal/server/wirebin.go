@@ -252,20 +252,20 @@ func AppendCreateRequestBinary(buf []byte, cfg WireConfig, h *hypergraph.Hypergr
 	return h.AppendBinary(buf)
 }
 
-func decodeCreateRequestBinary(data []byte) (WireConfig, *hypergraph.Hypergraph, string, error) {
+func decodeCreateRequestBinary(data []byte) (createRequest, error) {
+	var req createRequest
 	r := hypergraph.NewBinReader(data)
 	if err := readBinHeader(r, binMsgCreate); err != nil {
-		return WireConfig{}, nil, "", err
+		return req, err
 	}
-	cfg, err := readWireConfig(r)
-	if err != nil {
-		return cfg, nil, "", err
+	var err error
+	if req.Config, err = readWireConfig(r); err != nil {
+		return req, err
 	}
-	h, fp, err := hypergraph.DecodeBinary(r)
-	if err != nil {
-		return cfg, nil, "", err
+	if req.H, req.FP, err = hypergraph.DecodeBinary(r); err != nil {
+		return req, err
 	}
-	return cfg, h, fp, binDone(r)
+	return req, binDone(r)
 }
 
 // AppendEpochRequestBinary renders POST /v1/sessions/{id}/epochs in binary
@@ -273,50 +273,25 @@ func decodeCreateRequestBinary(data []byte) (WireConfig, *hypergraph.Hypergraph,
 func AppendEpochRequestBinary(buf []byte, h *hypergraph.Hypergraph, inherited []int32, epoch int64, onlyIfUnbalanced bool) []byte {
 	buf = appendBinHeader(buf, binMsgEpoch)
 	buf = h.AppendBinary(buf)
-	buf = hypergraph.AppendInt32s(buf, inherited)
-	buf = binary.AppendVarint(buf, epoch)
-	var flags byte
-	if onlyIfUnbalanced {
-		flags |= binReqOnlyIfUnbalanced
-	}
-	return append(buf, flags)
+	return appendSubmissionTail(buf, inherited, epoch, onlyIfUnbalanced, binReqOnlyIfUnbalanced)
 }
 
-// binEpochRequest is the decoded binary epoch submission; FP is the
-// hypergraph fingerprint computed during decode.
-type binEpochRequest struct {
-	H                *hypergraph.Hypergraph
-	FP               string
-	Inherited        []int32
-	Epoch            int64
-	OnlyIfUnbalanced bool
-}
-
-func decodeEpochRequestBinary(data []byte) (*binEpochRequest, error) {
+func decodeEpochRequestBinary(data []byte) (*submission, error) {
 	r := hypergraph.NewBinReader(data)
 	if err := readBinHeader(r, binMsgEpoch); err != nil {
 		return nil, err
 	}
-	req := &binEpochRequest{}
+	sub := &submission{}
 	var err error
-	if req.H, req.FP, err = hypergraph.DecodeBinary(r); err != nil {
+	if sub.H, sub.FP, err = hypergraph.DecodeBinary(r); err != nil {
 		return nil, err
 	}
-	if req.Inherited, err = hypergraph.DecodeInt32s(r, hypergraph.MaxWireVertices); err != nil {
-		return nil, err
-	}
-	if len(req.Inherited) == 0 {
-		req.Inherited = nil
-	}
-	if req.Epoch, err = r.Varint(); err != nil {
-		return nil, err
-	}
-	flags, err := r.Byte()
+	flags, err := readSubmissionTail(r, sub)
 	if err != nil {
 		return nil, err
 	}
-	req.OnlyIfUnbalanced = flags&binReqOnlyIfUnbalanced != 0
-	return req, binDone(r)
+	sub.OnlyIfUnbalanced = flags&binReqOnlyIfUnbalanced != 0
+	return sub, nil
 }
 
 // AppendDeltaRequestBinary renders PATCH /v1/sessions/{id}/epochs in
@@ -324,47 +299,54 @@ func decodeEpochRequestBinary(data []byte) (*binEpochRequest, error) {
 func AppendDeltaRequestBinary(buf []byte, d *hypergraph.Delta, inherited []int32, epoch int64, warm bool) []byte {
 	buf = appendBinHeader(buf, binMsgDelta)
 	buf = d.AppendBinary(buf)
-	buf = hypergraph.AppendInt32s(buf, inherited)
-	buf = binary.AppendVarint(buf, epoch)
-	var flags byte
-	if warm {
-		flags |= binReqWarm
-	}
-	return append(buf, flags)
+	return appendSubmissionTail(buf, inherited, epoch, warm, binReqWarm)
 }
 
-type binDeltaRequest struct {
-	Delta     *hypergraph.Delta
-	Inherited []int32
-	Epoch     int64
-	Warm      bool
-}
-
-func decodeDeltaRequestBinary(data []byte) (*binDeltaRequest, error) {
+func decodeDeltaRequestBinary(data []byte) (*submission, error) {
 	r := hypergraph.NewBinReader(data)
 	if err := readBinHeader(r, binMsgDelta); err != nil {
 		return nil, err
 	}
-	req := &binDeltaRequest{}
+	sub := &submission{}
 	var err error
-	if req.Delta, err = hypergraph.DecodeDeltaBinary(r); err != nil {
+	if sub.Delta, err = hypergraph.DecodeDeltaBinary(r); err != nil {
 		return nil, err
 	}
-	if req.Inherited, err = hypergraph.DecodeInt32s(r, hypergraph.MaxWireVertices); err != nil {
-		return nil, err
-	}
-	if len(req.Inherited) == 0 {
-		req.Inherited = nil
-	}
-	if req.Epoch, err = r.Varint(); err != nil {
-		return nil, err
-	}
-	flags, err := r.Byte()
+	flags, err := readSubmissionTail(r, sub)
 	if err != nil {
 		return nil, err
 	}
-	req.Warm = flags&binReqWarm != 0
-	return req, binDone(r)
+	sub.Warm = flags&binReqWarm != 0
+	return sub, nil
+}
+
+// The epoch and delta request frames end on the same tail: `inherited,
+// epoch, flags`. Each frame defines one flag bit; the other is ignored.
+func appendSubmissionTail(buf []byte, inherited []int32, epoch int64, set bool, flag byte) []byte {
+	buf = hypergraph.AppendInt32s(buf, inherited)
+	buf = binary.AppendVarint(buf, epoch)
+	if !set {
+		flag = 0
+	}
+	return append(buf, flag)
+}
+
+// readSubmissionTail fills sub.Inherited and sub.Epoch, returns the flags
+// byte for the caller to interpret, and requires the frame to end there.
+func readSubmissionTail(r *hypergraph.BinReader, sub *submission) (flags byte, err error) {
+	if sub.Inherited, err = hypergraph.DecodeInt32s(r, hypergraph.MaxWireVertices); err != nil {
+		return 0, err
+	}
+	if len(sub.Inherited) == 0 {
+		sub.Inherited = nil
+	}
+	if sub.Epoch, err = r.Varint(); err != nil {
+		return 0, err
+	}
+	if flags, err = r.Byte(); err != nil {
+		return 0, err
+	}
+	return flags, binDone(r)
 }
 
 // appendCacheResultBinary renders a peer-cache lookup answer: the cached
