@@ -1,9 +1,10 @@
-// Command loadgen is a closed-loop load generator for balancerd: it
-// drives N concurrent sessions over the Table-1 dataset analogues, each
-// session running E epochs of drift -> submit -> observe against the
-// service, and reports throughput, p50/p99 latency (from internal/obs
-// histograms), the server's cache hit-rate, and a zero-dropped-epochs
-// verdict. With -bench-json it appends a snapshot to BENCH_serve.json.
+// Command loadgen is the out-of-process smoke and fault driver for
+// balancerd: it drives N concurrent sessions over the Table-1 dataset
+// analogues, each session running E epochs of drift -> submit -> observe
+// against the service, and exits non-zero unless every epoch was served.
+// Its verdict is counters only — ops ok/dropped, failed sessions, cache
+// hits, singleflight leaders/shared, retargets/redirects/retries, wire
+// bytes; latency and throughput are measured by `go run ./bench`.
 //
 // Usage:
 //
@@ -11,30 +12,29 @@
 //	        [-datasets xyce680s] [-n 1200] [-k 8] [-alpha 100]
 //	        [-dynamic weights|structure] [-distinct-seeds]
 //	        [-wire binary,json] [-scenario delta-drift|concurrent-identical]
-//	        [-warm] [-bench-json BENCH_serve.json] [-check-schema schema.json]
+//	        [-warm] [-check-schema schema.json]
 //
 // -wire lists the codecs to exercise; each entry gets a full independent
-// run (local metrics reset in between, server-side counters diffed around
-// the run), so a "binary,json" sweep appends one comparable bench snapshot
-// per codec.
+// pass (local metrics reset in between, server-side counters diffed around
+// the pass).
 //
 // -scenario delta-drift submits every epoch as a PATCH delta against the
 // previous one instead of a full hypergraph; -warm additionally asks the
 // server to warm-start each repartition from the inherited distribution.
-// The bench snapshot then records wire bytes by op, the server's
-// delta-vs-full-resync byte estimate, and warm/cold repartition times.
+// The pass reports wire bytes by op and the server's delta-vs-full-resync
+// byte estimate.
 //
 // -scenario concurrent-identical releases every session's create through a
 // start barrier at once, all with the same seed: the server's singleflight
-// group collapses the identical cold solves to one leader, and the bench
-// snapshot records the leader/shared split.
+// group and partition cache collapse the identical cold solves, and the
+// pass fails unless the server led fewer solves than ops were issued.
 //
 // -scenario replica-kill drives a distributed deployment (-addr pointing at
 // the gateway) and SIGTERMs the balancerd replica with pid -kill-pid after
 // -kill-after: the replica drains, hands its sessions to a ring successor,
-// and the run must finish with zero dropped epochs — the gateway retarget
-// and client retry counters quantify the disruption window. -think paces
-// each session between epochs so the run spans the kill.
+// and the pass must finish with zero dropped epochs and a delivered SIGTERM
+// — the gateway retarget and client retry counters show the disruption.
+// -think paces each session between epochs so the run spans the kill.
 //
 // By default every session runs the identical workload (same seed), which
 // exercises the server's fingerprint-keyed partition cache: the first
@@ -45,11 +45,11 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
 	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -65,11 +65,8 @@ import (
 	"hyperbal/internal/obs"
 )
 
-// Latency histograms and counters of the closed loop, in the same obs
-// registry the rest of the pipeline uses.
+// Op counters of the pass, in the same obs registry the client uses.
 var (
-	lgCreateNs = obs.Default().Histogram("loadgen_create_ns", obs.DurationBounds)
-	lgEpochNs  = obs.Default().Histogram("loadgen_epoch_ns", obs.DurationBounds)
 	lgEpochsOK = obs.Default().Counter("loadgen_epochs_ok_total")
 	lgCached   = obs.Default().Counter("loadgen_epochs_cached_total")
 	lgDropped  = obs.Default().Counter("loadgen_epochs_dropped_total")
@@ -99,8 +96,6 @@ func main() {
 		timeout = flag.Duration("timeout", 2*time.Minute, "per-request timeout")
 		retries = flag.Int("retries", 5, "max retries per request")
 
-		benchJSON   = flag.String("bench-json", "", "append a throughput/latency snapshot to this JSON file")
-		benchLabel  = flag.String("bench-label", "current", "label for the -bench-json snapshot")
 		checkSchema = flag.String("check-schema", "", "validate the server's /metrics.json against this obs schema file")
 	)
 	flag.Parse()
@@ -111,7 +106,10 @@ func main() {
 	}
 	names := strings.Split(*dsList, ",")
 	m, err := core.ParseMethod(*method)
-	check(err)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "loadgen:", err)
+		os.Exit(2)
+	}
 	useDelta, barrier := false, false
 	switch *scenario {
 	case "":
@@ -150,18 +148,14 @@ func main() {
 
 	failed := false
 	for _, wire := range wires {
-		label := *benchLabel
-		if len(wires) > 1 {
-			label += "-" + wire
-		}
 		if !runLoad(loadRun{
 			addr: *addr, wire: wire, sessions: *sessions, epochs: *epochs,
 			names: names, n: *n, k: *k, alpha: *alpha, m: m, dynamic: *dynamic,
 			seed: *seed, distinct: *distinct, useDelta: useDelta, warm: *warm,
-			barrier: barrier, scenario: *scenario,
+			barrier: barrier,
 			killPid: *killPid, killAfter: *killAfter, think: *think,
 			timeout: *timeout, retries: *retries,
-			benchJSON: *benchJSON, benchLabel: label, checkSchema: *checkSchema,
+			checkSchema: *checkSchema,
 		}) {
 			failed = true
 		}
@@ -189,8 +183,7 @@ type loadRun struct {
 	warm     bool
 	// barrier releases every session's create simultaneously
 	// (concurrent-identical scenario).
-	barrier  bool
-	scenario string
+	barrier bool
 	// replica-kill scenario: SIGTERM killPid after killAfter; think paces
 	// sessions between epochs so the run spans the kill.
 	killPid   int
@@ -200,18 +193,17 @@ type loadRun struct {
 	timeout time.Duration
 	retries int
 
-	benchJSON   string
-	benchLabel  string
 	checkSchema string
 }
 
-// runLoad drives one complete pass and reports/benchmarks it. Local obs
+// runLoad drives one complete pass and prints its counters. Local obs
 // metrics are reset at entry so per-codec numbers do not bleed between
 // passes; server-side counters (cumulative since server start) are diffed
-// around the pass. Returns false when any epoch dropped.
+// around the pass. Returns false when any epoch dropped, any session
+// failed, or a scenario's or -check-schema's assertion did not hold.
 func runLoad(rc loadRun) bool {
 	obs.Default().Reset()
-	before, _ := fetchServerMetrics(rc.addr)
+	before := fetchServerMetrics(rc.addr)
 
 	client := hyperbal.NewClient(rc.addr, hyperbal.ClientOptions{
 		RequestTimeout: rc.timeout,
@@ -225,20 +217,16 @@ func runLoad(rc loadRun) bool {
 	}
 	var failures atomic.Int64
 	var wg sync.WaitGroup
-	start := time.Now()
+	var killTimer *time.Timer
+	killErr := make(chan error, 1)
 	if rc.killPid > 0 {
-		killTimer := time.AfterFunc(rc.killAfter, func() {
+		killTimer = time.AfterFunc(rc.killAfter, func() {
 			proc, err := os.FindProcess(rc.killPid)
 			if err == nil {
 				err = proc.Signal(syscall.SIGTERM)
 			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "loadgen: replica-kill: SIGTERM pid %d: %v\n", rc.killPid, err)
-				return
-			}
-			fmt.Printf("loadgen: replica-kill: SIGTERM sent to pid %d after %s\n", rc.killPid, rc.killAfter.Round(time.Millisecond))
+			killErr <- err
 		})
-		defer killTimer.Stop()
 	}
 	for i := 0; i < rc.sessions; i++ {
 		wg.Add(1)
@@ -262,121 +250,85 @@ func runLoad(rc loadRun) bool {
 		close(gate)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
 
 	ok := lgEpochsOK.Load()
 	dropped := lgDropped.Load()
 	total := int64(rc.sessions) * int64(rc.epochs+1) // +1: the create partitioning
 	fmt.Printf("loadgen: %d sessions x %d epochs on %v (%s drift, method %s, %s wire)\n",
 		rc.sessions, rc.epochs, rc.names, rc.dynamic, rc.m, rc.wire)
-	fmt.Printf("  wall time        %s\n", elapsed.Round(time.Millisecond))
 	fmt.Printf("  ops ok/dropped   %d/%d (of %d)\n", ok, dropped, total)
-	fmt.Printf("  throughput       %.1f ops/s\n", float64(ok)/elapsed.Seconds())
-	fmt.Printf("  create p50/p99   %.2f / %.2f ms\n", ms(lgCreateNs.Quantile(0.50)), ms(lgCreateNs.Quantile(0.99)))
-	fmt.Printf("  epoch  p50/p99   %.2f / %.2f ms\n", ms(lgEpochNs.Quantile(0.50)), ms(lgEpochNs.Quantile(0.99)))
+	fmt.Printf("  sessions failed  %d\n", failures.Load())
 	fmt.Printf("  client cached    %d/%d responses\n", lgCached.Load(), ok)
 
-	snap, _ := fetchServerMetrics(rc.addr)
-	serverHitRate := -1.0
-	if snap != nil {
-		hits := counterDiff(before, snap, "server_cache_hits_total")
-		misses := counterDiff(before, snap, "server_cache_misses_total")
-		if hits+misses == 0 {
-			serverHitRate = 0
-		} else {
-			serverHitRate = float64(hits) / float64(hits+misses)
-		}
-		fmt.Printf("  server cache     %.1f%% hit rate\n", 100*serverHitRate)
+	pass := true
+	fail := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "loadgen: FAILED: "+format+"\n", args...)
+		pass = false
 	}
-	epochWire := labeledCounter("client_bytes_sent_total", "op", "epoch")
-	deltaWire := labeledCounter("client_bytes_sent_total", "op", "delta")
-	deltaFallbacks := snapshotCounter("client_delta_fallbacks_total")
-	rxBytes := counterDiff(before, snap, "server_wire_rx_bytes_total{codec=\""+rc.wire+"\"}")
-	txBytes := counterDiff(before, snap, "server_wire_tx_bytes_total{codec=\""+rc.wire+"\"}")
-	sfLeaders := counterDiff(before, snap, "server_singleflight_leaders_total")
-	sfShared := counterDiff(before, snap, "server_singleflight_shared_total")
-	if snap != nil {
-		fmt.Printf("  server wire      %d B in / %d B out (%s)\n", rxBytes, txBytes, rc.wire)
+	if dropped > 0 || failures.Load() > 0 {
+		fail("%d dropped epochs, %d failed sessions", dropped, failures.Load())
 	}
-	serverDeltaBytes := counterDiff(before, snap, "server_delta_bytes_total")
-	serverDeltaFullEst := counterDiff(before, snap, "server_delta_full_bytes_estimated_total")
-	warmAvgMs := histDiffAvgMs(before, snap, "server_epoch_warm_ns")
-	coldAvgMs := histDiffAvgMs(before, snap, "server_epoch_cold_ns")
+
+	snap := fetchServerMetrics(rc.addr)
+	if snap != nil {
+		fmt.Printf("  server cache     %d hits, %d misses\n",
+			counterDiff(before, snap, "server_cache_hits_total"),
+			counterDiff(before, snap, "server_cache_misses_total"))
+		fmt.Printf("  server wire      %d B in / %d B out (%s)\n",
+			counterDiff(before, snap, "server_wire_rx_bytes_total{codec=\""+rc.wire+"\"}"),
+			counterDiff(before, snap, "server_wire_tx_bytes_total{codec=\""+rc.wire+"\"}"), rc.wire)
+	}
 	if rc.useDelta {
 		fmt.Printf("  delta wire       %d B sent as deltas, %d B as full epochs, %d fallbacks\n",
-			deltaWire, epochWire, deltaFallbacks)
-		if serverDeltaFullEst > 0 {
-			fmt.Printf("  server wire      %d B received vs ~%d B full-resync equivalent (%.1f%% saved)\n",
-				serverDeltaBytes, serverDeltaFullEst,
-				100*(1-float64(serverDeltaBytes)/float64(serverDeltaFullEst)))
-		}
-		if warmAvgMs > 0 && coldAvgMs > 0 {
-			fmt.Printf("  server repart    warm %.2f ms avg vs cold %.2f ms avg (%.2fx)\n",
-				warmAvgMs, coldAvgMs, coldAvgMs/warmAvgMs)
-		}
+			localCounter("client_bytes_sent_total", "op", "delta"),
+			localCounter("client_bytes_sent_total", "op", "epoch"),
+			localCounter("client_delta_fallbacks_total"))
+		fmt.Printf("  server delta     %d B received vs ~%d B full-resync equivalent\n",
+			counterDiff(before, snap, "server_delta_bytes_total"),
+			counterDiff(before, snap, "server_delta_full_bytes_estimated_total"))
 	}
 	if rc.barrier {
-		fmt.Printf("  singleflight     %d leaders, %d shared followers\n", sfLeaders, sfShared)
+		leaders := counterDiff(before, snap, "server_singleflight_leaders_total")
+		fmt.Printf("  singleflight     %d leaders, %d shared followers\n",
+			leaders, counterDiff(before, snap, "server_singleflight_shared_total"))
+		if snap == nil {
+			fail("concurrent-identical: could not fetch server metrics")
+		} else if leaders >= total {
+			fail("concurrent-identical: %d singleflight leaders for %d ops, identical solves did not collapse", leaders, total)
+		}
 	}
-	ownerHops := snapshotCounter("client_owner_redirects_total")
-	gwRetargets := counterDiff(before, snap, "gateway_retargets_total")
 	if rc.killPid > 0 {
+		err := errors.New("the run finished before -kill-after")
+		if !killTimer.Stop() {
+			err = <-killErr
+		}
+		if err != nil {
+			fail("replica-kill: SIGTERM pid %d not delivered: %v", rc.killPid, err)
+		}
 		fmt.Printf("  replica kill     %d gateway retargets, %d client owner redirects, %d client retries\n",
-			gwRetargets, ownerHops, snapshotCounter("client_retries_total"))
+			counterDiff(before, snap, "gateway_retargets_total"),
+			localCounter("client_owner_redirects_total"), localCounter("client_retries_total"))
 	}
 	if rc.checkSchema != "" {
-		if snap == nil {
-			fmt.Fprintln(os.Stderr, "loadgen: -check-schema: could not fetch server metrics")
-			os.Exit(1)
+		if err := checkSchema(snap, rc.checkSchema); err != nil {
+			fail("-check-schema: %v", err)
+		} else {
+			fmt.Printf("  metrics schema   ok (%s)\n", rc.checkSchema)
 		}
-		schema, err := obs.ReadSchema(rc.checkSchema)
-		check(err)
-		check(obs.CheckSnapshot(*snap, schema))
-		fmt.Printf("  metrics schema   ok (%s)\n", rc.checkSchema)
 	}
+	return pass
+}
 
-	if rc.benchJSON != "" {
-		check(writeBench(rc.benchJSON, rc.benchLabel, benchSnapshot{
-			Label: rc.benchLabel, Date: time.Now().UTC().Format("2006-01-02"),
-			GoMaxProcs: runtime.GOMAXPROCS(0),
-			Sessions:   rc.sessions, EpochsPerSession: rc.epochs,
-			Datasets: rc.names, ScaleV: rc.n, K: rc.k, Alpha: rc.alpha,
-			Dynamic: rc.dynamic, Method: rc.m.String(), DistinctSeeds: rc.distinct,
-			Wire:          rc.wire,
-			DurationMs:    float64(elapsed.Microseconds()) / 1000,
-			OpsOK:         ok,
-			OpsDropped:    dropped,
-			ThroughputOps: float64(ok) / elapsed.Seconds(),
-			CreateP50Ms:   ms(lgCreateNs.Quantile(0.50)), CreateP99Ms: ms(lgCreateNs.Quantile(0.99)),
-			EpochP50Ms: ms(lgEpochNs.Quantile(0.50)), EpochP99Ms: ms(lgEpochNs.Quantile(0.99)),
-			ClientCachedFrac:     frac(lgCached.Load(), ok),
-			ServerCacheHitRate:   serverHitRate,
-			Retries:              snapshotCounter("client_retries_total"),
-			Scenario:             rc.scenario,
-			Warm:                 rc.warm,
-			ClientEpochWireBytes: epochWire,
-			ClientDeltaWireBytes: deltaWire,
-			ClientDeltaFallbacks: deltaFallbacks,
-			ServerRxBytes:        rxBytes,
-			ServerTxBytes:        txBytes,
-			SingleflightLeaders:  sfLeaders,
-			SingleflightShared:   sfShared,
-			OwnerRedirects:       ownerHops,
-			GatewayRetargets:     gwRetargets,
-			SessionsFailed:       failures.Load(),
-			ServerDeltaBytes:     serverDeltaBytes,
-			ServerDeltaFullEst:   serverDeltaFullEst,
-			ServerWarmAvgMs:      warmAvgMs,
-			ServerColdAvgMs:      coldAvgMs,
-		}))
-		fmt.Printf("  bench snapshot   appended to %s\n", rc.benchJSON)
+// checkSchema validates the server's metrics snapshot against a schema file.
+func checkSchema(snap *obs.Snapshot, path string) error {
+	if snap == nil {
+		return errors.New("could not fetch server metrics")
 	}
-
-	if dropped > 0 || failures.Load() > 0 {
-		fmt.Fprintf(os.Stderr, "loadgen: FAILED: %d dropped epochs, %d failed sessions\n", dropped, failures.Load())
-		return false
+	schema, err := obs.ReadSchema(path)
+	if err != nil {
+		return err
 	}
-	return true
+	return obs.CheckSnapshot(*snap, schema)
 }
 
 // runSession drives one full session lifecycle against the server. With
@@ -393,13 +345,11 @@ func runSession(client *hyperbal.Client, dataset string, n, k int, alpha int64, 
 	h := graph.ToHypergraph(g)
 	cfg := core.Config{K: k, Alpha: alpha, Seed: seed, Method: m}
 
-	t0 := time.Now()
 	sess, first, err := client.CreateSession(ctx, cfg, h)
 	if err != nil {
 		lgDropped.Inc()
 		return fmt.Errorf("create: %w", err)
 	}
-	lgCreateNs.ObserveSince(t0)
 	lgEpochsOK.Inc()
 	if first.Cached {
 		lgCached.Inc()
@@ -434,7 +384,6 @@ func runSession(client *hyperbal.Client, dataset string, n, k int, alpha int64, 
 			time.Sleep(think)
 		}
 		prob, old := gen.Next()
-		t := time.Now()
 		var res hyperbal.RemoteResult
 		switch {
 		case useDelta && dynamic == "structure":
@@ -454,7 +403,6 @@ func runSession(client *hyperbal.Client, dataset string, n, k int, alpha int64, 
 			lgDropped.Inc()
 			return fmt.Errorf("epoch %d: %w", e, err)
 		}
-		lgEpochNs.ObserveSince(t)
 		lgEpochsOK.Inc()
 		if res.Cached {
 			lgCached.Inc()
@@ -466,34 +414,25 @@ func runSession(client *hyperbal.Client, dataset string, n, k int, alpha int64, 
 	return sess.Close(ctx)
 }
 
-// fetchServerMetrics pulls the server's obs snapshot and derives the
-// partition-cache hit rate (-1 when unavailable).
-func fetchServerMetrics(base string) (*obs.Snapshot, float64) {
+// fetchServerMetrics pulls the server's obs snapshot (nil when
+// unavailable).
+func fetchServerMetrics(base string) *obs.Snapshot {
 	resp, err := http.Get(strings.TrimRight(base, "/") + "/metrics.json")
 	if err != nil {
-		return nil, -1
+		return nil
 	}
 	defer resp.Body.Close()
 	var snap obs.Snapshot
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return nil, -1
+		return nil
 	}
-	hits := snap.Counters["server_cache_hits_total"]
-	misses := snap.Counters["server_cache_misses_total"]
-	if hits+misses == 0 {
-		return &snap, 0
-	}
-	return &snap, float64(hits) / float64(hits+misses)
+	return &snap
 }
 
-// snapshotCounter reads one counter from the local registry.
-func snapshotCounter(name string) int64 {
-	return obs.Default().Counter(name).Load()
-}
-
-// labeledCounter reads one labeled counter from the local registry.
-func labeledCounter(name, label, value string) int64 {
-	return obs.Default().Counter(name, label, value).Load()
+// localCounter reads one counter from the local registry; kv are optional
+// label key,value pairs.
+func localCounter(name string, kv ...string) int64 {
+	return obs.Default().Counter(name, kv...).Load()
 }
 
 // counterDiff reads how much a server counter grew across this run:
@@ -508,119 +447,4 @@ func counterDiff(before, after *obs.Snapshot, key string) int64 {
 		v -= before.Counters[key]
 	}
 	return v
-}
-
-// histDiffAvgMs derives the mean sample in milliseconds of a server
-// histogram restricted to this run, by diffing count and sum across the
-// before/after snapshots.
-func histDiffAvgMs(before, after *obs.Snapshot, key string) float64 {
-	if after == nil {
-		return 0
-	}
-	h := after.Histograms[key]
-	count, sum := h.Count, h.Sum
-	if before != nil {
-		b := before.Histograms[key]
-		count -= b.Count
-		sum -= b.Sum
-	}
-	if count == 0 {
-		return 0
-	}
-	return float64(sum) / float64(count) / 1e6
-}
-
-func ms(ns int64) float64 { return float64(ns) / 1e6 }
-
-func frac(a, b int64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return float64(a) / float64(b)
-}
-
-// benchSnapshot is one BENCH_serve.json entry.
-type benchSnapshot struct {
-	Label            string   `json:"label"`
-	Date             string   `json:"date"`
-	GoMaxProcs       int      `json:"gomaxprocs"`
-	Sessions         int      `json:"sessions"`
-	EpochsPerSession int      `json:"epochs_per_session"`
-	Datasets         []string `json:"datasets"`
-	ScaleV           int      `json:"scale_v"`
-	K                int      `json:"k"`
-	Alpha            int64    `json:"alpha"`
-	Dynamic          string   `json:"dynamic"`
-	Method           string   `json:"method"`
-	DistinctSeeds    bool     `json:"distinct_seeds"`
-	Wire             string   `json:"wire,omitempty"`
-
-	DurationMs    float64 `json:"duration_ms"`
-	OpsOK         int64   `json:"ops_ok"`
-	OpsDropped    int64   `json:"ops_dropped"`
-	ThroughputOps float64 `json:"throughput_ops_per_s"`
-	CreateP50Ms   float64 `json:"create_p50_ms"`
-	CreateP99Ms   float64 `json:"create_p99_ms"`
-	EpochP50Ms    float64 `json:"epoch_p50_ms"`
-	EpochP99Ms    float64 `json:"epoch_p99_ms"`
-
-	ClientCachedFrac   float64 `json:"client_cached_frac"`
-	ServerCacheHitRate float64 `json:"server_cache_hit_rate"`
-	Retries            int64   `json:"retries"`
-
-	// Delta-drift scenario accounting. Wire bytes are split by submission
-	// op: "delta" is PATCH delta traffic, "epoch" full POST bodies (create
-	// excluded from both). Server counters are cumulative since server
-	// start; benchmarks run loadgen against a freshly started balancerd.
-	Scenario             string  `json:"scenario,omitempty"`
-	Warm                 bool    `json:"warm,omitempty"`
-	ClientEpochWireBytes int64   `json:"client_epoch_wire_bytes,omitempty"`
-	ClientDeltaWireBytes int64   `json:"client_delta_wire_bytes,omitempty"`
-	ClientDeltaFallbacks int64   `json:"client_delta_fallbacks,omitempty"`
-	// Server-side payload bytes for this run's codec and the singleflight
-	// leader/shared split (concurrent-identical scenario), both diffed
-	// around the run so multi-codec sweeps stay comparable.
-	ServerRxBytes       int64 `json:"server_rx_bytes,omitempty"`
-	ServerTxBytes       int64 `json:"server_tx_bytes,omitempty"`
-	SingleflightLeaders int64 `json:"singleflight_leaders,omitempty"`
-	SingleflightShared  int64 `json:"singleflight_shared,omitempty"`
-	// Replica-kill scenario accounting: the disruption window of a replica
-	// SIGTERM mid-run, as seen by the client (307 owner redirects followed)
-	// and the gateway (retargeted requests). SessionsFailed must stay 0 —
-	// drain handoff is required to lose no sessions.
-	OwnerRedirects   int64 `json:"client_owner_redirects,omitempty"`
-	GatewayRetargets int64 `json:"gateway_retargets,omitempty"`
-	SessionsFailed   int64 `json:"sessions_failed,omitempty"`
-	ServerDeltaBytes     int64   `json:"server_delta_bytes,omitempty"`
-	ServerDeltaFullEst   int64   `json:"server_delta_full_bytes_est,omitempty"`
-	ServerWarmAvgMs      float64 `json:"server_warm_avg_ms,omitempty"`
-	ServerColdAvgMs      float64 `json:"server_cold_avg_ms,omitempty"`
-	Notes                string  `json:"notes,omitempty"`
-}
-
-type benchFile struct {
-	Snapshots []benchSnapshot `json:"snapshots"`
-}
-
-// writeBench appends a snapshot to path, creating the file if needed.
-func writeBench(path, label string, snap benchSnapshot) error {
-	var file benchFile
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &file); err != nil {
-			return fmt.Errorf("bench-json: %s exists but is not a benchmark file: %w", path, err)
-		}
-	}
-	file.Snapshots = append(file.Snapshots, snap)
-	out, err := json.MarshalIndent(&file, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-func check(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "loadgen:", err)
-		os.Exit(1)
-	}
 }

@@ -43,9 +43,6 @@ func main() {
 		seed        = flag.Int64("seed", 1, "base random seed")
 		warm        = flag.Bool("warm", false, "repartition each epoch via the delta/warm-start path (hypergraph repartitioning only; others run normally)")
 		parallelism = flag.Int("parallelism", 0, "worker goroutines for the sweep (0 = GOMAXPROCS; results identical for every value)")
-		benchJSON   = flag.String("bench-json", "", "run the tracked benchmark suite and append a snapshot to this JSON file")
-		benchLabel  = flag.String("bench-label", "current", "label for the -bench-json snapshot")
-		parSweep    = flag.String("parallelism-sweep", "", "comma-separated Parallelism settings (e.g. 1,2,4,8): time the Figure-7 Zoltan-repart cell at each and record ms_per_repart + speedup in the -bench-json snapshot")
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 
@@ -90,18 +87,7 @@ func main() {
 		Seed: *seed, ScaleV: *scale, Parallelism: *parallelism, Warm: *warm,
 	}
 
-	var sweep []int
-	if *parSweep != "" {
-		sweep, err = parseInts(*parSweep)
-		check(err)
-		if *benchJSON == "" {
-			check(fmt.Errorf("-parallelism-sweep requires -bench-json"))
-		}
-	}
-
 	switch {
-	case *benchJSON != "":
-		check(runBenchJSON(*benchJSON, *benchLabel, *parallelism, *seed, sweep))
 	case *par:
 		name := *dataset
 		if name == "" {

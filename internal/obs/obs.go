@@ -13,8 +13,7 @@
 //   - Safe for concurrent use everywhere: the partitioners run under
 //     worker pools and SPMD rank goroutines, so every metric is atomic.
 //   - Cheap enough to stay on in production: the Figure-7 repartitioning
-//     hot path carries the full instrumentation at under 2% overhead
-//     (see BENCH_repart.json).
+//     hot path carries the full instrumentation.
 //
 // Metrics have a family name (Prometheus conventions: snake_case, unit
 // suffix) and an optional label set rendered into the registry key, e.g.
@@ -100,59 +99,6 @@ func (h *Histogram) ObserveSince(start time.Time) {
 
 // Count returns the number of samples observed.
 func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Quantile estimates the q-quantile (0 <= q <= 1) of the observed samples
-// by linear interpolation within the bucket that crosses the target rank.
-// The +Inf bucket is approximated by its lower edge. Returns 0 with no
-// samples. The estimate is read under concurrent Observe calls; it is a
-// monitoring-grade approximation, not an exact order statistic.
-func (h *Histogram) Quantile(q float64) int64 {
-	total := h.count.Load()
-	if total <= 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * float64(total)
-	var cum int64
-	for i := range h.counts {
-		c := h.counts[i].Load()
-		if c == 0 {
-			cum += c
-			continue
-		}
-		if float64(cum+c) >= target {
-			if i >= len(h.bounds) { // +Inf bucket: report its lower edge
-				if len(h.bounds) == 0 {
-					return h.sum.Load() / total
-				}
-				return h.bounds[len(h.bounds)-1]
-			}
-			lo := int64(0)
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			hi := h.bounds[i]
-			frac := (target - float64(cum)) / float64(c)
-			if frac < 0 {
-				frac = 0
-			}
-			if frac > 1 {
-				frac = 1
-			}
-			return lo + int64(frac*float64(hi-lo))
-		}
-		cum += c
-	}
-	if len(h.bounds) > 0 {
-		return h.bounds[len(h.bounds)-1]
-	}
-	return 0
-}
 
 // Sum returns the sum of all observed samples.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
