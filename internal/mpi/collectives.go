@@ -19,11 +19,11 @@ func Bcast[T any](c *Comm, root int, v T) T {
 		}
 		return v
 	}
-	return c.Recv(root, tagBcast).(T)
+	return recvAs[T](c, root, tagBcast)
 }
 
 // BcastSlice distributes root's slice; non-root ranks receive a copy they
-// own.
+// own (in-process the root makes it; over a Transport the encode is it).
 func BcastSlice[T any](c *Comm, root int, v []T) []T {
 	defer c.collective("bcast-slice")()
 	if c.size == 1 {
@@ -32,12 +32,16 @@ func BcastSlice[T any](c *Comm, root int, v []T) []T {
 	if c.rank == root {
 		for r := 0; r < c.size; r++ {
 			if r != root {
-				c.Send(r, tagBcast, append([]T(nil), v...))
+				s := v
+				if c.tr == nil {
+					s = append([]T(nil), v...)
+				}
+				c.Send(r, tagBcast, s)
 			}
 		}
 		return v
 	}
-	return c.Recv(root, tagBcast).([]T)
+	return recvAs[[]T](c, root, tagBcast)
 }
 
 // Gather collects one value per rank at root (rank order). Non-root ranks
@@ -49,7 +53,7 @@ func Gather[T any](c *Comm, root int, v T) []T {
 		out[root] = v
 		for r := 0; r < c.size; r++ {
 			if r != root {
-				out[r] = c.Recv(r, tagGather).(T)
+				out[r] = recvAs[T](c, r, tagGather)
 			}
 		}
 		return out
@@ -165,7 +169,7 @@ func Alltoall[T any](c *Comm, sendbuf []T) []T {
 	}
 	for r := 0; r < c.size; r++ {
 		if r != c.rank {
-			out[r] = c.Recv(r, tagGather).(T)
+			out[r] = recvAs[T](c, r, tagGather)
 		}
 	}
 	return out

@@ -223,8 +223,10 @@ func (c *Comm) Send(dst, tag int, data any) {
 	c.w.stats.Bytes.Add(nb)
 	var stall time.Duration
 	if c.tr != nil {
-		var err error
-		stall, err = c.tr.Send(c.commID, c.worldRank(dst), tag, data)
+		p, err := newPayload(data)
+		if err == nil {
+			stall, err = c.tr.Send(c.commID, c.worldRank(dst), tag, p)
+		}
 		if err != nil {
 			panic(transportFailure{err: fmt.Errorf("mpi: send to rank %d: %w", c.worldRank(dst), err)})
 		}
@@ -298,24 +300,17 @@ func (c *Comm) flushHeld() {
 // panicking if the tag differs (protocol error). Under reorder injection
 // it performs MPI-style tag matching instead: non-matching messages are
 // buffered until asked for.
+//
+// Over a Transport a payload arrives encoded and only a receive that
+// knows its type can decode it — recvAs, which every collective uses — so
+// there Recv accepts just the empty body of a nil message (Barrier's
+// token) and fails the rank on anything else.
 func (c *Comm) Recv(src, tag int) any {
-	if src < 0 || src >= c.size {
-		panic(fmt.Sprintf("mpi: recv from rank %d, world size %d", src, c.size))
-	}
-	c.faultStep()
 	if c.tr != nil {
-		data, stall, err := c.tr.Recv(c.commID, c.worldRank(src), tag)
-		if err != nil {
-			panic(transportFailure{err: fmt.Errorf("mpi: recv from rank %d: %w", c.worldRank(src), err)})
-		}
-		if stall > 0 {
-			c.w.noteStall(stall)
-		}
-		if hook := c.w.opt.OnEvent; hook != nil {
-			hook(Event{Rank: c.worldRank(c.rank), Op: "recv", Peer: c.worldRank(src), Tag: tag, Bytes: payloadBytes(data), Stall: stall})
-		}
-		return data
+		c.recvWire(src, tag, nil)
+		return nil
 	}
+	c.enterRecv(src)
 	if c.held != nil {
 		c.w.flushRank(c.worldRank(c.rank))
 	}
@@ -324,6 +319,48 @@ func (c *Comm) Recv(src, tag int) any {
 		hook(Event{Rank: c.worldRank(c.rank), Op: "recv", Peer: c.worldRank(src), Tag: tag, Bytes: payloadBytes(m.data), Stall: stall})
 	}
 	return m.data
+}
+
+func (c *Comm) enterRecv(src int) {
+	if src < 0 || src >= c.size {
+		panic(fmt.Sprintf("mpi: recv from rank %d, world size %d", src, c.size))
+	}
+	c.faultStep()
+}
+
+// recvAs is the typed receive the collectives are built on: in-process
+// the payload is the sender's value itself; over a Transport it is
+// decoded into T here, the one place that knows the type.
+func recvAs[T any](c *Comm, src, tag int) T {
+	if c.tr == nil {
+		return c.Recv(src, tag).(T)
+	}
+	var out T
+	c.recvWire(src, tag, &out)
+	return out
+}
+
+// recvWire receives one message from the transport into the value into
+// points to; a nil into expects the empty body.
+func (c *Comm) recvWire(src, tag int, into any) {
+	c.enterRecv(src)
+	body, stall, err := c.tr.Recv(c.commID, c.worldRank(src), tag)
+	switch {
+	case err != nil:
+	case into != nil:
+		err = decodePayload(body, into)
+	case len(body) != 0:
+		err = fmt.Errorf("untyped Recv of a %d-byte payload; only a collective's typed receive can decode it", len(body))
+	}
+	if err != nil {
+		panic(transportFailure{err: fmt.Errorf("mpi: recv from rank %d: %w", c.worldRank(src), err)})
+	}
+	if stall > 0 {
+		c.w.noteStall(stall)
+	}
+	if hook := c.w.opt.OnEvent; hook != nil {
+		hook(Event{Rank: c.worldRank(c.rank), Op: "recv", Peer: c.worldRank(src), Tag: tag, Bytes: payloadBytes(into), Stall: stall})
+	}
 }
 
 // fetch returns the next message from src with the given tag.
@@ -537,8 +574,7 @@ func (c *Comm) Split(color, key int) *Comm {
 	return sub
 }
 
-// splitEntry is Split's allgather payload (package-level with exported
-// fields so it can cross a network transport).
+// splitEntry is Split's allgather payload.
 type splitEntry struct{ Color, Key, Rank int }
 
 // Internal collective tags (user tags are free-form; collisions avoided by
@@ -582,14 +618,14 @@ func AllgatherAny[T any](c *Comm, v T) any {
 	if c.rank == 0 {
 		out[0] = v
 		for r := 1; r < c.size; r++ {
-			out[r] = c.Recv(r, tagAllgatherAny).(T)
+			out[r] = recvAs[T](c, r, tagAllgatherAny)
 		}
 		for r := 1; r < c.size; r++ {
 			c.Send(r, tagAllgatherAny, append([]T(nil), out...))
 		}
 	} else {
 		c.Send(0, tagAllgatherAny, v)
-		out = c.Recv(0, tagAllgatherAny).([]T)
+		out = recvAs[[]T](c, 0, tagAllgatherAny)
 	}
 	return out
 }

@@ -10,24 +10,18 @@
 // Split, and the OnEvent trace. internal/mpinet implements Transport over
 // TCP; tests can implement it over anything.
 //
-// Payloads cross a Transport as typed values. The in-process path moves
-// them as interface values and needs no declarations, but a real network
-// must reconstruct the concrete type on the far side, so transportable
-// types are declared once via RegisterPayload (scalars, their slices and
-// the substrate's own internal types are pre-registered). Registration is
-// by reflect type string, which is stable across processes of the same
-// binary — the compute plane ships the same code everywhere, exactly like
-// an MPI program.
+// Payloads cross a Transport encoded (codec.go): Comm.Send hands the
+// transport a sized, not-yet-encoded Payload, and the typed receive every
+// collective is built on decodes the bytes Recv returns into its T. A
+// transport therefore moves opaque bytes and declares nothing.
 package mpi
 
 import (
 	"fmt"
-	"reflect"
-	"sync"
 	"time"
 )
 
-// Transport delivers typed messages between the ranks of one world whose
+// Transport delivers encoded messages between the ranks of one world whose
 // rank processes live behind a network. Ranks passed here are world ranks
 // (the Comm layer translates split-communicator ranks). comm identifies
 // the communicator (0 is the world communicator; Split derives fresh ids
@@ -40,9 +34,12 @@ import (
 // for the calling rank: the Comm layer unwinds the rank with it. A lost
 // peer should surface as an error wrapping *CrashError so callers can
 // detect crashed ranks structurally.
+//
+// Send must have encoded p (Payload.AppendTo) before it returns. The body
+// Recv returns belongs to the caller.
 type Transport interface {
-	Send(comm uint64, dst, tag int, data any) (stall time.Duration, err error)
-	Recv(comm uint64, src, tag int) (data any, stall time.Duration, err error)
+	Send(comm uint64, dst, tag int, p Payload) (stall time.Duration, err error)
+	Recv(comm uint64, src, tag int) (body []byte, stall time.Duration, err error)
 }
 
 // transportFailure unwinds a rank goroutine when its Transport fails; the
@@ -118,69 +115,4 @@ func deriveCommID(parent uint64, seq, color int) uint64 {
 		h = 1
 	}
 	return h
-}
-
-// ---- Transportable payload registry ----
-
-var (
-	payloadMu  sync.RWMutex
-	payloadReg = map[string]reflect.Type{}
-)
-
-// RegisterPayload declares the dynamic types of the given values as
-// transportable: a network transport may need to reconstruct the concrete
-// type of a received payload, and does so by name through this registry.
-// The name is the reflect type string (e.g. "[]int32", "phg.matchBid"),
-// stable across processes running the same binary. Registering a type
-// twice is a no-op; two distinct types stringifying to the same name is a
-// bug and panics. In-process worlds need no registration.
-func RegisterPayload(vs ...any) {
-	payloadMu.Lock()
-	defer payloadMu.Unlock()
-	for _, v := range vs {
-		t := reflect.TypeOf(v)
-		if t == nil {
-			panic("mpi: RegisterPayload of untyped nil")
-		}
-		name := t.String()
-		if prev, ok := payloadReg[name]; ok {
-			if prev != t {
-				panic(fmt.Sprintf("mpi: payload name %q registered for two distinct types", name))
-			}
-			continue
-		}
-		payloadReg[name] = t
-	}
-}
-
-// PayloadTypeByName resolves a registered payload type.
-func PayloadTypeByName(name string) (reflect.Type, bool) {
-	payloadMu.RLock()
-	defer payloadMu.RUnlock()
-	t, ok := payloadReg[name]
-	return t, ok
-}
-
-// PayloadName returns the registry name of v's dynamic type ("" for nil).
-func PayloadName(v any) string {
-	if v == nil {
-		return ""
-	}
-	return reflect.TypeOf(v).String()
-}
-
-func init() {
-	// Scalars and homogeneous slices every substrate user may ship, plus
-	// the substrate's own collective payload types.
-	RegisterPayload(
-		bool(false), int(0), int8(0), int16(0), int32(0), int64(0),
-		uint(0), uint8(0), uint16(0), uint32(0), uint64(0),
-		float32(0), float64(0), string(""),
-		[]bool(nil), []int(nil), []int8(nil), []int16(nil), []int32(nil), []int64(nil),
-		[]uint(nil), []uint8(nil), []uint16(nil), []uint32(nil), []uint64(nil),
-		[]float32(nil), []float64(nil), []string(nil),
-		[][]int(nil), [][]int32(nil), [][]int64(nil), [][]float64(nil),
-		MinLoc{}, []MinLoc(nil),
-		splitEntry{}, []splitEntry(nil),
-	)
 }

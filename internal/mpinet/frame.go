@@ -13,6 +13,14 @@
 // HBW hypergraph codec (internal/hypergraph/wirebin.go): every count is
 // capped and checked against the bytes actually present, so hostile input
 // yields clean errors, never panics or allocation bombs.
+//
+// A msg frame's body is (comm, src, tag) followed by the payload exactly
+// as mpi's codec lays it out (internal/mpi/codec.go). The transport never
+// looks inside: the sender writes header, fields and payload into one
+// buffer sized up front, and the receiver hands the tail of the frame body
+// to the typed receive that knows what it holds. Version 2 dropped the
+// per-message type name (and the gob stream behind it) that version 1
+// carried; a version-1 frame is rejected, never mis-decoded.
 package mpinet
 
 import (
@@ -24,11 +32,12 @@ import (
 	"time"
 
 	"hyperbal/internal/hypergraph"
+	"hyperbal/internal/mpi"
 )
 
 const (
 	frameMagic   = "HBN"
-	frameVersion = 1
+	frameVersion = 2
 )
 
 // Frame kinds. hello/helloAck establish mesh connections between rank
@@ -49,7 +58,6 @@ const (
 	maxJobNameLen = 256
 	maxAddrCount  = 1024
 	maxAddrLen    = 256
-	maxTypeName   = 256
 	maxErrMsgLen  = 4096
 
 	// DefaultMaxFrame bounds one frame body; a length prefix past it is
@@ -63,46 +71,61 @@ var (
 )
 
 // appendFrameHeader appends the fixed header plus the body length.
-func appendFrame(buf []byte, kind byte, body []byte) []byte {
+func appendFrameHeader(buf []byte, kind byte, bodyLen int) []byte {
 	buf = append(buf, frameMagic...)
 	buf = append(buf, frameVersion, kind)
-	buf = binary.AppendUvarint(buf, uint64(len(body)))
-	return append(buf, body...)
+	return binary.AppendUvarint(buf, uint64(bodyLen))
 }
 
-// readFrame reads one frame from a stream. Returned body is freshly
-// allocated (safe to retain). io.EOF is returned verbatim when the stream
-// ends cleanly between frames.
-func readFrame(br *bufio.Reader, maxFrame int) (byte, []byte, error) {
+// appendFrame appends one whole frame.
+func appendFrame(buf []byte, kind byte, body []byte) []byte {
+	return append(appendFrameHeader(buf, kind, len(body)), body...)
+}
+
+// readFrame reads one frame from a stream, also reporting how many stream
+// bytes it consumed. Returned body is freshly allocated (safe to retain).
+// io.EOF is returned verbatim when the stream ends cleanly between frames.
+func readFrame(br *bufio.Reader, maxFrame int) (kind byte, body []byte, consumed int, err error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		if err == io.ErrUnexpectedEOF {
-			return 0, nil, fmt.Errorf("%w: truncated header", errMalformed)
+			return 0, nil, 0, fmt.Errorf("%w: truncated header", errMalformed)
 		}
-		return 0, nil, err
+		return 0, nil, 0, err
 	}
 	if string(hdr[:3]) != frameMagic {
-		return 0, nil, errBadMagic
+		return 0, nil, 0, errBadMagic
 	}
 	if hdr[3] != frameVersion {
-		return 0, nil, fmt.Errorf("%w: version %d", errMalformed, hdr[3])
+		return 0, nil, 0, fmt.Errorf("%w: version %d", errMalformed, hdr[3])
 	}
-	kind := hdr[4]
+	kind = hdr[4]
 	if kind < frameHello || kind > frameError {
-		return 0, nil, fmt.Errorf("%w: unknown kind %d", errMalformed, kind)
+		return 0, nil, 0, fmt.Errorf("%w: unknown kind %d", errMalformed, kind)
 	}
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return 0, nil, fmt.Errorf("%w: body length: %v", errMalformed, err)
+	// binary.ReadUvarint, counting: the length may be encoded in more bytes
+	// than its value needs.
+	var n uint64
+	consumed = len(hdr)
+	for shift := uint(0); ; shift += 7 {
+		b, err := br.ReadByte()
+		if err != nil || shift > 63 || (shift == 63 && b > 1) {
+			return 0, nil, 0, fmt.Errorf("%w: body length", errMalformed)
+		}
+		consumed++
+		n |= uint64(b&0x7f) << shift
+		if b < 0x80 {
+			break
+		}
 	}
 	if n > uint64(maxFrame) {
-		return 0, nil, fmt.Errorf("%w: body length %d exceeds limit %d", errMalformed, n, maxFrame)
+		return 0, nil, 0, fmt.Errorf("%w: body length %d exceeds limit %d", errMalformed, n, maxFrame)
 	}
-	body := make([]byte, n)
+	body = make([]byte, n)
 	if _, err := io.ReadFull(br, body); err != nil {
-		return 0, nil, fmt.Errorf("%w: truncated body", errMalformed)
+		return 0, nil, 0, fmt.Errorf("%w: truncated body", errMalformed)
 	}
-	return kind, body, nil
+	return kind, body, consumed + len(body), nil
 }
 
 // decodeFrame parses one frame from a byte slice (the fuzzable entry
@@ -271,21 +294,29 @@ func parseLaunch(body []byte) (launchBody, error) {
 }
 
 // msgBody is one substrate message: communicator stream, source world
-// rank, tag, and the gob-encoded payload with its registered type name.
+// rank, tag, and the payload as mpi's codec encoded it. A parsed Payload
+// aliases the frame body.
 type msgBody struct {
-	Comm     uint64
-	Src      int
-	Tag      int
-	TypeName string
-	Payload  []byte
+	Comm    uint64
+	Src     int
+	Tag     int
+	Payload []byte
 }
 
-func (m msgBody) encode() []byte {
-	buf := binary.AppendUvarint(nil, m.Comm)
-	buf = binary.AppendUvarint(buf, uint64(m.Src))
-	buf = binary.AppendVarint(buf, int64(m.Tag))
-	buf = appendString(buf, m.TypeName)
-	return append(buf, m.Payload...)
+// appendMsgFrame builds one complete msg frame around p in a single
+// allocation of exactly the frame's size.
+func appendMsgFrame(comm uint64, src, tag int, p mpi.Payload) []byte {
+	var fieldBuf [3 * binary.MaxVarintLen64]byte
+	fields := binary.AppendUvarint(fieldBuf[:0], comm)
+	fields = binary.AppendUvarint(fields, uint64(src))
+	fields = binary.AppendVarint(fields, int64(tag))
+	var headBuf [len(frameMagic) + 2 + binary.MaxVarintLen64]byte
+	head := appendFrameHeader(headBuf[:0], frameMsg, len(fields)+p.Size())
+
+	buf := make([]byte, 0, len(head)+len(fields)+p.Size())
+	buf = append(buf, head...)
+	buf = append(buf, fields...)
+	return p.AppendTo(buf)
 }
 
 func parseMsg(body []byte) (msgBody, error) {
@@ -305,9 +336,6 @@ func parseMsg(body []byte) (msgBody, error) {
 		return m, fmt.Errorf("%w: msg tag", errMalformed)
 	}
 	m.Tag = int(tag)
-	if m.TypeName, err = readString(r, maxTypeName); err != nil {
-		return m, fmt.Errorf("%w: msg type name: %v", errMalformed, err)
-	}
 	m.Payload = r.Rest()
 	return m, nil
 }

@@ -52,6 +52,25 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// readerPool recycles the 64 KiB read buffers: a world opens several
+// short-lived connections per rank (control both ways, one per mesh edge),
+// and a fresh buffer for each was a visible share of a small world's
+// allocation. Whoever reads a connection last returns its reader (the
+// control paths after their one frame, a peer's readLoop on exit); one
+// dropped on a rare error path is just garbage.
+var readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64<<10) }}
+
+func getReader(conn net.Conn) *bufio.Reader {
+	br := readerPool.Get().(*bufio.Reader)
+	br.Reset(conn)
+	return br
+}
+
+func putReader(br *bufio.Reader) {
+	br.Reset(nil)
+	readerPool.Put(br)
+}
+
 // errClosed marks a transport shut down after its rank finished; any
 // operation racing the shutdown reports it instead of a phantom crash.
 var errClosed = errors.New("mpinet: transport closed")
@@ -73,7 +92,7 @@ type peer struct {
 	conn net.Conn
 	br   *bufio.Reader // carried over from the handshake, which may have buffered past the hello
 	out  chan []byte   // encoded msg frames
-	jr   *rand.Rand    // writer-goroutine-only jitter rng
+	jr   *rand.Rand    // writer-goroutine-only jitter rng; nil when Options.Jitter is off
 
 	closeOnce sync.Once
 }
@@ -156,9 +175,6 @@ func (t *netTransport) attach(peerRank int, conn net.Conn, br *bufio.Reader) err
 	if peerRank < 0 || peerRank >= t.size || peerRank == t.rank {
 		return fmt.Errorf("mpinet: attach of invalid peer rank %d (world size %d)", peerRank, t.size)
 	}
-	if br == nil {
-		br = bufio.NewReaderSize(conn, 64<<10)
-	}
 	t.mu.Lock()
 	if t.peers[peerRank] != nil {
 		t.mu.Unlock()
@@ -169,7 +185,9 @@ func (t *netTransport) attach(peerRank int, conn net.Conn, br *bufio.Reader) err
 		conn: conn,
 		br:   br,
 		out:  make(chan []byte, t.opt.SendWindow),
-		jr:   rand.New(rand.NewSource(t.opt.JitterSeed*1000003 + int64(peerRank)*7919 + int64(t.rank) + 1)),
+	}
+	if t.opt.Jitter > 0 {
+		p.jr = rand.New(rand.NewSource(t.opt.JitterSeed*1000003 + int64(peerRank)*7919 + int64(t.rank) + 1))
 	}
 	t.peers[peerRank] = p
 	t.missing--
@@ -206,7 +224,7 @@ func (t *netTransport) waitReady() error {
 func (t *netTransport) writeLoop(p *peer) {
 	defer t.writers.Done()
 	for buf := range p.out {
-		if t.opt.Jitter > 0 {
+		if p.jr != nil {
 			if d := time.Duration(p.jr.Int63n(int64(t.opt.Jitter))); d > 0 {
 				time.Sleep(d)
 			}
@@ -227,8 +245,9 @@ func (t *netTransport) writeLoop(p *peer) {
 
 func (t *netTransport) readLoop(p *peer) {
 	defer t.readers.Done()
+	defer putReader(p.br)
 	for {
-		kind, body, err := readFrame(p.br, t.opt.MaxFrame)
+		kind, body, n, err := readFrame(p.br, t.opt.MaxFrame)
 		if err != nil {
 			// A dropped mesh connection is a dead peer: every subsequent
 			// Send/Recv on this transport fails with a structured CrashError
@@ -239,7 +258,7 @@ func (t *netTransport) readLoop(p *peer) {
 			return
 		}
 		obsFramesRx.Inc()
-		obsBytesRx.Add(int64(len(body) + 6))
+		obsBytesRx.Add(int64(n))
 		if kind != frameMsg {
 			t.fail(fmt.Errorf("mpinet: unexpected frame kind %d on mesh connection to rank %d", kind, p.rank))
 			return
@@ -264,20 +283,16 @@ func (t *netTransport) readLoop(p *peer) {
 // Send implements mpi.Transport. dst is a world rank; a nonzero stall
 // means the flow-control window was full (the caller counts it as a
 // blocked send, exactly like a full in-process channel).
-func (t *netTransport) Send(comm uint64, dst, tag int, data any) (time.Duration, error) {
-	typeName, payload, err := encodePayload(data)
-	if err != nil {
-		return 0, err
-	}
-	m := msgBody{Comm: comm, Src: t.rank, Tag: tag, TypeName: typeName, Payload: payload}
+func (t *netTransport) Send(comm uint64, dst, tag int, pl mpi.Payload) (time.Duration, error) {
 	if dst == t.rank {
+		m := msgBody{Comm: comm, Src: t.rank, Tag: tag, Payload: pl.AppendTo(make([]byte, 0, pl.Size()))}
 		return t.enqueue(t.queue(qkey{comm, t.rank}), m)
 	}
 	p := t.peers[dst]
 	if p == nil {
 		return 0, fmt.Errorf("mpinet: no connection to rank %d", dst)
 	}
-	buf := appendFrame(nil, frameMsg, m.encode())
+	buf := appendMsgFrame(comm, t.rank, tag, pl)
 	select {
 	case p.out <- buf:
 		return 0, nil
@@ -295,8 +310,8 @@ func (t *netTransport) Send(comm uint64, dst, tag int, data any) (time.Duration,
 }
 
 // enqueue is the self-send path: through the inbound queue with the same
-// window semantics as a remote send. The payload still round-trips the
-// codec so self-delivery and remote delivery are indistinguishable to the
+// window semantics as a remote send. The payload is encoded like any
+// other, so self-delivery and remote delivery are indistinguishable to the
 // algorithm (ownership transfer included).
 func (t *netTransport) enqueue(q chan msgBody, m msgBody) (time.Duration, error) {
 	select {
@@ -317,7 +332,7 @@ func (t *netTransport) enqueue(q chan msgBody, m msgBody) (time.Duration, error)
 
 // Recv implements mpi.Transport. Like the in-process substrate, a tag
 // mismatch at the head of the (comm, src) stream is a protocol error.
-func (t *netTransport) Recv(comm uint64, src, tag int) (any, time.Duration, error) {
+func (t *netTransport) Recv(comm uint64, src, tag int) ([]byte, time.Duration, error) {
 	q := t.queue(qkey{comm, src})
 	var m msgBody
 	var stall time.Duration
@@ -343,11 +358,7 @@ func (t *netTransport) Recv(comm uint64, src, tag int) (any, time.Duration, erro
 	if m.Tag != tag {
 		return nil, 0, fmt.Errorf("mpinet: rank %d expected tag %d from %d, got %d", t.rank, tag, src, m.Tag)
 	}
-	data, err := decodePayload(m.TypeName, m.Payload)
-	if err != nil {
-		return nil, 0, err
-	}
-	return data, stall, nil
+	return m.Payload, stall, nil
 }
 
 // shutdown flushes and tears down the mesh after the rank's function has

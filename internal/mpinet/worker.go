@@ -134,10 +134,11 @@ func (w *Worker) Close() error {
 // it a mesh connection (attach or park), a launch makes it the control
 // connection of a new world on this worker.
 func (w *Worker) handleConn(conn net.Conn) {
-	br := bufio.NewReaderSize(conn, 64<<10)
+	br := getReader(conn)
 	conn.SetReadDeadline(time.Now().Add(pendingTTL))
-	kind, body, err := readFrame(br, DefaultMaxFrame)
+	kind, body, _, err := readFrame(br, DefaultMaxFrame)
 	if err != nil {
+		putReader(br)
 		conn.Close()
 		return
 	}
@@ -149,8 +150,9 @@ func (w *Worker) handleConn(conn net.Conn) {
 			conn.Close()
 			return
 		}
-		w.acceptMesh(h, conn, br)
+		w.acceptMesh(h, conn, br) // the mesh connection keeps its reader
 	case frameLaunch:
+		putReader(br) // a control connection carries nothing more this way
 		l, err := parseLaunch(body)
 		if err != nil {
 			writeError(conn, errorBody{Kind: errKindGeneric, Rank: -1, Msg: err.Error()})
@@ -344,11 +346,12 @@ func dialPeer(t *netTransport, peerRank int, addr string) error {
 			lastErr = err
 			continue
 		}
-		br := bufio.NewReaderSize(conn, 64<<10)
+		br := getReader(conn)
 		conn.SetReadDeadline(time.Now().Add(time.Until(deadline)))
-		kind, _, err := readFrame(br, t.opt.MaxFrame)
+		kind, _, _, err := readFrame(br, t.opt.MaxFrame)
 		conn.SetReadDeadline(time.Time{})
 		if err != nil || kind != frameHelloAck {
+			putReader(br)
 			conn.Close()
 			if err == nil {
 				err = fmt.Errorf("expected helloAck, got frame kind %d", kind)

@@ -1,7 +1,6 @@
 package mpinet
 
 import (
-	"bufio"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -163,7 +162,9 @@ func collectRank(conn net.Conn, rank int, addr string, opt Options) (RankResult,
 	// receive timeout); this deadline only guards against a fully wedged
 	// worker process.
 	conn.SetReadDeadline(time.Now().Add(opt.DialTimeout + opt.RecvTimeout + 30*time.Second))
-	kind, body, err := readFrame(bufio.NewReaderSize(conn, 64<<10), opt.MaxFrame)
+	br := getReader(conn)
+	defer putReader(br)
+	kind, body, _, err := readFrame(br, opt.MaxFrame)
 	if err != nil {
 		return out, fmt.Errorf("mpinet: worker %s control connection lost: %v: %w",
 			addr, err, &mpi.CrashError{Rank: rank})

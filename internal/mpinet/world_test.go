@@ -28,6 +28,15 @@ func init() {
 		}
 		return binary.AppendVarint(nil, total), nil
 	})
+	RegisterJob("test.bulk", func(c *mpi.Comm, payload []byte) ([]byte, error) {
+		// Frames on both sides of the one-byte/two-byte length boundary.
+		for _, n := range []int{1, 15, 16, 300, 5000} {
+			if got := mpi.AllreduceSlice(c, make([]int64, n), mpi.SumInt64); len(got) != n {
+				return nil, fmt.Errorf("AllreduceSlice returned %d of %d elements", len(got), n)
+			}
+		}
+		return nil, nil
+	})
 	RegisterJob("test.fail", func(c *mpi.Comm, payload []byte) ([]byte, error) {
 		if c.Rank() == 1 {
 			return nil, fmt.Errorf("synthetic job failure on rank 1")
@@ -125,5 +134,44 @@ func TestRunWorldWorkerDeath(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 15*time.Second {
 		t.Fatalf("crash took %v to surface (hang?)", elapsed)
+	}
+}
+
+// Every byte one rank's writers put on the mesh is a byte a peer's reader
+// consumed: once a world is fully torn down, the tx and rx byte (and
+// frame) counters have grown by the same amount.
+func TestMeshBytesTxEqualsRx(t *testing.T) {
+	var ws []*Worker
+	var addrs []string
+	served := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := NewWorker(ln)
+		go func() { served <- w.Serve() }()
+		ws, addrs = append(ws, w), append(addrs, w.Addr())
+	}
+	tx0, rx0 := obsBytesTx.Load(), obsBytesRx.Load()
+	ftx0, frx0 := obsFramesTx.Load(), obsFramesRx.Load()
+	_, err := RunWorld(context.Background(), "test.bulk", nil, addrs, Options{RecvTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Serve returns only after every connection handler — and with it every
+	// mesh reader and writer — has exited, so the counters are final.
+	for _, w := range ws {
+		w.Close()
+	}
+	for range ws {
+		if err := <-served; err != nil {
+			t.Fatal(err)
+		}
+	}
+	tx, rx := obsBytesTx.Load()-tx0, obsBytesRx.Load()-rx0
+	ftx, frx := obsFramesTx.Load()-ftx0, obsFramesRx.Load()-frx0
+	if tx == 0 || tx != rx || ftx != frx {
+		t.Fatalf("mesh counters: %d bytes in %d frames sent, %d bytes in %d frames received", tx, ftx, rx, frx)
 	}
 }
