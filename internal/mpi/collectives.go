@@ -1,5 +1,7 @@
 package mpi
 
+import "slices"
+
 // Typed collectives. All of them must be called by every rank of the
 // communicator, in the same order (standard MPI discipline). Simple
 // root-centralized algorithms: correctness and traffic accounting matter
@@ -69,30 +71,19 @@ func Allgather[T any](c *Comm, v T) []T {
 	return BcastSlice(c, 0, all)
 }
 
-// GatherSlice concatenates variable-length per-rank slices at root in rank
-// order, also returning the per-rank counts. Non-root ranks receive nils.
-func GatherSlice[T any](c *Comm, root int, v []T) (concat []T, counts []int) {
-	defer c.collective("gather-slice")()
-	parts := Gather(c, root, v)
-	if c.rank != root {
-		return nil, nil
-	}
-	counts = make([]int, c.size)
-	for r, p := range parts {
-		counts[r] = len(p)
-		concat = append(concat, p...)
-	}
-	return concat, counts
-}
-
 // AllgatherSlice concatenates per-rank slices on every rank (rank order),
-// also returning per-rank counts.
+// also returning per-rank counts. It is one Allgather of the slices, each
+// rank concatenating locally, so the counts are the slice lengths and cost
+// no message of their own: 2(p−1) messages. In-process the other ranks
+// read v itself, so v is the caller's no longer (as with Send).
 func AllgatherSlice[T any](c *Comm, v []T) (concat []T, counts []int) {
 	defer c.collective("allgather-slice")()
-	concat, counts = GatherSlice(c, 0, v)
-	concat = BcastSlice(c, 0, concat)
-	counts = BcastSlice(c, 0, counts)
-	return concat, counts
+	parts := Allgather(c, v)
+	counts = make([]int, len(parts))
+	for r, p := range parts {
+		counts[r] = len(p)
+	}
+	return slices.Concat(parts...), counts
 }
 
 // Reduce folds one value per rank at root with op (applied in rank order).

@@ -528,7 +528,7 @@ func (c *Comm) Split(color, key int) *Comm {
 	defer c.collective("split")()
 	seq := c.splitSeq
 	c.splitSeq++ // counted for every rank, participating or not, so ids agree
-	all := AllgatherAny(c, splitEntry{color, key, c.rank}).([]splitEntry)
+	all := Allgather(c, splitEntry{color, key, c.rank})
 	if color < 0 {
 		return nil
 	}
@@ -584,7 +584,6 @@ const (
 	tagBarrier
 	tagGather
 	tagBcast
-	tagAllgatherAny
 )
 
 // Barrier blocks until every rank of c has entered it.
@@ -604,28 +603,4 @@ func (c *Comm) Barrier() {
 		c.Send(0, tagBarrier, nil)
 		c.Recv(0, tagBarrier)
 	}
-}
-
-// AllgatherAny gathers one opaque value per rank, in rank order, to every
-// rank. The return value is a slice of the element's dynamic type (e.g.
-// []entry), produced with a small reflection-free trick: rank 0 assembles
-// a []any and each rank converts; to keep call sites typed, prefer the
-// generic Allgather for concrete element types. This variant exists for
-// internal structural payloads.
-func AllgatherAny[T any](c *Comm, v T) any {
-	defer c.collective("allgather-any")()
-	out := make([]T, c.size)
-	if c.rank == 0 {
-		out[0] = v
-		for r := 1; r < c.size; r++ {
-			out[r] = recvAs[T](c, r, tagAllgatherAny)
-		}
-		for r := 1; r < c.size; r++ {
-			c.Send(r, tagAllgatherAny, append([]T(nil), out...))
-		}
-	} else {
-		c.Send(0, tagAllgatherAny, v)
-		out = recvAs[[]T](c, 0, tagAllgatherAny)
-	}
-	return out
 }

@@ -25,7 +25,9 @@ import (
 // Options extend the serial gp options with parallel knobs.
 type Options struct {
 	Serial gp.Options
-	// MatchRounds bounds candidate-matching rounds per level (default 10).
+	// MatchRounds bounds candidate-matching rounds per level (default 10),
+	// an upper bound that rarely binds: a level's rounds end at the
+	// matching fixpoint.
 	MatchRounds int
 	// MovesPerRound bounds refinement proposals per rank per exchange
 	// (default 128).

@@ -2,6 +2,7 @@ package pgp
 
 import (
 	"math/rand"
+	"slices"
 
 	"hyperbal/internal/gp"
 	"hyperbal/internal/graph"
@@ -19,7 +20,10 @@ type matchBid struct {
 // nominates unmatched vertices from its block; all ranks bid their best
 // local unmatched neighbor (restricted to equal samePart labels when
 // adaptive); an elementwise reduction picks the heaviest edge; matches
-// finalize deterministically on every rank.
+// finalize deterministically on every rank. As in phg's IPM, a level's
+// rounds end at the matching fixpoint and only viable nominees are sent;
+// both leave the match vector and the rng stream exactly as running all
+// MatchRounds rounds would.
 func parallelHEM(c *mpi.Comm, g *graph.Graph, samePart []int32, rng *rand.Rand, opt Options) []int32 {
 	n := g.NumVertices()
 	match := make([]int32, n)
@@ -32,21 +36,42 @@ func parallelHEM(c *mpi.Comm, g *graph.Graph, samePart []int32, rng *rand.Rand, 
 		candPerRound = 8
 	}
 
+	next := 0 // every vertex below next is known not viable, for good
 	for round := 0; round < opt.MatchRounds; round++ {
-		var local []int32
-		for _, v := range rng.Perm(hi - lo) {
-			gv := int32(lo + v)
-			if match[gv] == -1 {
-				local = append(local, gv)
-				if len(local) >= candPerRound {
-					break
+		perm := rng.Perm(hi - lo)
+		// Fixpoint: no viable vertex, no match possible in any later round.
+		// Skipped rounds still draw their permutations (rng stream intact)
+		// unless no vertex is unmatched, which ends the level outright.
+		for next < n && !viable(g, match, samePart, next) {
+			next++
+		}
+		if next == n {
+			if slices.Contains(match, -1) {
+				for r := round + 1; r < opt.MatchRounds; r++ {
+					rng.Perm(hi - lo)
 				}
+			}
+			break
+		}
+		// The cap counts unmatched nominees; only the viable ones are sent.
+		var local []int32
+		nominated := 0
+		for _, v := range perm {
+			gv := lo + v
+			if match[gv] != -1 {
+				continue
+			}
+			if gv >= next && viable(g, match, samePart, gv) {
+				local = append(local, int32(gv))
+			}
+			if nominated++; nominated >= candPerRound {
+				break
 			}
 		}
 		obsCandidates.Add(int64(len(local)))
 		cands, _ := mpi.AllgatherSlice(c, local)
 		if len(cands) == 0 {
-			break
+			continue // no viable nominee this round
 		}
 		if c.Rank() == 0 {
 			obsHEMRounds.Inc()
@@ -86,15 +111,34 @@ func parallelHEM(c *mpi.Comm, g *graph.Graph, samePart []int32, rng *rand.Rand, 
 	return match
 }
 
+// eligible reports whether v is a possible partner for cand: unmatched and,
+// when adaptive, carrying cand's samePart label.
+func eligible(match, samePart []int32, cand, v int) bool {
+	return match[v] == -1 && (samePart == nil || samePart[cand] == samePart[v])
+}
+
+// viable reports whether v is unmatched and has an eligible neighbour
+// other than itself across an edge of positive weight: what bestLocalBid
+// needs to offer v a positive bid and the finalize step needs to take it.
+func viable(g *graph.Graph, match, samePart []int32, v int) bool {
+	if match[v] != -1 {
+		return false
+	}
+	wts := g.AdjWeights(v)
+	for i, u := range g.Adj(v) {
+		if int(u) != v && wts[i] > 0 && eligible(match, samePart, v, int(u)) {
+			return true
+		}
+	}
+	return false
+}
+
 func bestLocalBid(g *graph.Graph, match, samePart []int32, cand, lo, hi int) matchBid {
 	bid := matchBid{Cand: int32(cand), Match: -1}
 	adj, wts := g.Adj(cand), g.AdjWeights(cand)
 	for i, u := range adj {
 		v := int(u)
-		if v < lo || v >= hi || match[v] != -1 {
-			continue
-		}
-		if samePart != nil && samePart[cand] != samePart[v] {
+		if v < lo || v >= hi || !eligible(match, samePart, cand, v) {
 			continue
 		}
 		if wts[i] > bid.Score || (wts[i] == bid.Score && bid.Match >= 0 && u < bid.Match) {

@@ -2,6 +2,7 @@ package phg
 
 import (
 	"math/rand"
+	"slices"
 
 	"hyperbal/internal/hypergraph"
 	"hyperbal/internal/mpi"
@@ -19,7 +20,9 @@ type matchBid struct {
 type matchPair struct{ A, B int32 }
 
 // parallelIPM runs the candidate-round inner-product matching of §4.1.
-// All ranks return the identical match vector. With opt.LocalIPM, most
+// All ranks return the identical match vector. A level's rounds end at the
+// matching fixpoint, when no vertex is viable any more, so MatchRounds is
+// an upper bound that rarely binds. With opt.LocalIPM, most
 // matching happens inside each rank's block without communication (the
 // optimization proposed in the paper's conclusion); the block-local
 // matches are then exchanged once, and a single global round mops up
@@ -51,24 +54,54 @@ func parallelIPM(c *mpi.Comm, h *hypergraph.Hypergraph, rng *rand.Rand, opt Opti
 	score := make([]float64, n)
 	touched := make([]int32, 0, 64)
 
+	// Every vertex below next is known not viable; match only grows, so
+	// it stays that way and the scan never moves back.
+	next := 0
 	for round := 0; round < opt.MatchRounds; round++ {
-		// 1. Nominate unmatched local candidates. Every rank must observe
-		// the same candidate list order, so candidates are gathered in rank
-		// order (AllgatherSlice preserves it).
-		var local []int32
-		for _, v := range rng.Perm(hi - lo) {
-			gv := int32(lo + v)
-			if match[gv] == -1 {
-				local = append(local, gv)
-				if len(local) >= candPerRound {
-					break
+		perm := rng.Perm(hi - lo)
+		// 0. Fixpoint check on the replicated match vector and hypergraph:
+		// every rank gets the same answer without a message. Once no vertex
+		// is viable no round can match anything, so the level ends. While
+		// unmatched vertices remain, the rounds it skips still take their
+		// rng.Perm draws: that keeps the per-rank rng stream, and with it
+		// every later level and the final partition, exactly what running
+		// all MatchRounds rounds gives. A level with no vertex unmatched
+		// at all ends without further draws.
+		for next < n && !viable(h, match, next, maxNetSize) {
+			next++
+		}
+		if next == n {
+			if slices.Contains(match, -1) {
+				for r := round + 1; r < opt.MatchRounds; r++ {
+					rng.Perm(hi - lo)
 				}
+			}
+			break
+		}
+
+		// 1. Nominate unmatched local candidates, the cap counted over
+		// unmatched vertices, but send only the viable ones: any other can
+		// only draw Match = -1 bids. Every rank must observe the same
+		// candidate list order, so candidates are gathered in rank order
+		// (AllgatherSlice preserves it).
+		var local []int32
+		nominated := 0
+		for _, v := range perm {
+			gv := lo + v
+			if match[gv] != -1 {
+				continue
+			}
+			if gv >= next && viable(h, match, gv, maxNetSize) {
+				local = append(local, int32(gv))
+			}
+			if nominated++; nominated >= candPerRound {
+				break
 			}
 		}
 		obsCandidates.Add(int64(len(local)))
 		cands, _ := mpi.AllgatherSlice(c, local)
 		if len(cands) == 0 {
-			break
+			continue // no viable nominee this round; a later draw may find one
 		}
 		if c.Rank() == 0 {
 			obsIPMRounds.Inc()
@@ -123,6 +156,40 @@ func parallelIPM(c *mpi.Comm, h *hypergraph.Hypergraph, rng *rand.Rand, opt Opti
 	return match
 }
 
+// scoredNet reports whether IPM scores through a net with the given pin
+// count: a single pin pairs nothing, and nets above maxNetSize are skipped.
+func scoredNet(pins, maxNetSize int) bool { return pins >= 2 && pins <= maxNetSize }
+
+// fixedCompatible is the §4.1 match filter: vertices fixed to different
+// parts never match.
+func fixedCompatible(fu, fv int32) bool {
+	return fu == hypergraph.Free || fv == hypergraph.Free || fu == fv
+}
+
+// viable reports whether v is unmatched and has an unmatched,
+// fixed-compatible partner through a scored net. That is exactly when
+// bestLocalBid, on the rank whose block holds such a partner, returns a
+// feasible bid for v.
+func viable(h *hypergraph.Hypergraph, match []int32, v, maxNetSize int) bool {
+	if match[v] != -1 {
+		return false
+	}
+	fv := h.Fixed(v)
+	for _, netID := range h.Nets(v) {
+		pins := h.Pins(int(netID))
+		if !scoredNet(len(pins), maxNetSize) {
+			continue
+		}
+		for _, w := range pins {
+			u := int(w)
+			if u != v && match[u] == -1 && fixedCompatible(fv, h.Fixed(u)) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // bestLocalBid scores candidate cand against the unmatched vertices of the
 // local block via shared nets and returns the best feasible offer.
 func bestLocalBid(h *hypergraph.Hypergraph, match []int32, cand, lo, hi, maxNetSize int, score []float64, touched *[]int32) matchBid {
@@ -131,7 +198,7 @@ func bestLocalBid(h *hypergraph.Hypergraph, match []int32, cand, lo, hi, maxNetS
 	tt := (*touched)[:0]
 	for _, netID := range h.Nets(cand) {
 		pins := h.Pins(int(netID))
-		if len(pins) < 2 || len(pins) > maxNetSize {
+		if !scoredNet(len(pins), maxNetSize) {
 			continue
 		}
 		contrib := float64(h.Cost(int(netID))) / float64(len(pins)-1)
@@ -153,12 +220,8 @@ func bestLocalBid(h *hypergraph.Hypergraph, match []int32, cand, lo, hi, maxNetS
 		v := int(w)
 		s := score[v]
 		score[v] = 0
-		if s <= bid.Score {
+		if s <= bid.Score || !fixedCompatible(fc, h.Fixed(v)) {
 			continue
-		}
-		fv := h.Fixed(v)
-		if fc != hypergraph.Free && fv != hypergraph.Free && fc != fv {
-			continue // match filter (§4.1)
 		}
 		bid.Score = s
 		bid.Match = int32(v)
@@ -189,7 +252,7 @@ func localIPM(c *mpi.Comm, h *hypergraph.Hypergraph, match []int32, lo, hi int, 
 		touched = touched[:0]
 		for _, netID := range h.Nets(u) {
 			pins := h.Pins(int(netID))
-			if len(pins) < 2 || len(pins) > maxNetSize {
+			if !scoredNet(len(pins), maxNetSize) {
 				continue
 			}
 			contrib := float64(h.Cost(int(netID))) / float64(len(pins)-1)
@@ -213,11 +276,7 @@ func localIPM(c *mpi.Comm, h *hypergraph.Hypergraph, match []int32, lo, hi int, 
 			v := int(w)
 			s := score[v]
 			score[v] = 0
-			if s <= bestScore {
-				continue
-			}
-			fv := h.Fixed(v)
-			if fu != hypergraph.Free && fv != hypergraph.Free && fu != fv {
+			if s <= bestScore || !fixedCompatible(fu, h.Fixed(v)) {
 				continue
 			}
 			best = v

@@ -16,8 +16,9 @@ var (
 	obsCoarseSolveNs = obs.Default().Histogram("phg_coarse_solve_ns", obs.DurationBounds)
 	obsRefineNs      = obs.Default().HistogramVec("phg_refine_ns", "level", obs.DurationBounds)
 
-	// IPM candidate-round protocol volume (§4.1): candidates nominated by
-	// each rank, bids computed against candidates, and rounds executed.
+	// IPM candidate-round protocol volume (§4.1): viable candidates sent
+	// by each rank, feasible bids computed against them, and rounds that
+	// exchanged bids (rounds past the matching fixpoint do not run).
 	obsIPMRounds     = obs.Default().Counter("phg_ipm_rounds_total")
 	obsCandidates    = obs.Default().Counter("phg_candidates_total")
 	obsBids          = obs.Default().Counter("phg_bids_total")

@@ -8,7 +8,12 @@
 //     (1D block-distributed) vertex set; candidates are sent to all ranks;
 //     all ranks concurrently compute their best local match for each
 //     candidate; a global reduction finalizes the best match per
-//     candidate, subject to the fixed-vertex compatibility filter. (Zoltan
+//     candidate, subject to the fixed-vertex compatibility filter. Only
+//     viable candidates are sent (an unmatched, compatible partner through
+//     a scored net), and a level's rounds end at the matching fixpoint,
+//     when no vertex is viable: MatchRounds is an upper bound that rarely
+//     binds, and the skipped rounds change neither the matching nor any
+//     rank's random stream. (Zoltan
 //     uses a 2D data distribution; the paper notes those inner workings
 //     are "not needed to explain the extension for handling fixed
 //     vertices" — this package substitutes a 1D distribution, keeping the
@@ -48,10 +53,13 @@ type Options struct {
 	// Serial carries K, Imbalance, Seed, CoarsenTo, etc. The coarsest-level
 	// solve uses these options verbatim (with per-rank seeds).
 	Serial hgp.Options
-	// CandidatesPerRound bounds how many match candidates each rank
-	// nominates per IPM round (default: block size / 2, at least 8).
+	// CandidatesPerRound bounds how many unmatched vertices each rank
+	// nominates per IPM round (default: block size / 2, at least 8); of
+	// those, only the viable ones are sent.
 	CandidatesPerRound int
-	// MatchRounds bounds IPM rounds per coarsening level (default 10).
+	// MatchRounds bounds IPM rounds per coarsening level (default 10). It
+	// is an upper bound that rarely binds: a level's rounds end at the
+	// matching fixpoint, usually after two or three.
 	MatchRounds int
 	// MovesPerRound bounds how many refinement moves each rank proposes per
 	// exchange (default 128).

@@ -6,3 +6,4 @@ for fig in 3 4 5 6; do
 done
 go run ../cmd/repartbench -figure 7 -trials 2 -epochs 2 -procs 4,8,16 -alphas 1,100 > figure7.txt 2>&1
 go run ../cmd/repartbench -figure 8 -trials 2 -epochs 2 -procs 4,8,16 -alphas 1,100 > figure8.txt 2>&1
+go run ../cmd/repartbench -parallel -dataset auto -scale 3000 -procs 2,4,8,16 -alphas 10 > parallel.txt 2>&1
