@@ -35,7 +35,7 @@ import (
 )
 
 // Client-side metrics, reported through the same obs registry as the rest
-// of the pipeline (loadgen's latency report reads them).
+// of the pipeline.
 var (
 	obsClientRequests = obs.Default().CounterVec("client_requests_total", "op")
 	obsClientRetries  = obs.Default().Counter("client_retries_total")
@@ -66,12 +66,9 @@ type ClientOptions struct {
 	// HTTPClient overrides the transport (default: a dedicated
 	// http.Client; its Timeout is left to RequestTimeout contexts).
 	HTTPClient *http.Client
-	// Wire selects the request/response codec: "binary" (the default)
-	// speaks the varint-packed application/x-hyperbal protocol and accepts
-	// binary responses; "json" forces the JSON wire format (for debugging,
-	// curl parity, or servers predating the binary protocol). Both codecs
-	// produce byte-identical partitions — the server validates them through
-	// one shared path.
+	// Wire is ignored. The client always speaks the varint-packed
+	// application/x-hyperbal protocol, the only request codec balancerd
+	// accepts; the field remains so existing callers still compile.
 	Wire string
 }
 
@@ -92,9 +89,6 @@ func (o ClientOptions) withDefaults() ClientOptions {
 	}
 	if o.HTTPClient == nil {
 		o.HTTPClient = &http.Client{}
-	}
-	if o.Wire == "" {
-		o.Wire = "binary"
 	}
 	return o
 }
@@ -169,20 +163,6 @@ func retryable(status int) bool {
 	return false
 }
 
-// binary reports whether this client speaks the binary wire protocol.
-func (c *Client) binary() bool { return c.opt.Wire != "json" }
-
-// render produces a request body in this client's wire: bin renders the
-// binary frame, js builds the JSON request struct (only when the client
-// speaks JSON — its WireHypergraph intermediate is the expensive part).
-func (c *Client) render(bin func() []byte, js func() any) (body []byte, contentType string, err error) {
-	if c.binary() {
-		return bin(), server.ContentTypeBinary, nil
-	}
-	body, err = json.Marshal(js())
-	return body, "application/json", err
-}
-
 // backoffDelay computes the full-jitter retry delay for an attempt:
 // uniform in [0, min(base<<attempt, max)). u is the uniform [0,1) sample
 // (injected so tests can pin it). Full jitter keeps the cap's protection
@@ -204,13 +184,13 @@ func backoffDelay(attempt int, base, max time.Duration, u float64) time.Duration
 	return d
 }
 
-// do performs one API call with the retry/backoff policy. body/contentType
-// carry a pre-rendered request payload (nil body for GET/DELETE); a nil out
-// skips decoding. owner, when non-nil, is the session's redirect override:
+// do performs one API call with the retry/backoff policy. body is a
+// pre-rendered binary request frame (nil for GET/DELETE); a nil out skips
+// decoding. owner, when non-nil, is the session's redirect override:
 // 307 + X-Hyperbal-Owner answers update it and the call is re-issued at
 // the new owner; a transport error at an owner falls back to the primary
 // base URL.
-func (c *Client) do(ctx context.Context, op, method, path string, body []byte, contentType string, out any, owner *string) error {
+func (c *Client) do(ctx context.Context, op, method, path string, body []byte, out any, owner *string) error {
 	obsClientRequests.With(op).Inc()
 	if body != nil {
 		obsClientBytesSent.With(op).Add(int64(len(body)))
@@ -221,7 +201,7 @@ func (c *Client) do(ctx context.Context, op, method, path string, body []byte, c
 		if owner != nil && *owner != "" {
 			base = *owner
 		}
-		status, moved, err := c.attempt(ctx, base, method, path, body, contentType, out)
+		status, moved, err := c.attempt(ctx, base, method, path, body, out)
 		if moved != "" {
 			if owner == nil {
 				// No redirect override to update (a create has no session to
@@ -275,7 +255,7 @@ func (c *Client) do(ctx context.Context, op, method, path string, body []byte, c
 // come back as a non-nil error; non-retryable API errors are decoded into
 // *APIError and returned with err == nil so do() stops retrying. moved
 // carries the X-Hyperbal-Owner target of a 307 handoff redirect.
-func (c *Client) attempt(ctx context.Context, base, method, path string, body []byte, contentType string, out any) (status int, moved string, err error) {
+func (c *Client) attempt(ctx context.Context, base, method, path string, body []byte, out any) (status int, moved string, err error) {
 	actx, cancel := context.WithTimeout(ctx, c.opt.RequestTimeout)
 	defer cancel()
 	var rd io.Reader
@@ -287,13 +267,9 @@ func (c *Client) attempt(ctx context.Context, base, method, path string, body []
 		return 0, "", err
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", contentType)
+		req.Header.Set("Content-Type", server.ContentTypeBinary)
 	}
-	if c.binary() {
-		req.Header.Set("Accept", server.ContentTypeBinary+", application/json")
-	} else {
-		req.Header.Set("Accept", "application/json")
-	}
+	req.Header.Set("Accept", server.ContentTypeBinary)
 	resp, err := c.opt.HTTPClient.Do(req)
 	if err != nil {
 		return 0, "", err // transport error: retry
@@ -330,13 +306,12 @@ func (c *Client) attempt(ctx context.Context, base, method, path string, body []
 	return resp.StatusCode, "", nil
 }
 
-// decodeResponse dispatches on the response Content-Type: servers that
-// honor the binary Accept answer application/x-hyperbal, anything else is
-// decoded as JSON. Error bodies never reach here (always JSON, handled
-// above), so only success payload types appear in the switch.
+// decodeResponse decodes a binary success payload; any other Content-Type
+// is an error. Error bodies never reach here (always JSON, handled above),
+// so only success payload types appear in the switch.
 func decodeResponse(contentType string, data []byte, out any) error {
 	if !strings.HasPrefix(contentType, server.ContentTypeBinary) {
-		return json.Unmarshal(data, out)
+		return fmt.Errorf("response Content-Type %q, want %s", contentType, server.ContentTypeBinary)
 	}
 	switch v := out.(type) {
 	case *server.SessionResponse:
@@ -392,19 +367,9 @@ type RemoteSession struct {
 // CreateSession creates a server-side session: the server computes (or
 // serves from cache) the epoch-1 static partition of h under cfg.
 func (c *Client) CreateSession(ctx context.Context, cfg BalancerConfig, h *Hypergraph) (*RemoteSession, RemoteResult, error) {
-	wcfg := server.WireConfigFrom(cfg)
-	body, ct, err := c.render(
-		// Rendered straight from the CSR arrays — no WireHypergraph
-		// intermediate, no per-net JSON materialization.
-		func() []byte { return server.AppendCreateRequestBinary(nil, wcfg, h) },
-		func() any {
-			return server.CreateSessionRequest{Config: wcfg, Hypergraph: server.EncodeHypergraph(h)}
-		})
-	if err != nil {
-		return nil, RemoteResult{}, err
-	}
+	body := server.AppendCreateRequestBinary(nil, server.WireConfigFrom(cfg), h)
 	var resp server.SessionResponse
-	if err := c.do(ctx, "create", http.MethodPost, "/v1/sessions", body, ct, &resp, nil); err != nil {
+	if err := c.do(ctx, "create", http.MethodPost, "/v1/sessions", body, &resp, nil); err != nil {
 		return nil, RemoteResult{}, err
 	}
 	return &RemoteSession{c: c, ID: resp.SessionID, baseH: h}, remoteResult(resp.Result), nil
@@ -415,7 +380,7 @@ func (c *Client) CreateSession(ctx context.Context, cfg BalancerConfig, h *Hyper
 func (c *Client) Session(ctx context.Context, id string) (*RemoteSession, error) {
 	s := &RemoteSession{c: c, ID: id}
 	var info server.SessionInfo
-	if err := c.do(ctx, "info", http.MethodGet, "/v1/sessions/"+id, nil, "", &info, &s.owner); err != nil {
+	if err := c.do(ctx, "info", http.MethodGet, "/v1/sessions/"+id, nil, &info, &s.owner); err != nil {
 		return nil, err
 	}
 	s.epoch = info.Epoch
@@ -476,20 +441,8 @@ func (s *RemoteSession) SubmitEpochDeltaMapped(ctx context.Context, h *Hypergrap
 // submit sends h as a full epoch submission (POST).
 func (s *RemoteSession) submit(ctx context.Context, h *Hypergraph, inherited []int32, onlyIfUnbalanced bool) (RemoteResult, error) {
 	epoch := s.epoch + 1
-	body, ct, err := s.c.render(
-		func() []byte { return server.AppendEpochRequestBinary(nil, h, inherited, epoch, onlyIfUnbalanced) },
-		func() any {
-			return server.EpochRequest{
-				Hypergraph:       server.EncodeHypergraph(h),
-				Inherited:        inherited,
-				Epoch:            epoch,
-				OnlyIfUnbalanced: onlyIfUnbalanced,
-			}
-		})
-	if err != nil {
-		return RemoteResult{}, err
-	}
-	return s.send(ctx, "epoch", http.MethodPost, body, ct, epoch, h)
+	body := server.AppendEpochRequestBinary(nil, h, inherited, epoch, onlyIfUnbalanced)
+	return s.send(ctx, "epoch", http.MethodPost, body, epoch, h)
 }
 
 // submitDelta sends h as the delta d against the held base (PATCH). When
@@ -498,15 +451,8 @@ func (s *RemoteSession) submit(ctx context.Context, h *Hypergraph, inherited []i
 // of h with the same inherited assignment.
 func (s *RemoteSession) submitDelta(ctx context.Context, h *Hypergraph, d *hypergraph.Delta, inherited []int32, warm bool) (RemoteResult, error) {
 	epoch := s.epoch + 1
-	body, ct, err := s.c.render(
-		func() []byte { return server.AppendDeltaRequestBinary(nil, d, inherited, epoch, warm) },
-		func() any {
-			return server.DeltaEpochRequest{Delta: *d, Inherited: inherited, Epoch: epoch, Warm: warm}
-		})
-	if err != nil {
-		return RemoteResult{}, err
-	}
-	res, err := s.send(ctx, "delta", http.MethodPatch, body, ct, epoch, h)
+	body := server.AppendDeltaRequestBinary(nil, d, inherited, epoch, warm)
+	res, err := s.send(ctx, "delta", http.MethodPatch, body, epoch, h)
 	var apiErr *APIError
 	if errors.As(err, &apiErr) && apiErr.Code == "fingerprint_mismatch" {
 		obsClientDeltaFallbacks.Inc()
@@ -518,9 +464,9 @@ func (s *RemoteSession) submitDelta(ctx context.Context, h *Hypergraph, d *hyper
 // send POSTs or PATCHes one rendered epoch submission tagged with the
 // expected epoch, and keeps the session's epoch and delta base in step with
 // the answer: h becomes the base once the server has accepted it.
-func (s *RemoteSession) send(ctx context.Context, op, method string, body []byte, contentType string, epoch int64, h *Hypergraph) (RemoteResult, error) {
+func (s *RemoteSession) send(ctx context.Context, op, method string, body []byte, epoch int64, h *Hypergraph) (RemoteResult, error) {
 	var resp server.SessionResponse
-	err := s.c.do(ctx, op, method, "/v1/sessions/"+s.ID+"/epochs", body, contentType, &resp, &s.owner)
+	err := s.c.do(ctx, op, method, "/v1/sessions/"+s.ID+"/epochs", body, &resp, &s.owner)
 	if err != nil {
 		var apiErr *APIError
 		if errors.As(err, &apiErr) && apiErr.Code == "epoch_conflict" {
@@ -546,7 +492,7 @@ func (s *RemoteSession) send(ctx context.Context, op, method string, body []byte
 // the expected epoch, its last result IS our submission's result.
 func (s *RemoteSession) reconcile(ctx context.Context, expected int64) (RemoteResult, error) {
 	var info server.SessionInfo
-	if err := s.c.do(ctx, "info", http.MethodGet, "/v1/sessions/"+s.ID, nil, "", &info, &s.owner); err != nil {
+	if err := s.c.do(ctx, "info", http.MethodGet, "/v1/sessions/"+s.ID, nil, &info, &s.owner); err != nil {
 		return RemoteResult{}, err
 	}
 	if expected == 0 || info.Epoch != expected {
@@ -564,7 +510,7 @@ func (s *RemoteSession) Epoch() int64 { return s.epoch }
 // plan summary of the latest epoch (nil before the first rebalance).
 func (s *RemoteSession) Partition(ctx context.Context) (Partition, *RemoteMigration, error) {
 	var resp server.PartitionResponse
-	if err := s.c.do(ctx, "partition", http.MethodGet, "/v1/sessions/"+s.ID+"/partition", nil, "", &resp, &s.owner); err != nil {
+	if err := s.c.do(ctx, "partition", http.MethodGet, "/v1/sessions/"+s.ID+"/partition", nil, &resp, &s.owner); err != nil {
 		return Partition{}, nil, err
 	}
 	return Partition{Parts: resp.Parts, K: resp.K}, resp.Migration, nil
@@ -572,5 +518,5 @@ func (s *RemoteSession) Partition(ctx context.Context) (Partition, *RemoteMigrat
 
 // Close deletes the server-side session.
 func (s *RemoteSession) Close(ctx context.Context) error {
-	return s.c.do(ctx, "delete", http.MethodDelete, "/v1/sessions/"+s.ID, nil, "", nil, &s.owner)
+	return s.c.do(ctx, "delete", http.MethodDelete, "/v1/sessions/"+s.ID, nil, nil, &s.owner)
 }

@@ -1,5 +1,5 @@
 // Command balancerd is the hyperbal load-balancing service daemon: it
-// serves the core.Balancer/core.Session epoch lifecycle over HTTP/JSON,
+// serves the core.Balancer/core.Session epoch lifecycle over HTTP,
 // multiplexing many concurrent adaptive-application sessions over a
 // bounded worker pool with admission control, TTL-evicted session state,
 // and a fingerprint-keyed repartition-result cache.

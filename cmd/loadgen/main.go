@@ -11,12 +11,8 @@
 //	loadgen -addr http://127.0.0.1:8080 [-sessions 100] [-epochs 3]
 //	        [-datasets xyce680s] [-n 1200] [-k 8] [-alpha 100]
 //	        [-dynamic weights|structure] [-distinct-seeds]
-//	        [-wire binary,json] [-scenario delta-drift|concurrent-identical]
+//	        [-scenario delta-drift|concurrent-identical|replica-kill]
 //	        [-warm] [-check-schema schema.json]
-//
-// -wire lists the codecs to exercise; each entry gets a full independent
-// pass (local metrics reset in between, server-side counters diffed around
-// the pass).
 //
 // -scenario delta-drift submits every epoch as a PATCH delta against the
 // previous one instead of a full hypergraph; -warm additionally asks the
@@ -85,7 +81,6 @@ func main() {
 		method   = flag.String("method", "Zoltan-repart", "load-balancing method")
 		seed     = flag.Int64("seed", 1, "base random seed")
 		distinct = flag.Bool("distinct-seeds", false, "give every session its own seed (defeats the partition cache)")
-		wireList = flag.String("wire", "binary", "comma-separated wire codecs to run (binary|json); each gets a full independent run")
 		scenario = flag.String("scenario", "", "named scenario: delta-drift (PATCH deltas), concurrent-identical (singleflight collapse), or replica-kill (SIGTERM a replica mid-run)")
 		warm     = flag.Bool("warm", false, "ask the server to warm-start delta epochs from the inherited distribution (delta-drift only)")
 
@@ -138,38 +133,23 @@ func main() {
 		fmt.Fprintln(os.Stderr, "loadgen: -scenario concurrent-identical needs identical seeds; drop -distinct-seeds")
 		os.Exit(2)
 	}
-	wires := strings.Split(*wireList, ",")
-	for _, w := range wires {
-		if w != "binary" && w != "json" {
-			fmt.Fprintf(os.Stderr, "loadgen: unknown wire codec %q (have: binary, json)\n", w)
-			os.Exit(2)
-		}
-	}
-
-	failed := false
-	for _, wire := range wires {
-		if !runLoad(loadRun{
-			addr: *addr, wire: wire, sessions: *sessions, epochs: *epochs,
-			names: names, n: *n, k: *k, alpha: *alpha, m: m, dynamic: *dynamic,
-			seed: *seed, distinct: *distinct, useDelta: useDelta, warm: *warm,
-			barrier: barrier,
-			killPid: *killPid, killAfter: *killAfter, think: *think,
-			timeout: *timeout, retries: *retries,
-			checkSchema: *checkSchema,
-		}) {
-			failed = true
-		}
-	}
-	if failed {
+	if !runLoad(loadRun{
+		addr: *addr, sessions: *sessions, epochs: *epochs,
+		names: names, n: *n, k: *k, alpha: *alpha, m: m, dynamic: *dynamic,
+		seed: *seed, distinct: *distinct, useDelta: useDelta, warm: *warm,
+		barrier: barrier,
+		killPid: *killPid, killAfter: *killAfter, think: *think,
+		timeout: *timeout, retries: *retries,
+		checkSchema: *checkSchema,
+	}) {
 		os.Exit(1)
 	}
 	fmt.Println("loadgen: all epochs served (zero dropped)")
 }
 
-// loadRun is one full load-generation pass over a single wire codec.
+// loadRun is one full load-generation pass.
 type loadRun struct {
 	addr     string
-	wire     string
 	sessions int
 	epochs   int
 	names    []string
@@ -197,10 +177,10 @@ type loadRun struct {
 }
 
 // runLoad drives one complete pass and prints its counters. Local obs
-// metrics are reset at entry so per-codec numbers do not bleed between
-// passes; server-side counters (cumulative since server start) are diffed
-// around the pass. Returns false when any epoch dropped, any session
-// failed, or a scenario's or -check-schema's assertion did not hold.
+// metrics are reset at entry; server-side counters (cumulative since
+// server start) are diffed around the pass. Returns false when any epoch
+// dropped, any session failed, or a scenario's or -check-schema's
+// assertion did not hold.
 func runLoad(rc loadRun) bool {
 	obs.Default().Reset()
 	before := fetchServerMetrics(rc.addr)
@@ -208,7 +188,6 @@ func runLoad(rc loadRun) bool {
 	client := hyperbal.NewClient(rc.addr, hyperbal.ClientOptions{
 		RequestTimeout: rc.timeout,
 		MaxRetries:     rc.retries,
-		Wire:           rc.wire,
 	})
 
 	var gate chan struct{}
@@ -254,8 +233,8 @@ func runLoad(rc loadRun) bool {
 	ok := lgEpochsOK.Load()
 	dropped := lgDropped.Load()
 	total := int64(rc.sessions) * int64(rc.epochs+1) // +1: the create partitioning
-	fmt.Printf("loadgen: %d sessions x %d epochs on %v (%s drift, method %s, %s wire)\n",
-		rc.sessions, rc.epochs, rc.names, rc.dynamic, rc.m, rc.wire)
+	fmt.Printf("loadgen: %d sessions x %d epochs on %v (%s drift, method %s)\n",
+		rc.sessions, rc.epochs, rc.names, rc.dynamic, rc.m)
 	fmt.Printf("  ops ok/dropped   %d/%d (of %d)\n", ok, dropped, total)
 	fmt.Printf("  sessions failed  %d\n", failures.Load())
 	fmt.Printf("  client cached    %d/%d responses\n", lgCached.Load(), ok)
@@ -274,9 +253,9 @@ func runLoad(rc loadRun) bool {
 		fmt.Printf("  server cache     %d hits, %d misses\n",
 			counterDiff(before, snap, "server_cache_hits_total"),
 			counterDiff(before, snap, "server_cache_misses_total"))
-		fmt.Printf("  server wire      %d B in / %d B out (%s)\n",
-			counterDiff(before, snap, "server_wire_rx_bytes_total{codec=\""+rc.wire+"\"}"),
-			counterDiff(before, snap, "server_wire_tx_bytes_total{codec=\""+rc.wire+"\"}"), rc.wire)
+		fmt.Printf("  server wire      %d B in / %d B out\n",
+			counterDiff(before, snap, `server_wire_rx_bytes_total{codec="binary"}`),
+			counterDiff(before, snap, `server_wire_tx_bytes_total{codec="binary"}`))
 	}
 	if rc.useDelta {
 		fmt.Printf("  delta wire       %d B sent as deltas, %d B as full epochs, %d fallbacks\n",

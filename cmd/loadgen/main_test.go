@@ -14,9 +14,9 @@ import (
 )
 
 // testRun is a small pass: 4 sessions x 2 epochs on a 200-vertex analogue.
-func testRun(addr, wire string) loadRun {
+func testRun(addr string) loadRun {
 	return loadRun{
-		addr: addr, wire: wire, sessions: 4, epochs: 2,
+		addr: addr, sessions: 4, epochs: 2,
 		names: []string{"xyce680s"}, n: 200, k: 4, alpha: 100,
 		m: core.HypergraphRepart, dynamic: "weights", seed: 1,
 		timeout: 30 * time.Second, retries: 1,
@@ -34,7 +34,6 @@ func TestRunLoadPasses(t *testing.T) {
 		after func(t *testing.T, ops int64)
 	}{
 		{name: "plain-binary"},
-		{name: "plain-json", setup: func(rc *loadRun) { rc.wire = "json" }},
 		{
 			name: "delta-drift-warm-schema",
 			setup: func(rc *loadRun) {
@@ -64,7 +63,7 @@ func TestRunLoadPasses(t *testing.T) {
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()
 
-			rc := testRun(ts.URL, "binary")
+			rc := testRun(ts.URL)
 			if tc.setup != nil {
 				tc.setup(&rc)
 			}
@@ -90,7 +89,7 @@ func TestRunLoadFailsOnServerError(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	rc := testRun(ts.URL, "binary")
+	rc := testRun(ts.URL)
 	if runLoad(rc) {
 		t.Fatal("runLoad verdict true against a server answering 500")
 	}
@@ -116,7 +115,7 @@ func TestReplicaKillNeedsDeliveredSignal(t *testing.T) {
 		"pid-gone": func(rc *loadRun) { rc.killPid, rc.think = gone.Process.Pid, 20*time.Millisecond },
 		"too-late": func(rc *loadRun) { rc.killPid, rc.killAfter = os.Getpid(), time.Hour },
 	} {
-		rc := testRun(ts.URL, "binary")
+		rc := testRun(ts.URL)
 		set(&rc)
 		if runLoad(rc) {
 			t.Errorf("%s: verdict true though no SIGTERM was delivered", name)

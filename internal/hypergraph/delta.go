@@ -33,8 +33,9 @@ import (
 //
 // Deltas carry the base fingerprint and Apply enforces it: a mismatch
 // returns ErrBaseMismatch, the signal for the caller to fall back to a
-// full resync (ship the whole hypergraph). The struct is its own wire
-// form (JSON tags); Version guards format evolution.
+// full resync (ship the whole hypergraph). The wire form is the binary
+// delta frame (AppendBinary / DecodeDeltaBinary); Version guards format
+// evolution.
 
 // DeltaVersion is the current delta wire format version.
 const DeltaVersion = 1
@@ -52,42 +53,42 @@ func IsBaseMismatch(err error) bool { return errors.Is(err, ErrBaseMismatch) }
 // reproduces the base exactly.
 type Delta struct {
 	// Version is the wire format version (DeltaVersion).
-	Version int `json:"v"`
+	Version int
 	// Base is the fingerprint of the hypergraph the delta applies to.
-	Base string `json:"base"`
+	Base string
 
 	// VertexMap, when non-nil, defines the successor's vertex set: entry i
 	// is the base vertex that becomes vertex i, or -1 for a brand-new
 	// vertex. Base vertices may appear at most once; omitted base vertices
 	// are removed. Nil means the identity map (vertex set unchanged).
-	VertexMap []int32 `json:"vertex_map,omitempty"`
+	VertexMap []int32
 	// NewWeights / NewSizes / NewFixed give the weight, size and fixed
 	// label of each -1 entry of VertexMap, in order of appearance. Nil
 	// NewWeights/NewSizes default to 1; nil NewFixed means all free.
-	NewWeights []int64 `json:"new_weights,omitempty"`
-	NewSizes   []int64 `json:"new_sizes,omitempty"`
-	NewFixed   []int32 `json:"new_fixed,omitempty"`
+	NewWeights []int64
+	NewSizes   []int64
+	NewFixed   []int32
 
 	// NetMap, when non-nil, defines the successor's net list: entry i is
 	// the base net that becomes net i, or -1 for a new net. A mapped net
 	// keeps the base net's cost and its pins translated through VertexMap
 	// (pins of removed vertices are dropped; at least one must survive).
 	// Nil means the identity map (every base net kept, in order).
-	NetMap []int32 `json:"net_map,omitempty"`
+	NetMap []int32
 	// NewNetCosts / NewNetPins define each -1 entry of NetMap, in order.
 	// Pins are successor vertex ids, duplicate-free.
-	NewNetCosts []int64   `json:"new_net_costs,omitempty"`
-	NewNetPins  [][]int32 `json:"new_net_pins,omitempty"`
+	NewNetCosts []int64
+	NewNetPins  [][]int32
 
 	// Sparse overrides, applied after the maps, in successor ids with
 	// strictly increasing ids (the canonical order; Apply enforces it so
 	// a delta has exactly one wire form).
-	WeightIDs  []int32 `json:"weight_ids,omitempty"`
-	WeightVals []int64 `json:"weight_vals,omitempty"`
-	SizeIDs    []int32 `json:"size_ids,omitempty"`
-	SizeVals   []int64 `json:"size_vals,omitempty"`
-	CostIDs    []int32 `json:"cost_ids,omitempty"`
-	CostVals   []int64 `json:"cost_vals,omitempty"`
+	WeightIDs  []int32
+	WeightVals []int64
+	SizeIDs    []int32
+	SizeVals   []int64
+	CostIDs    []int32
+	CostVals   []int64
 }
 
 // Identity reports whether the delta keeps the base structure unchanged

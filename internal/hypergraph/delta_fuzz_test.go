@@ -1,7 +1,6 @@
 package hypergraph
 
 import (
-	"encoding/json"
 	"math/rand"
 	"testing"
 )
@@ -12,16 +11,19 @@ import (
 //     hypergraphs from (seed, steps), compute the delta for each hop with
 //     ComputeDeltaMapped, apply it, and assert the applied result is
 //     fingerprint-identical to the from-scratch rebuild with all CSR
-//     invariants intact (Validate).
-//  2. Hostile path: decode `raw` as a JSON delta and apply it against the
-//     chain's final hypergraph — it must either fail cleanly or yield a
-//     hypergraph that passes Validate; it must never panic or produce a
-//     structurally broken CSR.
+//     invariants intact (Validate). Each delta crosses its binary frame
+//     (AppendBinary / DecodeDeltaBinary), the form PATCH epochs carry.
+//  2. Hostile path: decode `raw` as a binary delta frame and apply it
+//     against the chain's final hypergraph — it must either fail cleanly
+//     or yield a hypergraph that passes Validate; it must never panic or
+//     produce a structurally broken CSR.
 func FuzzDeltaApply(f *testing.F) {
-	f.Add(int64(1), uint8(1), []byte(`{}`))
-	f.Add(int64(7), uint8(4), []byte(`{"v":1,"base":"x"}`))
-	f.Add(int64(42), uint8(8), []byte(`{"v":1,"weight_ids":[0],"weight_vals":[5]}`))
-	f.Add(int64(3), uint8(2), []byte(`{"v":1,"vertex_map":[1,0,-1],"net_map":[-1],"new_net_pins":[[0,2]],"new_net_costs":[2]}`))
+	frame := func(d Delta) []byte { return d.AppendBinary(nil) }
+	f.Add(int64(1), uint8(1), frame(Delta{}))
+	f.Add(int64(7), uint8(4), frame(Delta{Version: 1, Base: "x"}))
+	f.Add(int64(42), uint8(8), frame(Delta{Version: 1, WeightIDs: []int32{0}, WeightVals: []int64{5}}))
+	f.Add(int64(3), uint8(2), frame(Delta{Version: 1, VertexMap: []int32{1, 0, -1}, NetMap: []int32{-1},
+		NewNetPins: [][]int32{{0, 2}}, NewNetCosts: []int64{2}}))
 	f.Fuzz(func(t *testing.T, seed int64, steps uint8, raw []byte) {
 		rng := rand.New(rand.NewSource(seed))
 		nv := 4 + rng.Intn(30)
@@ -37,13 +39,9 @@ func FuzzDeltaApply(f *testing.F) {
 				t.Fatalf("step %d: ComputeDeltaMapped refused its own mutation", i)
 			}
 			// The delta must survive its wire form.
-			data, err := json.Marshal(d)
+			dw, err := DecodeDeltaBinary(NewBinReader(d.AppendBinary(nil)))
 			if err != nil {
-				t.Fatal(err)
-			}
-			var dw Delta
-			if err := json.Unmarshal(data, &dw); err != nil {
-				t.Fatal(err)
+				t.Fatalf("step %d: decode: %v", i, err)
 			}
 			got, err := dw.Apply(cur)
 			if err != nil {
@@ -58,9 +56,9 @@ func FuzzDeltaApply(f *testing.F) {
 			cur = got
 		}
 
-		// Hostile delta: arbitrary JSON against the current base.
-		var hostile Delta
-		if err := json.Unmarshal(raw, &hostile); err != nil {
+		// Hostile delta: an arbitrary frame against the current base.
+		hostile, err := DecodeDeltaBinary(NewBinReader(raw))
+		if err != nil {
 			return
 		}
 		hostile.Base = cur.Fingerprint() // get past the fingerprint gate
@@ -69,7 +67,7 @@ func FuzzDeltaApply(f *testing.F) {
 			return // clean rejection is fine
 		}
 		if err := got.Validate(); err != nil {
-			t.Fatalf("hostile delta produced invalid hypergraph: %v\ndelta: %s", err, raw)
+			t.Fatalf("hostile delta produced invalid hypergraph: %v\ndelta: %+v", err, hostile)
 		}
 	})
 }

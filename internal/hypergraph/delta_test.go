@@ -2,7 +2,6 @@ package hypergraph
 
 import (
 	"bytes"
-	"encoding/json"
 	"math/rand"
 	"testing"
 )
@@ -212,37 +211,6 @@ func TestDeltaDigestStable(t *testing.T) {
 	if d1.Digest() == d3.Digest() {
 		t.Fatal("different deltas must not share a digest")
 	}
-}
-
-func TestDeltaJSONRoundTrip(t *testing.T) {
-	base := deltaBase()
-	vmap := []int32{0, 1, 2, 4, 5, -1}
-	b := NewBuilder(6)
-	b.SetWeight(5, 3)
-	b.AddNet(3, 0, 1, 2)
-	b.AddNet(5, 3, 4)
-	b.AddNet(4, 5, 0)
-	next := b.Build()
-	d, ok := ComputeDeltaMapped(base, next, vmap)
-	if !ok {
-		t.Fatal("not delta-able")
-	}
-	data, err := json.Marshal(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var d2 Delta
-	if err := json.Unmarshal(data, &d2); err != nil {
-		t.Fatal(err)
-	}
-	if d.Digest() != d2.Digest() {
-		t.Fatal("JSON round trip changed the delta digest")
-	}
-	got, err := d2.Apply(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSame(t, next, got)
 }
 
 func TestDeltaRejectsMalformed(t *testing.T) {

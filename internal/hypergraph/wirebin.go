@@ -14,13 +14,11 @@ import (
 // arrays with no intermediate per-net structures, and decoding rebuilds
 // the CSR with one allocation per section. Uniform all-1 weight/size
 // vectors — the common case for the paper's dynamics — are elided behind a
-// flags byte, which is where most of the wire-byte win over JSON comes
-// from on top of varint packing.
+// flags byte, which on top of varint packing keeps a typical epoch body
+// small.
 //
-// Both the binary decoder and the JSON wire decoder funnel into
-// BuildFromWire, the single validation + build + fingerprint path, so the
-// two codecs cannot drift: the same inputs are rejected with the same
-// errors, and accepted inputs produce fingerprint-identical hypergraphs.
+// The decoder funnels into BuildFromWire, the single validation + build +
+// fingerprint path.
 //
 // Every length prefix a decoder reads is checked against both an absolute
 // cap and the bytes remaining in the frame (each counted element occupies
@@ -34,7 +32,7 @@ const (
 	DeltaFrameVersion = 1
 
 	// MaxWireVertices / MaxWireNets / MaxWirePins cap the dimensions a
-	// wire decoder will accept, binary or JSON.
+	// wire decoder will accept.
 	MaxWireVertices = 1 << 24
 	MaxWireNets     = 1 << 24
 	MaxWirePins     = 1 << 26
@@ -382,12 +380,13 @@ func DecodeBinary(r *BinReader) (*Hypergraph, string, error) {
 
 // BuildFromWire validates wire-shaped hypergraph data, builds the CSR form
 // and returns the content fingerprint computed from the freshly built
-// hypergraph — the single decode path shared by the JSON and binary codecs
-// so the two cannot drift. It takes ownership of every slice argument.
+// hypergraph — the one validation path behind DecodeBinary. It takes
+// ownership of every slice argument.
 //
 // weights, sizes and fixed may be nil (unit weights/sizes, all vertices
 // free); a fixed vector with no non-Free entry is normalized away, exactly
-// as the Builder does, so both codecs fingerprint it identically. pins is
+// as the Builder does, so the decoded hypergraph fingerprints like a built
+// one. pins is
 // the concatenation of each net's pin list in net order, netSizes the
 // per-net lengths; duplicate pins within a net are dropped preserving
 // first-occurrence order (matching Builder.AddNet). The validation errors
@@ -565,9 +564,8 @@ func (d *Delta) AppendBinary(buf []byte) []byte {
 }
 
 // DecodeDeltaBinary reads one delta frame from r. Semantic validation
-// (map ranges, parallel lengths, ...) stays where it always was — in
-// Delta.Apply — so hostile frames that decode structurally still fail the
-// same way hostile JSON deltas do.
+// (map ranges, parallel lengths, ...) stays in Delta.Apply, so a hostile
+// frame that decodes structurally still fails there (FuzzDeltaApply).
 func DecodeDeltaBinary(r *BinReader) (*Delta, error) {
 	tag, err := r.Byte()
 	if err != nil {

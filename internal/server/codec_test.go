@@ -1,18 +1,16 @@
 package server_test
 
 // Differential and adversarial tests for the binary wire protocol: every
-// endpoint must produce byte-identical partitions over both codecs (they
-// share one validation/solve path, so any divergence is a codec bug),
-// malformed binary frames must be rejected with clean 400s, and
-// concurrent identical cold solves must collapse to one leader through
-// the singleflight group.
+// endpoint must serve the partitions an in-process core.Session computes,
+// invalid hypergraphs and malformed frames must be rejected with clean
+// 400s, and concurrent identical cold solves must collapse to one leader
+// through the singleflight group.
 
 import (
 	"bytes"
 	"context"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -26,136 +24,113 @@ import (
 	"hyperbal/internal/server"
 )
 
-// TestWireDifferential drives the identical session lifecycle — create,
-// full epoch, inherited epoch, only-if-unbalanced epoch, delta epoch,
-// info, partition, close — through a JSON client and a binary client
-// against separate fresh servers, and requires byte-identical partitions
-// at every step.
+// TestWireDifferential drives one session lifecycle — create, full epoch,
+// inherited epoch, only-if-unbalanced epoch, warm delta epoch, info,
+// partition, close — through the client and requires every served
+// partition to be byte-identical to an in-process core.Session taking the
+// same steps. It is the only test of SubmitEpochIfUnbalanced.
 func TestWireDifferential(t *testing.T) {
-	type trace struct {
-		parts [][]int32
-		warm  []bool
+	_, _, client := newTestServer(t, server.Config{})
+	ctx := context.Background()
+	cfg := core.Config{K: 4, Alpha: 100, Seed: 11}
+	bal, err := core.NewBalancer(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	run := func(wire string) trace {
-		srv := server.New(server.Config{})
-		defer srv.Close()
-		ts := httptest.NewServer(srv.Handler())
-		defer ts.Close()
-		client := hyperbal.NewClient(ts.URL, hyperbal.ClientOptions{
-			MaxRetries: 1, Backoff: 5 * time.Millisecond, Wire: wire,
-		})
-		ctx := context.Background()
-		cfg := core.Config{K: 4, Alpha: 100, Seed: 11}
-		h := codecTestHypergraph(1)
-
-		var tr trace
-		sess, first, err := client.CreateSession(ctx, cfg, h)
-		if err != nil {
-			t.Fatalf("%s create: %v", wire, err)
+	check := func(step string, err, refErr error, served, ref []int32) {
+		t.Helper()
+		if err != nil || refErr != nil {
+			t.Fatalf("%s: served %v, in-process %v", step, err, refErr)
 		}
-		tr.parts = append(tr.parts, first.Partition.Parts)
-
-		h2 := codecTestHypergraph(2)
-		res, err := sess.SubmitEpoch(ctx, h2)
-		if err != nil {
-			t.Fatalf("%s epoch: %v", wire, err)
+		if !bytes.Equal(int32le(served), int32le(ref)) {
+			t.Fatalf("%s: served partition differs from the in-process session", step)
 		}
-		tr.parts = append(tr.parts, res.Partition.Parts)
-
-		h3 := codecTestHypergraph(3)
-		res, err = sess.SubmitEpochInherited(ctx, h3, res.Partition)
-		if err != nil {
-			t.Fatalf("%s inherited: %v", wire, err)
-		}
-		tr.parts = append(tr.parts, res.Partition.Parts)
-
-		res, err = sess.SubmitEpochIfUnbalanced(ctx, h3)
-		if err != nil {
-			t.Fatalf("%s if-unbalanced: %v", wire, err)
-		}
-		tr.parts = append(tr.parts, res.Partition.Parts)
-
-		h4 := codecTestHypergraph(4)
-		res, err = sess.SubmitEpochDelta(ctx, h4, true)
-		if err != nil {
-			t.Fatalf("%s delta: %v", wire, err)
-		}
-		tr.parts = append(tr.parts, res.Partition.Parts)
-		tr.warm = append(tr.warm, res.Warm)
-
-		// Re-attach through the info endpoint, then fetch the partition.
-		sess2, err := client.Session(ctx, sess.ID)
-		if err != nil {
-			t.Fatalf("%s info: %v", wire, err)
-		}
-		if sess2.Epoch() != sess.Epoch() {
-			t.Fatalf("%s info: epoch %d != %d", wire, sess2.Epoch(), sess.Epoch())
-		}
-		part, _, err := sess.Partition(ctx)
-		if err != nil {
-			t.Fatalf("%s partition: %v", wire, err)
-		}
-		tr.parts = append(tr.parts, part.Parts)
-		if err := sess.Close(ctx); err != nil {
-			t.Fatalf("%s close: %v", wire, err)
-		}
-		return tr
 	}
 
-	j, b := run("json"), run("binary")
-	if len(j.parts) != len(b.parts) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(j.parts), len(b.parts))
+	h1 := codecTestHypergraph(1)
+	sess, res, err := client.CreateSession(ctx, cfg, h1)
+	ref, want, refErr := core.NewSession(bal, core.Problem{H: h1})
+	check("create", err, refErr, res.Partition.Parts, want.Partition.Parts)
+
+	h2 := codecTestHypergraph(2)
+	res, err = sess.SubmitEpoch(ctx, h2)
+	want, refErr = ref.Rebalance(core.Problem{H: h2})
+	check("epoch", err, refErr, res.Partition.Parts, want.Partition.Parts)
+
+	h3 := codecTestHypergraph(3)
+	res, err = sess.SubmitEpochInherited(ctx, h3, res.Partition)
+	want, refErr = ref.RebalanceInherited(core.Problem{H: h3}, want.Partition)
+	check("inherited", err, refErr, res.Partition.Parts, want.Partition.Parts)
+
+	// The server's trigger must agree with the session's; a skipped epoch
+	// returns the unchanged distribution.
+	res, err = sess.SubmitEpochIfUnbalanced(ctx, h3)
+	should, refErr := ref.ShouldRebalance(core.Problem{H: h3})
+	if err == nil && refErr == nil && res.Rebalanced != should {
+		t.Fatalf("if-unbalanced: served rebalanced=%v, in-process trigger %v", res.Rebalanced, should)
 	}
-	for i := range j.parts {
-		if !bytes.Equal(int32le(j.parts[i]), int32le(b.parts[i])) {
-			t.Fatalf("step %d: json and binary partitions differ", i)
-		}
+	if should {
+		_, refErr = ref.Rebalance(core.Problem{H: h3})
 	}
-	for i := range j.warm {
-		if j.warm[i] != b.warm[i] {
-			t.Fatalf("warm flag %d differs across codecs", i)
-		}
+	check("if-unbalanced", err, refErr, res.Partition.Parts, ref.Current().Parts)
+
+	// The client's delta base is h3 whether or not the last epoch ran.
+	h4 := codecTestHypergraph(4)
+	res, err = sess.SubmitEpochDelta(ctx, h4, true)
+	d, ok := hypergraph.ComputeDelta(h3, h4)
+	if !ok {
+		t.Fatal("h3 -> h4 not delta-able")
+	}
+	want, refErr = ref.RebalanceWarm(core.Problem{H: h4}, d.DirtyVertices(h3, h4))
+	check("warm delta", err, refErr, res.Partition.Parts, want.Partition.Parts)
+	if res.Warm != want.Warm {
+		t.Fatalf("warm delta: served warm=%v, in-process %v", res.Warm, want.Warm)
+	}
+
+	// Re-attach through the info endpoint, then fetch the partition.
+	sess2, err := client.Session(ctx, sess.ID)
+	if err != nil {
+		t.Fatalf("info: %v", err)
+	}
+	if sess2.Epoch() != ref.Epoch() || sess.Epoch() != ref.Epoch() {
+		t.Fatalf("info: epoch %d (client view %d), in-process %d", sess2.Epoch(), sess.Epoch(), ref.Epoch())
+	}
+	part, _, err := sess.Partition(ctx)
+	check("partition", err, nil, part.Parts, ref.Current().Parts)
+	if err := sess.Close(ctx); err != nil {
+		t.Fatalf("close: %v", err)
 	}
 }
 
-// TestBinaryRejectsSameAsJSON checks that the same invalid hypergraph —
-// one pin out of range — is rejected as a 400 by both codecs, with both
-// error bodies naming the same validation failure (the codecs funnel into
-// one shared validation path and cannot drift).
-func TestBinaryRejectsSameAsJSON(t *testing.T) {
+// TestBinaryRejectsInvalidHypergraph: a create whose hypergraph names a
+// pin out of range is a 400 whose error body carries the failure
+// hypergraph.BuildFromWire reported.
+func TestBinaryRejectsInvalidHypergraph(t *testing.T) {
 	_, ts, _ := newTestServer(t, server.Config{})
+	resp, err := http.Post(ts.URL+"/v1/sessions", server.ContentTypeBinary, bytes.NewReader(badPinCreateBody()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("got HTTP %d (%s), want 400", resp.StatusCode, data)
+	}
+	if !strings.Contains(string(data), "pin 7 out of range") {
+		t.Fatalf("error body %q does not name the validation failure", data)
+	}
+}
 
-	jsonBody := `{"config":{"k":2,"alpha":10},"hypergraph":{"num_vertices":3,"nets":[{"cost":1,"pins":[7]}]}}`
-
-	// The binary frame for the same request: encode the valid one-pin
-	// variant, then patch the pin value. The hypergraph frame trails the
-	// create request with its last two bytes being (pin, cost).
+// badPinCreateBody is a binary create request whose one net names pin 7 of
+// a 3-vertex hypergraph: the valid one-pin variant, encoded, with the pin
+// patched (the frame ends on that net's pin and cost).
+func badPinCreateBody() []byte {
 	tiny := hypergraph.NewBuilder(3)
 	tiny.AddNet(1, 0)
-	binBody := server.AppendCreateRequestBinary(nil,
+	body := server.AppendCreateRequestBinary(nil,
 		server.WireConfigFrom(core.Config{K: 2, Alpha: 10}), tiny.Build())
-	binBody[len(binBody)-2] = 7
-
-	for _, tc := range []struct {
-		name, contentType string
-		body              []byte
-	}{
-		{"json", "application/json", []byte(jsonBody)},
-		{"binary", server.ContentTypeBinary, binBody},
-	} {
-		resp, err := http.Post(ts.URL+"/v1/sessions", tc.contentType, bytes.NewReader(tc.body))
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		data, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: got HTTP %d (%s), want 400", tc.name, resp.StatusCode, data)
-		}
-		if !strings.Contains(string(data), "pin 7 out of range") {
-			t.Fatalf("%s: error body %q does not name the shared validation failure", tc.name, data)
-		}
-	}
+	body[len(body)-2] = 7
+	return body
 }
 
 // TestMalformedBinaryFrames posts adversarial binary bodies at the create
@@ -281,34 +256,6 @@ func TestSingleflightCollapse(t *testing.T) {
 		}
 	}
 	t.Fatal("no volley produced a shared singleflight result in 5 attempts")
-}
-
-// TestEncodeHypergraphDoesNotAlias is the regression test for the
-// EncodeHypergraph aliasing footgun: the wire form's pin slices used to
-// alias the hypergraph's CSR storage, so callers mutating the wire object
-// silently corrupted a live session's base hypergraph.
-func TestEncodeHypergraphDoesNotAlias(t *testing.T) {
-	h := codecTestHypergraph(1)
-	fp := h.Fingerprint()
-	w := server.EncodeHypergraph(h)
-
-	for n := range w.Nets {
-		for i := range w.Nets[n].Pins {
-			w.Nets[n].Pins[i] = -99
-		}
-	}
-	if h.Fingerprint() != fp {
-		t.Fatal("mutating wire pins corrupted the source hypergraph")
-	}
-
-	// Appending through one net's pins must not run into the next net's
-	// storage (the slices share one backing array but have full capacity).
-	w2 := server.EncodeHypergraph(h)
-	before := append([]int32(nil), w2.Nets[1].Pins...)
-	w2.Nets[0].Pins = append(w2.Nets[0].Pins, 0)
-	if !bytes.Equal(int32le(before), int32le(w2.Nets[1].Pins)) {
-		t.Fatal("append through net 0 pins overwrote net 1 pins")
-	}
 }
 
 // codecTestHypergraph builds a small deterministic hypergraph; variant

@@ -8,9 +8,7 @@ package server_test
 // one session must serialize (run under -race).
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -152,34 +150,12 @@ func TestDeltaEpochWarm(t *testing.T) {
 	}
 }
 
-// patchDelta submits a raw delta epoch request without client-side
-// retries or fallbacks.
-func patchDelta(t *testing.T, baseURL, id string, req server.DeltaEpochRequest) (int, server.SessionResponse, server.ErrorResponse) {
+// patchDelta submits d as a raw delta epoch tagged with epoch (0:
+// untagged), without client-side retries or fallbacks.
+func patchDelta(t *testing.T, baseURL, id string, d *hypergraph.Delta, epoch int64) (int, server.SessionResponse, server.ErrorResponse) {
 	t.Helper()
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	httpReq, err := http.NewRequest(http.MethodPatch, baseURL+"/v1/sessions/"+id+"/epochs", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(httpReq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var ok server.SessionResponse
-	var fail server.ErrorResponse
-	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&ok); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		_ = json.NewDecoder(resp.Body).Decode(&fail)
-	}
-	return resp.StatusCode, ok, fail
+	body := server.AppendDeltaRequestBinary(nil, d, nil, epoch, false)
+	return rawSubmit(t, http.MethodPatch, baseURL+"/v1/sessions/"+id+"/epochs", body)
 }
 
 // TestDeltaFingerprintMismatch: a delta against the wrong base must be
@@ -192,7 +168,7 @@ func TestDeltaFingerprintMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	h0 := graph.ToHypergraph(g)
-	id, _ := createRawH(t, ts, server.WireConfig{K: 4, Alpha: 50, Seed: 23}, h0)
+	id := createRawH(t, ts, server.WireConfig{K: 4, Alpha: 50, Seed: 23}, h0)
 
 	// Drift the weights to get a real successor hypergraph.
 	h1 := reweighted(h0, 3)
@@ -204,7 +180,7 @@ func TestDeltaFingerprintMismatch(t *testing.T) {
 	// Stale base: the delta's fingerprint gate must fire.
 	stale := *d
 	stale.Base = "hbfp1:0000000000000000000000000000000000000000000000000000000000000000"
-	status, _, fail := patchDelta(t, ts.URL, id, server.DeltaEpochRequest{Delta: stale, Epoch: 1})
+	status, _, fail := patchDelta(t, ts.URL, id, &stale, 1)
 	if status != http.StatusConflict || fail.Code != "fingerprint_mismatch" {
 		t.Fatalf("stale delta: status %d code %q, want 409 fingerprint_mismatch", status, fail.Code)
 	}
@@ -216,7 +192,7 @@ func TestDeltaFingerprintMismatch(t *testing.T) {
 	}
 
 	// The correctly-based delta still lands and reconstructs h1 exactly.
-	status, okResp, fail := patchDelta(t, ts.URL, id, server.DeltaEpochRequest{Delta: *d, Epoch: 1})
+	status, okResp, fail := patchDelta(t, ts.URL, id, d, 1)
 	if status != http.StatusOK {
 		t.Fatalf("valid delta: status %d code %q", status, fail.Code)
 	}
@@ -245,7 +221,7 @@ func TestDeltaClientFallback(t *testing.T) {
 
 	// Out-of-band writer advances the session with a full epoch.
 	h1 := reweighted(h0, 7)
-	status, _, fail := postEpoch(t, ts.URL, sess.ID, server.EpochRequest{Hypergraph: server.EncodeHypergraph(h1)})
+	status, _, fail := postEpoch(t, ts.URL, sess.ID, h1, 0)
 	if status != http.StatusOK {
 		t.Fatalf("out-of-band epoch: status %d code %q", status, fail.Code)
 	}
@@ -296,8 +272,7 @@ func TestConcurrentDeltaEpochs(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := graph.ToHypergraph(g)
-	id, _ := createRawH(t, ts, server.WireConfig{K: 4, Alpha: 50, Seed: 31}, h)
-	wh := server.EncodeHypergraph(h)
+	id := createRawH(t, ts, server.WireConfig{K: 4, Alpha: 50, Seed: 31}, h)
 
 	// Every submission carries the same hypergraph, so the session base
 	// fingerprint is invariant and an identity delta is valid under any
@@ -323,11 +298,11 @@ func TestConcurrentDeltaEpochs(t *testing.T) {
 				var fail server.ErrorResponse
 				switch (c + r) % 3 {
 				case 0: // full epoch, untagged
-					status, _, fail = postEpoch(t, ts.URL, id, server.EpochRequest{Hypergraph: wh})
+					status, _, fail = postEpoch(t, ts.URL, id, h, 0)
 				case 1: // identity delta, untagged
-					status, _, fail = patchDelta(t, ts.URL, id, server.DeltaEpochRequest{Delta: *identity})
+					status, _, fail = patchDelta(t, ts.URL, id, identity, 0)
 				default: // stale-based delta: must 409 without advancing
-					status, _, fail = patchDelta(t, ts.URL, id, server.DeltaEpochRequest{Delta: stale})
+					status, _, fail = patchDelta(t, ts.URL, id, &stale, 0)
 				}
 				mu.Lock()
 				switch status {
@@ -370,28 +345,16 @@ func TestConcurrentDeltaEpochs(t *testing.T) {
 	}
 }
 
-// createRawH creates a session over an explicit hypergraph and returns
-// its id plus the wire form.
-func createRawH(t *testing.T, ts *httptest.Server, cfg server.WireConfig, h *hypergraph.Hypergraph) (string, server.WireHypergraph) {
+// createRawH creates a session over h with one raw binary create and
+// returns its id.
+func createRawH(t *testing.T, ts *httptest.Server, cfg server.WireConfig, h *hypergraph.Hypergraph) string {
 	t.Helper()
-	wh := server.EncodeHypergraph(h)
-	body, err := json.Marshal(server.CreateSessionRequest{Config: cfg, Hypergraph: wh})
-	if err != nil {
-		t.Fatal(err)
+	body := server.AppendCreateRequestBinary(nil, cfg, h)
+	status, sr, fail := rawSubmit(t, http.MethodPost, ts.URL+"/v1/sessions", body)
+	if status != http.StatusCreated {
+		t.Fatalf("create: status %d code %q", status, fail.Code)
 	}
-	resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("create: status %d", resp.StatusCode)
-	}
-	var sr server.SessionResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		t.Fatal(err)
-	}
-	return sr.SessionID, wh
+	return sr.SessionID
 }
 
 // reweighted returns a copy of h with every vertex weight and size

@@ -8,35 +8,30 @@ package server
 // could later resurrect the stale epoch-0 copy.
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// jsonCreateBody renders a minimal JSON create request.
-func jsonCreateBody(t *testing.T) []byte {
+// binCreateBody renders a minimal binary create request.
+func binCreateBody(t *testing.T) []byte {
 	t.Helper()
-	body, err := json.Marshal(CreateSessionRequest{
-		Config:     WireConfig{K: 2, Alpha: 10},
-		Hypergraph: EncodeHypergraph(testHypergraph(t)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return body
+	return AppendCreateRequestBinary(nil, WireConfig{K: 2, Alpha: 10}, testHypergraph(t))
 }
 
 func postCreate(t *testing.T, client *http.Client, base, id string, body []byte) *http.Response {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, base+"/v1/sessions", strings.NewReader(string(body)))
+	req, err := http.NewRequest(http.MethodPost, base+"/v1/sessions", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", ContentTypeBinary)
+	req.Header.Set("Accept", ContentTypeBinary)
 	if id != "" {
 		req.Header.Set(SessionIDHeader, id)
 	}
@@ -89,7 +84,7 @@ func TestGatewayCreateRetargetUsesFreshID(t *testing.T) {
 	gts := httptest.NewServer(g.Handler())
 	defer gts.Close()
 
-	body := jsonCreateBody(t)
+	body := binCreateBody(t)
 	// Ids are generated per create, so the ring routes roughly half of them
 	// to the broken replica first; iterate until one hits it (the broken
 	// replica is marked down at that point, so it is hit at most once).
@@ -99,11 +94,15 @@ func TestGatewayCreateRetargetUsesFreshID(t *testing.T) {
 			resp.Body.Close()
 			t.Fatalf("create %d: status %d", i, resp.StatusCode)
 		}
-		var sr SessionResponse
-		if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
+		sr, err := DecodeSessionResponseBinary(data)
+		if err != nil {
+			t.Fatal(err)
+		}
 		mu.Lock()
 		hit := len(seenIDs) > 0
 		var brokenID string
@@ -162,7 +161,7 @@ func TestGatewayCreateCallerAssignedProbes409(t *testing.T) {
 		}
 	}
 
-	body := jsonCreateBody(t)
+	body := binCreateBody(t)
 	// Seed the "create landed, response lost" state: the session already
 	// exists under id on the surviving candidate.
 	resp := postCreate(t, http.DefaultClient, live.URL, id, body)

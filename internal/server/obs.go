@@ -4,8 +4,8 @@ import "hyperbal/internal/obs"
 
 // Registry handles for the serving tier. Queue/in-flight gauges track the
 // admission controller, the cache counters feed the hit-rate panel, and
-// server_request_ns{route=...} is the latency histogram the loadgen
-// p50/p99 report reads.
+// server_request_ns{route=...} is the per-route latency the benchmark's
+// server.request_ms reads.
 var (
 	obsRequests  = obs.Default().CounterVec("server_requests_total", "route")
 	obsRequestNs = obs.Default().HistogramVec("server_request_ns", "route", obs.DurationBounds)
@@ -41,8 +41,8 @@ var (
 	obsEpochWarmNs        = obs.Default().Histogram("server_epoch_warm_ns", obs.DurationBounds)
 	obsEpochColdNs        = obs.Default().Histogram("server_epoch_cold_ns", obs.DurationBounds)
 
-	// Wire codec accounting: payload bytes in/out per codec (json|binary;
-	// error bodies excluded — they are always JSON and tiny), time spent
+	// Wire codec accounting: payload bytes in (always binary) and out per
+	// negotiated codec (json|binary; error bodies excluded), time spent
 	// encoding/decoding per operation, and singleflight coalescing — one
 	// leader per distinct in-flight cold solve, one shared increment per
 	// concurrent request that adopted a leader's result instead of solving.

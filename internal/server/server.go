@@ -1,4 +1,4 @@
-// Package server is the balancerd serving tier: a stdlib-only HTTP/JSON
+// Package server is the balancerd serving tier: a stdlib-only HTTP
 // service that exposes the core.Balancer / core.Session epoch lifecycle as
 // a long-running daemon. It multiplexes many concurrent sessions over a
 // bounded worker pool (admission control with queueing and backpressure),
@@ -21,6 +21,8 @@
 //
 // POST and PATCH epochs differ only in how the epoch's hypergraph reaches
 // the server; once decoded, both run the one pipeline in serveEpoch.
+// Request bodies are binary frames (wirebin.go); responses are negotiated
+// by Accept, binary or JSON, and errors are JSON.
 //
 // Backpressure contract: when the queue is full the server answers 429
 // (code "busy"); during drain it answers 503 (code "draining"). Both are
@@ -380,28 +382,30 @@ func writeSessionResponse(w http.ResponseWriter, r *http.Request, status int, id
 	})
 }
 
-// decodeBody reads the request body into a pooled buffer, decodes it with
-// the decoder matching its Content-Type (bin for application/x-hyperbal, js
-// otherwise) and releases the buffer. It counts the body in
+// decodeBody reads the binary request body into a pooled buffer, decodes
+// it with dec and releases the buffer. It counts the body in
 // server_wire_rx_bytes_total, times the decode in server_codec_ns, and
-// answers 400 itself when the body does not decode. n is the body size.
-func decodeBody[T any](s *Server, w http.ResponseWriter, r *http.Request, bin, js func([]byte) (T, error)) (v T, n int64, ok bool) {
+// answers itself when the body is refused: 415 for any Content-Type but
+// application/x-hyperbal (before the body is read), 400 when it does not
+// decode. n is the body size.
+func decodeBody[T any](s *Server, w http.ResponseWriter, r *http.Request, dec func([]byte) (T, error)) (v T, n int64, ok bool) {
+	if !isBinaryRequest(r) {
+		writeError(w, http.StatusUnsupportedMediaType, "unsupported_media_type",
+			"request bodies must be "+ContentTypeBinary)
+		return v, 0, false
+	}
 	body, release, ok := s.readBody(w, r)
 	if !ok {
 		return v, 0, false
 	}
 	defer release()
 	n = int64(len(body))
-	codec, op, dec, prefix := "json", "json_decode", js, ""
-	if isBinaryRequest(r) {
-		codec, op, dec, prefix = "binary", "binary_decode", bin, "binary: "
-	}
-	obsWireRxBytes.With(codec).Add(n)
+	obsWireRxBytes.With("binary").Add(n)
 	start := time.Now()
 	v, err := dec(body)
-	obsCodecNs.With(op).ObserveSince(start)
+	obsCodecNs.With("binary_decode").ObserveSince(start)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", prefix+err.Error())
+		writeError(w, http.StatusBadRequest, "bad_request", "binary: "+err.Error())
 		return v, n, false
 	}
 	return v, n, true
@@ -416,7 +420,7 @@ type createRequest struct {
 }
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	req, _, ok := decodeBody(s, w, r, decodeCreateRequestBinary, decodeCreateRequestJSON)
+	req, _, ok := decodeBody(s, w, r, decodeCreateRequestBinary)
 	if !ok {
 		return
 	}
@@ -486,8 +490,8 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	writeSessionResponse(w, r, http.StatusCreated, entry.id, wireResult(0, res, cached, true))
 }
 
-// submission is one decoded epoch submission, the same whatever route and
-// codec carried it. The epoch's hypergraph arrives whole on POST (H, with
+// submission is one decoded epoch submission, the same whatever route
+// carried it. The epoch's hypergraph arrives whole on POST (H, with
 // the fingerprint FP computed during decode) or as Delta against the
 // session's last accepted hypergraph on PATCH; exactly one of the two is
 // set. Only the POST wire has OnlyIfUnbalanced, only the PATCH wire Warm.
@@ -504,29 +508,29 @@ type submission struct {
 // handleEpoch is the full epoch submission: the body carries the epoch's
 // drifted hypergraph.
 func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
-	s.serveEpoch(w, r, decodeEpochRequestBinary, decodeEpochRequestJSON)
+	s.serveEpoch(w, r, decodeEpochRequestBinary)
 }
 
 // handleDeltaEpoch is the PATCH-style epoch submission: the epoch's
 // hypergraph arrives as a delta against the session's last accepted
 // hypergraph, keyed by base fingerprint.
 func (s *Server) handleDeltaEpoch(w http.ResponseWriter, r *http.Request) {
-	s.serveEpoch(w, r, decodeDeltaRequestBinary, decodeDeltaRequestJSON)
+	s.serveEpoch(w, r, decodeDeltaRequestBinary)
 }
 
 // serveEpoch is the one epoch pipeline behind both submission routes, which
-// differ only in the decoders they pass. The stages run in this order:
+// differ only in the decoder they pass. The stages run in this order:
 // decode, admit, session lock, epoch-conflict check, materialise the
 // hypergraph, settle the inherited assignment, only-if-unbalanced skip,
 // solve, commit, respond.
-func (s *Server) serveEpoch(w http.ResponseWriter, r *http.Request, bin, js func([]byte) (*submission, error)) {
+func (s *Server) serveEpoch(w http.ResponseWriter, r *http.Request, dec func([]byte) (*submission, error)) {
 	entry, releaseSess := s.store.acquire(r.PathValue("id"))
 	if entry == nil {
 		s.sessionGone(w, r.PathValue("id"))
 		return
 	}
 	defer releaseSess()
-	sub, bodyBytes, ok := decodeBody(s, w, r, bin, js)
+	sub, bodyBytes, ok := decodeBody(s, w, r, dec)
 	if !ok {
 		return
 	}
@@ -718,9 +722,11 @@ func deriveInherited(h *hypergraph.Hypergraph, old partition.Partition, d *hyper
 	return partition.Partition{Parts: parts, K: k}
 }
 
-// fullWireEstimate approximates the JSON body size of a full-epoch
-// submission of h (the bytes a delta saved): ~7 bytes per pin, ~20 per
-// net, ~14 per vertex for weights+sizes, plus envelope.
+// fullWireEstimate approximates the size of h as a JSON full-epoch body
+// (~7 bytes per pin, ~20 per net, ~14 per vertex for weights+sizes, plus
+// envelope). That body is no longer accepted, so the estimate overstates
+// what a delta saves against the binary frame; the benchmark's
+// hypergraph.delta_over_full_bytes measures the binary sizes exactly.
 func fullWireEstimate(h *hypergraph.Hypergraph) int64 {
 	return 64 + int64(h.NumPins())*7 + int64(h.NumNets())*20 + int64(h.NumVertices())*14
 }

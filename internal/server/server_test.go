@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -200,56 +201,58 @@ func TestCacheDisabled(t *testing.T) {
 	}
 }
 
-// postEpoch submits a raw epoch request without client-side retries.
-func postEpoch(t *testing.T, baseURL, id string, req server.EpochRequest) (int, server.SessionResponse, server.ErrorResponse) {
+// rawSubmit sends one binary request frame without client-side retries
+// or fallbacks and decodes the answer: the binary SessionResponse on
+// success, the JSON error body otherwise. Callers run it on their own
+// goroutines, so it reports a failure with t.Error and status 0.
+func rawSubmit(t *testing.T, method, url string, body []byte) (status int, ok server.SessionResponse, fail server.ErrorResponse) {
 	t.Helper()
-	body, err := json.Marshal(req)
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return 0, ok, fail
 	}
-	resp, err := http.Post(baseURL+"/v1/sessions/"+id+"/epochs", "application/json", bytes.NewReader(body))
+	req.Header.Set("Content-Type", server.ContentTypeBinary)
+	req.Header.Set("Accept", server.ContentTypeBinary)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return 0, ok, fail
 	}
 	defer resp.Body.Close()
-	var ok server.SessionResponse
-	var fail server.ErrorResponse
-	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&ok); err != nil {
-			t.Fatal(err)
-		}
-	} else {
+	if resp.StatusCode/100 != 2 {
+		// An undecodable error body leaves fail empty; callers check its code.
 		_ = json.NewDecoder(resp.Body).Decode(&fail)
+		return resp.StatusCode, ok, fail
+	}
+	data, err := io.ReadAll(resp.Body)
+	if err == nil {
+		ok, err = server.DecodeSessionResponseBinary(data)
+	}
+	if err != nil {
+		t.Error(err)
+		return 0, ok, fail
 	}
 	return resp.StatusCode, ok, fail
 }
 
-// createRaw creates a session and returns its id and the epoch request
-// template (the same hypergraph resubmitted as an identical epoch).
-func createRaw(t *testing.T, ts *httptest.Server, cfg server.WireConfig, seed int64, n int) (string, server.WireHypergraph) {
+// postEpoch submits h as a raw full epoch tagged with epoch (0: untagged).
+func postEpoch(t *testing.T, baseURL, id string, h *hypergraph.Hypergraph, epoch int64) (int, server.SessionResponse, server.ErrorResponse) {
+	t.Helper()
+	body := server.AppendEpochRequestBinary(nil, h, nil, epoch, false)
+	return rawSubmit(t, http.MethodPost, baseURL+"/v1/sessions/"+id+"/epochs", body)
+}
+
+// createRaw creates a session over an xyce680s analogue and returns its id
+// and the hypergraph (resubmitted by the callers as an identical epoch).
+func createRaw(t *testing.T, ts *httptest.Server, cfg server.WireConfig, seed int64, n int) (string, *hypergraph.Hypergraph) {
 	t.Helper()
 	g, err := datasets.Generate("xyce680s", n, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wh := server.EncodeHypergraph(graph.ToHypergraph(g))
-	body, err := json.Marshal(server.CreateSessionRequest{Config: cfg, Hypergraph: wh})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("create: status %d", resp.StatusCode)
-	}
-	var sr server.SessionResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		t.Fatal(err)
-	}
-	return sr.SessionID, wh
+	h := graph.ToHypergraph(g)
+	return createRawH(t, ts, cfg, h), h
 }
 
 // TestAdmissionBackpressure: with one worker, no queue, and injected job
@@ -261,7 +264,7 @@ func TestAdmissionBackpressure(t *testing.T) {
 		QueueDepth: -1, // no queue beyond the single worker
 		Fault:      &mpi.FaultPlan{Seed: 1, MaxDelay: 80 * time.Millisecond},
 	})
-	id, wh := createRaw(t, ts, server.WireConfig{K: 4, Alpha: 50, Seed: 2}, 2, 200)
+	id, h := createRaw(t, ts, server.WireConfig{K: 4, Alpha: 50, Seed: 2}, 2, 200)
 
 	const burst = 8
 	var mu sync.Mutex
@@ -271,7 +274,7 @@ func TestAdmissionBackpressure(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			status, _, fail := postEpoch(t, ts.URL, id, server.EpochRequest{Hypergraph: wh})
+			status, _, fail := postEpoch(t, ts.URL, id, h, 0)
 			mu.Lock()
 			counts[status]++
 			mu.Unlock()
@@ -300,11 +303,11 @@ func TestDrain(t *testing.T) {
 		Workers: 2,
 		Fault:   &mpi.FaultPlan{Seed: 3, MaxDelay: 120 * time.Millisecond},
 	})
-	id, wh := createRaw(t, ts, server.WireConfig{K: 4, Alpha: 50, Seed: 3}, 3, 200)
+	id, h := createRaw(t, ts, server.WireConfig{K: 4, Alpha: 50, Seed: 3}, 3, 200)
 
 	inflight := make(chan int, 1)
 	go func() {
-		status, _, _ := postEpoch(t, ts.URL, id, server.EpochRequest{Hypergraph: wh})
+		status, _, _ := postEpoch(t, ts.URL, id, h, 0)
 		inflight <- status
 	}()
 	time.Sleep(30 * time.Millisecond) // let the epoch get admitted
@@ -319,7 +322,7 @@ func TestDrain(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	status, _, fail := postEpoch(t, ts.URL, id, server.EpochRequest{Hypergraph: wh})
+	status, _, fail := postEpoch(t, ts.URL, id, h, 0)
 	if status != http.StatusServiceUnavailable || fail.Code != "draining" {
 		t.Errorf("submission during drain: status %d code %q, want 503 draining", status, fail.Code)
 	}
@@ -344,9 +347,9 @@ func TestDrain(t *testing.T) {
 // rejected with 409 and the session's actual epoch, without advancing it.
 func TestEpochConflict(t *testing.T) {
 	_, ts, _ := newTestServer(t, server.Config{})
-	id, wh := createRaw(t, ts, server.WireConfig{K: 4, Alpha: 50, Seed: 4}, 4, 200)
+	id, h := createRaw(t, ts, server.WireConfig{K: 4, Alpha: 50, Seed: 4}, 4, 200)
 
-	status, _, fail := postEpoch(t, ts.URL, id, server.EpochRequest{Hypergraph: wh, Epoch: 5})
+	status, _, fail := postEpoch(t, ts.URL, id, h, 5)
 	if status != http.StatusConflict || fail.Code != "epoch_conflict" {
 		t.Fatalf("status %d code %q, want 409 epoch_conflict", status, fail.Code)
 	}
@@ -354,7 +357,7 @@ func TestEpochConflict(t *testing.T) {
 		t.Errorf("conflict reports session epoch %d, want 0", fail.Epoch)
 	}
 	// The correctly-tagged submission still lands.
-	status, ok, _ := postEpoch(t, ts.URL, id, server.EpochRequest{Hypergraph: wh, Epoch: 1})
+	status, ok, _ := postEpoch(t, ts.URL, id, h, 1)
 	if status != http.StatusOK || ok.Result.Epoch != 1 {
 		t.Fatalf("tagged submission: status %d epoch %d, want 200 epoch 1", status, ok.Result.Epoch)
 	}
@@ -365,7 +368,7 @@ func TestEpochConflict(t *testing.T) {
 // advance exactly once per submission (run under -race).
 func TestConcurrentEpochs(t *testing.T) {
 	_, ts, client := newTestServer(t, server.Config{})
-	id, wh := createRaw(t, ts, server.WireConfig{K: 4, Alpha: 50, Seed: 6}, 6, 200)
+	id, h := createRaw(t, ts, server.WireConfig{K: 4, Alpha: 50, Seed: 6}, 6, 200)
 
 	const callers, rounds = 4, 3
 	var wg sync.WaitGroup
@@ -374,7 +377,7 @@ func TestConcurrentEpochs(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				if status, _, fail := postEpoch(t, ts.URL, id, server.EpochRequest{Hypergraph: wh}); status != http.StatusOK {
+				if status, _, fail := postEpoch(t, ts.URL, id, h, 0); status != http.StatusOK {
 					t.Errorf("concurrent epoch: status %d code %q", status, fail.Code)
 				}
 			}
@@ -449,79 +452,72 @@ func TestPartitionEndpoint(t *testing.T) {
 	}
 }
 
-// TestWireHypergraphRoundTrip: encode -> decode must preserve content
-// exactly, including weights, sizes, costs and fixed labels (fingerprint
-// equality is the cache-correctness property).
-func TestWireHypergraphRoundTrip(t *testing.T) {
-	b := hyperbal.NewHypergraphBuilder(5)
-	b.AddNet(3, 0, 1, 2)
-	b.AddNet(1, 2, 3, 4)
-	for v := 0; v < 5; v++ {
-		b.SetWeight(v, int64(2*v+1))
-		b.SetSize(v, int64(10*v+5))
-	}
-	b.Fix(1, 2)
-	h := b.Build()
-
-	data, err := json.Marshal(server.EncodeHypergraph(h))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var w server.WireHypergraph
-	if err := json.Unmarshal(data, &w); err != nil {
-		t.Fatal(err)
-	}
-	h2, err := w.Decode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h2.Fingerprint() != h.Fingerprint() {
-		t.Error("wire round trip changed the fingerprint")
-	}
-	if !h2.HasFixed() || h2.Fixed(1) != 2 {
-		t.Error("fixed labels lost in wire round trip")
-	}
-}
-
-// TestBadRequests: malformed inputs map to 400/404/409 with stable codes.
-// The epoch-submission rows are one error contract checked over both
-// routes (POST full, PATCH delta) and both request codecs: the routes share
-// one pipeline, so a mistake must draw the same answer however it arrives.
+// TestBadRequests: malformed inputs map to 4xx answers with stable codes,
+// checked over every route that carries a body (create, POST epochs, PATCH
+// epochs) and a Content-Type axis. Binary bodies reach the named
+// validation; the same bytes labelled application/json, or not labelled at
+// all, are refused with 415 before they are read. Only an unknown session
+// outranks the media type, because the session is resolved first. No row
+// creates a session or advances the one it targets.
 func TestBadRequests(t *testing.T) {
-	_, ts, client := newTestServer(t, server.Config{})
+	srv, ts, _ := newTestServer(t, server.Config{})
+	contentTypes := []struct{ name, value string }{
+		{"binary", server.ContentTypeBinary},
+		{"json", "application/json"},
+		{"absent", ""},
+	}
+	send := func(t *testing.T, method, path, contentType string, body []byte) (int, server.ErrorResponse) {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if contentType != "" {
+			req.Header.Set("Content-Type", contentType)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var fail server.ErrorResponse
+		_ = json.NewDecoder(resp.Body).Decode(&fail)
+		return resp.StatusCode, fail
+	}
+	expect := func(t *testing.T, status int, fail server.ErrorResponse, wantStatus int, wantCode string) {
+		t.Helper()
+		if status != wantStatus || fail.Code != wantCode {
+			t.Fatalf("status %d code %q (%s), want %d %s", status, fail.Code, fail.Error, wantStatus, wantCode)
+		}
+	}
 
-	// Unknown method name.
-	body, _ := json.Marshal(server.CreateSessionRequest{
-		Config:     server.WireConfig{K: 4, Method: "nonsense"},
-		Hypergraph: server.WireHypergraph{NumVertices: 1},
-	})
-	resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	creates := []struct {
+		name string
+		body []byte
+	}{
+		{"unknown method", server.AppendCreateRequestBinary(nil,
+			server.WireConfig{K: 4, Method: "nonsense"}, hypergraph.NewBuilder(1).Build())},
+		{"pin out of range", badPinCreateBody()},
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad method: status %d, want 400", resp.StatusCode)
-	}
-
-	// Pin out of range.
-	bad := server.WireHypergraph{NumVertices: 2, Nets: []server.WireNet{{Cost: 1, Pins: []int32{0, 7}}}}
-	body, _ = json.Marshal(server.CreateSessionRequest{Config: server.WireConfig{K: 2}, Hypergraph: bad})
-	resp, err = http.Post(ts.URL+"/v1/sessions", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad pins: status %d, want 400", resp.StatusCode)
+	for _, ct := range contentTypes {
+		for _, tc := range creates {
+			t.Run("create "+ct.name+" "+tc.name, func(t *testing.T) {
+				status, fail := send(t, http.MethodPost, "/v1/sessions", ct.value, tc.body)
+				if ct.value == server.ContentTypeBinary {
+					expect(t, status, fail, http.StatusBadRequest, "bad_request")
+				} else {
+					expect(t, status, fail, http.StatusUnsupportedMediaType, "unsupported_media_type")
+				}
+			})
+		}
 	}
 
-	// Every row resubmits the session's own hypergraph (the vertex set is
-	// unchanged, the identity delta is valid), so only the named mistake
-	// can be what the server rejects, and no row advances the session.
+	// Every epoch row resubmits the session's own hypergraph (the vertex
+	// set is unchanged, the identity delta is valid), so only the named
+	// mistake can be what the server rejects.
 	const k = 4
 	h := codecTestHypergraph(1)
-	id, wh := createRawH(t, ts, server.WireConfig{K: k, Alpha: 50, Seed: 8}, h)
+	id := createRawH(t, ts, server.WireConfig{K: k, Alpha: 50, Seed: 8}, h)
 	identity, ok := hypergraph.ComputeDelta(h, h)
 	if !ok {
 		t.Fatal("identity transition not delta-able")
@@ -544,36 +540,19 @@ func TestBadRequests(t *testing.T) {
 		{"unknown session", "s-missing", nil, 0, http.StatusNotFound, "not_found"},
 	}
 	for _, route := range []string{http.MethodPost, http.MethodPatch} {
-		for _, codec := range []string{"json", "binary"} {
+		for _, ct := range contentTypes {
 			for _, tc := range cases {
-				t.Run(route+" "+codec+" "+tc.name, func(t *testing.T) {
-					var body []byte
-					contentType := "application/json"
-					switch {
-					case route == http.MethodPost && codec == "json":
-						body, _ = json.Marshal(server.EpochRequest{Hypergraph: wh, Inherited: tc.inherited, Epoch: tc.epoch})
-					case route == http.MethodPost:
-						body, contentType = server.AppendEpochRequestBinary(nil, h, tc.inherited, tc.epoch, false), server.ContentTypeBinary
-					case codec == "json":
-						body, _ = json.Marshal(server.DeltaEpochRequest{Delta: *identity, Inherited: tc.inherited, Epoch: tc.epoch})
-					default:
-						body, contentType = server.AppendDeltaRequestBinary(nil, identity, tc.inherited, tc.epoch, false), server.ContentTypeBinary
+				t.Run(route+" "+ct.name+" "+tc.name, func(t *testing.T) {
+					body := server.AppendEpochRequestBinary(nil, h, tc.inherited, tc.epoch, false)
+					if route == http.MethodPatch {
+						body = server.AppendDeltaRequestBinary(nil, identity, tc.inherited, tc.epoch, false)
 					}
-					req, err := http.NewRequest(route, ts.URL+"/v1/sessions/"+tc.session+"/epochs", bytes.NewReader(body))
-					if err != nil {
-						t.Fatal(err)
+					status, fail := send(t, route, "/v1/sessions/"+tc.session+"/epochs", ct.value, body)
+					if ct.value != server.ContentTypeBinary && tc.session == id {
+						expect(t, status, fail, http.StatusUnsupportedMediaType, "unsupported_media_type")
+						return
 					}
-					req.Header.Set("Content-Type", contentType)
-					resp, err := http.DefaultClient.Do(req)
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer resp.Body.Close()
-					var fail server.ErrorResponse
-					_ = json.NewDecoder(resp.Body).Decode(&fail)
-					if resp.StatusCode != tc.status || fail.Code != tc.code {
-						t.Fatalf("status %d code %q (%s), want %d %s", resp.StatusCode, fail.Code, fail.Error, tc.status, tc.code)
-					}
+					expect(t, status, fail, tc.status, tc.code)
 					// The conflict carries the authoritative epoch: the
 					// session has accepted nothing yet.
 					if tc.code == "epoch_conflict" && fail.Epoch != 0 {
@@ -583,12 +562,34 @@ func TestBadRequests(t *testing.T) {
 			}
 		}
 	}
-	sess, err := client.Session(context.Background(), id)
-	if err != nil {
-		t.Fatal(err)
+	// GETs without the binary Accept still answer JSON: curl's view of
+	// info and partition.
+	getJSON := func(path string, v any) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != "application/json" {
+			t.Fatalf("GET %s: status %d Content-Type %q, want 200 JSON", path, resp.StatusCode, ct)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got := sess.Epoch(); got != 0 {
-		t.Errorf("rejected submissions advanced the session to epoch %d", got)
+	var info server.SessionInfo
+	getJSON("/v1/sessions/"+id, &info)
+	if info.Epoch != 0 {
+		t.Errorf("rejected submissions advanced the session to epoch %d", info.Epoch)
+	}
+	var part server.PartitionResponse
+	getJSON("/v1/sessions/"+id+"/partition", &part)
+	if len(part.Parts) != n {
+		t.Errorf("partition covers %d vertices, want %d", len(part.Parts), n)
+	}
+	if got := srv.Sessions(); got != 1 {
+		t.Errorf("%d live sessions, want only the one created for the epoch rows", got)
 	}
 }
 

@@ -1,105 +1,15 @@
 package server
 
-import (
-	"encoding/json"
-	"fmt"
+import "hyperbal/internal/core"
 
-	"hyperbal/internal/core"
-	"hyperbal/internal/hypergraph"
-)
-
-// Wire types of the balancerd JSON API. The request/response bodies are
-// plain JSON renderings of the core types: a hypergraph is its net list
-// plus per-vertex weights/sizes, a configuration is core.Config with the
-// method spelled by its paper name, a result is the partition plus the
-// volumes of core.Result. The Go client in the root package and the
-// server handlers share these so the two sides cannot drift.
-
-// WireNet is one net: its communication cost and pin list (0-based vertex
-// ids, no duplicates).
-type WireNet struct {
-	Cost int64   `json:"cost"`
-	Pins []int32 `json:"pins"`
-}
-
-// WireHypergraph is the JSON form of a hypergraph. Weights, Sizes and
-// Fixed may be omitted: absent weights/sizes default to 1 per vertex,
-// absent fixed means all vertices free.
-type WireHypergraph struct {
-	NumVertices int       `json:"num_vertices"`
-	Nets        []WireNet `json:"nets"`
-	Weights     []int64   `json:"weights,omitempty"`
-	Sizes       []int64   `json:"sizes,omitempty"`
-	Fixed       []int32   `json:"fixed,omitempty"`
-}
-
-// EncodeHypergraph renders h in wire form. Every slice is a copy — pin
-// lists included, backed by one shared allocation — so a caller mutating
-// the result cannot corrupt a live session's base hypergraph (the pins
-// used to alias h's CSR storage; see TestEncodeHypergraphDoesNotAlias).
-func EncodeHypergraph(h *hypergraph.Hypergraph) WireHypergraph {
-	w := WireHypergraph{
-		NumVertices: h.NumVertices(),
-		Nets:        make([]WireNet, h.NumNets()),
-		Weights:     make([]int64, h.NumVertices()),
-		Sizes:       make([]int64, h.NumVertices()),
-	}
-	backing := make([]int32, 0, h.NumPins())
-	for n := 0; n < h.NumNets(); n++ {
-		start := len(backing)
-		backing = append(backing, h.Pins(n)...)
-		w.Nets[n] = WireNet{Cost: h.Cost(n), Pins: backing[start:len(backing):len(backing)]}
-	}
-	for v := 0; v < h.NumVertices(); v++ {
-		w.Weights[v] = h.Weight(v)
-		w.Sizes[v] = h.Size(v)
-	}
-	if h.HasFixed() {
-		w.Fixed = make([]int32, h.NumVertices())
-		for v := range w.Fixed {
-			w.Fixed[v] = h.Fixed(v)
-		}
-	}
-	return w
-}
-
-// Decode validates the wire hypergraph and builds the in-memory form.
-func (w WireHypergraph) Decode() (*hypergraph.Hypergraph, error) {
-	h, _, err := w.DecodeFingerprint()
-	return h, err
-}
-
-// DecodeFingerprint is Decode returning the content fingerprint alongside
-// — computed once while building, so handlers never re-hash a hypergraph
-// they just decoded. Validation and construction are shared with the
-// binary codec (hypergraph.BuildFromWire), so the two codecs accept and
-// reject exactly the same hypergraphs.
-func (w WireHypergraph) DecodeFingerprint() (*hypergraph.Hypergraph, string, error) {
-	total := 0
-	for _, net := range w.Nets {
-		total += len(net.Pins)
-	}
-	costs := make([]int64, len(w.Nets))
-	netSizes := make([]int32, len(w.Nets))
-	pins := make([]int32, 0, total)
-	for n, net := range w.Nets {
-		costs[n] = net.Cost
-		netSizes[n] = int32(len(net.Pins))
-		pins = append(pins, net.Pins...)
-	}
-	var weights, sizes []int64
-	var fixed []int32
-	if len(w.Weights) != 0 {
-		weights = append([]int64(nil), w.Weights...)
-	}
-	if len(w.Sizes) != 0 {
-		sizes = append([]int64(nil), w.Sizes...)
-	}
-	if len(w.Fixed) != 0 {
-		fixed = append([]int32(nil), w.Fixed...)
-	}
-	return hypergraph.BuildFromWire(w.NumVertices, costs, netSizes, pins, weights, sizes, fixed)
-}
+// Wire types of the balancerd API. Request bodies are binary frames only
+// (wirebin.go); these are the configuration and the response messages: a
+// configuration is core.Config with the method spelled by its paper name,
+// a result is the partition plus the volumes of core.Result. Responses
+// are rendered in the codec the client's Accept asks for — binary, or
+// JSON for curl and debugging — and error bodies are always JSON. The Go
+// client in the root package and the server handlers share these so the
+// two sides cannot drift.
 
 // WireConfig is the JSON form of core.Config; Method uses the paper name
 // ("Zoltan-repart" by default).
@@ -153,85 +63,6 @@ func WireConfigFrom(cfg core.Config) WireConfig {
 		RefinePasses:  cfg.RefinePasses,
 		Parallelism:   cfg.Parallelism,
 	}
-}
-
-// CreateSessionRequest is the body of POST /v1/sessions.
-type CreateSessionRequest struct {
-	Config     WireConfig     `json:"config"`
-	Hypergraph WireHypergraph `json:"hypergraph"`
-}
-
-func decodeCreateRequestJSON(data []byte) (createRequest, error) {
-	var req CreateSessionRequest
-	if err := json.Unmarshal(data, &req); err != nil {
-		return createRequest{}, fmt.Errorf("invalid request body: %w", err)
-	}
-	h, fp, err := req.Hypergraph.DecodeFingerprint()
-	if err != nil {
-		return createRequest{}, fmt.Errorf("hypergraph: %w", err)
-	}
-	return createRequest{Config: req.Config, H: h, FP: fp}, nil
-}
-
-// EpochRequest is the body of POST /v1/sessions/{id}/epochs: the epoch's
-// drifted hypergraph, plus the inherited assignment when the vertex set
-// changed. Epoch, when positive, is the expected epoch number of this
-// submission (current+1); a mismatch is rejected with 409 so a retried
-// submission cannot advance a session twice. OnlyIfUnbalanced asks the
-// server to first evaluate the session's rebalance trigger and return the
-// unchanged distribution (rebalanced=false) if the drift is still within
-// threshold.
-type EpochRequest struct {
-	Hypergraph       WireHypergraph `json:"hypergraph"`
-	Inherited        []int32        `json:"inherited,omitempty"`
-	Epoch            int64          `json:"epoch,omitempty"`
-	OnlyIfUnbalanced bool           `json:"only_if_unbalanced,omitempty"`
-}
-
-func decodeEpochRequestJSON(data []byte) (*submission, error) {
-	var req EpochRequest
-	if err := json.Unmarshal(data, &req); err != nil {
-		return nil, fmt.Errorf("invalid request body: %w", err)
-	}
-	h, fp, err := req.Hypergraph.DecodeFingerprint()
-	if err != nil {
-		return nil, fmt.Errorf("hypergraph: %w", err)
-	}
-	return &submission{
-		H: h, FP: fp,
-		Inherited:        req.Inherited,
-		Epoch:            req.Epoch,
-		OnlyIfUnbalanced: req.OnlyIfUnbalanced,
-	}, nil
-}
-
-// DeltaEpochRequest is the body of PATCH /v1/sessions/{id}/epochs: the
-// epoch's hypergraph expressed as a delta against the session's last
-// accepted hypergraph (Delta.Base must equal that fingerprint — a
-// mismatch is rejected with 409 code "fingerprint_mismatch" carrying the
-// server's base fingerprint, the client's signal to resubmit as a full
-// epoch). Inherited is optional for structural deltas: when absent the
-// server derives it from the delta's vertex map (mapped vertices keep
-// their parts, new vertices go to the lightest part). Warm asks for a
-// warm-started repartition restricted to the delta's dirty region.
-type DeltaEpochRequest struct {
-	Delta     hypergraph.Delta `json:"delta"`
-	Inherited []int32          `json:"inherited,omitempty"`
-	Epoch     int64            `json:"epoch,omitempty"`
-	Warm      bool             `json:"warm,omitempty"`
-}
-
-func decodeDeltaRequestJSON(data []byte) (*submission, error) {
-	var req DeltaEpochRequest
-	if err := json.Unmarshal(data, &req); err != nil {
-		return nil, fmt.Errorf("invalid request body: %w", err)
-	}
-	return &submission{
-		Delta:     &req.Delta,
-		Inherited: req.Inherited,
-		Epoch:     req.Epoch,
-		Warm:      req.Warm,
-	}, nil
 }
 
 // WireResult is one load-balance operation in wire form.
@@ -292,8 +123,9 @@ type SessionInfo struct {
 }
 
 // ErrorResponse is the body of every non-2xx response. Code is a stable
-// machine-readable discriminator: bad_request, not_found, epoch_conflict,
-// fingerprint_mismatch, busy, draining, internal.
+// machine-readable discriminator: bad_request, unsupported_media_type,
+// not_found, epoch_conflict, fingerprint_mismatch, busy, draining,
+// internal.
 type ErrorResponse struct {
 	Error string `json:"error"`
 	Code  string `json:"code,omitempty"`

@@ -11,19 +11,18 @@ import (
 	"hyperbal/internal/partition"
 )
 
-// Binary wire protocol of the balancerd API: the same messages as the JSON
-// wire types, framed as `magic "HBW" + version + message type` followed by
-// varint-packed fields, with hypergraph and delta payloads embedded as
-// internal/hypergraph binary frames. Content negotiation selects it: a
-// request with Content-Type application/x-hyperbal is decoded binary, a
-// request with that media type in Accept is answered binary. Error
-// responses are always JSON (they are tiny, and a client that negotiated
-// binary still needs errors it can decode before trusting the frame
-// layer).
+// Binary wire protocol of the balancerd API: messages framed as `magic
+// "HBW" + version + message type` followed by varint-packed fields, with
+// hypergraph and delta payloads embedded as internal/hypergraph binary
+// frames. It is the only request codec: create, epoch and delta bodies
+// must carry Content-Type application/x-hyperbal (anything else is 415).
+// Responses are binary when Accept lists that media type, JSON otherwise.
+// Error responses are always JSON (they are tiny, and a client that
+// negotiated binary still needs errors it can decode before trusting the
+// frame layer).
 //
-// Both codecs funnel hypergraphs through hypergraph.BuildFromWire, so a
-// hypergraph accepted over one codec is accepted — with an identical
-// fingerprint — over the other. See DESIGN.md §12 for the frame layout.
+// Hypergraphs are validated and fingerprinted by hypergraph.BuildFromWire
+// as they decode. See DESIGN.md §12 for the frame layout.
 
 // ContentTypeBinary is the media type of the binary wire protocol.
 const ContentTypeBinary = "application/x-hyperbal"
@@ -244,8 +243,7 @@ func readWireResult(r *hypergraph.BinReader) (WireResult, error) {
 }
 
 // AppendCreateRequestBinary renders POST /v1/sessions in binary form,
-// encoding the hypergraph straight from its CSR storage (no WireHypergraph
-// intermediate).
+// encoding the hypergraph straight from its CSR storage.
 func AppendCreateRequestBinary(buf []byte, cfg WireConfig, h *hypergraph.Hypergraph) []byte {
 	buf = appendBinHeader(buf, binMsgCreate)
 	buf = appendWireConfig(buf, cfg)
@@ -269,7 +267,13 @@ func decodeCreateRequestBinary(data []byte) (createRequest, error) {
 }
 
 // AppendEpochRequestBinary renders POST /v1/sessions/{id}/epochs in binary
-// form.
+// form: the epoch's drifted hypergraph, plus the inherited assignment when
+// the vertex set changed. epoch, when positive, is the expected epoch
+// number of this submission (current+1); a mismatch is rejected with 409
+// so a retried submission cannot advance a session twice.
+// onlyIfUnbalanced asks the server to first evaluate the session's
+// rebalance trigger and return the unchanged distribution
+// (rebalanced=false) if the drift is still within threshold.
 func AppendEpochRequestBinary(buf []byte, h *hypergraph.Hypergraph, inherited []int32, epoch int64, onlyIfUnbalanced bool) []byte {
 	buf = appendBinHeader(buf, binMsgEpoch)
 	buf = h.AppendBinary(buf)
@@ -295,7 +299,13 @@ func decodeEpochRequestBinary(data []byte) (*submission, error) {
 }
 
 // AppendDeltaRequestBinary renders PATCH /v1/sessions/{id}/epochs in
-// binary form.
+// binary form: the epoch's hypergraph as a delta against the session's
+// last accepted hypergraph (d.Base must equal that fingerprint — a
+// mismatch is rejected with 409 code "fingerprint_mismatch" carrying the
+// server's base fingerprint, the client's signal to resubmit as a full
+// epoch). inherited is optional for structural deltas: when absent the
+// server derives it from the delta's vertex map. warm asks for a
+// warm-started repartition restricted to the delta's dirty region.
 func AppendDeltaRequestBinary(buf []byte, d *hypergraph.Delta, inherited []int32, epoch int64, warm bool) []byte {
 	buf = appendBinHeader(buf, binMsgDelta)
 	buf = d.AppendBinary(buf)
