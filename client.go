@@ -307,35 +307,12 @@ func (c *Client) attempt(ctx context.Context, base, method, path string, body []
 }
 
 // decodeResponse decodes a binary success payload; any other Content-Type
-// is an error. Error bodies never reach here (always JSON, handled above),
-// so only success payload types appear in the switch.
+// is an error. Error bodies never reach here (always JSON, handled above).
 func decodeResponse(contentType string, data []byte, out any) error {
 	if !strings.HasPrefix(contentType, server.ContentTypeBinary) {
 		return fmt.Errorf("response Content-Type %q, want %s", contentType, server.ContentTypeBinary)
 	}
-	switch v := out.(type) {
-	case *server.SessionResponse:
-		r, err := server.DecodeSessionResponseBinary(data)
-		if err != nil {
-			return err
-		}
-		*v = r
-	case *server.PartitionResponse:
-		r, err := server.DecodePartitionResponseBinary(data)
-		if err != nil {
-			return err
-		}
-		*v = r
-	case *server.SessionInfo:
-		r, err := server.DecodeSessionInfoBinary(data)
-		if err != nil {
-			return err
-		}
-		*v = r
-	default:
-		return fmt.Errorf("unexpected binary response for %T", out)
-	}
-	return nil
+	return server.DecodeResponseBinary(data, out)
 }
 
 // errNonRetryable marks, between attempt and do, an APIError that must not

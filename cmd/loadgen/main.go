@@ -17,8 +17,7 @@
 // -scenario delta-drift submits every epoch as a PATCH delta against the
 // previous one instead of a full hypergraph; -warm additionally asks the
 // server to warm-start each repartition from the inherited distribution.
-// The pass reports wire bytes by op and the server's delta-vs-full-resync
-// byte estimate.
+// The pass reports the client's wire bytes by op.
 //
 // -scenario concurrent-identical releases every session's create through a
 // start barrier at once, all with the same seed: the server's singleflight
@@ -262,9 +261,6 @@ func runLoad(rc loadRun) bool {
 			localCounter("client_bytes_sent_total", "op", "delta"),
 			localCounter("client_bytes_sent_total", "op", "epoch"),
 			localCounter("client_delta_fallbacks_total"))
-		fmt.Printf("  server delta     %d B received vs ~%d B full-resync equivalent\n",
-			counterDiff(before, snap, "server_delta_bytes_total"),
-			counterDiff(before, snap, "server_delta_full_bytes_estimated_total"))
 	}
 	if rc.barrier {
 		leaders := counterDiff(before, snap, "server_singleflight_leaders_total")

@@ -1,19 +1,16 @@
 package graph
 
 import (
-	"encoding/binary"
 	"fmt"
 
-	"hyperbal/internal/hypergraph"
+	"hyperbal/internal/wire"
 )
 
-// Binary codec for shipping a Graph to compute workers, in the HBW varint
-// discipline (see internal/hypergraph/wirebin.go): every count is bounded
-// and checked against the bytes present, so a hostile frame yields a
-// clean error, never a panic or an allocation bomb.
-//
-// Layout: uvarint n, then xadj deltas (uvarint, monotone), adjncy
-// (zigzag), adjwgt / vwgt / vsize (zigzag).
+// A Graph ships to compute workers as one field of a codec-declared
+// message (internal/wire): it lays itself out as the declared frame below
+// in the Varint layout, so every count is bounded by the bytes present and
+// a hostile frame yields a clean error, never a panic or an allocation
+// bomb. Degrees stand in for the xadj offsets, so they stay one byte each.
 
 // MaxWireVertices bounds a decoded graph, mirroring
 // hypergraph.MaxWireVertices.
@@ -22,85 +19,50 @@ const MaxWireVertices = 1 << 24
 // MaxWireEdgeEntries bounds the CSR adjacency length (2x edges).
 const MaxWireEdgeEntries = 1 << 28
 
-// AppendBinary appends g's binary frame to buf.
-func (g *Graph) AppendBinary(buf []byte) []byte {
-	n := g.NumVertices()
-	buf = binary.AppendUvarint(buf, uint64(n))
-	for v := 0; v < n; v++ {
-		buf = binary.AppendUvarint(buf, uint64(g.xadj[v+1]-g.xadj[v]))
+type frame struct {
+	Degrees []uint32
+	Adjncy  []int32
+	Adjwgt  []int64
+	Vwgt    []int64
+	Vsize   []int64
+}
+
+// AppendWire appends g's frame.
+func (g *Graph) AppendWire(buf []byte) []byte {
+	f := frame{Degrees: make([]uint32, g.NumVertices()), Adjncy: g.adjncy, Adjwgt: g.adjwgt, Vwgt: g.vwgt, Vsize: g.vsize}
+	for v := range f.Degrees {
+		f.Degrees[v] = uint32(g.xadj[v+1] - g.xadj[v])
 	}
-	for _, v := range g.adjncy {
-		buf = binary.AppendVarint(buf, int64(v))
-	}
-	for _, w := range g.adjwgt {
-		buf = binary.AppendVarint(buf, w)
-	}
-	for _, w := range g.vwgt {
-		buf = binary.AppendVarint(buf, w)
-	}
-	for _, s := range g.vsize {
-		buf = binary.AppendVarint(buf, s)
-	}
+	buf, _ = wire.Varint.Append(buf, f) // a declared struct always has a layout
 	return buf
 }
 
-// DecodeBinary reads one graph frame from r (the inverse of AppendBinary)
-// and validates CSR invariants before returning.
-func DecodeBinary(r *hypergraph.BinReader) (*Graph, error) {
-	n, err := r.Count(MaxWireVertices)
-	if err != nil {
-		return nil, fmt.Errorf("graph: vertex count: %w", err)
+// DecodeWire reads one frame into g and validates the CSR invariants.
+func (g *Graph) DecodeWire(r *wire.Reader) error {
+	var f frame
+	if err := wire.Varint.Read(r, &f); err != nil {
+		return fmt.Errorf("graph: %w", err)
 	}
-	g := &Graph{
-		xadj:  make([]int32, n+1),
-		vwgt:  make([]int64, n),
-		vsize: make([]int64, n),
+	n := len(f.Degrees)
+	if n > MaxWireVertices || len(f.Adjncy) > MaxWireEdgeEntries ||
+		len(f.Vwgt) != n || len(f.Vsize) != n || len(f.Adjwgt) != len(f.Adjncy) {
+		return fmt.Errorf("graph: %w: %d vertices with %d weights and %d sizes, %d neighbours with %d edge weights",
+			wire.ErrMalformed, n, len(f.Vwgt), len(f.Vsize), len(f.Adjncy), len(f.Adjwgt))
 	}
-	var total uint64
-	for v := 0; v < n; v++ {
-		deg, err := r.Uvarint()
-		if err != nil {
-			return nil, fmt.Errorf("graph: degree of %d: %w", v, err)
+	xadj := make([]int32, n+1)
+	total := 0
+	for v, d := range f.Degrees {
+		if total += int(d); total > len(f.Adjncy) {
+			return fmt.Errorf("graph: %w: degrees overrun %d adjacency entries", wire.ErrMalformed, len(f.Adjncy))
 		}
-		total += deg
-		if total > MaxWireEdgeEntries {
-			return nil, fmt.Errorf("graph: adjacency length %d exceeds limit %d", total, MaxWireEdgeEntries)
-		}
-		g.xadj[v+1] = int32(total)
+		xadj[v+1] = int32(total)
 	}
-	// One varint costs at least one byte; reject before allocating.
-	if total > uint64(r.Rem()) {
-		return nil, fmt.Errorf("graph: adjacency length %d exceeds %d remaining bytes", total, r.Rem())
+	if total != len(f.Adjncy) {
+		return fmt.Errorf("graph: %w: degrees cover %d of %d adjacency entries", wire.ErrMalformed, total, len(f.Adjncy))
 	}
-	g.adjncy = make([]int32, total)
-	for i := range g.adjncy {
-		v, err := r.Varint()
-		if err != nil {
-			return nil, fmt.Errorf("graph: adjncy[%d]: %w", i, err)
-		}
-		if v < 0 || v >= int64(n) {
-			return nil, fmt.Errorf("graph: adjncy[%d] = %d out of range [0,%d)", i, v, n)
-		}
-		g.adjncy[i] = int32(v)
-	}
-	g.adjwgt = make([]int64, total)
-	for i := range g.adjwgt {
-		if g.adjwgt[i], err = r.Varint(); err != nil {
-			return nil, fmt.Errorf("graph: adjwgt[%d]: %w", i, err)
-		}
-	}
-	for i := range g.vwgt {
-		if g.vwgt[i], err = r.Varint(); err != nil {
-			return nil, fmt.Errorf("graph: vwgt[%d]: %w", i, err)
-		}
-	}
-	for i := range g.vsize {
-		if g.vsize[i], err = r.Varint(); err != nil {
-			return nil, fmt.Errorf("graph: vsize[%d]: %w", i, err)
-		}
-	}
+	*g = Graph{xadj: xadj, adjncy: f.Adjncy, adjwgt: f.Adjwgt, vwgt: f.Vwgt, vsize: f.Vsize}
 	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("graph: decoded frame invalid: %w", err)
+		return fmt.Errorf("graph: decoded frame invalid: %w", err)
 	}
-	return g, nil
+	return nil
 }

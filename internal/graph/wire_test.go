@@ -2,12 +2,27 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"hyperbal/internal/hypergraph"
+	"hyperbal/internal/wire"
 )
+
+// decode reads one graph frame that must fill data exactly.
+func decode(data []byte) (*Graph, error) {
+	g := new(Graph)
+	r := wire.NewReader(data)
+	if err := g.DecodeWire(r); err != nil {
+		return nil, err
+	}
+	if r.Rem() != 0 {
+		return nil, fmt.Errorf("%d bytes left after decode", r.Rem())
+	}
+	return g, nil
+}
 
 // buildTestGraph makes a small graph with non-trivial weights and sizes.
 func buildTestGraph(t *testing.T) *Graph {
@@ -34,17 +49,13 @@ func buildTestGraph(t *testing.T) *Graph {
 // with an identical column-net hypergraph fingerprint and text rendering.
 func TestGraphWireRoundTrip(t *testing.T) {
 	g := buildTestGraph(t)
-	buf := g.AppendBinary([]byte("prefix"))
+	buf := g.AppendWire([]byte("prefix"))
 	if !bytes.HasPrefix(buf, []byte("prefix")) {
-		t.Fatal("AppendBinary did not append")
+		t.Fatal("AppendWire did not append")
 	}
-	r := hypergraph.NewBinReader(buf[len("prefix"):])
-	got, err := DecodeBinary(r)
+	got, err := decode(buf[len("prefix"):])
 	if err != nil {
 		t.Fatal(err)
-	}
-	if r.Rem() != 0 {
-		t.Fatalf("%d bytes left after decode", r.Rem())
 	}
 	if !reflect.DeepEqual(got, g) {
 		t.Fatalf("decoded graph differs:\n got %v\nwant %v", got, g)
@@ -67,8 +78,7 @@ func TestGraphWireRoundTrip(t *testing.T) {
 
 func TestGraphWireEmpty(t *testing.T) {
 	g := NewBuilder(0).Build()
-	r := hypergraph.NewBinReader(g.AppendBinary(nil))
-	got, err := DecodeBinary(r)
+	got, err := decode(g.AppendWire(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +91,7 @@ func TestGraphWireEmpty(t *testing.T) {
 // limits, adjacency out of range, and truncations must all error without
 // panicking or allocating attacker-sized buffers.
 func TestGraphWireHostile(t *testing.T) {
-	valid := buildTestGraph(t).AppendBinary(nil)
+	valid := buildTestGraph(t).AppendWire(nil)
 	cases := map[string][]byte{
 		"empty":          nil,
 		"truncated":      valid[:len(valid)-3],
@@ -90,8 +100,8 @@ func TestGraphWireHostile(t *testing.T) {
 	}
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) {
-			if _, err := DecodeBinary(hypergraph.NewBinReader(data)); err == nil {
-				t.Fatal("DecodeBinary accepted hostile input")
+			if _, err := decode(data); err == nil {
+				t.Fatal("DecodeWire accepted hostile input")
 			}
 		})
 	}
@@ -99,7 +109,7 @@ func TestGraphWireHostile(t *testing.T) {
 	// endpoint points past it.
 	bad := buildTestGraph(t)
 	bad.adjncy[0] = 99
-	if _, err := DecodeBinary(hypergraph.NewBinReader(bad.AppendBinary(nil))); err == nil {
-		t.Fatal("DecodeBinary accepted an out-of-range adjacency")
+	if _, err := decode(bad.AppendWire(nil)); err == nil {
+		t.Fatal("DecodeWire accepted an out-of-range adjacency")
 	}
 }

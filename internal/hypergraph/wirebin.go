@@ -2,13 +2,17 @@ package hypergraph
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
+	"reflect"
+
+	"hyperbal/internal/wire"
 )
 
-// Binary wire codec for hypergraphs and deltas: the varint-packed frames
-// the balancerd binary protocol embeds in its messages. A hypergraph frame
+// Binary wire codec for hypergraphs and deltas (HBW frames): the two bulk
+// formats that keep a hand-tuned layout inside the repo's one message
+// codec (internal/wire). A message declares a Frame or Delta field and
+// the codec hands these frames its reader. A hypergraph frame
 // carries the CSR form directly (net sizes, flat pin stream, costs, then
 // optional per-vertex sections), so encoding is a single pass over the CSR
 // arrays with no intermediate per-net structures, and decoding rebuilds
@@ -38,13 +42,6 @@ const (
 	MaxWirePins     = 1 << 26
 )
 
-// ErrTruncated reports a binary frame that ended mid-field.
-var ErrTruncated = errors.New("hypergraph: truncated binary frame")
-
-// ErrMalformed reports a binary frame with an invalid field (bad version,
-// unknown flags, or a length prefix that cannot be satisfied).
-var ErrMalformed = errors.New("hypergraph: malformed binary frame")
-
 // Hypergraph frame flags: which optional per-vertex sections are present.
 const (
 	binFlagWeights byte = 1 << iota
@@ -64,145 +61,40 @@ const (
 	deltaFlagNewNetPins
 )
 
-// BinReader is a bounds-checked cursor over one binary frame. The server
-// message codec shares it across the header and the embedded hypergraph /
-// delta frames of one message.
-type BinReader struct {
-	data []byte
-	off  int
+// NewBinReader wraps one frame for DecodeBinary / DecodeDeltaBinary; the
+// benchmark's decode probe (bench/run.go) calls it.
+func NewBinReader(data []byte) *wire.Reader { return wire.NewReader(data) }
+
+// Frame is a hypergraph as one field of a codec-declared message
+// (internal/wire): its HBW frame on the wire, and after decoding the
+// fingerprint BuildFromWire computed, carried next to H so a decoded
+// hypergraph is fingerprinted exactly once. FP is not encoded.
+type Frame struct {
+	H  *Hypergraph
+	FP string
 }
 
-// NewBinReader wraps data; the reader does not copy it.
-func NewBinReader(data []byte) *BinReader { return &BinReader{data: data} }
+// AppendWire appends H's binary frame.
+func (f *Frame) AppendWire(buf []byte) []byte { return f.H.AppendBinary(buf) }
 
-// Rem returns the number of unread bytes.
-func (r *BinReader) Rem() int { return len(r.data) - r.off }
-
-// Rest returns the unread tail without consuming it.
-func (r *BinReader) Rest() []byte { return r.data[r.off:] }
-
-// Byte reads one byte.
-func (r *BinReader) Byte() (byte, error) {
-	if r.off >= len(r.data) {
-		return 0, ErrTruncated
-	}
-	b := r.data[r.off]
-	r.off++
-	return b, nil
+// DecodeWire reads one hypergraph frame into H and its fingerprint into FP.
+func (f *Frame) DecodeWire(r *wire.Reader) (err error) {
+	f.H, f.FP, err = DecodeBinary(r)
+	return err
 }
 
-// Bytes reads n raw bytes (aliasing the frame, not a copy).
-func (r *BinReader) Bytes(n int) ([]byte, error) {
-	if n < 0 || r.Rem() < n {
-		return nil, ErrTruncated
-	}
-	b := r.data[r.off : r.off+n]
-	r.off += n
-	return b, nil
-}
+// AppendWire appends d's binary frame, so a Delta can be a field of a
+// codec-declared message.
+func (d *Delta) AppendWire(buf []byte) []byte { return d.AppendBinary(buf) }
 
-// Uvarint reads one unsigned varint.
-func (r *BinReader) Uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.data[r.off:])
-	if n == 0 {
-		return 0, ErrTruncated
+// DecodeWire reads one delta frame into d.
+func (d *Delta) DecodeWire(r *wire.Reader) error {
+	got, err := DecodeDeltaBinary(r)
+	if err == nil {
+		*d = *got
 	}
-	if n < 0 {
-		return 0, fmt.Errorf("%w: uvarint overflow", ErrMalformed)
-	}
-	r.off += n
-	return v, nil
+	return err
 }
-
-// Varint reads one zigzag-encoded signed varint.
-func (r *BinReader) Varint() (int64, error) {
-	v, n := binary.Varint(r.data[r.off:])
-	if n == 0 {
-		return 0, ErrTruncated
-	}
-	if n < 0 {
-		return 0, fmt.Errorf("%w: varint overflow", ErrMalformed)
-	}
-	r.off += n
-	return v, nil
-}
-
-// Count reads a length prefix, rejecting values past limit or past the
-// bytes remaining in the frame — the alloc-bomb guard: a decoder may
-// allocate Count elements knowing the frame paid at least one byte each.
-func (r *BinReader) Count(limit int) (int, error) {
-	v, err := r.Uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(limit) {
-		return 0, fmt.Errorf("%w: length prefix %d exceeds limit %d", ErrMalformed, v, limit)
-	}
-	if v > uint64(r.Rem()) {
-		return 0, fmt.Errorf("%w: length prefix %d exceeds %d remaining bytes", ErrMalformed, v, r.Rem())
-	}
-	return int(v), nil
-}
-
-// int32s reads a count-prefixed zigzag int32 slice (non-nil when the count
-// is zero, so presence flags round-trip nil-ness exactly).
-func (r *BinReader) int32s(limit int) ([]int32, error) {
-	n, err := r.Count(limit)
-	if err != nil {
-		return nil, err
-	}
-	xs := make([]int32, n)
-	for i := range xs {
-		v, err := r.Varint()
-		if err != nil {
-			return nil, err
-		}
-		if v < math.MinInt32 || v > math.MaxInt32 {
-			return nil, fmt.Errorf("%w: value %d overflows int32", ErrMalformed, v)
-		}
-		xs[i] = int32(v)
-	}
-	return xs, nil
-}
-
-// int64s reads a count-prefixed zigzag int64 slice.
-func (r *BinReader) int64s(limit int) ([]int64, error) {
-	n, err := r.Count(limit)
-	if err != nil {
-		return nil, err
-	}
-	xs := make([]int64, n)
-	for i := range xs {
-		v, err := r.Varint()
-		if err != nil {
-			return nil, err
-		}
-		xs[i] = v
-	}
-	return xs, nil
-}
-
-// AppendInt32s appends a count-prefixed zigzag int32 slice.
-func AppendInt32s(buf []byte, xs []int32) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(xs)))
-	for _, x := range xs {
-		buf = binary.AppendVarint(buf, int64(x))
-	}
-	return buf
-}
-
-// AppendInt64s appends a count-prefixed zigzag int64 slice.
-func AppendInt64s(buf []byte, xs []int64) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(xs)))
-	for _, x := range xs {
-		buf = binary.AppendVarint(buf, x)
-	}
-	return buf
-}
-
-// DecodeInt32s reads a count-prefixed zigzag int32 slice from r (the
-// inverse of AppendInt32s), bounded by limit.
-func DecodeInt32s(r *BinReader, limit int) ([]int32, error) { return r.int32s(limit) }
 
 // AppendBinary appends h's binary frame to buf and returns the extended
 // slice. The frame is canonical: equal hypergraphs (same fingerprint)
@@ -262,20 +154,20 @@ func (h *Hypergraph) AppendBinary(buf []byte) []byte {
 // BuildFromWire, and returns the hypergraph together with its content
 // fingerprint (computed once, during decode). Trailing message fields stay
 // unread in r.
-func DecodeBinary(r *BinReader) (*Hypergraph, string, error) {
+func DecodeBinary(r *wire.Reader) (*Hypergraph, string, error) {
 	ver, err := r.Byte()
 	if err != nil {
 		return nil, "", err
 	}
 	if ver != BinaryFrameVersion {
-		return nil, "", fmt.Errorf("%w: hypergraph frame version %d (want %d)", ErrMalformed, ver, BinaryFrameVersion)
+		return nil, "", fmt.Errorf("%w: hypergraph frame version %d (want %d)", wire.ErrMalformed, ver, BinaryFrameVersion)
 	}
 	nvU, err := r.Uvarint()
 	if err != nil {
 		return nil, "", err
 	}
 	if nvU > MaxWireVertices {
-		return nil, "", fmt.Errorf("%w: num_vertices %d exceeds limit %d", ErrMalformed, nvU, MaxWireVertices)
+		return nil, "", fmt.Errorf("%w: num_vertices %d exceeds limit %d", wire.ErrMalformed, nvU, MaxWireVertices)
 	}
 	nv := int(nvU)
 	nn, err := r.Count(MaxWireNets)
@@ -291,7 +183,7 @@ func DecodeBinary(r *BinReader) (*Hypergraph, string, error) {
 		return nil, "", err
 	}
 	if flags&^(binFlagWeights|binFlagSizes|binFlagFixed) != 0 {
-		return nil, "", fmt.Errorf("%w: unknown hypergraph flags %#x", ErrMalformed, flags)
+		return nil, "", fmt.Errorf("%w: unknown hypergraph flags %#x", wire.ErrMalformed, flags)
 	}
 	// Per-vertex allocations are not count-checked field by field (the
 	// sections may legitimately be elided), so bound |V| by the frame size:
@@ -299,7 +191,7 @@ func DecodeBinary(r *BinReader) (*Hypergraph, string, error) {
 	// proportional to them, and a tiny hostile frame cannot declare 2^24
 	// bare vertices.
 	if nv > 64+16*r.Rem() {
-		return nil, "", fmt.Errorf("%w: num_vertices %d exceeds frame budget", ErrMalformed, nv)
+		return nil, "", fmt.Errorf("%w: num_vertices %d exceeds frame budget", wire.ErrMalformed, nv)
 	}
 	netSizes := make([]int32, nn)
 	for i := range netSizes {
@@ -308,7 +200,7 @@ func DecodeBinary(r *BinReader) (*Hypergraph, string, error) {
 			return nil, "", err
 		}
 		if v > uint64(np) {
-			return nil, "", fmt.Errorf("%w: net %d size %d exceeds pin count %d", ErrMalformed, i, v, np)
+			return nil, "", fmt.Errorf("%w: net %d size %d exceeds pin count %d", wire.ErrMalformed, i, v, np)
 		}
 		netSizes[i] = int32(v)
 	}
@@ -319,7 +211,7 @@ func DecodeBinary(r *BinReader) (*Hypergraph, string, error) {
 			return nil, "", err
 		}
 		if v > math.MaxInt32 {
-			return nil, "", fmt.Errorf("%w: pin %d overflows int32", ErrMalformed, v)
+			return nil, "", fmt.Errorf("%w: pin %d overflows int32", wire.ErrMalformed, v)
 		}
 		pins[i] = int32(v)
 	}
@@ -330,7 +222,7 @@ func DecodeBinary(r *BinReader) (*Hypergraph, string, error) {
 			return nil, "", err
 		}
 		if v > math.MaxInt64 {
-			return nil, "", fmt.Errorf("%w: net %d cost overflows int64", ErrMalformed, i)
+			return nil, "", fmt.Errorf("%w: net %d cost overflows int64", wire.ErrMalformed, i)
 		}
 		costs[i] = int64(v)
 	}
@@ -344,7 +236,7 @@ func DecodeBinary(r *BinReader) (*Hypergraph, string, error) {
 				return nil, "", err
 			}
 			if v > math.MaxInt64 {
-				return nil, "", fmt.Errorf("%w: vertex %d weight overflows int64", ErrMalformed, i)
+				return nil, "", fmt.Errorf("%w: vertex %d weight overflows int64", wire.ErrMalformed, i)
 			}
 			weights[i] = int64(v)
 		}
@@ -357,7 +249,7 @@ func DecodeBinary(r *BinReader) (*Hypergraph, string, error) {
 				return nil, "", err
 			}
 			if v > math.MaxInt64 {
-				return nil, "", fmt.Errorf("%w: vertex %d size overflows int64", ErrMalformed, i)
+				return nil, "", fmt.Errorf("%w: vertex %d size overflows int64", wire.ErrMalformed, i)
 			}
 			sizes[i] = int64(v)
 		}
@@ -370,7 +262,7 @@ func DecodeBinary(r *BinReader) (*Hypergraph, string, error) {
 				return nil, "", err
 			}
 			if v > math.MaxInt32 {
-				return nil, "", fmt.Errorf("%w: vertex %d fixed label overflows int32", ErrMalformed, i)
+				return nil, "", fmt.Errorf("%w: vertex %d fixed label overflows int32", wire.ErrMalformed, i)
 			}
 			fixed[i] = int32(v) + Free // 0 maps back to Free
 		}
@@ -498,88 +390,78 @@ func BuildFromWire(numVertices int, costs []int64, netSizes []int32, pins []int3
 	return h, h.Fingerprint(), nil
 }
 
-// AppendBinary appends d's binary frame to buf. Field presence is recorded
-// in a flags byte so nil-ness — which Identity and Digest distinguish from
-// empty — survives the round trip exactly; sparse override streams encode
-// nil and empty identically (Digest already treats them as equal).
+// deltaSection is one Delta slice of a delta frame: its presence flag (0
+// for the sparse override streams, which are always written and decode
+// empty as nil), the field (*[]int32, *[]int64 or *[][]int32) and its cap.
+type deltaSection struct {
+	flag  byte
+	field any
+	limit int
+}
+
+// sections lists d's slices in frame order.
+func (d *Delta) sections() []deltaSection {
+	return []deltaSection{
+		{deltaFlagVertexMap, &d.VertexMap, MaxWireVertices},
+		{deltaFlagNewWeights, &d.NewWeights, MaxWireVertices},
+		{deltaFlagNewSizes, &d.NewSizes, MaxWireVertices},
+		{deltaFlagNewFixed, &d.NewFixed, MaxWireVertices},
+		{deltaFlagNetMap, &d.NetMap, MaxWireNets},
+		{deltaFlagNewNetCosts, &d.NewNetCosts, MaxWireNets},
+		{deltaFlagNewNetPins, &d.NewNetPins, MaxWireNets},
+		{0, &d.WeightIDs, MaxWireVertices},
+		{0, &d.WeightVals, MaxWireVertices},
+		{0, &d.SizeIDs, MaxWireVertices},
+		{0, &d.SizeVals, MaxWireVertices},
+		{0, &d.CostIDs, MaxWireNets},
+		{0, &d.CostVals, MaxWireNets},
+	}
+}
+
+// AppendBinary appends d's binary frame to buf: a header, then each
+// section as the codec's Varint slice (count, zigzag values). Field
+// presence is recorded in a flags byte so nil-ness — which Identity and
+// Digest distinguish from empty — survives the round trip exactly; sparse
+// override streams encode nil and empty identically (Digest already
+// treats them as equal).
 func (d *Delta) AppendBinary(buf []byte) []byte {
 	buf = append(buf, DeltaFrameVersion)
 	buf = binary.AppendUvarint(buf, uint64(d.Version))
 	buf = binary.AppendUvarint(buf, uint64(len(d.Base)))
 	buf = append(buf, d.Base...)
+	sections := d.sections()
 	var flags byte
-	if d.VertexMap != nil {
-		flags |= deltaFlagVertexMap
-	}
-	if d.NewWeights != nil {
-		flags |= deltaFlagNewWeights
-	}
-	if d.NewSizes != nil {
-		flags |= deltaFlagNewSizes
-	}
-	if d.NewFixed != nil {
-		flags |= deltaFlagNewFixed
-	}
-	if d.NetMap != nil {
-		flags |= deltaFlagNetMap
-	}
-	if d.NewNetCosts != nil {
-		flags |= deltaFlagNewNetCosts
-	}
-	if d.NewNetPins != nil {
-		flags |= deltaFlagNewNetPins
-	}
-	buf = append(buf, flags)
-	if d.VertexMap != nil {
-		buf = AppendInt32s(buf, d.VertexMap)
-	}
-	if d.NewWeights != nil {
-		buf = AppendInt64s(buf, d.NewWeights)
-	}
-	if d.NewSizes != nil {
-		buf = AppendInt64s(buf, d.NewSizes)
-	}
-	if d.NewFixed != nil {
-		buf = AppendInt32s(buf, d.NewFixed)
-	}
-	if d.NetMap != nil {
-		buf = AppendInt32s(buf, d.NetMap)
-	}
-	if d.NewNetCosts != nil {
-		buf = AppendInt64s(buf, d.NewNetCosts)
-	}
-	if d.NewNetPins != nil {
-		buf = binary.AppendUvarint(buf, uint64(len(d.NewNetPins)))
-		for _, pins := range d.NewNetPins {
-			buf = AppendInt32s(buf, pins)
+	for _, s := range sections {
+		if !reflect.ValueOf(s.field).Elem().IsNil() {
+			flags |= s.flag
 		}
 	}
-	buf = AppendInt32s(buf, d.WeightIDs)
-	buf = AppendInt64s(buf, d.WeightVals)
-	buf = AppendInt32s(buf, d.SizeIDs)
-	buf = AppendInt64s(buf, d.SizeVals)
-	buf = AppendInt32s(buf, d.CostIDs)
-	buf = AppendInt64s(buf, d.CostVals)
+	buf = append(buf, flags)
+	for _, s := range sections {
+		if s.flag == 0 || flags&s.flag != 0 {
+			buf, _ = wire.Varint.Append(buf, reflect.ValueOf(s.field).Elem().Interface()) // slices always have a layout
+		}
+	}
 	return buf
 }
 
 // DecodeDeltaBinary reads one delta frame from r. Semantic validation
 // (map ranges, parallel lengths, ...) stays in Delta.Apply, so a hostile
 // frame that decodes structurally still fails there (FuzzDeltaApply).
-func DecodeDeltaBinary(r *BinReader) (*Delta, error) {
+func DecodeDeltaBinary(r *wire.Reader) (*Delta, error) {
 	tag, err := r.Byte()
 	if err != nil {
 		return nil, err
 	}
 	if tag != DeltaFrameVersion {
-		return nil, fmt.Errorf("%w: delta frame version %d (want %d)", ErrMalformed, tag, DeltaFrameVersion)
+		return nil, fmt.Errorf("%w: delta frame version %d (want %d)", wire.ErrMalformed, tag, DeltaFrameVersion)
 	}
 	ver, err := r.Uvarint()
 	if err != nil {
 		return nil, err
 	}
 	if ver > 255 {
-		return nil, fmt.Errorf("%w: delta version %d out of range", ErrMalformed, ver)
+		return nil, fmt.Errorf("%w: delta version %d out of range", wire.ErrMalformed, ver)
 	}
 	blen, err := r.Count(256)
 	if err != nil {
@@ -596,88 +478,28 @@ func DecodeDeltaBinary(r *BinReader) (*Delta, error) {
 	const known = deltaFlagVertexMap | deltaFlagNewWeights | deltaFlagNewSizes |
 		deltaFlagNewFixed | deltaFlagNetMap | deltaFlagNewNetCosts | deltaFlagNewNetPins
 	if flags&^known != 0 {
-		return nil, fmt.Errorf("%w: unknown delta flags %#x", ErrMalformed, flags)
+		return nil, fmt.Errorf("%w: unknown delta flags %#x", wire.ErrMalformed, flags)
 	}
 	d := &Delta{Version: int(ver), Base: string(base)}
-	if flags&deltaFlagVertexMap != 0 {
-		if d.VertexMap, err = r.int32s(MaxWireVertices); err != nil {
+	for _, s := range d.sections() {
+		if s.flag != 0 && flags&s.flag == 0 {
+			continue
+		}
+		if err := wire.Varint.Read(r, s.field); err != nil {
 			return nil, err
 		}
-	}
-	if flags&deltaFlagNewWeights != 0 {
-		if d.NewWeights, err = r.int64s(MaxWireVertices); err != nil {
-			return nil, err
+		v := reflect.ValueOf(s.field).Elem()
+		if v.Len() > s.limit {
+			return nil, fmt.Errorf("%w: delta section of %d entries exceeds %d", wire.ErrMalformed, v.Len(), s.limit)
+		}
+		if s.flag != 0 && v.IsNil() {
+			v.Set(reflect.MakeSlice(v.Type(), 0, 0)) // present, if empty
 		}
 	}
-	if flags&deltaFlagNewSizes != 0 {
-		if d.NewSizes, err = r.int64s(MaxWireVertices); err != nil {
-			return nil, err
+	for _, pins := range d.NewNetPins {
+		if len(pins) > MaxWirePins {
+			return nil, fmt.Errorf("%w: new net of %d pins exceeds %d", wire.ErrMalformed, len(pins), MaxWirePins)
 		}
-	}
-	if flags&deltaFlagNewFixed != 0 {
-		if d.NewFixed, err = r.int32s(MaxWireVertices); err != nil {
-			return nil, err
-		}
-	}
-	if flags&deltaFlagNetMap != 0 {
-		if d.NetMap, err = r.int32s(MaxWireNets); err != nil {
-			return nil, err
-		}
-	}
-	if flags&deltaFlagNewNetCosts != 0 {
-		if d.NewNetCosts, err = r.int64s(MaxWireNets); err != nil {
-			return nil, err
-		}
-	}
-	if flags&deltaFlagNewNetPins != 0 {
-		nn, err := r.Count(MaxWireNets)
-		if err != nil {
-			return nil, err
-		}
-		d.NewNetPins = make([][]int32, nn)
-		for i := range d.NewNetPins {
-			if d.NewNetPins[i], err = r.int32s(MaxWirePins); err != nil {
-				return nil, err
-			}
-		}
-	}
-	sparse32 := func(dst *[]int32, limit int) error {
-		xs, err := r.int32s(limit)
-		if err != nil {
-			return err
-		}
-		if len(xs) > 0 {
-			*dst = xs
-		}
-		return nil
-	}
-	sparse64 := func(dst *[]int64, limit int) error {
-		xs, err := r.int64s(limit)
-		if err != nil {
-			return err
-		}
-		if len(xs) > 0 {
-			*dst = xs
-		}
-		return nil
-	}
-	if err := sparse32(&d.WeightIDs, MaxWireVertices); err != nil {
-		return nil, err
-	}
-	if err := sparse64(&d.WeightVals, MaxWireVertices); err != nil {
-		return nil, err
-	}
-	if err := sparse32(&d.SizeIDs, MaxWireVertices); err != nil {
-		return nil, err
-	}
-	if err := sparse64(&d.SizeVals, MaxWireVertices); err != nil {
-		return nil, err
-	}
-	if err := sparse32(&d.CostIDs, MaxWireNets); err != nil {
-		return nil, err
-	}
-	if err := sparse64(&d.CostVals, MaxWireNets); err != nil {
-		return nil, err
 	}
 	return d, nil
 }

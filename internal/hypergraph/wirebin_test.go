@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"hyperbal/internal/wire"
 )
 
 // binTestGraphs builds a spread of hypergraphs covering every optional
@@ -200,8 +202,8 @@ func TestDecodeBinaryMalformed(t *testing.T) {
 
 	// Pin-count prefix larger than the remaining bytes.
 	var pinBomb []byte
-	pinBomb = append(pinBomb, BinaryFrameVersion, 2, 1)             // nv=2, nn=1
-	pinBomb = append(pinBomb, 0xFF, 0xFF, 0xFF, 0xFF, 0x07)        // np bomb
+	pinBomb = append(pinBomb, BinaryFrameVersion, 2, 1)     // nv=2, nn=1
+	pinBomb = append(pinBomb, 0xFF, 0xFF, 0xFF, 0xFF, 0x07) // np bomb
 	if _, _, err := DecodeBinary(NewBinReader(pinBomb)); err == nil {
 		t.Fatal("pin-count bomb accepted")
 	}
@@ -279,11 +281,47 @@ func TestDeltaBinaryMatchesApply(t *testing.T) {
 
 func TestBinReaderTruncationErrors(t *testing.T) {
 	r := NewBinReader(nil)
-	if _, err := r.Byte(); !errors.Is(err, ErrTruncated) {
+	if _, err := r.Byte(); !errors.Is(err, wire.ErrTruncated) {
 		t.Fatalf("Byte on empty reader: %v", err)
 	}
 	if _, err := NewBinReader([]byte{0x80}).Uvarint(); err == nil {
 		t.Fatal("dangling varint continuation accepted")
+	}
+}
+
+// TestFrameCarriesDecodeFingerprint: as a field of a codec-declared
+// message, a Frame writes exactly the hypergraph's HBW frame (FP is not
+// encoded) and decodes with the fingerprint BuildFromWire computed, so the
+// receiver never fingerprints the hypergraph again; a Delta field writes
+// its delta frame.
+func TestFrameCarriesDecodeFingerprint(t *testing.T) {
+	type msg struct {
+		Epoch int64
+		G     Frame
+		D     Delta
+	}
+	h := binTestGraphs()["weighted"]
+	d := Delta{Version: DeltaVersion, Base: h.Fingerprint(), WeightIDs: []int32{1}, WeightVals: []int64{3}}
+	enc, err := wire.Varint.Append(nil, msg{Epoch: 7, G: Frame{H: h, FP: "not encoded"}, D: d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := d.AppendBinary(h.AppendBinary([]byte{14}))
+	if !bytes.Equal(enc, want) {
+		t.Fatalf("message encodes to % x, want the epoch then the two HBW frames % x", enc, want)
+	}
+	var got msg
+	if err := wire.Varint.Decode(enc, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Epoch != 7 || got.G.FP != h.Fingerprint() || got.G.H.Fingerprint() != got.G.FP || got.D.Digest() != d.Digest() {
+		t.Fatalf("decoded epoch %d, fingerprint %q (want %q), delta digest %s (want %s)",
+			got.Epoch, got.G.FP, h.Fingerprint(), got.D.Digest(), d.Digest())
+	}
+	for i := range enc {
+		if err := wire.Varint.Decode(enc[:i], new(msg)); err == nil {
+			t.Fatalf("accepted the message truncated to %d of %d bytes", i, len(enc))
+		}
 	}
 }
 

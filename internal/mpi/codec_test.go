@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"hyperbal/internal/hypergraph"
+	"hyperbal/internal/wire"
 )
 
 type wireBid struct {
@@ -187,7 +187,7 @@ func TestPayloadDecodeHostile(t *testing.T) {
 			if err == nil {
 				t.Fatalf("accepted % x as %T: %#v", tc.body, tc.into, reflect.ValueOf(tc.into).Elem())
 			}
-			if !errors.Is(err, hypergraph.ErrTruncated) && !errors.Is(err, hypergraph.ErrMalformed) {
+			if !errors.Is(err, wire.ErrTruncated) && !errors.Is(err, wire.ErrMalformed) {
 				t.Fatalf("err = %v, want a truncated/malformed frame error", err)
 			}
 		})
@@ -197,14 +197,13 @@ func TestPayloadDecodeHostile(t *testing.T) {
 // TestPayloadClosedSet: types outside the set are refused when the plan is
 // built, on both sides, with an error rather than a panic.
 func TestPayloadClosedSet(t *testing.T) {
-	type ragged struct {
-		N  int32
-		Xs []int32
+	type hidden struct {
+		n  int32
+		Xs []int32 // a struct that is not flat must export every field
 	}
-	seven := 7
 	for _, v := range []any{
-		map[int]int{}, &seven, make(chan int), func() {}, [2]int32{}, complex64(1), any(nil),
-		ragged{}, struct{}{}, []ragged{}, [][]ragged{},
+		map[int]int{}, make(chan int), func() {}, [2]int32{}, complex64(1), any(nil),
+		hidden{}, struct{}{}, []hidden{}, [][]hidden{},
 	} {
 		var typ reflect.Type
 		if v == nil {
@@ -306,7 +305,7 @@ func (n *memNet) stream(comm uint64, src, dst int) chan memMsg {
 	return n.streams[k]
 }
 
-func (t memTransport) Send(comm uint64, dst, tag int, p Payload) (time.Duration, error) {
+func (t memTransport) Send(comm uint64, dst, tag int, p wire.Sized) (time.Duration, error) {
 	t.net.stream(comm, t.rank, dst) <- memMsg{tag, p.AppendTo(make([]byte, 0, p.Size()))}
 	return 0, nil
 }

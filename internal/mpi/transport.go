@@ -10,15 +10,21 @@
 // Split, and the OnEvent trace. internal/mpinet implements Transport over
 // TCP; tests can implement it over anything.
 //
-// Payloads cross a Transport encoded (codec.go): Comm.Send hands the
-// transport a sized, not-yet-encoded Payload, and the typed receive every
-// collective is built on decodes the bytes Recv returns into its T. A
-// transport therefore moves opaque bytes and declares nothing.
+// Payloads cross a Transport encoded, in the Fixed layout of the
+// internal/wire codec: Comm.Send hands the transport a sized,
+// not-yet-encoded wire.Sized, and the typed receive every collective is
+// built on decodes the bytes Recv returns into its T. Fixed-width integers
+// are the widths payloadBytes accounts, so a payload's wire size is its
+// accounted size plus one count per slice or string. A transport therefore
+// moves opaque bytes and declares nothing.
 package mpi
 
 import (
 	"fmt"
+	"reflect"
 	"time"
+
+	"hyperbal/internal/wire"
 )
 
 // Transport delivers encoded messages between the ranks of one world whose
@@ -35,11 +41,29 @@ import (
 // peer should surface as an error wrapping *CrashError so callers can
 // detect crashed ranks structurally.
 //
-// Send must have encoded p (Payload.AppendTo) before it returns. The body
-// Recv returns belongs to the caller.
+// Send must have encoded p (wire.Sized.AppendTo) before it returns. The
+// body Recv returns belongs to the caller.
 type Transport interface {
-	Send(comm uint64, dst, tag int, p Payload) (stall time.Duration, err error)
+	Send(comm uint64, dst, tag int, p wire.Sized) (stall time.Duration, err error)
 	Recv(comm uint64, src, tag int) (body []byte, stall time.Duration, err error)
+}
+
+// newPayload plans and sizes one message body for a Transport.
+func newPayload(data any) (wire.Sized, error) {
+	p, err := wire.Prepare(data)
+	if err != nil {
+		return p, fmt.Errorf("payload %T cannot cross a Transport: %w", data, err)
+	}
+	return p, nil
+}
+
+// decodePayload decodes one whole message body into the value into points
+// to.
+func decodePayload(body []byte, into any) error {
+	if err := wire.Fixed.Decode(body, into); err != nil {
+		return fmt.Errorf("mpi: decode %v payload: %w", reflect.TypeOf(into).Elem(), err)
+	}
+	return nil
 }
 
 // transportFailure unwinds a rank goroutine when its Transport fails; the

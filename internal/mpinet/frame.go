@@ -9,18 +9,21 @@
 //
 //	"HBN" version(1) kind(1) uvarint(bodyLen) body
 //
-// with varint-packed bodies in the same bounds-checked discipline as the
-// HBW hypergraph codec (internal/hypergraph/wirebin.go): every count is
-// capped and checked against the bytes actually present, so hostile input
-// yields clean errors, never panics or allocation bombs.
+// The control bodies (hello, launch, result, error) are declared structs
+// in the internal/wire codec's Varint layout, so every count is checked
+// against the bytes actually present and hostile input yields clean
+// errors, never panics or allocation bombs; each body's validate holds
+// its caps.
 //
 // A msg frame's body is (comm, src, tag) followed by the payload exactly
-// as mpi's codec lays it out (internal/mpi/codec.go). The transport never
-// looks inside: the sender writes header, fields and payload into one
-// buffer sized up front, and the receiver hands the tail of the frame body
-// to the typed receive that knows what it holds. Version 2 dropped the
-// per-message type name (and the gob stream behind it) that version 1
-// carried; a version-1 frame is rejected, never mis-decoded.
+// as mpi lays it out (internal/wire's Fixed layout). That header is the
+// allocation-pinned hot path and stays hand-written. The transport never
+// looks inside the payload: the sender writes header, fields and payload
+// into one buffer sized up front, and the receiver hands the tail of the
+// frame body to the typed receive that knows what it holds. Version 3
+// moved the control bodies onto the codec; version 2 had dropped the
+// per-message type name (and the gob stream behind it) of version 1. An
+// older frame is rejected at its version byte, never mis-decoded.
 package mpinet
 
 import (
@@ -31,13 +34,12 @@ import (
 	"io"
 	"time"
 
-	"hyperbal/internal/hypergraph"
-	"hyperbal/internal/mpi"
+	"hyperbal/internal/wire"
 )
 
 const (
 	frameMagic   = "HBN"
-	frameVersion = 2
+	frameVersion = 3
 )
 
 // Frame kinds. hello/helloAck establish mesh connections between rank
@@ -131,7 +133,7 @@ func readFrame(br *bufio.Reader, maxFrame int) (kind byte, body []byte, consumed
 // decodeFrame parses one frame from a byte slice (the fuzzable entry
 // point; readFrame is its streaming twin). The body aliases data.
 func decodeFrame(data []byte, maxFrame int) (kind byte, body []byte, rest []byte, err error) {
-	r := hypergraph.NewBinReader(data)
+	r := wire.NewReader(data)
 	magic, err := r.Bytes(3)
 	if err != nil || string(magic) != frameMagic {
 		return 0, nil, nil, errBadMagic
@@ -164,23 +166,30 @@ func decodeFrame(data []byte, maxFrame int) (kind byte, body []byte, rest []byte
 	return kind, body, r.Rest(), nil
 }
 
-// ---- body codecs ----
+// control is the body of a hello, launch, result or error frame.
+type control interface{ validate() error }
 
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
+// appendControl appends one whole control frame whose body is c, a
+// control value.
+func appendControl(buf []byte, kind byte, c control) []byte {
+	body, err := wire.Varint.Append(nil, c)
+	if err != nil {
+		panic(err) // every control body is a declared struct, which always has a layout
+	}
+	return appendFrame(buf, kind, body)
 }
 
-func readString(r *hypergraph.BinReader, limit int) (string, error) {
-	n, err := r.Count(limit)
-	if err != nil {
-		return "", err
+// parseControl decodes a control frame body into c, a pointer to a
+// control value.
+func parseControl(body []byte, c control) error {
+	if err := wire.Varint.Decode(body, c); err != nil {
+		return fmt.Errorf("%w: %T: %v", errMalformed, c, err)
 	}
-	b, err := r.Bytes(n)
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
+	return c.validate()
+}
+
+func malformed(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{errMalformed}, args...)...)
 }
 
 // helloBody introduces a mesh connection: "rank Rank of world WorldID is
@@ -190,27 +199,11 @@ type helloBody struct {
 	Rank    int
 }
 
-func (h helloBody) encode() []byte {
-	buf := appendString(nil, h.WorldID)
-	return binary.AppendUvarint(buf, uint64(h.Rank))
-}
-
-func parseHello(body []byte) (helloBody, error) {
-	r := hypergraph.NewBinReader(body)
-	var h helloBody
-	var err error
-	if h.WorldID, err = readString(r, maxWorldIDLen); err != nil {
-		return h, fmt.Errorf("%w: hello world id: %v", errMalformed, err)
+func (h helloBody) validate() error {
+	if len(h.WorldID) > maxWorldIDLen || h.Rank < 0 || h.Rank > maxAddrCount {
+		return malformed("hello from rank %d of a %d-byte world id", h.Rank, len(h.WorldID))
 	}
-	rank, err := r.Uvarint()
-	if err != nil || rank > uint64(maxAddrCount) {
-		return h, fmt.Errorf("%w: hello rank", errMalformed)
-	}
-	h.Rank = int(rank)
-	if r.Rem() != 0 {
-		return h, fmt.Errorf("%w: %d trailing bytes after hello", errMalformed, r.Rem())
-	}
-	return h, nil
+	return nil
 }
 
 // launchBody tells a worker to become one rank of a world.
@@ -226,75 +219,33 @@ type launchBody struct {
 	Payload     []byte // job input, opaque to the transport
 }
 
-func (l launchBody) encode() []byte {
-	buf := appendString(nil, l.WorldID)
-	buf = binary.AppendUvarint(buf, uint64(l.Rank))
-	buf = binary.AppendUvarint(buf, uint64(l.Size))
-	buf = appendString(buf, l.Job)
-	buf = binary.AppendUvarint(buf, uint64(len(l.Addrs)))
-	for _, a := range l.Addrs {
-		buf = appendString(buf, a)
+func (l launchBody) validate() error {
+	switch {
+	case len(l.WorldID) > maxWorldIDLen:
+		return malformed("launch world id of %d bytes", len(l.WorldID))
+	case l.Size < 1 || l.Size > maxAddrCount || l.Rank < 0 || l.Rank >= l.Size:
+		return malformed("launch rank %d of %d", l.Rank, l.Size)
+	case len(l.Job) > maxJobNameLen:
+		return malformed("launch job name of %d bytes", len(l.Job))
+	case len(l.Addrs) != l.Size:
+		return malformed("launch carries %d addrs for %d ranks", len(l.Addrs), l.Size)
+	case l.SendWindow < 0 || l.SendWindow > 1<<24:
+		return malformed("launch send window %d", l.SendWindow)
+	case l.RecvTimeout < 0 || l.RecvTimeout > 24*time.Hour:
+		return malformed("launch recv timeout %v", l.RecvTimeout)
+	case l.Jitter < 0 || l.Jitter > time.Hour:
+		return malformed("launch jitter %v", l.Jitter)
 	}
-	buf = binary.AppendUvarint(buf, uint64(l.SendWindow))
-	buf = binary.AppendUvarint(buf, uint64(l.RecvTimeout))
-	buf = binary.AppendUvarint(buf, uint64(l.Jitter))
-	buf = binary.AppendVarint(buf, l.JitterSeed)
-	return append(buf, l.Payload...)
-}
-
-func parseLaunch(body []byte) (launchBody, error) {
-	r := hypergraph.NewBinReader(body)
-	var l launchBody
-	var err error
-	if l.WorldID, err = readString(r, maxWorldIDLen); err != nil {
-		return l, fmt.Errorf("%w: launch world id: %v", errMalformed, err)
-	}
-	rank, err := r.Uvarint()
-	if err != nil {
-		return l, fmt.Errorf("%w: launch rank", errMalformed)
-	}
-	size, err := r.Uvarint()
-	if err != nil || size == 0 || size > maxAddrCount || rank >= size {
-		return l, fmt.Errorf("%w: launch rank/size", errMalformed)
-	}
-	l.Rank, l.Size = int(rank), int(size)
-	if l.Job, err = readString(r, maxJobNameLen); err != nil {
-		return l, fmt.Errorf("%w: launch job: %v", errMalformed, err)
-	}
-	na, err := r.Count(maxAddrCount)
-	if err != nil || na != l.Size {
-		return l, fmt.Errorf("%w: launch addr count", errMalformed)
-	}
-	l.Addrs = make([]string, na)
-	for i := range l.Addrs {
-		if l.Addrs[i], err = readString(r, maxAddrLen); err != nil {
-			return l, fmt.Errorf("%w: launch addr %d: %v", errMalformed, i, err)
+	for i, a := range l.Addrs {
+		if len(a) > maxAddrLen {
+			return malformed("launch addr %d of %d bytes", i, len(a))
 		}
 	}
-	win, err := r.Uvarint()
-	if err != nil || win > 1<<24 {
-		return l, fmt.Errorf("%w: launch send window", errMalformed)
-	}
-	l.SendWindow = int(win)
-	rt, err := r.Uvarint()
-	if err != nil || rt > uint64(24*time.Hour) {
-		return l, fmt.Errorf("%w: launch recv timeout", errMalformed)
-	}
-	l.RecvTimeout = time.Duration(rt)
-	jit, err := r.Uvarint()
-	if err != nil || jit > uint64(time.Hour) {
-		return l, fmt.Errorf("%w: launch jitter", errMalformed)
-	}
-	l.Jitter = time.Duration(jit)
-	if l.JitterSeed, err = r.Varint(); err != nil {
-		return l, fmt.Errorf("%w: launch jitter seed", errMalformed)
-	}
-	l.Payload = r.Rest()
-	return l, nil
+	return nil
 }
 
 // msgBody is one substrate message: communicator stream, source world
-// rank, tag, and the payload as mpi's codec encoded it. A parsed Payload
+// rank, tag, and the payload as mpi encoded it. A parsed Payload
 // aliases the frame body.
 type msgBody struct {
 	Comm    uint64
@@ -305,7 +256,7 @@ type msgBody struct {
 
 // appendMsgFrame builds one complete msg frame around p in a single
 // allocation of exactly the frame's size.
-func appendMsgFrame(comm uint64, src, tag int, p mpi.Payload) []byte {
+func appendMsgFrame(comm uint64, src, tag int, p wire.Sized) []byte {
 	var fieldBuf [3 * binary.MaxVarintLen64]byte
 	fields := binary.AppendUvarint(fieldBuf[:0], comm)
 	fields = binary.AppendUvarint(fields, uint64(src))
@@ -320,7 +271,7 @@ func appendMsgFrame(comm uint64, src, tag int, p mpi.Payload) []byte {
 }
 
 func parseMsg(body []byte) (msgBody, error) {
-	r := hypergraph.NewBinReader(body)
+	r := wire.NewReader(body)
 	var m msgBody
 	var err error
 	if m.Comm, err = r.Uvarint(); err != nil {
@@ -340,38 +291,16 @@ func parseMsg(body []byte) (msgBody, error) {
 	return m, nil
 }
 
-// resultBody carries one finished rank's traffic stats and job output
-// back to the coordinator.
-type resultBody struct {
-	Messages     int64
-	Bytes        int64
-	Collectives  int64
-	BlockedSends int64
-	MaxStallNs   int64
-	Payload      []byte
-}
+// A result frame's body is the finished rank's RankResult: its traffic
+// stats and job output.
 
-func (res resultBody) encode() []byte {
-	buf := binary.AppendUvarint(nil, uint64(res.Messages))
-	buf = binary.AppendUvarint(buf, uint64(res.Bytes))
-	buf = binary.AppendUvarint(buf, uint64(res.Collectives))
-	buf = binary.AppendUvarint(buf, uint64(res.BlockedSends))
-	buf = binary.AppendUvarint(buf, uint64(res.MaxStallNs))
-	return append(buf, res.Payload...)
-}
-
-func parseResult(body []byte) (resultBody, error) {
-	r := hypergraph.NewBinReader(body)
-	var res resultBody
-	for _, dst := range []*int64{&res.Messages, &res.Bytes, &res.Collectives, &res.BlockedSends, &res.MaxStallNs} {
-		v, err := r.Uvarint()
-		if err != nil || v > 1<<62 {
-			return res, fmt.Errorf("%w: result counter", errMalformed)
+func (r RankResult) validate() error {
+	for _, n := range []int64{r.Messages, r.Bytes, r.Collectives, r.BlockedSends, int64(r.MaxStall)} {
+		if n < 0 || n > 1<<62 {
+			return malformed("result counter %d", n)
 		}
-		*dst = int64(v)
 	}
-	res.Payload = r.Rest()
-	return res, nil
+	return nil
 }
 
 // Error kinds carried by frameError.
@@ -390,35 +319,16 @@ type errorBody struct {
 	Msg  string
 }
 
-func (e errorBody) encode() []byte {
-	buf := []byte{e.Kind}
-	buf = binary.AppendVarint(buf, int64(e.Rank))
-	buf = binary.AppendUvarint(buf, uint64(e.Step))
-	return appendString(buf, e.Msg)
-}
-
-func parseError(body []byte) (errorBody, error) {
-	r := hypergraph.NewBinReader(body)
-	var e errorBody
-	var err error
-	if e.Kind, err = r.Byte(); err != nil || e.Kind > errKindStall {
-		return e, fmt.Errorf("%w: error kind", errMalformed)
+func (e errorBody) validate() error {
+	switch {
+	case e.Kind > errKindStall:
+		return malformed("error kind %d", e.Kind)
+	case e.Rank < -1 || e.Rank > maxAddrCount:
+		return malformed("error rank %d", e.Rank)
+	case e.Step < 0 || e.Step > 1<<62:
+		return malformed("error step %d", e.Step)
+	case len(e.Msg) > maxErrMsgLen:
+		return malformed("error message of %d bytes", len(e.Msg))
 	}
-	rank, err := r.Varint()
-	if err != nil || rank < -1 || rank > int64(maxAddrCount) {
-		return e, fmt.Errorf("%w: error rank", errMalformed)
-	}
-	e.Rank = int(rank)
-	step, err := r.Uvarint()
-	if err != nil || step > 1<<62 {
-		return e, fmt.Errorf("%w: error step", errMalformed)
-	}
-	e.Step = int(step)
-	if e.Msg, err = readString(r, maxErrMsgLen); err != nil {
-		return e, fmt.Errorf("%w: error message: %v", errMalformed, err)
-	}
-	if r.Rem() != 0 {
-		return e, fmt.Errorf("%w: %d trailing bytes after error", errMalformed, r.Rem())
-	}
-	return e, nil
+	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"hyperbal/internal/mpi"
+	"hyperbal/internal/wire"
 )
 
 // TestFrameStreamRoundTrip: every frame kind must survive the streaming
@@ -59,15 +60,18 @@ func TestFrameHostileInput(t *testing.T) {
 		magic bool // expect errBadMagic instead of errMalformed
 	}{
 		{"empty", nil, true},
-		{"bad magic", []byte("XXX\x02\x01\x00"), true},
+		{"bad magic", []byte("XXX\x03\x01\x00"), true},
 		{"truncated magic", []byte("HB"), true},
-		{"bad version", []byte("HBN\x03\x01\x00"), false},
-		// A version-1 msg frame (type name + gob stream) as PR 10 wrote it:
-		// refused at the version byte, never handed to the payload codec.
+		{"bad version", []byte("HBN\x04\x01\x00"), false},
+		// A version-1 msg frame (type name + gob stream): refused at the
+		// version byte, never handed to the payload codec.
 		{"version 1", []byte("HBN\x01\x04\x12\xb9\xf3\xdd\xf1\t\x02Q\a[]int32\t\b\a"), false},
-		{"kind zero", []byte("HBN\x02\x00\x00"), false},
-		{"kind out of range", []byte("HBN\x02\x63\x00"), false},
-		{"missing length", []byte("HBN\x02\x01"), false},
+		// A version-2 hello (its rank a plain uvarint, not zigzag): refused
+		// at the version byte, never parsed as a version-3 body.
+		{"version 2", []byte("HBN\x02\x01\f\nw-deadbeef\x02"), false},
+		{"kind zero", []byte{'H', 'B', 'N', frameVersion, 0, 0}, false},
+		{"kind out of range", []byte{'H', 'B', 'N', frameVersion, 0x63, 0}, false},
+		{"missing length", []byte{'H', 'B', 'N', frameVersion, 1}, false},
 		{"length bomb", []byte{'H', 'B', 'N', frameVersion, 4, 0xff, 0xff, 0xff, 0xff, 0x7f}, false},
 		{"length overflows uvarint", append([]byte{'H', 'B', 'N', frameVersion, 4}, bytes.Repeat([]byte{0xff}, 11)...), false},
 		{"truncated body", valid[:len(valid)-2], false},
@@ -97,17 +101,35 @@ func TestFrameHostileInput(t *testing.T) {
 
 // TestFrameBodyBounds: each body parser enforces its documented limits.
 func TestFrameBodyBounds(t *testing.T) {
-	if _, err := parseHello(helloBody{WorldID: strings.Repeat("x", maxWorldIDLen+1)}.encode()); err == nil {
-		t.Error("hello accepted an oversized world id")
+	launch := func(edit func(l *launchBody)) launchBody {
+		l := launchBody{WorldID: "w", Rank: 0, Size: 2, Job: "j", Addrs: []string{"a", "b"},
+			SendWindow: 1, RecvTimeout: time.Second}
+		edit(&l)
+		return l
 	}
-	l := launchBody{WorldID: "w", Rank: 0, Size: 2, Job: "j",
-		Addrs:      []string{"a", "b", "c"}, // count != Size
-		SendWindow: 1, RecvTimeout: time.Second}
-	if _, err := parseLaunch(l.encode()); err == nil {
-		t.Error("launch accepted addr count != size")
+	cases := []struct {
+		name string
+		body control
+		into control
+	}{
+		{"hello oversized world id", helloBody{WorldID: strings.Repeat("x", maxWorldIDLen+1)}, new(helloBody)},
+		{"hello negative rank", helloBody{WorldID: "w", Rank: -1}, new(helloBody)},
+		{"launch addr count != size", launch(func(l *launchBody) { l.Addrs = []string{"a", "b", "c"} }), new(launchBody)},
+		{"launch rank >= size", launch(func(l *launchBody) { l.Rank = 2 }), new(launchBody)},
+		{"launch timeout past 24h", launch(func(l *launchBody) { l.RecvTimeout = 25 * time.Hour }), new(launchBody)},
+		{"launch oversized addr", launch(func(l *launchBody) { l.Addrs[1] = strings.Repeat("a", maxAddrLen+1) }), new(launchBody)},
+		{"result negative counter", RankResult{Messages: -1}, new(RankResult)},
+		{"error unknown kind", errorBody{Kind: errKindStall + 1, Msg: "m"}, new(errorBody)},
+		{"error oversized message", errorBody{Msg: strings.Repeat("m", maxErrMsgLen+1)}, new(errorBody)},
 	}
-	if _, err := parseError(errorBody{Kind: errKindStall + 1, Msg: "m"}.encode()); err == nil {
-		t.Error("error accepted an unknown kind")
+	for _, tc := range cases {
+		body, err := wire.Varint.Append(nil, tc.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := parseControl(body, tc.into); !errors.Is(err, errMalformed) {
+			t.Errorf("%s: err = %v, want errMalformed", tc.name, err)
+		}
 	}
 	if _, err := parseMsg(msgBody{Src: maxAddrCount + 1}.encode()); err == nil {
 		t.Error("msg accepted an out-of-range source rank")
@@ -124,7 +146,7 @@ type frameLoop struct {
 	inbox []msgBody
 }
 
-func (l *frameLoop) Send(comm uint64, dst, tag int, p mpi.Payload) (time.Duration, error) {
+func (l *frameLoop) Send(comm uint64, dst, tag int, p wire.Sized) (time.Duration, error) {
 	frame := appendMsgFrame(comm, dst, tag, p)
 	if len(frame) != cap(frame) {
 		return 0, fmt.Errorf("msg frame of %d bytes sits in a %d-byte buffer; it must be sized exactly", len(frame), cap(frame))

@@ -5,17 +5,16 @@
 // mode both do, blank or otherwise) makes a process able to serve as any
 // rank of those worlds.
 //
-// Job payloads are self-contained: a JSON options header (length-
-// prefixed) followed by the problem in its binary wire form — the
-// hypergraph's HBW frame or the graph CSR frame — so the coordinator
-// ships the exact problem every rank needs and nothing else. Results are
-// the partition vector in varint form (rank 0 only; other ranks return
-// nothing, since every rank computes the identical partition).
+// Job payloads are self-contained declared structs in the internal/wire
+// codec's Varint layout: the options, then the problem as its own frame —
+// the hypergraph's HBW frame or the graph's CSR frame — so the coordinator
+// ships the exact problem every rank needs and nothing else, and a payload
+// with bytes left over is refused. Results are the partition vector in
+// the same layout (rank 0 only; other ranks return nothing, since every
+// rank computes the identical partition).
 package jobs
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
 
 	"hyperbal/internal/graph"
@@ -25,6 +24,7 @@ import (
 	"hyperbal/internal/partition"
 	"hyperbal/internal/pgp"
 	"hyperbal/internal/phg"
+	"hyperbal/internal/wire"
 )
 
 // Job names, as launched by mpinet.RunWorld.
@@ -33,137 +33,94 @@ const (
 	PGPPartition = "pgp.partition"
 )
 
-type phgSpec struct {
-	Opt phg.Options
+type phgPayload struct {
+	Opt   phg.Options
+	Graph hypergraph.Frame
 }
 
-type pgpSpec struct {
+// pgpPayload carries Old, the partition AdaptiveRepart improves on,
+// exactly when Adaptive is set.
+type pgpPayload struct {
 	Opt      pgp.Options
 	Adaptive bool
 	Itr      int64
+	G        graph.Graph
+	Old      []int32
 }
 
-// EncodePHG builds the payload for a PHGPartition world: opt as JSON,
-// then h's binary frame.
+// EncodePHG builds the payload for a PHGPartition world: opt, then h's
+// binary frame.
 func EncodePHG(h *hypergraph.Hypergraph, opt phg.Options) ([]byte, error) {
-	hdr, err := json.Marshal(phgSpec{Opt: opt})
-	if err != nil {
-		return nil, fmt.Errorf("jobs: marshal phg options: %w", err)
-	}
-	buf := binary.AppendUvarint(nil, uint64(len(hdr)))
-	buf = append(buf, hdr...)
-	return h.AppendBinary(buf), nil
+	return wire.Varint.Append(nil, phgPayload{opt, hypergraph.Frame{H: h}})
 }
 
 // EncodePGP builds the payload for a PGPPartition world. old (required
 // iff adaptive) is the previous partition AdaptiveRepart improves on; itr
 // is the paper's migration-vs-cut trade-off factor.
 func EncodePGP(g *graph.Graph, old []int32, itr int64, opt pgp.Options, adaptive bool) ([]byte, error) {
-	if adaptive && len(old) != g.NumVertices() {
+	if !adaptive {
+		old = nil
+	} else if len(old) != g.NumVertices() {
 		return nil, fmt.Errorf("jobs: old partition covers %d vertices, graph has %d", len(old), g.NumVertices())
 	}
-	hdr, err := json.Marshal(pgpSpec{Opt: opt, Adaptive: adaptive, Itr: itr})
-	if err != nil {
-		return nil, fmt.Errorf("jobs: marshal pgp options: %w", err)
-	}
-	buf := binary.AppendUvarint(nil, uint64(len(hdr)))
-	buf = append(buf, hdr...)
-	buf = g.AppendBinary(buf)
-	if adaptive {
-		buf = append(buf, 1)
-		buf = hypergraph.AppendInt32s(buf, old)
-	} else {
-		buf = append(buf, 0)
-	}
-	return buf, nil
+	return wire.Varint.Append(nil, pgpPayload{opt, adaptive, itr, *g, old})
 }
 
 // DecodeParts decodes a world's result payload (rank 0's partition
 // vector).
 func DecodeParts(payload []byte) ([]int32, error) {
-	r := hypergraph.NewBinReader(payload)
-	parts, err := hypergraph.DecodeInt32s(r, hypergraph.MaxWireVertices)
-	if err != nil {
-		return nil, fmt.Errorf("jobs: result partition: %w", err)
+	var parts []int32
+	if err := decode(payload, &parts); err != nil {
+		return nil, err
 	}
-	if r.Rem() != 0 {
-		return nil, fmt.Errorf("jobs: %d trailing bytes after result partition", r.Rem())
+	if len(parts) > hypergraph.MaxWireVertices {
+		return nil, fmt.Errorf("jobs: result partition of %d vertices exceeds %d", len(parts), hypergraph.MaxWireVertices)
 	}
 	return parts, nil
 }
 
-func readHeader(payload []byte, spec any) (*hypergraph.BinReader, error) {
-	r := hypergraph.NewBinReader(payload)
-	n, err := r.Count(1 << 20)
-	if err != nil {
-		return nil, fmt.Errorf("jobs: options header: %w", err)
+func decode(payload []byte, into any) error {
+	if err := wire.Varint.Decode(payload, into); err != nil {
+		return fmt.Errorf("jobs: %T payload: %w", into, err)
 	}
-	hdr, err := r.Bytes(n)
-	if err != nil {
-		return nil, fmt.Errorf("jobs: options header: %w", err)
-	}
-	if err := json.Unmarshal(hdr, spec); err != nil {
-		return nil, fmt.Errorf("jobs: options header: %w", err)
-	}
-	return r, nil
+	return nil
 }
 
 func init() {
-	mpinet.RegisterJob(PHGPartition, func(c *mpi.Comm, payload []byte) ([]byte, error) {
-		var spec phgSpec
-		r, err := readHeader(payload, &spec)
-		if err != nil {
-			return nil, err
-		}
-		h, _, err := hypergraph.DecodeBinary(r)
-		if err != nil {
-			return nil, fmt.Errorf("jobs: hypergraph frame: %w", err)
-		}
-		p, err := phg.Partition(c, h, spec.Opt)
-		if err != nil {
-			return nil, err
-		}
-		if c.Rank() != 0 {
-			return nil, nil
-		}
-		return hypergraph.AppendInt32s(nil, p.Parts), nil
-	})
-	mpinet.RegisterJob(PGPPartition, func(c *mpi.Comm, payload []byte) ([]byte, error) {
-		var spec pgpSpec
-		r, err := readHeader(payload, &spec)
-		if err != nil {
-			return nil, err
-		}
-		g, err := graph.DecodeBinary(r)
-		if err != nil {
-			return nil, fmt.Errorf("jobs: graph frame: %w", err)
-		}
-		hasOld, err := r.Byte()
-		if err != nil || hasOld > 1 {
-			return nil, fmt.Errorf("jobs: old-partition flag: %v", err)
-		}
-		var p partition.Partition
-		if spec.Adaptive {
-			if hasOld != 1 {
-				return nil, fmt.Errorf("jobs: adaptive pgp payload missing old partition")
-			}
-			old, err := hypergraph.DecodeInt32s(r, graph.MaxWireVertices)
-			if err != nil {
-				return nil, fmt.Errorf("jobs: old partition: %w", err)
-			}
-			p, err = pgp.AdaptiveRepart(c, g, partition.Partition{Parts: old, K: spec.Opt.Serial.K}, spec.Itr, spec.Opt)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			p, err = pgp.Partition(c, g, spec.Opt)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if c.Rank() != 0 {
-			return nil, nil
-		}
-		return hypergraph.AppendInt32s(nil, p.Parts), nil
-	})
+	mpinet.RegisterJob(PHGPartition, partitionPHG)
+	mpinet.RegisterJob(PGPPartition, partitionPGP)
+}
+
+func partitionPHG(c *mpi.Comm, payload []byte) ([]byte, error) {
+	var in phgPayload
+	if err := decode(payload, &in); err != nil {
+		return nil, err
+	}
+	p, err := phg.Partition(c, in.Graph.H, in.Opt)
+	return rootParts(c, p, err)
+}
+
+func partitionPGP(c *mpi.Comm, payload []byte) ([]byte, error) {
+	var in pgpPayload
+	if err := decode(payload, &in); err != nil {
+		return nil, err
+	}
+	if n := in.G.NumVertices(); in.Adaptive && len(in.Old) != n || !in.Adaptive && in.Old != nil {
+		return nil, fmt.Errorf("jobs: pgp payload (adaptive %v) carries an old partition of %d vertices for a graph of %d",
+			in.Adaptive, len(in.Old), n)
+	}
+	if in.Adaptive {
+		p, err := pgp.AdaptiveRepart(c, &in.G, partition.Partition{Parts: in.Old, K: in.Opt.Serial.K}, in.Itr, in.Opt)
+		return rootParts(c, p, err)
+	}
+	p, err := pgp.Partition(c, &in.G, in.Opt)
+	return rootParts(c, p, err)
+}
+
+// rootParts is a job's result: rank 0's partition vector.
+func rootParts(c *mpi.Comm, p partition.Partition, err error) ([]byte, error) {
+	if err != nil || c.Rank() != 0 {
+		return nil, err
+	}
+	return wire.Varint.Append(nil, p.Parts)
 }

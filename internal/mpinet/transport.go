@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"hyperbal/internal/mpi"
+	"hyperbal/internal/wire"
 )
 
 // Options tune one transport endpoint. The coordinator picks them once
@@ -283,7 +284,7 @@ func (t *netTransport) readLoop(p *peer) {
 // Send implements mpi.Transport. dst is a world rank; a nonzero stall
 // means the flow-control window was full (the caller counts it as a
 // blocked send, exactly like a full in-process channel).
-func (t *netTransport) Send(comm uint64, dst, tag int, pl mpi.Payload) (time.Duration, error) {
+func (t *netTransport) Send(comm uint64, dst, tag int, pl wire.Sized) (time.Duration, error) {
 	if dst == t.rank {
 		m := msgBody{Comm: comm, Src: t.rank, Tag: tag, Payload: pl.AppendTo(make([]byte, 0, pl.Size()))}
 		return t.enqueue(t.queue(qkey{comm, t.rank}), m)

@@ -145,16 +145,16 @@ func (w *Worker) handleConn(conn net.Conn) {
 	conn.SetReadDeadline(time.Time{})
 	switch kind {
 	case frameHello:
-		h, err := parseHello(body)
-		if err != nil {
+		var h helloBody
+		if err := parseControl(body, &h); err != nil {
 			conn.Close()
 			return
 		}
 		w.acceptMesh(h, conn, br) // the mesh connection keeps its reader
 	case frameLaunch:
 		putReader(br) // a control connection carries nothing more this way
-		l, err := parseLaunch(body)
-		if err != nil {
+		var l launchBody
+		if err := parseControl(body, &l); err != nil {
 			writeError(conn, errorBody{Kind: errKindGeneric, Rank: -1, Msg: err.Error()})
 			conn.Close()
 			return
@@ -274,15 +274,16 @@ func (w *Worker) runLaunch(l launchBody, ctrl net.Conn) {
 		writeError(ctrl, rankError(l.Rank, err))
 		return
 	}
-	res := resultBody{
+	res := RankResult{
+		Rank:         l.Rank,
 		Messages:     stats.Messages.Load(),
 		Bytes:        stats.Bytes.Load(),
 		Collectives:  stats.Collectives.Load(),
 		BlockedSends: stats.BlockedSends.Load(),
-		MaxStallNs:   stats.MaxStall.Load(),
+		MaxStall:     time.Duration(stats.MaxStall.Load()),
 		Payload:      out,
 	}
-	if _, err := ctrl.Write(appendFrame(nil, frameResult, res.encode())); err != nil {
+	if _, err := ctrl.Write(appendControl(nil, frameResult, res)); err != nil {
 		return
 	}
 	// Hold the mesh until the coordinator has collected every rank (it
@@ -310,7 +311,7 @@ func writeError(conn net.Conn, e errorBody) {
 	if len(e.Msg) > maxErrMsgLen {
 		e.Msg = e.Msg[:maxErrMsgLen]
 	}
-	conn.Write(appendFrame(nil, frameError, e.encode()))
+	conn.Write(appendControl(nil, frameError, e))
 }
 
 // dialPeer establishes the outbound half of the mesh: rank r dials every
@@ -340,7 +341,7 @@ func dialPeer(t *netTransport, peerRank int, addr string) error {
 			tc.SetNoDelay(true)
 		}
 		start := time.Now()
-		hello := appendFrame(nil, frameHello, helloBody{WorldID: t.worldID, Rank: t.rank}.encode())
+		hello := appendControl(nil, frameHello, helloBody{WorldID: t.worldID, Rank: t.rank})
 		if _, err := conn.Write(hello); err != nil {
 			conn.Close()
 			lastErr = err

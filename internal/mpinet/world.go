@@ -98,7 +98,7 @@ func RunWorld(ctx context.Context, job string, payload []byte, workers []string,
 			JitterSeed:  opt.JitterSeed,
 			Payload:     payload,
 		}
-		if _, err := conns[r].Write(appendFrame(nil, frameLaunch, l.encode())); err != nil {
+		if _, err := conns[r].Write(appendControl(nil, frameLaunch, l)); err != nil {
 			return nil, fmt.Errorf("mpinet: launch rank %d at %s: %w (%w)",
 				r, workers[r], err, &mpi.CrashError{Rank: r})
 		}
@@ -171,18 +171,15 @@ func collectRank(conn net.Conn, rank int, addr string, opt Options) (RankResult,
 	}
 	switch kind {
 	case frameResult:
-		r, err := parseResult(body)
-		if err != nil {
+		var res RankResult
+		if err := parseControl(body, &res); err != nil {
 			return out, fmt.Errorf("mpinet: rank %d result: %w", rank, err)
 		}
-		out.Messages, out.Bytes = r.Messages, r.Bytes
-		out.Collectives, out.BlockedSends = r.Collectives, r.BlockedSends
-		out.MaxStall = time.Duration(r.MaxStallNs)
-		out.Payload = r.Payload
-		return out, nil
+		res.Rank = rank // the coordinator's numbering is authoritative
+		return res, nil
 	case frameError:
-		e, err := parseError(body)
-		if err != nil {
+		var e errorBody
+		if err := parseControl(body, &e); err != nil {
 			return out, fmt.Errorf("mpinet: rank %d error frame: %w", rank, err)
 		}
 		switch e.Kind {

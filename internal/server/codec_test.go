@@ -170,6 +170,12 @@ func TestMalformedBinaryFrames(t *testing.T) {
 	ver[3] = 0xEE
 	post("bad-version", ver)
 
+	// Version 1 laid messages out by hand; its frames are refused, never
+	// mis-decoded as version 2.
+	v1 := append([]byte(nil), valid...)
+	v1[3] = 1
+	post("version-1", v1)
+
 	typ := append([]byte(nil), valid...)
 	typ[4] = 0x7F
 	post("bad-msg-type", typ)

@@ -99,8 +99,8 @@ func TestGatewayCreateRetargetUsesFreshID(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sr, err := DecodeSessionResponseBinary(data)
-		if err != nil {
+		var sr SessionResponse
+		if err := DecodeResponseBinary(data, &sr); err != nil {
 			t.Fatal(err)
 		}
 		mu.Lock()

@@ -312,15 +312,14 @@ func TestHandoffCodecRoundTrip(t *testing.T) {
 			CommVolume: 9, MigrationVolume: 3, Moved: 2, RepartMs: 1.5,
 			Rebalanced: true, Warm: true,
 		},
-		Mig: &MigrationSummary{Moves: 2, TotalVolume: 3, MaxOutbound: 2, MaxInbound: 1, Volume: [][]int64{{0, 2}, {1, 0}}},
-		H:   h,
-		FP:  h.Fingerprint(),
+		Mig:  &MigrationSummary{Moves: 2, TotalVolume: 3, MaxOutbound: 2, MaxInbound: 1, Volume: [][]int64{{0, 2}, {1, 0}}},
+		Base: hypergraph.Frame{H: h, FP: h.Fingerprint()},
 	}
-	got, err := decodeHandoffBinary(appendHandoffBinary(nil, st))
-	if err != nil {
+	var got handoffState
+	if err := decodeMsg(appendMsg(nil, st), &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.ID != st.ID || got.Epoch != st.Epoch || got.FP != st.FP {
+	if got.ID != st.ID || got.Epoch != st.Epoch || got.Base.FP != st.Base.FP {
 		t.Fatalf("identity fields corrupted: %+v", got)
 	}
 	if got.Config != st.Config {
@@ -333,7 +332,7 @@ func TestHandoffCodecRoundTrip(t *testing.T) {
 	if got.Mig == nil || got.Mig.Moves != 2 || len(got.Mig.Volume) != 2 {
 		t.Fatalf("migration summary mismatch: %+v", got.Mig)
 	}
-	if got.H.Fingerprint() != h.Fingerprint() {
+	if got.Base.H.Fingerprint() != h.Fingerprint() {
 		t.Fatal("hypergraph fingerprint changed across the handoff codec")
 	}
 }
@@ -386,10 +385,11 @@ func TestCacheResultCodecRoundTrip(t *testing.T) {
 		RepartTime:      1700 * time.Microsecond,
 		Warm:            true,
 	}
-	got, err := decodeCacheResultBinary(appendCacheResultBinary(nil, want))
-	if err != nil {
+	var m cacheResult
+	if err := decodeMsg(appendMsg(nil, cacheResult{want}), &m); err != nil {
 		t.Fatal(err)
 	}
+	got := m.Result
 	if !int32SliceEqual(got.Partition.Parts, want.Partition.Parts) ||
 		got.Partition.K != want.Partition.K ||
 		got.CommVolume != want.CommVolume ||

@@ -36,7 +36,6 @@ var (
 	obsDeltaEpochs        = obs.Default().Counter("server_delta_epochs_total")
 	obsDeltaMismatches    = obs.Default().Counter("server_delta_fingerprint_mismatches_total")
 	obsDeltaBytes         = obs.Default().Counter("server_delta_bytes_total")
-	obsDeltaFullBytesEst  = obs.Default().Counter("server_delta_full_bytes_estimated_total")
 	obsDeltaDirtyPermille = obs.Default().Histogram("server_delta_dirty_permille", obs.LinBounds(50, 50, 20))
 	obsEpochWarmNs        = obs.Default().Histogram("server_epoch_warm_ns", obs.DurationBounds)
 	obsEpochColdNs        = obs.Default().Histogram("server_epoch_cold_ns", obs.DurationBounds)

@@ -35,8 +35,42 @@ import (
 	"time"
 
 	"hyperbal/internal/core"
+	"hyperbal/internal/hypergraph"
 	"hyperbal/internal/partition"
 )
+
+// The two replica-to-replica messages, framed like every other message
+// (wirebin.go).
+
+// cacheResult is a peer-cache lookup answer: the cached repartition
+// result for one cache key, enough for the asking replica to adopt it as
+// if it had solved locally (parallelism invariance makes the adoption
+// byte-identical). Provenance travels with the entry: the adopter
+// republishes it into its own cache, and later responses report the
+// owner's warm-start flag and solve time, not a zeroed one.
+type cacheResult struct{ core.Result }
+
+func (m cacheResult) validate() error { return check("partition", len(m.Partition.Parts), maxParts) }
+
+// handoffState is one serialized session crossing replicas at drain time:
+// everything a successor needs to continue the epoch sequence
+// byte-identically — the effective config, the epoch counter, the last
+// result (its partition is the current distribution), the latest migration
+// summary, and the base hypergraph the next delta applies against (its
+// fingerprint is recomputed during decode, so it cannot drift in transit).
+type handoffState struct {
+	ID     string
+	Config WireConfig
+	Epoch  int64
+	Last   WireResult
+	Mig    *MigrationSummary
+	Base   hypergraph.Frame
+}
+
+func (m handoffState) validate() error {
+	return errors.Join(check("session id", len(m.ID), 256), m.Config.validate(),
+		check("partition", len(m.Last.Parts), maxParts), m.Mig.validate())
+}
 
 const (
 	// OwnerHeader carries the base URL of the replica that now owns a
@@ -142,13 +176,13 @@ func (s *Server) peerFetch(ctx context.Context, key string) (core.Result, bool) 
 		obsPeerErrors.Inc()
 		return core.Result{}, false
 	}
-	res, err := decodeCacheResultBinary(data)
-	if err != nil {
+	var m cacheResult
+	if err := decodeMsg(data, &m); err != nil {
 		obsPeerErrors.Inc()
 		return core.Result{}, false
 	}
 	obsPeerHits.Inc()
-	return res, true
+	return m.Result, true
 }
 
 // handlePeerCache serves GET /internal/cache/{key}: the peer side of
@@ -167,7 +201,7 @@ func (s *Server) handlePeerCache(w http.ResponseWriter, r *http.Request) {
 	}
 	obsPeerServed.Inc()
 	bp, buf := getWireBuf()
-	buf = appendCacheResultBinary(buf, res)
+	buf = appendMsg(buf, cacheResult{res})
 	w.Header().Set("Content-Type", ContentTypeBinary)
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(buf)
@@ -187,7 +221,8 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	st, err := decodeHandoffBinary(body)
+	var st handoffState
+	err := decodeMsg(body, &st)
 	releaseBuf()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "handoff: "+err.Error())
@@ -215,15 +250,15 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 		id:      st.ID,
 		cfg:     bal.Config(),
 		sess:    core.NewSessionAt(bal, res, st.Epoch),
-		baseH:   st.H,
-		baseFP:  st.FP,
+		baseH:   st.Base.H,
+		baseFP:  st.Base.FP,
 		lastMig: st.Mig,
 	}
 	s.clearHandoff(st.ID) // a session may return to a revived replica
 	s.store.add(entry)
 	obsHandoffReceived.Inc()
 	s.cfg.Logf("server: adopted session %s at epoch %d via handoff (|V|=%d)",
-		st.ID, st.Epoch, st.H.NumVertices())
+		st.ID, st.Epoch, st.Base.H.NumVertices())
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -261,17 +296,16 @@ func (s *Server) handoffSession(ctx context.Context, entry *session, self string
 		Epoch:  entry.sess.Epoch(),
 		Last:   wireResult(entry.sess.Epoch(), last, false, true),
 		Mig:    entry.lastMig,
-		H:      entry.baseH,
-		FP:     entry.baseFP,
+		Base:   hypergraph.Frame{H: entry.baseH, FP: entry.baseFP},
 	}
 	entry.mu.Unlock()
-	if st.H == nil {
+	if st.Base.H == nil {
 		// A session created but never submitted to still has no base; its
 		// initial hypergraph is the base recorded at create time, so this
 		// only happens for the zero value. Nothing to hand off.
 		return false
 	}
-	frame := appendHandoffBinary(nil, st)
+	frame := appendMsg(nil, st)
 	for _, cand := range r.candidates(entry.id) {
 		url := r.urls[cand]
 		if url == self {

@@ -377,51 +377,41 @@ func writeNegotiated(w http.ResponseWriter, r *http.Request, status int, jsonBod
 // writeSessionResponse answers a create or an epoch submission.
 func writeSessionResponse(w http.ResponseWriter, r *http.Request, status int, id string, res WireResult) {
 	resp := SessionResponse{SessionID: id, Result: res}
-	writeNegotiated(w, r, status, resp, func(buf []byte) []byte {
-		return appendSessionResponseBinary(buf, resp)
-	})
+	writeNegotiated(w, r, status, resp, func(buf []byte) []byte { return appendMsg(buf, resp) })
 }
 
 // decodeBody reads the binary request body into a pooled buffer, decodes
-// it with dec and releases the buffer. It counts the body in
-// server_wire_rx_bytes_total, times the decode in server_codec_ns, and
-// answers itself when the body is refused: 415 for any Content-Type but
-// application/x-hyperbal (before the body is read), 400 when it does not
-// decode. n is the body size.
-func decodeBody[T any](s *Server, w http.ResponseWriter, r *http.Request, dec func([]byte) (T, error)) (v T, n int64, ok bool) {
+// it into m (a message pointer) and releases the buffer. It counts the
+// body in server_wire_rx_bytes_total, times the decode in
+// server_codec_ns, and answers itself when the body is refused: 415 for
+// any Content-Type but application/x-hyperbal (before the body is read),
+// 400 when it does not decode. n is the body size.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, m message) (n int64, ok bool) {
 	if !isBinaryRequest(r) {
 		writeError(w, http.StatusUnsupportedMediaType, "unsupported_media_type",
 			"request bodies must be "+ContentTypeBinary)
-		return v, 0, false
+		return 0, false
 	}
 	body, release, ok := s.readBody(w, r)
 	if !ok {
-		return v, 0, false
+		return 0, false
 	}
 	defer release()
 	n = int64(len(body))
 	obsWireRxBytes.With("binary").Add(n)
 	start := time.Now()
-	v, err := dec(body)
+	err := decodeMsg(body, m)
 	obsCodecNs.With("binary_decode").ObserveSince(start)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "binary: "+err.Error())
-		return v, n, false
+		return n, false
 	}
-	return v, n, true
-}
-
-// createRequest is the decoded body of POST /v1/sessions; FP is the
-// hypergraph fingerprint computed during decode.
-type createRequest struct {
-	Config WireConfig
-	H      *hypergraph.Hypergraph
-	FP     string
+	return n, true
 }
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	req, _, ok := decodeBody(s, w, r, decodeCreateRequestBinary)
-	if !ok {
+	var req createRequest
+	if _, ok := s.decodeBody(w, r, &req); !ok {
 		return
 	}
 	cfg, err := req.Config.ToCore()
@@ -457,10 +447,10 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	eff := bal.Config()
-	key := cacheKey(eff, 0, req.FP, partition.Partition{}, "")
+	key := cacheKey(eff, 0, req.Graph.FP, partition.Partition{}, "")
 	res, origin, err := s.solveShared(r.Context(), key, func() (core.Result, error) {
 		s.faultDelay(int64(obsSessionsCreated.Load() + 1))
-		_, res, err := core.NewSession(bal, core.Problem{H: req.H})
+		_, res, err := core.NewSession(bal, core.Problem{H: req.Graph.H})
 		if err == nil {
 			s.cache.put(key, res)
 		}
@@ -475,7 +465,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	sess := core.NewSessionWith(bal, res)
 	cached := origin != originLeader
 
-	entry := &session{id: id, cfg: eff, sess: sess, baseH: req.H, baseFP: req.FP}
+	entry := &session{id: id, cfg: eff, sess: sess, baseH: req.Graph.H, baseFP: req.Graph.FP}
 	s.clearHandoff(id)
 	// The pre-solve duplicate check is only a cheap fast path; the insert
 	// itself must be atomic or two concurrent creates with the same
@@ -486,18 +476,17 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	obsSessionsCreated.Inc()
 	s.cfg.Logf("server: session %s created (k=%d method=%s |V|=%d cached=%v)",
-		entry.id, eff.K, eff.Method, req.H.NumVertices(), cached)
+		entry.id, eff.K, eff.Method, req.Graph.H.NumVertices(), cached)
 	writeSessionResponse(w, r, http.StatusCreated, entry.id, wireResult(0, res, cached, true))
 }
 
 // submission is one decoded epoch submission, the same whatever route
-// carried it. The epoch's hypergraph arrives whole on POST (H, with
-// the fingerprint FP computed during decode) or as Delta against the
+// carried it. The epoch's hypergraph arrives whole on POST (Graph, with
+// the fingerprint computed during decode) or as Delta against the
 // session's last accepted hypergraph on PATCH; exactly one of the two is
 // set. Only the POST wire has OnlyIfUnbalanced, only the PATCH wire Warm.
 type submission struct {
-	H                *hypergraph.Hypergraph
-	FP               string
+	Graph            hypergraph.Frame
 	Delta            *hypergraph.Delta
 	Inherited        []int32
 	Epoch            int64
@@ -508,32 +497,33 @@ type submission struct {
 // handleEpoch is the full epoch submission: the body carries the epoch's
 // drifted hypergraph.
 func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
-	s.serveEpoch(w, r, decodeEpochRequestBinary)
+	s.serveEpoch(w, r, new(epochRequest))
 }
 
 // handleDeltaEpoch is the PATCH-style epoch submission: the epoch's
 // hypergraph arrives as a delta against the session's last accepted
 // hypergraph, keyed by base fingerprint.
 func (s *Server) handleDeltaEpoch(w http.ResponseWriter, r *http.Request) {
-	s.serveEpoch(w, r, decodeDeltaRequestBinary)
+	s.serveEpoch(w, r, new(deltaRequest))
 }
 
 // serveEpoch is the one epoch pipeline behind both submission routes, which
-// differ only in the decoder they pass. The stages run in this order:
+// differ only in the request they decode. The stages run in this order:
 // decode, admit, session lock, epoch-conflict check, materialise the
 // hypergraph, settle the inherited assignment, only-if-unbalanced skip,
 // solve, commit, respond.
-func (s *Server) serveEpoch(w http.ResponseWriter, r *http.Request, dec func([]byte) (*submission, error)) {
+func (s *Server) serveEpoch(w http.ResponseWriter, r *http.Request, req submitter) {
 	entry, releaseSess := s.store.acquire(r.PathValue("id"))
 	if entry == nil {
 		s.sessionGone(w, r.PathValue("id"))
 		return
 	}
 	defer releaseSess()
-	sub, bodyBytes, ok := decodeBody(s, w, r, dec)
+	bodyBytes, ok := s.decodeBody(w, r, req)
 	if !ok {
 		return
 	}
+	sub := req.submission()
 
 	// Admission before the session lock: 429 and 503 are answered before
 	// any session state changes, so clients retry them safely.
@@ -562,7 +552,7 @@ func (s *Server) serveEpoch(w http.ResponseWriter, r *http.Request, dec func([]b
 		return
 	}
 
-	h, fp := sub.H, sub.FP
+	h, fp := sub.Graph.H, sub.Graph.FP
 	if d := sub.Delta; d != nil {
 		// A base mismatch (the session advanced since the client computed
 		// the delta, or the server lost the base) carries the current base:
@@ -670,7 +660,6 @@ func (s *Server) serveEpoch(w http.ResponseWriter, r *http.Request, dec func([]b
 	if sub.Delta != nil {
 		obsDeltaEpochs.Inc()
 		obsDeltaBytes.Add(bodyBytes)
-		obsDeltaFullBytesEst.Add(fullWireEstimate(h))
 	}
 	entry.baseH, entry.baseFP = h, fp
 	entry.lastMig = migrationSummary(h, inherited, res.Partition)
@@ -722,15 +711,6 @@ func deriveInherited(h *hypergraph.Hypergraph, old partition.Partition, d *hyper
 	return partition.Partition{Parts: parts, K: k}
 }
 
-// fullWireEstimate approximates the size of h as a JSON full-epoch body
-// (~7 bytes per pin, ~20 per net, ~14 per vertex for weights+sizes, plus
-// envelope). That body is no longer accepted, so the estimate overstates
-// what a delta saves against the binary frame; the benchmark's
-// hypergraph.delta_over_full_bytes measures the binary sizes exactly.
-func fullWireEstimate(h *hypergraph.Hypergraph) int64 {
-	return 64 + int64(h.NumPins())*7 + int64(h.NumNets())*20 + int64(h.NumVertices())*14
-}
-
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	entry, releaseSess := s.store.acquire(r.PathValue("id"))
 	if entry == nil {
@@ -749,9 +729,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 		TotalCost:  entry.sess.TotalCost(entry.cfg.Alpha),
 		Last:       wireResult(entry.sess.Epoch(), last, false, true),
 	}
-	writeNegotiated(w, r, http.StatusOK, info, func(buf []byte) []byte {
-		return appendSessionInfoBinary(buf, info)
-	})
+	writeNegotiated(w, r, http.StatusOK, info, func(buf []byte) []byte { return appendMsg(buf, info) })
 }
 
 func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
@@ -771,9 +749,7 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		Parts:     cur.Parts,
 		Migration: entry.lastMig,
 	}
-	writeNegotiated(w, r, http.StatusOK, resp, func(buf []byte) []byte {
-		return appendPartitionResponseBinary(buf, resp)
-	})
+	writeNegotiated(w, r, http.StatusOK, resp, func(buf []byte) []byte { return appendMsg(buf, resp) })
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {

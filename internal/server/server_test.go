@@ -227,7 +227,7 @@ func rawSubmit(t *testing.T, method, url string, body []byte) (status int, ok se
 	}
 	data, err := io.ReadAll(resp.Body)
 	if err == nil {
-		ok, err = server.DecodeSessionResponseBinary(data)
+		err = server.DecodeResponseBinary(data, &ok)
 	}
 	if err != nil {
 		t.Error(err)

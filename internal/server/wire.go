@@ -1,17 +1,25 @@
 package server
 
-import "hyperbal/internal/core"
+import (
+	"errors"
+	"fmt"
+
+	"hyperbal/internal/core"
+	"hyperbal/internal/hypergraph"
+	"hyperbal/internal/wire"
+)
 
 // Wire types of the balancerd API. Request bodies are binary frames only
 // (wirebin.go); these are the configuration and the response messages: a
 // configuration is core.Config with the method spelled by its paper name,
 // a result is the partition plus the volumes of core.Result. Responses
-// are rendered in the codec the client's Accept asks for — binary, or
-// JSON for curl and debugging — and error bodies are always JSON. The Go
-// client in the root package and the server handlers share these so the
-// two sides cannot drift.
+// are rendered in the codec the client's Accept asks for — binary (the
+// struct itself, laid out by internal/wire; field order is wire order),
+// or JSON for curl and debugging — and error bodies are always JSON. The
+// Go client in the root package and the server handlers share these so
+// the two sides cannot drift.
 
-// WireConfig is the JSON form of core.Config; Method uses the paper name
+// WireConfig is the wire form of core.Config; Method uses the paper name
 // ("Zoltan-repart" by default).
 type WireConfig struct {
 	K             int     `json:"k"`
@@ -136,4 +144,51 @@ type ErrorResponse struct {
 	// fingerprint_mismatch so the client can resubmit a full epoch (or a
 	// delta against the right base).
 	Base string `json:"base,omitempty"`
+}
+
+// Bounds of the binary forms (wirebin.go) that the codec cannot express:
+// string caps, the int32 range of config fields, partition and
+// migration-table sizes. Each decoded message runs its validate.
+
+func (m SessionResponse) validate() error {
+	return errors.Join(check("session id", len(m.SessionID), 256), check("partition", len(m.Result.Parts), maxParts))
+}
+
+func (m PartitionResponse) validate() error {
+	return errors.Join(check("session id", len(m.SessionID), 256), check("partition", len(m.Parts), maxParts),
+		m.Migration.validate())
+}
+
+func (m SessionInfo) validate() error {
+	return errors.Join(check("session id", len(m.SessionID), 256), m.Config.validate(),
+		check("partition", len(m.Last.Parts), maxParts))
+}
+
+func (c WireConfig) validate() error {
+	for _, v := range []int{c.K, c.MaxClique, c.CoarsenTo, c.InitialStarts, c.RefinePasses, c.Parallelism} {
+		if v != int(int32(v)) {
+			return fmt.Errorf("%w: config field %d out of range", wire.ErrMalformed, v)
+		}
+	}
+	return check("method", len(c.Method), 128)
+}
+
+func (m *MigrationSummary) validate() error {
+	side := 0
+	if m != nil {
+		side = len(m.Volume)
+		for _, row := range m.Volume {
+			side = max(side, len(row))
+		}
+	}
+	return check("migration table side", side, 1<<16)
+}
+
+const maxParts = hypergraph.MaxWireVertices
+
+func check(what string, n, limit int) error {
+	if n > limit {
+		return fmt.Errorf("%w: %s of %d exceeds %d", wire.ErrMalformed, what, n, limit)
+	}
+	return nil
 }
