@@ -270,8 +270,9 @@ func RefineKway(g *graph.Graph, k int, parts []int32, oldPart []int32, itr int64
 	return EdgeCutOf(g, parts)
 }
 
-// gainHeap is a lazy max-heap identical in role to hgp's; duplicated here
-// to keep gp free of hypergraph dependencies.
+// gainHeap is a lazy max-heap of (vertex, gain) entries. hgp's FM kernels
+// select from an exact winner tree instead, which would also retire fm2's
+// re-push stash here.
 type gainEntry struct {
 	v     int32
 	gain  int64

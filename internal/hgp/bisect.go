@@ -44,10 +44,12 @@ func bisect(h *hypergraph.Hypergraph, rng *rand.Rand, fixedSide []int32, frac0, 
 	outs := make([]startOut, opt.InitialStarts)
 	baseSeed := rng.Int63()
 	solveStart := time.Now()
+	// One leaf order per level: the starts share it read-only.
+	ord := ws.weightOrder(coarsest)
 	px.forEach(opt.InitialStarts, ws, func(s int, sws *workspace) {
 		srng := rand.New(rand.NewSource(startSeed(baseSeed, s)))
-		parts := ghg2(coarsest, srng, cFixed, ct0, cc0, cc1, opt.MaxNetSize, sws)
-		cut := fm2(coarsest, parts, cFixed, cc0, cc1, opt.RefinePasses, opt.MaxNetSize, sws)
+		parts := ghg2(coarsest, srng, cFixed, ct0, cc0, cc1, opt.MaxNetSize, ord, sws)
+		cut := fm2(coarsest, parts, cFixed, cc0, cc1, opt.RefinePasses, opt.MaxNetSize, ord, sws)
 		var w0 int64
 		for v, p := range parts {
 			if p == 0 {
@@ -78,7 +80,7 @@ func bisect(h *hypergraph.Hypergraph, rng *rand.Rand, fixedSide []int32, frac0, 
 		lt := levels[i].h.TotalWeight()
 		lc0 := int64(float64(lt) * frac0 * (1 + eps))
 		lc1 := int64(float64(lt) * (1 - frac0) * (1 + eps))
-		fm2(levels[i].h, parts, lf, lc0, lc1, opt.RefinePasses, opt.MaxNetSize, ws)
+		fm2(levels[i].h, parts, lf, lc0, lc1, opt.RefinePasses, opt.MaxNetSize, ws.weightOrder(levels[i].h), ws)
 		obsRefineNs.At(i).ObserveSince(refineStart)
 	}
 	return parts

@@ -94,13 +94,21 @@ func (s *bisectState) Move(v int) {
 	}
 }
 
-// fits reports whether moving v to the other side keeps the destination
-// under its cap, or rescues an over-cap source side without pushing the
-// destination further over its cap than the source was.
-func (s *bisectState) fits(v int) bool {
-	from := s.parts[v]
+// fitsWeight reports whether moving a vertex of weight w off side from
+// keeps the destination under its cap, or rescues an over-cap source side
+// without pushing the destination further over its cap than the source
+// was.
+//
+// It is downward-closed in w, which is what lets fm2 select moves by
+// prefix queries over the weight order. The destination test is monotone
+// in w. The total overflow after the move is convex in w and equals the
+// overflow before at w = 0, so the weights that strictly reduce it form an
+// interval starting just above 0. And when w = 0 fails the destination
+// test, the destination is already over its cap, every unit of weight
+// adds a unit of overflow there, and no weight passes either test.
+// Weights are non-negative.
+func (s *bisectState) fitsWeight(from int32, w int64) bool {
 	to := 1 - from
-	w := s.h.Weight(v)
 	if s.w[to]+w <= s.cap[to] {
 		return true
 	}
@@ -117,99 +125,3 @@ func over(w, cap int64) int64 {
 	}
 	return 0
 }
-
-// gainEntry is one (vertex, gain) heap record; stale entries are detected
-// by stamp comparison.
-type gainEntry struct {
-	v     int32
-	gain  int64
-	stamp uint32
-}
-
-// gainHeap is a max-heap of (vertex, gain) entries with lazy invalidation
-// via per-vertex stamps. It is a hand-rolled binary heap: container/heap
-// boxes every entry into an interface value, which made each push an
-// allocation and dominated the FM kernels' allocation profile. Pops come
-// out in (gain desc, vertex asc) order, a total order over live entries,
-// so the pop sequence is implementation-independent and deterministic.
-type gainHeap struct {
-	entries []gainEntry
-	stamp   []uint32 // current stamp per vertex
-}
-
-// reset prepares the heap for n vertices, clearing entries and stamps but
-// keeping capacity.
-func (g *gainHeap) reset(n int) {
-	g.entries = g.entries[:0]
-	if cap(g.stamp) < n {
-		g.stamp = make([]uint32, n)
-		return
-	}
-	g.stamp = g.stamp[:n]
-	clear(g.stamp)
-}
-
-func (g *gainHeap) less(i, j int) bool {
-	if g.entries[i].gain != g.entries[j].gain {
-		return g.entries[i].gain > g.entries[j].gain
-	}
-	return g.entries[i].v < g.entries[j].v
-}
-
-func (g *gainHeap) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !g.less(i, parent) {
-			break
-		}
-		g.entries[i], g.entries[parent] = g.entries[parent], g.entries[i]
-		i = parent
-	}
-}
-
-func (g *gainHeap) down(i int) {
-	n := len(g.entries)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		best := l
-		if r := l + 1; r < n && g.less(r, l) {
-			best = r
-		}
-		if !g.less(best, i) {
-			break
-		}
-		g.entries[i], g.entries[best] = g.entries[best], g.entries[i]
-		i = best
-	}
-}
-
-// update (re)inserts v with the given gain, invalidating earlier entries.
-func (g *gainHeap) update(v int, gain int64) {
-	g.stamp[v]++
-	g.entries = append(g.entries, gainEntry{v: int32(v), gain: gain, stamp: g.stamp[v]})
-	g.up(len(g.entries) - 1)
-}
-
-// popValid removes and returns the best currently valid entry, or ok=false
-// when the heap is exhausted.
-func (g *gainHeap) popValid() (gainEntry, bool) {
-	for len(g.entries) > 0 {
-		e := g.entries[0]
-		last := len(g.entries) - 1
-		g.entries[0] = g.entries[last]
-		g.entries = g.entries[:last]
-		if last > 0 {
-			g.down(0)
-		}
-		if e.stamp == g.stamp[e.v] {
-			return e, true
-		}
-	}
-	return gainEntry{}, false
-}
-
-// invalidate removes v from consideration.
-func (g *gainHeap) invalidate(v int) { g.stamp[v]++ }

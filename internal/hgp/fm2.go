@@ -6,28 +6,36 @@ import (
 
 // fm2 refines a 2-way partition in place using the Fiduccia–Mattheyses
 // heuristic with pass-pairs and prefix rollback (Section 4.3). Vertices
-// with fixedSide != Free are never moved. parts must be a 0/1 assignment.
-// It returns the final cut size.
-func fm2(h *hypergraph.Hypergraph, parts []int32, fixedSide []int32, cap0, cap1 int64, maxPasses, maxNetSize int, ws *workspace) int64 {
+// with fixedSide != Free are never moved. parts must be a 0/1 assignment
+// and ord h's leaf order. It returns the final cut size.
+//
+// Each move is the best unlocked free vertex, by (gain desc, vertex asc),
+// whose move fits (fitsWeight); a pass ends when none fits. Fitting is
+// downward-closed in vertex weight on each side, so the move is the better
+// of two prefix queries on the gain tree, one per side.
+func fm2(h *hypergraph.Hypergraph, parts []int32, fixedSide []int32, cap0, cap1 int64, maxPasses, maxNetSize int, ord *leafOrder, ws *workspace) int64 {
 	n := h.NumVertices()
 	var s bisectState
 	s.init(h, parts, cap0, cap1, maxNetSize, ws)
-	bestCut := s.Cut()
 
 	moved := growI32(ws.moved, n)[:0] // move order within a pass, for rollback
 	ws.locked = growBool(ws.locked, n)
 	locked := ws.locked
-	gh := &ws.heap
-	stash := ws.stash[:0]
+	t := &ws.tree
+	fits := [2]func(v int32) bool{
+		func(v int32) bool { return s.fitsWeight(0, h.Weight(int(v))) },
+		func(v int32) bool { return s.fitsWeight(1, h.Weight(int(v))) },
+	}
 
 	for pass := 0; pass < maxPasses; pass++ {
-		gh.reset(n)
+		t.reset(n, ord)
 		for v := 0; v < n; v++ {
 			locked[v] = false
 			if fixedSide[v] == hypergraph.Free {
-				gh.update(v, s.gain(v))
+				t.load(v, parts[v], s.gain(v))
 			}
 		}
+		t.build()
 		moved = moved[:0]
 		curCut := s.Cut()
 		passStartCut := curCut
@@ -36,29 +44,16 @@ func fm2(h *hypergraph.Hypergraph, parts []int32, fixedSide []int32, cap0, cap1 
 		sinceBest := 0
 		limit := n/20 + 50
 
-		stash = stash[:0]
 		for {
-			e, ok := gh.popValid()
-			if !ok {
+			v := int(t.better(t.topFitting(0, fits[0]), t.topFitting(1, fits[1])))
+			if v < 0 {
 				break
 			}
-			v := int(e.v)
-			if locked[v] {
-				continue
-			}
-			if !s.fits(v) {
-				stash = append(stash, e)
-				continue
-			}
-			// reinsert balance-skipped entries: the weights changed contexts
-			for _, se := range stash {
-				if !locked[se.v] {
-					gh.update(int(se.v), se.gain)
-				}
-			}
-			stash = stash[:0]
-
-			g := s.gain(v) // exact gain (heap entry may be approximate for huge nets)
+			// The tree's gain is exact: a move changes only the gains the
+			// refresh below recomputes, since gain skips the nets the
+			// refresh skips.
+			g := t.gain[v]
+			t.remove(v)
 			s.Move(v)
 			locked[v] = true
 			moved = append(moved, int32(v))
@@ -82,7 +77,7 @@ func fm2(h *hypergraph.Hypergraph, parts []int32, fixedSide []int32, cap0, cap1 
 				for _, p := range pins {
 					u := int(p)
 					if !locked[u] && fixedSide[u] == hypergraph.Free {
-						gh.update(u, s.gain(u))
+						t.update(u, parts[u], s.gain(u))
 					}
 				}
 			}
@@ -96,10 +91,7 @@ func fm2(h *hypergraph.Hypergraph, parts []int32, fixedSide []int32, cap0, cap1 
 		if bestPrefixCut >= passStartCut {
 			break // no improvement this pass
 		}
-		bestCut = bestPrefixCut
 	}
-	_ = bestCut
 	ws.moved = moved
-	ws.stash = stash
 	return s.Cut()
 }

@@ -4,25 +4,26 @@ import (
 	"hyperbal/internal/hypergraph"
 )
 
-// refineKwayFM is the bucket/heap variant of k-way refinement: a
+// refineKwayFM is the gain-ordered variant of k-way refinement: a
 // Fiduccia–Mattheyses-style pass over boundary vertices with hill
 // climbing and best-prefix rollback, generalized from 2-way to k-way
-// (each heap entry carries the vertex's current best destination). It is
+// (each vertex's best destination is recomputed when it is selected). It is
 // slower per pass than the greedy sweep in refineKway but escapes
 // shallower local minima; Options.KwayFM selects it for the final polish
 // (the A5 ablation measures the trade-off). Fixed vertices never move.
 //
 // Parallelism: the per-pass seeding — one bestMove evaluation per vertex —
 // dominates the pass on large levels and runs in parallel over index
-// shards against the pass-start snapshot; the heap is then filled serially
-// in vertex-index order from the precomputed gains, so its contents (and
-// the whole pass) are bit-identical to the serial evaluation at every
-// Parallelism value. The hill-climbing pop loop itself stays serial: each
-// pop recomputes the move against the current state (attributed gains), so
-// its result is exactly the reference schedule.
+// shards against the pass-start snapshot; the gain tree is then loaded
+// from the precomputed gains, so its contents (and the whole pass) are
+// bit-identical to the serial evaluation at every Parallelism value. The
+// hill-climbing selection loop itself stays serial: each selection
+// recomputes the move against the current state (attributed gains), so its
+// result is exactly the reference schedule. Neighbour gains are refreshed
+// across nets of at most maxNetSize pins.
 //
 // Returns the final cut.
-func refineKwayFM(h *hypergraph.Hypergraph, k int, parts []int32, caps []int64, maxPasses int, ws *workspace, px *parctx) int64 {
+func refineKwayFM(h *hypergraph.Hypergraph, k int, parts []int32, caps []int64, maxPasses, maxNetSize int, ws *workspace, px *parctx) int64 {
 	n := h.NumVertices()
 	s := ws.kwayState(h, k, parts)
 	defer s.release()
@@ -58,26 +59,25 @@ func refineKwayFM(h *hypergraph.Hypergraph, k int, parts []int32, caps []int64, 
 		from int32
 	}
 
-	gh := &ws.heap
+	t := &ws.tree
 	rounds := 0
 	for pass := 0; pass < maxPasses; pass++ {
 		rounds++
-		gh.reset(n)
 		px.forEach(shards, ws, func(i int, wws *workspace) {
 			lo, hi := shardRange(n, shards, i)
 			proposeFMRange(s, caps, kto, kgain, lo, hi, wws)
 		})
-		inHeap := 0
+		t.reset(n, nil)
 		for v := 0; v < n; v++ {
 			locked[v] = false
 			if kto[v] >= 0 {
-				// destination stays implicit: recompute at pop (state
-				// changes invalidate it anyway); the heap orders by gain.
-				gh.update(v, kgain[v])
-				inHeap++
+				// destination stays implicit: recompute at selection (state
+				// changes invalidate it anyway); the tree orders by gain.
+				t.load(v, 0, kgain[v])
 			}
 		}
-		if inHeap == 0 {
+		t.build()
+		if t.top(0, n) < 0 {
 			break
 		}
 		var moves []appliedMove
@@ -87,14 +87,11 @@ func refineKwayFM(h *hypergraph.Hypergraph, k int, parts []int32, caps []int64, 
 		limit := n/20 + 50
 
 		for {
-			e, ok := gh.popValid()
-			if !ok {
+			v := int(t.top(0, n))
+			if v < 0 {
 				break
 			}
-			v := int(e.v)
-			if locked[v] {
-				continue
-			}
+			t.remove(v)
 			to, gain := bestMove(v) // fresh evaluation against current state
 			if to < 0 {
 				continue
@@ -114,16 +111,16 @@ func refineKwayFM(h *hypergraph.Hypergraph, k int, parts []int32, caps []int64, 
 			// refresh unlocked neighbors
 			for _, nn := range h.Nets(v) {
 				pins := h.Pins(int(nn))
-				if len(pins) > 500 {
+				if len(pins) > maxNetSize {
 					continue
 				}
 				for _, p := range pins {
 					u := int(p)
 					if !locked[u] && h.Fixed(u) == hypergraph.Free {
 						if uto, ug := bestMove(u); uto >= 0 {
-							gh.update(u, ug)
+							t.update(u, 0, ug)
 						} else {
-							gh.invalidate(u)
+							t.remove(u)
 						}
 					}
 				}

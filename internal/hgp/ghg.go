@@ -10,12 +10,15 @@ import (
 // growing (Section 4.2) honoring fixed vertices: vertices fixed to side 0
 // seed the growing side and vertices fixed to side 1 are never absorbed.
 // target0 is the desired weight of side 0; cap0/cap1 bound the sides.
+// Each step absorbs the best enqueued vertex, by (gain desc, vertex asc),
+// that fits side 0's remaining room: a prefix query over ord, h's leaf
+// order.
 //
 // fixedSide must map each vertex to 0, 1, or hypergraph.Free (side-folded
 // labels, not original part ids). The returned partition is freshly
 // allocated (multi-start keeps several alive at once); all other scratch
 // lives in ws.
-func ghg2(h *hypergraph.Hypergraph, rng *rand.Rand, fixedSide []int32, target0, cap0, cap1 int64, maxNetSize int, ws *workspace) []int32 {
+func ghg2(h *hypergraph.Hypergraph, rng *rand.Rand, fixedSide []int32, target0, cap0, cap1 int64, maxNetSize int, ord *leafOrder, ws *workspace) []int32 {
 	n := h.NumVertices()
 	parts := make([]int32, n)
 	for v := range parts {
@@ -29,22 +32,19 @@ func ghg2(h *hypergraph.Hypergraph, rng *rand.Rand, fixedSide []int32, target0, 
 	var s bisectState
 	s.init(h, parts, cap0, cap1, maxNetSize, ws)
 
-	gh := &ws.heap
-	gh.reset(n)
-	ws.inHeap = growBool(ws.inHeap, n)
-	inHeap := ws.inHeap
-	// dead marks vertices that can no longer fit side 0; since side 0 only
-	// grows, a vertex that overfills once overfills forever.
-	ws.dead = growBool(ws.dead, n)
-	dead := ws.dead
+	// The tree holds every side-1 vertex ever enqueued that has not moved.
+	// Side 0 only grows, so one that overfilled it once never fits again:
+	// it stays in the tree, outside every later query's prefix.
+	t := &ws.tree
+	t.reset(n, ord)
+	fits := func(v int32) bool { return s.w[0]+h.Weight(int(v)) <= cap0 }
 	seed := func() bool {
 		// find a random movable vertex on side 1 to restart growth
 		start := rng.Intn(n)
 		for i := 0; i < n; i++ {
 			v := (start + i) % n
-			if parts[v] == 1 && fixedSide[v] != 1 && !inHeap[v] && !dead[v] {
-				gh.update(v, s.gain(v))
-				inHeap[v] = true
+			if parts[v] == 1 && fixedSide[v] != 1 && !t.active(v) {
+				t.update(v, 1, s.gain(v))
 				return true
 			}
 		}
@@ -60,9 +60,8 @@ func ghg2(h *hypergraph.Hypergraph, rng *rand.Rand, fixedSide []int32, target0, 
 		for _, nn := range h.Nets(v) {
 			for _, p := range h.Pins(int(nn)) {
 				u := int(p)
-				if parts[u] == 1 && fixedSide[u] != 1 && !inHeap[u] {
-					gh.update(u, s.gain(u))
-					inHeap[u] = true
+				if parts[u] == 1 && fixedSide[u] != 1 && !t.active(u) {
+					t.update(u, 1, s.gain(u))
 					seeded = true
 				}
 			}
@@ -72,26 +71,18 @@ func ghg2(h *hypergraph.Hypergraph, rng *rand.Rand, fixedSide []int32, target0, 
 		}
 	}
 	if !seeded {
-		seeded = seed()
+		seed()
 	}
 
 	for s.w[0] < target0 {
-		e, ok := gh.popValid()
-		if !ok {
+		v := int(t.topFitting(1, fits))
+		if v < 0 {
 			if !seed() {
 				break // nothing left to grow
 			}
 			continue
 		}
-		v := int(e.v)
-		inHeap[v] = false
-		if parts[v] != 1 || fixedSide[v] == 1 {
-			continue
-		}
-		if s.w[0]+h.Weight(v) > cap0 {
-			dead[v] = true
-			continue // would overfill side 0; try next best
-		}
+		t.remove(v)
 		s.Move(v)
 		// enqueue/refresh neighbors on side 1
 		for _, nn := range h.Nets(v) {
@@ -102,8 +93,7 @@ func ghg2(h *hypergraph.Hypergraph, rng *rand.Rand, fixedSide []int32, target0, 
 			for _, p := range pins {
 				u := int(p)
 				if parts[u] == 1 && fixedSide[u] != 1 {
-					gh.update(u, s.gain(u))
-					inHeap[u] = true
+					t.update(u, 1, s.gain(u))
 				}
 			}
 		}

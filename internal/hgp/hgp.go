@@ -47,7 +47,7 @@ func Partition(h *hypergraph.Hypergraph, opt Options) (partition.Partition, erro
 		polishStart := time.Now()
 		var cut int64
 		if opt.KwayFM {
-			cut = refineKwayFM(h, opt.K, p.Parts, caps, opt.RefinePasses, ws, px)
+			cut = refineKwayFM(h, opt.K, p.Parts, caps, opt.RefinePasses, opt.MaxNetSize, ws, px)
 		} else {
 			cut = refineKway(h, opt.K, p.Parts, caps, opt.RefinePasses, ws, px)
 		}

@@ -292,7 +292,8 @@ func TestFM2NeverWorsensCut(t *testing.T) {
 		before := partition.CutSize(h, partition.Partition{Parts: append([]int32(nil), parts...), K: 2})
 		total := h.TotalWeight()
 		cap := int64(float64(total) * 0.55)
-		fm2(h, parts, fixed, cap, cap, 4, 500, newWorkspace())
+		ws := newWorkspace()
+		fm2(h, parts, fixed, cap, cap, 4, 500, ws.weightOrder(h), ws)
 		after := partition.CutSize(h, partition.Partition{Parts: parts, K: 2})
 		if after > before {
 			t.Fatalf("trial %d: FM worsened cut %d -> %d", trial, before, after)
@@ -315,7 +316,8 @@ func TestFM2RespectsFixed(t *testing.T) {
 	want := append([]int32(nil), parts[:10]...)
 	total := h.TotalWeight()
 	cap := int64(float64(total) * 0.6)
-	fm2(h, parts, fixed, cap, cap, 4, 500, newWorkspace())
+	ws := newWorkspace()
+	fm2(h, parts, fixed, cap, cap, 4, 500, ws.weightOrder(h), ws)
 	for v := 0; v < 10; v++ {
 		if parts[v] != want[v] {
 			t.Fatalf("FM moved fixed vertex %d", v)
@@ -376,7 +378,8 @@ func TestGHGReachesTarget(t *testing.T) {
 	for v := range fixed {
 		fixed[v] = hypergraph.Free
 	}
-	parts := ghg2(h, rng, fixed, 50, 55, 55, 500, newWorkspace())
+	ws := newWorkspace()
+	parts := ghg2(h, rng, fixed, 50, 55, 55, 500, ws.weightOrder(h), ws)
 	var w0 int64
 	for v, p := range parts {
 		if p == 0 {
@@ -397,7 +400,8 @@ func TestGHGFixedSeedsAndExclusions(t *testing.T) {
 	}
 	fixed[0] = 0  // must end on side 0
 	fixed[63] = 1 // must never be absorbed
-	parts := ghg2(h, rng, fixed, 32, 36, 36, 500, newWorkspace())
+	ws := newWorkspace()
+	parts := ghg2(h, rng, fixed, 32, 36, 36, 500, ws.weightOrder(h), ws)
 	if parts[0] != 0 {
 		t.Fatal("side-0 fixed vertex not on side 0")
 	}
@@ -486,7 +490,7 @@ func TestKwayFMPolish(t *testing.T) {
 	}
 	before := partition.CutSize(h, partition.Partition{Parts: append([]int32(nil), parts...), K: k})
 	caps := capsFor(h, k, 0.4)
-	refineKwayFM(h, k, parts, caps, 4, newWorkspace(), newParctx(1))
+	refineKwayFM(h, k, parts, caps, 4, 500, newWorkspace(), newParctx(1))
 	after := partition.CutSize(h, partition.Partition{Parts: parts, K: k})
 	if after > before {
 		t.Fatalf("k-way FM worsened cut %d -> %d", before, after)
@@ -520,7 +524,7 @@ func TestKwayFMRespectsFixed(t *testing.T) {
 		}
 	}
 	caps := capsFor(hf, 3, 0.5)
-	refineKwayFM(hf, 3, parts, caps, 3, newWorkspace(), newParctx(1))
+	refineKwayFM(hf, 3, parts, caps, 3, 500, newWorkspace(), newParctx(1))
 	for v := 0; v < 20; v++ {
 		if parts[v] != fixed[v] {
 			t.Fatalf("FM moved fixed vertex %d", v)

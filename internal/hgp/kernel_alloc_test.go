@@ -55,4 +55,25 @@ func TestKernelAllocGuards(t *testing.T) {
 	}); n > 8 {
 		t.Errorf("refineKway round: %.0f allocs/op, want <= 8", n)
 	}
+
+	// The coarse solve's kernels, each with its level's weight order, on
+	// the coarsest level of the first bisection. These limits are exact:
+	// ghg2 allocates only the partition it returns, fm2 nothing.
+	coarsest, crng := firstBisectionCoarsest(t, "xyce680s", kernelBenchScale, 1)
+	cfixed := fixedLabels(coarsest)
+	t0, c0, c1 := bisectCaps(coarsest, 0.5, 0.05)
+	srng := rand.New(rand.NewSource(crng.Int63()))
+	start := ghg2(coarsest, srng, cfixed, t0, c0, c1, 500, ws.weightOrder(coarsest), ws)
+	if n := testing.AllocsPerRun(10, func() {
+		ghg2(coarsest, srng, cfixed, t0, c0, c1, 500, ws.weightOrder(coarsest), ws)
+	}); n > 1 {
+		t.Errorf("ghg2: %.0f allocs/op, want <= 1", n)
+	}
+	cparts := make([]int32, len(start))
+	if n := testing.AllocsPerRun(10, func() {
+		copy(cparts, start)
+		fm2(coarsest, cparts, cfixed, c0, c1, 4, 500, ws.weightOrder(coarsest), ws)
+	}); n > 0 {
+		t.Errorf("fm2: %.0f allocs/op, want 0", n)
+	}
 }

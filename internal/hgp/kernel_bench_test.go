@@ -69,12 +69,57 @@ func BenchmarkFM2Pass(b *testing.B) {
 	caps := capsFor(h, 2, 0.10)
 	parts := make([]int32, n)
 	ws := newWorkspace()
+	ord := ws.weightOrder(h)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(parts, base)
-		fm2(h, parts, fixed, caps[0], caps[1], 1, 500, ws)
+		fm2(h, parts, fixed, caps[0], caps[1], 1, 500, ord, ws)
 	}
+}
+
+// BenchmarkCoarseSolve measures bisect's coarse solve on the coarsest
+// level of xyce680s's first bisection at ε = 0.05: the level's weight
+// order, then every start's ghg2 and fm2, serially. Coarse vertices are
+// heavy and uneven, so balance blocks many of the best-gain moves — the
+// case BenchmarkFM2Pass, on unit weights with loose caps, never reaches.
+func BenchmarkCoarseSolve(b *testing.B) {
+	coarsest, rng := firstBisectionCoarsest(b, "xyce680s", kernelBenchScale, 1)
+	fixed := fixedLabels(coarsest)
+	t0, c0, c1 := bisectCaps(coarsest, 0.5, 0.05)
+	opt := Options{}.withDefaults()
+	baseSeed := rng.Int63()
+	ws := newWorkspace()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ord := ws.weightOrder(coarsest)
+		for s := 0; s < opt.InitialStarts; s++ {
+			srng := rand.New(rand.NewSource(startSeed(baseSeed, s)))
+			parts := ghg2(coarsest, srng, fixed, t0, c0, c1, opt.MaxNetSize, ord, ws)
+			fm2(coarsest, parts, fixed, c0, c1, opt.RefinePasses, opt.MaxNetSize, ord, ws)
+		}
+	}
+}
+
+// firstBisectionCoarsest returns the coarsest level of the first bisection
+// Partition runs on the named dataset analogue at default options, and the
+// RNG stream positioned where bisect draws the coarse solve's base seed.
+func firstBisectionCoarsest(tb testing.TB, ds string, n int, seed int64) (*hypergraph.Hypergraph, *rand.Rand) {
+	tb.Helper()
+	g, err := datasets.Generate(ds, n, seed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	h := graph.ToHypergraph(g)
+	opt := Options{K: 2, Seed: seed}.withDefaults()
+	rng := rand.New(rand.NewSource(opt.Seed))
+	free := make([]int32, h.NumVertices())
+	for v := range free {
+		free[v] = hypergraph.Free
+	}
+	levels := coarsen(h.WithFixed(free), rng, opt.CoarsenTo, opt.MinShrink, opt.MaxNetSize, true, newWorkspace(), newParctx(1))
+	return levels[len(levels)-1].h, rng
 }
 
 // benchParallelisms are the worker-pool sizes the parallel kernel

@@ -38,7 +38,7 @@ type Options struct {
 	// DirectKway selects the direct k-way driver instead of recursive
 	// bisection. Recursive bisection is the default (as in Zoltan).
 	DirectKway bool
-	// KwayFM selects the bucket/heap boundary FM for the k-way polish
+	// KwayFM selects the gain-ordered boundary FM for the k-way polish
 	// passes instead of the greedy sweep (slower, sometimes better; the
 	// A5 ablation).
 	KwayFM bool

@@ -59,7 +59,7 @@ func vCycle(h *hypergraph.Hypergraph, parts []int32, k int, rng *rand.Rand, opt 
 		partsAt[i] = cur
 		view := levelViewWithOriginalFixed(h, levels[i].h, levels, i)
 		if opt.KwayFM {
-			refineKwayFM(view, k, cur, caps, opt.RefinePasses, ws, px)
+			refineKwayFM(view, k, cur, caps, opt.RefinePasses, opt.MaxNetSize, ws, px)
 		} else {
 			refineKway(view, k, cur, caps, opt.RefinePasses, ws, px)
 		}

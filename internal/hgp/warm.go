@@ -139,7 +139,7 @@ func PartitionWarm(h *hypergraph.Hypergraph, opt Options, spec WarmSpec) (partit
 		}
 		hr := h.WithFixed(restricted)
 		if opt.KwayFM {
-			refineKwayFM(hr, opt.K, p.Parts, caps, opt.RefinePasses, ws, px)
+			refineKwayFM(hr, opt.K, p.Parts, caps, opt.RefinePasses, opt.MaxNetSize, ws, px)
 		} else {
 			refineKway(hr, opt.K, p.Parts, caps, opt.RefinePasses, ws, px)
 		}
@@ -200,7 +200,7 @@ func warmPolish(h *hypergraph.Hypergraph, opt Options, parts []int32, caps []int
 		hv = h.WithoutFixed()
 	}
 	if opt.KwayFM {
-		return refineKwayFM(hv, opt.K, parts, caps, opt.RefinePasses, ws, px)
+		return refineKwayFM(hv, opt.K, parts, caps, opt.RefinePasses, opt.MaxNetSize, ws, px)
 	}
 	return refineKway(hv, opt.K, parts, caps, opt.RefinePasses, ws, px)
 }

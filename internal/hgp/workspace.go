@@ -29,11 +29,11 @@ type workspace struct {
 	// 2-way state (ghg2 / fm2)
 	pins0  []int32
 	locked []bool
-	dead   []bool
-	inHeap []bool
 	moved  []int32
-	stash  []gainEntry
-	heap   gainHeap
+	order  leafOrder // the level's gain-tree leaves (weightOrder)
+
+	// FM move selection (ghg2 / fm2 / refineKwayFM)
+	tree gainTree
 
 	// k-way state (refineKway / refineKwayFM)
 	kstate  KwayState
