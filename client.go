@@ -37,9 +37,7 @@ import (
 // Client-side metrics, reported through the same obs registry as the rest
 // of the pipeline.
 var (
-	obsClientRequests = obs.Default().CounterVec("client_requests_total", "op")
-	obsClientRetries  = obs.Default().Counter("client_retries_total")
-	obsClientErrors   = obs.Default().Counter("client_errors_total")
+	obsClientRetries = obs.Default().Counter("client_retries_total")
 	// 307 + X-Hyperbal-Owner answers followed to a session's new replica
 	// (the serving tier handed the session off during a drain).
 	obsClientOwnerHops = obs.Default().Counter("client_owner_redirects_total")
@@ -191,7 +189,6 @@ func backoffDelay(attempt int, base, max time.Duration, u float64) time.Duration
 // the new owner; a transport error at an owner falls back to the primary
 // base URL.
 func (c *Client) do(ctx context.Context, op, method, path string, body []byte, out any, owner *string) error {
-	obsClientRequests.With(op).Inc()
 	if body != nil {
 		obsClientBytesSent.With(op).Add(int64(len(body)))
 	}
@@ -207,7 +204,6 @@ func (c *Client) do(ctx context.Context, op, method, path string, body []byte, o
 				// No redirect override to update (a create has no session to
 				// chase): out was never decoded, so falling through to success
 				// would hand the caller a zero-valued response.
-				obsClientErrors.Inc()
 				return &APIError{Status: status, Code: "moved",
 					Msg: "unexpected owner redirect to " + moved}
 			}
@@ -215,7 +211,6 @@ func (c *Client) do(ctx context.Context, op, method, path string, body []byte, o
 			// without consuming a retry or backing off.
 			hops++
 			if hops > 4 {
-				obsClientErrors.Inc()
 				return &APIError{Status: status, Code: "moved", Msg: "redirect loop chasing session owner"}
 			}
 			obsClientOwnerHops.Inc()
@@ -226,7 +221,6 @@ func (c *Client) do(ctx context.Context, op, method, path string, body []byte, o
 			return nil
 		}
 		if nr, ok := err.(errNonRetryable); ok {
-			obsClientErrors.Inc()
 			return nr.err
 		}
 		// Transport error or retryable API status.
@@ -237,13 +231,11 @@ func (c *Client) do(ctx context.Context, op, method, path string, body []byte, o
 			*owner = ""
 		}
 		if attempt >= c.opt.MaxRetries {
-			obsClientErrors.Inc()
 			return err
 		}
 		obsClientRetries.Inc()
 		select {
 		case <-ctx.Done():
-			obsClientErrors.Inc()
 			return ctx.Err()
 		case <-time.After(backoffDelay(attempt, c.opt.Backoff, c.opt.MaxBackoff, rand.Float64())):
 		}

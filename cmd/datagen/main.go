@@ -17,7 +17,6 @@ import (
 	"hyperbal/internal/datasets"
 	"hyperbal/internal/graph"
 	"hyperbal/internal/hypergraph"
-	"hyperbal/internal/obs"
 )
 
 func main() {
@@ -27,15 +26,8 @@ func main() {
 		n       = flag.Int("n", 0, "vertex count (0 = default scale)")
 		seed    = flag.Int64("seed", 1, "random seed")
 		out     = flag.String("o", "", "output hypergraph file (default stdout)")
-
-		metricsJSON = flag.String("metrics-json", "", `write a JSON metrics snapshot to this file on exit ("-" = stdout)`)
 	)
 	flag.Parse()
-	defer func() {
-		if *metricsJSON != "" {
-			check(obs.DumpJSONFile(*metricsJSON, obs.Default()))
-		}
-	}()
 
 	if *list {
 		fmt.Printf("%-10s %-20s %10s %8s | fingerprint of default analogue\n", "name", "area", "paper |V|", "avg deg")

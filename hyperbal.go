@@ -384,14 +384,11 @@ func MatrixToHypergraph(m *MTXMatrix) (*Hypergraph, error) { return mtx.ToHyperg
 // matrix.
 func MatrixToGraph(m *MTXMatrix) (*Graph, error) { return mtx.ToGraph(m) }
 
-// ---- Distributed hypergraphs (Zoltan-style data layouts) ----
+// ---- Distributed hypergraphs (Zoltan-style data layout) ----
 
 // DistHypergraph is a 1D-distributed hypergraph share (block vertices,
 // owner-held nets).
 type DistHypergraph = dhg.DH
-
-// DistHypergraph2D is a 2D processor-grid share (Zoltan's §4.1 layout).
-type DistHypergraph2D = dhg.DH2D
 
 // DistStats are globally reduced hypergraph statistics.
 type DistStats = dhg.GlobalStats
@@ -400,12 +397,6 @@ type DistStats = dhg.GlobalStats
 // communicator in the 1D layout.
 func DistributeHypergraph(c *Comm, root int, h *Hypergraph) (*DistHypergraph, error) {
 	return dhg.Distribute(c, root, h)
-}
-
-// DistributeHypergraph2D scatters a root-held hypergraph over a px × py
-// processor grid.
-func DistributeHypergraph2D(c *Comm, root int, h *Hypergraph, px, py int) (*DistHypergraph2D, error) {
-	return dhg.Distribute2D(c, root, h, px, py)
 }
 
 // PartitionHypergraphVCycles is PartitionHypergraph followed by the given

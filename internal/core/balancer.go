@@ -186,7 +186,6 @@ func (b *Balancer) Partition(p Problem) (Result, error) {
 		CommVolume: partition.CutSize(p.H, newP),
 		RepartTime: time.Since(start),
 	}
-	obsPartitions.Inc()
 	obsCommVolume.With(b.cfg.Method.String()).Add(res.CommVolume)
 	return res, nil
 }
@@ -236,7 +235,6 @@ func (b *Balancer) Repartition(p Problem, old partition.Partition, epoch int64) 
 		RepartTime:      time.Since(start),
 	}
 	method := b.cfg.Method.String()
-	obsRepartitions.With(method).Inc()
 	obsRepartNs.With(method).Observe(int64(res.RepartTime))
 	obsCommVolume.With(method).Add(res.CommVolume)
 	obsMigVolume.With(method).Add(res.MigrationVolume)
@@ -253,11 +251,7 @@ func (b *Balancer) Repartition(p Problem, old partition.Partition, epoch int64) 
 // path ran. Warm results are deterministic at every Config.Parallelism.
 func (b *Balancer) RepartitionWarm(p Problem, old partition.Partition, epoch int64, dirty []bool) (Result, error) {
 	if b.cfg.Method != HypergraphRepart {
-		res, err := b.Repartition(p, old, epoch)
-		if err == nil {
-			obsWarmReparts.With("cold").Inc()
-		}
-		return res, err
+		return b.Repartition(p, old, epoch)
 	}
 	start := time.Now()
 	r, err := BuildRepartition(p.H, old, b.cfg.K, b.cfg.Alpha)
@@ -294,8 +288,6 @@ func (b *Balancer) RepartitionWarm(p Problem, old partition.Partition, epoch int
 		Warm:            true,
 	}
 	method := b.cfg.Method.String()
-	obsWarmReparts.With("warm").Inc()
-	obsRepartitions.With(method).Inc()
 	obsRepartNs.With(method).Observe(int64(res.RepartTime))
 	obsCommVolume.With(method).Add(res.CommVolume)
 	obsMigVolume.With(method).Add(res.MigrationVolume)

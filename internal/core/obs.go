@@ -7,17 +7,7 @@ import "hyperbal/internal/obs"
 // Figures 7-8 present it: repartition wall time per method, and the comm /
 // migration volumes that form the normalized-cost bars.
 var (
-	obsPartitions    = obs.Default().Counter("core_partitions_total")
-	obsRepartitions  = obs.Default().CounterVec("core_repartitions_total", "method")
-	obsRepartNs      = obs.Default().HistogramVec("core_repart_ns", "method", obs.DurationBounds)
-	obsCommVolume    = obs.Default().CounterVec("core_comm_volume_total", "method")
-	obsMigVolume     = obs.Default().CounterVec("core_migration_volume_total", "method")
-	obsSessionEpochs = obs.Default().Counter("core_session_epochs_total")
-	obsRebalanceYes  = obs.Default().Counter("core_rebalance_decisions_true_total")
-	obsRebalanceNo   = obs.Default().Counter("core_rebalance_decisions_false_total")
-	obsSessionCost   = obs.Default().Counter("core_session_cost_total")
-
-	// Warm-started repartitions, split by whether the method could honor
-	// the warm request ("warm") or silently fell back to cold ("cold").
-	obsWarmReparts = obs.Default().CounterVec("core_warm_repartitions_total", "path")
+	obsRepartNs   = obs.Default().HistogramVec("core_repart_ns", "method", obs.DurationBounds)
+	obsCommVolume = obs.Default().CounterVec("core_comm_volume_total", "method")
+	obsMigVolume  = obs.Default().CounterVec("core_migration_volume_total", "method")
 )

@@ -122,17 +122,10 @@ func (s *Session) ShouldRebalance(p Problem) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if p.H.NumVertices() != len(s.cur.Parts) {
-		obsRebalanceYes.Inc()
 		return true, nil // structure changed: rebalance unconditionally
 	}
 	w := partition.Weights(p.H, s.cur)
-	should := partition.Imbalance(w) > s.Threshold
-	if should {
-		obsRebalanceYes.Inc()
-	} else {
-		obsRebalanceNo.Inc()
-	}
-	return should, nil
+	return partition.Imbalance(w) > s.Threshold, nil
 }
 
 // Rebalance repartitions the problem against the session's current
@@ -197,10 +190,7 @@ func (s *Session) Adopt(res Result) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.epoch++
-	s.cur = res.Partition.Clone()
-	s.History = append(s.History, res)
-	obsSessionEpochs.Inc()
-	obsSessionCost.Add(res.TotalCost(s.bal.Config().Alpha))
+	s.install(res)
 }
 
 // rebalance runs with s.mu held.
@@ -232,8 +222,6 @@ func (s *Session) rebalanceWarm(p Problem, old partition.Partition, dirty []bool
 func (s *Session) install(res Result) {
 	s.cur = res.Partition.Clone()
 	s.History = append(s.History, res)
-	obsSessionEpochs.Inc()
-	obsSessionCost.Add(res.TotalCost(s.bal.Config().Alpha))
 }
 
 // TotalCost sums α·comm + mig over the session's history (the objective

@@ -73,7 +73,6 @@ func Generate(name string, n int, seed int64) (*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	obsGenerated.With(info.Name).Inc()
 	if n <= 0 {
 		n = info.DefaultV
 	}

@@ -220,7 +220,6 @@ func Run(cfg Config) (*Report, error) {
 	}
 	for _, t := range tasks {
 		if t.err != nil {
-			obsCellErrs.Inc()
 			return nil, fmt.Errorf("harness: %s procs=%d alpha=%d %v: %w",
 				cfg.Dataset, t.procs, t.alpha, t.method, t.err)
 		}
@@ -275,7 +274,6 @@ func runSequence(cfg Config, g *graph.Graph, procs int, alpha int64, m core.Meth
 	if err != nil {
 		return err
 	}
-	obsCells.Inc()
 	method := m.String()
 	// Warm mode expresses each transition as a delta against the previous
 	// epoch's hypergraph; prevIDs tracks stable vertex ids for the
@@ -323,10 +321,7 @@ func runSequence(cfg Config, g *graph.Graph, procs int, alpha int64, m core.Meth
 		cell.Imbalance += partition.Imbalance(w)
 		cell.RepartTime += res.RepartTime
 		cell.Epochs++
-		obsEpochs.With(method).Inc()
 		obsRepartNs.With(method).Observe(int64(res.RepartTime))
-		obsCommVol.With(method).Add(res.CommVolume)
-		obsMigVol.With(method).Add(res.MigrationVolume)
 	}
 	return nil
 }

@@ -25,7 +25,6 @@ import (
 // from the two substrates are directly comparable, and by parallelism
 // invariance the cuts (and the partitions behind them) must be identical.
 func ParallelRuntimeNet(ctx context.Context, workers []string, dataset string, scaleV int, alpha, seed int64, opt mpinet.Options) ([]ParallelCell, error) {
-	obsParallel.Inc()
 	ranks := len(workers)
 	g, err := datasets.Generate(dataset, scaleV, seed)
 	if err != nil {

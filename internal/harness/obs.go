@@ -2,17 +2,7 @@ package harness
 
 import "hyperbal/internal/obs"
 
-// Registry handles for the figure harness: one cell is a (procs, alpha,
-// method) bar; per-epoch repartition time and volumes are recorded under
-// the method label so a sweep's metrics dump breaks down exactly like the
-// figure bars it produces.
-var (
-	obsCells  = obs.Default().Counter("harness_cells_total")
-	obsEpochs = obs.Default().CounterVec("harness_epochs_total", "method")
-
-	obsRepartNs = obs.Default().HistogramVec("harness_repart_ns", "method", obs.DurationBounds)
-	obsCommVol  = obs.Default().CounterVec("harness_comm_volume_total", "method")
-	obsMigVol   = obs.Default().CounterVec("harness_migration_volume_total", "method")
-	obsCellErrs = obs.Default().Counter("harness_cell_errors_total")
-	obsParallel = obs.Default().Counter("harness_parallel_runs_total")
-)
+// obsRepartNs records per-epoch repartition time under the method label,
+// so a sweep's metrics dump breaks down exactly like the figure bars it
+// produces.
+var obsRepartNs = obs.Default().HistogramVec("harness_repart_ns", "method", obs.DurationBounds)

@@ -45,7 +45,6 @@ func ParallelRuntime(dataset string, scaleV int, rankCounts []int, alpha int64, 
 // the whole Figure 7-8 pipeline can run under fault injection (chaos
 // benchmarking) or with tracing hooks attached.
 func ParallelRuntimeWith(opt mpi.Options, dataset string, scaleV int, rankCounts []int, alpha int64, seed int64) ([]ParallelCell, error) {
-	obsParallel.Inc()
 	g, err := datasets.Generate(dataset, scaleV, seed)
 	if err != nil {
 		return nil, err

@@ -28,8 +28,6 @@ func coarsen(h *hypergraph.Hypergraph, rng *rand.Rand, coarsenTo int, minShrink 
 		shrink := 1 - float64(coarse.NumVertices())/float64(cur.NumVertices())
 		lvl := len(levels) - 1
 		obsCoarsenNs.At(lvl).ObserveSince(start)
-		obsLevelVertices.At(lvl).Observe(int64(coarse.NumVertices()))
-		obsLevelNets.At(lvl).Observe(int64(coarse.NumNets()))
 		obsLevelShrink.At(lvl).Observe(int64(shrink * 1000))
 		if shrink < minShrink {
 			break // unsuccessful coarsening; stop early

@@ -32,7 +32,6 @@ func Partition(h *hypergraph.Hypergraph, opt Options) (partition.Partition, erro
 	ws := px.getWS()
 	defer px.putWS(ws)
 
-	obsPartitions.Inc()
 	if opt.DirectKway {
 		directKway(h, rng, opt, p.Parts, px, ws)
 	} else {

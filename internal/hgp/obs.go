@@ -9,14 +9,11 @@ import "hyperbal/internal/obs"
 // free (the measured overhead budget for the whole layer is <2% of a
 // Figure-7 repartition).
 var (
-	obsPartitions = obs.Default().Counter("hgp_partitions_total")
-	obsLevels     = obs.Default().Counter("hgp_coarsen_levels_total")
+	obsLevels = obs.Default().Counter("hgp_coarsen_levels_total")
 
-	// Per-level V-cycle shape: vertex/net counts of the produced coarse
-	// hypergraph and the shrink fraction of the level, in permille.
-	obsLevelVertices = obs.Default().HistogramVec("hgp_level_vertices", "level", obs.SizeBounds)
-	obsLevelNets     = obs.Default().HistogramVec("hgp_level_nets", "level", obs.SizeBounds)
-	obsLevelShrink   = obs.Default().HistogramVec("hgp_level_shrink_permille", "level", obs.LinBounds(50, 50, 20))
+	// Per-level V-cycle shape: the shrink fraction of the level, in
+	// permille.
+	obsLevelShrink = obs.Default().HistogramVec("hgp_level_shrink_permille", "level", obs.LinBounds(50, 50, 20))
 
 	// Stage timers (nanoseconds): coarsening per level, the multi-start
 	// coarse solve, refinement per level, and the final k-way polish.
@@ -45,11 +42,9 @@ var (
 	obsKernelWorkerItems = obs.Default().Counter("hgp_kernel_worker_items_total")
 	obsKernelEfficiency  = obs.Default().Gauge("hgp_kernel_parallel_efficiency_permille")
 
-	// Warm-start path: calls by mode (localized / vcycle / trivial), the
-	// dirty fraction of each call in permille, and the wall time of the
-	// whole warm partition (the cold analogue is the sum of the stage
-	// timers above).
-	obsWarmPartitions    = obs.Default().CounterVec("hgp_warm_partitions_total", "mode")
-	obsWarmDirtyPermille = obs.Default().Histogram("hgp_warm_dirty_permille", obs.LinBounds(50, 50, 20))
-	obsWarmNs            = obs.Default().Histogram("hgp_warm_partition_ns", obs.DurationBounds)
+	// Warm-start path: calls by mode (localized / vcycle / trivial) and
+	// the wall time of the whole warm partition (the cold analogue is the
+	// sum of the stage timers above).
+	obsWarmPartitions = obs.Default().CounterVec("hgp_warm_partitions_total", "mode")
+	obsWarmNs         = obs.Default().Histogram("hgp_warm_partition_ns", obs.DurationBounds)
 )

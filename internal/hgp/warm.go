@@ -106,7 +106,6 @@ func PartitionWarm(h *hypergraph.Hypergraph, opt Options, spec WarmSpec) (partit
 		}
 		dirtyFrac = float64(d) / float64(n)
 	}
-	obsWarmDirtyPermille.Observe(int64(dirtyFrac * 1000))
 
 	px := newParctx(opt.Parallelism)
 	ws := px.getWS()

@@ -176,17 +176,12 @@ func RunWith(n int, opt Options, fn func(c *Comm) error) (*Stats, error) {
 	wg.Wait()
 	close(w.stopc)
 	var first error
-	var crashes int64
 	for _, err := range errs {
-		var ce *CrashError
-		if errors.As(err, &ce) {
-			crashes++
-		}
 		if err != nil && first == nil && !errors.Is(err, errAborted) {
 			first = err
 		}
 	}
-	bridgeStats(w.stats, w.deadlock.Load() != nil, crashes)
+	bridgeStats(w.stats)
 	if dl := w.deadlock.Load(); dl != nil {
 		if first == nil {
 			return w.stats, dl

@@ -241,6 +241,31 @@ func TestSplit(t *testing.T) {
 		if sum != want {
 			return fmt.Errorf("sub sum = %d, want %d", sum, want)
 		}
+
+		// A key order that is not rank order: keys descend with world
+		// rank, so the highest world rank of each color is sub rank 0.
+		rev := c.Split(color, c.Size()-c.Rank())
+		if wantRank := 3 - c.Rank()/2; rev.Rank() != wantRank {
+			return fmt.Errorf("reversed sub rank %d, want %d", rev.Rank(), wantRank)
+		}
+		order := Allgather(rev, c.Rank())
+		for i, r := range order {
+			if want := 6 + color - 2*i; r != want {
+				return fmt.Errorf("reversed sub order %v: position %d holds %d, want %d", order, i, r, want)
+			}
+		}
+		// A custom operator over a multi-word slice: OR the per-rank bits.
+		masks := []uint64{1 << c.Rank(), 1 << (63 - c.Rank())}
+		or := func(a, b uint64) uint64 { return a | b }
+		got := AllreduceSlice(rev, masks, or)
+		wantLo, wantHi := uint64(0), uint64(0)
+		for r := color; r < c.Size(); r += 2 {
+			wantLo |= 1 << r
+			wantHi |= 1 << (63 - r)
+		}
+		if len(got) != 2 || got[0] != wantLo || got[1] != wantHi {
+			return fmt.Errorf("sub OR = %#x, want [%#x %#x]", got, wantLo, wantHi)
+		}
 		return nil
 	})
 }

@@ -8,29 +8,16 @@ import "hyperbal/internal/obs"
 // accounting); only the per-collective-op counters increment inside
 // collectives, at nesting depth 1, through pre-registered handles.
 var (
-	obsWorlds      = obs.Default().Counter("mpi_worlds_total")
 	obsMessages    = obs.Default().Counter("mpi_messages_total")
 	obsBytes       = obs.Default().Counter("mpi_bytes_total")
 	obsCollectives = obs.Default().Counter("mpi_collectives_total")
-	obsMaxStall    = obs.Default().Gauge("mpi_max_stall_ns")
-	obsBlockedSend = obs.Default().Counter("mpi_blocked_sends_total")
-
-	obsDeadlocks = obs.Default().Counter("mpi_deadlocks_total")
-	obsCrashes   = obs.Default().Counter("mpi_crashes_total")
 
 	obsCollectiveOps = obs.Default().CounterVec("mpi_collective_ops_total", "op")
 )
 
 // bridgeStats folds one finished world's traffic into the registry.
-func bridgeStats(s *Stats, deadlocked bool, crashes int64) {
-	obsWorlds.Inc()
+func bridgeStats(s *Stats) {
 	obsMessages.Add(s.Messages.Load())
 	obsBytes.Add(s.Bytes.Load())
 	obsCollectives.Add(s.Collectives.Load())
-	obsMaxStall.SetMax(s.MaxStall.Load())
-	obsBlockedSend.Add(s.BlockedSends.Load())
-	if deadlocked {
-		obsDeadlocks.Inc()
-	}
-	obsCrashes.Add(crashes)
 }

@@ -110,7 +110,7 @@ func RunTransportRank(tr Transport, rank, size int, opt Options, fn func(c *Comm
 		c.tr = tr
 		err = fn(c)
 	}()
-	bridgeStats(w.stats, false, 0)
+	bridgeStats(w.stats)
 	return w.stats, err
 }
 

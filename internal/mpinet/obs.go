@@ -3,10 +3,8 @@ package mpinet
 import "hyperbal/internal/obs"
 
 var (
-	obsFrames  = obs.Default().CounterVec("mpinet_frames_total", "dir")
-	obsBytes   = obs.Default().CounterVec("mpinet_bytes_total", "dir")
-	obsRedials = obs.Default().Counter("mpinet_redials_total")
-	obsRTT     = obs.Default().Histogram("mpinet_rtt_ns", obs.DurationBounds)
+	obsFrames = obs.Default().CounterVec("mpinet_frames_total", "dir")
+	obsBytes  = obs.Default().CounterVec("mpinet_bytes_total", "dir")
 
 	obsFramesTx = obsFrames.With("tx")
 	obsFramesRx = obsFrames.With("rx")

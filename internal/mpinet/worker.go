@@ -326,7 +326,6 @@ func dialPeer(t *netTransport, peerRank int, addr string) error {
 			if time.Now().After(deadline) {
 				return fmt.Errorf("mpinet: dial rank %d at %s: %v", peerRank, addr, lastErr)
 			}
-			obsRedials.Inc()
 			time.Sleep(backoff)
 			if backoff < 500*time.Millisecond {
 				backoff *= 2
@@ -340,7 +339,6 @@ func dialPeer(t *netTransport, peerRank int, addr string) error {
 		if tc, ok := conn.(*net.TCPConn); ok {
 			tc.SetNoDelay(true)
 		}
-		start := time.Now()
 		hello := appendControl(nil, frameHello, helloBody{WorldID: t.worldID, Rank: t.rank})
 		if _, err := conn.Write(hello); err != nil {
 			conn.Close()
@@ -360,7 +358,6 @@ func dialPeer(t *netTransport, peerRank int, addr string) error {
 			lastErr = err
 			continue
 		}
-		obsRTT.Observe(time.Since(start).Nanoseconds())
 		return t.attach(peerRank, conn, br)
 	}
 }

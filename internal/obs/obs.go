@@ -57,16 +57,6 @@ type Gauge struct {
 // Set stores n.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// SetMax raises the gauge to n if n is larger (a high-water mark).
-func (g *Gauge) SetMax(n int64) {
-	for {
-		cur := g.v.Load()
-		if n <= cur || g.v.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
-
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
 
@@ -126,10 +116,6 @@ func LinBounds(start, step int64, n int) []int64 {
 // DurationBounds covers 1µs .. ~8.6s in doubling nanosecond buckets, the
 // default for *_ns stage timers.
 var DurationBounds = ExpBounds(1000, 2, 24)
-
-// SizeBounds covers 1 .. ~10^9 in ×4 buckets, the default for counts of
-// things (vertices, nets, moves).
-var SizeBounds = ExpBounds(1, 4, 16)
 
 // metricKind discriminates registry entries.
 type metricKind int

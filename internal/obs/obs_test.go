@@ -25,13 +25,8 @@ func TestCounterGaugeHistogram(t *testing.T) {
 
 	g := r.Gauge("test_depth")
 	g.Set(7)
-	g.SetMax(3)
 	if got := g.Load(); got != 7 {
-		t.Fatalf("gauge after SetMax(3) = %d, want 7", got)
-	}
-	g.SetMax(9)
-	if got := g.Load(); got != 9 {
-		t.Fatalf("gauge after SetMax(9) = %d, want 9", got)
+		t.Fatalf("gauge after Set(7) = %d, want 7", got)
 	}
 
 	h := r.Histogram("test_latency_ns", []int64{10, 100, 1000})

@@ -4,25 +4,17 @@ import "hyperbal/internal/obs"
 
 // Registry handles for the parallel graph partitioner, mirroring the phg_*
 // family so the Figure 7/8 pipelines can be compared metric-for-metric.
-// Counters incremented inside loops every rank replicates (round counts,
-// applied/rejected moves) are counted on rank 0 only; per-rank work
-// (candidates, proposals, bids) is summed across ranks. The coarse-solve
-// timer records zero observations on the adaptive path, which inherits the
-// coarse partition instead of solving (count stays 0 by design).
+// HEM rounds, which every rank replicates, are counted on rank 0 only;
+// per-rank work (candidates, proposals) is summed across ranks. The
+// coarse-solve timer records zero observations on the adaptive path, which
+// inherits the coarse partition instead of solving (count stays 0 by
+// design).
 var (
-	obsPartitions = obs.Default().Counter("pgp_partitions_total")
-	obsAdaptive   = obs.Default().Counter("pgp_adaptive_reparts_total")
-
 	obsCoarsenNs     = obs.Default().HistogramVec("pgp_coarsen_ns", "level", obs.DurationBounds)
 	obsCoarseSolveNs = obs.Default().Histogram("pgp_coarse_solve_ns", obs.DurationBounds)
 	obsRefineNs      = obs.Default().HistogramVec("pgp_refine_ns", "level", obs.DurationBounds)
 
 	obsHEMRounds  = obs.Default().Counter("pgp_hem_rounds_total")
 	obsCandidates = obs.Default().Counter("pgp_candidates_total")
-	obsBids       = obs.Default().Counter("pgp_bids_total")
-
-	obsRefineRounds  = obs.Default().Counter("pgp_refine_rounds_total")
-	obsProposals     = obs.Default().Counter("pgp_refine_proposals_total")
-	obsMovesApplied  = obs.Default().Counter("pgp_refine_applied_total")
-	obsMovesRejected = obs.Default().Counter("pgp_refine_rejected_total")
+	obsProposals  = obs.Default().Counter("pgp_refine_proposals_total")
 )

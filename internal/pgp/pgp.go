@@ -97,13 +97,6 @@ func run(c *mpi.Comm, g *graph.Graph, oldPart []int32, itr int64, opt Options) (
 		cmap    []int32
 		oldPart []int32
 	}
-	if c.Rank() == 0 {
-		if oldPart != nil {
-			obsAdaptive.Inc()
-		} else {
-			obsPartitions.Inc()
-		}
-	}
 	levels := []level{{g: g, oldPart: oldPart}}
 	cur, curOld := g, oldPart
 	for cur.NumVertices() > coarsenTo {

@@ -77,14 +77,9 @@ func parallelHEM(c *mpi.Comm, g *graph.Graph, samePart []int32, rng *rand.Rand, 
 			obsHEMRounds.Inc()
 		}
 		bids := make([]matchBid, len(cands))
-		feasible := 0
 		for i, cand := range cands {
 			bids[i] = bestLocalBid(g, match, samePart, int(cand), lo, hi)
-			if bids[i].Match >= 0 {
-				feasible++
-			}
 		}
-		obsBids.Add(int64(feasible))
 		best := mpi.AllreduceSlice(c, bids, func(a, b matchBid) matchBid {
 			if b.Score > a.Score || (b.Score == a.Score && b.Score > 0 && b.Match < a.Match) {
 				return b
@@ -242,9 +237,6 @@ func parallelRefine(c *mpi.Comm, g *graph.Graph, k int, parts []int32, oldPart [
 		if len(all) == 0 {
 			break
 		}
-		if c.Rank() == 0 {
-			obsRefineRounds.Inc()
-		}
 		applied := 0
 		for _, m := range all {
 			v := int(m.V)
@@ -260,10 +252,6 @@ func parallelRefine(c *mpi.Comm, g *graph.Graph, k int, parts []int32, oldPart [
 			w[m.To] += g.Weight(v)
 			parts[v] = m.To
 			applied++
-		}
-		if c.Rank() == 0 {
-			obsMovesApplied.Add(int64(applied))
-			obsMovesRejected.Add(int64(len(all) - applied))
 		}
 		if applied == 0 {
 			break

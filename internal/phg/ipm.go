@@ -142,9 +142,6 @@ func parallelIPM(c *mpi.Comm, h *hypergraph.Hypergraph, rng *rand.Rand, opt Opti
 			}
 			match[cand] = b.Match
 			match[b.Match] = cand
-			if c.Rank() == 0 {
-				obsGlobalMatches.Inc()
-			}
 		}
 	}
 	// Self-match leftovers.
@@ -286,7 +283,6 @@ func localIPM(c *mpi.Comm, h *hypergraph.Hypergraph, match []int32, lo, hi int, 
 			match[u] = int32(best)
 			match[best] = int32(u)
 			local = append(local, matchPair{int32(u), int32(best)})
-			obsLocalMatches.Inc()
 		}
 	}
 	// Exchange decisions; blocks are disjoint, so no conflicts.

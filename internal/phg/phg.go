@@ -143,9 +143,6 @@ func Partition(c *mpi.Comm, h *hypergraph.Hypergraph, opt Options) (partition.Pa
 		h    *hypergraph.Hypergraph
 		cmap []int32
 	}
-	if c.Rank() == 0 {
-		obsPartitions.Inc()
-	}
 	levels := []level{{h: h}}
 	cur := h
 	for cur.NumVertices() > coarsenTo {

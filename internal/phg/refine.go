@@ -57,9 +57,6 @@ func parallelRefine(c *mpi.Comm, h *hypergraph.Hypergraph, k int, parts []int32,
 		if len(all) == 0 {
 			break
 		}
-		if c.Rank() == 0 {
-			obsRefineRounds.Inc()
-		}
 
 		// 3. Apply: recompute each gain against the evolving state (earlier
 		// applied moves may have invalidated it) and keep balance.
@@ -77,11 +74,6 @@ func parallelRefine(c *mpi.Comm, h *hypergraph.Hypergraph, k int, parts []int32,
 			}
 			state.Move(v, m.To)
 			applied++
-		}
-		// Every rank runs the identical apply loop; count outcomes once.
-		if c.Rank() == 0 {
-			obsMovesApplied.Add(int64(applied))
-			obsMovesRejected.Add(int64(len(all) - applied))
 		}
 		if applied == 0 {
 			break

@@ -110,13 +110,13 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	}
 	obsGwReplicaAlive.Set(int64(len(cfg.Replicas)))
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/sessions", g.route("create", g.handleCreate))
-	mux.HandleFunc("GET /v1/sessions/{id}", g.route("info", g.proxySession))
-	mux.HandleFunc("POST /v1/sessions/{id}/epochs", g.route("epoch", g.proxySession))
-	mux.HandleFunc("PATCH /v1/sessions/{id}/epochs", g.route("delta", g.proxySession))
-	mux.HandleFunc("GET /v1/sessions/{id}/partition", g.route("partition", g.proxySession))
-	mux.HandleFunc("DELETE /v1/sessions/{id}", g.route("delete", g.proxySession))
-	mux.HandleFunc("GET /healthz", g.route("healthz", g.handleHealthz))
+	mux.HandleFunc("POST /v1/sessions", g.handleCreate)
+	mux.HandleFunc("GET /v1/sessions/{id}", g.proxySession)
+	mux.HandleFunc("POST /v1/sessions/{id}/epochs", g.proxySession)
+	mux.HandleFunc("PATCH /v1/sessions/{id}/epochs", g.proxySession)
+	mux.HandleFunc("GET /v1/sessions/{id}/partition", g.proxySession)
+	mux.HandleFunc("DELETE /v1/sessions/{id}", g.proxySession)
+	mux.HandleFunc("GET /healthz", g.handleHealthz)
 	mux.Handle("GET /metrics", obs.Handler(obs.Default()))
 	mux.HandleFunc("GET /metrics.json", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -134,15 +134,6 @@ func (g *Gateway) Handler() http.Handler { return g.mux }
 
 // Close stops the health poller.
 func (g *Gateway) Close() { g.stopOnce.Do(func() { close(g.stop) }) }
-
-func (g *Gateway) route(name string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		obsGwRequests.With(name).Inc()
-		h(w, r)
-		obsGwRequestNs.With(name).ObserveSince(start)
-	}
-}
 
 // --- replica liveness ---
 

@@ -80,8 +80,6 @@ var (
 // Gateway-side handles (the routing tier shares the registry; a process is
 // either a gateway or a replica, so the families never mix in one dump).
 var (
-	obsGwRequests  = obs.Default().CounterVec("gateway_requests_total", "route")
-	obsGwRequestNs = obs.Default().HistogramVec("gateway_request_ns", "route", obs.DurationBounds)
 	// Proxy attempts that moved past their first-choice replica: transport
 	// errors (replica marked down), 404 probes across ring candidates, and
 	// 307 owner redirects followed.

@@ -40,6 +40,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hyperbal/internal/core"
@@ -69,7 +70,9 @@ type Config struct {
 	// Fault, when non-nil with a positive MaxDelay, injects a seeded
 	// pseudorandom delay in [0, MaxDelay) into every partitioning job —
 	// the mpi.FaultPlan knob reused at the serving tier to exercise client
-	// timeout/retry paths deterministically. Other FaultPlan fields are
+	// timeout/retry paths deterministically. The delay is a function of
+	// Seed and the job's index among this Server's jobs, so other servers
+	// in the process cannot shift the schedule. Other FaultPlan fields are
 	// message-level and ignored here.
 	Fault *mpi.FaultPlan
 
@@ -135,6 +138,8 @@ type Server struct {
 	cache   *partitionCache
 	flights *flightGroup
 	mux     *http.ServeMux
+	// faultJobs numbers this server's partitioning jobs for Config.Fault.
+	faultJobs atomic.Int64
 
 	// Replica-set state (peering.go): the consistent-hash ring over the
 	// replica URLs, this replica's own URL, the HTTP client used for peer
@@ -270,15 +275,23 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func(), 
 }
 
 // faultDelay applies the configured seeded delay to one partitioning job.
-func (s *Server) faultDelay(job int64) {
+func (s *Server) faultDelay() {
+	if d, ok := s.nextFaultDelay(); ok {
+		obsFaultDelayNs.Observe(int64(d))
+		time.Sleep(d)
+	}
+}
+
+// nextFaultDelay draws the seeded delay of this server's next partitioning
+// job; ok is false when no delay is configured.
+func (s *Server) nextFaultDelay() (d time.Duration, ok bool) {
 	f := s.cfg.Fault
 	if f == nil || f.MaxDelay <= 0 {
-		return
+		return 0, false
 	}
+	job := s.faultJobs.Add(1)
 	rng := rand.New(rand.NewSource(f.Seed ^ (job * 0x5851F42D4C957F2D)))
-	d := time.Duration(rng.Int63n(int64(f.MaxDelay)))
-	obsFaultDelayNs.Observe(int64(d))
-	time.Sleep(d)
+	return time.Duration(rng.Int63n(int64(f.MaxDelay))), true
 }
 
 // Pooled wire buffers: one pool serves both request-body reads and
@@ -449,7 +462,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	eff := bal.Config()
 	key := cacheKey(eff, 0, req.Graph.FP, partition.Partition{}, "")
 	res, origin, err := s.solveShared(r.Context(), key, func() (core.Result, error) {
-		s.faultDelay(int64(obsSessionsCreated.Load() + 1))
+		s.faultDelay()
 		_, res, err := core.NewSession(bal, core.Problem{H: req.Graph.H})
 		if err == nil {
 			s.cache.put(key, res)
@@ -631,7 +644,7 @@ func (s *Server) serveEpoch(w http.ResponseWriter, r *http.Request, req submitte
 
 	key := cacheKey(entry.cfg, epoch+1, fp, inherited, warmKey)
 	res, origin, err := s.solveShared(r.Context(), key, func() (core.Result, error) {
-		s.faultDelay(int64(obsEpochs.Load() + 1))
+		s.faultDelay()
 		start := time.Now()
 		var res core.Result
 		var err error
