@@ -16,32 +16,13 @@ import (
 func Contract(h *hypergraph.Hypergraph, match []int32) (*hypergraph.Hypergraph, []int32) {
 	ws := wsPool.Get().(*workspace)
 	defer wsPool.Put(ws)
-	return contractWS(h, match, ws, newParctx(1))
-}
-
-// contractShard is the output of one parallel net-translation shard: the
-// kept (>=2 coarse pins) nets of its fine-net range, pins translated to
-// coarse ids, sorted, locally concatenated. ids keeps the fine net id of
-// each kept net so the merge can read its cost.
-type contractShard struct {
-	ids   []int32
-	start []int32
-	pins  []int32
+	return contractWS(h, match, ws)
 }
 
 // contractWS is Contract with explicit scratch space: the dedup hash table,
 // per-net pin buffer, and dedup marks live in ws, so coarsening a level
 // allocates only the coarse CSR arrays and cmap that outlive the call.
-//
-// The net translation runs in parallel: the fine-net range is split into
-// kernelShards shards (a pure function of the net count, so the structure
-// is identical at every Parallelism), each translating, deduping within
-// the net, dropping, and sorting its nets into a private buffer. Shards do
-// NOT deduplicate across nets — identical coarse nets require the global
-// table — so the serial merge walks the shards in index order (= fine-net
-// order) performing the open-addressing dedup exactly as the serial code
-// did, producing a byte-identical coarse CSR.
-func contractWS(h *hypergraph.Hypergraph, match []int32, ws *workspace, px *parctx) (*hypergraph.Hypergraph, []int32) {
+func contractWS(h *hypergraph.Hypergraph, match []int32, ws *workspace) (*hypergraph.Hypergraph, []int32) {
 	n := h.NumVertices()
 	cmap := make([]int32, n)
 	for v := range cmap {
@@ -85,18 +66,11 @@ func contractWS(h *hypergraph.Hypergraph, match []int32, ws *workspace, px *parc
 		fixed = nil
 	}
 
-	numNets := h.NumNets()
-	shards := kernelShards(numNets)
-	out := make([]contractShard, shards)
-	px.forEach(shards, ws, func(i int, wws *workspace) {
-		lo, hi := shardRange(numNets, shards, i)
-		out[i] = translateNets(h, cmap, numCoarse, lo, hi, wws)
-	})
-
-	// Serial merge with global dedup through an open-addressing table keyed
-	// by the sorted pin list. Slots hold coarse net ids (or -1 when empty);
+	// Coarse nets, deduplicated through an open-addressing table keyed by
+	// the sorted pin list. Slots hold coarse net ids (or -1 when empty);
 	// probing compares actual pin lists, so hash collisions are benign.
 	// Nets are appended in fine-net order, keeping output deterministic.
+	numNets := h.NumNets()
 	tabSize := 1
 	for tabSize < 2*numNets {
 		tabSize *= 2
@@ -108,76 +82,50 @@ func contractWS(h *hypergraph.Hypergraph, match []int32, ws *workspace, px *parc
 	}
 	mask := uint64(tabSize - 1)
 
+	ws.cmark = growBool(ws.cmark, numCoarse)
+	mark := ws.cmark
+	buf := ws.pinBuf[:0]
+
 	netStart := make([]int32, 1, numNets+1)
 	netPins := make([]int32, 0, h.NumPins())
 	costs := make([]int64, 0, numNets)
 
-	for s := range out {
-		sh := &out[s]
-		for j, fineID := range sh.ids {
-			buf := sh.pins[sh.start[j]:sh.start[j+1]]
-			slot := hashPins(buf) & mask
-			for {
-				id := htab[slot]
-				if id == -1 {
-					htab[slot] = int32(len(costs))
-					netPins = append(netPins, buf...)
-					netStart = append(netStart, int32(len(netPins)))
-					costs = append(costs, h.Cost(int(fineID)))
-					break
-				}
-				if equalPins(netPins[netStart[id]:netStart[id+1]], buf) {
-					costs[id] += h.Cost(int(fineID))
-					break
-				}
-				slot = (slot + 1) & mask
-			}
-		}
-	}
-
-	return hypergraph.FromCSR(netStart, netPins, costs, weights, sizes, fixed), cmap
-}
-
-// translateNets translates the pins of fine nets [lo, hi) to coarse ids,
-// dropping duplicates within a net (via the workspace mark array, always
-// restored) and nets left with fewer than two pins, sorting each survivor.
-// It writes only shard-private output, so shards run concurrently.
-func translateNets(h *hypergraph.Hypergraph, cmap []int32, numCoarse, lo, hi int, ws *workspace) contractShard {
-	ws.cmark = growBool(ws.cmark, numCoarse)
-	mark := ws.cmark
-
-	capPins := 0
-	for netID := lo; netID < hi; netID++ {
-		capPins += len(h.Pins(netID))
-	}
-	sh := contractShard{
-		ids:   make([]int32, 0, hi-lo),
-		start: make([]int32, 1, hi-lo+1),
-		pins:  make([]int32, 0, capPins),
-	}
-
-	for netID := lo; netID < hi; netID++ {
-		base := len(sh.pins)
+	for netID := 0; netID < numNets; netID++ {
+		buf = buf[:0]
 		for _, p := range h.Pins(netID) {
 			c := cmap[p]
 			if !mark[c] {
 				mark[c] = true
-				sh.pins = append(sh.pins, c)
+				buf = append(buf, c)
 			}
 		}
-		buf := sh.pins[base:]
 		for _, c := range buf {
 			mark[c] = false
 		}
 		if len(buf) < 2 {
-			sh.pins = sh.pins[:base] // uncuttable net
-			continue
+			continue // uncuttable net
 		}
 		slices.Sort(buf)
-		sh.ids = append(sh.ids, int32(netID))
-		sh.start = append(sh.start, int32(len(sh.pins)))
+		slot := hashPins(buf) & mask
+		for {
+			id := htab[slot]
+			if id == -1 {
+				htab[slot] = int32(len(costs))
+				netPins = append(netPins, buf...)
+				netStart = append(netStart, int32(len(netPins)))
+				costs = append(costs, h.Cost(netID))
+				break
+			}
+			if equalPins(netPins[netStart[id]:netStart[id+1]], buf) {
+				costs[id] += h.Cost(netID)
+				break
+			}
+			slot = (slot + 1) & mask
+		}
 	}
-	return sh
+	ws.pinBuf = buf
+
+	return hypergraph.FromCSR(netStart, netPins, costs, weights, sizes, fixed), cmap
 }
 
 // hashPins is an FNV-1a-style hash over the pin ids.

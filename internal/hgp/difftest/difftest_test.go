@@ -208,8 +208,8 @@ func TestWarmStartQuality(t *testing.T) {
 // repartition of every epoch's hypergraph — must be byte-identical at
 // every Parallelism setting, on every dataset analogue and both dynamics.
 // This is the invariant the fingerprint-keyed partition cache serves
-// results under, now carried by the deterministic kernel round structure
-// rather than by the warm path being serial.
+// results under: the warm tiers run serially, and the cold pipeline's RB
+// sides and multi-starts are index-seeded and reduced in index order.
 func TestWarmParallelismInvariance(t *testing.T) {
 	for _, ds := range datasets.Names() {
 		for _, dynamic := range []string{"weights", "structure"} {

@@ -148,7 +148,6 @@ func checkFM2(t *testing.T, name string, h *hypergraph.Hypergraph, parts, fixed 
 
 func TestKwayFMOracle(t *testing.T) {
 	ws, rws := newWorkspace(), newWorkspace()
-	px := newParctx(1)
 	for i := 0; i < oracleInstances; i++ {
 		rng := rand.New(rand.NewSource(int64(i)))
 		h := oracleHG(rng)
@@ -167,16 +166,16 @@ func TestKwayFMOracle(t *testing.T) {
 			h = h.WithFixed(fixed)
 		}
 		caps := capsFor(h, k, oracleEps[i%4])
-		checkKwayFM(t, fmt.Sprintf("instance %d", i), h, k, parts, caps, 1+rng.Intn(4), oracleMaxNets[i/4%3], ws, rws, px)
+		checkKwayFM(t, fmt.Sprintf("instance %d", i), h, k, parts, caps, 1+rng.Intn(4), oracleMaxNets[i/4%3], ws, rws)
 	}
 }
 
-func checkKwayFM(t *testing.T, name string, h *hypergraph.Hypergraph, k int, parts []int32, caps []int64, passes, maxNet int, ws, rws *workspace, px *parctx) {
+func checkKwayFM(t *testing.T, name string, h *hypergraph.Hypergraph, k int, parts []int32, caps []int64, passes, maxNet int, ws, rws *workspace) {
 	t.Helper()
 	want := append([]int32(nil), parts...)
 	got := append([]int32(nil), parts...)
-	wantCut := refKwayFM(h, k, want, caps, passes, maxNet, rws, px)
-	gotCut := refineKwayFM(h, k, got, caps, passes, maxNet, ws, px)
+	wantCut := refKwayFM(h, k, want, caps, passes, maxNet, rws)
+	gotCut := refineKwayFM(h, k, got, caps, passes, maxNet, ws)
 	if gotCut != wantCut || !slices.Equal(got, want) {
 		t.Fatalf("%s: refineKwayFM cut %d differs from the reference kernel's %d, or its parts do", name, gotCut, wantCut)
 	}
@@ -188,7 +187,6 @@ func checkKwayFM(t *testing.T, name string, h *hypergraph.Hypergraph, k int, par
 // pass from a random 8-way assignment.
 func TestDatasetCoarseOracle(t *testing.T) {
 	ws, rws, rs := newWorkspace(), newWorkspace(), new(refScratch)
-	px := newParctx(1)
 	opt := Options{}.withDefaults()
 	for _, ds := range datasets.Names() {
 		coarsest, rng := firstBisectionCoarsest(t, ds, kernelBenchScale, 1)
@@ -201,8 +199,8 @@ func TestDatasetCoarseOracle(t *testing.T) {
 			checkFM2(t, name, coarsest, parts, fixed, c0, c1, opt.RefinePasses, opt.MaxNetSize, ws, rws, rs)
 		}
 		const k = 8
-		kparts := randomBalanced(coarsest, k, nil, rng)
-		checkKwayFM(t, ds, coarsest, k, kparts, capsFor(coarsest, k, 0.05), opt.RefinePasses, opt.MaxNetSize, ws, rws, px)
+		kparts := randomBalanced(coarsest, k, rng)
+		checkKwayFM(t, ds, coarsest, k, kparts, capsFor(coarsest, k, 0.05), opt.RefinePasses, opt.MaxNetSize, ws, rws)
 	}
 }
 
@@ -240,8 +238,8 @@ func TestKwayFMHonorsMaxNetSize(t *testing.T) {
 	}
 	px := newParctx(1)
 	ws := newWorkspace()
-	recursiveBisect(h, vs, 0, o.K, want, rand.New(rand.NewSource(o.Seed)), bisectionEps(o.Imbalance, o.K), nil, o, px, ws)
-	refKwayFM(h, o.K, want, capsFor(h, o.K, o.Imbalance), o.RefinePasses, o.MaxNetSize, ws, px)
+	recursiveBisect(h, vs, 0, o.K, want, rand.New(rand.NewSource(o.Seed)), bisectionEps(o.Imbalance, o.K), o, px, ws)
+	refKwayFM(h, o.K, want, capsFor(h, o.K, o.Imbalance), o.RefinePasses, o.MaxNetSize, ws)
 	if !slices.Equal(got.Parts, want) {
 		t.Fatal("k-way FM polish ignores Options.MaxNetSize")
 	}
@@ -466,7 +464,7 @@ func refGHG2(h *hypergraph.Hypergraph, rng *rand.Rand, fixedSide []int32, target
 
 // refKwayFM is refineKwayFM before the winner tree, with the neighbour
 // refresh bounded by maxNetSize.
-func refKwayFM(h *hypergraph.Hypergraph, k int, parts []int32, caps []int64, maxPasses, maxNetSize int, ws *workspace, px *parctx) int64 {
+func refKwayFM(h *hypergraph.Hypergraph, k int, parts []int32, caps []int64, maxPasses, maxNetSize int, ws *workspace) int64 {
 	n := h.NumVertices()
 	s := ws.kwayState(h, k, parts)
 	defer s.release()
@@ -479,7 +477,6 @@ func refKwayFM(h *hypergraph.Hypergraph, k int, parts []int32, caps []int64, max
 	ws.kto = growI32(ws.kto, n)
 	ws.kgain = growI64(ws.kgain, n)
 	kto, kgain := ws.kto, ws.kgain
-	shards := kernelShards(n)
 
 	bestMove := func(v int) (int32, int64) {
 		cands := s.AdjacentParts(v, buf, mark)
@@ -505,10 +502,7 @@ func refKwayFM(h *hypergraph.Hypergraph, k int, parts []int32, caps []int64, max
 	var gh refHeap
 	for pass := 0; pass < maxPasses; pass++ {
 		gh.reset(n)
-		px.forEach(shards, ws, func(i int, wws *workspace) {
-			lo, hi := shardRange(n, shards, i)
-			proposeFMRange(s, caps, kto, kgain, lo, hi, wws)
-		})
+		proposeFMRange(s, caps, kto, kgain, 0, n, ws)
 		inHeap := 0
 		for v := 0; v < n; v++ {
 			locked[v] = false
@@ -580,6 +574,37 @@ func refKwayFM(h *hypergraph.Hypergraph, k int, parts []int32, caps []int64, max
 		}
 	}
 	return s.Cut()
+}
+
+// proposeFMRange evaluates the pass-seeding bestMove of every free vertex
+// in [lo, hi) against the pass-start snapshot: kto[v] gets the best
+// feasible destination (-1 if none) and kgain[v] its snapshot gain. Reads
+// only the refinement state, writes only its own index range.
+func proposeFMRange(s *KwayState, caps []int64, kto []int32, kgain []int64, lo, hi int, ws *workspace) {
+	h := s.h
+	ws.kbuf = growI32(ws.kbuf, s.k)
+	ws.kmark = growBool(ws.kmark, s.k)
+	buf, mark := ws.kbuf[:0], ws.kmark
+	for v := lo; v < hi; v++ {
+		kto[v] = -1
+		if h.Fixed(v) != hypergraph.Free {
+			continue
+		}
+		cands := s.AdjacentParts(v, buf, mark)
+		var to int32 = -1
+		var gain int64 = -1 << 62
+		for _, q := range cands {
+			if s.PartWeight(q)+h.Weight(v) > caps[q] {
+				continue
+			}
+			if g := s.MoveGain(v, q); g > gain {
+				gain = g
+				to = q
+			}
+		}
+		kto[v] = to
+		kgain[v] = gain
+	}
 }
 
 // refEntry is one (vertex, gain) record of refHeap; stale entries are

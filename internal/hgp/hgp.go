@@ -20,17 +20,14 @@ func Partition(h *hypergraph.Hypergraph, opt Options) (partition.Partition, erro
 	if err := checkFixed(h, opt.K); err != nil {
 		return partition.Partition{}, err
 	}
-	if err := checkFractions(opt); err != nil {
-		return partition.Partition{}, err
-	}
 	p := partition.Partition{Parts: make([]int32, h.NumVertices()), K: opt.K}
 	if opt.K == 1 {
 		return p, nil
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 	px := newParctx(opt.Parallelism)
-	ws := px.getWS()
-	defer px.putWS(ws)
+	ws := wsPool.Get().(*workspace)
+	defer wsPool.Put(ws)
 
 	if opt.DirectKway {
 		directKway(h, rng, opt, p.Parts, px, ws)
@@ -40,20 +37,19 @@ func Partition(h *hypergraph.Hypergraph, opt Options) (partition.Partition, erro
 			vs[v] = int32(v)
 		}
 		eps := bisectionEps(opt.Imbalance, opt.K)
-		recursiveBisect(h, vs, 0, opt.K, p.Parts, rng, eps, opt.TargetFractions, opt, px, ws)
+		recursiveBisect(h, vs, 0, opt.K, p.Parts, rng, eps, opt, px, ws)
 		// Final k-way polish pass to recover from per-bisection myopia.
-		caps := capsForTargets(h, opt.K, opt.Imbalance, opt.TargetFractions)
+		caps := capsFor(h, opt.K, opt.Imbalance)
 		polishStart := time.Now()
 		var cut int64
 		if opt.KwayFM {
-			cut = refineKwayFM(h, opt.K, p.Parts, caps, opt.RefinePasses, opt.MaxNetSize, ws, px)
+			cut = refineKwayFM(h, opt.K, p.Parts, caps, opt.RefinePasses, opt.MaxNetSize, ws)
 		} else {
-			cut = refineKway(h, opt.K, p.Parts, caps, opt.RefinePasses, ws, px)
+			cut = refineKway(h, opt.K, p.Parts, caps, opt.RefinePasses, ws)
 		}
 		obsPolishNs.ObserveSince(polishStart)
 		obsFinalCut.Set(cut)
 	}
-	obsKernelEfficiency.Set(px.efficiencyPermille())
 	return p, nil
 }
 
@@ -64,7 +60,7 @@ func directKway(h *hypergraph.Hypergraph, rng *rand.Rand, opt Options, out []int
 	if coarsenTo < 2*opt.K {
 		coarsenTo = 2 * opt.K
 	}
-	levels := coarsen(h, rng, coarsenTo, opt.MinShrink, opt.MaxNetSize, !opt.DisableMatchFilter, ws, px)
+	levels := coarsen(h, rng, coarsenTo, opt.MinShrink, opt.MaxNetSize, !opt.DisableMatchFilter, ws)
 	coarsest := levels[len(levels)-1].h
 
 	// Coarse solution: balanced random assignment honoring fixed labels,
@@ -72,7 +68,7 @@ func directKway(h *hypergraph.Hypergraph, rng *rand.Rand, opt Options, out []int
 	// concurrently with index-derived seeds and are reduced by an
 	// index-ordered scan (cut, then total cap overflow, then index), so the
 	// winner is the same for every Parallelism value.
-	ccaps := capsForTargets(coarsest, opt.K, opt.Imbalance, opt.TargetFractions)
+	ccaps := capsFor(coarsest, opt.K, opt.Imbalance)
 	type startOut struct {
 		parts []int32
 		cut   int64
@@ -83,8 +79,8 @@ func directKway(h *hypergraph.Hypergraph, rng *rand.Rand, opt Options, out []int
 	solveStart := time.Now()
 	px.forEach(opt.InitialStarts, ws, func(s int, sws *workspace) {
 		srng := rand.New(rand.NewSource(startSeed(baseSeed, s)))
-		parts := randomBalanced(coarsest, opt.K, opt.TargetFractions, srng)
-		cut := refineKway(coarsest, opt.K, parts, ccaps, opt.RefinePasses*2, sws, px)
+		parts := randomBalanced(coarsest, opt.K, srng)
+		cut := refineKway(coarsest, opt.K, parts, ccaps, opt.RefinePasses*2, sws)
 		w := make([]int64, opt.K)
 		for v, p := range parts {
 			w[p] += coarsest.Weight(v)
@@ -110,8 +106,8 @@ func directKway(h *hypergraph.Hypergraph, rng *rand.Rand, opt Options, out []int
 	for i := len(levels) - 2; i >= 0; i-- {
 		refineStart := time.Now()
 		parts = project(levels[i].cmap, parts)
-		caps := capsForTargets(levels[i].h, opt.K, opt.Imbalance, opt.TargetFractions)
-		cut = refineKway(levels[i].h, opt.K, parts, caps, opt.RefinePasses, ws, px)
+		caps := capsFor(levels[i].h, opt.K, opt.Imbalance)
+		cut = refineKway(levels[i].h, opt.K, parts, caps, opt.RefinePasses, ws)
 		obsRefineNs.At(i).ObserveSince(refineStart)
 	}
 	if cut >= 0 {
@@ -120,9 +116,9 @@ func directKway(h *hypergraph.Hypergraph, rng *rand.Rand, opt Options, out []int
 	copy(out, parts)
 }
 
-// randomBalanced assigns free vertices round-robin in random order (a
-// balanced start), keeping fixed vertices at their parts.
-func randomBalanced(h *hypergraph.Hypergraph, k int, fracs []float64, rng *rand.Rand) []int32 {
+// randomBalanced assigns free vertices in random order, each to the
+// lightest part (a balanced start), keeping fixed vertices at their parts.
+func randomBalanced(h *hypergraph.Hypergraph, k int, rng *rand.Rand) []int32 {
 	parts := make([]int32, h.NumVertices())
 	w := make([]int64, k)
 	for v := range parts {
@@ -138,71 +134,17 @@ func randomBalanced(h *hypergraph.Hypergraph, k int, fracs []float64, rng *rand.
 		if parts[v] != -1 {
 			continue
 		}
-		// part with the lowest fill ratio relative to its target share
+		// the lightest part, lowest index first
 		best := 0
-		bestRatio := fillRatio(w[0], k, 0, fracs)
 		for p := 1; p < k; p++ {
-			if r := fillRatio(w[p], k, p, fracs); r < bestRatio {
+			if w[p] < w[best] {
 				best = p
-				bestRatio = r
 			}
 		}
 		parts[v] = int32(best)
 		w[best] += h.Weight(v)
 	}
 	return parts
-}
-
-// fillRatio normalizes a part's weight by its target fraction.
-func fillRatio(w int64, k, p int, fracs []float64) float64 {
-	f := 1.0 / float64(k)
-	if fracs != nil {
-		f = fracs[p]
-	}
-	if f <= 0 {
-		f = 1e-9
-	}
-	return float64(w) / f
-}
-
-// capsForTargets returns per-part weight caps total*frac_p*(1+eps),
-// with uniform fractions when fracs is nil.
-func capsForTargets(h *hypergraph.Hypergraph, k int, eps float64, fracs []float64) []int64 {
-	if fracs == nil {
-		return capsFor(h, k, eps)
-	}
-	total := h.TotalWeight()
-	caps := make([]int64, k)
-	for p := range caps {
-		capv := int64(float64(total) * fracs[p] * (1 + eps))
-		if capv < 1 {
-			capv = 1
-		}
-		caps[p] = capv
-	}
-	return caps
-}
-
-// checkFractions validates Options.TargetFractions.
-func checkFractions(opt Options) error {
-	fr := opt.TargetFractions
-	if fr == nil {
-		return nil
-	}
-	if len(fr) != opt.K {
-		return fmt.Errorf("hgp: %d target fractions for K=%d parts", len(fr), opt.K)
-	}
-	sum := 0.0
-	for p, f := range fr {
-		if f <= 0 {
-			return fmt.Errorf("hgp: target fraction of part %d must be positive, got %v", p, f)
-		}
-		sum += f
-	}
-	if sum < 0.99 || sum > 1.01 {
-		return fmt.Errorf("hgp: target fractions sum to %v, want ~1", sum)
-	}
-	return nil
 }
 
 // capsFor returns per-part weight caps W_avg*(1+eps).

@@ -16,20 +16,18 @@ import (
 // The kernel runs synchronous propose–resolve rounds (the Mt-KaHyPar /
 // PMondriaan structure): in the propose phase every still-unmatched vertex
 // scores its unmatched neighbors against the round-start snapshot and
-// picks the best partner — shards of the index range run in parallel on
-// px — and the serial resolve phase then grants proposals in vertex-index
-// order, so a vertex whose partner was claimed earlier in the scan loses
-// the round (a conflict) and re-proposes in the next. Proposals are pure
-// functions of the snapshot and tie-breaks are keyed on (seed, round,
-// vertex indices), never on execution order, so the matching is
-// bit-identical for every Parallelism value. A vertex with no unmatched
-// compatible neighbor retires as a singleton — the unmatched set only
-// shrinks, so no later round could do better.
+// picks the best partner, and the resolve phase then grants proposals in
+// vertex-index order, so a vertex whose partner was claimed earlier in the
+// scan loses the round (a conflict) and re-proposes in the next. Proposals
+// are pure functions of the snapshot and tie-breaks are keyed on (seed,
+// round, vertex indices). A vertex with no unmatched compatible neighbor
+// retires as a singleton — the unmatched set only shrinks, so no later
+// round could do better.
 //
 // The similarity (inner product / heavy connectivity) between u and v is
 // sum over shared nets n of cost(n)/(|n|-1); nets larger than maxNetSize
 // are skipped for speed.
-func ipmMatch(h *hypergraph.Hypergraph, rng *rand.Rand, maxNetSize int, filterFixed bool, ws *workspace, px *parctx) []int32 {
+func ipmMatch(h *hypergraph.Hypergraph, rng *rand.Rand, maxNetSize int, filterFixed bool, ws *workspace) []int32 {
 	n := h.NumVertices()
 	ws.match = growI32(ws.match, n)
 	match := ws.match
@@ -42,16 +40,12 @@ func ipmMatch(h *hypergraph.Hypergraph, rng *rand.Rand, maxNetSize int, filterFi
 	// One draw keeps the caller's stream deterministic; every per-vertex
 	// "random" decision derives from it by index-keyed hashing.
 	base := uint64(rng.Int63())
-	shards := kernelShards(n)
 
 	unmatched := n
 	rounds, conflicts := 0, 0
 	for unmatched > 0 {
 		rounds++
-		px.forEach(shards, ws, func(i int, wws *workspace) {
-			lo, hi := shardRange(n, shards, i)
-			proposeRange(h, match, proposal, lo, hi, maxNetSize, filterFixed, base, rounds, wws)
-		})
+		proposeMatches(h, match, proposal, maxNetSize, filterFixed, base, rounds, ws)
 		// Resolve in index order: first proposer wins its partner.
 		matched := 0
 		for u := 0; u < n; u++ {
@@ -91,13 +85,11 @@ func ipmMatch(h *hypergraph.Hypergraph, rng *rand.Rand, maxNetSize int, filterFi
 	return match
 }
 
-// proposeRange fills proposal[lo:hi] for the unmatched vertices of the
-// shard: each picks its best-scoring unmatched neighbor (-1 if none).
-// It reads only the round-start match snapshot and writes only its own
-// index range, so shards are independent. Ties are broken by an
-// index-seeded hash so the choice is pseudo-random but identical at every
-// thread count.
-func proposeRange(h *hypergraph.Hypergraph, match, proposal []int32, lo, hi, maxNetSize int, filterFixed bool, base uint64, round int, ws *workspace) {
+// proposeMatches fills proposal[u] for every unmatched vertex u: its
+// best-scoring unmatched neighbor (-1 if none), read from the round-start
+// match snapshot. Ties are broken by an index-seeded hash, so the choice is
+// pseudo-random but independent of scan order.
+func proposeMatches(h *hypergraph.Hypergraph, match, proposal []int32, maxNetSize int, filterFixed bool, base uint64, round int, ws *workspace) {
 	n := h.NumVertices()
 	// Score scratch keeps the all-zero invariant: the selection loop
 	// restores every touched entry, so only fresh allocations need zeroing.
@@ -105,7 +97,7 @@ func proposeRange(h *hypergraph.Hypergraph, match, proposal []int32, lo, hi, max
 	score := ws.score
 	touched := ws.touched[:0]
 
-	for u := lo; u < hi; u++ {
+	for u := 0; u < n; u++ {
 		if match[u] != -1 {
 			continue
 		}

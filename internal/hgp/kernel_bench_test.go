@@ -28,14 +28,13 @@ func BenchmarkContract(b *testing.B) {
 	h := benchHypergraph(b)
 	rng := rand.New(rand.NewSource(1))
 	ws := newWorkspace()
-	px := newParctx(1)
-	match := ipmMatch(h, rng, 500, true, ws, px)
+	match := ipmMatch(h, rng, 500, true, ws)
 	matchCopy := append([]int32(nil), match...)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(match, matchCopy)
-		contractWS(h, match, ws, px)
+		contractWS(h, match, ws)
 	}
 }
 
@@ -43,12 +42,11 @@ func BenchmarkContract(b *testing.B) {
 func BenchmarkIPMMatch(b *testing.B) {
 	h := benchHypergraph(b)
 	ws := newWorkspace()
-	px := newParctx(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rng := rand.New(rand.NewSource(1))
-		ipmMatch(h, rng, 500, true, ws, px)
+		ipmMatch(h, rng, 500, true, ws)
 	}
 }
 
@@ -118,75 +116,6 @@ func firstBisectionCoarsest(tb testing.TB, ds string, n int, seed int64) (*hyper
 	for v := range free {
 		free[v] = hypergraph.Free
 	}
-	levels := coarsen(h.WithFixed(free), rng, opt.CoarsenTo, opt.MinShrink, opt.MaxNetSize, true, newWorkspace(), newParctx(1))
+	levels := coarsen(h.WithFixed(free), rng, opt.CoarsenTo, opt.MinShrink, opt.MaxNetSize, true, newWorkspace())
 	return levels[len(levels)-1].h, rng
-}
-
-// benchParallelisms are the worker-pool sizes the parallel kernel
-// benchmarks sweep; 1 is the inline reference schedule.
-var benchParallelisms = []struct {
-	name string
-	par  int
-}{{"par1", 1}, {"par2", 2}, {"par4", 4}}
-
-// BenchmarkIPMMatchParallel measures the propose–resolve matching kernel
-// across worker-pool sizes (the propose shards spill onto the pool).
-func BenchmarkIPMMatchParallel(b *testing.B) {
-	h := benchHypergraph(b)
-	for _, c := range benchParallelisms {
-		b.Run(c.name, func(b *testing.B) {
-			ws := newWorkspace()
-			px := newParctx(c.par)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rng := rand.New(rand.NewSource(1))
-				ipmMatch(h, rng, 500, true, ws, px)
-			}
-		})
-	}
-}
-
-// BenchmarkContractParallel measures the sharded-translate contraction
-// kernel across worker-pool sizes.
-func BenchmarkContractParallel(b *testing.B) {
-	h := benchHypergraph(b)
-	rng := rand.New(rand.NewSource(1))
-	ws := newWorkspace()
-	match := ipmMatch(h, rng, 500, true, ws, newParctx(1))
-	matchCopy := append([]int32(nil), match...)
-	for _, c := range benchParallelisms {
-		b.Run(c.name, func(b *testing.B) {
-			px := newParctx(c.par)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				copy(match, matchCopy)
-				contractWS(h, match, ws, px)
-			}
-		})
-	}
-}
-
-// BenchmarkKwayRoundParallel measures propose–apply k-way refinement
-// rounds (k=8) over a balanced random start across worker-pool sizes.
-func BenchmarkKwayRoundParallel(b *testing.B) {
-	h := benchHypergraph(b)
-	const k = 8
-	rng := rand.New(rand.NewSource(3))
-	base := randomBalanced(h, k, nil, rng)
-	caps := capsFor(h, k, 0.10)
-	parts := make([]int32, len(base))
-	for _, c := range benchParallelisms {
-		b.Run(c.name, func(b *testing.B) {
-			ws := newWorkspace()
-			px := newParctx(c.par)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				copy(parts, base)
-				refineKway(h, k, parts, caps, 2, ws, px)
-			}
-		})
-	}
 }

@@ -42,24 +42,16 @@ type Options struct {
 	// passes instead of the greedy sweep (slower, sometimes better; the
 	// A5 ablation).
 	KwayFM bool
-	// TargetFractions optionally sets non-uniform part sizes (heterogeneous
-	// processors, as Zoltan's part-size interface allows): entry p is the
-	// fraction of total vertex weight part p should receive. Must have
-	// length K and sum to ~1. Nil means uniform 1/K parts (Eq. 1).
-	TargetFractions []float64
 	// DisableMatchFilter turns off the fixed-vertex compatibility filter in
 	// coarsening (for the A1 ablation only; produces invalid partitions if
 	// fixed vertices exist and the filter is off at coarse-solution time,
 	// so fixed assignment is still enforced there).
 	DisableMatchFilter bool
-	// Parallelism bounds the worker goroutines of one Partition,
-	// PartitionWithVCycles, or PartitionWarm call. One token pool serves
-	// every layer: recursive-bisection sides, coarse multi-starts, and the
-	// intra-level kernel shards (matching proposals, contraction
-	// translation, refinement gain rounds, warm balance-repair scans), so
-	// the call never runs more than Parallelism goroutines no matter how
-	// the layers nest. Results are bit-identical for every value; 1 forces
-	// fully serial execution.
+	// Parallelism bounds the worker goroutines of one Partition call: one
+	// token pool runs its RB sides and coarse multi-starts, so the call
+	// never runs more than Parallelism goroutines no matter how they nest.
+	// The kernels within a level run serially. Results are bit-identical
+	// for every value; 1 forces fully serial execution.
 	//
 	// Two regimes resolve the default for <= 0:
 	//   - Top-level calls (this package's exported entry points):
@@ -68,12 +60,11 @@ type Options struct {
 	//   - Rank-local calls inside an SPMD coarse solve (internal/phg):
 	//     the driver pins unset Parallelism to 1 before calling down,
 	//     because its ranks already occupy the machine — a GOMAXPROCS
-	//     default per rank would oversubscribe it multiplicatively. The
-	//     pin covers kernel shard workers too (they draw from the same
-	//     pool); phg's hgp_coarse_solve_serialized_total counts the pins
-	//     and hgp_kernel_worker_items_total staying flat proves no kernel
-	//     worker escapes one. An explicit Parallelism > 1 is honored in
-	//     both regimes.
+	//     default per rank would oversubscribe it multiplicatively.
+	//     phg's hgp_coarse_solve_serialized_total counts the pins and
+	//     hgp_kernel_worker_items_total staying flat proves no worker
+	//     escapes one. An explicit Parallelism > 1 is honored in both
+	//     regimes.
 	Parallelism int
 }
 

@@ -65,10 +65,9 @@ func TestPartitionParallelismDeterminism(t *testing.T) {
 	}
 }
 
-// TestKernelWorkersRespectSerialPin asserts the PR 3 rank-local regime
-// extends to the intra-level kernel shards: at Parallelism=1 (the pin the
-// SPMD coarse solve applies per rank) no work item — RB side, multi-start,
-// or kernel shard — may run on a spawned worker, which the
+// TestKernelWorkersRespectSerialPin asserts the rank-local regime: at
+// Parallelism=1 (the pin the SPMD coarse solve applies per rank) no work
+// item — RB side or multi-start — may run on a spawned worker, which the
 // hgp_kernel_worker_items_total counter records.
 func TestKernelWorkersRespectSerialPin(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))

@@ -100,7 +100,7 @@ func TestQuickCoarsenHierarchyInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		h := quickHG(rng)
-		levels := coarsen(h, rng, 20, 0.1, 500, true, newWorkspace(), newParctx(1))
+		levels := coarsen(h, rng, 20, 0.1, 500, true, newWorkspace())
 		for i := 0; i < len(levels); i++ {
 			if levels[i].h.TotalWeight() != h.TotalWeight() {
 				return false

@@ -18,7 +18,7 @@ import (
 // Each side receives an RNG seeded from the parent's stream in a fixed
 // order (left first), and the sides write disjoint ranges of out, so the
 // result does not depend on the interleaving.
-func recursiveBisect(sub *hypergraph.Hypergraph, vs []int32, lo, hi int, out []int32, rng *rand.Rand, eps float64, fracs []float64, opt Options, px *parctx, ws *workspace) {
+func recursiveBisect(sub *hypergraph.Hypergraph, vs []int32, lo, hi int, out []int32, rng *rand.Rand, eps float64, opt Options, px *parctx, ws *workspace) {
 	k := hi - lo
 	if k <= 1 || sub.NumVertices() == 0 {
 		for _, v := range vs {
@@ -28,21 +28,8 @@ func recursiveBisect(sub *hypergraph.Hypergraph, vs []int32, lo, hi int, out []i
 	}
 	kLeft := (k + 1) / 2
 	mid := lo + kLeft
-	// Side-0 target = its parts' share of the range's total target mass
-	// (uniform 1/k parts when fracs is nil).
+	// Side-0 target = its parts' share of the range's uniform parts.
 	frac0 := float64(kLeft) / float64(k)
-	if fracs != nil {
-		var left, all float64
-		for p := lo; p < hi; p++ {
-			all += fracs[p]
-			if p < mid {
-				left += fracs[p]
-			}
-		}
-		if all > 0 {
-			frac0 = left / all
-		}
-	}
 
 	// Fold fixed labels: parts [lo,mid) -> side 0, [mid,hi) -> side 1.
 	// The slice must stay untouched for the duration of bisect (the fixed
@@ -74,9 +61,9 @@ func recursiveBisect(sub *hypergraph.Hypergraph, vs []int32, lo, hi int, out []i
 	seedL := rng.Int63()
 	seedR := rng.Int63()
 	join := px.fork(func(ws2 *workspace) {
-		recursiveBisect(left, leftVs, lo, mid, out, rand.New(rand.NewSource(seedL)), eps, fracs, opt, px, ws2)
+		recursiveBisect(left, leftVs, lo, mid, out, rand.New(rand.NewSource(seedL)), eps, opt, px, ws2)
 	})
-	recursiveBisect(right, rightVs, mid, hi, out, rand.New(rand.NewSource(seedR)), eps, fracs, opt, px, ws)
+	recursiveBisect(right, rightVs, mid, hi, out, rand.New(rand.NewSource(seedR)), eps, opt, px, ws)
 	join()
 }
 

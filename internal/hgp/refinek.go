@@ -126,31 +126,24 @@ func (s *KwayState) AdjacentParts(v int, buf []int32, mark []bool) []int32 {
 }
 
 // refineKway performs greedy k-way refinement as synchronous
-// propose–apply rounds. The propose phase computes, for every free vertex
-// in parallel over index shards, the best positive-gain balanced
-// destination against the round-start snapshot (plus the zero-gain escape
-// for over-cap source parts). The serial apply phase then walks vertices
-// in index order with attributed gains: each proposal's gain is recomputed
-// against the *current* state and applied only if it still strictly
-// improves the cut (or rebalances an over-cap part without worsening it),
-// with balance caps enforced at apply time. Proposals are pure functions
-// of the snapshot and the apply order is fixed, so the result is
-// bit-identical for every Parallelism value. Fixed vertices never move.
-// Returns the final cut.
-func refineKway(h *hypergraph.Hypergraph, k int, parts []int32, caps []int64, passes int, ws *workspace, px *parctx) int64 {
+// propose–apply rounds. The propose phase computes, for every free vertex,
+// the best positive-gain balanced destination against the round-start
+// snapshot (plus the zero-gain escape for over-cap source parts). The
+// apply phase then walks vertices in index order with attributed gains:
+// each proposal's gain is recomputed against the *current* state and
+// applied only if it still strictly improves the cut (or rebalances an
+// over-cap part without worsening it), with balance caps enforced at apply
+// time. Fixed vertices never move. Returns the final cut.
+func refineKway(h *hypergraph.Hypergraph, k int, parts []int32, caps []int64, passes int, ws *workspace) int64 {
 	n := h.NumVertices()
 	s := ws.kwayState(h, k, parts)
 	defer s.release()
 	ws.kto = growI32(ws.kto, n)
 	kto := ws.kto
-	shards := kernelShards(n)
 	rounds, conflicts := 0, 0
 	for pass := 0; pass < passes; pass++ {
 		rounds++
-		px.forEach(shards, ws, func(i int, wws *workspace) {
-			lo, hi := shardRange(n, shards, i)
-			proposeMovesRange(s, caps, kto, lo, hi, wws)
-		})
+		proposeMoves(s, caps, kto, ws)
 		moves := 0
 		for v := 0; v < n; v++ {
 			to := kto[v]
@@ -184,18 +177,17 @@ func refineKway(h *hypergraph.Hypergraph, k int, parts []int32, caps []int64, pa
 	return s.Cut()
 }
 
-// proposeMovesRange fills kto[lo:hi] with the proposed destination of each
-// vertex of the shard (-1 when the snapshot admits no move): the
-// best-positive-gain destination under the caps, else — for vertices on an
-// over-cap source part — the first non-worsening feasible destination. It
-// only reads the refinement state and writes its own kto range, so shards
-// run concurrently; scratch comes from the shard's workspace.
-func proposeMovesRange(s *KwayState, caps []int64, kto []int32, lo, hi int, ws *workspace) {
+// proposeMoves fills kto with the proposed destination of each vertex (-1
+// when the snapshot admits no move): the best-positive-gain destination
+// under the caps, else — for vertices on an over-cap source part — the
+// first non-worsening feasible destination. It only reads the refinement
+// state.
+func proposeMoves(s *KwayState, caps []int64, kto []int32, ws *workspace) {
 	h := s.h
 	ws.kbuf = growI32(ws.kbuf, s.k)
 	ws.kmark = growBool(ws.kmark, s.k)
 	buf, mark := ws.kbuf[:0], ws.kmark
-	for v := lo; v < hi; v++ {
+	for v := range kto {
 		kto[v] = -1
 		if h.Fixed(v) != hypergraph.Free {
 			continue

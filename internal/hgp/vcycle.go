@@ -13,7 +13,7 @@ import (
 // losslessly onto every level; the coarsest solution is the projected
 // partition itself, improved by refinement on the way back up. Each cycle
 // can only improve the cut. Fixed vertices are honored throughout.
-func vCycle(h *hypergraph.Hypergraph, parts []int32, k int, rng *rand.Rand, opt Options, px *parctx) {
+func vCycle(h *hypergraph.Hypergraph, parts []int32, k int, rng *rand.Rand, opt Options) {
 	ws := wsPool.Get().(*workspace)
 	defer wsPool.Put(ws)
 	caps := capsFor(h, k, opt.Imbalance)
@@ -31,7 +31,7 @@ func vCycle(h *hypergraph.Hypergraph, parts []int32, k int, rng *rand.Rand, opt 
 	if coarsenTo < 2*k {
 		coarsenTo = 2 * k
 	}
-	levels := coarsen(hr, rng, coarsenTo, opt.MinShrink, opt.MaxNetSize, true, ws, px)
+	levels := coarsen(hr, rng, coarsenTo, opt.MinShrink, opt.MaxNetSize, true, ws)
 
 	// Project the current partition down the hierarchy. Because matching
 	// never crosses parts, every coarse vertex has a well-defined part.
@@ -59,9 +59,9 @@ func vCycle(h *hypergraph.Hypergraph, parts []int32, k int, rng *rand.Rand, opt 
 		partsAt[i] = cur
 		view := levelViewWithOriginalFixed(h, levels[i].h, levels, i)
 		if opt.KwayFM {
-			refineKwayFM(view, k, cur, caps, opt.RefinePasses, opt.MaxNetSize, ws, px)
+			refineKwayFM(view, k, cur, caps, opt.RefinePasses, opt.MaxNetSize, ws)
 		} else {
-			refineKway(view, k, cur, caps, opt.RefinePasses, ws, px)
+			refineKway(view, k, cur, caps, opt.RefinePasses, ws)
 		}
 	}
 	copy(parts, partsAt[0])
@@ -117,17 +117,15 @@ func PartitionWithVCycles(h *hypergraph.Hypergraph, opt Options, cycles int) (pa
 	}
 	opt = opt.withDefaults()
 	rng := rand.New(rand.NewSource(opt.Seed ^ 0x5eed))
-	px := newParctx(opt.Parallelism)
 	best := partition.CutSize(h, p)
 	for c := 0; c < cycles; c++ {
 		trial := append([]int32(nil), p.Parts...)
-		vCycle(h, trial, opt.K, rng, opt, px)
+		vCycle(h, trial, opt.K, rng, opt)
 		cut := partition.CutSize(h, partition.Partition{Parts: trial, K: opt.K})
 		if cut < best {
 			best = cut
 			copy(p.Parts, trial)
 		}
 	}
-	obsKernelEfficiency.Set(px.efficiencyPermille())
 	return p, nil
 }

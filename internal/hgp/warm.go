@@ -55,19 +55,14 @@ type WarmStats struct {
 // a small part of the hypergraph — escalating to a full partition-seeded
 // V-cycle when it did not. Fixed vertices are honored throughout.
 //
-// The warm path shares the deterministic kernel parallelism of Partition:
-// the balance repair scan, the restricted dirty∪halo refinement, and the
-// seeded V-cycle all run their propose phases on Options.Parallelism
-// workers with index-ordered serial resolution, so results stay
-// byte-identical for every parallelism value — by invariant now, not by
-// being serial. Like Partition it satisfies Eq. 1 on all but pathological
-// inputs; callers can check with partition.IsBalanced.
+// The warm tiers (balance repair, the restricted dirty∪halo refinement,
+// the seeded V-cycle) run serially, so Options.Parallelism only reaches
+// the cold fallback, whose result is bit-identical for every value. Like
+// Partition it satisfies Eq. 1 on all but pathological inputs; callers can
+// check with partition.IsBalanced.
 func PartitionWarm(h *hypergraph.Hypergraph, opt Options, spec WarmSpec) (partition.Partition, WarmStats, error) {
 	opt = opt.withDefaults()
 	if err := checkFixed(h, opt.K); err != nil {
-		return partition.Partition{}, WarmStats{}, err
-	}
-	if err := checkFractions(opt); err != nil {
 		return partition.Partition{}, WarmStats{}, err
 	}
 	n := h.NumVertices()
@@ -107,10 +102,9 @@ func PartitionWarm(h *hypergraph.Hypergraph, opt Options, spec WarmSpec) (partit
 		dirtyFrac = float64(d) / float64(n)
 	}
 
-	px := newParctx(opt.Parallelism)
-	ws := px.getWS()
-	defer px.putWS(ws)
-	caps := capsForTargets(h, opt.K, opt.Imbalance, opt.TargetFractions)
+	ws := wsPool.Get().(*workspace)
+	defer wsPool.Put(ws)
+	caps := capsFor(h, opt.K, opt.Imbalance)
 
 	var stats WarmStats
 	stats.DirtyFraction = dirtyFrac
@@ -121,7 +115,7 @@ func PartitionWarm(h *hypergraph.Hypergraph, opt Options, spec WarmSpec) (partit
 		// weights (adaptive refinement scales vertices in place). Repair
 		// at the finest level with least-cut-damage moves; the moved
 		// vertices join the refinement region below.
-		moved := repairBalance(h, opt.K, p.Parts, caps, ws, px)
+		moved := repairBalance(h, opt.K, p.Parts, caps, ws)
 		region := expandDirty(h, spec.Dirty)
 		for _, v := range moved {
 			region[v] = true
@@ -138,28 +132,28 @@ func PartitionWarm(h *hypergraph.Hypergraph, opt Options, spec WarmSpec) (partit
 		}
 		hr := h.WithFixed(restricted)
 		if opt.KwayFM {
-			refineKwayFM(hr, opt.K, p.Parts, caps, opt.RefinePasses, opt.MaxNetSize, ws, px)
+			refineKwayFM(hr, opt.K, p.Parts, caps, opt.RefinePasses, opt.MaxNetSize, ws)
 		} else {
-			refineKway(hr, opt.K, p.Parts, caps, opt.RefinePasses, ws, px)
+			refineKway(hr, opt.K, p.Parts, caps, opt.RefinePasses, ws)
 		}
 		// Global polish against the original fixed labels: cheap O(V)
 		// sweeps that clean up region-boundary myopia and finish any
 		// balance repair the restricted pass could not complete.
-		stats.Cut = warmPolish(h, opt, p.Parts, caps, ws, px)
+		stats.Cut = warmPolish(h, opt, p.Parts, caps, ws)
 		if !feasible(h, p.Parts, caps) {
 			// The dirty region did not hold enough movable weight;
 			// escalate to the seeded V-cycle.
 			stats.Mode = "vcycle"
 			rng := rand.New(rand.NewSource(opt.Seed ^ 0x77a7))
-			vCycle(h, p.Parts, opt.K, rng, opt, px)
-			stats.Cut = warmPolish(h, opt, p.Parts, caps, ws, px)
+			vCycle(h, p.Parts, opt.K, rng, opt)
+			stats.Cut = warmPolish(h, opt, p.Parts, caps, ws)
 		}
 	case spec.Dirty != nil && dirtyFrac <= warmColdFraction:
 		stats.Mode = "vcycle"
-		repairBalance(h, opt.K, p.Parts, caps, ws, px)
+		repairBalance(h, opt.K, p.Parts, caps, ws)
 		rng := rand.New(rand.NewSource(opt.Seed ^ 0x77a7))
-		vCycle(h, p.Parts, opt.K, rng, opt, px)
-		stats.Cut = warmPolish(h, opt, p.Parts, caps, ws, px)
+		vCycle(h, p.Parts, opt.K, rng, opt)
+		stats.Cut = warmPolish(h, opt, p.Parts, caps, ws)
 	default:
 		// Unknown or large drift: the seed is stale — run cold.
 		stats.Mode = "cold"
@@ -187,21 +181,20 @@ func PartitionWarm(h *hypergraph.Hypergraph, opt Options, spec WarmSpec) (partit
 	obsWarmPartitions.With(stats.Mode).Inc()
 	obsWarmNs.ObserveSince(start)
 	obsFinalCut.Set(stats.Cut)
-	obsKernelEfficiency.Set(px.efficiencyPermille())
 	return p, stats, nil
 }
 
 // warmPolish runs unrestricted k-way refinement sweeps on the full
 // hypergraph (original fixed labels only) and returns the cut.
-func warmPolish(h *hypergraph.Hypergraph, opt Options, parts []int32, caps []int64, ws *workspace, px *parctx) int64 {
+func warmPolish(h *hypergraph.Hypergraph, opt Options, parts []int32, caps []int64, ws *workspace) int64 {
 	hv := h
 	if !h.HasFixed() {
 		hv = h.WithoutFixed()
 	}
 	if opt.KwayFM {
-		return refineKwayFM(hv, opt.K, parts, caps, opt.RefinePasses, opt.MaxNetSize, ws, px)
+		return refineKwayFM(hv, opt.K, parts, caps, opt.RefinePasses, opt.MaxNetSize, ws)
 	}
-	return refineKway(hv, opt.K, parts, caps, opt.RefinePasses, ws, px)
+	return refineKway(hv, opt.K, parts, caps, opt.RefinePasses, ws)
 }
 
 // expandDirty grows the dirty set by one net hop: every vertex sharing a
@@ -240,21 +233,13 @@ func expandDirty(h *hypergraph.Hypergraph, dirty []bool) []bool {
 // mega-vertices no refinement pass can move. Returns the moved vertices
 // (for the caller to include in its refinement region).
 //
-// The O(V·k) candidate scan of each move runs in parallel over vertex
-// shards, each keeping its local winner under the serial scan's exact
-// predicate (best gain, then lightest destination); the shard winners are
-// then reduced in shard index order with strict-improvement comparisons,
-// which — since shard i holds strictly lower vertex ids than shard i+1 —
-// reproduces the serial lowest-id-wins tie-break, so the chosen move is
-// identical at every Parallelism value.
-func repairBalance(h *hypergraph.Hypergraph, k int, parts []int32, caps []int64, ws *workspace, px *parctx) []int32 {
+// Each move scans every (vertex, destination) candidate in index order and
+// keeps the best gain, then the lightest destination; on a full tie the
+// lowest vertex id wins.
+func repairBalance(h *hypergraph.Hypergraph, k int, parts []int32, caps []int64, ws *workspace) []int32 {
 	s := ws.kwayState(h, k, parts)
 	defer s.release()
 	n := h.NumVertices()
-	shards := kernelShards(n)
-	shardV := make([]int32, shards)
-	shardTo := make([]int32, shards)
-	shardGain := make([]int64, shards)
 	var moved []int32
 	rounds := 0
 	for len(moved) <= n {
@@ -269,36 +254,22 @@ func repairBalance(h *hypergraph.Hypergraph, k int, parts []int32, caps []int64,
 			break
 		}
 		rounds++
-		px.forEach(shards, ws, func(i int, _ *workspace) {
-			lo, hi := shardRange(n, shards, i)
-			bestV, bestTo := int32(-1), int32(-1)
-			var bestGain int64
-			for v := lo; v < hi; v++ {
-				if s.parts[v] != src || h.Fixed(v) != hypergraph.Free {
-					continue
-				}
-				wt := h.Weight(v)
-				for p := 0; p < k; p++ {
-					to := int32(p)
-					if to == src || s.w[p]+wt > caps[p] {
-						continue
-					}
-					g := s.MoveGain(v, to)
-					if bestV < 0 || g > bestGain || (g == bestGain && s.w[to] < s.w[bestTo]) {
-						bestV, bestTo, bestGain = int32(v), to, g
-					}
-				}
-			}
-			shardV[i], shardTo[i], shardGain[i] = bestV, bestTo, bestGain
-		})
 		bestV, bestTo := int32(-1), int32(-1)
 		var bestGain int64
-		for i := 0; i < shards; i++ {
-			if shardV[i] < 0 {
+		for v := 0; v < n; v++ {
+			if s.parts[v] != src || h.Fixed(v) != hypergraph.Free {
 				continue
 			}
-			if bestV < 0 || shardGain[i] > bestGain || (shardGain[i] == bestGain && s.w[shardTo[i]] < s.w[bestTo]) {
-				bestV, bestTo, bestGain = shardV[i], shardTo[i], shardGain[i]
+			wt := h.Weight(v)
+			for p := 0; p < k; p++ {
+				to := int32(p)
+				if to == src || s.w[p]+wt > caps[p] {
+					continue
+				}
+				g := s.MoveGain(v, to)
+				if bestV < 0 || g > bestGain || (g == bestGain && s.w[to] < s.w[bestTo]) {
+					bestV, bestTo, bestGain = int32(v), to, g
+				}
 			}
 		}
 		if bestV < 0 {

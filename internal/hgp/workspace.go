@@ -15,7 +15,6 @@ import (
 // goroutine at a time; wsPool recycles them across Partition calls.
 type workspace struct {
 	// ipmMatch
-	perm     []int32
 	score    []float64
 	touched  []int32
 	match    []int32
@@ -40,8 +39,8 @@ type workspace struct {
 	kbuf    []int32
 	kmark   []bool
 	klocked []bool
-	kto     []int32 // parallel gain rounds: proposed destination per vertex
-	kgain   []int64 // parallel gain rounds: snapshot gain per vertex
+	kto     []int32 // propose-apply rounds: proposed destination per vertex
+	kgain   []int64 // snapshot gain per vertex (the k-way FM oracle's seeding)
 
 	// recursive bisection
 	fixedSide []int32
@@ -70,16 +69,6 @@ func growI64(s []int64, n int) []int64 {
 		return make([]int64, n)
 	}
 	return s[:n]
-}
-
-// growF64 returns s resized to n with every entry zeroed.
-func growF64(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
 }
 
 // growF64Zero returns s resized to n, zeroing only fresh allocations. It

@@ -114,20 +114,3 @@ func CheckSnapshot(snap Snapshot, schema Schema) error {
 	}
 	return fmt.Errorf("%s", msg)
 }
-
-// CheckJSONFile validates a -metrics-json dump file against a schema file.
-func CheckJSONFile(dumpPath, schemaPath string) error {
-	data, err := os.ReadFile(dumpPath)
-	if err != nil {
-		return err
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return fmt.Errorf("obs: dump %s: %w", dumpPath, err)
-	}
-	schema, err := ReadSchema(schemaPath)
-	if err != nil {
-		return err
-	}
-	return CheckSnapshot(snap, schema)
-}

@@ -44,7 +44,7 @@ func nonZeroSerial(t *testing.T) hgp.Options {
 
 // TestOptionsPreserveSerial is the regression test for the withDefaults
 // bug that rebuilt Options.Serial field-by-field and silently dropped
-// DirectKway, KwayFM, TargetFractions, DisableMatchFilter and Parallelism.
+// DirectKway, KwayFM, DisableMatchFilter and Parallelism.
 func TestOptionsPreserveSerial(t *testing.T) {
 	in := nonZeroSerial(t)
 	out := Options{Serial: in}.withDefaults().Serial

@@ -79,8 +79,8 @@ func (o Options) withDefaults() Options {
 	// o.Serial is passed through verbatim: the coarse solve owns its
 	// defaults (hgp.Options.withDefaults), and rebuilding the struct here
 	// field-by-field silently dropped every knob this list forgot
-	// (DirectKway, KwayFM, TargetFractions, DisableMatchFilter,
-	// Parallelism). See TestOptionsPreserveSerial.
+	// (DirectKway, KwayFM, DisableMatchFilter, Parallelism). See
+	// TestOptionsPreserveSerial.
 	if o.MatchRounds <= 0 {
 		o.MatchRounds = 10
 	}
