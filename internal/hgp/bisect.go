@@ -47,7 +47,7 @@ func bisect(h *hypergraph.Hypergraph, rng *rand.Rand, fixedSide []int32, frac0, 
 	// One leaf order per level: the starts share it read-only.
 	ord := ws.weightOrder(coarsest)
 	px.forEach(opt.InitialStarts, ws, func(s int, sws *workspace) {
-		srng := rand.New(rand.NewSource(startSeed(baseSeed, s)))
+		srng := sws.startRNG(startSeed(baseSeed, s))
 		parts := ghg2(coarsest, srng, cFixed, ct0, cc0, cc1, opt.MaxNetSize, ord, sws)
 		cut := fm2(coarsest, parts, cFixed, cc0, cc1, opt.RefinePasses, opt.MaxNetSize, ord, sws)
 		var w0 int64

@@ -17,6 +17,8 @@ func fm2(h *hypergraph.Hypergraph, parts []int32, fixedSide []int32, cap0, cap1 
 	n := h.NumVertices()
 	var s bisectState
 	s.init(h, parts, cap0, cap1, maxNetSize, ws)
+	ws.gains = s.gains(ws.gains)
+	g := ws.gains
 
 	moved := growI32(ws.moved, n)[:0] // move order within a pass, for rollback
 	ws.locked = growBool(ws.locked, n)
@@ -32,7 +34,7 @@ func fm2(h *hypergraph.Hypergraph, parts []int32, fixedSide []int32, cap0, cap1 
 		for v := 0; v < n; v++ {
 			locked[v] = false
 			if fixedSide[v] == hypergraph.Free {
-				t.load(v, parts[v], s.gain(v))
+				t.load(v, parts[v], g[v])
 			}
 		}
 		t.build()
@@ -49,15 +51,15 @@ func fm2(h *hypergraph.Hypergraph, parts []int32, fixedSide []int32, cap0, cap1 
 			if v < 0 {
 				break
 			}
-			// The tree's gain is exact: a move changes only the gains the
-			// refresh below recomputes, since gain skips the nets the
-			// refresh skips.
-			g := t.gain[v]
+			// The tree's gain is exact: a move changes only the gains of
+			// the pins the refresh below pushes, since move skips the nets
+			// the refresh skips.
+			gv := t.gain[v]
 			t.remove(v)
-			s.Move(v)
+			s.move(v, g)
 			locked[v] = true
 			moved = append(moved, int32(v))
-			curCut -= g
+			curCut -= gv
 			if curCut < bestPrefixCut {
 				bestPrefixCut = curCut
 				bestPrefix = len(moved)
@@ -68,7 +70,8 @@ func fm2(h *hypergraph.Hypergraph, parts []int32, fixedSide []int32, cap0, cap1 
 					break
 				}
 			}
-			// refresh gains of unlocked neighbors
+			// push the gains of unlocked neighbors; update skips the
+			// unchanged ones
 			for _, nn := range h.Nets(v) {
 				pins := h.Pins(int(nn))
 				if len(pins) > maxNetSize {
@@ -77,14 +80,15 @@ func fm2(h *hypergraph.Hypergraph, parts []int32, fixedSide []int32, cap0, cap1 
 				for _, p := range pins {
 					u := int(p)
 					if !locked[u] && fixedSide[u] == hypergraph.Free {
-						t.update(u, parts[u], s.gain(u))
+						t.update(u, parts[u], g[u])
 					}
 				}
 			}
 		}
-		// roll back to the best prefix
+		// Roll back to the best prefix. Only g must stay exact: the next
+		// pass reloads the tree from it.
 		for i := len(moved) - 1; i >= bestPrefix; i-- {
-			s.Move(int(moved[i]))
+			s.move(int(moved[i]), g)
 		}
 		obsFM2Passes.Inc()
 		obsFM2Moves.Add(int64(bestPrefix))

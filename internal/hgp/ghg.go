@@ -31,6 +31,8 @@ func ghg2(h *hypergraph.Hypergraph, rng *rand.Rand, fixedSide []int32, target0, 
 	}
 	var s bisectState
 	s.init(h, parts, cap0, cap1, maxNetSize, ws)
+	ws.gains = s.gains(ws.gains)
+	g := ws.gains
 
 	// The tree holds every side-1 vertex ever enqueued that has not moved.
 	// Side 0 only grows, so one that overfilled it once never fits again:
@@ -44,7 +46,7 @@ func ghg2(h *hypergraph.Hypergraph, rng *rand.Rand, fixedSide []int32, target0, 
 		for i := 0; i < n; i++ {
 			v := (start + i) % n
 			if parts[v] == 1 && fixedSide[v] != 1 && !t.active(v) {
-				t.update(v, 1, s.gain(v))
+				t.update(v, 1, g[v])
 				return true
 			}
 		}
@@ -61,7 +63,7 @@ func ghg2(h *hypergraph.Hypergraph, rng *rand.Rand, fixedSide []int32, target0, 
 			for _, p := range h.Pins(int(nn)) {
 				u := int(p)
 				if parts[u] == 1 && fixedSide[u] != 1 && !t.active(u) {
-					t.update(u, 1, s.gain(u))
+					t.update(u, 1, g[u])
 					seeded = true
 				}
 			}
@@ -83,7 +85,7 @@ func ghg2(h *hypergraph.Hypergraph, rng *rand.Rand, fixedSide []int32, target0, 
 			continue
 		}
 		t.remove(v)
-		s.Move(v)
+		s.move(v, g)
 		// enqueue/refresh neighbors on side 1
 		for _, nn := range h.Nets(v) {
 			pins := h.Pins(int(nn))
@@ -93,7 +95,7 @@ func ghg2(h *hypergraph.Hypergraph, rng *rand.Rand, fixedSide []int32, target0, 
 			for _, p := range pins {
 				u := int(p)
 				if parts[u] == 1 && fixedSide[u] != 1 {
-					t.update(u, 1, s.gain(u))
+					t.update(u, 1, g[u])
 				}
 			}
 		}

@@ -78,7 +78,7 @@ func directKway(h *hypergraph.Hypergraph, rng *rand.Rand, opt Options, out []int
 	baseSeed := rng.Int63()
 	solveStart := time.Now()
 	px.forEach(opt.InitialStarts, ws, func(s int, sws *workspace) {
-		srng := rand.New(rand.NewSource(startSeed(baseSeed, s)))
+		srng := sws.startRNG(startSeed(baseSeed, s))
 		parts := randomBalanced(coarsest, opt.K, srng)
 		cut := refineKway(coarsest, opt.K, parts, ccaps, opt.RefinePasses*2, sws)
 		w := make([]int64, opt.K)

@@ -76,6 +76,38 @@ func BenchmarkFM2Pass(b *testing.B) {
 	}
 }
 
+// BenchmarkFM2Dense measures fm2 on a pin-bound level: an apoa1-10
+// analogue (MD cutoff, n = 600, about 30 nets per vertex) from a seeded random
+// bisection at ε = 0.05, up to 4 passes. Every move touches many pins
+// here, so this is where gain upkeep shows.
+func BenchmarkFM2Dense(b *testing.B) {
+	g, err := datasets.Generate("apoa1-10", 600, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := graph.ToHypergraph(g)
+	n := h.NumVertices()
+	rng := rand.New(rand.NewSource(2))
+	base := make([]int32, n)
+	for _, v := range rng.Perm(n)[:n/2] {
+		base[v] = 1
+	}
+	fixed := make([]int32, n)
+	for v := range fixed {
+		fixed[v] = hypergraph.Free
+	}
+	_, c0, c1 := bisectCaps(h, 0.5, 0.05)
+	parts := make([]int32, n)
+	ws := newWorkspace()
+	ord := ws.weightOrder(h)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(parts, base)
+		fm2(h, parts, fixed, c0, c1, 4, 500, ord, ws)
+	}
+}
+
 // BenchmarkCoarseSolve measures bisect's coarse solve on the coarsest
 // level of xyce680s's first bisection at ε = 0.05: the level's weight
 // order, then every start's ghg2 and fm2, serially. Coarse vertices are
@@ -93,7 +125,7 @@ func BenchmarkCoarseSolve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ord := ws.weightOrder(coarsest)
 		for s := 0; s < opt.InitialStarts; s++ {
-			srng := rand.New(rand.NewSource(startSeed(baseSeed, s)))
+			srng := ws.startRNG(startSeed(baseSeed, s))
 			parts := ghg2(coarsest, srng, fixed, t0, c0, c1, opt.MaxNetSize, ord, ws)
 			fm2(coarsest, parts, fixed, c0, c1, opt.RefinePasses, opt.MaxNetSize, ord, ws)
 		}

@@ -1,6 +1,7 @@
 package hgp
 
 import (
+	"math/rand"
 	"sync"
 
 	"hyperbal/internal/hypergraph"
@@ -27,6 +28,7 @@ type workspace struct {
 
 	// 2-way state (ghg2 / fm2)
 	pins0  []int32
+	gains  []int64 // per vertex: 2-way gain, kept exact by bisectState.move
 	locked []bool
 	moved  []int32
 	order  leafOrder // the level's gain-tree leaves (weightOrder)
@@ -45,6 +47,8 @@ type workspace struct {
 	// recursive bisection
 	fixedSide []int32
 	newID     []int32
+
+	rng *rand.Rand // the coarse solve's per-start generator (startRNG)
 }
 
 // wsPool recycles workspaces across Partition calls and across the worker
@@ -53,6 +57,18 @@ type workspace struct {
 var wsPool = sync.Pool{New: func() any { return new(workspace) }}
 
 func newWorkspace() *workspace { return new(workspace) }
+
+// startRNG returns the workspace's generator re-seeded with seed: the
+// stream of rand.New(rand.NewSource(seed)) without allocating a source per
+// coarse start. It stays valid until the next startRNG call on ws.
+func (ws *workspace) startRNG(seed int64) *rand.Rand {
+	if ws.rng == nil {
+		ws.rng = rand.New(rand.NewSource(seed))
+	} else {
+		ws.rng.Seed(seed)
+	}
+	return ws.rng
+}
 
 // growI32 returns s resized to n, reallocating only on growth. Contents
 // are unspecified; callers must initialize what they read.
