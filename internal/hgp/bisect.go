@@ -28,7 +28,8 @@ func bisect(h *hypergraph.Hypergraph, rng *rand.Rand, fixedSide []int32, frac0, 
 
 	// Coarsest-level solve: multi-start GHG + FM, keep the best.
 	coarsest := levels[len(levels)-1].h
-	cFixed := fixedLabels(coarsest)
+	ws.levelFixed = fixedLabels(coarsest, ws.levelFixed)
+	cFixed := ws.levelFixed
 	ctotal := coarsest.TotalWeight()
 	ct0 := int64(float64(ctotal) * frac0)
 	cc0 := int64(float64(ctotal) * frac0 * (1 + eps))
@@ -36,32 +37,9 @@ func bisect(h *hypergraph.Hypergraph, rng *rand.Rand, fixedSide []int32, frac0, 
 	if cc0 < ct0 {
 		cc0 = ct0
 	}
-	type startOut struct {
-		parts []int32
-		cut   int64
-		dev   int64 // |side-0 weight - target|, the balance tiebreak
-	}
-	outs := make([]startOut, opt.InitialStarts)
 	baseSeed := rng.Int63()
 	solveStart := time.Now()
-	// One leaf order per level: the starts share it read-only.
-	ord := ws.weightOrder(coarsest)
-	px.forEach(opt.InitialStarts, ws, func(s int, sws *workspace) {
-		srng := sws.startRNG(startSeed(baseSeed, s))
-		parts := ghg2(coarsest, srng, cFixed, ct0, cc0, cc1, opt.MaxNetSize, ord, sws)
-		cut := fm2(coarsest, parts, cFixed, cc0, cc1, opt.RefinePasses, opt.MaxNetSize, ord, sws)
-		var w0 int64
-		for v, p := range parts {
-			if p == 0 {
-				w0 += coarsest.Weight(v)
-			}
-		}
-		dev := w0 - ct0
-		if dev < 0 {
-			dev = -dev
-		}
-		outs[s] = startOut{parts: parts, cut: cut, dev: dev}
-	})
+	outs := coarseStarts(coarsest, cFixed, ct0, cc0, cc1, baseSeed, opt, px, ws)
 	obsCoarseSolveNs.ObserveSince(solveStart)
 	best := 0
 	for s := 1; s < len(outs); s++ {
@@ -76,7 +54,8 @@ func bisect(h *hypergraph.Hypergraph, rng *rand.Rand, fixedSide []int32, frac0, 
 	for i := len(levels) - 2; i >= 0; i-- {
 		refineStart := time.Now()
 		parts = project(levels[i].cmap, parts)
-		lf := fixedLabels(levels[i].h)
+		ws.levelFixed = fixedLabels(levels[i].h, ws.levelFixed)
+		lf := ws.levelFixed
 		lt := levels[i].h.TotalWeight()
 		lc0 := int64(float64(lt) * frac0 * (1 + eps))
 		lc1 := int64(float64(lt) * (1 - frac0) * (1 + eps))
@@ -86,10 +65,41 @@ func bisect(h *hypergraph.Hypergraph, rng *rand.Rand, fixedSide []int32, frac0, 
 	return parts
 }
 
-// fixedLabels extracts the fixed-side labels of h into a slice (Free for
-// unfixed vertices).
-func fixedLabels(h *hypergraph.Hypergraph) []int32 {
-	out := make([]int32, h.NumVertices())
+// startOut is one coarse-solve start's result.
+type startOut struct {
+	parts []int32
+	cut   int64
+	dev   int64 // |side-0 weight - target|, the balance tiebreak
+}
+
+// coarseStarts runs the coarse solve's opt.InitialStarts starts on h, the
+// coarsest level: start s grows a partition by ghg2 from the level's
+// shared start state with the generator startSeed(baseSeed, s), and fm2
+// refines it from the state ghg2 hands over. t0 is side 0's target
+// weight and c0, c1 the side caps.
+func coarseStarts(h *hypergraph.Hypergraph, fixedSide []int32, t0, c0, c1, baseSeed int64, opt Options, px *parctx, ws *workspace) []startOut {
+	outs := make([]startOut, opt.InitialStarts)
+	// One leaf order and one start state per level: the starts share them
+	// read-only.
+	ord := ws.weightOrder(h)
+	st := ws.coarseStart(h, fixedSide, c0, c1, opt.MaxNetSize)
+	px.forEach(opt.InitialStarts, ws, func(i int, sws *workspace) {
+		s := ghg2(st, sws.startRNG(startSeed(baseSeed, i)), fixedSide, t0, ord, sws)
+		cut := fm2From(&s, fixedSide, opt.RefinePasses, ord, sws)
+		dev := s.w[0] - t0
+		if dev < 0 {
+			dev = -dev
+		}
+		outs[i] = startOut{parts: s.parts, cut: cut, dev: dev}
+	})
+	st.release()
+	return outs
+}
+
+// fixedLabels extracts the fixed-side labels of h (Free for unfixed
+// vertices) into buf, resized to h's vertices, and returns it.
+func fixedLabels(h *hypergraph.Hypergraph, buf []int32) []int32 {
+	out := growI32(buf, h.NumVertices())
 	for v := range out {
 		out[v] = h.Fixed(v)
 	}

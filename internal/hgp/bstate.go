@@ -6,8 +6,8 @@ import (
 
 // bisectState tracks incremental cut bookkeeping for a 2-way partition:
 // per-net pin counts on side 0, side weights, the exact cut, and
-// targets/caps. The pin-count array comes from the workspace, so building
-// a state per level or per start allocates nothing once the arenas are
+// targets/caps. The pin-count array is the caller's (a workspace arena),
+// so building a state per level allocates nothing once the arenas are
 // warm.
 type bisectState struct {
 	h          *hypergraph.Hypergraph
@@ -19,12 +19,13 @@ type bisectState struct {
 	maxNetSize int
 }
 
-func (s *bisectState) init(h *hypergraph.Hypergraph, parts []int32, cap0, cap1 int64, maxNetSize int, ws *workspace) {
-	ws.pins0 = growI32(ws.pins0, h.NumNets())
+// init builds the state of parts over h, keeping the pin counts in pins0
+// resized to h's nets (s.pins0 afterwards).
+func (s *bisectState) init(h *hypergraph.Hypergraph, parts []int32, cap0, cap1 int64, maxNetSize int, pins0 []int32) {
 	*s = bisectState{
 		h:          h,
 		parts:      parts,
-		pins0:      ws.pins0,
+		pins0:      growI32(pins0, h.NumNets()),
 		cap:        [2]int64{cap0, cap1},
 		maxNetSize: maxNetSize,
 	}
@@ -179,6 +180,27 @@ func (s *bisectState) fitsWeight(from int32, w int64) bool {
 	overBefore := over(s.w[0], s.cap[0]) + over(s.w[1], s.cap[1])
 	overAfter := over(s.w[from]-w, s.cap[from]) + over(s.w[to]+w, s.cap[to])
 	return overBefore > 0 && overAfter < overBefore
+}
+
+// maxFit returns the largest weight fitsWeight(from, ·) accepts, or a
+// negative number when it accepts none. With a = cap[to] - w[to], the
+// destination's room, and oF = w[from] - cap[from], the source's overflow:
+//
+//   - a > 0 and oF > 0: a + oF - 1. Past a, the move rescues the source
+//     while the destination's new overflow w - a stays under what the
+//     source sheds, min(w, oF); that holds up to w = a + oF - 1.
+//   - a <= 0: a. Only w = 0 fits a full destination (a = 0), and none fits
+//     one already over its cap (a < 0): the destination's overflow grows
+//     by w while the source's shrinks by at most w.
+//   - oF <= 0: a. No side is over its cap, so there is nothing to rescue.
+func (s *bisectState) maxFit(from int32) int64 {
+	to := 1 - from
+	a := s.cap[to] - s.w[to]
+	oF := s.w[from] - s.cap[from]
+	if a > 0 && oF > 0 {
+		return a + oF - 1
+	}
+	return a
 }
 
 func over(w, cap int64) int64 {

@@ -45,7 +45,6 @@ func withSinglePinNets(h *hypergraph.Hypergraph, rng *rand.Rand) *hypergraph.Hyp
 // After every move each vertex's kept gain must equal gain and Cut must
 // equal recountCut.
 func TestBisectStateDeltas(t *testing.T) {
-	ws := newWorkspace()
 	for i := 0; i < 150; i++ {
 		rng := rand.New(rand.NewSource(int64(i)))
 		h := withSinglePinNets(oracleHG(rng), rng)
@@ -66,7 +65,7 @@ func TestBisectStateDeltas(t *testing.T) {
 		}
 		maxNet := oracleMaxNets[i%3]
 		var s bisectState
-		s.init(h, parts, 0, 0, maxNet, ws)
+		s.init(h, parts, 0, 0, maxNet, nil)
 		g := s.gains(nil)
 		check := func(step string) {
 			t.Helper()

@@ -9,25 +9,33 @@ import (
 // with fixedSide != Free are never moved. parts must be a 0/1 assignment
 // and ord h's leaf order. It returns the final cut size.
 //
+// fm2 builds the state of parts and continues in fm2From, which is where
+// the coarse solve's starts enter with the state ghg2 hands them.
+func fm2(h *hypergraph.Hypergraph, parts []int32, fixedSide []int32, cap0, cap1 int64, maxPasses, maxNetSize int, ord *leafOrder, ws *workspace) int64 {
+	var s bisectState
+	s.init(h, parts, cap0, cap1, maxNetSize, ws.pins0)
+	ws.pins0 = s.pins0
+	ws.gains = s.gains(ws.gains)
+	return fm2From(&s, fixedSide, maxPasses, ord, ws)
+}
+
+// fm2From is fm2 continuing from s, which must be exact, with ws.gains
+// holding its gains; it refines s.parts in place and leaves s exact.
+//
 // Each move is the best unlocked free vertex, by (gain desc, vertex asc),
 // whose move fits (fitsWeight); a pass ends when none fits. Fitting is
 // downward-closed in vertex weight on each side, so the move is the better
-// of two prefix queries on the gain tree, one per side.
-func fm2(h *hypergraph.Hypergraph, parts []int32, fixedSide []int32, cap0, cap1 int64, maxPasses, maxNetSize int, ord *leafOrder, ws *workspace) int64 {
+// of two prefix queries on the gain tree, one per side, each up to the
+// side's maxFit.
+func fm2From(s *bisectState, fixedSide []int32, maxPasses int, ord *leafOrder, ws *workspace) int64 {
+	h, parts, g := s.h, s.parts, ws.gains
 	n := h.NumVertices()
-	var s bisectState
-	s.init(h, parts, cap0, cap1, maxNetSize, ws)
-	ws.gains = s.gains(ws.gains)
-	g := ws.gains
+	maxNetSize := s.maxNetSize
 
 	moved := growI32(ws.moved, n)[:0] // move order within a pass, for rollback
 	ws.locked = growBool(ws.locked, n)
 	locked := ws.locked
 	t := &ws.tree
-	fits := [2]func(v int32) bool{
-		func(v int32) bool { return s.fitsWeight(0, h.Weight(int(v))) },
-		func(v int32) bool { return s.fitsWeight(1, h.Weight(int(v))) },
-	}
 
 	for pass := 0; pass < maxPasses; pass++ {
 		t.reset(n, ord)
@@ -47,7 +55,7 @@ func fm2(h *hypergraph.Hypergraph, parts []int32, fixedSide []int32, cap0, cap1 
 		limit := n/20 + 50
 
 		for {
-			v := int(t.better(t.topFitting(0, fits[0]), t.topFitting(1, fits[1])))
+			v := int(t.better(t.topWithin(0, s.maxFit(0)), t.topWithin(1, s.maxFit(1))))
 			if v < 0 {
 				break
 			}

@@ -98,7 +98,7 @@ func checkGHG2(t *testing.T, name string, h *hypergraph.Hypergraph, fixed []int3
 	rngWant := rand.New(rand.NewSource(seed))
 	rngGot := rand.New(rand.NewSource(seed))
 	want := refGHG2(h, rngWant, fixed, t0, c0, c1, maxNet, rws, rs)
-	got := ghg2(h, rngGot, fixed, t0, c0, c1, maxNet, ws.weightOrder(h), ws)
+	got := ghg2Fresh(h, rngGot, fixed, t0, c0, c1, maxNet, ws)
 	if !slices.Equal(got, want) {
 		t.Fatalf("%s: ghg2 parts differ from the reference kernel", name)
 	}
@@ -183,20 +183,26 @@ func checkKwayFM(t *testing.T, name string, h *hypergraph.Hypergraph, k int, par
 
 // TestDatasetCoarseOracle runs the three kernels against their references
 // on the coarsest level of each dataset analogue's first bisection: every
-// start of the coarse solve (ghg2, then fm2 on its output) and a k-way FM
-// pass from a random 8-way assignment.
+// start of the coarse solve, through bisect's own coarseStarts at
+// Parallelism 4 (ghg2 from the shared start, then fm2 on the state it
+// hands over), against refGHG2 then refFM2; and a k-way FM pass from a
+// random 8-way assignment.
 func TestDatasetCoarseOracle(t *testing.T) {
 	ws, rws, rs := newWorkspace(), newWorkspace(), new(refScratch)
 	opt := Options{}.withDefaults()
+	px := newParctx(4)
 	for _, ds := range datasets.Names() {
 		coarsest, rng := firstBisectionCoarsest(t, ds, kernelBenchScale, 1)
-		fixed := fixedLabels(coarsest)
+		fixed := fixedLabels(coarsest, nil)
 		t0, c0, c1 := bisectCaps(coarsest, 0.5, 0.05)
 		baseSeed := rng.Int63()
-		for s := 0; s < opt.InitialStarts; s++ {
-			name := fmt.Sprintf("%s start %d", ds, s)
-			parts := checkGHG2(t, name, coarsest, fixed, t0, c0, c1, opt.MaxNetSize, startSeed(baseSeed, s), ws, rws, rs)
-			checkFM2(t, name, coarsest, parts, fixed, c0, c1, opt.RefinePasses, opt.MaxNetSize, ws, rws, rs)
+		outs := coarseStarts(coarsest, fixed, t0, c0, c1, baseSeed, opt, px, ws)
+		for s, out := range outs {
+			want := refGHG2(coarsest, rand.New(rand.NewSource(startSeed(baseSeed, s))), fixed, t0, c0, c1, opt.MaxNetSize, rws, rs)
+			wantCut := refFM2(coarsest, want, fixed, c0, c1, opt.RefinePasses, opt.MaxNetSize, rws, rs)
+			if out.cut != wantCut || !slices.Equal(out.parts, want) {
+				t.Fatalf("%s start %d: coarse-solve cut %d differs from the reference kernels' %d, or its parts do", ds, s, out.cut, wantCut)
+			}
 		}
 		const k = 8
 		kparts := randomBalanced(coarsest, k, rng)
@@ -259,7 +265,7 @@ type refScratch struct {
 func refFM2(h *hypergraph.Hypergraph, parts []int32, fixedSide []int32, cap0, cap1 int64, maxPasses, maxNetSize int, ws *workspace, rs *refScratch) int64 {
 	n := h.NumVertices()
 	var s bisectState
-	s.init(h, parts, cap0, cap1, maxNetSize, ws)
+	s.init(h, parts, cap0, cap1, maxNetSize, ws.pins0)
 	bestCut := s.Cut()
 
 	moved := growI32(ws.moved, n)[:0] // move order within a pass, for rollback
@@ -378,7 +384,7 @@ func refGHG2(h *hypergraph.Hypergraph, rng *rand.Rand, fixedSide []int32, target
 		}
 	}
 	var s bisectState
-	s.init(h, parts, cap0, cap1, maxNetSize, ws)
+	s.init(h, parts, cap0, cap1, maxNetSize, ws.pins0)
 
 	gh := &rs.heap
 	gh.reset(n)

@@ -1,8 +1,7 @@
 package hgp
 
 import (
-	"cmp"
-	"slices"
+	"math/bits"
 
 	"hyperbal/internal/hypergraph"
 )
@@ -14,38 +13,62 @@ import (
 // so the coarse solve's concurrent starts share one.
 type leafOrder struct {
 	vertex []int32 // leaf -> vertex
+	weight []int64 // leaf -> its vertex's weight, ascending
 	leaf   []int32 // vertex -> leaf
 }
 
 // weightOrder builds h's leaf order in ws and returns it. It stays valid
 // until the next weightOrder call on ws.
+//
+// The order is a stable LSD radix sort on weight - min over the vertices
+// in vertex order, one byte per pass and as many passes as max - min has
+// bytes, so ties stay in vertex order. The leaf array is the sort's second
+// buffer until the passes end.
 func (ws *workspace) weightOrder(h *hypergraph.Hypergraph) *leafOrder {
 	n := h.NumVertices()
 	o := &ws.order
 	o.vertex = growI32(o.vertex, n)
+	o.weight = growI64(o.weight, n)
 	o.leaf = growI32(o.leaf, n)
+	var lo, hi int64
+	if n > 0 {
+		lo, hi = h.Weight(0), h.Weight(0)
+	}
 	for v := range o.vertex {
 		o.vertex[v] = int32(v)
+		lo, hi = min(lo, h.Weight(v)), max(hi, h.Weight(v))
 	}
-	slices.SortFunc(o.vertex, func(a, b int32) int {
-		if c := cmp.Compare(h.Weight(int(a)), h.Weight(int(b))); c != 0 {
-			return c
+	var count [256]int
+	for shift := 0; shift < bits.Len64(uint64(hi-lo)); shift += 8 {
+		clear(count[:])
+		for _, v := range o.vertex {
+			count[byte(uint64(h.Weight(int(v))-lo)>>shift)]++
 		}
-		return cmp.Compare(a, b)
-	})
+		sum := 0
+		for b, c := range count {
+			count[b] = sum
+			sum += c
+		}
+		for _, v := range o.vertex {
+			b := byte(uint64(h.Weight(int(v))-lo) >> shift)
+			o.leaf[count[b]] = v
+			count[b]++
+		}
+		o.vertex, o.leaf = o.leaf, o.vertex
+	}
 	for i, v := range o.vertex {
 		o.leaf[v] = int32(i)
+		o.weight[i] = h.Weight(int(v))
 	}
 	return o
 }
 
-// fitting returns how many leaves hold a vertex that passes fits, which
-// must hold on a prefix of the leaves.
-func (o *leafOrder) fitting(fits func(v int32) bool) int {
-	lo, hi := 0, len(o.vertex)
+// within returns how many leaves weigh at most limit.
+func (o *leafOrder) within(limit int64) int {
+	lo, hi := 0, len(o.weight)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if fits(o.vertex[mid]) {
+		if o.weight[mid] <= limit {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -180,13 +203,12 @@ func (t *gainTree) top(side int32, leaves int) int32 {
 	return best
 }
 
-// topFitting returns side's best active vertex that passes fits, or -1.
-// fits must depend on the vertex only through its weight and be
-// downward-closed in it, and the tree must be laid out by a leafOrder.
-func (t *gainTree) topFitting(side int32, fits func(v int32) bool) int32 {
+// topWithin returns side's best active vertex of weight at most limit, or
+// -1. The tree must be laid out by a leafOrder.
+func (t *gainTree) topWithin(side int32, limit int64) int32 {
 	b := t.best[1][side]
-	if b < 0 || fits(b) {
+	if b < 0 || t.ord.weight[t.ord.leaf[b]] <= limit {
 		return b
 	}
-	return t.top(side, t.ord.fitting(fits))
+	return t.top(side, t.ord.within(limit))
 }

@@ -2,44 +2,75 @@ package hgp
 
 import (
 	"math/rand"
+	"slices"
 
 	"hyperbal/internal/hypergraph"
 )
 
-// ghg2 computes a 2-way initial partition by randomized greedy hypergraph
-// growing (Section 4.2) honoring fixed vertices: vertices fixed to side 0
-// seed the growing side and vertices fixed to side 1 are never absorbed.
-// target0 is the desired weight of side 0; cap0/cap1 bound the sides.
-// Each step absorbs the best enqueued vertex, by (gain desc, vertex asc),
-// that fits side 0's remaining room: a prefix query over ord, h's leaf
-// order.
-//
-// fixedSide must map each vertex to 0, 1, or hypergraph.Free (side-folded
-// labels, not original part ids). The returned partition is freshly
-// allocated (multi-start keeps several alive at once); all other scratch
-// lives in ws.
-func ghg2(h *hypergraph.Hypergraph, rng *rand.Rand, fixedSide []int32, target0, cap0, cap1 int64, maxNetSize int, ord *leafOrder, ws *workspace) []int32 {
-	n := h.NumVertices()
-	parts := make([]int32, n)
+// coarseStart is the state every ghg2 start of one coarse solve begins
+// from: side 1 everywhere except the vertices fixed to side 0, with its
+// pin counts, side weights, cut and gains. It depends on the level, the
+// fixed sides, the caps and maxNetSize only, so coarseStarts builds it
+// once per coarse solve and the starts copy it; they share it read-only.
+type coarseStart struct {
+	s     bisectState
+	gains []int64
+}
+
+// coarseStart builds h's start state in ws's own arrays and returns it. It
+// stays valid until the next coarseStart call on ws.
+func (ws *workspace) coarseStart(h *hypergraph.Hypergraph, fixedSide []int32, cap0, cap1 int64, maxNetSize int) *coarseStart {
+	st := &ws.start
+	parts := growI32(st.s.parts, h.NumVertices())
 	for v := range parts {
 		parts[v] = 1
-	}
-	for v, f := range fixedSide {
-		if f == 0 {
+		if fixedSide[v] == 0 {
 			parts[v] = 0
 		}
 	}
-	var s bisectState
-	s.init(h, parts, cap0, cap1, maxNetSize, ws)
-	ws.gains = s.gains(ws.gains)
-	g := ws.gains
+	st.s.init(h, parts, cap0, cap1, maxNetSize, st.s.pins0)
+	st.gains = st.s.gains(st.gains)
+	return st
+}
+
+// begin returns a copy of the start for one run on ws: a fresh partition,
+// which outlives the run, and the pin counts and gains in ws's arrays.
+func (st *coarseStart) begin(ws *workspace) bisectState {
+	s := st.s
+	s.parts = slices.Clone(st.s.parts)
+	ws.pins0 = append(ws.pins0[:0], st.s.pins0...)
+	s.pins0 = ws.pins0
+	ws.gains = append(ws.gains[:0], st.gains...)
+	return s
+}
+
+// release drops the start's reference to the level so pooled workspaces
+// do not keep it alive.
+func (st *coarseStart) release() { st.s.h = nil }
+
+// ghg2 computes a 2-way initial partition by randomized greedy hypergraph
+// growing (Section 4.2) from st, honoring fixed vertices: vertices fixed to
+// side 0 seed the growing side and vertices fixed to side 1 are never
+// absorbed. target0 is the desired weight of side 0; st's caps bound the
+// sides. Each step absorbs the best enqueued vertex, by (gain desc, vertex
+// asc), that fits side 0's remaining room: a prefix query over ord, the
+// level's leaf order.
+//
+// fixedSide must map each vertex to 0, 1, or hypergraph.Free (side-folded
+// labels, not original part ids). ghg2 returns its final state, exact, with
+// ws.gains holding its gains, for fm2From to continue from. Its partition
+// is freshly allocated (multi-start keeps several alive at once); all
+// other scratch lives in ws.
+func ghg2(st *coarseStart, rng *rand.Rand, fixedSide []int32, target0 int64, ord *leafOrder, ws *workspace) bisectState {
+	s := st.begin(ws)
+	h, parts, g := s.h, s.parts, ws.gains
+	n := h.NumVertices()
 
 	// The tree holds every side-1 vertex ever enqueued that has not moved.
 	// Side 0 only grows, so one that overfilled it once never fits again:
 	// it stays in the tree, outside every later query's prefix.
 	t := &ws.tree
 	t.reset(n, ord)
-	fits := func(v int32) bool { return s.w[0]+h.Weight(int(v)) <= cap0 }
 	seed := func() bool {
 		// find a random movable vertex on side 1 to restart growth
 		start := rng.Intn(n)
@@ -77,7 +108,7 @@ func ghg2(h *hypergraph.Hypergraph, rng *rand.Rand, fixedSide []int32, target0, 
 	}
 
 	for s.w[0] < target0 {
-		v := int(t.topFitting(1, fits))
+		v := int(t.topWithin(1, s.cap[0]-s.w[0]))
 		if v < 0 {
 			if !seed() {
 				break // nothing left to grow
@@ -89,7 +120,7 @@ func ghg2(h *hypergraph.Hypergraph, rng *rand.Rand, fixedSide []int32, target0, 
 		// enqueue/refresh neighbors on side 1
 		for _, nn := range h.Nets(v) {
 			pins := h.Pins(int(nn))
-			if len(pins) > maxNetSize {
+			if len(pins) > s.maxNetSize {
 				continue
 			}
 			for _, p := range pins {
@@ -100,5 +131,5 @@ func ghg2(h *hypergraph.Hypergraph, rng *rand.Rand, fixedSide []int32, target0, 
 			}
 		}
 	}
-	return parts
+	return s
 }

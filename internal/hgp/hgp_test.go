@@ -386,7 +386,7 @@ func TestGHGReachesTarget(t *testing.T) {
 		fixed[v] = hypergraph.Free
 	}
 	ws := newWorkspace()
-	parts := ghg2(h, rng, fixed, 50, 55, 55, 500, ws.weightOrder(h), ws)
+	parts := ghg2Fresh(h, rng, fixed, 50, 55, 55, 500, ws)
 	var w0 int64
 	for v, p := range parts {
 		if p == 0 {
@@ -408,7 +408,7 @@ func TestGHGFixedSeedsAndExclusions(t *testing.T) {
 	fixed[0] = 0  // must end on side 0
 	fixed[63] = 1 // must never be absorbed
 	ws := newWorkspace()
-	parts := ghg2(h, rng, fixed, 32, 36, 36, 500, ws.weightOrder(h), ws)
+	parts := ghg2Fresh(h, rng, fixed, 32, 36, 36, 500, ws)
 	if parts[0] != 0 {
 		t.Fatal("side-0 fixed vertex not on side 0")
 	}

@@ -4,6 +4,7 @@ package hgp
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hyperbal/internal/datasets"
@@ -54,23 +55,52 @@ func TestKernelAllocGuards(t *testing.T) {
 		t.Errorf("refineKway round: %.0f allocs/op, want <= 8", n)
 	}
 
-	// The coarse solve's kernels, each with its level's weight order, on
-	// the coarsest level of the first bisection. These limits are exact:
-	// ghg2 allocates only the partition it returns, fm2 nothing.
+	// The coarse solve's path on the coarsest level of the first
+	// bisection, piece by piece as coarseStarts runs it: the level's weight
+	// order, the shared start, one ghg2 start from it, and fm2 from the
+	// state ghg2 hands over; then fm2 as the uncoarsening levels enter it,
+	// initialising. These limits are exact: ghg2 allocates only the
+	// partition it returns, the rest nothing once the workspace is warm.
 	coarsest, crng := firstBisectionCoarsest(t, "xyce680s", kernelBenchScale, 1)
-	cfixed := fixedLabels(coarsest)
+	cfixed := fixedLabels(coarsest, nil)
 	t0, c0, c1 := bisectCaps(coarsest, 0.5, 0.05)
-	srng := rand.New(rand.NewSource(crng.Int63()))
-	start := ghg2(coarsest, srng, cfixed, t0, c0, c1, 500, ws.weightOrder(coarsest), ws)
+	ord := ws.weightOrder(coarsest)
 	if n := testing.AllocsPerRun(10, func() {
-		ghg2(coarsest, srng, cfixed, t0, c0, c1, 500, ws.weightOrder(coarsest), ws)
+		ws.weightOrder(coarsest)
+	}); n > 0 {
+		t.Errorf("weightOrder: %.0f allocs/op, want 0", n)
+	}
+	st := ws.coarseStart(coarsest, cfixed, c0, c1, 500)
+	if n := testing.AllocsPerRun(10, func() {
+		ws.coarseStart(coarsest, cfixed, c0, c1, 500)
+	}); n > 0 {
+		t.Errorf("coarseStart: %.0f allocs/op, want 0", n)
+	}
+	seed := crng.Int63()
+	if n := testing.AllocsPerRun(10, func() {
+		ghg2(st, ws.startRNG(seed), cfixed, t0, ord, ws)
 	}); n > 1 {
 		t.Errorf("ghg2: %.0f allocs/op, want <= 1", n)
+	}
+	// Each fm2 run restarts from a copy of the handed-over state.
+	s := ghg2(st, ws.startRNG(seed), cfixed, t0, ord, ws)
+	handed := s
+	start := slices.Clone(s.parts)
+	pins0 := slices.Clone(s.pins0)
+	gains := slices.Clone(ws.gains)
+	if n := testing.AllocsPerRun(10, func() {
+		s = handed
+		copy(s.parts, start)
+		copy(s.pins0, pins0)
+		copy(ws.gains, gains)
+		fm2From(&s, cfixed, 4, ord, ws)
+	}); n > 0 {
+		t.Errorf("fm2From: %.0f allocs/op, want 0", n)
 	}
 	cparts := make([]int32, len(start))
 	if n := testing.AllocsPerRun(10, func() {
 		copy(cparts, start)
-		fm2(coarsest, cparts, cfixed, c0, c1, 4, 500, ws.weightOrder(coarsest), ws)
+		fm2(coarsest, cparts, cfixed, c0, c1, 4, 500, ord, ws)
 	}); n > 0 {
 		t.Errorf("fm2: %.0f allocs/op, want 0", n)
 	}

@@ -109,26 +109,38 @@ func BenchmarkFM2Dense(b *testing.B) {
 }
 
 // BenchmarkCoarseSolve measures bisect's coarse solve on the coarsest
-// level of xyce680s's first bisection at ε = 0.05: the level's weight
-// order, then every start's ghg2 and fm2, serially. Coarse vertices are
-// heavy and uneven, so balance blocks many of the best-gain moves — the
-// case BenchmarkFM2Pass, on unit weights with loose caps, never reaches.
+// level of xyce680s's first bisection at ε = 0.05: coarseStarts at
+// Parallelism 1, which builds the level's weight order and shared start
+// and runs every start's ghg2 and fm2. Coarse vertices are heavy and
+// uneven, so balance blocks many of the best-gain moves — the case
+// BenchmarkFM2Pass, on unit weights with loose caps, never reaches.
 func BenchmarkCoarseSolve(b *testing.B) {
 	coarsest, rng := firstBisectionCoarsest(b, "xyce680s", kernelBenchScale, 1)
-	fixed := fixedLabels(coarsest)
+	fixed := fixedLabels(coarsest, nil)
 	t0, c0, c1 := bisectCaps(coarsest, 0.5, 0.05)
 	opt := Options{}.withDefaults()
 	baseSeed := rng.Int63()
+	px := newParctx(1)
 	ws := newWorkspace()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ord := ws.weightOrder(coarsest)
-		for s := 0; s < opt.InitialStarts; s++ {
-			srng := ws.startRNG(startSeed(baseSeed, s))
-			parts := ghg2(coarsest, srng, fixed, t0, c0, c1, opt.MaxNetSize, ord, ws)
-			fm2(coarsest, parts, fixed, c0, c1, opt.RefinePasses, opt.MaxNetSize, ord, ws)
-		}
+		coarseStarts(coarsest, fixed, t0, c0, c1, baseSeed, opt, px, ws)
+	}
+}
+
+// BenchmarkWeightOrder measures building the leaf order of xyce680s at
+// benchScale, whose unit weights take no radix pass, and of the coarsest
+// level of its first bisection, whose contracted weights take one.
+func BenchmarkWeightOrder(b *testing.B) {
+	h := benchHypergraph(b)
+	coarsest, _ := firstBisectionCoarsest(b, "xyce680s", kernelBenchScale, 1)
+	ws := newWorkspace()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ws.weightOrder(h)
+		ws.weightOrder(coarsest)
 	}
 }
 

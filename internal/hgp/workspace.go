@@ -31,7 +31,8 @@ type workspace struct {
 	gains  []int64 // per vertex: 2-way gain, kept exact by bisectState.move
 	locked []bool
 	moved  []int32
-	order  leafOrder // the level's gain-tree leaves (weightOrder)
+	order  leafOrder   // the level's gain-tree leaves (weightOrder)
+	start  coarseStart // the coarse solve's shared ghg2 start (coarseStart)
 
 	// FM move selection (ghg2 / fm2 / refineKwayFM)
 	tree gainTree
@@ -45,8 +46,9 @@ type workspace struct {
 	kgain   []int64 // snapshot gain per vertex (the k-way FM oracle's seeding)
 
 	// recursive bisection
-	fixedSide []int32
-	newID     []int32
+	fixedSide  []int32
+	newID      []int32
+	levelFixed []int32 // the fixed sides of the level bisect is at
 
 	rng *rand.Rand // the coarse solve's per-start generator (startRNG)
 }
