@@ -120,6 +120,10 @@ func (g *Graph) Degree(v int) int { return int(g.xadj[v+1] - g.xadj[v]) }
 // Weight returns the computational weight of v.
 func (g *Graph) Weight(v int) int64 { return g.vwgt[v] }
 
+// Weights returns the vertex weights, indexed by vertex. The slice is
+// shared with g and must not be modified.
+func (g *Graph) Weights() []int64 { return g.vwgt }
+
 // Size returns the migration data size of v.
 func (g *Graph) Size(v int) int64 { return g.vsize[v] }
 

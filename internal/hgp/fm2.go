@@ -1,6 +1,7 @@
 package hgp
 
 import (
+	"hyperbal/internal/gaintree"
 	"hyperbal/internal/hypergraph"
 )
 
@@ -11,7 +12,7 @@ import (
 //
 // fm2 builds the state of parts and continues in fm2From, which is where
 // the coarse solve's starts enter with the state ghg2 hands them.
-func fm2(h *hypergraph.Hypergraph, parts []int32, fixedSide []int32, cap0, cap1 int64, maxPasses, maxNetSize int, ord *leafOrder, ws *workspace) int64 {
+func fm2(h *hypergraph.Hypergraph, parts []int32, fixedSide []int32, cap0, cap1 int64, maxPasses, maxNetSize int, ord *gaintree.Order, ws *workspace) int64 {
 	var s bisectState
 	s.init(h, parts, cap0, cap1, maxNetSize, ws.pins0)
 	ws.pins0 = s.pins0
@@ -27,7 +28,7 @@ func fm2(h *hypergraph.Hypergraph, parts []int32, fixedSide []int32, cap0, cap1 
 // downward-closed in vertex weight on each side, so the move is the better
 // of two prefix queries on the gain tree, one per side, each up to the
 // side's maxFit.
-func fm2From(s *bisectState, fixedSide []int32, maxPasses int, ord *leafOrder, ws *workspace) int64 {
+func fm2From(s *bisectState, fixedSide []int32, maxPasses int, ord *gaintree.Order, ws *workspace) int64 {
 	h, parts, g := s.h, s.parts, ws.gains
 	n := h.NumVertices()
 	maxNetSize := s.maxNetSize
@@ -38,14 +39,14 @@ func fm2From(s *bisectState, fixedSide []int32, maxPasses int, ord *leafOrder, w
 	t := &ws.tree
 
 	for pass := 0; pass < maxPasses; pass++ {
-		t.reset(n, ord)
+		t.Reset(n, ord)
 		for v := 0; v < n; v++ {
 			locked[v] = false
 			if fixedSide[v] == hypergraph.Free {
-				t.load(v, parts[v], g[v])
+				t.Load(v, parts[v], g[v])
 			}
 		}
-		t.build()
+		t.Build()
 		moved = moved[:0]
 		curCut := s.Cut()
 		passStartCut := curCut
@@ -55,15 +56,15 @@ func fm2From(s *bisectState, fixedSide []int32, maxPasses int, ord *leafOrder, w
 		limit := n/20 + 50
 
 		for {
-			v := int(t.better(t.topWithin(0, s.maxFit(0)), t.topWithin(1, s.maxFit(1))))
+			v := int(t.Better(t.TopWithin(0, s.maxFit(0)), t.TopWithin(1, s.maxFit(1))))
 			if v < 0 {
 				break
 			}
 			// The tree's gain is exact: a move changes only the gains of
 			// the pins the refresh below pushes, since move skips the nets
 			// the refresh skips.
-			gv := t.gain[v]
-			t.remove(v)
+			gv := t.Gain(v)
+			t.Remove(v)
 			s.move(v, g)
 			locked[v] = true
 			moved = append(moved, int32(v))
@@ -88,7 +89,7 @@ func fm2From(s *bisectState, fixedSide []int32, maxPasses int, ord *leafOrder, w
 				for _, p := range pins {
 					u := int(p)
 					if !locked[u] && fixedSide[u] == hypergraph.Free {
-						t.update(u, parts[u], g[u])
+						t.Update(u, parts[u], g[u])
 					}
 				}
 			}

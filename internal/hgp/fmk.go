@@ -55,7 +55,7 @@ func refineKwayFM(h *hypergraph.Hypergraph, k int, parts []int32, caps []int64, 
 	rounds := 0
 	for pass := 0; pass < maxPasses; pass++ {
 		rounds++
-		t.reset(n, nil)
+		t.Reset(n, nil)
 		for v := 0; v < n; v++ {
 			locked[v] = false
 			if h.Fixed(v) != hypergraph.Free {
@@ -64,11 +64,11 @@ func refineKwayFM(h *hypergraph.Hypergraph, k int, parts []int32, caps []int64, 
 			if to, gain := bestMove(v); to >= 0 {
 				// destination stays implicit: recompute at selection (state
 				// changes invalidate it anyway); the tree orders by gain.
-				t.load(v, 0, gain)
+				t.Load(v, 0, gain)
 			}
 		}
-		t.build()
-		if t.top(0, n) < 0 {
+		t.Build()
+		if t.Top(0) < 0 {
 			break
 		}
 		var moves []appliedMove
@@ -78,11 +78,11 @@ func refineKwayFM(h *hypergraph.Hypergraph, k int, parts []int32, caps []int64, 
 		limit := n/20 + 50
 
 		for {
-			v := int(t.top(0, n))
+			v := int(t.Top(0))
 			if v < 0 {
 				break
 			}
-			t.remove(v)
+			t.Remove(v)
 			to, gain := bestMove(v) // fresh evaluation against current state
 			if to < 0 {
 				continue
@@ -109,9 +109,9 @@ func refineKwayFM(h *hypergraph.Hypergraph, k int, parts []int32, caps []int64, 
 					u := int(p)
 					if !locked[u] && h.Fixed(u) == hypergraph.Free {
 						if uto, ug := bestMove(u); uto >= 0 {
-							t.update(u, 0, ug)
+							t.Update(u, 0, ug)
 						} else {
-							t.remove(u)
+							t.Remove(u)
 						}
 					}
 				}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 
+	"hyperbal/internal/gaintree"
 	"hyperbal/internal/hypergraph"
 )
 
@@ -61,7 +62,7 @@ func (st *coarseStart) release() { st.s.h = nil }
 // ws.gains holding its gains, for fm2From to continue from. Its partition
 // is freshly allocated (multi-start keeps several alive at once); all
 // other scratch lives in ws.
-func ghg2(st *coarseStart, rng *rand.Rand, fixedSide []int32, target0 int64, ord *leafOrder, ws *workspace) bisectState {
+func ghg2(st *coarseStart, rng *rand.Rand, fixedSide []int32, target0 int64, ord *gaintree.Order, ws *workspace) bisectState {
 	s := st.begin(ws)
 	h, parts, g := s.h, s.parts, ws.gains
 	n := h.NumVertices()
@@ -70,14 +71,14 @@ func ghg2(st *coarseStart, rng *rand.Rand, fixedSide []int32, target0 int64, ord
 	// Side 0 only grows, so one that overfilled it once never fits again:
 	// it stays in the tree, outside every later query's prefix.
 	t := &ws.tree
-	t.reset(n, ord)
+	t.Reset(n, ord)
 	seed := func() bool {
 		// find a random movable vertex on side 1 to restart growth
 		start := rng.Intn(n)
 		for i := 0; i < n; i++ {
 			v := (start + i) % n
-			if parts[v] == 1 && fixedSide[v] != 1 && !t.active(v) {
-				t.update(v, 1, g[v])
+			if parts[v] == 1 && fixedSide[v] != 1 && !t.Active(v) {
+				t.Update(v, 1, g[v])
 				return true
 			}
 		}
@@ -93,8 +94,8 @@ func ghg2(st *coarseStart, rng *rand.Rand, fixedSide []int32, target0 int64, ord
 		for _, nn := range h.Nets(v) {
 			for _, p := range h.Pins(int(nn)) {
 				u := int(p)
-				if parts[u] == 1 && fixedSide[u] != 1 && !t.active(u) {
-					t.update(u, 1, g[u])
+				if parts[u] == 1 && fixedSide[u] != 1 && !t.Active(u) {
+					t.Update(u, 1, g[u])
 					seeded = true
 				}
 			}
@@ -108,14 +109,14 @@ func ghg2(st *coarseStart, rng *rand.Rand, fixedSide []int32, target0 int64, ord
 	}
 
 	for s.w[0] < target0 {
-		v := int(t.topWithin(1, s.cap[0]-s.w[0]))
+		v := int(t.TopWithin(1, s.cap[0]-s.w[0]))
 		if v < 0 {
 			if !seed() {
 				break // nothing left to grow
 			}
 			continue
 		}
-		t.remove(v)
+		t.Remove(v)
 		s.move(v, g)
 		// enqueue/refresh neighbors on side 1
 		for _, nn := range h.Nets(v) {
@@ -126,7 +127,7 @@ func ghg2(st *coarseStart, rng *rand.Rand, fixedSide []int32, target0 int64, ord
 			for _, p := range pins {
 				u := int(p)
 				if parts[u] == 1 && fixedSide[u] != 1 {
-					t.update(u, 1, g[u])
+					t.Update(u, 1, g[u])
 				}
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"hyperbal/internal/gaintree"
 	"hyperbal/internal/hypergraph"
 )
 
@@ -31,11 +32,11 @@ type workspace struct {
 	gains  []int64 // per vertex: 2-way gain, kept exact by bisectState.move
 	locked []bool
 	moved  []int32
-	order  leafOrder   // the level's gain-tree leaves (weightOrder)
-	start  coarseStart // the coarse solve's shared ghg2 start (coarseStart)
+	order  gaintree.Order // the level's gain-tree leaves (weightOrder)
+	start  coarseStart    // the coarse solve's shared ghg2 start (coarseStart)
 
 	// FM move selection (ghg2 / fm2 / refineKwayFM)
-	tree gainTree
+	tree gaintree.Tree
 
 	// k-way state (refineKway / refineKwayFM)
 	kstate  KwayState
@@ -70,6 +71,13 @@ func (ws *workspace) startRNG(seed int64) *rand.Rand {
 		ws.rng.Seed(seed)
 	}
 	return ws.rng
+}
+
+// weightOrder builds h's gain-tree leaf order in ws and returns it. It
+// stays valid until the next weightOrder call on ws.
+func (ws *workspace) weightOrder(h *hypergraph.Hypergraph) *gaintree.Order {
+	ws.order.Build(h.Weights())
+	return &ws.order
 }
 
 // growI32 returns s resized to n, reallocating only on growth. Contents

@@ -204,6 +204,10 @@ func (h *Hypergraph) Degree(v int) int {
 // Weight returns the computational weight of vertex v.
 func (h *Hypergraph) Weight(v int) int64 { return h.weights[v] }
 
+// Weights returns the vertex weights, indexed by vertex. The slice is
+// shared with h and must not be modified.
+func (h *Hypergraph) Weights() []int64 { return h.weights }
+
 // Size returns the migration data size of vertex v.
 func (h *Hypergraph) Size(v int) int64 { return h.sizes[v] }
 
