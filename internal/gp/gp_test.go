@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"hyperbal/internal/gaintree"
 	"hyperbal/internal/graph"
 	"hyperbal/internal/partition"
 )
@@ -153,21 +154,73 @@ func TestContractConservation(t *testing.T) {
 	}
 }
 
+// TestFM2NeverWorsens runs fm2 from random starts, under loose caps and
+// under caps a random start can exceed: the cut must not rise, fm2 must
+// return the cut of the partition it leaves, and a start within the caps
+// must end within them.
 func TestFM2NeverWorsens(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 10; trial++ {
+	var ord gaintree.Order
+	for trial := 0; trial < 20; trial++ {
 		g := randomGraph(rng, 80, 200)
 		parts := make([]int32, 80)
 		for v := range parts {
 			parts[v] = int32(rng.Intn(2))
 		}
 		before := EdgeCutOf(g, parts)
-		cap := int64(float64(g.TotalWeight()) * 0.6)
-		fm2(g, parts, cap, cap, 4)
+		frac := []float64{0.6, 0.52}[trial%2]
+		cap := int64(float64(g.TotalWeight()) * frac)
+		within := func() bool {
+			w := partition.GraphWeights(g, partition.Partition{Parts: parts, K: 2})
+			return w[0] <= cap && w[1] <= cap
+		}
+		startWithin := within()
+		ord.Build(g.Weights())
+		got := fm2(g, parts, cap, cap, 4, &ord)
 		after := EdgeCutOf(g, parts)
 		if after > before {
 			t.Fatalf("FM worsened cut %d -> %d", before, after)
 		}
+		if got != after {
+			t.Fatalf("fm2 returned cut %d, its partition's cut is %d", got, after)
+		}
+		if startWithin && !within() {
+			t.Fatalf("trial %d: a start within the caps %d ended outside them", trial, cap)
+		}
+	}
+}
+
+// TestMaxFitMatchesRescueRule holds gp's closed-form limit to the fit test
+// fm2 applied inline before it queried the gain tree. Over small caps and
+// side weights, with either side as the source, the weights that test
+// accepts must be exactly those up to maxFit. The table includes rescues
+// into a full or over-cap destination, which hgp's rule refuses.
+func TestMaxFitMatchesRescueRule(t *testing.T) {
+	// fits is the negation of the old stash condition, verbatim.
+	fits := func(w, caps [2]int64, from int32, wv int64) bool {
+		to := 1 - from
+		return !(w[to]+wv > caps[to] && !(w[from] > caps[from] && w[to]+wv-caps[to] < w[from]-caps[from]))
+	}
+	for cap0 := int64(0); cap0 <= 6; cap0++ {
+		for cap1 := int64(0); cap1 <= 6; cap1++ {
+			for w0 := int64(0); w0 <= 9; w0++ {
+				for w1 := int64(0); w1 <= 9; w1++ {
+					w, caps := [2]int64{w0, w1}, [2]int64{cap0, cap1}
+					for from := int32(0); from < 2; from++ {
+						limit := maxFit(w, caps, from)
+						for wv := int64(0); wv <= w0+w1+cap0+cap1+2; wv++ {
+							if got := wv <= limit; got != fits(w, caps, from, wv) {
+								t.Fatalf("w %v caps %v from %d weight %d: maxFit %d says fits=%v, the rule says %v", w, caps, from, wv, limit, got, !got)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	// Destination room a = -3, source overflow 10: weights up to 6 fit.
+	if got := maxFit([2]int64{13, 8}, [2]int64{3, 5}, 0); got != 6 {
+		t.Fatalf("maxFit with a = -3, oF = 10: %d, want 6", got)
 	}
 }
 

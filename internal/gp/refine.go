@@ -1,9 +1,9 @@
 package gp
 
 import (
-	"container/heap"
 	"math/rand"
 
+	"hyperbal/internal/gaintree"
 	"hyperbal/internal/graph"
 )
 
@@ -36,115 +36,134 @@ func EdgeCutOf(g *graph.Graph, parts []int32) int64 {
 	return cut
 }
 
+// flip moves v to the other side of a 2-way partition and keeps the side
+// weights w and the per-vertex gains exact: v's gain changes sign, and each
+// neighbour's moves by twice the weight of its edge to v, down if it now
+// shares v's side and up if it no longer does. g has no self loops.
+func flip(g *graph.Graph, parts []int32, w *[2]int64, gain []int64, v int) {
+	from, to := parts[v], 1-parts[v]
+	parts[v] = to
+	w[from] -= g.Weight(v)
+	w[to] += g.Weight(v)
+	gain[v] = -gain[v]
+	adj, wts := g.Adj(v), g.AdjWeights(v)
+	for i, u := range adj {
+		if parts[u] == to {
+			gain[u] -= 2 * wts[i]
+		} else {
+			gain[u] += 2 * wts[i]
+		}
+	}
+}
+
 // ggp2 grows side 0 greedily from a random seed until target0 weight is
-// reached (greedy graph growing partitioning).
-func ggp2(g *graph.Graph, rng *rand.Rand, target0, cap0 int64) []int32 {
+// reached (greedy graph growing partitioning). Each step absorbs the best
+// enqueued vertex, by (gain desc, vertex asc), that fits side 0's remaining
+// room: a prefix query over ord, g's leaf order.
+func ggp2(g *graph.Graph, rng *rand.Rand, target0, cap0 int64, ord *gaintree.Order) []int32 {
 	n := g.NumVertices()
 	parts := make([]int32, n)
+	gain := make([]int64, n)
 	for v := range parts {
 		parts[v] = 1
+		for _, wt := range g.AdjWeights(v) {
+			gain[v] -= wt
+		}
 	}
-	gh := newGainHeap(n)
-	dead := make([]bool, n)
-	inHeap := make([]bool, n)
+	w := [2]int64{0, g.TotalWeight()}
+	// The tree holds every side-1 vertex ever enqueued that has not moved.
+	// Side 0 only grows, so one that overfilled it once never fits again:
+	// it stays in the tree, outside every later query's prefix.
+	var t gaintree.Tree
+	t.Reset(n, ord)
 	seed := func() bool {
 		start := rng.Intn(n)
 		for i := 0; i < n; i++ {
 			v := (start + i) % n
-			if parts[v] == 1 && !inHeap[v] && !dead[v] {
-				gh.update(v, ed(g, parts, v))
-				inHeap[v] = true
+			if parts[v] == 1 && !t.Active(v) {
+				t.Update(v, 1, gain[v])
 				return true
 			}
 		}
 		return false
 	}
-	var w0 int64
-	for w0 < target0 {
-		e, ok := gh.popValid()
-		if !ok {
+	for w[0] < target0 {
+		v := int(t.TopWithin(1, cap0-w[0]))
+		if v < 0 {
 			if !seed() {
 				break
 			}
 			continue
 		}
-		v := int(e.v)
-		inHeap[v] = false
-		if parts[v] != 1 {
-			continue
-		}
-		if w0+g.Weight(v) > cap0 {
-			dead[v] = true
-			continue
-		}
-		parts[v] = 0
-		w0 += g.Weight(v)
+		t.Remove(v)
+		flip(g, parts, &w, gain, v)
 		for _, u := range g.Adj(v) {
-			if parts[u] == 1 && !dead[u] {
-				gh.update(int(u), ed(g, parts, int(u)))
-				inHeap[u] = true
+			if parts[u] == 1 {
+				t.Update(int(u), 1, gain[u])
 			}
 		}
 	}
 	return parts
 }
 
+// maxFit returns the largest vertex weight whose move off side from fits,
+// or a negative number when none does. A move fits when the destination
+// stays within its cap, or when the source is over its cap and the
+// destination ends less far over its cap than the source was. With a =
+// caps[to] - w[to], the destination's room, and oF = w[from] - caps[from],
+// the source's overflow, that is a + oF - 1 when oF > 0, else a. Unlike
+// hgp's rule, the rescue also moves into a destination that is full or
+// over its cap (a <= 0).
+func maxFit(w, caps [2]int64, from int32) int64 {
+	a := caps[1-from] - w[1-from]
+	if oF := w[from] - caps[from]; oF > 0 {
+		return a + oF - 1
+	}
+	return a
+}
+
 // fm2 refines a 2-way graph partition with FM pass-pairs and prefix
-// rollback; returns the final cut.
-func fm2(g *graph.Graph, parts []int32, cap0, cap1 int64, maxPasses int) int64 {
+// rollback; ord must be g's leaf order. It returns the final cut.
+//
+// Each move is the best unlocked vertex, by (gain desc, vertex asc), whose
+// move fits (maxFit); a pass ends when none fits. Fitting is downward-closed
+// in the vertex weight, so the move is the better of two prefix queries on
+// the gain tree, one per side.
+func fm2(g *graph.Graph, parts []int32, cap0, cap1 int64, maxPasses int, ord *gaintree.Order) int64 {
 	n := g.NumVertices()
 	caps := [2]int64{cap0, cap1}
 	var w [2]int64
+	gain := make([]int64, n)
 	for v := 0; v < n; v++ {
 		w[parts[v]] += g.Weight(v)
+		gain[v] = ed(g, parts, v)
 	}
 	cut := EdgeCutOf(g, parts)
 	moved := make([]int32, 0, n)
-	locked := make([]bool, n)
+	var t gaintree.Tree
 
 	for pass := 0; pass < maxPasses; pass++ {
-		gh := newGainHeap(n)
+		// The tree holds the unlocked vertices.
+		t.Reset(n, ord)
 		for v := 0; v < n; v++ {
-			locked[v] = false
-			gh.update(v, ed(g, parts, v))
+			t.Load(v, parts[v], gain[v])
 		}
+		t.Build()
 		moved = moved[:0]
 		cur := cut
 		bestPrefix, bestCut := 0, cut
 		sinceBest := 0
 		limit := n/20 + 50
-		var stash []gainEntry
 
 		for {
-			e, ok := gh.popValid()
-			if !ok {
+			v := int(t.Better(t.TopWithin(0, maxFit(w, caps, 0)), t.TopWithin(1, maxFit(w, caps, 1))))
+			if v < 0 {
 				break
 			}
-			v := int(e.v)
-			if locked[v] {
-				continue
-			}
-			from := parts[v]
-			to := 1 - from
-			wv := g.Weight(v)
-			if w[to]+wv > caps[to] && !(w[from] > caps[from] && w[to]+wv-caps[to] < w[from]-caps[from]) {
-				stash = append(stash, e)
-				continue
-			}
-			for _, se := range stash {
-				if !locked[se.v] {
-					gh.update(int(se.v), se.gain)
-				}
-			}
-			stash = stash[:0]
-
-			gain := ed(g, parts, v)
-			parts[v] = to
-			w[from] -= wv
-			w[to] += wv
-			locked[v] = true
+			cur -= gain[v]
+			t.Remove(v)
+			flip(g, parts, &w, gain, v)
 			moved = append(moved, int32(v))
-			cur -= gain
 			if cur < bestCut {
 				bestCut = cur
 				bestPrefix = len(moved)
@@ -153,18 +172,15 @@ func fm2(g *graph.Graph, parts []int32, cap0, cap1 int64, maxPasses int) int64 {
 				break
 			}
 			for _, u := range g.Adj(v) {
-				if !locked[u] {
-					gh.update(int(u), ed(g, parts, int(u)))
+				if t.Active(int(u)) {
+					t.Update(int(u), parts[u], gain[u])
 				}
 			}
 		}
-		// rollback past the best prefix
+		// Roll back past the best prefix. Only the gains must stay exact:
+		// the next pass reloads the tree from them.
 		for i := len(moved) - 1; i >= bestPrefix; i-- {
-			v := int(moved[i])
-			from := parts[v]
-			parts[v] = 1 - from
-			w[from] -= g.Weight(v)
-			w[1-from] += g.Weight(v)
+			flip(g, parts, &w, gain, int(moved[i]))
 		}
 		if bestCut >= cut {
 			break
@@ -268,51 +284,4 @@ func RefineKway(g *graph.Graph, k int, parts []int32, oldPart []int32, itr int64
 		}
 	}
 	return EdgeCutOf(g, parts)
-}
-
-// gainHeap is a lazy max-heap of (vertex, gain) entries. hgp's FM kernels
-// select from an exact winner tree instead, which would also retire fm2's
-// re-push stash here.
-type gainEntry struct {
-	v     int32
-	gain  int64
-	stamp uint32
-}
-
-type gainHeap struct {
-	entries []gainEntry
-	stamp   []uint32
-}
-
-func newGainHeap(n int) *gainHeap { return &gainHeap{stamp: make([]uint32, n)} }
-
-func (g *gainHeap) Len() int { return len(g.entries) }
-func (g *gainHeap) Less(i, j int) bool {
-	if g.entries[i].gain != g.entries[j].gain {
-		return g.entries[i].gain > g.entries[j].gain
-	}
-	return g.entries[i].v < g.entries[j].v
-}
-func (g *gainHeap) Swap(i, j int) { g.entries[i], g.entries[j] = g.entries[j], g.entries[i] }
-func (g *gainHeap) Push(x any)    { g.entries = append(g.entries, x.(gainEntry)) }
-func (g *gainHeap) Pop() any {
-	old := g.entries
-	e := old[len(old)-1]
-	g.entries = old[:len(old)-1]
-	return e
-}
-
-func (g *gainHeap) update(v int, gain int64) {
-	g.stamp[v]++
-	heap.Push(g, gainEntry{v: int32(v), gain: gain, stamp: g.stamp[v]})
-}
-
-func (g *gainHeap) popValid() (gainEntry, bool) {
-	for g.Len() > 0 {
-		e := heap.Pop(g).(gainEntry)
-		if e.stamp == g.stamp[e.v] {
-			return e, true
-		}
-	}
-	return gainEntry{}, false
 }

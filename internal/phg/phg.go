@@ -105,13 +105,6 @@ func blockRange(n, size, r int) (int, int) {
 	return lo, hi
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Partition computes a k-way partition with fixed vertices in parallel.
 // Every rank of c must call it with the same hypergraph and options.
 func Partition(c *mpi.Comm, h *hypergraph.Hypergraph, opt Options) (partition.Partition, error) {
