@@ -11,13 +11,15 @@ import (
 	"hyperbal/internal/datasets"
 	"hyperbal/internal/graph"
 	"hyperbal/internal/hypergraph"
+	"hyperbal/internal/partition"
 )
 
 // goldenFile holds one SHA-256 digest per (dataset, k, pipeline) of the
-// partition the pipeline returns. It is a record of output, not of
-// quality: a change that moves any vertex of any of these partitions must
-// say why, because the kernels promise byte-identical results across
-// refactors.
+// partition the pipeline returns, beside that partition's connectivity-1
+// cut and max imbalance. The digest is the record of output: a change that
+// moves any vertex of any of these partitions must say why, because the
+// kernels promise byte-identical results across refactors. The cut and
+// imbalance columns make such a change's quality trade readable as a diff.
 const goldenFile = "testdata/partition_golden.txt"
 
 // TestPartitionGolden runs the cold pipelines (recursive bisection, the
@@ -58,7 +60,9 @@ func goldenDigests(t *testing.T) []string {
 		for _, k := range []int{2, 8} {
 			hf := goldenFixed(h, k)
 			line := func(name string, parts []int32) {
-				lines = append(lines, fmt.Sprintf("%s k%d %s %s", ds, k, name, partsDigest(parts)))
+				p := partition.Partition{Parts: parts, K: k}
+				imb := partition.Imbalance(partition.Weights(hf, p))
+				lines = append(lines, fmt.Sprintf("%s k%d %s cut %d imb %.4f %s", ds, k, name, partition.CutSize(hf, p), imb, partsDigest(parts)))
 			}
 			opt := Options{K: k, Seed: 11}
 			rb := mustPartition(t, hf, opt)
