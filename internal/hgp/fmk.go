@@ -8,13 +8,13 @@ import (
 // Fiduccia–Mattheyses-style pass over boundary vertices with hill
 // climbing and best-prefix rollback, generalized from 2-way to k-way
 // (each vertex's best destination is recomputed when it is selected). It is
-// slower per pass than the greedy sweep in refineKway but escapes
+// slower per pass than refineKway's greedy kwaySweep but escapes
 // shallower local minima; Options.KwayFM selects it for the final polish
 // (the A5 ablation measures the trade-off). Fixed vertices never move.
 //
-// Each pass seeds the gain tree with one bestMove evaluation per free
-// vertex against the pass-start state. The hill-climbing selection then
-// recomputes each selected move against the current state (attributed
+// Each pass seeds the gain tree with one KwayState.BestMove evaluation per
+// free vertex against the pass-start state. The hill-climbing selection
+// then recomputes each selected move against the current state (attributed
 // gains). Neighbour gains are refreshed across nets of at most maxNetSize
 // pins.
 //
@@ -23,28 +23,8 @@ func refineKwayFM(h *hypergraph.Hypergraph, k int, parts []int32, caps []int64, 
 	n := h.NumVertices()
 	s := ws.kwayState(h, k, parts)
 	defer s.release()
-	ws.kbuf = growI32(ws.kbuf, k)
-	buf := ws.kbuf[:0]
-	ws.kmark = growBool(ws.kmark, k)
-	mark := ws.kmark
 	ws.klocked = growBool(ws.klocked, n)
 	locked := ws.klocked
-
-	bestMove := func(v int) (int32, int64) {
-		cands := s.AdjacentParts(v, buf, mark)
-		var to int32 = -1
-		var gain int64 = -1 << 62
-		for _, q := range cands {
-			if s.PartWeight(q)+h.Weight(v) > caps[q] {
-				continue
-			}
-			if g := s.MoveGain(v, q); g > gain {
-				gain = g
-				to = q
-			}
-		}
-		return to, gain
-	}
 
 	type appliedMove struct {
 		v    int32
@@ -52,16 +32,14 @@ func refineKwayFM(h *hypergraph.Hypergraph, k int, parts []int32, caps []int64, 
 	}
 
 	t := &ws.tree
-	rounds := 0
 	for pass := 0; pass < maxPasses; pass++ {
-		rounds++
 		t.Reset(n, nil)
 		for v := 0; v < n; v++ {
 			locked[v] = false
 			if h.Fixed(v) != hypergraph.Free {
 				continue
 			}
-			if to, gain := bestMove(v); to >= 0 {
+			if to, gain := s.BestMove(v, caps); to >= 0 {
 				// destination stays implicit: recompute at selection (state
 				// changes invalidate it anyway); the tree orders by gain.
 				t.Load(v, 0, gain)
@@ -83,7 +61,7 @@ func refineKwayFM(h *hypergraph.Hypergraph, k int, parts []int32, caps []int64, 
 				break
 			}
 			t.Remove(v)
-			to, gain := bestMove(v) // fresh evaluation against current state
+			to, gain := s.BestMove(v, caps) // fresh evaluation against current state
 			if to < 0 {
 				continue
 			}
@@ -108,7 +86,7 @@ func refineKwayFM(h *hypergraph.Hypergraph, k int, parts []int32, caps []int64, 
 				for _, p := range pins {
 					u := int(p)
 					if !locked[u] && h.Fixed(u) == hypergraph.Free {
-						if uto, ug := bestMove(u); uto >= 0 {
+						if uto, ug := s.BestMove(u, caps); uto >= 0 {
 							t.Update(u, 0, ug)
 						} else {
 							t.Remove(u)
@@ -127,6 +105,5 @@ func refineKwayFM(h *hypergraph.Hypergraph, k int, parts []int32, caps []int64, 
 			break
 		}
 	}
-	obsKernelRounds.Add(int64(rounds))
 	return s.Cut()
 }

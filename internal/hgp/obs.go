@@ -31,13 +31,8 @@ var (
 	// Cut of the last completed Partition call, after refinement.
 	obsFinalCut = obs.Default().Gauge("hgp_final_cut")
 
-	// Kernel rounds: synchronous propose/resolve (or propose/apply) rounds
-	// executed by the matching and refinement kernels, and proposals that
-	// lost their round to an index-earlier winner. Worker items are the RB
-	// sides and multi-starts that actually ran on a spawned worker
-	// goroutine (stays 0 under the rank-local SPMD pin).
-	obsKernelRounds      = obs.Default().Counter("hgp_kernel_rounds_total")
-	obsKernelConflicts   = obs.Default().Counter("hgp_kernel_conflicts_total")
+	// Worker items are the RB sides and multi-starts that actually ran on
+	// a spawned worker goroutine (stays 0 under the rank-local SPMD pin).
 	obsKernelWorkerItems = obs.Default().Counter("hgp_kernel_worker_items_total")
 
 	// Warm-start path: calls by mode (localized / vcycle / trivial) and

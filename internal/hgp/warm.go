@@ -241,7 +241,6 @@ func repairBalance(h *hypergraph.Hypergraph, k int, parts []int32, caps []int64,
 	defer s.release()
 	n := h.NumVertices()
 	var moved []int32
-	rounds := 0
 	for len(moved) <= n {
 		src := int32(-1)
 		var worst int64
@@ -253,7 +252,6 @@ func repairBalance(h *hypergraph.Hypergraph, k int, parts []int32, caps []int64,
 		if src < 0 {
 			break
 		}
-		rounds++
 		bestV, bestTo := int32(-1), int32(-1)
 		var bestGain int64
 		for v := 0; v < n; v++ {
@@ -280,7 +278,6 @@ func repairBalance(h *hypergraph.Hypergraph, k int, parts []int32, caps []int64,
 		s.Move(int(bestV), bestTo)
 		moved = append(moved, bestV)
 	}
-	obsKernelRounds.Add(int64(rounds))
 	return moved
 }
 

@@ -23,8 +23,6 @@ func parallelRefine(c *mpi.Comm, h *hypergraph.Hypergraph, k int, parts []int32,
 	n := h.NumVertices()
 	lo, hi := blockRange(n, c.Size(), c.Rank())
 	state := hgp.NewKwayState(h, k, parts)
-	buf := make([]int32, 0, k)
-	mark := make([]bool, k)
 
 	for round := 0; round < opt.RefineRounds; round++ {
 		// 1. Propose best moves for local block vertices.
@@ -33,20 +31,8 @@ func parallelRefine(c *mpi.Comm, h *hypergraph.Hypergraph, k int, parts []int32,
 			if h.Fixed(v) != hypergraph.Free {
 				continue
 			}
-			cands := state.AdjacentParts(v, buf, mark)
-			var bestTo int32 = -1
-			var bestGain int64
-			for _, to := range cands {
-				if state.PartWeight(to)+h.Weight(v) > caps[to] {
-					continue
-				}
-				if g := state.MoveGain(v, to); g > bestGain {
-					bestGain = g
-					bestTo = to
-				}
-			}
-			if bestTo >= 0 && bestGain > 0 {
-				proposals = append(proposals, moveProposal{V: int32(v), To: bestTo, Gain: bestGain})
+			if to, gain := state.BestMove(v, caps); to >= 0 && gain > 0 {
+				proposals = append(proposals, moveProposal{V: int32(v), To: to, Gain: gain})
 			}
 		}
 
