@@ -17,8 +17,6 @@ func RefineKwayWithMigration(h *hypergraph.Hypergraph, k int, parts []int32, old
 		alpha = 1
 	}
 	s := NewKwayState(h, k, parts)
-	buf := make([]int32, 0, k)
-	mark := make([]bool, k)
 	for pass := 0; pass < passes; pass++ {
 		improved := false
 		for v := 0; v < h.NumVertices(); v++ {
@@ -26,7 +24,7 @@ func RefineKwayWithMigration(h *hypergraph.Hypergraph, k int, parts []int32, old
 				continue
 			}
 			from := s.PartOf(v)
-			cands := s.AdjacentParts(v, buf, mark)
+			cands := s.AdjacentParts(v)
 			var bestTo int32 = -1
 			var bestGain int64
 			overFrom := s.PartWeight(from) > caps[from]
