@@ -192,30 +192,57 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestIPMMatchLegality checks that the matching is symmetric, honors the
+// fixed-vertex filter, and is maximal: no two singletons share a scored net
+// (2..maxNetSize pins) when their fixed labels are compatible.
 func TestIPMMatchLegality(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	h := randomHG(rng, 80, 120, 5)
-	fixed := make([]int32, 80)
-	for v := range fixed {
-		fixed[v] = hypergraph.Free
-	}
-	for v := 0; v < 30; v++ {
-		fixed[v] = int32(v % 3)
-	}
-	hf := h.WithFixed(fixed)
-	match := ipmMatch(hf, rng, 500, true, newWorkspace())
-	for v := 0; v < 80; v++ {
-		u := int(match[v])
-		if u < 0 || u >= 80 {
-			t.Fatalf("match[%d] = %d out of range", v, u)
+	const maxNetSize = 5
+	for _, tc := range []struct {
+		name   string
+		nFixed int // vertices 0..nFixed-1 are fixed round-robin over 3 parts
+	}{
+		{"some fixed", 30},
+		{"all fixed", 80},
+	} {
+		rng := rand.New(rand.NewSource(6))
+		h := randomHG(rng, 80, 120, 6)
+		fixed := make([]int32, 80)
+		for v := range fixed {
+			fixed[v] = hypergraph.Free
+			if v < tc.nFixed {
+				fixed[v] = int32(v % 3)
+			}
 		}
-		if int(match[u]) != v {
-			t.Fatalf("match not symmetric: match[%d]=%d match[%d]=%d", v, u, u, match[u])
+		hf := h.WithFixed(fixed)
+		compatible := func(u, v int) bool {
+			fu, fv := hf.Fixed(u), hf.Fixed(v)
+			return fu == hypergraph.Free || fv == hypergraph.Free || fu == fv
 		}
-		if u != v {
-			fv, fu := hf.Fixed(v), hf.Fixed(u)
-			if fv != hypergraph.Free && fu != hypergraph.Free && fv != fu {
-				t.Fatalf("matched vertices %d,%d fixed to different parts %d,%d", v, u, fv, fu)
+		match := ipmMatch(hf, rng, maxNetSize, true, newWorkspace())
+		for v := 0; v < 80; v++ {
+			u := int(match[v])
+			if u < 0 || u >= 80 {
+				t.Fatalf("%s: match[%d] = %d out of range", tc.name, v, u)
+			}
+			if int(match[u]) != v {
+				t.Fatalf("%s: match not symmetric: match[%d]=%d match[%d]=%d", tc.name, v, u, u, match[u])
+			}
+			if u != v && !compatible(u, v) {
+				t.Fatalf("%s: matched vertices %d,%d fixed to different parts %d,%d", tc.name, v, u, hf.Fixed(v), hf.Fixed(u))
+			}
+		}
+		for n := 0; n < hf.NumNets(); n++ {
+			pins := hf.Pins(n)
+			if len(pins) < 2 || len(pins) > maxNetSize {
+				continue
+			}
+			for i, a := range pins {
+				for _, b := range pins[i+1:] {
+					u, v := int(a), int(b)
+					if match[u] == a && match[v] == b && compatible(u, v) {
+						t.Fatalf("%s: not maximal: singletons %d and %d share net %d", tc.name, u, v, n)
+					}
+				}
 			}
 		}
 	}
@@ -348,6 +375,64 @@ func TestRefineKwayNeverWorsens(t *testing.T) {
 		if after > before {
 			t.Fatalf("trial %d: k-way refinement worsened cut %d -> %d", trial, before, after)
 		}
+	}
+
+	// The over-cap escape: part 0 is over its cap and every move out of it
+	// gains 0, so only the escape can drain it. m triples {x, y, z} form
+	// one net each, with x and y on part 0 and z on part 1..k-1.
+	for _, tc := range []struct {
+		name string
+		k, m int
+		eps  float64
+		fixX bool // fix every x to part 0, so only the y's can leave
+	}{
+		{"k2", 2, 10, 0.3, false},
+		{"k3", 3, 12, 0.3, false},
+		{"k2 fixed x", 2, 10, 0.1, true},
+	} {
+		b := hypergraph.NewBuilder(3 * tc.m)
+		parts := make([]int32, 3*tc.m)
+		for i := 0; i < tc.m; i++ {
+			x, y, z := 3*i, 3*i+1, 3*i+2
+			b.AddNet(1, x, y, z)
+			parts[z] = int32(1 + i%(tc.k-1))
+			if tc.fixX {
+				b.Fix(x, 0)
+			}
+		}
+		h := b.Build()
+		caps := capsFor(h, tc.k, tc.eps)
+		before := partition.CutSize(h, partition.Partition{Parts: parts, K: tc.k})
+
+		s := NewKwayState(h, tc.k, append([]int32(nil), parts...))
+		if s.PartWeight(0) <= caps[0] {
+			t.Fatalf("%s: part 0 weight %d is not over cap %d", tc.name, s.PartWeight(0), caps[0])
+		}
+		for v := range parts {
+			if to, gain := s.BestMove(v, caps); parts[v] == 0 && h.Fixed(v) == hypergraph.Free && (to < 0 || gain != 0) {
+				t.Fatalf("%s: vertex %d best move (%d, %d), want a zero-gain move", tc.name, v, to, gain)
+			}
+		}
+
+		check := func(via string, got []int32) {
+			w := partition.Weights(h, partition.Partition{Parts: got, K: tc.k})
+			if w[0] > caps[0] {
+				t.Errorf("%s via %s: part 0 weight %d still over cap %d", tc.name, via, w[0], caps[0])
+			}
+			if after := partition.CutSize(h, partition.Partition{Parts: got, K: tc.k}); after > before {
+				t.Errorf("%s via %s: cut rose %d -> %d", tc.name, via, before, after)
+			}
+			for v := range got {
+				if f := h.Fixed(v); f != hypergraph.Free && got[v] != f {
+					t.Errorf("%s via %s: fixed vertex %d moved to %d", tc.name, via, v, got[v])
+				}
+			}
+		}
+		RefineKwayPass(s, caps)
+		check("RefineKwayPass", s.parts)
+		sweep := append([]int32(nil), parts...)
+		refineKway(h, tc.k, sweep, caps, 1, newWorkspace())
+		check("refineKway", sweep)
 	}
 }
 
