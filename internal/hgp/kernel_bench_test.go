@@ -38,7 +38,7 @@ func BenchmarkContract(b *testing.B) {
 	}
 }
 
-// BenchmarkIPMMatch measures one inner-product matching round.
+// BenchmarkIPMMatch measures one inner-product matching pass.
 func BenchmarkIPMMatch(b *testing.B) {
 	h := benchHypergraph(b)
 	ws := newWorkspace()

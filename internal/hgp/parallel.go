@@ -96,8 +96,8 @@ func startSeed(base int64, s int) int64 {
 }
 
 // mix64 is the splitmix64 finalizer: an index-seeded stand-in for a
-// per-vertex RNG draw. Kernels key it on (seed, round, vertex indices) to
-// break score ties pseudo-randomly without any execution-order dependence.
+// per-vertex RNG draw. Kernels key it on (seed, vertex indices) to break
+// score ties pseudo-randomly without any execution-order dependence.
 func mix64(x uint64) uint64 {
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd

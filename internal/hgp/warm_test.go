@@ -86,9 +86,9 @@ func TestPartitionWarmMediumDriftVCycle(t *testing.T) {
 	}
 }
 
-// TestPartitionWarmParallelismInvariant: the warm path runs the parallel
-// repair/refinement kernels — assert the propose-resolve round structure
-// keeps results byte-identical across Parallelism.
+// TestPartitionWarmParallelismInvariant: the warm path runs the repair and
+// refinement kernels — assert their in-order passes keep results
+// byte-identical across Parallelism.
 func TestPartitionWarmParallelismInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	h, cold, dirty := warmSeed(t, rng, 250, 8)
