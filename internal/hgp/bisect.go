@@ -2,6 +2,8 @@ package hgp
 
 import (
 	"math/rand"
+	"slices"
+	"sync"
 	"time"
 
 	"hyperbal/internal/hypergraph"
@@ -77,14 +79,28 @@ type startOut struct {
 // shared start state with the generator startSeed(baseSeed, s), and fm2
 // refines it from the state ghg2 hands over. t0 is side 0's target
 // weight and c0, c1 the side caps.
+//
+// Each distinct grown partition is refined once. From the shared start,
+// ghg2's partition depends only on its draws and fm2From's result only on
+// its partition, so a start that grows a partition another start
+// registered takes that start's result, and once a start has grown without
+// drawing, every start not yet grown takes its result without growing.
+// Starts that share a result share its partition slice.
 func coarseStarts(h *hypergraph.Hypergraph, fixedSide []int32, t0, c0, c1, baseSeed int64, opt Options, px *parctx, ws *workspace) []startOut {
 	outs := make([]startOut, opt.InitialStarts)
 	// One leaf order and one start state per level: the starts share them
 	// read-only.
 	ord := ws.weightOrder(h)
 	st := ws.coarseStart(h, fixedSide, c0, c1, opt.MaxNetSize)
+	reg := ws.startRegistry(opt.InitialStarts, h.NumVertices())
 	px.forEach(opt.InitialStarts, ws, func(i int, sws *workspace) {
-		s := ghg2(st, sws.startRNG(startSeed(baseSeed, i)), fixedSide, t0, ord, sws)
+		if reg.settled(i) {
+			return
+		}
+		s, drew := ghg2(st, sws.startRNG(startSeed(baseSeed, i)), fixedSide, t0, ord, sws)
+		if !reg.claim(i, s.parts, drew) {
+			return
+		}
 		cut := fm2From(&s, fixedSide, opt.RefinePasses, ord, sws)
 		dev := s.w[0] - t0
 		if dev < 0 {
@@ -92,8 +108,72 @@ func coarseStarts(h *hypergraph.Hypergraph, fixedSide []int32, t0, c0, c1, baseS
 		}
 		outs[i] = startOut{parts: s.parts, cut: cut, dev: dev}
 	})
+	for i, o := range reg.owner {
+		outs[i] = outs[o]
+	}
 	st.release()
 	return outs
+}
+
+// startRegistry is one coarse solve's record of the partitions its starts
+// grew: a copy of each distinct one (fm2From refines the start's own in
+// place) and the start that owns it, which alone refines it. The starts
+// share it under mu.
+type startRegistry struct {
+	mu       sync.Mutex
+	grown    []int32 // arena: registered partition j at [j*n, (j+1)*n)
+	owners   []int32 // registered partition j's owner
+	drawFree int32   // the owner of a partition grown without a draw, or -1
+	owner    []int32 // per start: the start whose result it takes
+}
+
+// startRegistry empties ws's registry for a solve of starts starts on a
+// level of n vertices and returns it. It stays valid until the next
+// startRegistry call on ws.
+func (ws *workspace) startRegistry(starts, n int) *startRegistry {
+	r := &ws.starts
+	r.grown = growI32(r.grown, starts*n)
+	r.owners = r.owners[:0]
+	r.drawFree = -1
+	r.owner = growI32(r.owner, starts)
+	return r
+}
+
+// settled reports whether start i can skip growing: a start grew without
+// drawing, so i would grow that start's partition. i then takes its
+// owner's result.
+func (r *startRegistry) settled(i int) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.drawFree < 0 {
+		return false
+	}
+	r.owner[i] = r.drawFree
+	return true
+}
+
+// claim looks start i's grown partition up among the registered ones and
+// registers it if it is new. It reports whether i owns it and must refine
+// it; otherwise i takes the owner's result. drew is ghg2's report.
+func (r *startRegistry) claim(i int, parts []int32, drew bool) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n, o := len(parts), int32(i)
+	for j, owner := range r.owners {
+		if slices.Equal(r.grown[j*n:(j+1)*n], parts) {
+			o = owner
+			break
+		}
+	}
+	if o == int32(i) {
+		copy(r.grown[len(r.owners)*n:], parts)
+		r.owners = append(r.owners, o)
+	}
+	if !drew {
+		r.drawFree = o
+	}
+	r.owner[i] = o
+	return o == int32(i)
 }
 
 // fixedLabels extracts the fixed-side labels of h (Free for unfixed

@@ -13,7 +13,8 @@ import (
 // ghg2Fresh runs one ghg2 start on h from a freshly built shared start and
 // returns its partition: the coarse solve's path for a single start.
 func ghg2Fresh(h *hypergraph.Hypergraph, rng *rand.Rand, fixed []int32, t0, c0, c1 int64, maxNet int, ws *workspace) []int32 {
-	return ghg2(ws.coarseStart(h, fixed, c0, c1, maxNet), rng, fixed, t0, ws.weightOrder(h), ws).parts
+	s, _ := ghg2(ws.coarseStart(h, fixed, c0, c1, maxNet), rng, fixed, t0, ws.weightOrder(h), ws)
+	return s.parts
 }
 
 // TestMaxFitMatchesFitsWeight holds the closed-form limit to its
@@ -89,7 +90,7 @@ func TestCoarseStartHandOff(t *testing.T) {
 
 		px.forEach(opt.InitialStarts, ws, func(i int, sws *workspace) {
 			name := fmt.Sprintf("%s start %d", c.name, i)
-			s := ghg2(st, sws.startRNG(startSeed(int64(ci), i)), c.fixed, c.t0, ord, sws)
+			s, _ := ghg2(st, sws.startRNG(startSeed(int64(ci), i)), c.fixed, c.t0, ord, sws)
 			checkExactState(t, name+" after ghg2", &s, sws.gains)
 			if cut := fm2From(&s, c.fixed, opt.RefinePasses, ord, sws); cut != s.cut {
 				t.Errorf("%s: fm2 returned cut %d, its state holds %d", name, cut, s.cut)

@@ -184,30 +184,96 @@ func checkKwayFM(t *testing.T, name string, h *hypergraph.Hypergraph, k int, par
 // TestDatasetCoarseOracle runs the three kernels against their references
 // on the coarsest level of each dataset analogue's first bisection: every
 // start of the coarse solve, through bisect's own coarseStarts at
-// Parallelism 4 (ghg2 from the shared start, then fm2 on the state it
+// Parallelism 1 and 4 (ghg2 from the shared start, then fm2 on the state it
 // hands over), against refGHG2 then refFM2; and a k-way FM pass from a
-// random 8-way assignment.
+// random 8-way assignment. The coarse solve runs free and with fixed sides
+// (coarseOracleSides). Its two skips must both be exercised: some instance
+// grows without drawing, and among those that draw, some grow a partition
+// twice and some grow two or more distinct partitions.
 func TestDatasetCoarseOracle(t *testing.T) {
 	ws, rws, rs := newWorkspace(), newWorkspace(), new(refScratch)
 	opt := Options{}.withDefaults()
-	px := newParctx(4)
+	var drawFree, duplicated, distinct int
 	for _, ds := range datasets.Names() {
 		coarsest, rng := firstBisectionCoarsest(t, ds, kernelBenchScale, 1)
-		fixed := fixedLabels(coarsest, nil)
 		t0, c0, c1 := bisectCaps(coarsest, 0.5, 0.05)
 		baseSeed := rng.Int63()
-		outs := coarseStarts(coarsest, fixed, t0, c0, c1, baseSeed, opt, px, ws)
-		for s, out := range outs {
-			want := refGHG2(coarsest, rand.New(rand.NewSource(startSeed(baseSeed, s))), fixed, t0, c0, c1, opt.MaxNetSize, rws, rs)
-			wantCut := refFM2(coarsest, want, fixed, c0, c1, opt.RefinePasses, opt.MaxNetSize, rws, rs)
-			if out.cut != wantCut || !slices.Equal(out.parts, want) {
-				t.Fatalf("%s start %d: coarse-solve cut %d differs from the reference kernels' %d, or its parts do", ds, s, out.cut, wantCut)
+		for _, k := range []int{0, 2, 8} {
+			fixed := coarseOracleSides(coarsest, k)
+			drew, grown := grownStarts(t, coarsest, fixed, t0, c0, c1, baseSeed, opt, ws)
+			if !drew {
+				drawFree++
+			}
+			if drew && grown < opt.InitialStarts {
+				duplicated++
+			}
+			if drew && grown >= 2 {
+				distinct++
+			}
+			sides := "free"
+			if k > 0 {
+				sides = fmt.Sprintf("%d-way fixed", k)
+			}
+			for _, par := range []int{1, 4} {
+				name := fmt.Sprintf("%s %s, Parallelism %d", ds, sides, par)
+				outs := coarseStarts(coarsest, fixed, t0, c0, c1, baseSeed, opt, newParctx(par), ws)
+				for s, out := range outs {
+					want := refGHG2(coarsest, rand.New(rand.NewSource(startSeed(baseSeed, s))), fixed, t0, c0, c1, opt.MaxNetSize, rws, rs)
+					wantCut := refFM2(coarsest, want, fixed, c0, c1, opt.RefinePasses, opt.MaxNetSize, rws, rs)
+					if out.cut != wantCut || !slices.Equal(out.parts, want) {
+						t.Fatalf("%s start %d: coarse-solve cut %d differs from the reference kernels' %d, or its parts do", name, s, out.cut, wantCut)
+					}
+				}
 			}
 		}
 		const k = 8
 		kparts := randomBalanced(coarsest, k, rng)
 		checkKwayFM(t, ds, coarsest, k, kparts, capsFor(coarsest, k, 0.05), opt.RefinePasses, opt.MaxNetSize, ws, rws)
 	}
+	if drawFree == 0 || duplicated == 0 || distinct == 0 {
+		t.Errorf("instances: %d grow without drawing, %d drawing grow a partition twice, %d drawing grow two or more; want each > 0", drawFree, duplicated, distinct)
+	}
+}
+
+// coarseOracleSides fixes every 13th vertex of h round-robin over k parts,
+// as goldenFixed does, and folds the parts to sides as recursive bisection
+// does: the first k/2 parts to side 0. k = 0 leaves every vertex Free.
+func coarseOracleSides(h *hypergraph.Hypergraph, k int) []int32 {
+	fixed := make([]int32, h.NumVertices())
+	for v := range fixed {
+		fixed[v] = hypergraph.Free
+		if k > 0 && v%13 == 0 {
+			fixed[v] = 0
+			if v/13%k >= k/2 {
+				fixed[v] = 1
+			}
+		}
+	}
+	return fixed
+}
+
+// grownStarts runs ghg2 for every start of a coarse solve on h and returns
+// whether the starts drew and how many distinct partitions they grew. The
+// starts must agree on drawing, and starts that drew nothing must all grow
+// one partition.
+func grownStarts(t *testing.T, h *hypergraph.Hypergraph, fixed []int32, t0, c0, c1, baseSeed int64, opt Options, ws *workspace) (drew bool, distinct int) {
+	t.Helper()
+	var grown [][]int32
+	for s := 0; s < opt.InitialStarts; s++ {
+		st, sDrew := ghg2(ws.coarseStart(h, fixed, c0, c1, opt.MaxNetSize), ws.startRNG(startSeed(baseSeed, s)), fixed, t0, ws.weightOrder(h), ws)
+		if s == 0 {
+			drew = sDrew
+		} else if sDrew != drew {
+			t.Fatalf("start %d drew %v, start 0 %v", s, sDrew, drew)
+		}
+		if !slices.ContainsFunc(grown, func(p []int32) bool { return slices.Equal(p, st.parts) }) {
+			grown = append(grown, st.parts)
+		}
+	}
+	if !drew && len(grown) != 1 {
+		t.Fatalf("%d starts grew without drawing, %d distinct partitions", opt.InitialStarts, len(grown))
+	}
+	return drew, len(grown)
 }
 
 // TestKwayFMHonorsMaxNetSize: Options.MaxNetSize bounds the nets the k-way

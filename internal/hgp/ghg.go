@@ -62,8 +62,12 @@ func (st *coarseStart) release() { st.s.h = nil }
 // ws.gains holding its gains, for fm2From to continue from. Its partition
 // is freshly allocated (multi-start keeps several alive at once); all
 // other scratch lives in ws.
-func ghg2(st *coarseStart, rng *rand.Rand, fixedSide []int32, target0 int64, ord *gaintree.Order, ws *workspace) bisectState {
-	s := st.begin(ws)
+//
+// ghg2 also reports whether it drew from rng. Every start of a coarse
+// solve begins from the same st, so a run that drew nothing grew the
+// partition every start grows.
+func ghg2(st *coarseStart, rng *rand.Rand, fixedSide []int32, target0 int64, ord *gaintree.Order, ws *workspace) (s bisectState, drew bool) {
+	s = st.begin(ws)
 	h, parts, g := s.h, s.parts, ws.gains
 	n := h.NumVertices()
 
@@ -74,6 +78,7 @@ func ghg2(st *coarseStart, rng *rand.Rand, fixedSide []int32, target0 int64, ord
 	t.Reset(n, ord)
 	seed := func() bool {
 		// find a random movable vertex on side 1 to restart growth
+		drew = true
 		start := rng.Intn(n)
 		for i := 0; i < n; i++ {
 			v := (start + i) % n
@@ -132,5 +137,5 @@ func ghg2(st *coarseStart, rng *rand.Rand, fixedSide []int32, target0 int64, ord
 			}
 		}
 	}
-	return s
+	return s, drew
 }

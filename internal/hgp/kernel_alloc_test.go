@@ -83,7 +83,7 @@ func TestKernelAllocGuards(t *testing.T) {
 		t.Errorf("ghg2: %.0f allocs/op, want <= 1", n)
 	}
 	// Each fm2 run restarts from a copy of the handed-over state.
-	s := ghg2(st, ws.startRNG(seed), cfixed, t0, ord, ws)
+	s, _ := ghg2(st, ws.startRNG(seed), cfixed, t0, ord, ws)
 	handed := s
 	start := slices.Clone(s.parts)
 	pins0 := slices.Clone(s.pins0)
@@ -103,5 +103,28 @@ func TestKernelAllocGuards(t *testing.T) {
 		fm2(coarsest, cparts, cfixed, c0, c1, 4, 500, ord, ws)
 	}); n > 0 {
 		t.Errorf("fm2: %.0f allocs/op, want 0", n)
+	}
+
+	// The whole coarse solve at Parallelism 1, free and with fixed sides
+	// that make every start grow without drawing: the result slice, the
+	// start closure and each grown partition, one per start that ran ghg2
+	// (all 8 free; only the first with fixed sides). The registry of grown
+	// partitions allocates nothing once the workspace is warm.
+	opt := Options{}.withDefaults()
+	px := newParctx(1)
+	for _, c := range []struct {
+		name  string
+		fixed []int32
+		want  float64
+	}{
+		{"free", cfixed, 2 + float64(opt.InitialStarts)},
+		{"fixed", coarseOracleSides(coarsest, 2), 2 + 1},
+	} {
+		coarseStarts(coarsest, c.fixed, t0, c0, c1, seed, opt, px, ws)
+		if n := testing.AllocsPerRun(10, func() {
+			coarseStarts(coarsest, c.fixed, t0, c0, c1, seed, opt, px, ws)
+		}); n > c.want {
+			t.Errorf("coarseStarts %s: %.0f allocs/op, want <= %.0f", c.name, n, c.want)
+		}
 	}
 }

@@ -114,18 +114,30 @@ func BenchmarkFM2Dense(b *testing.B) {
 // and runs every start's ghg2 and fm2. Coarse vertices are heavy and
 // uneven, so balance blocks many of the best-gain moves — the case
 // BenchmarkFM2Pass, on unit weights with loose caps, never reaches.
+// "free" fixes no vertex, and its starts grow 3 distinct partitions of 8;
+// "fixed" fixes sides as coarseOracleSides(·, 2) does, as repartitioning
+// does, so growth starts at the side-0 fixed vertices, no start draws and
+// one start's ghg2 and fm2 settle the solve.
 func BenchmarkCoarseSolve(b *testing.B) {
 	coarsest, rng := firstBisectionCoarsest(b, "xyce680s", kernelBenchScale, 1)
-	fixed := fixedLabels(coarsest, nil)
 	t0, c0, c1 := bisectCaps(coarsest, 0.5, 0.05)
 	opt := Options{}.withDefaults()
 	baseSeed := rng.Int63()
 	px := newParctx(1)
-	ws := newWorkspace()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		coarseStarts(coarsest, fixed, t0, c0, c1, baseSeed, opt, px, ws)
+	for _, c := range []struct {
+		name  string
+		fixed []int32
+	}{
+		{"free", fixedLabels(coarsest, nil)},
+		{"fixed", coarseOracleSides(coarsest, 2)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			ws := newWorkspace()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				coarseStarts(coarsest, c.fixed, t0, c0, c1, baseSeed, opt, px, ws)
+			}
+		})
 	}
 }
 

@@ -17,6 +17,9 @@ import "sync"
 // (never from execution order), writes only to its own result slot or
 // vertex range, and winners are reduced by a scan in index order — so
 // every Parallelism value, 1 included, produces bit-identical partitions.
+// The coarse solve's starts also share a registry of the partitions they
+// grew (coarseStarts); which start refines a shared partition depends on
+// the schedule, the result the others take does not.
 // Items that run on a spawned worker are counted in
 // hgp_kernel_worker_items_total (the rank-local oversubscription pin
 // asserts it stays flat at Parallelism=1).

@@ -33,6 +33,7 @@ type workspace struct {
 	moved  []int32
 	order  gaintree.Order // the level's gain-tree leaves (weightOrder)
 	start  coarseStart    // the coarse solve's shared ghg2 start (coarseStart)
+	starts startRegistry  // the coarse solve's grown partitions (startRegistry)
 
 	// FM move selection (ghg2 / fm2 / refineKwayFM)
 	tree gaintree.Tree
