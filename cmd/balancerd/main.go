@@ -11,12 +11,6 @@
 //	          [-fault-max-delay 0] [-fault-seed 1] [-metrics-addr ""]
 //	          [-self URL -peers URL,URL,...]
 //	balancerd -gateway -replicas URL,URL,... [-addr :8080]
-//	balancerd -compute-worker [-addr :8090] [-addr-file path]
-//
-// -compute-worker turns the process into a compute-plane rank endpoint:
-// it serves the mpinet wire protocol instead of HTTP, hosting one rank
-// of each partitioner world a coordinator (hgpart -net-workers, or the
-// harness) launches at it. SIGTERM exits cleanly.
 //
 // The API mux itself serves /metrics and /metrics.json; -metrics-addr
 // additionally starts the internal/obs debug server (with /debug/pprof)
@@ -47,8 +41,6 @@ import (
 	"time"
 
 	"hyperbal/internal/mpi"
-	"hyperbal/internal/mpinet"
-	_ "hyperbal/internal/mpinet/jobs" // partitioner jobs for -compute-worker
 	"hyperbal/internal/obs"
 	"hyperbal/internal/server"
 )
@@ -73,8 +65,6 @@ func main() {
 		peers       = flag.String("peers", "", "comma-separated replica base URLs, including -self")
 		peerTimeout = flag.Duration("peer-timeout", 75*time.Millisecond, "bound on a peer cache lookup before solving locally (<0 disables peering lookups)")
 
-		computeWorker = flag.Bool("compute-worker", false, "run as a compute-plane rank endpoint (mpinet wire protocol) instead of an HTTP replica")
-
 		gateway    = flag.Bool("gateway", false, "run as a routing gateway over -replicas instead of a replica")
 		replicas   = flag.String("replicas", "", "gateway: comma-separated replica base URLs")
 		loadFactor = flag.Float64("load-factor", 1.25, "gateway: bounded-load placement factor")
@@ -82,10 +72,6 @@ func main() {
 	flag.Parse()
 	logger := log.New(os.Stderr, "balancerd: ", log.LstdFlags|log.Lmicroseconds)
 
-	if *computeWorker {
-		runComputeWorker(logger, *addr, *addrFile, *metricsAddr)
-		return
-	}
 	if *gateway {
 		runGateway(logger, *addr, *addrFile, *replicas, *loadFactor, *drainT)
 		return
@@ -184,46 +170,6 @@ func splitURLs(s string) []string {
 		}
 	}
 	return out
-}
-
-// runComputeWorker is the -compute-worker mode: a compute-plane rank
-// endpoint speaking the mpinet wire protocol.
-func runComputeWorker(logger *log.Logger, addr, addrFile, metricsAddr string) {
-	if metricsAddr != "" {
-		bound, shutdown, err := obs.Serve(metricsAddr, obs.Default())
-		if err != nil {
-			logger.Fatalf("metrics server: %v", err)
-		}
-		defer shutdown()
-		logger.Printf("metrics on http://%s/metrics", bound)
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		logger.Fatalf("listen %s: %v", addr, err)
-	}
-	bound := ln.Addr().String()
-	logger.Printf("compute worker on %s", bound)
-	if addrFile != "" {
-		if err := os.WriteFile(addrFile, []byte(bound+"\n"), 0o644); err != nil {
-			logger.Fatalf("addr-file: %v", err)
-		}
-	}
-
-	w := mpinet.NewWorker(ln)
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- w.Serve() }()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case s := <-sig:
-		logger.Printf("received %v; shutting down", s)
-	case err := <-serveErr:
-		logger.Fatalf("serve: %v", err)
-	}
-	w.Close()
-	<-serveErr
-	logger.Printf("exited cleanly")
 }
 
 // runGateway is the -gateway mode: a routing tier over -replicas.

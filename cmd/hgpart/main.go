@@ -5,12 +5,17 @@
 // Usage:
 //
 //	hgpart -k 8 [-eps 0.05] [-seed 1] [-ranks 4] [-direct] [-mtx] [-o out.part] input.hgr
+//	hgpart -worker ADDR [-metrics-addr ADDR]
 //
 // With -ranks > 1 the parallel partitioner runs on that many in-process
 // ranks. With -net-workers the same partitioner runs over the network
-// transport, one rank per listed balancerd -compute-worker process, and
-// produces the identical partition. The optional output file receives
-// one part id per line.
+// transport, one rank per listed worker, and produces the identical
+// partition. The optional output file receives one part id per line.
+//
+// -worker turns the process into one of those workers: a compute-plane
+// rank endpoint speaking the mpinet wire protocol on ADDR, hosting one
+// rank of each world a coordinator launches at it. It logs "compute
+// worker on <addr>" once listening and exits 0 on SIGTERM or SIGINT.
 package main
 
 import (
@@ -18,9 +23,12 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"net"
 	"os"
+	"os/signal"
 	"runtime/pprof"
 	"strings"
+	"syscall"
 	"time"
 
 	"hyperbal/internal/hgp"
@@ -50,11 +58,10 @@ func main() {
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (Prometheus text, ?format=json) and /debug/pprof on this address")
 		metricsJSON = flag.String("metrics-json", "", `write a JSON metrics snapshot to this file on exit ("-" = stdout)`)
 
-		netWorkers    = flag.String("net-workers", "", "comma-separated compute-worker addresses; run the parallel partitioner over the network transport (one rank per worker)")
-		netRanks      = flag.Int("net-ranks", 0, "ranks for -net-workers (0 = one per listed worker; must not exceed the worker count)")
-		netJitter     = flag.Duration("net-jitter", 0, "artificial per-message delay bound on the network transport (scheduling-independence check)")
-		netJitterSeed = flag.Int64("net-jitter-seed", 1, "seed for -net-jitter delays")
-		netTimeout    = flag.Duration("net-timeout", 0, "network transport receive timeout (0 = default)")
+		worker     = flag.String("worker", "", "serve as a compute worker (mpinet rank endpoint) on this address instead of partitioning")
+		netWorkers = flag.String("net-workers", "", "comma-separated -worker addresses; run the parallel partitioner over the network transport (one rank per worker)")
+		netJitter  = flag.Duration("net-jitter", 0, "artificial per-message delay bound on the network transport, seeded by -seed (scheduling-independence check)")
+		netTimeout = flag.Duration("net-timeout", 0, "network transport receive timeout (0 = default)")
 	)
 	flag.Parse()
 	if *metricsAddr != "" {
@@ -62,6 +69,10 @@ func main() {
 		check(err)
 		defer shutdown()
 		fmt.Fprintf(os.Stderr, "hgpart: metrics on http://%s/metrics\n", bound)
+	}
+	if *worker != "" {
+		serveWorker(*worker)
+		return
 	}
 	if *cpuprofile != "" {
 		pf, err := os.Create(*cpuprofile)
@@ -107,18 +118,10 @@ func main() {
 	start := time.Now()
 	var p partition.Partition
 	if *netWorkers != "" {
-		addrs := strings.Split(*netWorkers, ",")
-		n := *netRanks
-		if n == 0 {
-			n = len(addrs)
-		}
-		if n > len(addrs) || n < 1 {
-			check(fmt.Errorf("-net-ranks %d needs between 1 and %d workers", n, len(addrs)))
-		}
 		payload, err := jobs.EncodePHG(h, phg.Options{Serial: opts})
 		check(err)
-		res, err := mpinet.RunWorld(context.Background(), jobs.PHGPartition, payload, addrs[:n],
-			mpinet.Options{RecvTimeout: *netTimeout, Jitter: *netJitter, JitterSeed: *netJitterSeed})
+		res, err := mpinet.RunWorld(context.Background(), jobs.PHGPartition, payload, strings.Split(*netWorkers, ","),
+			mpinet.Options{RecvTimeout: *netTimeout, Jitter: *netJitter, JitterSeed: *seed})
 		check(err)
 		parts, err := jobs.DecodeParts(res.Root())
 		check(err)
@@ -160,6 +163,28 @@ func main() {
 	if *metricsJSON != "" {
 		check(obs.DumpJSONFile(*metricsJSON, obs.Default()))
 	}
+}
+
+// serveWorker is the -worker mode: it hosts ranks of the worlds
+// coordinators launch at addr until SIGTERM or SIGINT.
+func serveWorker(addr string) {
+	ln, err := net.Listen("tcp", addr)
+	check(err)
+	fmt.Fprintf(os.Stderr, "hgpart: compute worker on %s\n", ln.Addr())
+	w := mpinet.NewWorker(ln)
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- w.Serve() }()
+
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	select {
+	case s := <-sig:
+		fmt.Fprintf(os.Stderr, "hgpart: received %v; shutting down\n", s)
+	case err := <-serveErr:
+		check(fmt.Errorf("serve: %w", err))
+	}
+	w.Close()
+	<-serveErr
 }
 
 func check(err error) {

@@ -1,9 +1,10 @@
 // Package mpinet is the real-network half of the MPI substrate: a TCP
 // transport implementing mpi.Transport plus the worker/coordinator pair
 // that launches an SPMD world whose ranks live in separate processes. The
-// SPMD partitioners (phg, pgp) run over it unchanged, and — by the
-// parallelism-invariance the in-process substrate already proves — produce
-// byte-identical partitions.
+// parallel hypergraph partitioner (phg, the one job internal/mpinet/jobs
+// registers) runs over it unchanged and — by the parallelism-invariance
+// the in-process substrate already proves — produces byte-identical
+// partitions.
 //
 // Wire format ("HBN", hyperbal net): every frame is
 //
@@ -85,9 +86,10 @@ func appendFrame(buf []byte, kind byte, body []byte) []byte {
 }
 
 // readFrame reads one frame from a stream, also reporting how many stream
-// bytes it consumed. Returned body is freshly allocated (safe to retain).
-// io.EOF is returned verbatim when the stream ends cleanly between frames.
-func readFrame(br *bufio.Reader, maxFrame int) (kind byte, body []byte, consumed int, err error) {
+// bytes it consumed. A body past DefaultMaxFrame is refused before any
+// allocation. Returned body is freshly allocated (safe to retain). io.EOF
+// is returned verbatim when the stream ends cleanly between frames.
+func readFrame(br *bufio.Reader) (kind byte, body []byte, consumed int, err error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		if err == io.ErrUnexpectedEOF {
@@ -120,8 +122,8 @@ func readFrame(br *bufio.Reader, maxFrame int) (kind byte, body []byte, consumed
 			break
 		}
 	}
-	if n > uint64(maxFrame) {
-		return 0, nil, 0, fmt.Errorf("%w: body length %d exceeds limit %d", errMalformed, n, maxFrame)
+	if n > DefaultMaxFrame {
+		return 0, nil, 0, fmt.Errorf("%w: body length %d exceeds limit %d", errMalformed, n, DefaultMaxFrame)
 	}
 	body = make([]byte, n)
 	if _, err := io.ReadFull(br, body); err != nil {

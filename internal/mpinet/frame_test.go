@@ -28,7 +28,7 @@ func TestFrameStreamRoundTrip(t *testing.T) {
 	br := bufio.NewReader(bytes.NewReader(stream))
 	wantKinds := []byte{frameHello, frameHelloAck, frameLaunch, frameMsg, frameResult, frameError}
 	for i, want := range wantKinds {
-		kind, body, n, err := readFrame(br, DefaultMaxFrame)
+		kind, body, n, err := readFrame(br)
 		if err != nil {
 			t.Fatalf("frame %d (%s): %v", i, order[i], err)
 		}
@@ -44,7 +44,7 @@ func TestFrameStreamRoundTrip(t *testing.T) {
 			t.Fatalf("frame %d: decodeFrame disagrees with readFrame (%v)", i, err)
 		}
 	}
-	if _, _, _, err := readFrame(br, DefaultMaxFrame); err != io.EOF {
+	if _, _, _, err := readFrame(br); err != io.EOF {
 		t.Fatalf("clean stream end: err = %v, want io.EOF", err)
 	}
 }
@@ -91,7 +91,7 @@ func TestFrameHostileInput(t *testing.T) {
 			}
 			// The streaming twin must reject it too (io.EOF only at offset 0
 			// of an empty stream).
-			_, _, _, serr := readFrame(bufio.NewReader(bytes.NewReader(tc.data)), DefaultMaxFrame)
+			_, _, _, serr := readFrame(bufio.NewReader(bytes.NewReader(tc.data)))
 			if serr == nil {
 				t.Fatal("readFrame accepted hostile input")
 			}
@@ -152,7 +152,7 @@ func (l *frameLoop) Send(comm uint64, dst, tag int, p wire.Sized) (time.Duration
 		return 0, fmt.Errorf("msg frame of %d bytes sits in a %d-byte buffer; it must be sized exactly", len(frame), cap(frame))
 	}
 	l.br.Reset(bytes.NewReader(frame))
-	kind, body, n, err := readFrame(l.br, DefaultMaxFrame)
+	kind, body, n, err := readFrame(l.br)
 	if err != nil || kind != frameMsg || n != len(frame) {
 		return 0, fmt.Errorf("readFrame: kind %d, %d of %d bytes, err %v", kind, n, len(frame), err)
 	}

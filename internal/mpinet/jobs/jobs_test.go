@@ -6,20 +6,18 @@ import (
 	"strings"
 	"testing"
 
-	"hyperbal/internal/gp"
 	"hyperbal/internal/graph"
 	"hyperbal/internal/hgp"
 	"hyperbal/internal/mpinet"
 	"hyperbal/internal/mpinet/jobs"
-	"hyperbal/internal/pgp"
 	"hyperbal/internal/phg"
 )
 
-// TestPayloadsAreReadWhole runs each job on one in-process worker and
+// TestPayloadsAreReadWhole runs the job on one in-process worker and
 // requires it to refuse a payload that does not decode to exactly one
-// well-formed input: bytes after the problem frame, an old partition sent
-// without Adaptive, and a corrupt last byte must each fail the world with
-// an error that names the problem. The unmodified payloads must succeed.
+// well-formed input: bytes after the problem frame and a payload missing
+// its last byte must each fail the world with an error that names the
+// problem. The unmodified payload must succeed.
 func TestPayloadsAreReadWhole(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -38,24 +36,14 @@ func TestPayloadsAreReadWhole(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Without Adaptive the payload ends on the empty old partition's count.
-	pgpPayload, err := jobs.EncodePGP(g, nil, 1, pgp.Options{Serial: gp.Options{K: 2, Seed: 1}}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	edit := func(p []byte, tail ...byte) []byte {
-		return append(append([]byte(nil), p[:len(p)-1]...), tail...)
-	}
 	cases := []struct {
 		name, job string
 		payload   []byte
 		want      string // in the world's error; "" means the world succeeds
 	}{
 		{"phg valid", jobs.PHGPartition, phgPayload, ""},
-		{"pgp valid", jobs.PGPPartition, pgpPayload, ""},
 		{"phg trailing bytes", jobs.PHGPartition, append(append([]byte(nil), phgPayload...), 0xAA), "trailing bytes"},
-		{"pgp old partition without adaptive", jobs.PGPPartition, edit(pgpPayload, 1, 0), "old partition"},
-		{"pgp corrupt old-partition count", jobs.PGPPartition, edit(pgpPayload, 2), "length prefix 2"},
+		{"phg truncated", jobs.PHGPartition, phgPayload[:len(phgPayload)-1], "truncated"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

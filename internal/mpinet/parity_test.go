@@ -16,14 +16,12 @@ import (
 
 	"hyperbal/internal/datasets"
 	"hyperbal/internal/dynamics"
-	"hyperbal/internal/gp"
 	"hyperbal/internal/graph"
 	"hyperbal/internal/hgp"
 	"hyperbal/internal/mpi"
 	"hyperbal/internal/mpinet"
 	"hyperbal/internal/mpinet/jobs"
 	"hyperbal/internal/partition"
-	"hyperbal/internal/pgp"
 	"hyperbal/internal/phg"
 )
 
@@ -63,11 +61,10 @@ func newGen(t *testing.T, dynamic string, g *graph.Graph, init partition.Partiti
 	return gen
 }
 
-// TestTransportParityAcrossDatasets is the PR's byte-identity gate: on
-// every dataset analogue × both dynamics, phg and adaptive pgp over the
-// network transport (3 worker processes, with per-message jitter armed)
-// must produce exactly the partition the in-process goroutine substrate
-// produces.
+// TestTransportParityAcrossDatasets is the byte-identity gate: on every
+// dataset analogue × both dynamics, phg over the network transport (3
+// worker processes, with per-message jitter armed) must produce exactly
+// the partition the in-process goroutine substrate produces.
 func TestTransportParityAcrossDatasets(t *testing.T) {
 	const ranks, n, seed = 3, 300, 5
 	addrs := bootWorkers(t, ranks)
@@ -91,9 +88,8 @@ func TestTransportParityAcrossDatasets(t *testing.T) {
 				// One perturbed epoch, so the wire carries the dynamic's
 				// weight/structure changes, not just the pristine generator
 				// output.
-				prob, old := newGen(t, dynamic, g, static, ranks, seed).Next()
+				prob, _ := newGen(t, dynamic, g, static, ranks, seed).Next()
 
-				// phg on the epoch hypergraph.
 				phgOpt := phg.Options{Serial: hgp.Options{K: ranks, Seed: seed + 1}}
 				var want partition.Partition
 				if _, err := mpi.RunWith(ranks, mpi.Options{Watchdog: time.Minute}, func(c *mpi.Comm) error {
@@ -118,31 +114,6 @@ func TestTransportParityAcrossDatasets(t *testing.T) {
 					t.Fatal(err)
 				}
 				diffParts(t, "phg", got, want.Parts)
-
-				// Adaptive pgp on the epoch graph, inheriting old.
-				pgpOpt := pgp.Options{Serial: gp.Options{K: ranks, Seed: seed + 2}}
-				if _, err := mpi.RunWith(ranks, mpi.Options{Watchdog: time.Minute}, func(c *mpi.Comm) error {
-					p, err := pgp.AdaptiveRepart(c, prob.G, old, 100, pgpOpt)
-					if c.Rank() == 0 {
-						want = p
-					}
-					return err
-				}); err != nil {
-					t.Fatal(err)
-				}
-				payload, err = jobs.EncodePGP(prob.G, old.Parts, 100, pgpOpt, true)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err = mpinet.RunWorld(context.Background(), jobs.PGPPartition, payload, addrs, netOpt)
-				if err != nil {
-					t.Fatalf("pgp over mpinet: %v", err)
-				}
-				got, err = jobs.DecodeParts(res.Root())
-				if err != nil {
-					t.Fatal(err)
-				}
-				diffParts(t, "pgp", got, want.Parts)
 			})
 		}
 	}

@@ -27,8 +27,6 @@ type Options struct {
 	// DialTimeout bounds mesh establishment (dialing a peer, including
 	// redials while the peer's launch is still in flight). 0 means 20s.
 	DialTimeout time.Duration
-	// MaxFrame bounds one frame body. 0 means DefaultMaxFrame.
-	MaxFrame int
 	// Jitter, when positive, delays each outbound message frame by a
 	// seeded pseudorandom duration in [0, Jitter) — real-network delay
 	// variance on demand, for shaking schedule-dependence out in tests and
@@ -46,9 +44,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 20 * time.Second
-	}
-	if o.MaxFrame <= 0 {
-		o.MaxFrame = DefaultMaxFrame
 	}
 	return o
 }
@@ -248,7 +243,7 @@ func (t *netTransport) readLoop(p *peer) {
 	defer t.readers.Done()
 	defer putReader(p.br)
 	for {
-		kind, body, n, err := readFrame(p.br, t.opt.MaxFrame)
+		kind, body, n, err := readFrame(p.br)
 		if err != nil {
 			// A dropped mesh connection is a dead peer: every subsequent
 			// Send/Recv on this transport fails with a structured CrashError

@@ -71,7 +71,7 @@ type pendingConn struct {
 }
 
 // NewWorker wraps an already-listening socket (the caller owns address
-// selection; balancerd reuses its -addr/-addr-file flags).
+// selection; hgpart -worker listens on the address it is given).
 func NewWorker(ln net.Listener) *Worker {
 	return &Worker{
 		ln:      ln,
@@ -136,7 +136,7 @@ func (w *Worker) Close() error {
 func (w *Worker) handleConn(conn net.Conn) {
 	br := getReader(conn)
 	conn.SetReadDeadline(time.Now().Add(pendingTTL))
-	kind, body, _, err := readFrame(br, DefaultMaxFrame)
+	kind, body, _, err := readFrame(br)
 	if err != nil {
 		putReader(br)
 		conn.Close()
@@ -347,7 +347,7 @@ func dialPeer(t *netTransport, peerRank int, addr string) error {
 		}
 		br := getReader(conn)
 		conn.SetReadDeadline(time.Now().Add(time.Until(deadline)))
-		kind, _, _, err := readFrame(br, t.opt.MaxFrame)
+		kind, _, _, err := readFrame(br)
 		conn.SetReadDeadline(time.Time{})
 		if err != nil || kind != frameHelloAck {
 			putReader(br)

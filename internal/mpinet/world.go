@@ -164,7 +164,7 @@ func collectRank(conn net.Conn, rank int, addr string, opt Options) (RankResult,
 	conn.SetReadDeadline(time.Now().Add(opt.DialTimeout + opt.RecvTimeout + 30*time.Second))
 	br := getReader(conn)
 	defer putReader(br)
-	kind, body, _, err := readFrame(br, opt.MaxFrame)
+	kind, body, _, err := readFrame(br)
 	if err != nil {
 		return out, fmt.Errorf("mpinet: worker %s control connection lost: %v: %w",
 			addr, err, &mpi.CrashError{Rank: rank})
