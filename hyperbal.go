@@ -299,18 +299,15 @@ func NewRefinementDynamics(orig *Graph, init Partition, k int, partFrac, minF, m
 
 // ---- Parallel graph baseline ----
 
-// PGPOptions tune the parallel graph partitioner.
-type PGPOptions = pgp.Options
-
 // ParallelPartitionGraph partitions a graph from scratch in parallel
 // (candidate-round heavy-edge matching over the mpi substrate).
-func ParallelPartitionGraph(c *Comm, g *Graph, opt PGPOptions) (Partition, error) {
+func ParallelPartitionGraph(c *Comm, g *Graph, opt GPOptions) (Partition, error) {
 	return pgp.Partition(c, g, opt)
 }
 
 // ParallelAdaptiveRepartGraph runs the unified adaptive repartitioner in
 // parallel with trade-off parameter itr.
-func ParallelAdaptiveRepartGraph(c *Comm, g *Graph, old Partition, itr int64, opt PGPOptions) (Partition, error) {
+func ParallelAdaptiveRepartGraph(c *Comm, g *Graph, old Partition, itr int64, opt GPOptions) (Partition, error) {
 	return pgp.AdaptiveRepart(c, g, old, itr, opt)
 }
 

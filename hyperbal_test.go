@@ -217,15 +217,11 @@ func TestPublicSimulateApplication(t *testing.T) {
 func TestPublicParallelGraph(t *testing.T) {
 	p := buildMesh(10, 10)
 	err := hyperbal.RunWorld(2, func(c *hyperbal.Comm) error {
-		gp, err := hyperbal.ParallelPartitionGraph(c, p.G, hyperbal.PGPOptions{
-			Serial: hyperbal.GPOptions{K: 4, Seed: 5},
-		})
+		gp, err := hyperbal.ParallelPartitionGraph(c, p.G, hyperbal.GPOptions{K: 4, Seed: 5})
 		if err != nil {
 			return err
 		}
-		if _, err := hyperbal.ParallelAdaptiveRepartGraph(c, p.G, gp, 10, hyperbal.PGPOptions{
-			Serial: hyperbal.GPOptions{K: 4, Seed: 7},
-		}); err != nil {
+		if _, err := hyperbal.ParallelAdaptiveRepartGraph(c, p.G, gp, 10, hyperbal.GPOptions{K: 4, Seed: 7}); err != nil {
 			return err
 		}
 		return nil

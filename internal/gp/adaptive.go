@@ -26,7 +26,7 @@ import (
 // old part, so refinement trades communication quality against data
 // movement exactly as the repartitioner the paper benchmarks against.
 func AdaptiveRepart(g *graph.Graph, oldPart partition.Partition, itr int64, opt Options) (partition.Partition, error) {
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	k := opt.K
 	if len(oldPart.Parts) != g.NumVertices() {
 		return partition.Partition{}, fmt.Errorf("gp: old partition covers %d vertices, graph has %d", len(oldPart.Parts), g.NumVertices())
@@ -48,12 +48,12 @@ func AdaptiveRepart(g *graph.Graph, oldPart partition.Partition, itr int64, opt 
 	// Inherited coarse solution.
 	coarsest := levels[len(levels)-1]
 	parts := append([]int32(nil), coarsest.oldPart...)
-	caps := capsFor(coarsest.g, k, opt.Imbalance)
+	caps := partition.Caps(coarsest.g.TotalWeight(), k, opt.Imbalance)
 	RefineKway(coarsest.g, k, parts, coarsest.oldPart, itr, caps, opt.RefinePasses*2)
 
 	for i := len(levels) - 2; i >= 0; i-- {
 		parts = Project(levels[i].cmap, parts)
-		caps := capsFor(levels[i].g, k, opt.Imbalance)
+		caps := partition.Caps(levels[i].g.TotalWeight(), k, opt.Imbalance)
 		RefineKway(levels[i].g, k, parts, levels[i].oldPart, itr, caps, opt.RefinePasses)
 	}
 	copy(out.Parts, parts)

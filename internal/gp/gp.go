@@ -36,7 +36,9 @@ type Options struct {
 	RefinePasses  int     // FM pass bound per level (default 4)
 }
 
-func (o Options) withDefaults() Options {
+// WithDefaults returns o with every unset field at its default, for this
+// package and pgp alike.
+func (o Options) WithDefaults() Options {
 	if o.K <= 0 {
 		o.K = 1
 	}
@@ -61,7 +63,7 @@ func (o Options) withDefaults() Options {
 // Partition computes a k-way partition from scratch (the paper's
 // "ParMETIS-scratch" / Partkway role) via multilevel recursive bisection.
 func Partition(g *graph.Graph, opt Options) (partition.Partition, error) {
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	if opt.K < 1 {
 		return partition.Partition{}, fmt.Errorf("gp: K must be >= 1, got %d", opt.K)
 	}
@@ -75,7 +77,7 @@ func Partition(g *graph.Graph, opt Options) (partition.Partition, error) {
 		vs[v] = int32(v)
 	}
 	recursiveBisect(g, vs, 0, opt.K, p.Parts, rng, opt)
-	caps := capsFor(g, opt.K, opt.Imbalance)
+	caps := partition.Caps(g.TotalWeight(), opt.K, opt.Imbalance)
 	RefineKway(g, opt.K, p.Parts, nil, 0, caps, opt.RefinePasses)
 	return p, nil
 }
@@ -173,17 +175,4 @@ func induce(g *graph.Graph, vs []int32, sides []int32, side int32) (*graph.Graph
 		}
 	}
 	return b.Build(), keepVs
-}
-
-func capsFor(g *graph.Graph, k int, eps float64) []int64 {
-	total := g.TotalWeight()
-	caps := make([]int64, k)
-	capv := int64(float64(total) / float64(k) * (1 + eps))
-	if capv < 1 {
-		capv = 1
-	}
-	for p := range caps {
-		caps[p] = capv
-	}
-	return caps
 }

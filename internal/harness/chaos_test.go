@@ -102,13 +102,13 @@ func TestSection5AlgorithmsScheduleIndependent(t *testing.T) {
 		}},
 		{"pgp-scratch", func(plan *mpi.FaultPlan) algoMetrics {
 			p := runAlgo(t, np, plan, func(c *mpi.Comm) (partition.Partition, error) {
-				return pgp.Partition(c, g, pgp.Options{Serial: gp.Options{K: k, Imbalance: 0.05, Seed: 20}})
+				return pgp.Partition(c, g, gp.Options{K: k, Imbalance: 0.05, Seed: 20})
 			})
 			return algoMetrics{parts: p.Parts, cut: partition.EdgeCut(g, p)}
 		}},
 		{"pgp-adaptive", func(plan *mpi.FaultPlan) algoMetrics {
 			p := runAlgo(t, np, plan, func(c *mpi.Comm) (partition.Partition, error) {
-				return pgp.AdaptiveRepart(c, g, old, alpha, pgp.Options{Serial: gp.Options{K: k, Imbalance: 0.05, Seed: 21}})
+				return pgp.AdaptiveRepart(c, g, old, alpha, gp.Options{K: k, Imbalance: 0.05, Seed: 21})
 			})
 			return algoMetrics{
 				parts: p.Parts,

@@ -89,7 +89,7 @@ func ParallelRuntimeWith(opt mpi.Options, dataset string, scaleV int, rankCounts
 		start = time.Now()
 		var gCut int64
 		stats, err = mpi.RunWith(ranks, opt, func(c *mpi.Comm) error {
-			p, err := pgp.AdaptiveRepart(c, g, old, alpha, pgp.Options{Serial: gp.Options{K: ranks, Seed: seed + 2}})
+			p, err := pgp.AdaptiveRepart(c, g, old, alpha, gp.Options{K: ranks, Seed: seed + 2})
 			if err != nil {
 				return err
 			}

@@ -63,7 +63,7 @@ func TestCoarseStartHandOff(t *testing.T) {
 		t0, c0, c1 int64
 		maxNet     int
 	}
-	opt := Options{}.withDefaults()
+	opt := Options{}.WithDefaults()
 	var cases []instance
 	for _, ds := range datasets.Names() {
 		coarsest, _ := firstBisectionCoarsest(t, ds, kernelBenchScale, 1)

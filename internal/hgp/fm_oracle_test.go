@@ -8,6 +8,7 @@ import (
 
 	"hyperbal/internal/datasets"
 	"hyperbal/internal/hypergraph"
+	"hyperbal/internal/partition"
 )
 
 // This file keeps the move-selection kernels as they were before the
@@ -165,7 +166,7 @@ func TestKwayFMOracle(t *testing.T) {
 		if i%3 == 0 {
 			h = h.WithFixed(fixed)
 		}
-		caps := capsFor(h, k, oracleEps[i%4])
+		caps := partition.Caps(h.TotalWeight(), k, oracleEps[i%4])
 		checkKwayFM(t, fmt.Sprintf("instance %d", i), h, k, parts, caps, 1+rng.Intn(4), oracleMaxNets[i/4%3], ws, rws)
 	}
 }
@@ -192,7 +193,7 @@ func checkKwayFM(t *testing.T, name string, h *hypergraph.Hypergraph, k int, par
 // twice and some grow two or more distinct partitions.
 func TestDatasetCoarseOracle(t *testing.T) {
 	ws, rws, rs := newWorkspace(), newWorkspace(), new(refScratch)
-	opt := Options{}.withDefaults()
+	opt := Options{}.WithDefaults()
 	var drawFree, duplicated, distinct int
 	for _, ds := range datasets.Names() {
 		coarsest, rng := firstBisectionCoarsest(t, ds, kernelBenchScale, 1)
@@ -228,7 +229,7 @@ func TestDatasetCoarseOracle(t *testing.T) {
 		}
 		const k = 8
 		kparts := randomBalanced(coarsest, k, rng)
-		checkKwayFM(t, ds, coarsest, k, kparts, capsFor(coarsest, k, 0.05), opt.RefinePasses, opt.MaxNetSize, ws, rws)
+		checkKwayFM(t, ds, coarsest, k, kparts, partition.Caps(coarsest.TotalWeight(), k, 0.05), opt.RefinePasses, opt.MaxNetSize, ws, rws)
 	}
 	if drawFree == 0 || duplicated == 0 || distinct == 0 {
 		t.Errorf("instances: %d grow without drawing, %d drawing grow a partition twice, %d drawing grow two or more; want each > 0", drawFree, duplicated, distinct)
@@ -302,7 +303,7 @@ func TestKwayFMHonorsMaxNetSize(t *testing.T) {
 
 	// The same pipeline with the reference polish: recursive bisection,
 	// then refKwayFM under the option's bound.
-	o := opt.withDefaults()
+	o := opt.WithDefaults()
 	want := make([]int32, n)
 	vs := make([]int32, n)
 	for v := range vs {
@@ -311,7 +312,7 @@ func TestKwayFMHonorsMaxNetSize(t *testing.T) {
 	px := newParctx(1)
 	ws := newWorkspace()
 	recursiveBisect(h, vs, 0, o.K, want, rand.New(rand.NewSource(o.Seed)), bisectionEps(o.Imbalance, o.K), o, px, ws)
-	refKwayFM(h, o.K, want, capsFor(h, o.K, o.Imbalance), o.RefinePasses, o.MaxNetSize, ws)
+	refKwayFM(h, o.K, want, partition.Caps(h.TotalWeight(), o.K, o.Imbalance), o.RefinePasses, o.MaxNetSize, ws)
 	if !slices.Equal(got.Parts, want) {
 		t.Fatal("k-way FM polish ignores Options.MaxNetSize")
 	}

@@ -16,7 +16,7 @@ import (
 // but pathological inputs (e.g. a single vertex heavier than a part cap);
 // callers can check with partition.IsBalanced.
 func Partition(h *hypergraph.Hypergraph, opt Options) (partition.Partition, error) {
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	if err := checkFixed(h, opt.K); err != nil {
 		return partition.Partition{}, err
 	}
@@ -39,7 +39,7 @@ func Partition(h *hypergraph.Hypergraph, opt Options) (partition.Partition, erro
 		eps := bisectionEps(opt.Imbalance, opt.K)
 		recursiveBisect(h, vs, 0, opt.K, p.Parts, rng, eps, opt, px, ws)
 		// Final k-way polish pass to recover from per-bisection myopia.
-		caps := capsFor(h, opt.K, opt.Imbalance)
+		caps := partition.Caps(h.TotalWeight(), opt.K, opt.Imbalance)
 		polishStart := time.Now()
 		var cut int64
 		if opt.KwayFM {
@@ -68,7 +68,7 @@ func directKway(h *hypergraph.Hypergraph, rng *rand.Rand, opt Options, out []int
 	// concurrently with index-derived seeds and are reduced by an
 	// index-ordered scan (cut, then total cap overflow, then index), so the
 	// winner is the same for every Parallelism value.
-	ccaps := capsFor(coarsest, opt.K, opt.Imbalance)
+	ccaps := partition.Caps(coarsest.TotalWeight(), opt.K, opt.Imbalance)
 	type startOut struct {
 		parts []int32
 		cut   int64
@@ -106,7 +106,7 @@ func directKway(h *hypergraph.Hypergraph, rng *rand.Rand, opt Options, out []int
 	for i := len(levels) - 2; i >= 0; i-- {
 		refineStart := time.Now()
 		parts = project(levels[i].cmap, parts)
-		caps := capsFor(levels[i].h, opt.K, opt.Imbalance)
+		caps := partition.Caps(levels[i].h.TotalWeight(), opt.K, opt.Imbalance)
 		cut = refineKway(levels[i].h, opt.K, parts, caps, opt.RefinePasses, ws)
 		obsRefineNs.At(i).ObserveSince(refineStart)
 	}
@@ -145,20 +145,6 @@ func randomBalanced(h *hypergraph.Hypergraph, k int, rng *rand.Rand) []int32 {
 		w[best] += h.Weight(v)
 	}
 	return parts
-}
-
-// capsFor returns per-part weight caps W_avg*(1+eps).
-func capsFor(h *hypergraph.Hypergraph, k int, eps float64) []int64 {
-	total := h.TotalWeight()
-	caps := make([]int64, k)
-	capv := int64(float64(total) / float64(k) * (1 + eps))
-	if capv < 1 {
-		capv = 1
-	}
-	for p := range caps {
-		caps[p] = capv
-	}
-	return caps
 }
 
 func checkFixed(h *hypergraph.Hypergraph, k int) error {

@@ -369,7 +369,7 @@ func TestRefineKwayNeverWorsens(t *testing.T) {
 			parts[v] = int32(rng.Intn(k))
 		}
 		before := partition.CutSize(h, partition.Partition{Parts: append([]int32(nil), parts...), K: k})
-		caps := capsFor(h, k, 0.3)
+		caps := partition.Caps(h.TotalWeight(), k, 0.3)
 		refineKway(h, k, parts, caps, 4, newWorkspace())
 		after := partition.CutSize(h, partition.Partition{Parts: parts, K: k})
 		if after > before {
@@ -401,7 +401,7 @@ func TestRefineKwayNeverWorsens(t *testing.T) {
 			}
 		}
 		h := b.Build()
-		caps := capsFor(h, tc.k, tc.eps)
+		caps := partition.Caps(h.TotalWeight(), tc.k, tc.eps)
 		before := partition.CutSize(h, partition.Partition{Parts: parts, K: tc.k})
 
 		s := NewKwayState(h, tc.k, append([]int32(nil), parts...))
@@ -581,7 +581,7 @@ func TestKwayFMPolish(t *testing.T) {
 		parts[v] = int32(rng.Intn(k))
 	}
 	before := partition.CutSize(h, partition.Partition{Parts: append([]int32(nil), parts...), K: k})
-	caps := capsFor(h, k, 0.4)
+	caps := partition.Caps(h.TotalWeight(), k, 0.4)
 	refineKwayFM(h, k, parts, caps, 4, 500, newWorkspace())
 	after := partition.CutSize(h, partition.Partition{Parts: parts, K: k})
 	if after > before {
@@ -615,7 +615,7 @@ func TestKwayFMRespectsFixed(t *testing.T) {
 			parts[v] = fixed[v]
 		}
 	}
-	caps := capsFor(hf, 3, 0.5)
+	caps := partition.Caps(hf.TotalWeight(), 3, 0.5)
 	refineKwayFM(hf, 3, parts, caps, 3, 500, newWorkspace())
 	for v := 0; v < 20; v++ {
 		if parts[v] != fixed[v] {

@@ -9,6 +9,7 @@ import (
 
 	"hyperbal/internal/datasets"
 	"hyperbal/internal/graph"
+	"hyperbal/internal/partition"
 )
 
 // TestKernelAllocGuards pins the steady-state allocs/op of the kernel hot
@@ -46,7 +47,7 @@ func TestKernelAllocGuards(t *testing.T) {
 	const k = 8
 	rng = rand.New(rand.NewSource(3))
 	base := randomBalanced(h, k, rng)
-	caps := capsFor(h, k, 0.10)
+	caps := partition.Caps(h.TotalWeight(), k, 0.10)
 	parts := make([]int32, len(base))
 	if n := testing.AllocsPerRun(10, func() {
 		copy(parts, base)
@@ -110,7 +111,7 @@ func TestKernelAllocGuards(t *testing.T) {
 	// start closure and each grown partition, one per start that ran ghg2
 	// (all 8 free; only the first with fixed sides). The registry of grown
 	// partitions allocates nothing once the workspace is warm.
-	opt := Options{}.withDefaults()
+	opt := Options{}.WithDefaults()
 	px := newParctx(1)
 	for _, c := range []struct {
 		name  string

@@ -7,6 +7,7 @@ import (
 	"hyperbal/internal/datasets"
 	"hyperbal/internal/graph"
 	"hyperbal/internal/hypergraph"
+	"hyperbal/internal/partition"
 )
 
 // kernelBenchScale matches the repo-level benchScale so kernel numbers are
@@ -64,7 +65,7 @@ func BenchmarkFM2Pass(b *testing.B) {
 	for v := range fixed {
 		fixed[v] = hypergraph.Free
 	}
-	caps := capsFor(h, 2, 0.10)
+	caps := partition.Caps(h.TotalWeight(), 2, 0.10)
 	parts := make([]int32, n)
 	ws := newWorkspace()
 	ord := ws.weightOrder(h)
@@ -121,7 +122,7 @@ func BenchmarkFM2Dense(b *testing.B) {
 func BenchmarkCoarseSolve(b *testing.B) {
 	coarsest, rng := firstBisectionCoarsest(b, "xyce680s", kernelBenchScale, 1)
 	t0, c0, c1 := bisectCaps(coarsest, 0.5, 0.05)
-	opt := Options{}.withDefaults()
+	opt := Options{}.WithDefaults()
 	baseSeed := rng.Int63()
 	px := newParctx(1)
 	for _, c := range []struct {
@@ -166,7 +167,7 @@ func firstBisectionCoarsest(tb testing.TB, ds string, n int, seed int64) (*hyper
 		tb.Fatal(err)
 	}
 	h := graph.ToHypergraph(g)
-	opt := Options{K: 2, Seed: seed}.withDefaults()
+	opt := Options{K: 2, Seed: seed}.WithDefaults()
 	rng := rand.New(rand.NewSource(opt.Seed))
 	free := make([]int32, h.NumVertices())
 	for v := range free {

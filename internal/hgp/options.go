@@ -55,7 +55,7 @@ type Options struct {
 	//
 	// Two regimes resolve the default for <= 0:
 	//   - Top-level calls (this package's exported entry points):
-	//     withDefaults resolves <= 0 to runtime.GOMAXPROCS(0) — use the
+	//     WithDefaults resolves <= 0 to runtime.GOMAXPROCS(0) — use the
 	//     machine.
 	//   - Rank-local calls inside an SPMD coarse solve (internal/phg):
 	//     the driver pins unset Parallelism to 1 before calling down,
@@ -68,8 +68,10 @@ type Options struct {
 	Parallelism int
 }
 
-// withDefaults fills unset fields.
-func (o Options) withDefaults() Options {
+// WithDefaults returns o with every unset field at its default. It is
+// the one place the defaults live: phg reads its coarsening and Eq. 1
+// settings from it too.
+func (o Options) WithDefaults() Options {
 	if o.K <= 0 {
 		o.K = 1
 	}

@@ -151,7 +151,7 @@ func TestQuickRefineMigrationMonotone(t *testing.T) {
 			old[v] = int32(v % k)
 			parts[v] = old[v]
 		}
-		caps := capsFor(h, k, 0.5)
+		caps := partition.Caps(h.TotalWeight(), k, 0.5)
 		objective := func(ps []int32) int64 {
 			p := partition.Partition{Parts: ps, K: k}
 			op := partition.Partition{Parts: old, K: k}

@@ -16,7 +16,7 @@ import (
 func vCycle(h *hypergraph.Hypergraph, parts []int32, k int, rng *rand.Rand, opt Options) {
 	ws := wsPool.Get().(*workspace)
 	defer wsPool.Put(ws)
-	caps := capsFor(h, k, opt.Imbalance)
+	caps := partition.Caps(h.TotalWeight(), k, opt.Imbalance)
 
 	// Partition-respecting matching: encode current parts as additional
 	// fixed labels only for the match filter by temporarily fixing free
@@ -115,7 +115,7 @@ func PartitionWithVCycles(h *hypergraph.Hypergraph, opt Options, cycles int) (pa
 	if err != nil || cycles <= 0 || opt.K < 2 || h.NumVertices() == 0 {
 		return p, err
 	}
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	rng := rand.New(rand.NewSource(opt.Seed ^ 0x5eed))
 	best := partition.CutSize(h, p)
 	for c := 0; c < cycles; c++ {

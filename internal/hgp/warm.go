@@ -61,7 +61,7 @@ type WarmStats struct {
 // Partition it satisfies Eq. 1 on all but pathological inputs; callers can
 // check with partition.IsBalanced.
 func PartitionWarm(h *hypergraph.Hypergraph, opt Options, spec WarmSpec) (partition.Partition, WarmStats, error) {
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	if err := checkFixed(h, opt.K); err != nil {
 		return partition.Partition{}, WarmStats{}, err
 	}
@@ -104,7 +104,7 @@ func PartitionWarm(h *hypergraph.Hypergraph, opt Options, spec WarmSpec) (partit
 
 	ws := wsPool.Get().(*workspace)
 	defer wsPool.Put(ws)
-	caps := capsFor(h, opt.K, opt.Imbalance)
+	caps := partition.Caps(h.TotalWeight(), opt.K, opt.Imbalance)
 
 	var stats WarmStats
 	stats.DirtyFraction = dirtyFrac

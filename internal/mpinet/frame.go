@@ -21,8 +21,9 @@
 // allocation-pinned hot path and stays hand-written. The transport never
 // looks inside the payload: the sender writes header, fields and payload
 // into one buffer sized up front, and the receiver hands the tail of the
-// frame body to the typed receive that knows what it holds. Version 3
-// moved the control bodies onto the codec; version 2 had dropped the
+// frame body to the typed receive that knows what it holds. Version 4
+// dropped the launch body's send window, now a constant; version 3 moved
+// the control bodies onto the codec; version 2 had dropped the
 // per-message type name (and the gob stream behind it) of version 1. An
 // older frame is rejected at its version byte, never mis-decoded.
 package mpinet
@@ -40,7 +41,7 @@ import (
 
 const (
 	frameMagic   = "HBN"
-	frameVersion = 3
+	frameVersion = 4
 )
 
 // Frame kinds. hello/helloAck establish mesh connections between rank
@@ -66,6 +67,9 @@ const (
 	// DefaultMaxFrame bounds one frame body; a length prefix past it is
 	// rejected before any allocation.
 	DefaultMaxFrame = 64 << 20
+	// eagerBody is the longest body readFrame allocates whole before its
+	// bytes arrive; a longer one doubles per full read.
+	eagerBody = 256 << 10
 )
 
 var (
@@ -87,8 +91,11 @@ func appendFrame(buf []byte, kind byte, body []byte) []byte {
 
 // readFrame reads one frame from a stream, also reporting how many stream
 // bytes it consumed. A body past DefaultMaxFrame is refused before any
-// allocation. Returned body is freshly allocated (safe to retain). io.EOF
-// is returned verbatim when the stream ends cleanly between frames.
+// allocation, and one past eagerBody grows as its bytes arrive, so a
+// length prefix that lies costs eagerBody or twice what the peer really
+// sent, whichever is more. Returned body is freshly allocated (safe to
+// retain). io.EOF is returned verbatim when the stream ends cleanly
+// between frames.
 func readFrame(br *bufio.Reader) (kind byte, body []byte, consumed int, err error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -125,47 +132,17 @@ func readFrame(br *bufio.Reader) (kind byte, body []byte, consumed int, err erro
 	if n > DefaultMaxFrame {
 		return 0, nil, 0, fmt.Errorf("%w: body length %d exceeds limit %d", errMalformed, n, DefaultMaxFrame)
 	}
-	body = make([]byte, n)
-	if _, err := io.ReadFull(br, body); err != nil {
-		return 0, nil, 0, fmt.Errorf("%w: truncated body", errMalformed)
+	body = make([]byte, min(n, eagerBody))
+	for read := 0; ; {
+		if _, err := io.ReadFull(br, body[read:]); err != nil {
+			return 0, nil, 0, fmt.Errorf("%w: truncated body", errMalformed)
+		}
+		if uint64(len(body)) == n {
+			return kind, body, consumed + len(body), nil
+		}
+		read = len(body)
+		body = append(body, make([]byte, min(n-uint64(read), uint64(read)))...)
 	}
-	return kind, body, consumed + len(body), nil
-}
-
-// decodeFrame parses one frame from a byte slice (the fuzzable entry
-// point; readFrame is its streaming twin). The body aliases data.
-func decodeFrame(data []byte, maxFrame int) (kind byte, body []byte, rest []byte, err error) {
-	r := wire.NewReader(data)
-	magic, err := r.Bytes(3)
-	if err != nil || string(magic) != frameMagic {
-		return 0, nil, nil, errBadMagic
-	}
-	ver, err := r.Byte()
-	if err != nil {
-		return 0, nil, nil, fmt.Errorf("%w: truncated header", errMalformed)
-	}
-	if ver != frameVersion {
-		return 0, nil, nil, fmt.Errorf("%w: version %d", errMalformed, ver)
-	}
-	kind, err = r.Byte()
-	if err != nil {
-		return 0, nil, nil, fmt.Errorf("%w: truncated header", errMalformed)
-	}
-	if kind < frameHello || kind > frameError {
-		return 0, nil, nil, fmt.Errorf("%w: unknown kind %d", errMalformed, kind)
-	}
-	n, err := r.Uvarint()
-	if err != nil {
-		return 0, nil, nil, fmt.Errorf("%w: body length", errMalformed)
-	}
-	if n > uint64(maxFrame) {
-		return 0, nil, nil, fmt.Errorf("%w: body length %d exceeds limit %d", errMalformed, n, maxFrame)
-	}
-	body, err = r.Bytes(int(n))
-	if err != nil {
-		return 0, nil, nil, fmt.Errorf("%w: truncated body", errMalformed)
-	}
-	return kind, body, r.Rest(), nil
 }
 
 // control is the body of a hello, launch, result or error frame.
@@ -214,7 +191,6 @@ type launchBody struct {
 	Rank, Size  int
 	Job         string
 	Addrs       []string // worker addresses, indexed by rank
-	SendWindow  int
 	RecvTimeout time.Duration
 	Jitter      time.Duration
 	JitterSeed  int64
@@ -231,8 +207,6 @@ func (l launchBody) validate() error {
 		return malformed("launch job name of %d bytes", len(l.Job))
 	case len(l.Addrs) != l.Size:
 		return malformed("launch carries %d addrs for %d ranks", len(l.Addrs), l.Size)
-	case l.SendWindow < 0 || l.SendWindow > 1<<24:
-		return malformed("launch send window %d", l.SendWindow)
 	case l.RecvTimeout < 0 || l.RecvTimeout > 24*time.Hour:
 		return malformed("launch recv timeout %v", l.RecvTimeout)
 	case l.Jitter < 0 || l.Jitter > time.Hour:

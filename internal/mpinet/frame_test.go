@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -38,10 +39,8 @@ func TestFrameStreamRoundTrip(t *testing.T) {
 		if kind != want {
 			t.Fatalf("frame %d: kind %d, want %d", i, kind, want)
 		}
-		// The slice decoder must agree with the streaming decoder.
-		k2, b2, rest, err := decodeFrame(frames[order[i]], DefaultMaxFrame)
-		if err != nil || k2 != kind || !bytes.Equal(b2, body) || len(rest) != 0 {
-			t.Fatalf("frame %d: decodeFrame disagrees with readFrame (%v)", i, err)
+		if frame := frames[order[i]]; !bytes.Equal(body, frame[len(frame)-len(body):]) {
+			t.Fatalf("frame %d: body differs from the bytes written", i)
 		}
 	}
 	if _, _, _, err := readFrame(br); err != io.EOF {
@@ -51,59 +50,88 @@ func TestFrameStreamRoundTrip(t *testing.T) {
 
 // TestFrameHostileInput: malformed frames must fail with structured
 // errors — never a panic, never io.EOF masquerading as success, and never
-// an allocation sized by an attacker-controlled length.
+// an allocation sized by an attacker-controlled length. An empty stream is
+// a clean end (io.EOF); any other short header is malformed.
 func TestFrameHostileInput(t *testing.T) {
 	valid := seedFrames()["msg"]
 	cases := []struct {
-		name  string
-		data  []byte
-		magic bool // expect errBadMagic instead of errMalformed
+		name string
+		data []byte
+		want error
 	}{
-		{"empty", nil, true},
-		{"bad magic", []byte("XXX\x03\x01\x00"), true},
-		{"truncated magic", []byte("HB"), true},
-		{"bad version", []byte("HBN\x04\x01\x00"), false},
+		{"empty", nil, io.EOF},
+		{"bad magic", []byte{'X', 'X', 'X', frameVersion, 1, 0}, errBadMagic},
+		{"truncated magic", []byte("HB"), errMalformed},
+		{"bad version", []byte{'H', 'B', 'N', frameVersion + 1, 1, 0}, errMalformed},
 		// A version-1 msg frame (type name + gob stream): refused at the
 		// version byte, never handed to the payload codec.
-		{"version 1", []byte("HBN\x01\x04\x12\xb9\xf3\xdd\xf1\t\x02Q\a[]int32\t\b\a"), false},
+		{"version 1", []byte("HBN\x01\x04\x12\xb9\xf3\xdd\xf1\t\x02Q\a[]int32\t\b\a"), errMalformed},
 		// A version-2 hello (its rank a plain uvarint, not zigzag): refused
-		// at the version byte, never parsed as a version-3 body.
-		{"version 2", []byte("HBN\x02\x01\f\nw-deadbeef\x02"), false},
-		{"kind zero", []byte{'H', 'B', 'N', frameVersion, 0, 0}, false},
-		{"kind out of range", []byte{'H', 'B', 'N', frameVersion, 0x63, 0}, false},
-		{"missing length", []byte{'H', 'B', 'N', frameVersion, 1}, false},
-		{"length bomb", []byte{'H', 'B', 'N', frameVersion, 4, 0xff, 0xff, 0xff, 0xff, 0x7f}, false},
-		{"length overflows uvarint", append([]byte{'H', 'B', 'N', frameVersion, 4}, bytes.Repeat([]byte{0xff}, 11)...), false},
-		{"truncated body", valid[:len(valid)-2], false},
+		// at the version byte, never parsed as a newer body.
+		{"version 2", []byte("HBN\x02\x01\f\nw-deadbeef\x02"), errMalformed},
+		// A version-3 launch, which still carried a send window (1 024):
+		// refused at the version byte, never parsed as a version-4 body.
+		{"version 3", []byte("HBN\x03\x03\\\nw-deadbeef\x02\x06\rphg.partition\x03\x0f127.0.0.1:19091\x0f127.0.0.1:19092\x0f127.0.0.1:19093\x80\x10\x80\xc0\xf5\x88\xfe\x06\x80\x89z\x0e\x03\x01\x02\x03"), errMalformed},
+		{"kind zero", []byte{'H', 'B', 'N', frameVersion, 0, 0}, errMalformed},
+		{"kind out of range", []byte{'H', 'B', 'N', frameVersion, 0x63, 0}, errMalformed},
+		{"missing length", []byte{'H', 'B', 'N', frameVersion, 1}, errMalformed},
+		{"length bomb", []byte{'H', 'B', 'N', frameVersion, 4, 0xff, 0xff, 0xff, 0xff, 0x7f}, errMalformed},
+		{"length overflows uvarint", append([]byte{'H', 'B', 'N', frameVersion, 4}, bytes.Repeat([]byte{0xff}, 11)...), errMalformed},
+		{"truncated body", valid[:len(valid)-2], errMalformed},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, _, err := decodeFrame(tc.data, DefaultMaxFrame)
-			if err == nil {
-				t.Fatal("decodeFrame accepted hostile input")
+			_, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(tc.data)))
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
 			}
-			want := errMalformed
-			if tc.magic {
-				want = errBadMagic
-			}
-			if !errors.Is(err, want) {
-				t.Fatalf("err = %v, want %v", err, want)
-			}
-			// The streaming twin must reject it too (io.EOF only at offset 0
-			// of an empty stream).
-			_, _, _, serr := readFrame(bufio.NewReader(bytes.NewReader(tc.data)))
-			if serr == nil {
-				t.Fatal("readFrame accepted hostile input")
+			if strings.Contains(tc.name, "version") && !strings.Contains(err.Error(), "version") {
+				t.Fatalf("err = %v, want a refusal at the version byte", err)
 			}
 		})
+	}
+}
+
+// TestFrameLyingLength: a header that declares a DefaultMaxFrame body and
+// sends none must fail as malformed after allocating about one buffer of
+// body, not the 64 MiB it claims. Every accepted connection reads such a
+// header before any validation.
+func TestFrameLyingLength(t *testing.T) {
+	hdr := appendFrameHeader(nil, frameMsg, DefaultMaxFrame)
+	br := bufio.NewReaderSize(bytes.NewReader(hdr), 64<<10)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, _, err := readFrame(br)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, errMalformed) {
+		t.Fatalf("err = %v, want errMalformed", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("a %d-byte header allocated %d bytes; want under 1 MiB", len(hdr), got)
+	}
+}
+
+// TestFrameLongBody: a body longer than eagerBody, which readFrame grows
+// as it arrives, still comes back whole.
+func TestFrameLongBody(t *testing.T) {
+	payload := make([]byte, 5*eagerBody+3)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	frame := appendFrame(nil, frameMsg, msgBody{Comm: 1, Src: 2, Tag: 3, Payload: payload}.encode())
+	kind, body, n, err := readFrame(bufio.NewReader(bytes.NewReader(frame)))
+	if err != nil || kind != frameMsg || n != len(frame) {
+		t.Fatalf("kind %d, %d of %d bytes, err %v", kind, n, len(frame), err)
+	}
+	if m, err := parseMsg(body); err != nil || !bytes.Equal(m.Payload, payload) {
+		t.Fatalf("payload did not survive (%v)", err)
 	}
 }
 
 // TestFrameBodyBounds: each body parser enforces its documented limits.
 func TestFrameBodyBounds(t *testing.T) {
 	launch := func(edit func(l *launchBody)) launchBody {
-		l := launchBody{WorldID: "w", Rank: 0, Size: 2, Job: "j", Addrs: []string{"a", "b"},
-			SendWindow: 1, RecvTimeout: time.Second}
+		l := launchBody{WorldID: "w", Rank: 0, Size: 2, Job: "j", Addrs: []string{"a", "b"}, RecvTimeout: time.Second}
 		edit(&l)
 		return l
 	}

@@ -1,6 +1,7 @@
 package mpinet
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"reflect"
@@ -26,8 +27,8 @@ func seedFrames() map[string][]byte {
 		"ack":   appendFrame(nil, frameHelloAck, nil),
 		"launch": appendControl(nil, frameLaunch, launchBody{
 			WorldID: "w-deadbeef", Rank: 1, Size: 3, Job: "phg.partition",
-			Addrs:      []string{"127.0.0.1:19091", "127.0.0.1:19092", "127.0.0.1:19093"},
-			SendWindow: 1024, RecvTimeout: 2 * time.Minute, Jitter: time.Millisecond, JitterSeed: 7,
+			Addrs:       []string{"127.0.0.1:19091", "127.0.0.1:19092", "127.0.0.1:19093"},
+			RecvTimeout: 2 * time.Minute, Jitter: time.Millisecond, JitterSeed: 7,
 			Payload: []byte{1, 2, 3},
 		}),
 		"msg": appendFrame(nil, frameMsg, msgBody{
@@ -43,7 +44,7 @@ func seedFrames() map[string][]byte {
 	}
 }
 
-// FuzzFrameDecode drives the frame decoder with hostile input: any byte
+// FuzzFrameDecode drives the frame reader with hostile input: any byte
 // string must yield either a clean error or a frame whose parsed body
 // survives an encode/parse round trip unchanged. This is the same
 // contract FuzzBinaryCodec enforces for the HBW hypergraph codec.
@@ -52,18 +53,18 @@ func FuzzFrameDecode(f *testing.F) {
 		f.Add(s)
 	}
 	f.Add([]byte("HBN"))                                                        // truncated header
-	f.Add([]byte("XXX\x03\x01\x00"))                                            // bad magic
+	f.Add([]byte{'X', 'X', 'X', frameVersion, 1, 0})                            // bad magic
 	f.Add([]byte("HBN\x02\x01\x00"))                                            // retired version
 	f.Add([]byte{'H', 'B', 'N', frameVersion, 4, 0xff, 0xff, 0xff, 0xff, 0x7f}) // length bomb
 	f.Add(append(seedFrames()["msg"], seedFrames()["hello"]...))                // two frames back to back
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		kind, body, rest, err := decodeFrame(data, 1<<20)
+		kind, body, n, err := readFrame(bufio.NewReader(bytes.NewReader(data)))
 		if err != nil {
 			return
 		}
-		if len(body)+len(rest) > len(data) {
-			t.Fatalf("decoded %d body + %d rest bytes from %d input bytes", len(body), len(rest), len(data))
+		if n > len(data) || !bytes.Equal(body, data[n-len(body):n]) {
+			t.Fatalf("a %d-byte body, %d bytes consumed of %d: not the input's bytes", len(body), n, len(data))
 		}
 		if kind == frameMsg {
 			m, err := parseMsg(body)
@@ -94,7 +95,7 @@ func FuzzFrameDecode(f *testing.F) {
 			return
 		}
 		enc := appendControl(nil, kind, reflect.ValueOf(c).Elem().Interface().(control))
-		_, body2, _, err := decodeFrame(enc, 1<<20)
+		_, body2, _, err := readFrame(bufio.NewReader(bytes.NewReader(enc)))
 		if err == nil {
 			err = parseControl(body2, again)
 		}

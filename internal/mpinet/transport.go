@@ -16,17 +16,10 @@ import (
 // Options tune one transport endpoint. The coordinator picks them once
 // per world and ships them in the launch frame, so all ranks agree.
 type Options struct {
-	// SendWindow is the per-peer outbound flow-control window in messages,
-	// mirroring the in-process substrate's Options.ChanCap; a send beyond
-	// it blocks (and counts as a blocked send). 0 means mpi.DefaultChanCap.
-	SendWindow int
 	// RecvTimeout bounds a blocked receive; past it the rank fails with a
 	// structured stall error — the transport-world analogue of the
 	// in-process watchdog, which cannot see remote ranks. 0 means 2m.
 	RecvTimeout time.Duration
-	// DialTimeout bounds mesh establishment (dialing a peer, including
-	// redials while the peer's launch is still in flight). 0 means 20s.
-	DialTimeout time.Duration
 	// Jitter, when positive, delays each outbound message frame by a
 	// seeded pseudorandom duration in [0, Jitter) — real-network delay
 	// variance on demand, for shaking schedule-dependence out in tests and
@@ -36,17 +29,23 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.SendWindow <= 0 {
-		o.SendWindow = mpi.DefaultChanCap
-	}
 	if o.RecvTimeout <= 0 {
 		o.RecvTimeout = 2 * time.Minute
 	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 20 * time.Second
-	}
 	return o
 }
+
+// The transport's fixed settings.
+const (
+	// sendWindow is the per-peer outbound flow-control window in messages,
+	// the in-process substrate's default channel capacity; a send beyond
+	// it blocks (and counts as a blocked send).
+	sendWindow = mpi.DefaultChanCap
+	// dialTimeout bounds mesh establishment (dialing a peer, including
+	// redials while the peer's launch is still in flight) and the
+	// coordinator's dial of each worker.
+	dialTimeout = 20 * time.Second
+)
 
 // readerPool recycles the 64 KiB read buffers: a world opens several
 // short-lived connections per rank (control both ways, one per mesh edge),
@@ -158,7 +157,7 @@ func (t *netTransport) queue(k qkey) chan msgBody {
 	defer t.mu.Unlock()
 	q, ok := t.queues[k]
 	if !ok {
-		q = make(chan msgBody, t.opt.SendWindow)
+		q = make(chan msgBody, sendWindow)
 		t.queues[k] = q
 	}
 	return q
@@ -180,7 +179,7 @@ func (t *netTransport) attach(peerRank int, conn net.Conn, br *bufio.Reader) err
 		rank: peerRank,
 		conn: conn,
 		br:   br,
-		out:  make(chan []byte, t.opt.SendWindow),
+		out:  make(chan []byte, sendWindow),
 	}
 	if t.opt.Jitter > 0 {
 		p.jr = rand.New(rand.NewSource(t.opt.JitterSeed*1000003 + int64(peerRank)*7919 + int64(t.rank) + 1))
@@ -208,12 +207,12 @@ func (t *netTransport) waitReady() error {
 		return nil
 	case <-t.dead:
 		return t.failErr()
-	case <-time.After(t.opt.DialTimeout):
+	case <-time.After(dialTimeout):
 		t.mu.Lock()
 		missing := t.missing
 		t.mu.Unlock()
 		return fmt.Errorf("mpinet: world %s rank %d: mesh incomplete after %v (%d peers missing)",
-			t.worldID, t.rank, t.opt.DialTimeout, missing)
+			t.worldID, t.rank, dialTimeout, missing)
 	}
 }
 

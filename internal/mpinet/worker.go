@@ -214,7 +214,6 @@ func (w *Worker) finishMeshAccept(tr *netTransport, rank int, conn net.Conn, br 
 func (w *Worker) runLaunch(l launchBody, ctrl net.Conn) {
 	defer ctrl.Close()
 	opt := Options{
-		SendWindow:  l.SendWindow,
 		RecvTimeout: l.RecvTimeout,
 		Jitter:      l.Jitter,
 		JitterSeed:  l.JitterSeed,
@@ -265,7 +264,7 @@ func (w *Worker) runLaunch(l launchBody, ctrl net.Conn) {
 		return
 	}
 	var out []byte
-	stats, err := mpi.RunTransportRank(tr, l.Rank, l.Size, mpi.Options{ChanCap: l.SendWindow}, func(c *mpi.Comm) error {
+	stats, err := mpi.RunTransportRank(tr, l.Rank, l.Size, mpi.Options{}, func(c *mpi.Comm) error {
 		var jerr error
 		out, jerr = fn(c, l.Payload)
 		return jerr
@@ -318,7 +317,7 @@ func writeError(conn net.Conn, e errorBody) {
 // lower rank's worker, introduces itself with a hello, and waits for the
 // ack (retrying while the peer's launch frame is still in flight).
 func dialPeer(t *netTransport, peerRank int, addr string) error {
-	deadline := time.Now().Add(t.opt.DialTimeout)
+	deadline := time.Now().Add(dialTimeout)
 	backoff := 20 * time.Millisecond
 	var lastErr error
 	for attempt := 0; ; attempt++ {

@@ -49,7 +49,7 @@ func (w *WorldResult) Root() []byte {
 // *mpi.CrashError naming the dead rank (detected authoritatively by its
 // control connection dropping, and independently by its peers' mesh
 // connections dropping) — never as a hang: every wait is bounded by
-// opt.RecvTimeout/opt.DialTimeout.
+// opt.RecvTimeout and dialTimeout.
 func RunWorld(ctx context.Context, job string, payload []byte, workers []string, opt Options) (*WorldResult, error) {
 	n := len(workers)
 	if n < 1 {
@@ -76,7 +76,7 @@ func RunWorld(ctx context.Context, job string, payload []byte, workers []string,
 		}
 	}()
 	for r := 0; r < n; r++ {
-		c, err := net.DialTimeout("tcp", workers[r], opt.DialTimeout)
+		c, err := net.DialTimeout("tcp", workers[r], dialTimeout)
 		if err != nil {
 			return nil, fmt.Errorf("mpinet: dial worker %d at %s: %w", r, workers[r], err)
 		}
@@ -92,7 +92,6 @@ func RunWorld(ctx context.Context, job string, payload []byte, workers []string,
 			Size:        n,
 			Job:         job,
 			Addrs:       workers,
-			SendWindow:  opt.SendWindow,
 			RecvTimeout: opt.RecvTimeout,
 			Jitter:      opt.Jitter,
 			JitterSeed:  opt.JitterSeed,
@@ -161,7 +160,7 @@ func collectRank(conn net.Conn, rank int, addr string, opt Options) (RankResult,
 	// The worker's own failure paths are all bounded (mesh dial timeout,
 	// receive timeout); this deadline only guards against a fully wedged
 	// worker process.
-	conn.SetReadDeadline(time.Now().Add(opt.DialTimeout + opt.RecvTimeout + 30*time.Second))
+	conn.SetReadDeadline(time.Now().Add(dialTimeout + opt.RecvTimeout + 30*time.Second))
 	br := getReader(conn)
 	defer putReader(br)
 	kind, body, _, err := readFrame(br)

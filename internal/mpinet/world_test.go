@@ -121,10 +121,7 @@ func TestRunWorldWorkerDeath(t *testing.T) {
 		ws[2].Close()
 	}()
 	start := time.Now()
-	_, err := RunWorld(context.Background(), "test.rounds", nil, addrs, Options{
-		RecvTimeout: 10 * time.Second,
-		DialTimeout: 5 * time.Second,
-	})
+	_, err := RunWorld(context.Background(), "test.rounds", nil, addrs, Options{RecvTimeout: 10 * time.Second})
 	if err == nil {
 		t.Fatal("expected an error after killing worker 2")
 	}

@@ -84,6 +84,17 @@ func IsBalanced(weights []int64, eps float64) bool {
 	return Imbalance(weights) <= eps+1e-12
 }
 
+// Caps returns Eq. 1's per-part weight caps W_avg*(1+eps) for k parts of
+// total weight, at least 1 each. Every partitioner refines against them.
+func Caps(total int64, k int, eps float64) []int64 {
+	capv := max(int64(float64(total)/float64(k)*(1+eps)), 1)
+	caps := make([]int64, k)
+	for p := range caps {
+		caps[p] = capv
+	}
+	return caps
+}
+
 // Connectivity returns lambda_n: the number of distinct parts net n's pins
 // touch under p. A scratch buffer of length >= p.K may be supplied to avoid
 // allocation; it must be zeroed and is re-zeroed before return.

@@ -31,7 +31,7 @@ func TestPartitionScheduleIndependent(t *testing.T) {
 	var baseCut int64
 	for i, plan := range chaosPlans() {
 		p := runParallelFault(t, 4, plan, func(c *mpi.Comm) (partition.Partition, error) {
-			return Partition(c, g, Options{Serial: gp.Options{K: 4, Imbalance: 0.05, Seed: 1}})
+			return Partition(c, g, gp.Options{K: 4, Imbalance: 0.05, Seed: 1})
 		})
 		cut := partition.EdgeCut(g, p)
 		if i == 0 {
@@ -59,7 +59,7 @@ func TestAdaptiveRepartScheduleIndependent(t *testing.T) {
 	var baseMig int64
 	for i, plan := range chaosPlans() {
 		p := runParallelFault(t, 4, plan, func(c *mpi.Comm) (partition.Partition, error) {
-			return AdaptiveRepart(c, g, old, 10, Options{Serial: gp.Options{K: 4, Seed: 5}})
+			return AdaptiveRepart(c, g, old, 10, gp.Options{K: 4, Seed: 5})
 		})
 		mig := partition.GraphMigrationVolume(g, old, p)
 		if i == 0 {
@@ -84,7 +84,7 @@ func TestPartitionCrashFailsCleanly(t *testing.T) {
 		Watchdog: 2 * time.Second,
 		Fault:    &mpi.FaultPlan{Crash: map[int]int{2: 3}},
 	}, func(c *mpi.Comm) error {
-		_, err := Partition(c, g, Options{Serial: gp.Options{K: 4, Seed: 1}})
+		_, err := Partition(c, g, gp.Options{K: 4, Seed: 1})
 		return err
 	})
 	if err == nil {

@@ -3,7 +3,7 @@ package pgp
 // Exactness of the matching fixpoint: parallelHEM ends a level's rounds
 // once no vertex is viable and sends only viable nominees. Both must leave
 // the match vector, and the per-rank rng stream every later level draws
-// from, exactly what running every MatchRounds round produces. The oracle
+// from, exactly what running every one of matchRounds rounds produces. The oracle
 // below is that round loop, kept as it was before the fixpoint stop (the
 // obs counters aside).
 
@@ -21,9 +21,9 @@ import (
 	"hyperbal/internal/mpi"
 )
 
-// oracleHEM is parallelHEM running all MatchRounds rounds and nominating
+// oracleHEM is parallelHEM running all matchRounds rounds and nominating
 // every unmatched vertex up to the cap.
-func oracleHEM(c *mpi.Comm, g *graph.Graph, samePart []int32, rng *rand.Rand, opt Options) []int32 {
+func oracleHEM(c *mpi.Comm, g *graph.Graph, samePart []int32, rng *rand.Rand) []int32 {
 	n := g.NumVertices()
 	match := make([]int32, n)
 	for v := range match {
@@ -35,7 +35,7 @@ func oracleHEM(c *mpi.Comm, g *graph.Graph, samePart []int32, rng *rand.Rand, op
 		candPerRound = 8
 	}
 
-	for round := 0; round < opt.MatchRounds; round++ {
+	for round := 0; round < matchRounds; round++ {
 		var local []int32
 		for _, v := range rng.Perm(hi - lo) {
 			gv := int32(lo + v)
@@ -104,7 +104,7 @@ func oracleBestLocalBid(g *graph.Graph, match, samePart []int32, cand, lo, hi in
 // samePart labels contracted alongside as run does. Every level must give
 // the same match vector on every rank, and the two rngs must still agree
 // afterwards. It returns the number of levels that contracted.
-func checkHEMAgainstOracle(t *testing.T, np int, g *graph.Graph, samePart []int32, seed int64, opt Options) int {
+func checkHEMAgainstOracle(t *testing.T, np int, g *graph.Graph, samePart []int32, seed int64, k int) int {
 	t.Helper()
 	var mu sync.Mutex
 	ref := map[int][]int32{}
@@ -113,9 +113,9 @@ func checkHEMAgainstOracle(t *testing.T, np int, g *graph.Graph, samePart []int3
 		rngGot := rand.New(rand.NewSource(seed*999983 + int64(c.Rank())))
 		rngWant := rand.New(rand.NewSource(seed*999983 + int64(c.Rank())))
 		cur, curOld, level := g, samePart, 0
-		for ; cur.NumVertices() > 2*opt.Serial.K; level++ {
-			got := parallelHEM(c, cur, curOld, rngGot, opt)
-			want := oracleHEM(c, cur, curOld, rngWant, opt)
+		for ; cur.NumVertices() > 2*k; level++ {
+			got := parallelHEM(c, cur, curOld, rngGot)
+			want := oracleHEM(c, cur, curOld, rngWant)
 			if !slices.Equal(got, want) {
 				return fmt.Errorf("rank %d level %d: match vector differs from the all-rounds loop", c.Rank(), level)
 			}
@@ -168,8 +168,7 @@ func TestParallelHEMMatchesOracle(t *testing.T) {
 						samePart = old.Parts
 					}
 					t.Run(fmt.Sprintf("%s/p%d/seed%d/adaptive=%v", name, np, seed, adaptive), func(t *testing.T) {
-						opt := Options{Serial: gp.Options{K: k}}.withDefaults()
-						if levels := checkHEMAgainstOracle(t, np, g, samePart, seed, opt); levels < 2 {
+						if levels := checkHEMAgainstOracle(t, np, g, samePart, seed, k); levels < 2 {
 							t.Fatalf("only %d coarsening levels compared", levels)
 						}
 					})

@@ -22,43 +22,27 @@ import (
 	"hyperbal/internal/partition"
 )
 
-// Options extend the serial gp options with parallel knobs.
-type Options struct {
-	Serial gp.Options
-	// MatchRounds bounds candidate-matching rounds per level (default 10),
-	// an upper bound that rarely binds: a level's rounds end at the
-	// matching fixpoint.
-	MatchRounds int
-	// MovesPerRound bounds refinement proposals per rank per exchange
-	// (default 128).
-	MovesPerRound int
-	// RefineRounds bounds proposal exchanges per level (default 12).
-	RefineRounds int
-}
-
-func (o Options) withDefaults() Options {
-	if o.MatchRounds <= 0 {
-		o.MatchRounds = 10
-	}
-	if o.MovesPerRound <= 0 {
-		o.MovesPerRound = 128
-	}
-	if o.RefineRounds <= 0 {
-		o.RefineRounds = 12
-	}
-	return o
-}
+// The round protocol's bounds, as in phg.
+const (
+	// matchRounds bounds candidate-matching rounds per level. It rarely
+	// binds: a level's rounds end at the matching fixpoint.
+	matchRounds = 10
+	// movesPerRound bounds refinement proposals per rank per exchange.
+	movesPerRound = 128
+	// refineRounds bounds proposal exchanges per level.
+	refineRounds = 12
+)
 
 // Partition computes a k-way partition from scratch in parallel. Every
 // rank calls with identical arguments and receives the identical result.
-func Partition(c *mpi.Comm, g *graph.Graph, opt Options) (partition.Partition, error) {
+func Partition(c *mpi.Comm, g *graph.Graph, opt gp.Options) (partition.Partition, error) {
 	return run(c, g, nil, 1, opt)
 }
 
 // AdaptiveRepart runs the unified adaptive repartitioning scheme in
 // parallel: partition-respecting coarsening, inherited coarse solution,
 // combined-objective (itr) refinement.
-func AdaptiveRepart(c *mpi.Comm, g *graph.Graph, old partition.Partition, itr int64, opt Options) (partition.Partition, error) {
+func AdaptiveRepart(c *mpi.Comm, g *graph.Graph, old partition.Partition, itr int64, opt gp.Options) (partition.Partition, error) {
 	if len(old.Parts) != g.NumVertices() {
 		return partition.Partition{}, fmt.Errorf("pgp: old partition covers %d vertices, graph has %d",
 			len(old.Parts), g.NumVertices())
@@ -67,10 +51,8 @@ func AdaptiveRepart(c *mpi.Comm, g *graph.Graph, old partition.Partition, itr in
 	return run(c, g, oldParts, itr, opt)
 }
 
-func run(c *mpi.Comm, g *graph.Graph, oldPart []int32, itr int64, opt Options) (partition.Partition, error) {
-	opt = opt.withDefaults()
-	serial := opt.Serial
-	k := serial.K
+func run(c *mpi.Comm, g *graph.Graph, oldPart []int32, itr int64, opt gp.Options) (partition.Partition, error) {
+	k := opt.K
 	if k < 1 {
 		return partition.Partition{}, fmt.Errorf("pgp: K must be >= 1")
 	}
@@ -78,19 +60,10 @@ func run(c *mpi.Comm, g *graph.Graph, oldPart []int32, itr int64, opt Options) (
 	if k == 1 || g.NumVertices() == 0 {
 		return p, nil
 	}
-	rng := rand.New(rand.NewSource(serial.Seed*999983 + int64(c.Rank())))
+	rng := rand.New(rand.NewSource(opt.Seed*999983 + int64(c.Rank())))
 
-	coarsenTo := serial.CoarsenTo
-	if coarsenTo <= 0 {
-		coarsenTo = 100
-	}
-	if coarsenTo < 2*k {
-		coarsenTo = 2 * k
-	}
-	minShrink := serial.MinShrink
-	if minShrink <= 0 {
-		minShrink = 0.10
-	}
+	def := opt.WithDefaults()
+	coarsenTo := max(def.CoarsenTo, 2*k)
 
 	type level struct {
 		g       *graph.Graph
@@ -101,10 +74,10 @@ func run(c *mpi.Comm, g *graph.Graph, oldPart []int32, itr int64, opt Options) (
 	cur, curOld := g, oldPart
 	for cur.NumVertices() > coarsenTo {
 		start := time.Now()
-		match := parallelHEM(c, cur, curOld, rng, opt)
+		match := parallelHEM(c, cur, curOld, rng)
 		coarse, cmap, coarseOld := gp.Contract(cur, match, curOld)
 		obsCoarsenNs.At(len(levels) - 1).ObserveSince(start)
-		if 1-float64(coarse.NumVertices())/float64(cur.NumVertices()) < minShrink {
+		if 1-float64(coarse.NumVertices())/float64(cur.NumVertices()) < def.MinShrink {
 			break
 		}
 		levels[len(levels)-1].cmap = cmap
@@ -122,8 +95,8 @@ func run(c *mpi.Comm, g *graph.Graph, oldPart []int32, itr int64, opt Options) (
 	} else {
 		// Scratch: replicated multi-start via per-rank serial solves.
 		solveStart := time.Now()
-		so := serial
-		so.Seed = serial.Seed*6361 + int64(c.Rank()+1)
+		so := opt
+		so.Seed = opt.Seed*6361 + int64(c.Rank()+1)
 		cp, err := gp.Partition(coarsest.g, so)
 		if err != nil {
 			return partition.Partition{}, err
@@ -134,34 +107,17 @@ func run(c *mpi.Comm, g *graph.Graph, oldPart []int32, itr int64, opt Options) (
 		obsCoarseSolveNs.ObserveSince(solveStart)
 	}
 
-	eps := serial.Imbalance
-	if eps <= 0 {
-		eps = 0.05
-	}
-	caps := capsFor(g, k, eps)
+	caps := partition.Caps(g.TotalWeight(), k, def.Imbalance)
 	for i := len(levels) - 1; i >= 0; i-- {
 		refineStart := time.Now()
 		if i < len(levels)-1 {
 			parts = gp.Project(levels[i].cmap, parts)
 		}
-		parallelRefine(c, levels[i].g, k, parts, levels[i].oldPart, itr, caps, opt)
+		parallelRefine(c, levels[i].g, k, parts, levels[i].oldPart, itr, caps)
 		obsRefineNs.At(i).ObserveSince(refineStart)
 	}
 	copy(p.Parts, parts)
 	return p, nil
-}
-
-func capsFor(g *graph.Graph, k int, eps float64) []int64 {
-	total := g.TotalWeight()
-	capv := int64(float64(total) / float64(k) * (1 + eps))
-	if capv < 1 {
-		capv = 1
-	}
-	caps := make([]int64, k)
-	for i := range caps {
-		caps[i] = capv
-	}
-	return caps
 }
 
 func blockRange(n, size, r int) (int, int) {

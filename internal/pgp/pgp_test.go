@@ -64,7 +64,7 @@ func TestParallelScratch(t *testing.T) {
 	g := grid(20, 20)
 	for _, np := range []int{1, 2, 4} {
 		p := runParallel(t, np, func(c *mpi.Comm) (partition.Partition, error) {
-			return Partition(c, g, Options{Serial: gp.Options{K: 4, Imbalance: 0.05, Seed: 1}})
+			return Partition(c, g, gp.Options{K: 4, Imbalance: 0.05, Seed: 1})
 		})
 		if err := p.Validate(); err != nil {
 			t.Fatalf("np=%d: %v", np, err)
@@ -86,7 +86,7 @@ func TestParallelAdaptiveAnchorsAtLowITR(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := runParallel(t, 4, func(c *mpi.Comm) (partition.Partition, error) {
-		return AdaptiveRepart(c, g, old, 1, Options{Serial: gp.Options{K: 4, Seed: 5}})
+		return AdaptiveRepart(c, g, old, 1, gp.Options{K: 4, Seed: 5})
 	})
 	mig := partition.GraphMigrationVolume(g, old, p)
 	if mig > int64(g.NumVertices()/5) {
@@ -121,7 +121,7 @@ func TestParallelAdaptiveRebalances(t *testing.T) {
 	}
 	oldImb := partition.Imbalance(partition.GraphWeights(g, old))
 	p := runParallel(t, 4, func(c *mpi.Comm) (partition.Partition, error) {
-		return AdaptiveRepart(c, g, old, 100, Options{Serial: gp.Options{K: 4, Seed: 7, Imbalance: 0.1}})
+		return AdaptiveRepart(c, g, old, 100, gp.Options{K: 4, Seed: 7, Imbalance: 0.1})
 	})
 	newImb := partition.Imbalance(partition.GraphWeights(g, p))
 	if newImb >= oldImb/2 {
@@ -132,7 +132,7 @@ func TestParallelAdaptiveRebalances(t *testing.T) {
 func TestParallelAdaptiveValidation(t *testing.T) {
 	g := grid(4, 4)
 	err := mpi.Run(2, func(c *mpi.Comm) error {
-		_, err := AdaptiveRepart(c, g, partition.New(3, 2), 1, Options{Serial: gp.Options{K: 2}})
+		_, err := AdaptiveRepart(c, g, partition.New(3, 2), 1, gp.Options{K: 2})
 		if err == nil {
 			t.Error("expected length mismatch error")
 		}
@@ -146,7 +146,7 @@ func TestParallelAdaptiveValidation(t *testing.T) {
 func TestParallelK1(t *testing.T) {
 	g := grid(4, 4)
 	p := runParallel(t, 2, func(c *mpi.Comm) (partition.Partition, error) {
-		return Partition(c, g, Options{Serial: gp.Options{K: 1}})
+		return Partition(c, g, gp.Options{K: 1})
 	})
 	for _, q := range p.Parts {
 		if q != 0 {
@@ -164,7 +164,7 @@ func TestParallelHEMLegality(t *testing.T) {
 	matches := make([][]int32, 3)
 	err := mpi.Run(3, func(c *mpi.Comm) error {
 		rng := rand.New(rand.NewSource(int64(c.Rank() + 1)))
-		m := parallelHEM(c, g, labels, rng, Options{}.withDefaults())
+		m := parallelHEM(c, g, labels, rng)
 		matches[c.Rank()] = m
 		return nil
 	})

@@ -23,8 +23,8 @@ type matchBid struct {
 // finalize deterministically on every rank. As in phg's IPM, a level's
 // rounds end at the matching fixpoint and only viable nominees are sent;
 // both leave the match vector and the rng stream exactly as running all
-// MatchRounds rounds would.
-func parallelHEM(c *mpi.Comm, g *graph.Graph, samePart []int32, rng *rand.Rand, opt Options) []int32 {
+// matchRounds rounds would.
+func parallelHEM(c *mpi.Comm, g *graph.Graph, samePart []int32, rng *rand.Rand) []int32 {
 	n := g.NumVertices()
 	match := make([]int32, n)
 	for v := range match {
@@ -37,7 +37,7 @@ func parallelHEM(c *mpi.Comm, g *graph.Graph, samePart []int32, rng *rand.Rand, 
 	}
 
 	next := 0 // every vertex below next is known not viable, for good
-	for round := 0; round < opt.MatchRounds; round++ {
+	for round := 0; round < matchRounds; round++ {
 		perm := rng.Perm(hi - lo)
 		// Fixpoint: no viable vertex, no match possible in any later round.
 		// Skipped rounds still draw their permutations (rng stream intact)
@@ -47,7 +47,7 @@ func parallelHEM(c *mpi.Comm, g *graph.Graph, samePart []int32, rng *rand.Rand, 
 		}
 		if next == n {
 			if slices.Contains(match, -1) {
-				for r := round + 1; r < opt.MatchRounds; r++ {
+				for r := round + 1; r < matchRounds; r++ {
 					rng.Perm(hi - lo)
 				}
 			}
@@ -154,7 +154,7 @@ type moveProposal struct {
 // parallelRefine improves parts in place with propose/exchange/apply
 // rounds under the combined objective itr*edgecut + migration (pure edge
 // cut when oldPart is nil).
-func parallelRefine(c *mpi.Comm, g *graph.Graph, k int, parts []int32, oldPart []int32, itr int64, caps []int64, opt Options) {
+func parallelRefine(c *mpi.Comm, g *graph.Graph, k int, parts []int32, oldPart []int32, itr int64, caps []int64) {
 	if itr < 1 {
 		itr = 1
 	}
@@ -191,9 +191,9 @@ func parallelRefine(c *mpi.Comm, g *graph.Graph, k int, parts []int32, oldPart [
 		return gain
 	}
 
-	for round := 0; round < opt.RefineRounds; round++ {
+	for round := 0; round < refineRounds; round++ {
 		var proposals []moveProposal
-		for v := lo; v < hi && len(proposals) < opt.MovesPerRound; v++ {
+		for v := lo; v < hi && len(proposals) < movesPerRound; v++ {
 			from := parts[v]
 			adj, wts := g.Adj(v), g.AdjWeights(v)
 			touched = touched[:0]

@@ -19,36 +19,35 @@ type matchBid struct {
 // LocalIPM phase (package-level so it can cross a network transport).
 type matchPair struct{ A, B int32 }
 
-// parallelIPM runs the candidate-round inner-product matching of §4.1.
-// All ranks return the identical match vector. A level's rounds end at the
-// matching fixpoint, when no vertex is viable any more, so MatchRounds is
-// an upper bound that rarely binds. With opt.LocalIPM, most
+// parallelIPM runs the candidate-round inner-product matching of §4.1 on
+// one level, through nets of 2..maxNetSize pins. All ranks return the
+// identical match vector. Each round, a rank nominates up to half its
+// block, at least 8, of its unmatched vertices. With local set, most
 // matching happens inside each rank's block without communication (the
 // optimization proposed in the paper's conclusion); the block-local
 // matches are then exchanged once, and a single global round mops up
 // cross-block pairs.
-func parallelIPM(c *mpi.Comm, h *hypergraph.Hypergraph, rng *rand.Rand, opt Options) []int32 {
+func parallelIPM(c *mpi.Comm, h *hypergraph.Hypergraph, rng *rand.Rand, maxNetSize int, local bool) []int32 {
+	lo, hi := blockRange(h.NumVertices(), c.Size(), c.Rank())
+	return ipmRounds(c, h, rng, maxNetSize, local, max((hi-lo)/2, 8))
+}
+
+// ipmRounds is parallelIPM with the per-rank nomination cap given (the
+// oracle test also drives a cap small enough that whole rounds nominate no
+// viable vertex). A level's rounds end at the matching fixpoint, when no
+// vertex is viable any more, so matchRounds is an upper bound that rarely
+// binds.
+func ipmRounds(c *mpi.Comm, h *hypergraph.Hypergraph, rng *rand.Rand, maxNetSize int, local bool, candCap int) []int32 {
 	n := h.NumVertices()
 	match := make([]int32, n)
 	for v := range match {
 		match[v] = -1
 	}
 	lo, hi := blockRange(n, c.Size(), c.Rank())
-	if opt.LocalIPM {
-		localIPM(c, h, match, lo, hi, rng, opt)
-		// one global candidate round for the leftovers
-		opt.MatchRounds = 1
-	}
-	maxNetSize := opt.Serial.MaxNetSize
-	if maxNetSize <= 0 {
-		maxNetSize = 500
-	}
-	candPerRound := opt.CandidatesPerRound
-	if candPerRound <= 0 {
-		candPerRound = (hi - lo) / 2
-		if candPerRound < 8 {
-			candPerRound = 8
-		}
+	rounds := matchRounds
+	if local {
+		localIPM(c, h, match, lo, hi, rng, maxNetSize)
+		rounds = 1 // one global candidate round for the leftovers
 	}
 
 	score := make([]float64, n)
@@ -57,7 +56,7 @@ func parallelIPM(c *mpi.Comm, h *hypergraph.Hypergraph, rng *rand.Rand, opt Opti
 	// Every vertex below next is known not viable; match only grows, so
 	// it stays that way and the scan never moves back.
 	next := 0
-	for round := 0; round < opt.MatchRounds; round++ {
+	for round := 0; round < rounds; round++ {
 		perm := rng.Perm(hi - lo)
 		// 0. Fixpoint check on the replicated match vector and hypergraph:
 		// every rank gets the same answer without a message. Once no vertex
@@ -65,14 +64,14 @@ func parallelIPM(c *mpi.Comm, h *hypergraph.Hypergraph, rng *rand.Rand, opt Opti
 		// unmatched vertices remain, the rounds it skips still take their
 		// rng.Perm draws: that keeps the per-rank rng stream, and with it
 		// every later level and the final partition, exactly what running
-		// all MatchRounds rounds gives. A level with no vertex unmatched
-		// at all ends without further draws.
+		// all rounds gives. A level with no vertex unmatched at all ends
+		// without further draws.
 		for next < n && !viable(h, match, next, maxNetSize) {
 			next++
 		}
 		if next == n {
 			if slices.Contains(match, -1) {
-				for r := round + 1; r < opt.MatchRounds; r++ {
+				for r := round + 1; r < rounds; r++ {
 					rng.Perm(hi - lo)
 				}
 			}
@@ -94,7 +93,7 @@ func parallelIPM(c *mpi.Comm, h *hypergraph.Hypergraph, rng *rand.Rand, opt Opti
 			if gv >= next && viable(h, match, gv, maxNetSize) {
 				local = append(local, int32(gv))
 			}
-			if nominated++; nominated >= candPerRound {
+			if nominated++; nominated >= candCap {
 				break
 			}
 		}
@@ -232,11 +231,7 @@ func bestLocalBid(h *hypergraph.Hypergraph, match []int32, cand, lo, hi, maxNetS
 // per-block match decisions so every rank holds the identical vector.
 // Scoring is the same inner-product similarity with the §4.1 fixed
 // compatibility filter.
-func localIPM(c *mpi.Comm, h *hypergraph.Hypergraph, match []int32, lo, hi int, rng *rand.Rand, opt Options) {
-	maxNetSize := opt.Serial.MaxNetSize
-	if maxNetSize <= 0 {
-		maxNetSize = 500
-	}
+func localIPM(c *mpi.Comm, h *hypergraph.Hypergraph, match []int32, lo, hi int, rng *rand.Rand, maxNetSize int) {
 	var local []matchPair
 	score := make([]float64, h.NumVertices())
 	var touched []int32

@@ -3,7 +3,7 @@ package phg
 // Exactness of the matching fixpoint: parallelIPM ends a level's rounds
 // once no vertex is viable and sends only viable nominees. Both must leave
 // the match vector, and the per-rank rng stream every later level draws
-// from, exactly what running every MatchRounds round produces. The oracle
+// from, exactly what running every one of matchRounds rounds produces. The oracle
 // below is that round loop, kept as it was before the fixpoint stop (the
 // obs counters aside).
 
@@ -22,25 +22,32 @@ import (
 	"hyperbal/internal/mpi"
 )
 
-// oracleIPM is parallelIPM running all MatchRounds rounds and nominating
+// ipmCase is one matching configuration: the IPM net-size bound, local
+// IPM, and the per-rank nomination cap (0: parallelIPM's own, half the
+// block and at least 8).
+type ipmCase struct {
+	maxNetSize int
+	local      bool
+	candCap    int
+}
+
+// oracleIPM is parallelIPM running all matchRounds rounds and nominating
 // every unmatched vertex up to the cap.
-func oracleIPM(c *mpi.Comm, h *hypergraph.Hypergraph, rng *rand.Rand, opt Options) []int32 {
+func oracleIPM(c *mpi.Comm, h *hypergraph.Hypergraph, rng *rand.Rand, tc ipmCase) []int32 {
 	n := h.NumVertices()
 	match := make([]int32, n)
 	for v := range match {
 		match[v] = -1
 	}
 	lo, hi := blockRange(n, c.Size(), c.Rank())
-	if opt.LocalIPM {
-		oracleLocalIPM(c, h, match, lo, hi, rng, opt)
+	rounds := matchRounds
+	if tc.local {
+		oracleLocalIPM(c, h, match, lo, hi, rng, tc.maxNetSize)
 		// one global candidate round for the leftovers
-		opt.MatchRounds = 1
+		rounds = 1
 	}
-	maxNetSize := opt.Serial.MaxNetSize
-	if maxNetSize <= 0 {
-		maxNetSize = 500
-	}
-	candPerRound := opt.CandidatesPerRound
+	maxNetSize := tc.maxNetSize
+	candPerRound := tc.candCap
 	if candPerRound <= 0 {
 		candPerRound = (hi - lo) / 2
 		if candPerRound < 8 {
@@ -51,7 +58,7 @@ func oracleIPM(c *mpi.Comm, h *hypergraph.Hypergraph, rng *rand.Rand, opt Option
 	score := make([]float64, n)
 	touched := make([]int32, 0, 64)
 
-	for round := 0; round < opt.MatchRounds; round++ {
+	for round := 0; round < rounds; round++ {
 		var local []int32
 		for _, v := range rng.Perm(hi - lo) {
 			gv := int32(lo + v)
@@ -138,11 +145,7 @@ func oracleBestLocalBid(h *hypergraph.Hypergraph, match []int32, cand, lo, hi, m
 	return bid
 }
 
-func oracleLocalIPM(c *mpi.Comm, h *hypergraph.Hypergraph, match []int32, lo, hi int, rng *rand.Rand, opt Options) {
-	maxNetSize := opt.Serial.MaxNetSize
-	if maxNetSize <= 0 {
-		maxNetSize = 500
-	}
+func oracleLocalIPM(c *mpi.Comm, h *hypergraph.Hypergraph, match []int32, lo, hi int, rng *rand.Rand, maxNetSize int) {
 	var local []matchPair
 	score := make([]float64, h.NumVertices())
 	var touched []int32
@@ -207,7 +210,7 @@ func oracleLocalIPM(c *mpi.Comm, h *hypergraph.Hypergraph, match []int32, lo, hi
 // level must give the same match vector on every rank, and the two rngs
 // must still agree afterwards (the next Int63 of each). It returns the
 // number of levels that contracted.
-func checkIPMAgainstOracle(t *testing.T, np int, h *hypergraph.Hypergraph, seed int64, opt Options) int {
+func checkIPMAgainstOracle(t *testing.T, np int, h *hypergraph.Hypergraph, seed int64, k int, tc ipmCase) int {
 	t.Helper()
 	var mu sync.Mutex
 	ref := map[int][]int32{} // level -> the first reporting rank's match vector
@@ -216,9 +219,14 @@ func checkIPMAgainstOracle(t *testing.T, np int, h *hypergraph.Hypergraph, seed 
 		rngGot := rand.New(rand.NewSource(seed*1000003 + int64(c.Rank())))
 		rngWant := rand.New(rand.NewSource(seed*1000003 + int64(c.Rank())))
 		cur, level := h, 0
-		for ; cur.NumVertices() > 2*opt.Serial.K; level++ {
-			got := parallelIPM(c, cur, rngGot, opt)
-			want := oracleIPM(c, cur, rngWant, opt)
+		for ; cur.NumVertices() > 2*k; level++ {
+			var got []int32
+			if tc.candCap > 0 {
+				got = ipmRounds(c, cur, rngGot, tc.maxNetSize, tc.local, tc.candCap)
+			} else {
+				got = parallelIPM(c, cur, rngGot, tc.maxNetSize, tc.local)
+			}
+			want := oracleIPM(c, cur, rngWant, tc)
 			if !slices.Equal(got, want) {
 				return fmt.Errorf("rank %d level %d: match vector differs from the all-rounds loop", c.Rank(), level)
 			}
@@ -269,6 +277,7 @@ func columnNet(g *graph.Graph) *hypergraph.Hypergraph {
 // MaxNetSize that skips the larger column nets.
 func TestParallelIPMMatchesOracle(t *testing.T) {
 	const k = 4
+	maxNetSize := hgp.Options{}.WithDefaults().MaxNetSize
 	for _, name := range datasets.Names() {
 		g, err := datasets.Generate(name, 120, 3)
 		if err != nil {
@@ -290,17 +299,15 @@ func TestParallelIPMMatchesOracle(t *testing.T) {
 				for _, seed := range []int64{1, 2, 3} {
 					for _, variant := range []struct {
 						name string
-						opt  Options
+						tc   ipmCase
 					}{
-						{"global", Options{}},
-						{"local", Options{LocalIPM: true}},
-						{"cap3", Options{CandidatesPerRound: 3}},
-						{"maxnet4", Options{Serial: hgp.Options{MaxNetSize: 4}}},
+						{"global", ipmCase{maxNetSize: maxNetSize}},
+						{"local", ipmCase{maxNetSize: maxNetSize, local: true}},
+						{"cap3", ipmCase{maxNetSize: maxNetSize, candCap: 3}},
+						{"maxnet4", ipmCase{maxNetSize: 4}},
 					} {
 						t.Run(fmt.Sprintf("%s/%s/p%d/seed%d/%s", name, model.name, np, seed, variant.name), func(t *testing.T) {
-							opt := variant.opt
-							opt.Serial.K = k
-							if levels := checkIPMAgainstOracle(t, np, aug.H, seed, opt.withDefaults()); levels < 2 {
+							if levels := checkIPMAgainstOracle(t, np, aug.H, seed, k, variant.tc); levels < 2 {
 								t.Fatalf("only %d coarsening levels compared", levels)
 							}
 						})
@@ -321,7 +328,7 @@ func TestParallelIPMFullMatchEndsLevel(t *testing.T) {
 	h := b.Build()
 	for _, np := range []int{1, 2, 4} {
 		for _, local := range []bool{false, true} {
-			checkIPMAgainstOracle(t, np, h, 5, Options{Serial: hgp.Options{K: 2}, LocalIPM: local}.withDefaults())
+			checkIPMAgainstOracle(t, np, h, 5, 2, ipmCase{maxNetSize: hgp.Options{}.WithDefaults().MaxNetSize, local: local})
 		}
 	}
 }

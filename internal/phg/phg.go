@@ -11,13 +11,13 @@
 //     candidate, subject to the fixed-vertex compatibility filter. Only
 //     viable candidates are sent (an unmatched, compatible partner through
 //     a scored net), and a level's rounds end at the matching fixpoint,
-//     when no vertex is viable: MatchRounds is an upper bound that rarely
+//     when no vertex is viable: matchRounds is an upper bound that rarely
 //     binds, and the skipped rounds change neither the matching nor any
-//     rank's random stream. (Zoltan
-//     uses a 2D data distribution; the paper notes those inner workings
-//     are "not needed to explain the extension for handling fixed
-//     vertices" — this package substitutes a 1D distribution, keeping the
-//     candidate-round protocol and all fixed-vertex mechanics.)
+//     rank's random stream. (Zoltan uses a 2D data distribution; the
+//     paper notes those inner workings are "not needed to explain the
+//     extension for handling fixed vertices" — this package substitutes a
+//     1D distribution, keeping the candidate-round protocol and all
+//     fixed-vertex mechanics.)
 //
 //   - Coarse partitioning (§4.2): the coarsest hypergraph is replicated on
 //     every rank and "each processor runs a randomized greedy hypergraph
@@ -48,24 +48,11 @@ import (
 	"hyperbal/internal/partition"
 )
 
-// Options extends the serial options with parallel knobs.
+// Options extends the serial options with the one parallel switch.
 type Options struct {
 	// Serial carries K, Imbalance, Seed, CoarsenTo, etc. The coarsest-level
 	// solve uses these options verbatim (with per-rank seeds).
 	Serial hgp.Options
-	// CandidatesPerRound bounds how many unmatched vertices each rank
-	// nominates per IPM round (default: block size / 2, at least 8); of
-	// those, only the viable ones are sent.
-	CandidatesPerRound int
-	// MatchRounds bounds IPM rounds per coarsening level (default 10). It
-	// is an upper bound that rarely binds: a level's rounds end at the
-	// matching fixpoint, usually after two or three.
-	MatchRounds int
-	// MovesPerRound bounds how many refinement moves each rank proposes per
-	// exchange (default 128).
-	MovesPerRound int
-	// RefineRounds bounds proposal exchanges per level (default 12).
-	RefineRounds int
 	// LocalIPM restricts inner-product matching to each rank's own vertex
 	// block, eliminating the candidate broadcast and global best-match
 	// reduction — the speed/quality trade the paper's conclusion proposes
@@ -75,23 +62,18 @@ type Options struct {
 	LocalIPM bool
 }
 
-func (o Options) withDefaults() Options {
-	// o.Serial is passed through verbatim: the coarse solve owns its
-	// defaults (hgp.Options.withDefaults), and rebuilding the struct here
-	// field-by-field silently dropped every knob this list forgot
-	// (DirectKway, KwayFM, DisableMatchFilter, Parallelism). See
-	// TestOptionsPreserveSerial.
-	if o.MatchRounds <= 0 {
-		o.MatchRounds = 10
-	}
-	if o.MovesPerRound <= 0 {
-		o.MovesPerRound = 128
-	}
-	if o.RefineRounds <= 0 {
-		o.RefineRounds = 12
-	}
-	return o
-}
+// The round protocol's bounds.
+const (
+	// matchRounds bounds IPM rounds per coarsening level. It rarely binds:
+	// a level's rounds end at the matching fixpoint, usually after two or
+	// three.
+	matchRounds = 10
+	// movesPerRound bounds how many refinement moves each rank proposes
+	// per exchange.
+	movesPerRound = 128
+	// refineRounds bounds proposal exchanges per level.
+	refineRounds = 12
+)
 
 // blockRange returns rank r's vertex block [lo, hi) of n vertices.
 func blockRange(n, size, r int) (int, int) {
@@ -108,7 +90,6 @@ func blockRange(n, size, r int) (int, int) {
 // Partition computes a k-way partition with fixed vertices in parallel.
 // Every rank of c must call it with the same hypergraph and options.
 func Partition(c *mpi.Comm, h *hypergraph.Hypergraph, opt Options) (partition.Partition, error) {
-	opt = opt.withDefaults()
 	k := opt.Serial.K
 	if k < 1 {
 		return partition.Partition{}, fmt.Errorf("phg: K must be >= 1")
@@ -121,17 +102,8 @@ func Partition(c *mpi.Comm, h *hypergraph.Hypergraph, opt Options) (partition.Pa
 	rng := rand.New(rand.NewSource(opt.Serial.Seed*1000003 + int64(c.Rank())))
 
 	// ---- Parallel coarsening ----
-	coarsenTo := opt.Serial.CoarsenTo
-	if coarsenTo <= 0 {
-		coarsenTo = 100
-	}
-	if coarsenTo < 2*k {
-		coarsenTo = 2 * k
-	}
-	minShrink := opt.Serial.MinShrink
-	if minShrink <= 0 {
-		minShrink = 0.10
-	}
+	def := opt.Serial.WithDefaults()
+	coarsenTo := max(def.CoarsenTo, 2*k)
 	type level struct {
 		h    *hypergraph.Hypergraph
 		cmap []int32
@@ -140,10 +112,10 @@ func Partition(c *mpi.Comm, h *hypergraph.Hypergraph, opt Options) (partition.Pa
 	cur := h
 	for cur.NumVertices() > coarsenTo {
 		start := time.Now()
-		match := parallelIPM(c, cur, rng, opt)
+		match := parallelIPM(c, cur, rng, def.MaxNetSize, opt.LocalIPM)
 		coarse, cmap := hgp.Contract(cur, match)
 		obsCoarsenNs.At(len(levels) - 1).ObserveSince(start)
-		if 1-float64(coarse.NumVertices())/float64(cur.NumVertices()) < minShrink {
+		if 1-float64(coarse.NumVertices())/float64(cur.NumVertices()) < def.MinShrink {
 			break
 		}
 		levels[len(levels)-1].cmap = cmap
@@ -174,13 +146,13 @@ func Partition(c *mpi.Comm, h *hypergraph.Hypergraph, opt Options) (partition.Pa
 	obsCoarseSolveNs.ObserveSince(solveStart)
 
 	// ---- Uncoarsening with parallel refinement ----
-	caps := capsFor(h, k, opt.Serial.Imbalance)
+	caps := partition.Caps(h.TotalWeight(), k, def.Imbalance)
 	for i := len(levels) - 1; i >= 0; i-- {
 		refineStart := time.Now()
 		if i < len(levels)-1 {
 			parts = projectParts(levels[i].cmap, parts)
 		}
-		parallelRefine(c, levels[i].h, k, parts, caps, opt)
+		parallelRefine(c, levels[i].h, k, parts, caps)
 		obsRefineNs.At(i).ObserveSince(refineStart)
 	}
 	copy(p.Parts, parts)
@@ -193,20 +165,4 @@ func projectParts(cmap []int32, coarse []int32) []int32 {
 		fine[v] = coarse[cv]
 	}
 	return fine
-}
-
-func capsFor(h *hypergraph.Hypergraph, k int, eps float64) []int64 {
-	if eps <= 0 {
-		eps = 0.05
-	}
-	total := h.TotalWeight()
-	capv := int64(float64(total) / float64(k) * (1 + eps))
-	if capv < 1 {
-		capv = 1
-	}
-	caps := make([]int64, k)
-	for p := range caps {
-		caps[p] = capv
-	}
-	return caps
 }

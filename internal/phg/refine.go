@@ -19,15 +19,15 @@ type moveProposal struct {
 // allgathered, and every rank applies the surviving ones in the same
 // order, keeping the replicated state identical. Fixed vertices never
 // move.
-func parallelRefine(c *mpi.Comm, h *hypergraph.Hypergraph, k int, parts []int32, caps []int64, opt Options) {
+func parallelRefine(c *mpi.Comm, h *hypergraph.Hypergraph, k int, parts []int32, caps []int64) {
 	n := h.NumVertices()
 	lo, hi := blockRange(n, c.Size(), c.Rank())
 	state := hgp.NewKwayState(h, k, parts)
 
-	for round := 0; round < opt.RefineRounds; round++ {
+	for round := 0; round < refineRounds; round++ {
 		// 1. Propose best moves for local block vertices.
 		var proposals []moveProposal
-		for v := lo; v < hi && len(proposals) < opt.MovesPerRound; v++ {
+		for v := lo; v < hi && len(proposals) < movesPerRound; v++ {
 			if h.Fixed(v) != hypergraph.Free {
 				continue
 			}
