@@ -154,31 +154,6 @@ func BenchmarkFig8RuntimeAuto(b *testing.B)  { benchRuntime(b, "auto") }
 
 // ---- Ablations (DESIGN.md §7) ----
 
-// BenchmarkAblationMatchFilter (A1): fixed-vertex IPM filtering on vs off.
-// The paper claims the filter "only adds an insignificant overhead".
-func BenchmarkAblationMatchFilter(b *testing.B) {
-	g, err := datasets.Generate("auto", benchScale, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	h := hyperbal.GraphToHypergraph(g)
-	for _, tc := range []struct {
-		name    string
-		disable bool
-	}{{"filter-on", false}, {"filter-off", true}} {
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, err := hgp.Partition(h, hgp.Options{
-					K: 8, Seed: int64(i), DisableMatchFilter: tc.disable,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationModelVsRefineOnly (A2): migration modeled in the
 // hypergraph from coarsening onward (the paper's model) vs accounted only
 // during refinement — both the hypergraph refine-only ablation and the
@@ -311,32 +286,6 @@ func rankName(r int) string {
 	return string(rune('0'+r)) + "ranks"
 }
 
-// BenchmarkAblationKwayFM (A5): greedy-sweep k-way polish vs bucket FM
-// polish — quality (cut) and time trade-off.
-func BenchmarkAblationKwayFM(b *testing.B) {
-	g, err := datasets.Generate("cage14", benchScale, 15)
-	if err != nil {
-		b.Fatal(err)
-	}
-	h := hyperbal.GraphToHypergraph(g)
-	for _, tc := range []struct {
-		name string
-		fm   bool
-	}{{"greedy-sweep", false}, {"bucket-fm", true}} {
-		b.Run(tc.name, func(b *testing.B) {
-			var cut int64
-			for i := 0; i < b.N; i++ {
-				p, err := hgp.Partition(h, hgp.Options{K: 8, Seed: int64(i), KwayFM: tc.fm})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cut = partition.CutSize(h, p)
-			}
-			b.ReportMetric(float64(cut), "cut")
-		})
-	}
-}
-
 // BenchmarkAblationVCycles (A6): iterated V-cycle refinement — quality
 // gain per extra cycle.
 func BenchmarkAblationVCycles(b *testing.B) {
@@ -365,7 +314,7 @@ func vcName(c int) string { return string(rune('0'+c)) + "cycles" }
 // BenchmarkAblationLocalIPM (A7): global candidate-round IPM vs the
 // block-local IPM the paper's conclusion proposes as a speedup ("using
 // local IPM instead of global IPM"). Reports wall time (ns/op) and the
-// substrate traffic per partitioning.
+// substrate traffic and the cut per partitioning.
 func BenchmarkAblationLocalIPM(b *testing.B) {
 	g, err := datasets.Generate("auto", benchScale, 19)
 	if err != nil {
@@ -377,13 +326,16 @@ func BenchmarkAblationLocalIPM(b *testing.B) {
 		local bool
 	}{{"global-ipm", false}, {"local-ipm", true}} {
 		b.Run(tc.name, func(b *testing.B) {
-			var msgs, bytes int64
+			var msgs, bytes, cut int64
 			for i := 0; i < b.N; i++ {
 				stats, err := hyperbal.RunWorldStats(8, func(c *hyperbal.Comm) error {
-					_, err := hyperbal.ParallelPartitionHypergraph(c, h, hyperbal.PHGOptions{
+					p, err := hyperbal.ParallelPartitionHypergraph(c, h, hyperbal.PHGOptions{
 						Serial:   hyperbal.HGPOptions{K: 8, Seed: int64(i)},
 						LocalIPM: tc.local,
 					})
+					if err == nil && c.Rank() == 0 {
+						cut = partition.CutSize(h, p)
+					}
 					return err
 				})
 				if err != nil {
@@ -394,6 +346,7 @@ func BenchmarkAblationLocalIPM(b *testing.B) {
 			}
 			b.ReportMetric(float64(msgs), "msgs")
 			b.ReportMetric(float64(bytes), "bytes")
+			b.ReportMetric(float64(cut), "cut")
 		})
 	}
 }

@@ -43,7 +43,7 @@ func AdaptiveRepart(g *graph.Graph, oldPart partition.Partition, itr int64, opt 
 	rng := rand.New(rand.NewSource(opt.Seed))
 
 	old := append([]int32(nil), oldPart.Parts...)
-	levels := coarsen(g, rng, max(opt.CoarsenTo, 2*k), opt.MinShrink, old)
+	levels := coarsen(g, rng, max(opt.CoarsenTo, 2*k), old)
 
 	// Inherited coarse solution.
 	coarsest := levels[len(levels)-1]

@@ -109,14 +109,15 @@ func Contract(g *graph.Graph, match []int32, oldPart []int32) (*graph.Graph, []i
 	return b.Build(), cmap, coarseOld
 }
 
-// coarsen builds the hierarchy until the graph is small or stops shrinking.
-func coarsen(g *graph.Graph, rng *rand.Rand, coarsenTo int, minShrink float64, oldPart []int32) []level {
+// coarsen builds the hierarchy until the graph is small or a level shrinks
+// it by less than MinShrink.
+func coarsen(g *graph.Graph, rng *rand.Rand, coarsenTo int, oldPart []int32) []level {
 	levels := []level{{g: g, oldPart: oldPart}}
 	cur, curOld := g, oldPart
 	for cur.NumVertices() > coarsenTo {
 		match := HEM(cur, rng, curOld)
 		coarse, cmap, coarseOld := Contract(cur, match, curOld)
-		if 1-float64(coarse.NumVertices())/float64(cur.NumVertices()) < minShrink {
+		if 1-float64(coarse.NumVertices())/float64(cur.NumVertices()) < MinShrink {
 			break
 		}
 		levels[len(levels)-1].cmap = cmap

@@ -25,15 +25,18 @@ import (
 	"hyperbal/internal/partition"
 )
 
+// MinShrink aborts coarsening when a level shrinks the vertex count by
+// less than this fraction.
+const MinShrink = 0.10
+
 // Options control the multilevel graph partitioner.
 type Options struct {
 	K             int
 	Imbalance     float64 // Eq. 1 epsilon
 	Seed          int64
-	CoarsenTo     int     // stop coarsening at this many vertices (default 100)
-	MinShrink     float64 // abort coarsening below this shrink factor (default 0.1)
-	InitialStarts int     // multi-start count at the coarsest level (default 8)
-	RefinePasses  int     // FM pass bound per level (default 4)
+	CoarsenTo     int // stop coarsening at this many vertices (default 100)
+	InitialStarts int // multi-start count at the coarsest level (default 8)
+	RefinePasses  int // FM pass bound per level (default 4)
 }
 
 // WithDefaults returns o with every unset field at its default, for this
@@ -47,9 +50,6 @@ func (o Options) WithDefaults() Options {
 	}
 	if o.CoarsenTo <= 0 {
 		o.CoarsenTo = 100
-	}
-	if o.MinShrink <= 0 {
-		o.MinShrink = 0.10
 	}
 	if o.InitialStarts <= 0 {
 		o.InitialStarts = 8
@@ -112,7 +112,7 @@ func recursiveBisect(sub *graph.Graph, vs []int32, lo, hi int, out []int32, rng 
 
 // bisect runs the multilevel 2-way pipeline on g.
 func bisect(g *graph.Graph, rng *rand.Rand, frac0 float64, opt Options) []int32 {
-	levels := coarsen(g, rng, max(opt.CoarsenTo, 4), opt.MinShrink, nil)
+	levels := coarsen(g, rng, max(opt.CoarsenTo, 4), nil)
 	coarsest := levels[len(levels)-1].g
 
 	total := coarsest.TotalWeight()

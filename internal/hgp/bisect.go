@@ -26,7 +26,7 @@ func bisect(h *hypergraph.Hypergraph, rng *rand.Rand, fixedSide []int32, frac0, 
 	if coarsenTo < 4 {
 		coarsenTo = 4
 	}
-	levels := coarsen(hf, rng, coarsenTo, opt.MinShrink, opt.MaxNetSize, !opt.DisableMatchFilter, ws)
+	levels := coarsen(hf, rng, coarsenTo, ws)
 
 	// Coarsest-level solve: multi-start GHG + FM, keep the best.
 	coarsest := levels[len(levels)-1].h
@@ -61,7 +61,7 @@ func bisect(h *hypergraph.Hypergraph, rng *rand.Rand, fixedSide []int32, frac0, 
 		lt := levels[i].h.TotalWeight()
 		lc0 := int64(float64(lt) * frac0 * (1 + eps))
 		lc1 := int64(float64(lt) * (1 - frac0) * (1 + eps))
-		fm2(levels[i].h, parts, lf, lc0, lc1, opt.RefinePasses, opt.MaxNetSize, ws.weightOrder(levels[i].h), ws)
+		fm2(levels[i].h, parts, lf, lc0, lc1, opt.RefinePasses, MaxNetSize, ws.weightOrder(levels[i].h), ws)
 		obsRefineNs.At(i).ObserveSince(refineStart)
 	}
 	return parts
@@ -91,7 +91,7 @@ func coarseStarts(h *hypergraph.Hypergraph, fixedSide []int32, t0, c0, c1, baseS
 	// One leaf order and one start state per level: the starts share them
 	// read-only.
 	ord := ws.weightOrder(h)
-	st := ws.coarseStart(h, fixedSide, c0, c1, opt.MaxNetSize)
+	st := ws.coarseStart(h, fixedSide, c0, c1, MaxNetSize)
 	reg := ws.startRegistry(opt.InitialStarts, h.NumVertices())
 	px.forEach(opt.InitialStarts, ws, func(i int, sws *workspace) {
 		if reg.settled(i) {

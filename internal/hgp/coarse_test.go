@@ -68,7 +68,7 @@ func TestCoarseStartHandOff(t *testing.T) {
 	for _, ds := range datasets.Names() {
 		coarsest, _ := firstBisectionCoarsest(t, ds, kernelBenchScale, 1)
 		t0, c0, c1 := bisectCaps(coarsest, 0.5, 0.05)
-		cases = append(cases, instance{ds, coarsest, fixedLabels(coarsest, nil), t0, c0, c1, opt.MaxNetSize})
+		cases = append(cases, instance{ds, coarsest, fixedLabels(coarsest, nil), t0, c0, c1, MaxNetSize})
 	}
 	for i := 0; i < 60; i++ {
 		rng := rand.New(rand.NewSource(int64(i)))

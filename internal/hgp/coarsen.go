@@ -17,19 +17,19 @@ type level struct {
 // (Section 4.1). levels[0].h is the input; the last entry's cmap is nil and
 // its h is the coarsest hypergraph. Coarsening stops when the vertex count
 // drops to coarsenTo or a round shrinks the hypergraph by less than
-// minShrink.
-func coarsen(h *hypergraph.Hypergraph, rng *rand.Rand, coarsenTo int, minShrink float64, maxNetSize int, filterFixed bool, ws *workspace) []level {
+// MinShrink.
+func coarsen(h *hypergraph.Hypergraph, rng *rand.Rand, coarsenTo int, ws *workspace) []level {
 	levels := []level{{h: h}}
 	cur := h
 	for cur.NumVertices() > coarsenTo {
 		start := time.Now()
-		match := ipmMatch(cur, rng, maxNetSize, filterFixed, ws)
+		match := ipmMatch(cur, rng, MaxNetSize, ws)
 		coarse, cmap := contractWS(cur, match, ws)
 		shrink := 1 - float64(coarse.NumVertices())/float64(cur.NumVertices())
 		lvl := len(levels) - 1
 		obsCoarsenNs.At(lvl).ObserveSince(start)
 		obsLevelShrink.At(lvl).Observe(int64(shrink * 1000))
-		if shrink < minShrink {
+		if shrink < MinShrink {
 			break // unsuccessful coarsening; stop early
 		}
 		obsLevels.Inc()

@@ -8,17 +8,14 @@ import (
 
 	"hyperbal/internal/datasets"
 	"hyperbal/internal/hypergraph"
-	"hyperbal/internal/partition"
 )
 
-// This file keeps the move-selection kernels as they were before the
-// winner tree replaced the lazy gain heap — refFM2, refGHG2 and refKwayFM,
-// with the heap, its stamps, fm2's re-push stash and ghg2's dead marks —
-// as test oracles. The live kernels must reproduce them move for move:
-// the same parts, the same cut and, for ghg2, the same RNG draws. Beyond
-// renaming and dropping the metric counters, the only edit is refKwayFM's
-// neighbour refresh, which honors maxNetSize where the old kernel
-// hard-coded 500 (identical at the default).
+// This file keeps the 2-way move-selection kernels as they were before
+// the winner tree replaced the lazy gain heap — refFM2 and refGHG2, with
+// the heap, its stamps, fm2's re-push stash and ghg2's dead marks — as
+// test oracles. The live kernels must reproduce them move for move: the
+// same parts, the same cut and, for ghg2, the same RNG draws. The only
+// edits are renaming and dropping the metric counters.
 
 // oracleInstances is the number of randomized instances per kernel.
 const oracleInstances = 520
@@ -147,50 +144,15 @@ func checkFM2(t *testing.T, name string, h *hypergraph.Hypergraph, parts, fixed 
 	}
 }
 
-func TestKwayFMOracle(t *testing.T) {
-	ws, rws := newWorkspace(), newWorkspace()
-	for i := 0; i < oracleInstances; i++ {
-		rng := rand.New(rand.NewSource(int64(i)))
-		h := oracleHG(rng)
-		n := h.NumVertices()
-		k := 2 + rng.Intn(4)
-		fixed := make([]int32, n)
-		parts := make([]int32, n)
-		for v := range parts {
-			parts[v] = int32(rng.Intn(k))
-			fixed[v] = hypergraph.Free
-			if rng.Intn(8) == 0 {
-				fixed[v] = parts[v]
-			}
-		}
-		if i%3 == 0 {
-			h = h.WithFixed(fixed)
-		}
-		caps := partition.Caps(h.TotalWeight(), k, oracleEps[i%4])
-		checkKwayFM(t, fmt.Sprintf("instance %d", i), h, k, parts, caps, 1+rng.Intn(4), oracleMaxNets[i/4%3], ws, rws)
-	}
-}
-
-func checkKwayFM(t *testing.T, name string, h *hypergraph.Hypergraph, k int, parts []int32, caps []int64, passes, maxNet int, ws, rws *workspace) {
-	t.Helper()
-	want := append([]int32(nil), parts...)
-	got := append([]int32(nil), parts...)
-	wantCut := refKwayFM(h, k, want, caps, passes, maxNet, rws)
-	gotCut := refineKwayFM(h, k, got, caps, passes, maxNet, ws)
-	if gotCut != wantCut || !slices.Equal(got, want) {
-		t.Fatalf("%s: refineKwayFM cut %d differs from the reference kernel's %d, or its parts do", name, gotCut, wantCut)
-	}
-}
-
-// TestDatasetCoarseOracle runs the three kernels against their references
+// TestDatasetCoarseOracle runs the two kernels against their references
 // on the coarsest level of each dataset analogue's first bisection: every
 // start of the coarse solve, through bisect's own coarseStarts at
 // Parallelism 1 and 4 (ghg2 from the shared start, then fm2 on the state it
-// hands over), against refGHG2 then refFM2; and a k-way FM pass from a
-// random 8-way assignment. The coarse solve runs free and with fixed sides
-// (coarseOracleSides). Its two skips must both be exercised: some instance
-// grows without drawing, and among those that draw, some grow a partition
-// twice and some grow two or more distinct partitions.
+// hands over), against refGHG2 then refFM2. The coarse solve runs free and
+// with fixed sides (coarseOracleSides). Its two skips must both be
+// exercised: some instance grows without drawing, and among those that
+// draw, some grow a partition twice and some grow two or more distinct
+// partitions.
 func TestDatasetCoarseOracle(t *testing.T) {
 	ws, rws, rs := newWorkspace(), newWorkspace(), new(refScratch)
 	opt := Options{}.WithDefaults()
@@ -219,17 +181,14 @@ func TestDatasetCoarseOracle(t *testing.T) {
 				name := fmt.Sprintf("%s %s, Parallelism %d", ds, sides, par)
 				outs := coarseStarts(coarsest, fixed, t0, c0, c1, baseSeed, opt, newParctx(par), ws)
 				for s, out := range outs {
-					want := refGHG2(coarsest, rand.New(rand.NewSource(startSeed(baseSeed, s))), fixed, t0, c0, c1, opt.MaxNetSize, rws, rs)
-					wantCut := refFM2(coarsest, want, fixed, c0, c1, opt.RefinePasses, opt.MaxNetSize, rws, rs)
+					want := refGHG2(coarsest, rand.New(rand.NewSource(startSeed(baseSeed, s))), fixed, t0, c0, c1, MaxNetSize, rws, rs)
+					wantCut := refFM2(coarsest, want, fixed, c0, c1, opt.RefinePasses, MaxNetSize, rws, rs)
 					if out.cut != wantCut || !slices.Equal(out.parts, want) {
 						t.Fatalf("%s start %d: coarse-solve cut %d differs from the reference kernels' %d, or its parts do", name, s, out.cut, wantCut)
 					}
 				}
 			}
 		}
-		const k = 8
-		kparts := randomBalanced(coarsest, k, rng)
-		checkKwayFM(t, ds, coarsest, k, kparts, partition.Caps(coarsest.TotalWeight(), k, 0.05), opt.RefinePasses, opt.MaxNetSize, ws, rws)
 	}
 	if drawFree == 0 || duplicated == 0 || distinct == 0 {
 		t.Errorf("instances: %d grow without drawing, %d drawing grow a partition twice, %d drawing grow two or more; want each > 0", drawFree, duplicated, distinct)
@@ -261,7 +220,7 @@ func grownStarts(t *testing.T, h *hypergraph.Hypergraph, fixed []int32, t0, c0, 
 	t.Helper()
 	var grown [][]int32
 	for s := 0; s < opt.InitialStarts; s++ {
-		st, sDrew := ghg2(ws.coarseStart(h, fixed, c0, c1, opt.MaxNetSize), ws.startRNG(startSeed(baseSeed, s)), fixed, t0, ws.weightOrder(h), ws)
+		st, sDrew := ghg2(ws.coarseStart(h, fixed, c0, c1, MaxNetSize), ws.startRNG(startSeed(baseSeed, s)), fixed, t0, ws.weightOrder(h), ws)
 		if s == 0 {
 			drew = sDrew
 		} else if sDrew != drew {
@@ -275,47 +234,6 @@ func grownStarts(t *testing.T, h *hypergraph.Hypergraph, fixed []int32, t0, c0, 
 		t.Fatalf("%d starts grew without drawing, %d distinct partitions", opt.InitialStarts, len(grown))
 	}
 	return drew, len(grown)
-}
-
-// TestKwayFMHonorsMaxNetSize: Options.MaxNetSize bounds the nets the k-way
-// FM polish refreshes neighbour gains across. On a hypergraph whose nets
-// are mostly wider than the setting, Partition's polish must match the
-// reference kernel run with that bound.
-func TestKwayFMHonorsMaxNetSize(t *testing.T) {
-	rng := rand.New(rand.NewSource(91))
-	const n = 240
-	b := hypergraph.NewBuilder(n)
-	for v := 0; v < n; v++ {
-		b.SetWeight(v, int64(1+rng.Intn(3)))
-	}
-	for v := 0; v+1 < n; v++ {
-		b.AddNet(1, v, v+1)
-	}
-	for i := 0; i < 2*n; i++ {
-		b.AddNet(int64(1+rng.Intn(3)), rng.Perm(n)[:5+rng.Intn(8)]...)
-	}
-	h := b.Build()
-	opt := Options{K: 4, Seed: 5, KwayFM: true, MaxNetSize: 4, Parallelism: 1}
-	got, err := Partition(h, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The same pipeline with the reference polish: recursive bisection,
-	// then refKwayFM under the option's bound.
-	o := opt.WithDefaults()
-	want := make([]int32, n)
-	vs := make([]int32, n)
-	for v := range vs {
-		vs[v] = int32(v)
-	}
-	px := newParctx(1)
-	ws := newWorkspace()
-	recursiveBisect(h, vs, 0, o.K, want, rand.New(rand.NewSource(o.Seed)), bisectionEps(o.Imbalance, o.K), o, px, ws)
-	refKwayFM(h, o.K, want, partition.Caps(h.TotalWeight(), o.K, o.Imbalance), o.RefinePasses, o.MaxNetSize, ws)
-	if !slices.Equal(got.Parts, want) {
-		t.Fatal("k-way FM polish ignores Options.MaxNetSize")
-	}
 }
 
 // refScratch is the reference kernels' own heap and marks.
@@ -535,143 +453,6 @@ func refGHG2(h *hypergraph.Hypergraph, rng *rand.Rand, fixedSide []int32, target
 	return parts
 }
 
-// refKwayFM is refineKwayFM before the winner tree, with the neighbour
-// refresh bounded by maxNetSize.
-func refKwayFM(h *hypergraph.Hypergraph, k int, parts []int32, caps []int64, maxPasses, maxNetSize int, ws *workspace) int64 {
-	n := h.NumVertices()
-	s := ws.kwayState(h, k, parts)
-	defer s.release()
-	ws.klocked = growBool(ws.klocked, n)
-	locked := ws.klocked
-	kto := make([]int32, n)
-	kgain := make([]int64, n)
-
-	bestMove := func(v int) (int32, int64) {
-		cands := s.AdjacentParts(v)
-		var to int32 = -1
-		var gain int64 = -1 << 62
-		for _, q := range cands {
-			if s.PartWeight(q)+h.Weight(v) > caps[q] {
-				continue
-			}
-			if g := s.MoveGain(v, q); g > gain {
-				gain = g
-				to = q
-			}
-		}
-		return to, gain
-	}
-
-	type appliedMove struct {
-		v    int32
-		from int32
-	}
-
-	var gh refHeap
-	for pass := 0; pass < maxPasses; pass++ {
-		gh.reset(n)
-		proposeFMRange(s, caps, kto, kgain, 0, n)
-		inHeap := 0
-		for v := 0; v < n; v++ {
-			locked[v] = false
-			if kto[v] >= 0 {
-				// destination stays implicit: recompute at pop (state
-				// changes invalidate it anyway); the heap orders by gain.
-				gh.update(v, kgain[v])
-				inHeap++
-			}
-		}
-		if inHeap == 0 {
-			break
-		}
-		var moves []appliedMove
-		var cum, best int64
-		bestPrefix := 0
-		sinceBest := 0
-		limit := n/20 + 50
-
-		for {
-			e, ok := gh.popLive()
-			if !ok {
-				break
-			}
-			v := int(e.v)
-			if locked[v] {
-				continue
-			}
-			to, gain := bestMove(v) // fresh evaluation against current state
-			if to < 0 {
-				continue
-			}
-			from := s.PartOf(v)
-			s.Move(v, to)
-			locked[v] = true
-			moves = append(moves, appliedMove{v: int32(v), from: from})
-			cum += gain
-			if cum > best {
-				best = cum
-				bestPrefix = len(moves)
-				sinceBest = 0
-			} else if sinceBest++; sinceBest > limit {
-				break
-			}
-			// refresh unlocked neighbors
-			for _, nn := range h.Nets(v) {
-				pins := h.Pins(int(nn))
-				if len(pins) > maxNetSize {
-					continue
-				}
-				for _, p := range pins {
-					u := int(p)
-					if !locked[u] && h.Fixed(u) == hypergraph.Free {
-						if uto, ug := bestMove(u); uto >= 0 {
-							gh.update(u, ug)
-						} else {
-							gh.invalidate(u)
-						}
-					}
-				}
-			}
-		}
-		// rollback past the best prefix
-		for i := len(moves) - 1; i >= bestPrefix; i-- {
-			s.Move(int(moves[i].v), moves[i].from)
-		}
-		if best <= 0 {
-			break
-		}
-	}
-	return s.Cut()
-}
-
-// proposeFMRange evaluates the pass-seeding bestMove of every free vertex
-// in [lo, hi) against the pass-start snapshot: kto[v] gets the best
-// feasible destination (-1 if none) and kgain[v] its snapshot gain. Reads
-// only the refinement state, writes only its own index range.
-func proposeFMRange(s *KwayState, caps []int64, kto []int32, kgain []int64, lo, hi int) {
-	h := s.h
-	for v := lo; v < hi; v++ {
-		kto[v] = -1
-		if h.Fixed(v) != hypergraph.Free {
-			continue
-		}
-		cands := s.AdjacentParts(v)
-		var to int32 = -1
-		var gain int64 = -1 << 62
-		for _, q := range cands {
-			if s.PartWeight(q)+h.Weight(v) > caps[q] {
-				continue
-			}
-			if g := s.MoveGain(v, q); g > gain {
-				gain = g
-				to = q
-			}
-		}
-		kto[v] = to
-		kgain[v] = gain
-	}
-}
-
 // refEntry is one (vertex, gain) record of refHeap; stale entries are
 // detected by stamp comparison.
 type refEntry struct {
@@ -758,6 +539,3 @@ func (g *refHeap) popLive() (refEntry, bool) {
 	}
 	return refEntry{}, false
 }
-
-// invalidate removes v from consideration.
-func (g *refHeap) invalidate(v int) { g.stamp[v]++ }

@@ -22,10 +22,10 @@ import (
 // imbalance columns make such a change's quality trade readable as a diff.
 const goldenFile = "testdata/partition_golden.txt"
 
-// TestPartitionGolden runs the cold pipelines (recursive bisection, the
-// direct k-way driver, the k-way FM polish) and the warm path (localized
-// and V-cycle tiers, with k-way FM) on every dataset analogue at k = 2 and
-// 8, with fixed vertices, and compares each partition's digest with
+// TestPartitionGolden runs the cold pipelines (recursive bisection and the
+// direct k-way driver) and the warm path (localized and V-cycle tiers) with
+// the options production runs on every dataset analogue at k = 2 and 8,
+// with fixed vertices, and compares each partition's digest with
 // goldenFile.
 func TestPartitionGolden(t *testing.T) {
 	raw, err := os.ReadFile(goldenFile)
@@ -68,7 +68,6 @@ func goldenDigests(t *testing.T) []string {
 			rb := mustPartition(t, hf, opt)
 			line("rb", rb)
 			line("direct", mustPartition(t, hf, Options{K: k, Seed: 11, DirectKway: true}))
-			line("kwayfm", mustPartition(t, hf, Options{K: k, Seed: 11, KwayFM: true}))
 			// The warm inputs rotate the dirty vertices of the cold solution
 			// to the next part: a tenth of them stays on the localized tier,
 			// a third escalates to the seeded V-cycle.
@@ -79,7 +78,7 @@ func goldenDigests(t *testing.T) []string {
 					dirty[v] = true
 					inherited[v] = (inherited[v] + 1) % int32(k)
 				}
-				p, stats, err := PartitionWarm(hf, Options{K: k, Seed: 11, KwayFM: true}, WarmSpec{Parts: inherited, Dirty: dirty})
+				p, stats, err := PartitionWarm(hf, opt, WarmSpec{Parts: inherited, Dirty: dirty})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -41,12 +41,7 @@ func Partition(h *hypergraph.Hypergraph, opt Options) (partition.Partition, erro
 		// Final k-way polish pass to recover from per-bisection myopia.
 		caps := partition.Caps(h.TotalWeight(), opt.K, opt.Imbalance)
 		polishStart := time.Now()
-		var cut int64
-		if opt.KwayFM {
-			cut = refineKwayFM(h, opt.K, p.Parts, caps, opt.RefinePasses, opt.MaxNetSize, ws)
-		} else {
-			cut = refineKway(h, opt.K, p.Parts, caps, opt.RefinePasses, ws)
-		}
+		cut := refineKway(h, opt.K, p.Parts, caps, opt.RefinePasses, ws)
 		obsPolishNs.ObserveSince(polishStart)
 		obsFinalCut.Set(cut)
 	}
@@ -60,7 +55,7 @@ func directKway(h *hypergraph.Hypergraph, rng *rand.Rand, opt Options, out []int
 	if coarsenTo < 2*opt.K {
 		coarsenTo = 2 * opt.K
 	}
-	levels := coarsen(h, rng, coarsenTo, opt.MinShrink, opt.MaxNetSize, !opt.DisableMatchFilter, ws)
+	levels := coarsen(h, rng, coarsenTo, ws)
 	coarsest := levels[len(levels)-1].h
 
 	// Coarse solution: balanced random assignment honoring fixed labels,

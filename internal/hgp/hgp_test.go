@@ -218,7 +218,7 @@ func TestIPMMatchLegality(t *testing.T) {
 			fu, fv := hf.Fixed(u), hf.Fixed(v)
 			return fu == hypergraph.Free || fv == hypergraph.Free || fu == fv
 		}
-		match := ipmMatch(hf, rng, maxNetSize, true, newWorkspace())
+		match := ipmMatch(hf, rng, maxNetSize, newWorkspace())
 		for v := 0; v < 80; v++ {
 			u := int(match[v])
 			if u < 0 || u >= 80 {
@@ -251,7 +251,7 @@ func TestIPMMatchLegality(t *testing.T) {
 func TestContractConservation(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	h := randomHG(rng, 100, 160, 6)
-	match := ipmMatch(h, rng, 500, true, newWorkspace())
+	match := ipmMatch(h, rng, 500, newWorkspace())
 	coarse, cmap := Contract(h, match)
 	if err := coarse.Validate(); err != nil {
 		t.Fatal(err)
@@ -295,7 +295,7 @@ func TestProjectedCutInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 10; trial++ {
 		h := randomHG(rng, 60, 90, 5)
-		match := ipmMatch(h, rng, 500, true, newWorkspace())
+		match := ipmMatch(h, rng, 500, newWorkspace())
 		coarse, cmap := Contract(h, match)
 		k := 2 + rng.Intn(3)
 		cp := make([]int32, coarse.NumVertices())
@@ -514,19 +514,6 @@ func TestBisectionEps(t *testing.T) {
 	}
 }
 
-func TestMatchFilterAblation(t *testing.T) {
-	// With the filter disabled and no fixed vertices, partitioning still
-	// works; this is the A1 ablation configuration.
-	h := grid2D(12, 12)
-	p, err := Partition(h, Options{K: 4, Seed: 30, DisableMatchFilter: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Partitioning a hypergraph derived from a graph should behave sensibly too
 // (exercises the 2-pin-net fast paths).
 func TestPartitionFromGraph(t *testing.T) {
@@ -568,59 +555,6 @@ func TestSingleVertex(t *testing.T) {
 	}
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestKwayFMPolish(t *testing.T) {
-	rng := rand.New(rand.NewSource(60))
-	h := randomHG(rng, 150, 250, 6)
-	k := 4
-	// FM polish never worsens a random partition and respects caps roughly.
-	parts := make([]int32, 150)
-	for v := range parts {
-		parts[v] = int32(rng.Intn(k))
-	}
-	before := partition.CutSize(h, partition.Partition{Parts: append([]int32(nil), parts...), K: k})
-	caps := partition.Caps(h.TotalWeight(), k, 0.4)
-	refineKwayFM(h, k, parts, caps, 4, 500, newWorkspace())
-	after := partition.CutSize(h, partition.Partition{Parts: parts, K: k})
-	if after > before {
-		t.Fatalf("k-way FM worsened cut %d -> %d", before, after)
-	}
-	// end-to-end through Options
-	p, err := Partition(h, Options{K: k, Seed: 61, KwayFM: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestKwayFMRespectsFixed(t *testing.T) {
-	rng := rand.New(rand.NewSource(62))
-	h := randomHG(rng, 100, 150, 5)
-	fixed := make([]int32, 100)
-	for v := range fixed {
-		fixed[v] = hypergraph.Free
-	}
-	for v := 0; v < 20; v++ {
-		fixed[v] = int32(v % 3)
-	}
-	hf := h.WithFixed(fixed)
-	parts := make([]int32, 100)
-	for v := range parts {
-		parts[v] = int32(rng.Intn(3))
-		if fixed[v] != hypergraph.Free {
-			parts[v] = fixed[v]
-		}
-	}
-	caps := partition.Caps(hf.TotalWeight(), 3, 0.5)
-	refineKwayFM(hf, 3, parts, caps, 3, 500, newWorkspace())
-	for v := 0; v < 20; v++ {
-		if parts[v] != fixed[v] {
-			t.Fatalf("FM moved fixed vertex %d", v)
-		}
 	}
 }
 

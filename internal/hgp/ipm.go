@@ -24,7 +24,7 @@ import (
 // The similarity (inner product / heavy connectivity) between u and v is
 // sum over shared nets n of cost(n)/(|n|-1); nets larger than maxNetSize
 // are skipped for speed.
-func ipmMatch(h *hypergraph.Hypergraph, rng *rand.Rand, maxNetSize int, filterFixed bool, ws *workspace) []int32 {
+func ipmMatch(h *hypergraph.Hypergraph, rng *rand.Rand, maxNetSize int, ws *workspace) []int32 {
 	n := h.NumVertices()
 	ws.match = growI32(ws.match, n)
 	match := ws.match
@@ -76,11 +76,8 @@ func ipmMatch(h *hypergraph.Hypergraph, rng *rand.Rand, maxNetSize int, filterFi
 			v := int(w)
 			s := score[v]
 			score[v] = 0
-			if filterFixed {
-				fv := h.Fixed(v)
-				if fu != hypergraph.Free && fv != hypergraph.Free && fu != fv {
-					continue // match filter: incompatible fixed parts
-				}
+			if fv := h.Fixed(v); fu != hypergraph.Free && fv != hypergraph.Free && fu != fv {
+				continue // match filter: incompatible fixed parts
 			}
 			key := mix64(base ^ uint64(u)*0xBF58476D1CE4E5B9 ^ uint64(v))
 			if best < 0 || s > bestScore || (s == bestScore && key < bestKey) {

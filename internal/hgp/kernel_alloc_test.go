@@ -27,12 +27,12 @@ func TestKernelAllocGuards(t *testing.T) {
 	ws := newWorkspace()
 
 	rng := rand.New(rand.NewSource(1))
-	match := ipmMatch(h, rng, 500, true, ws)
+	match := ipmMatch(h, rng, 500, ws)
 	matchCopy := append([]int32(nil), match...)
 
 	if n := testing.AllocsPerRun(10, func() {
 		r := rand.New(rand.NewSource(1))
-		ipmMatch(h, r, 500, true, ws)
+		ipmMatch(h, r, 500, ws)
 	}); n > 16 {
 		t.Errorf("ipmMatch: %.0f allocs/op, want <= 16", n)
 	}

@@ -29,7 +29,7 @@ func BenchmarkContract(b *testing.B) {
 	h := benchHypergraph(b)
 	rng := rand.New(rand.NewSource(1))
 	ws := newWorkspace()
-	match := ipmMatch(h, rng, 500, true, ws)
+	match := ipmMatch(h, rng, 500, ws)
 	matchCopy := append([]int32(nil), match...)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -47,7 +47,7 @@ func BenchmarkIPMMatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rng := rand.New(rand.NewSource(1))
-		ipmMatch(h, rng, 500, true, ws)
+		ipmMatch(h, rng, 500, ws)
 	}
 }
 
@@ -173,6 +173,6 @@ func firstBisectionCoarsest(tb testing.TB, ds string, n int, seed int64) (*hyper
 	for v := range free {
 		free[v] = hypergraph.Free
 	}
-	levels := coarsen(h.WithFixed(free), rng, opt.CoarsenTo, opt.MinShrink, opt.MaxNetSize, true, newWorkspace())
+	levels := coarsen(h.WithFixed(free), rng, opt.CoarsenTo, newWorkspace())
 	return levels[len(levels)-1].h, rng
 }

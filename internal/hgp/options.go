@@ -1,16 +1,26 @@
 // Package hgp implements serial multilevel hypergraph partitioning with
 // fixed vertices, following Section 4 of the paper: inner-product-matching
-// (IPM) coarsening with a fixed-compatibility match filter, randomized
-// greedy hypergraph growing for the coarse solution, Fiduccia–Mattheyses
-// refinement with pass-pairs, and k-way partitioning via recursive
-// bisection with fixed-label folding (Zoltan's approach) or a direct
-// k-way driver.
+// (IPM) coarsening with the fixed-compatibility match filter always on,
+// randomized greedy hypergraph growing for the coarse solution,
+// Fiduccia–Mattheyses refinement with pass-pairs, and k-way partitioning
+// via recursive bisection with fixed-label folding (Zoltan's approach) or
+// a direct k-way driver. Every k-way refinement, cold polish and warm
+// path alike, is the greedy boundary sweep of refineKway.
 package hgp
 
 import (
 	"math"
 	"runtime"
 )
+
+// MinShrink aborts coarsening when a level shrinks the vertex count by
+// less than this fraction (paper: typically 10%).
+const MinShrink = 0.10
+
+// MaxNetSize: nets larger than this are skipped during IPM scoring and FM
+// gain updates (they rarely influence local decisions and dominate run
+// time). The cut metric always counts them.
+const MaxNetSize = 500
 
 // Options control the multilevel partitioner.
 type Options struct {
@@ -23,30 +33,14 @@ type Options struct {
 	// CoarsenTo stops coarsening when the hypergraph has at most this many
 	// vertices (before the 2K floor). Default 100.
 	CoarsenTo int
-	// MinShrink aborts coarsening when a level shrinks the vertex count by
-	// less than this fraction (paper: typically 10%). Default 0.10.
-	MinShrink float64
 	// InitialStarts is the number of randomized greedy-growing starts at the
 	// coarsest level. Default 8.
 	InitialStarts int
 	// RefinePasses bounds FM pass-pairs per level. Default 4.
 	RefinePasses int
-	// MaxNetSize: nets larger than this are skipped during IPM scoring and
-	// FM gain updates (they rarely influence local decisions and dominate
-	// run time). Default 500. The cut metric always counts them.
-	MaxNetSize int
 	// DirectKway selects the direct k-way driver instead of recursive
 	// bisection. Recursive bisection is the default (as in Zoltan).
 	DirectKway bool
-	// KwayFM selects the gain-ordered boundary FM for the k-way polish
-	// passes instead of the greedy sweep (slower, sometimes better; the
-	// A5 ablation).
-	KwayFM bool
-	// DisableMatchFilter turns off the fixed-vertex compatibility filter in
-	// coarsening (for the A1 ablation only; produces invalid partitions if
-	// fixed vertices exist and the filter is off at coarse-solution time,
-	// so fixed assignment is still enforced there).
-	DisableMatchFilter bool
 	// Parallelism bounds the worker goroutines of one Partition call: one
 	// token pool runs its RB sides and coarse multi-starts, so the call
 	// never runs more than Parallelism goroutines no matter how they nest.
@@ -81,17 +75,11 @@ func (o Options) WithDefaults() Options {
 	if o.CoarsenTo <= 0 {
 		o.CoarsenTo = 100
 	}
-	if o.MinShrink <= 0 {
-		o.MinShrink = 0.10
-	}
 	if o.InitialStarts <= 0 {
 		o.InitialStarts = 8
 	}
 	if o.RefinePasses <= 0 {
 		o.RefinePasses = 4
-	}
-	if o.MaxNetSize <= 0 {
-		o.MaxNetSize = 500
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)

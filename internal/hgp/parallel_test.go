@@ -25,15 +25,14 @@ func partitionBytes(t *testing.T, h *hypergraph.Hypergraph, opt Options) []byte 
 
 // TestPartitionParallelismDeterminism verifies the core contract of the
 // parallel pipeline: every Parallelism value produces a bit-identical
-// partition, across drivers (recursive bisection, direct k-way, k-way FM
-// polish) and with fixed vertices present.
+// partition, across drivers (recursive bisection, direct k-way) and with
+// fixed vertices present.
 func TestPartitionParallelismDeterminism(t *testing.T) {
 	variants := []struct {
 		name string
 		mod  func(*Options)
 	}{
 		{"rb", func(o *Options) {}},
-		{"rb-kwayfm", func(o *Options) { o.KwayFM = true }},
 		{"direct-kway", func(o *Options) { o.DirectKway = true }},
 	}
 	for seed := int64(1); seed <= 4; seed++ {

@@ -31,7 +31,7 @@ func vCycle(h *hypergraph.Hypergraph, parts []int32, k int, rng *rand.Rand, opt 
 	if coarsenTo < 2*k {
 		coarsenTo = 2 * k
 	}
-	levels := coarsen(hr, rng, coarsenTo, opt.MinShrink, opt.MaxNetSize, true, ws)
+	levels := coarsen(hr, rng, coarsenTo, ws)
 
 	// Project the current partition down the hierarchy. Because matching
 	// never crosses parts, every coarse vertex has a well-defined part.
@@ -58,11 +58,7 @@ func vCycle(h *hypergraph.Hypergraph, parts []int32, k int, rng *rand.Rand, opt 
 		}
 		partsAt[i] = cur
 		view := levelViewWithOriginalFixed(h, levels[i].h, levels, i)
-		if opt.KwayFM {
-			refineKwayFM(view, k, cur, caps, opt.RefinePasses, opt.MaxNetSize, ws)
-		} else {
-			refineKway(view, k, cur, caps, opt.RefinePasses, ws)
-		}
+		refineKway(view, k, cur, caps, opt.RefinePasses, ws)
 	}
 	copy(parts, partsAt[0])
 }

@@ -131,11 +131,7 @@ func PartitionWarm(h *hypergraph.Hypergraph, opt Options, spec WarmSpec) (partit
 			}
 		}
 		hr := h.WithFixed(restricted)
-		if opt.KwayFM {
-			refineKwayFM(hr, opt.K, p.Parts, caps, opt.RefinePasses, opt.MaxNetSize, ws)
-		} else {
-			refineKway(hr, opt.K, p.Parts, caps, opt.RefinePasses, ws)
-		}
+		refineKway(hr, opt.K, p.Parts, caps, opt.RefinePasses, ws)
 		// Global polish against the original fixed labels: cheap O(V)
 		// sweeps that clean up region-boundary myopia and finish any
 		// balance repair the restricted pass could not complete.
@@ -190,9 +186,6 @@ func warmPolish(h *hypergraph.Hypergraph, opt Options, parts []int32, caps []int
 	hv := h
 	if !h.HasFixed() {
 		hv = h.WithoutFixed()
-	}
-	if opt.KwayFM {
-		return refineKwayFM(hv, opt.K, parts, caps, opt.RefinePasses, opt.MaxNetSize, ws)
 	}
 	return refineKway(hv, opt.K, parts, caps, opt.RefinePasses, ws)
 }

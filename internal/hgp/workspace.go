@@ -35,12 +35,11 @@ type workspace struct {
 	start  coarseStart    // the coarse solve's shared ghg2 start (coarseStart)
 	starts startRegistry  // the coarse solve's grown partitions (startRegistry)
 
-	// FM move selection (ghg2 / fm2 / refineKwayFM)
+	// FM move selection (ghg2 / fm2)
 	tree gaintree.Tree
 
-	// k-way state (refineKway / refineKwayFM)
-	kstate  KwayState
-	klocked []bool
+	// k-way state (refineKway)
+	kstate KwayState
 
 	// recursive bisection
 	fixedSide  []int32

@@ -8,16 +8,44 @@ import (
 
 	"hyperbal/internal/graph"
 	"hyperbal/internal/hgp"
+	"hyperbal/internal/hypergraph"
 	"hyperbal/internal/mpinet"
 	"hyperbal/internal/mpinet/jobs"
 	"hyperbal/internal/phg"
+	"hyperbal/internal/wire"
 )
+
+// oldPHGPayload is the launch payload's layout before hgp.Options lost
+// four fields (MinShrink and MaxNetSize became constants; the gain-ordered
+// k-way polish and the match-filter switch were deleted): twelve serial
+// fields, LocalIPM, then the frame.
+type oldPHGPayload struct {
+	Opt struct {
+		Serial struct {
+			K               int
+			Imbalance       float64
+			Seed            int64
+			CoarsenTo       int
+			MinShrink       float64
+			InitialStarts   int
+			RefinePasses    int
+			MaxNetSize      int
+			DirectKway      bool
+			GainOrderedKway bool
+			UnfilteredMatch bool
+			Parallelism     int
+		}
+		LocalIPM bool
+	}
+	Graph hypergraph.Frame
+}
 
 // TestPayloadsAreReadWhole runs the job on one in-process worker and
 // requires it to refuse a payload that does not decode to exactly one
 // well-formed input: bytes after the problem frame and a payload missing
 // its last byte must each fail the world with an error that names the
-// problem. The unmodified payload must succeed.
+// problem, and so must a payload in the options layout of an older build.
+// The unmodified payload must succeed.
 func TestPayloadsAreReadWhole(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -36,6 +64,13 @@ func TestPayloadsAreReadWhole(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var old oldPHGPayload
+	old.Opt.Serial.K, old.Opt.Serial.Seed = 2, 1
+	old.Graph.H = graph.ToHypergraph(g)
+	oldPayload, err := wire.Varint.Append(nil, old)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name, job string
 		payload   []byte
@@ -44,6 +79,7 @@ func TestPayloadsAreReadWhole(t *testing.T) {
 		{"phg valid", jobs.PHGPartition, phgPayload, ""},
 		{"phg trailing bytes", jobs.PHGPartition, append(append([]byte(nil), phgPayload...), 0xAA), "trailing bytes"},
 		{"phg truncated", jobs.PHGPartition, phgPayload[:len(phgPayload)-1], "truncated"},
+		{"phg old options layout", jobs.PHGPartition, oldPayload, "malformed frame"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -77,7 +77,7 @@ func run(c *mpi.Comm, g *graph.Graph, oldPart []int32, itr int64, opt gp.Options
 		match := parallelHEM(c, cur, curOld, rng)
 		coarse, cmap, coarseOld := gp.Contract(cur, match, curOld)
 		obsCoarsenNs.At(len(levels) - 1).ObserveSince(start)
-		if 1-float64(coarse.NumVertices())/float64(cur.NumVertices()) < def.MinShrink {
+		if 1-float64(coarse.NumVertices())/float64(cur.NumVertices()) < gp.MinShrink {
 			break
 		}
 		levels[len(levels)-1].cmap = cmap

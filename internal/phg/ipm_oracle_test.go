@@ -277,7 +277,7 @@ func columnNet(g *graph.Graph) *hypergraph.Hypergraph {
 // MaxNetSize that skips the larger column nets.
 func TestParallelIPMMatchesOracle(t *testing.T) {
 	const k = 4
-	maxNetSize := hgp.Options{}.WithDefaults().MaxNetSize
+	maxNetSize := hgp.MaxNetSize
 	for _, name := range datasets.Names() {
 		g, err := datasets.Generate(name, 120, 3)
 		if err != nil {
@@ -328,7 +328,7 @@ func TestParallelIPMFullMatchEndsLevel(t *testing.T) {
 	h := b.Build()
 	for _, np := range []int{1, 2, 4} {
 		for _, local := range []bool{false, true} {
-			checkIPMAgainstOracle(t, np, h, 5, 2, ipmCase{maxNetSize: hgp.Options{}.WithDefaults().MaxNetSize, local: local})
+			checkIPMAgainstOracle(t, np, h, 5, 2, ipmCase{maxNetSize: hgp.MaxNetSize, local: local})
 		}
 	}
 }

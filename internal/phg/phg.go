@@ -112,10 +112,10 @@ func Partition(c *mpi.Comm, h *hypergraph.Hypergraph, opt Options) (partition.Pa
 	cur := h
 	for cur.NumVertices() > coarsenTo {
 		start := time.Now()
-		match := parallelIPM(c, cur, rng, def.MaxNetSize, opt.LocalIPM)
+		match := parallelIPM(c, cur, rng, hgp.MaxNetSize, opt.LocalIPM)
 		coarse, cmap := hgp.Contract(cur, match)
 		obsCoarsenNs.At(len(levels) - 1).ObserveSince(start)
-		if 1-float64(coarse.NumVertices())/float64(cur.NumVertices()) < def.MinShrink {
+		if 1-float64(coarse.NumVertices())/float64(cur.NumVertices()) < hgp.MinShrink {
 			break
 		}
 		levels[len(levels)-1].cmap = cmap

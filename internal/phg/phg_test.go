@@ -207,7 +207,7 @@ func TestParallelIPMMatchConsistency(t *testing.T) {
 	matches := make([][]int32, 4)
 	err := mpi.Run(4, func(c *mpi.Comm) error {
 		rng := rand.New(rand.NewSource(100 + int64(c.Rank())))
-		m := parallelIPM(c, hf, rng, hgp.Options{}.WithDefaults().MaxNetSize, false)
+		m := parallelIPM(c, hf, rng, hgp.MaxNetSize, false)
 		matches[c.Rank()] = m
 		return nil
 	})
