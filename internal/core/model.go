@@ -66,27 +66,35 @@ func BuildRepartition(h *hypergraph.Hypergraph, old partition.Partition, k int, 
 		}
 	}
 
-	b := hypergraph.NewBuilder(n + k)
+	// One exact-size CSR pass: the communication nets, scaled by alpha,
+	// then one migration net per original vertex.
+	nets, pins := h.NumNets(), h.NumPins()
+	netStart := make([]int32, 1, nets+n+1)
+	netPins := make([]int32, 0, pins+2*n)
+	costs := make([]int64, 0, nets+n)
+	for netID := 0; netID < nets; netID++ {
+		netPins = append(netPins, h.Pins(netID)...)
+		netStart = append(netStart, int32(len(netPins)))
+		costs = append(costs, h.Cost(netID)*alpha)
+	}
 	for v := 0; v < n; v++ {
-		b.SetWeight(v, h.Weight(v))
-		b.SetSize(v, h.Size(v))
+		netPins = append(netPins, int32(v), int32(n)+old.Parts[v])
+		netStart = append(netStart, int32(len(netPins)))
+		costs = append(costs, h.Size(v))
+	}
+	// Partition vertices carry no computational load or data and are
+	// fixed to their parts; original vertices are free.
+	weights := make([]int64, n+k)
+	sizes := make([]int64, n+k)
+	fixed := make([]int32, n+k)
+	for v := 0; v < n; v++ {
+		weights[v], sizes[v], fixed[v] = h.Weight(v), h.Size(v), hypergraph.Free
 	}
 	for i := 0; i < k; i++ {
-		u := n + i
-		b.SetWeight(u, 0) // partition vertices carry no computational load
-		b.SetSize(u, 0)
-		b.Fix(u, i)
-	}
-	// Communication nets, scaled by alpha.
-	for netID := 0; netID < h.NumNets(); netID++ {
-		b.AddNetInt32(h.Cost(netID)*alpha, h.Pins(netID))
-	}
-	// Migration nets.
-	for v := 0; v < n; v++ {
-		b.AddNet(h.Size(v), v, n+int(old.Parts[v]))
+		fixed[n+i] = int32(i)
 	}
 	return &RepartitionHypergraph{
-		H:           b.Build(),
+		H:           hypergraph.FromCSR(netStart, netPins, costs, weights, sizes, fixed),
 		NumVertices: n,
 		K:           k,
 		Alpha:       alpha,

@@ -54,18 +54,21 @@ func FromHypergraph(h *hypergraph.Hypergraph, maxClique int) *Graph {
 // paper's test datasets ("all these problems are structurally symmetric,
 // and can be accurately represented as both graphs and hypergraphs").
 func ToHypergraph(g *Graph) *hypergraph.Hypergraph {
-	b := hypergraph.NewBuilder(g.NumVertices())
-	for v := 0; v < g.NumVertices(); v++ {
-		b.SetWeight(v, g.Weight(v))
-		b.SetSize(v, g.Size(v))
-	}
-	for u := 0; u < g.NumVertices(); u++ {
+	n, m := g.NumVertices(), g.NumEdges()
+	netStart := make([]int32, m+1)
+	netPins := make([]int32, 0, 2*m)
+	costs := make([]int64, 0, m)
+	for u := 0; u < n; u++ {
 		adj, wts := g.Adj(u), g.AdjWeights(u)
 		for i, v := range adj {
 			if int(v) > u { // each undirected edge once
-				b.AddNet(wts[i], u, int(v))
+				netPins = append(netPins, int32(u), v)
+				costs = append(costs, wts[i])
+				netStart[len(costs)] = int32(len(netPins))
 			}
 		}
 	}
-	return b.Build()
+	weights := append([]int64(nil), g.vwgt...)
+	sizes := append([]int64(nil), g.vsize...)
+	return hypergraph.FromCSR(netStart, netPins, costs, weights, sizes, nil)
 }

@@ -6,7 +6,6 @@ package graph
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 )
 
@@ -27,8 +26,10 @@ type Builder struct {
 	n     int
 	vwgt  []int64
 	vsize []int64
-	// adjacency accumulated as (u -> list of (v,w))
-	nbrs []map[int32]int64
+	// Each non-loop AddEdge call once, in call order; Build sums parallel
+	// edges.
+	eu, ev []int32
+	ew     []int64
 }
 
 // NewBuilder creates a builder for a graph with n vertices of unit weight
@@ -38,7 +39,6 @@ func NewBuilder(n int) *Builder {
 		n:     n,
 		vwgt:  make([]int64, n),
 		vsize: make([]int64, n),
-		nbrs:  make([]map[int32]int64, n),
 	}
 	for i := 0; i < n; i++ {
 		b.vwgt[i] = 1
@@ -62,44 +62,73 @@ func (b *Builder) AddEdge(u, v int, w int64) {
 	if u < 0 || u >= b.n || v < 0 || v >= b.n {
 		panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", u, v, b.n))
 	}
-	if b.nbrs[u] == nil {
-		b.nbrs[u] = make(map[int32]int64)
-	}
-	if b.nbrs[v] == nil {
-		b.nbrs[v] = make(map[int32]int64)
-	}
-	b.nbrs[u][int32(v)] += w
-	b.nbrs[v][int32(u)] += w
+	b.eu = append(b.eu, int32(u))
+	b.ev = append(b.ev, int32(v))
+	b.ew = append(b.ew, w)
 }
 
 // Build finalizes the CSR arrays. Neighbor lists are sorted by vertex id
 // for determinism.
+//
+// Two counting passes, no maps: the first lists each vertex's incident
+// edges; the second visits vertices in ascending order and appends each
+// to its neighbours' rows, so every row comes out sorted with parallel
+// edges adjacent. One sweep then sums those and closes the gaps.
 func (b *Builder) Build() *Graph {
-	g := &Graph{
-		xadj:  make([]int32, b.n+1),
-		vwgt:  b.vwgt,
-		vsize: b.vsize,
+	n, m := b.n, len(b.ew)
+	start := make([]int32, n+1) // row offsets, parallel edges included
+	for i := 0; i < m; i++ {
+		start[b.eu[i]+1]++
+		start[b.ev[i]+1]++
 	}
-	total := 0
-	for _, m := range b.nbrs {
-		total += len(m)
+	for u := 0; u < n; u++ {
+		start[u+1] += start[u]
 	}
-	g.adjncy = make([]int32, 0, total)
-	g.adjwgt = make([]int64, 0, total)
-	var keys []int32 // reused per-vertex sort buffer
-	for u := 0; u < b.n; u++ {
-		keys = keys[:0]
-		for v := range b.nbrs[u] {
-			keys = append(keys, v)
+	pos := make([]int32, n)
+	copy(pos, start)
+	inc := make([]int32, 2*m) // edge ids incident to each vertex
+	for i := 0; i < m; i++ {
+		u, v := b.eu[i], b.ev[i]
+		inc[pos[u]] = int32(i)
+		pos[u]++
+		inc[pos[v]] = int32(i)
+		pos[v]++
+	}
+	adjncy := make([]int32, 2*m)
+	adjwgt := make([]int64, 2*m)
+	copy(pos, start)
+	for x := int32(0); int(x) < n; x++ {
+		for _, e := range inc[start[x]:start[x+1]] {
+			y := b.eu[e]
+			if y == x {
+				y = b.ev[e]
+			}
+			adjncy[pos[y]] = x
+			adjwgt[pos[y]] = b.ew[e]
+			pos[y]++
 		}
-		slices.Sort(keys)
-		for _, v := range keys {
-			g.adjncy = append(g.adjncy, v)
-			g.adjwgt = append(g.adjwgt, b.nbrs[u][v])
-		}
-		g.xadj[u+1] = int32(len(g.adjncy))
 	}
-	return g
+	// Sum parallel edges in place; start becomes xadj as rows close up.
+	out, lo := int32(0), int32(0)
+	for u := 0; u < n; u++ {
+		first, hi := out, start[u+1]
+		for i := lo; i < hi; i++ {
+			if out > first && adjncy[out-1] == adjncy[i] {
+				adjwgt[out-1] += adjwgt[i]
+				continue
+			}
+			adjncy[out], adjwgt[out] = adjncy[i], adjwgt[i]
+			out++
+		}
+		start[u+1], lo = out, hi
+	}
+	return &Graph{
+		xadj:   start,
+		adjncy: adjncy[:out],
+		adjwgt: adjwgt[:out],
+		vwgt:   b.vwgt,
+		vsize:  b.vsize,
+	}
 }
 
 // NumVertices returns |V|.

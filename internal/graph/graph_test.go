@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -171,5 +173,95 @@ func TestQuickBuildInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refEdge is one AddEdge call for TestBuilderMatchesMapReference.
+type refEdge struct {
+	u, v int
+	w    int64
+}
+
+// mapReferenceBuild is the per-vertex map builder Build replaced: each
+// edge accumulates into both endpoints' maps, and each row lists its keys
+// in ascending order.
+func mapReferenceBuild(n int, edges []refEdge, vwgt, vsize []int64) *Graph {
+	nbrs := make([]map[int32]int64, n)
+	for i := range nbrs {
+		nbrs[i] = map[int32]int64{}
+	}
+	for _, e := range edges {
+		if e.u == e.v {
+			continue
+		}
+		nbrs[e.u][int32(e.v)] += e.w
+		nbrs[e.v][int32(e.u)] += e.w
+	}
+	g := &Graph{xadj: make([]int32, n+1), vwgt: vwgt, vsize: vsize}
+	for u := 0; u < n; u++ {
+		keys := make([]int32, 0, len(nbrs[u]))
+		for v := range nbrs[u] {
+			keys = append(keys, v)
+		}
+		slices.Sort(keys)
+		for _, v := range keys {
+			g.adjncy = append(g.adjncy, v)
+			g.adjwgt = append(g.adjwgt, nbrs[u][v])
+		}
+		g.xadj[u+1] = int32(len(g.adjncy))
+	}
+	return g
+}
+
+// TestBuilderMatchesMapReference pins Build's CSR, array by array, to the
+// map reference on hand-picked edge cases and on random multigraphs.
+func TestBuilderMatchesMapReference(t *testing.T) {
+	type tc struct {
+		name  string
+		n     int
+		edges []refEdge
+	}
+	cases := []tc{
+		{"empty", 0, nil},
+		{"single vertex", 1, nil},
+		{"single vertex self-loop", 1, []refEdge{{0, 0, 4}}},
+		{"isolated vertices", 6, []refEdge{{1, 4, 2}}},
+		{"parallel both orientations", 4, []refEdge{{0, 3, 1}, {3, 0, 2}, {0, 3, 4}, {2, 1, 7}, {1, 2, 1}}},
+		{"zero weights", 3, []refEdge{{0, 1, 0}, {1, 2, 0}, {2, 1, 0}}},
+		{"parallel weights summing to zero", 3, []refEdge{{0, 2, 5}, {2, 0, -5}, {1, 2, 3}}},
+		{"self-loops among edges", 4, []refEdge{{2, 2, 9}, {0, 1, 1}, {1, 1, 3}, {3, 0, 2}, {0, 0, 1}}},
+	}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 40; i++ {
+		n := 1 + rng.Intn(25)
+		edges := make([]refEdge, rng.Intn(4*n))
+		for j := range edges {
+			// Small weight range with zeros and negatives, so parallel
+			// edges often sum to 0.
+			edges[j] = refEdge{rng.Intn(n), rng.Intn(n), int64(rng.Intn(7) - 3)}
+		}
+		cases = append(cases, tc{fmt.Sprintf("random %d", i), n, edges})
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			b := NewBuilder(c.n)
+			vwgt, vsize := make([]int64, c.n), make([]int64, c.n)
+			for v := 0; v < c.n; v++ {
+				vwgt[v], vsize[v] = int64(v+2), int64(3*v+1)
+				b.SetWeight(v, vwgt[v])
+				b.SetSize(v, vsize[v])
+			}
+			for _, e := range c.edges {
+				b.AddEdge(e.u, e.v, e.w)
+			}
+			got, want := b.Build(), mapReferenceBuild(c.n, c.edges, vwgt, vsize)
+			if !slices.Equal(got.xadj, want.xadj) || !slices.Equal(got.adjncy, want.adjncy) ||
+				!slices.Equal(got.adjwgt, want.adjwgt) || !slices.Equal(got.vwgt, want.vwgt) ||
+				!slices.Equal(got.vsize, want.vsize) {
+				t.Errorf("got xadj %v adjncy %v adjwgt %v vwgt %v vsize %v\nwant xadj %v adjncy %v adjwgt %v vwgt %v vsize %v",
+					got.xadj, got.adjncy, got.adjwgt, got.vwgt, got.vsize,
+					want.xadj, want.adjncy, want.adjwgt, want.vwgt, want.vsize)
+			}
+		})
 	}
 }

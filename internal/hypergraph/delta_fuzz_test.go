@@ -3,6 +3,8 @@ package hypergraph
 import (
 	"math/rand"
 	"testing"
+
+	"hyperbal/internal/wire"
 )
 
 // FuzzDeltaApply drives the delta pipeline two ways from one input:
@@ -39,7 +41,7 @@ func FuzzDeltaApply(f *testing.F) {
 				t.Fatalf("step %d: ComputeDeltaMapped refused its own mutation", i)
 			}
 			// The delta must survive its wire form.
-			dw, err := DecodeDeltaBinary(NewBinReader(d.AppendBinary(nil)))
+			dw, err := DecodeDeltaBinary(wire.NewReader(d.AppendBinary(nil)))
 			if err != nil {
 				t.Fatalf("step %d: decode: %v", i, err)
 			}
@@ -57,7 +59,7 @@ func FuzzDeltaApply(f *testing.F) {
 		}
 
 		// Hostile delta: an arbitrary frame against the current base.
-		hostile, err := DecodeDeltaBinary(NewBinReader(raw))
+		hostile, err := DecodeDeltaBinary(wire.NewReader(raw))
 		if err != nil {
 			return
 		}

@@ -51,6 +51,9 @@ type Builder struct {
 	netStart []int32
 	netPins  []int32
 	costs    []int64
+
+	// seen[p] == net+1 while AddNet adds net: pin p is already in it.
+	seen []int32
 }
 
 // NewBuilder creates a builder for a hypergraph with n vertices, all with
@@ -86,15 +89,18 @@ func (b *Builder) Fix(v int, p int) {
 // AddNet appends a net with the given cost over the given vertices and
 // returns its index. Duplicate pins within a net are removed.
 func (b *Builder) AddNet(cost int64, pins ...int) int {
-	seen := make(map[int]struct{}, len(pins))
+	if b.seen == nil {
+		b.seen = make([]int32, b.numVertices)
+	}
+	mark := int32(len(b.costs) + 1)
 	for _, p := range pins {
 		if p < 0 || p >= b.numVertices {
 			panic(fmt.Sprintf("hypergraph: pin %d out of range [0,%d)", p, b.numVertices))
 		}
-		if _, dup := seen[p]; dup {
+		if b.seen[p] == mark {
 			continue
 		}
-		seen[p] = struct{}{}
+		b.seen[p] = mark
 		b.netPins = append(b.netPins, int32(p))
 	}
 	b.netStart = append(b.netStart, int32(len(b.netPins)))
@@ -324,19 +330,19 @@ func (h *Hypergraph) Validate() error {
 	if h.netStart[0] != 0 || int(h.netStart[nn]) != len(h.netPins) {
 		return fmt.Errorf("netStart bounds invalid")
 	}
+	seen := make([]int32, nv) // seen[v] == n+1: v already pins net n
 	for n := 0; n < nn; n++ {
 		if h.netStart[n] > h.netStart[n+1] {
 			return fmt.Errorf("netStart not monotone at net %d", n)
 		}
-		seen := map[int32]struct{}{}
 		for _, v := range h.Pins(n) {
 			if v < 0 || int(v) >= nv {
 				return fmt.Errorf("net %d has out-of-range pin %d", n, v)
 			}
-			if _, dup := seen[v]; dup {
+			if seen[v] == int32(n+1) {
 				return fmt.Errorf("net %d has duplicate pin %d", n, v)
 			}
-			seen[v] = struct{}{}
+			seen[v] = int32(n + 1)
 		}
 	}
 	if len(h.vtxNets) != len(h.netPins) {

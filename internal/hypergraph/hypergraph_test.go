@@ -3,6 +3,7 @@ package hypergraph
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -44,14 +45,33 @@ func TestBuilderBasic(t *testing.T) {
 }
 
 func TestBuilderDuplicatePinsRemoved(t *testing.T) {
-	b := NewBuilder(3)
-	b.AddNet(5, 0, 1, 1, 0, 2)
-	h := b.Build()
-	if h.NetSize(0) != 3 {
-		t.Fatalf("NetSize = %d, want 3 after dedup", h.NetSize(0))
-	}
-	if err := h.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
+	for _, c := range []struct {
+		name string
+		nets [][]int
+		want [][]int32 // pins per net, first occurrences in order
+	}{
+		{"within one net", [][]int{{0, 1, 1, 0, 2}}, [][]int32{{0, 1, 2}}},
+		// The dedup marker must not carry over: a pin that repeats within
+		// a net and then opens the next net is kept there, once.
+		{"within and across consecutive nets",
+			[][]int{{2, 0, 2, 2}, {2, 1, 2, 0}, {0, 0}, {1, 2}},
+			[][]int32{{2, 0}, {2, 1, 0}, {0}, {1, 2}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			b := NewBuilder(3)
+			for _, pins := range c.nets {
+				b.AddNet(5, pins...)
+			}
+			h := b.Build()
+			for n, want := range c.want {
+				if got := h.Pins(n); !slices.Equal(got, want) {
+					t.Errorf("net %d pins = %v, want %v", n, got, want)
+				}
+			}
+			if err := h.Validate(); err != nil {
+				t.Fatalf("Validate: %v", err)
+			}
+		})
 	}
 }
 

@@ -61,8 +61,9 @@ const (
 	deltaFlagNewNetPins
 )
 
-// NewBinReader wraps one frame for DecodeBinary / DecodeDeltaBinary; the
-// benchmark's decode probe (bench/run.go) calls it.
+// NewBinReader wraps one frame for DecodeBinary / DecodeDeltaBinary. Only
+// the benchmark's decode probe (bench/run.go) calls it; everything else
+// calls wire.NewReader.
 func NewBinReader(data []byte) *wire.Reader { return wire.NewReader(data) }
 
 // Frame is a hypergraph as one field of a codec-declared message

@@ -84,7 +84,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	for name, h := range binTestGraphs() {
 		t.Run(name, func(t *testing.T) {
 			enc := h.AppendBinary(nil)
-			got, fp, err := DecodeBinary(NewBinReader(enc))
+			got, fp, err := DecodeBinary(wire.NewReader(enc))
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
@@ -182,21 +182,21 @@ func TestDecodeBinaryMalformed(t *testing.T) {
 	h := binTestGraphs()["weighted"]
 	enc := h.AppendBinary(nil)
 	for i := 0; i < len(enc); i++ {
-		if _, _, err := DecodeBinary(NewBinReader(enc[:i])); err == nil {
+		if _, _, err := DecodeBinary(wire.NewReader(enc[:i])); err == nil {
 			t.Fatalf("truncation at %d/%d bytes decoded successfully", i, len(enc))
 		}
 	}
 
 	bad := append([]byte(nil), enc...)
 	bad[0] = 99 // version
-	if _, _, err := DecodeBinary(NewBinReader(bad)); err == nil {
+	if _, _, err := DecodeBinary(wire.NewReader(bad)); err == nil {
 		t.Fatal("wrong version byte accepted")
 	}
 
 	// nv claims 2^24 vertices in a 3-byte frame: must fail fast on the
 	// frame-budget check, not allocate gigabytes.
 	bomb := []byte{BinaryFrameVersion, 0x80, 0x80, 0x80, 0x08, 0, 0, 0}
-	if _, _, err := DecodeBinary(NewBinReader(bomb)); err == nil {
+	if _, _, err := DecodeBinary(wire.NewReader(bomb)); err == nil {
 		t.Fatal("vertex-count bomb accepted")
 	}
 
@@ -204,7 +204,7 @@ func TestDecodeBinaryMalformed(t *testing.T) {
 	var pinBomb []byte
 	pinBomb = append(pinBomb, BinaryFrameVersion, 2, 1)     // nv=2, nn=1
 	pinBomb = append(pinBomb, 0xFF, 0xFF, 0xFF, 0xFF, 0x07) // np bomb
-	if _, _, err := DecodeBinary(NewBinReader(pinBomb)); err == nil {
+	if _, _, err := DecodeBinary(wire.NewReader(pinBomb)); err == nil {
 		t.Fatal("pin-count bomb accepted")
 	}
 }
@@ -228,7 +228,7 @@ func TestDeltaBinaryRoundTrip(t *testing.T) {
 	for name, d := range deltas {
 		t.Run(name, func(t *testing.T) {
 			enc := d.AppendBinary(nil)
-			got, err := DecodeDeltaBinary(NewBinReader(enc))
+			got, err := DecodeDeltaBinary(wire.NewReader(enc))
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
@@ -244,7 +244,7 @@ func TestDeltaBinaryRoundTrip(t *testing.T) {
 				t.Fatal("map nil-ness not preserved")
 			}
 			for i := 0; i < len(enc); i++ {
-				if _, err := DecodeDeltaBinary(NewBinReader(enc[:i])); err == nil {
+				if _, err := DecodeDeltaBinary(wire.NewReader(enc[:i])); err == nil {
 					t.Fatalf("truncation at %d/%d bytes decoded successfully", i, len(enc))
 				}
 			}
@@ -262,7 +262,7 @@ func TestDeltaBinaryMatchesApply(t *testing.T) {
 	if !ok {
 		t.Fatal("identity delta not computable")
 	}
-	got, err := DecodeDeltaBinary(NewBinReader(d.AppendBinary(nil)))
+	got, err := DecodeDeltaBinary(wire.NewReader(d.AppendBinary(nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,11 +280,11 @@ func TestDeltaBinaryMatchesApply(t *testing.T) {
 }
 
 func TestBinReaderTruncationErrors(t *testing.T) {
-	r := NewBinReader(nil)
+	r := wire.NewReader(nil)
 	if _, err := r.Byte(); !errors.Is(err, wire.ErrTruncated) {
 		t.Fatalf("Byte on empty reader: %v", err)
 	}
-	if _, err := NewBinReader([]byte{0x80}).Uvarint(); err == nil {
+	if _, err := wire.NewReader([]byte{0x80}).Uvarint(); err == nil {
 		t.Fatal("dangling varint continuation accepted")
 	}
 }
@@ -337,9 +337,9 @@ func FuzzBinaryCodec(f *testing.F) {
 	f.Add(d.AppendBinary(nil))
 	f.Add([]byte{BinaryFrameVersion, 0x80, 0x80, 0x80, 0x08})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if h, fp, err := DecodeBinary(NewBinReader(data)); err == nil {
+		if h, fp, err := DecodeBinary(wire.NewReader(data)); err == nil {
 			enc := h.AppendBinary(nil)
-			h2, fp2, err := DecodeBinary(NewBinReader(enc))
+			h2, fp2, err := DecodeBinary(wire.NewReader(enc))
 			if err != nil {
 				t.Fatalf("re-decode failed: %v", err)
 			}
@@ -350,9 +350,9 @@ func FuzzBinaryCodec(f *testing.F) {
 				t.Fatal("encoding not canonical")
 			}
 		}
-		if d, err := DecodeDeltaBinary(NewBinReader(data)); err == nil {
+		if d, err := DecodeDeltaBinary(wire.NewReader(data)); err == nil {
 			enc := d.AppendBinary(nil)
-			d2, err := DecodeDeltaBinary(NewBinReader(enc))
+			d2, err := DecodeDeltaBinary(wire.NewReader(enc))
 			if err != nil {
 				t.Fatalf("delta re-decode failed: %v", err)
 			}
