@@ -1,11 +1,9 @@
 package hypergraph
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
+	"strconv"
 )
 
 // The delta epoch format: instead of shipping a full hypergraph every
@@ -215,15 +213,22 @@ func checkSparse(kind string, ids []int32, vals []int64, n int) error {
 // with no per-net map allocations. The result's fingerprint equals the
 // fingerprint of the hypergraph the delta was computed from.
 func (d *Delta) Apply(base *Hypergraph) (*Hypergraph, error) {
-	if got := base.Fingerprint(); got != d.Base {
-		return nil, fmt.Errorf("%w: delta base %s, hypergraph is %s", ErrBaseMismatch, d.Base, got)
-	}
-	return d.apply(base)
+	return d.ApplyFrame(Frame{H: base, FP: base.Fingerprint()})
 }
 
-// apply is Apply without the fingerprint gate (for callers that already
-// verified it, and for the fuzz harness that wants to exercise arbitrary
-// bases).
+// ApplyFrame is Apply against a base whose fingerprint the caller already
+// holds (base.FP must be base.H.Fingerprint()), so the base is not hashed
+// again: a server applying a delta to its session's last hypergraph
+// checks d.Base against the fingerprint it kept.
+func (d *Delta) ApplyFrame(base Frame) (*Hypergraph, error) {
+	if base.FP != d.Base {
+		return nil, fmt.Errorf("%w: delta base %s, hypergraph is %s", ErrBaseMismatch, d.Base, base.FP)
+	}
+	return d.apply(base.H)
+}
+
+// apply builds the successor of a base whose fingerprint ApplyFrame has
+// checked.
 func (d *Delta) apply(base *Hypergraph) (*Hypergraph, error) {
 	baseV, baseN := base.NumVertices(), base.NumNets()
 	if err := d.validate(baseV, baseN); err != nil {
@@ -294,7 +299,10 @@ func (d *Delta) apply(base *Hypergraph) (*Hypergraph, error) {
 	netPins := make([]int32, 0, base.NumPins())
 	costs := make([]int64, resN)
 	newNet := 0
-	seen := make(map[int32]struct{}, 16)
+	var seen []int32 // seen[p] == n+1: pin p already listed in new net n
+	if d.NetMap != nil {
+		seen = make([]int32, resV)
+	}
 	for n := 0; n < resN; n++ {
 		b := int32(n)
 		if d.NetMap != nil {
@@ -325,15 +333,14 @@ func (d *Delta) apply(base *Hypergraph) (*Hypergraph, error) {
 			if len(pins) == 0 {
 				return nil, fmt.Errorf("hypergraph: new net %d is empty", n)
 			}
-			clear(seen)
 			for _, p := range pins {
 				if p < 0 || int(p) >= resV {
 					return nil, fmt.Errorf("hypergraph: new net %d: pin %d out of range [0,%d)", n, p, resV)
 				}
-				if _, dup := seen[p]; dup {
+				if seen[p] == int32(n)+1 {
 					return nil, fmt.Errorf("hypergraph: new net %d has duplicate pin %d", n, p)
 				}
-				seen[p] = struct{}{}
+				seen[p] = int32(n) + 1
 				netPins = append(netPins, p)
 			}
 		}
@@ -363,51 +370,35 @@ func (d *Delta) apply(base *Hypergraph) (*Hypergraph, error) {
 // applied hypergraph. The encoding is section-tagged and length-prefixed
 // like Fingerprint's.
 func (d *Delta) Digest() string {
-	hw := sha256.New()
-	var buf [8]byte
-	put32 := func(tag byte, xs []int32) {
-		hw.Write([]byte{tag})
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(xs)))
-		hw.Write(buf[:])
-		for _, x := range xs {
-			binary.LittleEndian.PutUint32(buf[:4], uint32(x))
-			hw.Write(buf[:4])
-		}
-	}
-	put64 := func(tag byte, xs []int64) {
-		hw.Write([]byte{tag})
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(xs)))
-		hw.Write(buf[:])
-		for _, x := range xs {
-			binary.LittleEndian.PutUint64(buf[:], uint64(x))
-			hw.Write(buf[:])
-		}
-	}
-	fmt.Fprintf(hw, "hyperbal-delta-v%d;base=%s;", d.Version, d.Base)
+	e := getEncoder()
+	defer putEncoder(e)
+	e.str("hyperbal-delta-v")
+	e.str(strconv.Itoa(d.Version))
+	e.str(";base=")
+	e.str(d.Base)
+	e.str(";")
 	if d.VertexMap != nil {
-		put32('V', d.VertexMap)
-		put64('w', d.NewWeights)
-		put64('s', d.NewSizes)
-		put32('f', d.NewFixed)
+		e.put32('V', d.VertexMap)
+		e.put64('w', d.NewWeights)
+		e.put64('s', d.NewSizes)
+		e.put32('f', d.NewFixed)
 	}
 	if d.NetMap != nil {
-		put32('N', d.NetMap)
-		put64('c', d.NewNetCosts)
-		hw.Write([]byte{'P'})
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(d.NewNetPins)))
-		hw.Write(buf[:])
+		e.put32('N', d.NetMap)
+		e.put64('c', d.NewNetCosts)
+		e.byte('P')
+		e.u64(uint64(len(d.NewNetPins)))
 		for _, pins := range d.NewNetPins {
-			put32('p', pins)
+			e.put32('p', pins)
 		}
 	}
-	put32('W', d.WeightIDs)
-	put64('X', d.WeightVals)
-	put32('S', d.SizeIDs)
-	put64('Y', d.SizeVals)
-	put32('C', d.CostIDs)
-	put64('Z', d.CostVals)
-	sum := hw.Sum(nil)
-	return "hbdd1:" + hex.EncodeToString(sum)
+	e.put32('W', d.WeightIDs)
+	e.put64('X', d.WeightVals)
+	e.put32('S', d.SizeIDs)
+	e.put64('Y', d.SizeVals)
+	e.put32('C', d.CostIDs)
+	e.put64('Z', d.CostVals)
+	return e.sum("hbdd1:")
 }
 
 // DirtyVertices marks the successor vertices whose local neighborhood the
@@ -521,12 +512,17 @@ func ComputeDeltaMapped(base, next *Hypergraph, vmap []int32) (*Delta, bool) {
 		fwd[i] = -1
 	}
 	identityV := len(vmap) == baseV
+	newV, weightIDs, sizeIDs := 0, 0, 0
 	for i, b := range vmap {
 		if b < -1 {
 			return nil, false
 		}
 		if b < 0 {
+			if next.Fixed(i) != Free {
+				return nil, false // new fixed vertices: ship a full epoch
+			}
 			identityV = false
+			newV++
 			continue
 		}
 		if int(b) >= baseV || fwd[b] >= 0 {
@@ -539,22 +535,39 @@ func ComputeDeltaMapped(base, next *Hypergraph, vmap []int32) (*Delta, bool) {
 		if base.Fixed(int(b)) != next.Fixed(i) {
 			return nil, false // fixed-label changes are not expressible
 		}
+		if base.Weight(int(b)) != next.Weight(i) {
+			weightIDs++
+		}
+		if base.Size(int(b)) != next.Size(i) {
+			sizeIDs++
+		}
 	}
 
 	d := &Delta{Version: DeltaVersion, Base: base.Fingerprint()}
 	if !identityV {
-		d.VertexMap = append([]int32(nil), vmap...)
+		// Non-nil even when empty: a nil map would mean "keep the base's
+		// vertices", not "no vertices".
+		d.VertexMap = append(make([]int32, 0, len(vmap)), vmap...)
 	}
 
-	// New-vertex attributes and sparse overrides for survivors.
-	for i := 0; i < next.NumVertices(); i++ {
-		b := vmap[i]
+	// New-vertex attributes and sparse overrides for survivors, each slice
+	// sized by the counts above (nil when empty).
+	if newV > 0 {
+		d.NewWeights = make([]int64, 0, newV)
+		d.NewSizes = make([]int64, 0, newV)
+	}
+	if weightIDs > 0 {
+		d.WeightIDs = make([]int32, 0, weightIDs)
+		d.WeightVals = make([]int64, 0, weightIDs)
+	}
+	if sizeIDs > 0 {
+		d.SizeIDs = make([]int32, 0, sizeIDs)
+		d.SizeVals = make([]int64, 0, sizeIDs)
+	}
+	for i, b := range vmap {
 		if b < 0 {
 			d.NewWeights = append(d.NewWeights, next.Weight(i))
 			d.NewSizes = append(d.NewSizes, next.Size(i))
-			if next.Fixed(i) != Free {
-				return nil, false // new fixed vertices: ship a full epoch
-			}
 			continue
 		}
 		if base.Weight(int(b)) != next.Weight(i) {
@@ -566,70 +579,105 @@ func ComputeDeltaMapped(base, next *Hypergraph, vmap []int32) (*Delta, bool) {
 			d.SizeVals = append(d.SizeVals, next.Size(i))
 		}
 	}
-	if nv, _ := d.NumNew(); nv == 0 {
-		d.NewWeights, d.NewSizes = nil, nil
-	}
 
-	// Net matching: index base nets by their translated pin sequence.
-	// Matching is first-come within equal sequences, so it is deterministic
-	// and each base net is used at most once.
-	type candidate struct {
-		id   int32
-		pins []int32 // translated, in base pin order
-	}
-	sigs := make(map[uint64][]candidate, base.NumNets())
-	var tbuf []int32
-	for n := 0; n < base.NumNets(); n++ {
-		tbuf = tbuf[:0]
-		for _, p := range base.Pins(n) {
-			if np := fwd[p]; np >= 0 {
-				tbuf = append(tbuf, np)
+	// Net matching. The base nets' pins, translated through fwd, form one
+	// CSR arena (the base's own under the identity map); nets that lose
+	// every pin are never matchable. Each remaining base net sits in a
+	// chained hash table keyed by pinSig, its chain in base-net order, and
+	// a successor net takes the first base net of its chain with equal
+	// translated pins, which is unlinked so each base net is used at most
+	// once. Equal sequences therefore pair up first-come, deterministically.
+	baseN, nextN := base.NumNets(), next.NumNets()
+	tStart, tPins := base.netStart, base.netPins
+	if !identityV {
+		tStart = make([]int32, baseN+1)
+		tPins = make([]int32, 0, base.NumPins())
+		for n := 0; n < baseN; n++ {
+			for _, p := range base.Pins(n) {
+				if np := fwd[p]; np >= 0 {
+					tPins = append(tPins, np)
+				}
 			}
+			tStart[n+1] = int32(len(tPins))
 		}
-		if len(tbuf) == 0 {
-			continue // net vanishes entirely; never matchable
-		}
-		sig := pinSig(tbuf)
-		sigs[sig] = append(sigs[sig], candidate{id: int32(n), pins: append([]int32(nil), tbuf...)})
 	}
-	used := make(map[uint64]int, len(sigs)) // consumed prefix per signature
+	bits := 0 // the table has 1<<bits >= baseN buckets
+	for 1<<bits < baseN {
+		bits++
+	}
+	shift := 64 - bits
+	head := make([]int32, 1<<bits) // bucket -> first base net, or -1
+	for i := range head {
+		head[i] = -1
+	}
+	chain := make([]int32, baseN) // base net -> next base net in its bucket
+	sig := make([]uint64, baseN)
+	for n := baseN - 1; n >= 0; n-- { // pushing in reverse leaves chains in base order
+		pins := tPins[tStart[n]:tStart[n+1]]
+		if len(pins) == 0 {
+			continue
+		}
+		sig[n] = pinSig(pins)
+		bucket := sig[n] >> shift
+		chain[n], head[bucket] = head[bucket], int32(n)
+	}
 
-	netMap := make([]int32, next.NumNets())
-	identityN := next.NumNets() == base.NumNets()
-	for n := 0; n < next.NumNets(); n++ {
+	netMap := make([]int32, nextN)
+	identityN := nextN == baseN
+	costIDs, newN, newPins := 0, 0, 0
+	for n := 0; n < nextN; n++ {
 		pins := next.Pins(n)
-		sig := pinSig(pins)
-		match := int32(-1)
-		cands := sigs[sig]
-		for i := used[sig]; i < len(cands); i++ {
-			if pinsEqual(cands[i].pins, pins) {
-				match = cands[i].id
-				// Consume this candidate and everything before it stays
-				// consumed; swap-free: advance only when it is the next one.
-				if i == used[sig] {
-					used[sig] = i + 1
+		s := pinSig(pins)
+		match, prev := int32(-1), int32(-1)
+		for c := head[s>>shift]; c >= 0; prev, c = c, chain[c] {
+			if sig[c] == s && pinsEqual(tPins[tStart[c]:tStart[c+1]], pins) {
+				match = c
+				if prev < 0 {
+					head[s>>shift] = chain[c]
 				} else {
-					// Preserve order by compacting the slice.
-					copy(cands[i:], cands[i+1:])
-					sigs[sig] = cands[:len(cands)-1]
+					chain[prev] = chain[c]
 				}
 				break
 			}
 		}
 		netMap[n] = match
+		if match < 0 {
+			newN++
+			newPins += len(pins)
+		} else if base.Cost(int(match)) != next.Cost(n) {
+			costIDs++
+		}
+		if int(match) != n {
+			identityN = false
+		}
+	}
+
+	if costIDs > 0 {
+		d.CostIDs = make([]int32, 0, costIDs)
+		d.CostVals = make([]int64, 0, costIDs)
+	}
+	var arena []int32 // backs every NewNetPins entry
+	if newN > 0 {
+		d.NewNetCosts = make([]int64, 0, newN)
+		d.NewNetPins = make([][]int32, 0, newN)
+		arena = make([]int32, 0, newPins)
+	}
+	for n, match := range netMap {
 		if match >= 0 {
-			if int(match) != n {
-				identityN = false
-			}
 			if base.Cost(int(match)) != next.Cost(n) {
 				d.CostIDs = append(d.CostIDs, int32(n))
 				d.CostVals = append(d.CostVals, next.Cost(n))
 			}
-		} else {
-			identityN = false
-			d.NewNetCosts = append(d.NewNetCosts, next.Cost(n))
-			d.NewNetPins = append(d.NewNetPins, append([]int32(nil), pins...))
+			continue
 		}
+		d.NewNetCosts = append(d.NewNetCosts, next.Cost(n))
+		var pins []int32 // an empty net stays nil
+		if src := next.Pins(n); len(src) > 0 {
+			start := len(arena)
+			arena = append(arena, src...)
+			pins = arena[start:len(arena):len(arena)]
+		}
+		d.NewNetPins = append(d.NewNetPins, pins)
 	}
 	if !identityN {
 		d.NetMap = netMap
@@ -638,7 +686,8 @@ func ComputeDeltaMapped(base, next *Hypergraph, vmap []int32) (*Delta, bool) {
 }
 
 // pinSig hashes a pin sequence (FNV-1a over the raw ids); collisions are
-// resolved by exact comparison in ComputeDeltaMapped.
+// resolved by exact comparison in ComputeDeltaMapped, which buckets on the
+// high bits (FNV's low bits depend only on the ids' low bits).
 func pinSig(pins []int32) uint64 {
 	h := uint64(14695981039346656037)
 	for _, p := range pins {

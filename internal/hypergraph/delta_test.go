@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"hyperbal/internal/wire"
 )
 
 // deltaBase builds a small hypergraph with varied weights/sizes/costs.
@@ -59,6 +61,45 @@ func TestDeltaBaseMismatch(t *testing.T) {
 	} else if !IsBaseMismatch(err) {
 		t.Fatalf("want ErrBaseMismatch, got %v", err)
 	}
+}
+
+// TestDeltaApplyFrame: ApplyFrame gates on the fingerprint the frame
+// carries, exactly as Apply gates on the one it computes.
+func TestDeltaApplyFrame(t *testing.T) {
+	h := deltaBase()
+	fp := h.Fingerprint()
+	d, ok := ComputeDelta(h, h.ScaleCosts(2))
+	if !ok {
+		t.Fatal("cost drift should be delta-able")
+	}
+	if _, err := d.ApplyFrame(Frame{H: h, FP: "hbfp1:deadbeef"}); !IsBaseMismatch(err) {
+		t.Fatalf("stale frame: want ErrBaseMismatch, got %v", err)
+	}
+	got, err := d.ApplyFrame(Frame{H: h, FP: fp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSame(t, h.ScaleCosts(2), got)
+}
+
+// TestDeltaEmptySuccessor: a successor with no vertices is a present,
+// empty vertex map, not the nil "keep every base vertex" map.
+func TestDeltaEmptySuccessor(t *testing.T) {
+	base := deltaBase()
+	next := NewBuilder(0).Build()
+	d, ok := ComputeDeltaMapped(base, next, nil)
+	if !ok {
+		t.Fatal("an empty successor should be delta-able")
+	}
+	dw, err := DecodeDeltaBinary(wire.NewReader(d.AppendBinary(nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := dw.Apply(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSame(t, next, got)
 }
 
 func TestDeltaBadVersion(t *testing.T) {
@@ -230,6 +271,8 @@ func TestDeltaRejectsMalformed(t *testing.T) {
 		{"new net attrs without map", Delta{Version: DeltaVersion, Base: fp, NewNetCosts: []int64{1}}},
 		{"mapped net loses all pins", Delta{Version: DeltaVersion, Base: fp,
 			VertexMap: []int32{0, 1, 4, 5}, NetMap: []int32{0, 1, 2, 3}}},
+		{"new net repeats a pin", Delta{Version: DeltaVersion, Base: fp, NetMap: []int32{0, -1, 1, -1},
+			NewNetCosts: []int64{1, 1}, NewNetPins: [][]int32{{0, 1}, {2, 3, 2}}}},
 	}
 	for _, tc := range cases {
 		if _, err := tc.d.Apply(base); err == nil {

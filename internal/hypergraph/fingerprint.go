@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"hash"
+	"sync"
 )
 
 // Fingerprint returns a stable content hash of the hypergraph: two
@@ -23,44 +25,110 @@ import (
 // The encoding is length-prefixed and section-tagged, so structurally
 // different hypergraphs cannot collide by concatenation ambiguity.
 func (h *Hypergraph) Fingerprint() string {
-	sum := h.fingerprintSum()
-	return "hbfp1:" + hex.EncodeToString(sum[:])
+	e := getEncoder()
+	defer putEncoder(e)
+	e.str("hyperbal-hg-v1")
+	e.u64(uint64(h.NumVertices()))
+	e.put32('N', h.netStart)
+	e.put32('P', h.netPins)
+	e.put64('C', h.costs)
+	e.put64('W', h.weights)
+	e.put64('S', h.sizes)
+	if h.fixed != nil {
+		e.put32('F', h.fixed)
+	}
+	return e.sum("hbfp1:")
 }
 
-// fingerprintSum computes the raw SHA-256 of the canonical encoding.
-func (h *Hypergraph) fingerprintSum() [sha256.Size]byte {
-	hw := sha256.New()
-	var buf [8]byte
-	put32 := func(tag byte, xs []int32) {
-		hw.Write([]byte{tag})
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(xs)))
-		hw.Write(buf[:])
-		for _, x := range xs {
-			binary.LittleEndian.PutUint32(buf[:4], uint32(x))
-			hw.Write(buf[:4])
+// encoder is the canonical little-endian encoding behind Fingerprint and
+// Delta.Digest. Values are packed into buf and hashed a chunk at a time,
+// so the hash sees one Write per chunk instead of one per value; the byte
+// stream it hashes is the same. Encoders are pooled, so neither the chunk
+// nor the digest state is allocated per call.
+type encoder struct {
+	hw  hash.Hash
+	n   int // bytes of buf in use
+	buf [1024]byte
+}
+
+var encoders = sync.Pool{New: func() any { return &encoder{hw: sha256.New()} }}
+
+func getEncoder() *encoder { return encoders.Get().(*encoder) }
+
+func putEncoder(e *encoder) {
+	e.hw.Reset()
+	e.n = 0
+	encoders.Put(e)
+}
+
+// flush hashes the buffered bytes.
+func (e *encoder) flush() {
+	e.hw.Write(e.buf[:e.n])
+	e.n = 0
+}
+
+// room returns the free tail of buf, flushing first when fewer than need
+// bytes are free.
+func (e *encoder) room(need int) []byte {
+	if len(e.buf)-e.n < need {
+		e.flush()
+	}
+	return e.buf[e.n:]
+}
+
+func (e *encoder) str(s string) {
+	for len(s) > 0 {
+		k := copy(e.room(1), s)
+		e.n += k
+		s = s[k:]
+	}
+}
+
+func (e *encoder) byte(b byte) {
+	e.room(1)[0] = b
+	e.n++
+}
+
+func (e *encoder) u64(x uint64) {
+	binary.LittleEndian.PutUint64(e.room(8), x)
+	e.n += 8
+}
+
+// put32 writes a tagged, length-prefixed int32 section.
+func (e *encoder) put32(tag byte, xs []int32) {
+	e.byte(tag)
+	e.u64(uint64(len(xs)))
+	for len(xs) > 0 {
+		b := e.room(4)
+		k := min(len(b)/4, len(xs))
+		for i, x := range xs[:k] {
+			binary.LittleEndian.PutUint32(b[4*i:], uint32(x))
 		}
+		e.n += 4 * k
+		xs = xs[k:]
 	}
-	put64 := func(tag byte, xs []int64) {
-		hw.Write([]byte{tag})
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(xs)))
-		hw.Write(buf[:])
-		for _, x := range xs {
-			binary.LittleEndian.PutUint64(buf[:], uint64(x))
-			hw.Write(buf[:])
+}
+
+// put64 writes a tagged, length-prefixed int64 section.
+func (e *encoder) put64(tag byte, xs []int64) {
+	e.byte(tag)
+	e.u64(uint64(len(xs)))
+	for len(xs) > 0 {
+		b := e.room(8)
+		k := min(len(b)/8, len(xs))
+		for i, x := range xs[:k] {
+			binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
 		}
+		e.n += 8 * k
+		xs = xs[k:]
 	}
-	hw.Write([]byte("hyperbal-hg-v1"))
-	binary.LittleEndian.PutUint64(buf[:], uint64(h.NumVertices()))
-	hw.Write(buf[:])
-	put32('N', h.netStart)
-	put32('P', h.netPins)
-	put64('C', h.costs)
-	put64('W', h.weights)
-	put64('S', h.sizes)
-	if h.fixed != nil {
-		put32('F', h.fixed)
-	}
-	var sum [sha256.Size]byte
-	hw.Sum(sum[:0])
-	return sum
+}
+
+// sum returns prefix followed by the hex SHA-256 of everything written.
+func (e *encoder) sum(prefix string) string {
+	e.flush()
+	var out [80]byte // room for the short prefixes used here
+	b := append(out[:0], prefix...)
+	b = hex.AppendEncode(b, e.hw.Sum(e.buf[:0]))
+	return string(b)
 }

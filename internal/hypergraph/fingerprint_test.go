@@ -114,3 +114,109 @@ func TestFingerprintSensitivity(t *testing.T) {
 		t.Error("different fixed labels collide")
 	}
 }
+
+// goldenHypergraphs are fixed inputs whose fingerprints are pinned as
+// literals in TestGoldenDigests. "long net" has one 3 000-pin net (12 000
+// bytes of pins), longer than any encoder chunk, and weights, sizes and
+// costs that need all 64 bits.
+func goldenHypergraphs() map[string]*hypergraph.Hypergraph {
+	small := func(fix bool) *hypergraph.Hypergraph {
+		b := hypergraph.NewBuilder(7)
+		b.AddNet(3, 0, 1, 2)
+		b.AddNet(1, 2, 3)
+		b.AddNet(5, 6, 4, 5, 3)
+		b.AddNet(2, 0, 6)
+		for v := 0; v < 7; v++ {
+			b.SetWeight(v, int64(v+1))
+			b.SetSize(v, int64(2*v+1))
+		}
+		if fix {
+			b.Fix(1, 0)
+			b.Fix(5, 2)
+		}
+		return b.Build()
+	}
+	long := func() *hypergraph.Hypergraph {
+		const n = 3000
+		b := hypergraph.NewBuilder(n)
+		pins := make([]int, n)
+		for i := range pins {
+			pins[i] = (i * 7) % n // a permutation: 7 and 3 000 are coprime
+		}
+		b.AddNet(1<<40+3, pins...)
+		for v := 0; v+1 < n; v += 3 {
+			b.AddNet(int64(v), v, v+1)
+		}
+		for v := 0; v < n; v++ {
+			b.SetWeight(v, int64(v)<<33|int64(v))
+			b.SetSize(v, int64(n-v))
+		}
+		return b.Build()
+	}
+	return map[string]*hypergraph.Hypergraph{
+		"empty":    hypergraph.NewBuilder(0).Build(),
+		"free":     small(false),
+		"fixed":    small(true),
+		"long net": long(),
+	}
+}
+
+// goldenDeltas are fixed deltas whose digests TestGoldenDigests pins. The
+// base is a literal string: Digest hashes it as given.
+func goldenDeltas() map[string]*hypergraph.Delta {
+	const base = "hbfp1:00112233445566778899aabbccddeeff00112233445566778899aabbccddeeff"
+	return map[string]*hypergraph.Delta{
+		"identity": {Version: hypergraph.DeltaVersion, Base: base},
+		"structural": {
+			Version:     hypergraph.DeltaVersion,
+			Base:        base,
+			VertexMap:   []int32{0, 2, -1, 3, -1},
+			NewWeights:  []int64{7, 1 << 50},
+			NewSizes:    []int64{1, 9},
+			NewFixed:    []int32{-1, 1},
+			NetMap:      []int32{1, -1, 0, -1},
+			NewNetCosts: []int64{4, 6},
+			NewNetPins:  [][]int32{{0, 2, 4}, {1}},
+			WeightIDs:   []int32{1},
+			WeightVals:  []int64{11},
+			CostIDs:     []int32{0, 2},
+			CostVals:    []int64{8, 1 << 33},
+		},
+		"warm weight-only": {
+			Version:    hypergraph.DeltaVersion,
+			Base:       base,
+			WeightIDs:  []int32{0, 3, 700},
+			WeightVals: []int64{5, 1 << 40, 2},
+			SizeIDs:    []int32{2},
+			SizeVals:   []int64{3},
+		},
+	}
+}
+
+// TestGoldenDigests pins Fingerprint and Delta.Digest to the bytes of the
+// original per-value encoder, recorded before the buffered encoder
+// replaced it: both hashes key caches that must survive the rewrite, so a
+// change here is a cache-key change, not a refactor.
+func TestGoldenDigests(t *testing.T) {
+	wantFP := map[string]string{
+		"empty":    "hbfp1:1c01e48c12a733442df52d89b0d86c022248a561f6e255316e00e09d2e855d49",
+		"free":     "hbfp1:c9de3fefd03345f64b8c5277ebee26040c50549506019b7bb942e7decd2fcb56",
+		"fixed":    "hbfp1:02e23b1059a6f258160bc4a2a89243d3c4fe7c9992a7dece9cc0331aa5d73c3e",
+		"long net": "hbfp1:810a7d8d60058df0dd9a4134e1b1d0f7dabebcf5a80a6108bb4a75b2dc134b44",
+	}
+	for name, h := range goldenHypergraphs() {
+		if got := h.Fingerprint(); got != wantFP[name] {
+			t.Errorf("%s: Fingerprint = %s, want %s", name, got, wantFP[name])
+		}
+	}
+	wantDigest := map[string]string{
+		"identity":         "hbdd1:2a1ace2498d7fe4ac9a695f20d337d52c1d9e2b2b3a235d91567044e7104b567",
+		"structural":       "hbdd1:e7c6aa6a851face807f43618d9c36d6119940528da8388fb2fa96cb08d94a3d5",
+		"warm weight-only": "hbdd1:5d8d1b2cb385ac56568c9f180a79ee5501911dd342d894a9ad95fc4805fba32f",
+	}
+	for name, d := range goldenDeltas() {
+		if got := d.Digest(); got != wantDigest[name] {
+			t.Errorf("%s: Digest = %s, want %s", name, got, wantDigest[name])
+		}
+	}
+}

@@ -250,8 +250,7 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 		id:      st.ID,
 		cfg:     bal.Config(),
 		sess:    core.NewSessionAt(bal, res, st.Epoch),
-		baseH:   st.Base.H,
-		baseFP:  st.Base.FP,
+		base:    st.Base,
 		lastMig: st.Mig,
 	}
 	s.clearHandoff(st.ID) // a session may return to a revived replica
@@ -296,7 +295,7 @@ func (s *Server) handoffSession(ctx context.Context, entry *session, self string
 		Epoch:  entry.sess.Epoch(),
 		Last:   wireResult(entry.sess.Epoch(), last, false, true),
 		Mig:    entry.lastMig,
-		Base:   hypergraph.Frame{H: entry.baseH, FP: entry.baseFP},
+		Base:   entry.base,
 	}
 	entry.mu.Unlock()
 	if st.Base.H == nil {

@@ -478,7 +478,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	sess := core.NewSessionWith(bal, res)
 	cached := origin != originLeader
 
-	entry := &session{id: id, cfg: eff, sess: sess, baseH: req.Graph.H, baseFP: req.Graph.FP}
+	entry := &session{id: id, cfg: eff, sess: sess, base: req.Graph}
 	s.clearHandoff(id)
 	// The pre-solve duplicate check is only a cheap fast path; the insert
 	// itself must be atomic or two concurrent creates with the same
@@ -559,7 +559,7 @@ func (s *Server) serveEpoch(w http.ResponseWriter, r *http.Request, req submitte
 			Epoch: epoch,
 		}
 		if sub.Delta != nil {
-			conflict.Base = entry.baseFP
+			conflict.Base = entry.base.FP
 		}
 		writeJSON(w, http.StatusConflict, conflict)
 		return
@@ -570,18 +570,18 @@ func (s *Server) serveEpoch(w http.ResponseWriter, r *http.Request, req submitte
 		// A base mismatch (the session advanced since the client computed
 		// the delta, or the server lost the base) carries the current base:
 		// the client's hard signal to fall back to a full epoch submission.
-		if entry.baseH == nil || d.Base != entry.baseFP {
+		if entry.base.H == nil || d.Base != entry.base.FP {
 			obsDeltaMismatches.Inc()
 			writeJSON(w, http.StatusConflict, ErrorResponse{
-				Error: fmt.Sprintf("delta base %s does not match session base %s; resubmit a full epoch", d.Base, entry.baseFP),
+				Error: fmt.Sprintf("delta base %s does not match session base %s; resubmit a full epoch", d.Base, entry.base.FP),
 				Code:  "fingerprint_mismatch",
 				Epoch: epoch,
-				Base:  entry.baseFP,
+				Base:  entry.base.FP,
 			})
 			return
 		}
 		var err error
-		if h, err = d.Apply(entry.baseH); err != nil {
+		if h, err = d.ApplyFrame(entry.base); err != nil {
 			writeError(w, http.StatusBadRequest, "bad_request", "delta: "+err.Error())
 			return
 		}
@@ -628,7 +628,7 @@ func (s *Server) serveEpoch(w http.ResponseWriter, r *http.Request, req submitte
 	warmKey := ""
 	solveNs := obsEpochColdNs
 	if sub.Warm {
-		dirty = sub.Delta.DirtyVertices(entry.baseH, h)
+		dirty = sub.Delta.DirtyVertices(entry.base.H, h)
 		warmKey = "warm:" + sub.Delta.Digest()
 		solveNs = obsEpochWarmNs
 		d := 0
@@ -674,7 +674,7 @@ func (s *Server) serveEpoch(w http.ResponseWriter, r *http.Request, req submitte
 		obsDeltaEpochs.Inc()
 		obsDeltaBytes.Add(bodyBytes)
 	}
-	entry.baseH, entry.baseFP = h, fp
+	entry.base = hypergraph.Frame{H: h, FP: fp}
 	entry.lastMig = migrationSummary(h, inherited, res.Partition)
 	writeSessionResponse(w, r, http.StatusOK, entry.id, wireResult(entry.sess.Epoch(), res, cached, true))
 }

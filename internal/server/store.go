@@ -23,11 +23,10 @@ type session struct {
 
 	mu      sync.Mutex // serializes epoch work on this session
 	lastMig *MigrationSummary
-	// baseH / baseFP are the last accepted epoch hypergraph and its
-	// fingerprint — the base the next delta submission applies against.
-	// Guarded by mu.
-	baseH  *hypergraph.Hypergraph
-	baseFP string
+	// base is the last accepted epoch hypergraph with its fingerprint —
+	// the base the next delta submission applies against, never hashed
+	// again. Guarded by mu.
+	base hypergraph.Frame
 
 	lastAccess atomic.Int64 // unix nanos, for TTL eviction
 
