@@ -37,7 +37,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := hyperbal.PartWeights(p.H, first.Partition)
-	if !hyperbal.IsBalanced(w, 0.10) {
+	if hyperbal.Imbalance(w) > 0.10 {
 		t.Fatalf("imbalanced: %v (%.3f)", w, hyperbal.Imbalance(w))
 	}
 	res, err := bal.Repartition(p, first.Partition, 1)
@@ -54,7 +54,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 func TestPublicRepartitionModel(t *testing.T) {
 	p := buildMesh(8, 8)
-	old := hyperbal.NewPartition(64, 2)
+	old := hyperbal.Partition{K: 2, Parts: make([]int32, 64)}
 	for v := 32; v < 64; v++ {
 		old.Assign(v, 1)
 	}
@@ -108,35 +108,27 @@ func TestPublicParallelAndMigration(t *testing.T) {
 }
 
 func TestPublicDatasetsAndDynamics(t *testing.T) {
-	if len(hyperbal.Datasets()) != 5 {
-		t.Fatal("expected 5 registry datasets")
-	}
 	g, err := hyperbal.GenerateDataset("cage14", 500, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	init := hyperbal.NewPartition(g.NumVertices(), 4)
+	init := hyperbal.Partition{K: 4, Parts: make([]int32, g.NumVertices())}
 	for v := 0; v < g.NumVertices(); v++ {
 		init.Assign(v, v%4)
 	}
-	gen, err := hyperbal.NewStructuralDynamics(g, init, 4, 0.25, 0.5, 2)
+	gen, err := hyperbal.NewRefinementDynamics(g, init, 4, 0.25, 1.5, 7.5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prob, inherited := gen.Next()
+	if prob.H.NumVertices() != g.NumVertices() {
+		t.Fatal("refinement dynamic changed the vertex set")
+	}
 	if prob.H.NumVertices() != len(inherited.Parts) {
 		t.Fatal("epoch problem and inherited partition disagree")
 	}
 	if err := gen.Observe(inherited); err != nil {
 		t.Fatal(err)
-	}
-	gen2, err := hyperbal.NewRefinementDynamics(g, init, 4, 0.25, 1.5, 7.5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prob2, _ := gen2.Next()
-	if prob2.H.NumVertices() != g.NumVertices() {
-		t.Fatal("refinement dynamic changed the vertex set")
 	}
 }
 
@@ -146,10 +138,10 @@ func TestPublicGraphBaselines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hyperbal.EdgeCut(p.G, gp) <= 0 {
+	if hyperbal.CutSize(p.H, gp) <= 0 {
 		t.Fatal("4-way mesh partition must cut something")
 	}
-	rp, err := hyperbal.AdaptiveRepartGraph(p.G, gp, 100, hyperbal.GPOptions{K: 4, Seed: 9})
+	rp, err := hyperbal.PartitionGraph(p.G, hyperbal.GPOptions{K: 4, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,93 +156,5 @@ func TestPublicCostModel(t *testing.T) {
 	e := m.Evaluate(hyperbal.Result{CommVolume: 1000, MigrationVolume: 500}, 100)
 	if e.Total() <= 0 {
 		t.Fatal("cost model returned nothing")
-	}
-}
-
-func TestPublicToolkit(t *testing.T) {
-	owner := map[hyperbal.ObjectID]int{}
-	cb := hyperbal.Callbacks{
-		Objects: func() []hyperbal.ObjectID {
-			ids := make([]hyperbal.ObjectID, 30)
-			for i := range ids {
-				ids[i] = hyperbal.ObjectID(i)
-			}
-			return ids
-		},
-		NumEdges: func() int { return 30 },
-		Edge: func(e int) (int64, []hyperbal.ObjectID) {
-			return 1, []hyperbal.ObjectID{hyperbal.ObjectID(e), hyperbal.ObjectID((e + 1) % 30)}
-		},
-		OwnedBy: func(id hyperbal.ObjectID) int { return owner[id] },
-	}
-	lb, err := hyperbal.NewLoadBalancer(hyperbal.BalancerConfig{K: 2, Seed: 1}, cb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, err := lb.Partition()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id, p := range ch.Assignments {
-		owner[id] = p
-	}
-	if _, err := lb.LoadBalance(1); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPublicSimulateApplication(t *testing.T) {
-	p := buildMesh(8, 8)
-	part, err := hyperbal.PartitionHypergraph(p.H, hyperbal.HGPOptions{K: 2, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := hyperbal.SimulateApplication(p.H, nil, part, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.WordsPerIteration != hyperbal.CutSize(p.H, part) {
-		t.Fatalf("measured %d != cut %d", res.WordsPerIteration, hyperbal.CutSize(p.H, part))
-	}
-}
-
-func TestPublicParallelGraph(t *testing.T) {
-	p := buildMesh(10, 10)
-	err := hyperbal.RunWorld(2, func(c *hyperbal.Comm) error {
-		gp, err := hyperbal.ParallelPartitionGraph(c, p.G, hyperbal.GPOptions{K: 4, Seed: 5})
-		if err != nil {
-			return err
-		}
-		if _, err := hyperbal.ParallelAdaptiveRepartGraph(c, p.G, gp, 10, hyperbal.GPOptions{K: 4, Seed: 7}); err != nil {
-			return err
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPublicCommMatrixAndMetrics(t *testing.T) {
-	p := buildMesh(8, 8)
-	part, _ := hyperbal.PartitionHypergraph(p.H, hyperbal.HGPOptions{K: 4, Seed: 9})
-	m := hyperbal.CommMatrix(p.H, part)
-	var total int64
-	for _, row := range m {
-		for _, v := range row {
-			total += v
-		}
-	}
-	if total != hyperbal.CutSize(p.H, part) {
-		t.Fatal("comm matrix total != cut")
-	}
-	if hyperbal.SOED(p.H, part) < hyperbal.CutSize(p.H, part) {
-		t.Fatal("SOED below connectivity-1")
-	}
-	if len(hyperbal.BoundaryVertices(p.H, part)) == 0 {
-		t.Fatal("4-way mesh partition must have boundary vertices")
-	}
-	if hyperbal.CutNets(p.H, part) <= 0 {
-		t.Fatal("cut nets must be positive")
 	}
 }

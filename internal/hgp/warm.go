@@ -230,6 +230,11 @@ func expandDirty(h *hypergraph.Hypergraph, dirty []bool) []bool {
 // keeps the best gain, then the lightest destination; on a full tie the
 // lowest vertex id wins.
 func repairBalance(h *hypergraph.Hypergraph, k int, parts []int32, caps []int64, ws *workspace) []int32 {
+	if feasible(h, parts, caps) {
+		// The loop below would stop before its first move; skip the
+		// O(pins) state build.
+		return nil
+	}
 	s := ws.kwayState(h, k, parts)
 	defer s.release()
 	n := h.NumVertices()

@@ -1,13 +1,9 @@
 // Package mtx reads MatrixMarket coordinate files — the distribution
 // format of the paper's test matrices (xyce680s, auto, apoa1-10, cage14
-// are all published as .mtx) — and converts them into hyperbal's graph and
-// hypergraph models:
-//
-//   - ToGraph symmetrizes the pattern into an undirected graph (the input
-//     the graph baselines need);
-//   - ToHypergraph builds the column-net model of Catalyurek & Aykanat [5]:
-//     vertex i = row i, net j = {j} ∪ {i : a_ij ≠ 0}, exact for sparse
-//     matrix-vector multiply communication, symmetric or not.
+// are all published as .mtx) — and converts them into the column-net
+// hypergraph model of Catalyurek & Aykanat [5] (ToHypergraph): vertex i =
+// row i, net j = {j} ∪ {i : a_ij ≠ 0}, exact for sparse matrix-vector
+// multiply communication, symmetric or not.
 package mtx
 
 import (
@@ -17,7 +13,6 @@ import (
 	"strconv"
 	"strings"
 
-	"hyperbal/internal/graph"
 	"hyperbal/internal/hypergraph"
 )
 
@@ -116,34 +111,6 @@ func Read(r io.Reader) (*Matrix, error) {
 		return nil, fmt.Errorf("mtx: expected %d entries, found %d", nnz, read)
 	}
 	return m, nil
-}
-
-// ToGraph builds the undirected graph of the symmetrized pattern
-// A + Aᵀ (square matrices only): one unit-weight edge per off-diagonal
-// pair. This is the form graph partitioners require.
-func ToGraph(m *Matrix) (*graph.Graph, error) {
-	if m.Rows != m.Cols {
-		return nil, fmt.Errorf("mtx: graph model needs a square matrix, got %dx%d", m.Rows, m.Cols)
-	}
-	b := graph.NewBuilder(m.Rows)
-	seen := make(map[int64]struct{}, len(m.RowIdx))
-	for e := range m.RowIdx {
-		i, j := m.RowIdx[e], m.ColIdx[e]
-		if i == j {
-			continue
-		}
-		a, bb := i, j
-		if a > bb {
-			a, bb = bb, a
-		}
-		key := int64(a)<<32 | int64(bb)
-		if _, dup := seen[key]; dup {
-			continue
-		}
-		seen[key] = struct{}{}
-		b.AddEdge(int(i), int(j), 1)
-	}
-	return b.Build(), nil
 }
 
 // ToHypergraph builds the column-net hypergraph model: vertices are rows;

@@ -67,35 +67,6 @@ func TestReadErrors(t *testing.T) {
 	}
 }
 
-func TestToGraph(t *testing.T) {
-	m, _ := Read(strings.NewReader(general))
-	g, err := ToGraph(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// off-diagonal pairs: (1,2) [twice, dedup], (2,3), (3,1) -> 3 edges
-	if g.NumEdges() != 3 {
-		t.Fatalf("edges = %d, want 3", g.NumEdges())
-	}
-	if !g.HasEdge(0, 1) || !g.HasEdge(1, 2) || !g.HasEdge(0, 2) {
-		t.Fatal("expected symmetrized edges missing")
-	}
-}
-
-func TestToGraphRectangularRejected(t *testing.T) {
-	in := "%%MatrixMarket matrix coordinate pattern general\n2 3 1\n1 2\n"
-	m, err := Read(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ToGraph(m); err == nil {
-		t.Fatal("expected rejection of rectangular matrix")
-	}
-}
-
 func TestToHypergraphColumnNet(t *testing.T) {
 	m, _ := Read(strings.NewReader(general))
 	h, err := ToHypergraph(m)
@@ -155,13 +126,6 @@ func TestRoundTripThroughPartitioner(t *testing.T) {
 	}
 	if h.NumVertices() != 20 {
 		t.Fatalf("vertices = %d", h.NumVertices())
-	}
-	g, err := ToGraph(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumEdges() != 19 {
-		t.Fatalf("edges = %d, want 19", g.NumEdges())
 	}
 }
 
