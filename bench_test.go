@@ -286,31 +286,6 @@ func rankName(r int) string {
 	return string(rune('0'+r)) + "ranks"
 }
 
-// BenchmarkAblationVCycles (A6): iterated V-cycle refinement — quality
-// gain per extra cycle.
-func BenchmarkAblationVCycles(b *testing.B) {
-	g, err := datasets.Generate("auto", benchScale, 17)
-	if err != nil {
-		b.Fatal(err)
-	}
-	h := hyperbal.GraphToHypergraph(g)
-	for _, cycles := range []int{0, 1, 3} {
-		b.Run(vcName(cycles), func(b *testing.B) {
-			var cut int64
-			for i := 0; i < b.N; i++ {
-				p, err := hgp.PartitionWithVCycles(h, hgp.Options{K: 8, Seed: int64(i)}, cycles)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cut = partition.CutSize(h, p)
-			}
-			b.ReportMetric(float64(cut), "cut")
-		})
-	}
-}
-
-func vcName(c int) string { return string(rune('0'+c)) + "cycles" }
-
 // BenchmarkAblationLocalIPM (A7): global candidate-round IPM vs the
 // block-local IPM the paper's conclusion proposes as a speedup ("using
 // local IPM instead of global IPM"). Reports wall time (ns/op) and the

@@ -140,12 +140,6 @@ func (r Result) TotalCost(alpha int64) int64 {
 	return alpha*r.CommVolume + r.MigrationVolume
 }
 
-// NormalizedCost returns comm + mig/α, the quantity plotted in Figures 2-6
-// ("Total cost in each bar is normalized by α").
-func (r Result) NormalizedCost(alpha int64) float64 {
-	return float64(r.CommVolume) + float64(r.MigrationVolume)/float64(alpha)
-}
-
 // Balancer runs static partitioning and epoch repartitioning with one of
 // the four methods.
 type Balancer struct {

@@ -1,14 +1,12 @@
 package core
 
-import "time"
-
 // CostModel evaluates the total execution time model of Section 1:
 //
 //	t_tot = α (t_comp + t_comm) + t_mig + t_repart
 //
 // with per-unit rates turning volumes into times. The paper drops t_comp
-// (assumed balanced) and t_repart (assumed small); DroppedTerms reproduces
-// that reduced objective α·t_comm + t_mig.
+// (assumed balanced) and t_repart (assumed small) from the objective it
+// minimizes, α·t_comm + t_mig; Evaluate reports all four terms.
 type CostModel struct {
 	// CommSecPerUnit converts one unit of communication volume into
 	// seconds per iteration.
@@ -37,13 +35,6 @@ func (m CostModel) Evaluate(r Result, alpha int64) Estimate {
 	}
 }
 
-// DroppedTerms returns the reduced objective α·t_comm + t_mig the paper
-// minimizes, in seconds.
-func (m CostModel) DroppedTerms(r Result, alpha int64) float64 {
-	return float64(alpha)*float64(r.CommVolume)*m.CommSecPerUnit +
-		float64(r.MigrationVolume)*m.MigSecPerUnit
-}
-
 // DefaultCostModel is a nominal cluster profile: 1 µs per communication
 // unit, 1 µs per migration unit, 10 ms of computation per iteration. Only
 // ratios matter for method comparisons.
@@ -52,7 +43,3 @@ var DefaultCostModel = CostModel{
 	MigSecPerUnit:  1e-6,
 	CompSecPerIter: 1e-2,
 }
-
-// RepartSeconds converts a measured repartitioning duration for inclusion
-// in Estimate.Repart.
-func RepartSeconds(d time.Duration) float64 { return d.Seconds() }

@@ -185,17 +185,11 @@ func TestCostModel(t *testing.T) {
 	if e.Total() != 62 {
 		t.Fatalf("total = %v, want 62", e.Total())
 	}
-	if m.DroppedTerms(r, 4) != 22 {
-		t.Fatalf("dropped terms = %v, want 22", m.DroppedTerms(r, 4))
-	}
 }
 
 func TestResultCostHelpers(t *testing.T) {
 	r := Result{CommVolume: 7, MigrationVolume: 20}
 	if r.TotalCost(10) != 90 {
 		t.Fatalf("TotalCost = %d, want 90", r.TotalCost(10))
-	}
-	if r.NormalizedCost(10) != 9 {
-		t.Fatalf("NormalizedCost = %v, want 9", r.NormalizedCost(10))
 	}
 }

@@ -79,9 +79,6 @@ func NewSessionAt(bal *Balancer, res Result, epoch int64) *Session {
 	return s
 }
 
-// Balancer returns the balancer the session partitions with.
-func (s *Session) Balancer() *Balancer { return s.bal }
-
 // Current returns the session's current distribution. The returned
 // partition is a snapshot reference: it is replaced (not mutated) by
 // Rebalance, so holding it across a rebalance is safe but stale.
@@ -153,23 +150,11 @@ func (s *Session) RebalanceInherited(p Problem, inherited partition.Partition) (
 	return s.rebalance(p, inherited)
 }
 
-// RebalanceWarm is Rebalance with a warm-started partitioner: the epoch's
-// solve is seeded from the session's current distribution and, when dirty
-// is non-nil (e.g. from hypergraph.Delta.DirtyVertices), restricted to the
-// dirty region. Methods without warm support fall back to the cold path;
-// see Balancer.RepartitionWarm.
-func (s *Session) RebalanceWarm(p Problem, dirty []bool) (Result, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if p.H.NumVertices() != len(s.cur.Parts) {
-		return Result{}, fmt.Errorf("core: vertex set changed (%d -> %d); use RebalanceWarmInherited with the epoch's inherited partition",
-			len(s.cur.Parts), p.H.NumVertices())
-	}
-	return s.rebalanceWarm(p, s.cur, dirty)
-}
-
 // RebalanceWarmInherited is RebalanceInherited with a warm-started
-// partitioner seeded from the given inherited assignment.
+// partitioner: the epoch's solve is seeded from the inherited assignment
+// and, when dirty is non-nil (e.g. from hypergraph.Delta.DirtyVertices),
+// restricted to the dirty region. Methods without warm support fall back
+// to the cold path; see Balancer.RepartitionWarm.
 func (s *Session) RebalanceWarmInherited(p Problem, inherited partition.Partition, dirty []bool) (Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -177,7 +162,14 @@ func (s *Session) RebalanceWarmInherited(p Problem, inherited partition.Partitio
 		return Result{}, fmt.Errorf("core: inherited partition covers %d vertices, problem has %d",
 			len(inherited.Parts), p.H.NumVertices())
 	}
-	return s.rebalanceWarm(p, inherited, dirty)
+	s.epoch++
+	res, err := s.bal.RepartitionWarm(p, inherited, s.epoch, dirty)
+	if err != nil {
+		s.epoch--
+		return Result{}, err
+	}
+	s.install(res)
+	return res, nil
 }
 
 // Adopt installs a previously computed rebalance result as the next epoch
@@ -197,18 +189,6 @@ func (s *Session) Adopt(res Result) {
 func (s *Session) rebalance(p Problem, old partition.Partition) (Result, error) {
 	s.epoch++
 	res, err := s.bal.Repartition(p, old, s.epoch)
-	if err != nil {
-		s.epoch--
-		return Result{}, err
-	}
-	s.install(res)
-	return res, nil
-}
-
-// rebalanceWarm runs with s.mu held.
-func (s *Session) rebalanceWarm(p Problem, old partition.Partition, dirty []bool) (Result, error) {
-	s.epoch++
-	res, err := s.bal.RepartitionWarm(p, old, s.epoch, dirty)
 	if err != nil {
 		s.epoch--
 		return Result{}, err

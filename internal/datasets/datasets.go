@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"hyperbal/internal/graph"
 )
@@ -306,50 +305,4 @@ func abs(x int) int {
 		return -x
 	}
 	return x
-}
-
-// Fingerprint compares a generated analogue against the paper's dataset on
-// scale-free characteristics: degree-spread ratio (max/avg) and density
-// class.
-type Fingerprint struct {
-	Name            string
-	V, E            int
-	MinDeg, MaxDeg  int
-	AvgDeg          float64
-	PaperAvgDeg     float64
-	DegSpread       float64 // max/avg of the analogue
-	PaperDegSpread  float64 // max/avg of the paper dataset
-	DensityFraction float64 // avgdeg / |V|
-	PaperDensity    float64
-}
-
-// FingerprintOf computes the comparison record for a generated graph.
-func FingerprintOf(info Info, g *graph.Graph) Fingerprint {
-	s := graph.ComputeStats(g)
-	f := Fingerprint{
-		Name:           info.Name,
-		V:              s.NumVertices,
-		E:              s.NumEdges,
-		MinDeg:         s.MinDegree,
-		MaxDeg:         s.MaxDegree,
-		AvgDeg:         s.AvgDegree,
-		PaperAvgDeg:    info.PaperAvgDeg,
-		PaperDegSpread: float64(info.PaperMaxDeg) / info.PaperAvgDeg,
-		PaperDensity:   info.PaperAvgDeg / float64(info.PaperV),
-	}
-	if s.AvgDegree > 0 {
-		f.DegSpread = float64(s.MaxDegree) / s.AvgDegree
-	}
-	if s.NumVertices > 0 {
-		f.DensityFraction = s.AvgDegree / float64(s.NumVertices)
-	}
-	return f
-}
-
-// SortedRegistryNames returns names sorted alphabetically (for stable CLI
-// help output).
-func SortedRegistryNames() []string {
-	names := Names()
-	sort.Strings(names)
-	return names
 }

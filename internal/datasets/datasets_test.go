@@ -100,25 +100,23 @@ func TestFingerprints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := FingerprintOf(info, g)
+		s := graph.ComputeStats(g)
+		var spread, density float64
+		if s.AvgDegree > 0 {
+			spread = float64(s.MaxDegree) / s.AvgDegree
+		}
+		if s.NumVertices > 0 {
+			density = s.AvgDegree / float64(s.NumVertices)
+		}
 		b := cases[info.Name]
-		if f.AvgDeg < b.minAvg || f.AvgDeg > b.maxAvg {
-			t.Errorf("%s: avg degree %.1f outside [%g,%g]", info.Name, f.AvgDeg, b.minAvg, b.maxAvg)
+		if s.AvgDegree < b.minAvg || s.AvgDegree > b.maxAvg {
+			t.Errorf("%s: avg degree %.1f outside [%g,%g]", info.Name, s.AvgDegree, b.minAvg, b.maxAvg)
 		}
-		if f.DegSpread < b.minSpread || f.DegSpread > b.maxSpread {
-			t.Errorf("%s: degree spread %.1f outside [%g,%g]", info.Name, f.DegSpread, b.minSpread, b.maxSpread)
+		if spread < b.minSpread || spread > b.maxSpread {
+			t.Errorf("%s: degree spread %.1f outside [%g,%g]", info.Name, spread, b.minSpread, b.maxSpread)
 		}
-		if f.DensityFraction < b.densityLo || f.DensityFraction > b.densityHi {
-			t.Errorf("%s: density %.4f outside [%g,%g]", info.Name, f.DensityFraction, b.densityLo, b.densityHi)
-		}
-	}
-}
-
-func TestSortedRegistryNames(t *testing.T) {
-	names := SortedRegistryNames()
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatal("names not sorted")
+		if density < b.densityLo || density > b.densityHi {
+			t.Errorf("%s: density %.4f outside [%g,%g]", info.Name, density, b.densityLo, b.densityHi)
 		}
 	}
 }

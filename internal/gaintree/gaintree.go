@@ -1,10 +1,10 @@
 // Package gaintree is the FM kernels' move-selection structure, shared by
 // the hypergraph (hgp) and graph (gp) partitioners: a winner tree over the
-// vertices of one level, queried for the best active vertex of a side,
-// optionally among those whose weight fits a limit.
+// vertices of one level, queried for the best active vertex of a side
+// among those whose weight fits a limit.
 //
-// The tree orders vertices by gain descending, then vertex ascending. When
-// it is laid out by an Order, the leaves are the vertices sorted by (weight,
+// The tree orders vertices by gain descending, then vertex ascending. It is
+// laid out by an Order: the leaves are the vertices sorted by (weight,
 // vertex), so the vertices of weight at most a limit are a prefix of the
 // leaves and TopWithin is a prefix query. A kernel whose move-fit rule is
 // downward-closed in the vertex weight therefore selects its move with one
@@ -88,7 +88,7 @@ func (o *Order) within(limit int64) int {
 // vertex leaves no entry behind.
 type Tree struct {
 	n    int
-	ord  *Order     // nil lays the leaves out in vertex order
+	ord  *Order
 	gain []int64    // per vertex: the priority of an active vertex
 	best [][2]int32 // per node, per side: best active vertex below, or -1
 }
@@ -107,12 +107,7 @@ func (t *Tree) Reset(n int, ord *Order) {
 	}
 }
 
-func (t *Tree) node(v int) int {
-	if t.ord == nil {
-		return t.n + v
-	}
-	return t.n + int(t.ord.leaf[v])
-}
+func (t *Tree) node(v int) int { return t.n + int(t.ord.leaf[v]) }
 
 // Gain returns the priority v was last given.
 func (t *Tree) Gain(v int) int64 { return t.gain[v] }
@@ -188,11 +183,8 @@ func (t *Tree) fix(i int, side int32, v int32) {
 	}
 }
 
-// Top returns side's best active vertex, or -1.
-func (t *Tree) Top(side int32) int32 { return t.best[1][side] }
-
 // TopWithin returns side's best active vertex of weight at most limit, or
-// -1. The tree must be laid out by an Order.
+// -1.
 func (t *Tree) TopWithin(side int32, limit int64) int32 {
 	b := t.best[1][side]
 	if b < 0 || t.ord.weight[t.ord.leaf[b]] <= limit {

@@ -63,12 +63,11 @@ func TestWeightOrderMatchesSort(t *testing.T) {
 }
 
 // TestTreeMatchesScan drives a Tree through randomized Load/Build, Update
-// and Remove sequences and after every step checks Top, TopWithin, Active,
-// Gain and Better against a scan of a plain model: per vertex its side (or
-// none) and gain, the best being the highest gain, then the lowest vertex.
-// Gains come from a narrow range so ties are common; weights include ones
-// above 2^32. Trees laid out by an Order and in vertex order (nil) both
-// run; TopWithin needs an Order.
+// and Remove sequences and after every step checks TopWithin (the root
+// through an unbounded limit), Active, Gain and Better against a scan of a
+// plain model: per vertex its side (or none) and gain, the best being the
+// highest gain, then the lowest vertex. Gains come from a narrow range so
+// ties are common; weights include ones above 2^32.
 func TestTreeMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var tr Tree
@@ -86,18 +85,13 @@ func TestTreeMatchesScan(t *testing.T) {
 				w[v] = 1<<33 + int64(rng.Intn(3))<<32 + int64(rng.Intn(5))
 			}
 		}
-		ord := &o
-		if inst%4 == 3 {
-			ord = nil
-		} else {
-			o.Build(w)
-		}
+		o.Build(w)
 		side := make([]int32, n) // -1: inactive
 		gain := make([]int64, n)
 		gains := int64(1 + rng.Intn(6))
 		draw := func() int64 { return rng.Int63n(2*gains+1) - gains }
 
-		tr.Reset(n, ord)
+		tr.Reset(n, &o)
 		for v := range side {
 			side[v] = -1
 			if rng.Intn(3) > 0 {
@@ -118,10 +112,10 @@ func TestTreeMatchesScan(t *testing.T) {
 				return b
 			}
 			for s := int32(0); s < 2; s++ {
-				if got, want := tr.Top(s), best(s, 1<<62); got != want {
-					t.Fatalf("instance %d %s: Top(%d) = %d, scan %d", inst, step, s, got, want)
+				if got, want := tr.TopWithin(s, 1<<62), best(s, 1<<62); got != want {
+					t.Fatalf("instance %d %s: TopWithin(%d, max) = %d, scan %d", inst, step, s, got, want)
 				}
-				if ord == nil || n == 0 {
+				if n == 0 {
 					continue
 				}
 				for range 3 {

@@ -100,12 +100,6 @@ func TestSection5AlgorithmsScheduleIndependent(t *testing.T) {
 			}
 			return algoMetrics{parts: p.Parts, cut: partition.CutSize(h, p), mig: mig.Volume}
 		}},
-		{"pgp-scratch", func(plan *mpi.FaultPlan) algoMetrics {
-			p := runAlgo(t, np, plan, func(c *mpi.Comm) (partition.Partition, error) {
-				return pgp.Partition(c, g, gp.Options{K: k, Imbalance: 0.05, Seed: 20})
-			})
-			return algoMetrics{parts: p.Parts, cut: partition.EdgeCut(g, p)}
-		}},
 		{"pgp-adaptive", func(plan *mpi.FaultPlan) algoMetrics {
 			p := runAlgo(t, np, plan, func(c *mpi.Comm) (partition.Partition, error) {
 				return pgp.AdaptiveRepart(c, g, old, alpha, gp.Options{K: k, Imbalance: 0.05, Seed: 21})

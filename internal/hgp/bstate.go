@@ -85,9 +85,6 @@ func (s *bisectState) gains(g []int64) []int64 {
 	return g
 }
 
-// Move flips v to the other side and updates bookkeeping.
-func (s *bisectState) Move(v int) { s.move(v, nil) }
-
 // move flips v to the other side in one walk over its nets, updating the
 // pin counts, side weights and cut and, unless g is nil, the gains g
 // holds for every vertex: the classical FM delta rules over each net's
@@ -157,34 +154,14 @@ func netTerm(on, sz int32, c int64) int64 {
 	return 0
 }
 
-// fitsWeight reports whether moving a vertex of weight w off side from
-// keeps the destination under its cap, or rescues an over-cap source side
-// without pushing the destination further over its cap than the source
-// was.
-//
-// It is downward-closed in w, which is what lets fm2 select moves by
-// prefix queries over the weight order. The destination test is monotone
-// in w. The total overflow after the move is convex in w and equals the
-// overflow before at w = 0, so the weights that strictly reduce it form an
-// interval starting just above 0. And when w = 0 fails the destination
-// test, the destination is already over its cap, every unit of weight
-// adds a unit of overflow there, and no weight passes either test.
-// Weights are non-negative.
-func (s *bisectState) fitsWeight(from int32, w int64) bool {
-	to := 1 - from
-	if s.w[to]+w <= s.cap[to] {
-		return true
-	}
-	// rescue: source side is over cap and the move strictly reduces the
-	// total overflow.
-	overBefore := over(s.w[0], s.cap[0]) + over(s.w[1], s.cap[1])
-	overAfter := over(s.w[from]-w, s.cap[from]) + over(s.w[to]+w, s.cap[to])
-	return overBefore > 0 && overAfter < overBefore
-}
-
-// maxFit returns the largest weight fitsWeight(from, ·) accepts, or a
-// negative number when it accepts none. With a = cap[to] - w[to], the
-// destination's room, and oF = w[from] - cap[from], the source's overflow:
+// maxFit returns the largest weight of a vertex whose move off side from
+// fits, or a negative number when none fits. A move fits when it keeps the
+// destination under its cap, or rescues an over-cap source side without
+// pushing the destination further over its cap than the source was. That
+// rule is downward-closed in the weight (fitsWeight in coarse_test.go
+// states it move by move, with the argument), so the weights that fit are
+// exactly 0..maxFit. With a = cap[to] - w[to], the destination's room, and
+// oF = w[from] - cap[from], the source's overflow:
 //
 //   - a > 0 and oF > 0: a + oF - 1. Past a, the move rescues the source
 //     while the destination's new overflow w - a stays under what the
@@ -201,11 +178,4 @@ func (s *bisectState) maxFit(from int32) int64 {
 		return a + oF - 1
 	}
 	return a
-}
-
-func over(w, cap int64) int64 {
-	if w > cap {
-		return w - cap
-	}
-	return 0
 }

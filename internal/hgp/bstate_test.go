@@ -96,7 +96,7 @@ func TestBisectStateDeltas(t *testing.T) {
 // generator to the stream of a freshly allocated one, whatever was drawn
 // from it before.
 func TestStartRNGMatchesFreshSource(t *testing.T) {
-	ws := newWorkspace()
+	ws := new(workspace)
 	for i, seed := range []int64{0, 1, -7, 42, 1 << 40, startSeed(12345, 3)} {
 		r := ws.startRNG(seed)
 		fresh := rand.New(rand.NewSource(seed))

@@ -17,6 +17,38 @@ func ghg2Fresh(h *hypergraph.Hypergraph, rng *rand.Rand, fixed []int32, t0, c0, 
 	return s.parts
 }
 
+// fitsWeight reports whether moving a vertex of weight w off side from
+// keeps the destination under its cap, or rescues an over-cap source side
+// without pushing the destination further over its cap than the source
+// was.
+//
+// It is downward-closed in w, which is what lets fm2 select moves by
+// prefix queries over the weight order. The destination test is monotone
+// in w. The total overflow after the move is convex in w and equals the
+// overflow before at w = 0, so the weights that strictly reduce it form an
+// interval starting just above 0. And when w = 0 fails the destination
+// test, the destination is already over its cap, every unit of weight
+// adds a unit of overflow there, and no weight passes either test.
+// Weights are non-negative.
+func (s *bisectState) fitsWeight(from int32, w int64) bool {
+	to := 1 - from
+	if s.w[to]+w <= s.cap[to] {
+		return true
+	}
+	// rescue: source side is over cap and the move strictly reduces the
+	// total overflow.
+	overBefore := over(s.w[0], s.cap[0]) + over(s.w[1], s.cap[1])
+	overAfter := over(s.w[from]-w, s.cap[from]) + over(s.w[to]+w, s.cap[to])
+	return overBefore > 0 && overAfter < overBefore
+}
+
+func over(w, cap int64) int64 {
+	if w > cap {
+		return w - cap
+	}
+	return 0
+}
+
 // TestMaxFitMatchesFitsWeight holds the closed-form limit to its
 // specification. Over small side weights and caps, with either side under
 // or over its cap and either side as the source, fitsWeight must be
@@ -79,7 +111,7 @@ func TestCoarseStartHandOff(t *testing.T) {
 
 	px := newParctx(4)
 	for ci, c := range cases {
-		ws := newWorkspace()
+		ws := new(workspace)
 		ord := ws.weightOrder(c.h)
 		st := ws.coarseStart(c.h, c.fixed, c.c0, c.c1, c.maxNet)
 		want := st.s

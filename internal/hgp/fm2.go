@@ -24,7 +24,7 @@ func fm2(h *hypergraph.Hypergraph, parts []int32, fixedSide []int32, cap0, cap1 
 // holding its gains; it refines s.parts in place and leaves s exact.
 //
 // Each move is the best unlocked free vertex, by (gain desc, vertex asc),
-// whose move fits (fitsWeight); a pass ends when none fits. Fitting is
+// whose move fits (see maxFit); a pass ends when none fits. Fitting is
 // downward-closed in vertex weight on each side, so the move is the better
 // of two prefix queries on the gain tree, one per side, each up to the
 // side's maxFit.

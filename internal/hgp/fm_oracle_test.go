@@ -79,7 +79,7 @@ func bisectCaps(h *hypergraph.Hypergraph, frac0, eps float64) (t0, c0, c1 int64)
 }
 
 func TestGHG2Oracle(t *testing.T) {
-	ws, rws, rs := newWorkspace(), newWorkspace(), new(refScratch)
+	ws, rws, rs := new(workspace), new(workspace), new(refScratch)
 	for i := 0; i < oracleInstances; i++ {
 		rng := rand.New(rand.NewSource(int64(i)))
 		h := oracleHG(rng)
@@ -107,7 +107,7 @@ func checkGHG2(t *testing.T, name string, h *hypergraph.Hypergraph, fixed []int3
 }
 
 func TestFM2Oracle(t *testing.T) {
-	ws, rws, rs := newWorkspace(), newWorkspace(), new(refScratch)
+	ws, rws, rs := new(workspace), new(workspace), new(refScratch)
 	for i := 0; i < oracleInstances; i++ {
 		rng := rand.New(rand.NewSource(int64(i)))
 		h := oracleHG(rng)
@@ -154,7 +154,7 @@ func checkFM2(t *testing.T, name string, h *hypergraph.Hypergraph, parts, fixed 
 // draw, some grow a partition twice and some grow two or more distinct
 // partitions.
 func TestDatasetCoarseOracle(t *testing.T) {
-	ws, rws, rs := newWorkspace(), newWorkspace(), new(refScratch)
+	ws, rws, rs := new(workspace), new(workspace), new(refScratch)
 	opt := Options{}.WithDefaults()
 	var drawFree, duplicated, distinct int
 	for _, ds := range datasets.Names() {
@@ -298,7 +298,7 @@ func refFM2(h *hypergraph.Hypergraph, parts []int32, fixedSide []int32, cap0, ca
 			stash = stash[:0]
 
 			g := s.gain(v) // exact gain (heap entry may be approximate for huge nets)
-			s.Move(v)
+			s.move(v, nil)
 			locked[v] = true
 			moved = append(moved, int32(v))
 			curCut -= g
@@ -328,7 +328,7 @@ func refFM2(h *hypergraph.Hypergraph, parts []int32, fixedSide []int32, cap0, ca
 		}
 		// roll back to the best prefix
 		for i := len(moved) - 1; i >= bestPrefix; i-- {
-			s.Move(int(moved[i]))
+			s.move(int(moved[i]), nil)
 		}
 		if bestPrefixCut >= passStartCut {
 			break // no improvement this pass
@@ -434,7 +434,7 @@ func refGHG2(h *hypergraph.Hypergraph, rng *rand.Rand, fixedSide []int32, target
 			dead[v] = true
 			continue // would overfill side 0; try next best
 		}
-		s.Move(v)
+		s.move(v, nil)
 		// enqueue/refresh neighbors on side 1
 		for _, nn := range h.Nets(v) {
 			pins := h.Pins(int(nn))

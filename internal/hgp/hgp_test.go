@@ -218,7 +218,7 @@ func TestIPMMatchLegality(t *testing.T) {
 			fu, fv := hf.Fixed(u), hf.Fixed(v)
 			return fu == hypergraph.Free || fv == hypergraph.Free || fu == fv
 		}
-		match := ipmMatch(hf, rng, maxNetSize, newWorkspace())
+		match := ipmMatch(hf, rng, maxNetSize, new(workspace))
 		for v := 0; v < 80; v++ {
 			u := int(match[v])
 			if u < 0 || u >= 80 {
@@ -251,7 +251,7 @@ func TestIPMMatchLegality(t *testing.T) {
 func TestContractConservation(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	h := randomHG(rng, 100, 160, 6)
-	match := ipmMatch(h, rng, 500, newWorkspace())
+	match := ipmMatch(h, rng, 500, new(workspace))
 	coarse, cmap := Contract(h, match)
 	if err := coarse.Validate(); err != nil {
 		t.Fatal(err)
@@ -295,7 +295,7 @@ func TestProjectedCutInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 10; trial++ {
 		h := randomHG(rng, 60, 90, 5)
-		match := ipmMatch(h, rng, 500, newWorkspace())
+		match := ipmMatch(h, rng, 500, new(workspace))
 		coarse, cmap := Contract(h, match)
 		k := 2 + rng.Intn(3)
 		cp := make([]int32, coarse.NumVertices())
@@ -326,7 +326,7 @@ func TestFM2NeverWorsensCut(t *testing.T) {
 		before := partition.CutSize(h, partition.Partition{Parts: append([]int32(nil), parts...), K: 2})
 		total := h.TotalWeight()
 		cap := int64(float64(total) * 0.55)
-		ws := newWorkspace()
+		ws := new(workspace)
 		fm2(h, parts, fixed, cap, cap, 4, 500, ws.weightOrder(h), ws)
 		after := partition.CutSize(h, partition.Partition{Parts: parts, K: 2})
 		if after > before {
@@ -350,7 +350,7 @@ func TestFM2RespectsFixed(t *testing.T) {
 	want := append([]int32(nil), parts[:10]...)
 	total := h.TotalWeight()
 	cap := int64(float64(total) * 0.6)
-	ws := newWorkspace()
+	ws := new(workspace)
 	fm2(h, parts, fixed, cap, cap, 4, 500, ws.weightOrder(h), ws)
 	for v := 0; v < 10; v++ {
 		if parts[v] != want[v] {
@@ -370,7 +370,7 @@ func TestRefineKwayNeverWorsens(t *testing.T) {
 		}
 		before := partition.CutSize(h, partition.Partition{Parts: append([]int32(nil), parts...), K: k})
 		caps := partition.Caps(h.TotalWeight(), k, 0.3)
-		refineKway(h, k, parts, caps, 4, newWorkspace())
+		refineKway(h, k, parts, caps, 4, new(workspace))
 		after := partition.CutSize(h, partition.Partition{Parts: parts, K: k})
 		if after > before {
 			t.Fatalf("trial %d: k-way refinement worsened cut %d -> %d", trial, before, after)
@@ -431,7 +431,7 @@ func TestRefineKwayNeverWorsens(t *testing.T) {
 		RefineKwayPass(s, caps)
 		check("RefineKwayPass", s.parts)
 		sweep := append([]int32(nil), parts...)
-		refineKway(h, tc.k, sweep, caps, 1, newWorkspace())
+		refineKway(h, tc.k, sweep, caps, 1, new(workspace))
 		check("refineKway", sweep)
 	}
 }
@@ -470,7 +470,7 @@ func TestGHGReachesTarget(t *testing.T) {
 	for v := range fixed {
 		fixed[v] = hypergraph.Free
 	}
-	ws := newWorkspace()
+	ws := new(workspace)
 	parts := ghg2Fresh(h, rng, fixed, 50, 55, 55, 500, ws)
 	var w0 int64
 	for v, p := range parts {
@@ -492,7 +492,7 @@ func TestGHGFixedSeedsAndExclusions(t *testing.T) {
 	}
 	fixed[0] = 0  // must end on side 0
 	fixed[63] = 1 // must never be absorbed
-	ws := newWorkspace()
+	ws := new(workspace)
 	parts := ghg2Fresh(h, rng, fixed, 32, 36, 36, 500, ws)
 	if parts[0] != 0 {
 		t.Fatal("side-0 fixed vertex not on side 0")
@@ -558,6 +558,23 @@ func TestSingleVertex(t *testing.T) {
 	}
 }
 
+// partitionWithVCycles runs Partition and then cycles raw vCycle calls on
+// its parts, keeping every cycle's result (vCycle alone must never worsen
+// the cut).
+func partitionWithVCycles(t *testing.T, h *hypergraph.Hypergraph, opt Options, cycles int) partition.Partition {
+	t.Helper()
+	p, err := Partition(h, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt = opt.WithDefaults()
+	rng := rand.New(rand.NewSource(opt.Seed ^ 0x5eed))
+	for c := 0; c < cycles; c++ {
+		vCycle(h, p.Parts, opt.K, rng, opt)
+	}
+	return p
+}
+
 func TestVCycleNeverWorsens(t *testing.T) {
 	rng := rand.New(rand.NewSource(70))
 	for trial := 0; trial < 5; trial++ {
@@ -568,10 +585,7 @@ func TestVCycleNeverWorsens(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := partition.CutSize(h, p)
-		pv, err := PartitionWithVCycles(h, Options{K: k, Seed: int64(trial)}, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pv := partitionWithVCycles(t, h, Options{K: k, Seed: int64(trial)}, 2)
 		after := partition.CutSize(h, pv)
 		if after > before {
 			t.Fatalf("trial %d: V-cycles worsened cut %d -> %d", trial, before, after)
@@ -598,25 +612,10 @@ func TestVCycleRespectsFixed(t *testing.T) {
 		fixed[v] = int32(v % k)
 	}
 	hf := h.WithFixed(fixed)
-	p, err := PartitionWithVCycles(hf, Options{K: k, Seed: 73}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := partitionWithVCycles(t, hf, Options{K: k, Seed: 73}, 2)
 	for v := 0; v < 24; v++ {
 		if p.Of(v) != v%k {
 			t.Fatalf("V-cycle moved fixed vertex %d to %d", v, p.Of(v))
-		}
-	}
-}
-
-func TestVCycleZeroCyclesIsPlainPartition(t *testing.T) {
-	rng := rand.New(rand.NewSource(74))
-	h := randomHG(rng, 80, 120, 4)
-	p1, _ := Partition(h, Options{K: 4, Seed: 75})
-	p2, _ := PartitionWithVCycles(h, Options{K: 4, Seed: 75}, 0)
-	for v := range p1.Parts {
-		if p1.Parts[v] != p2.Parts[v] {
-			t.Fatal("0 cycles must equal plain Partition")
 		}
 	}
 }

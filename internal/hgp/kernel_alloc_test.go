@@ -24,7 +24,7 @@ func TestKernelAllocGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := graph.ToHypergraph(g)
-	ws := newWorkspace()
+	ws := new(workspace)
 
 	rng := rand.New(rand.NewSource(1))
 	match := ipmMatch(h, rng, 500, ws)

@@ -28,7 +28,7 @@ func benchHypergraph(b *testing.B) *hypergraph.Hypergraph {
 func BenchmarkContract(b *testing.B) {
 	h := benchHypergraph(b)
 	rng := rand.New(rand.NewSource(1))
-	ws := newWorkspace()
+	ws := new(workspace)
 	match := ipmMatch(h, rng, 500, ws)
 	matchCopy := append([]int32(nil), match...)
 	b.ReportAllocs()
@@ -42,7 +42,7 @@ func BenchmarkContract(b *testing.B) {
 // BenchmarkIPMMatch measures one inner-product matching pass.
 func BenchmarkIPMMatch(b *testing.B) {
 	h := benchHypergraph(b)
-	ws := newWorkspace()
+	ws := new(workspace)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -67,7 +67,7 @@ func BenchmarkFM2Pass(b *testing.B) {
 	}
 	caps := partition.Caps(h.TotalWeight(), 2, 0.10)
 	parts := make([]int32, n)
-	ws := newWorkspace()
+	ws := new(workspace)
 	ord := ws.weightOrder(h)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -99,7 +99,7 @@ func BenchmarkFM2Dense(b *testing.B) {
 	}
 	_, c0, c1 := bisectCaps(h, 0.5, 0.05)
 	parts := make([]int32, n)
-	ws := newWorkspace()
+	ws := new(workspace)
 	ord := ws.weightOrder(h)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -133,7 +133,7 @@ func BenchmarkCoarseSolve(b *testing.B) {
 		{"fixed", coarseOracleSides(coarsest, 2)},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			ws := newWorkspace()
+			ws := new(workspace)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				coarseStarts(coarsest, c.fixed, t0, c0, c1, baseSeed, opt, px, ws)
@@ -148,7 +148,7 @@ func BenchmarkCoarseSolve(b *testing.B) {
 func BenchmarkWeightOrder(b *testing.B) {
 	h := benchHypergraph(b)
 	coarsest, _ := firstBisectionCoarsest(b, "xyce680s", kernelBenchScale, 1)
-	ws := newWorkspace()
+	ws := new(workspace)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -173,6 +173,6 @@ func firstBisectionCoarsest(tb testing.TB, ds string, n int, seed int64) (*hyper
 	for v := range free {
 		free[v] = hypergraph.Free
 	}
-	levels := coarsen(h.WithFixed(free), rng, opt.CoarsenTo, newWorkspace())
+	levels := coarsen(h.WithFixed(free), rng, opt.CoarsenTo, new(workspace))
 	return levels[len(levels)-1].h, rng
 }

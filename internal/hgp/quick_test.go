@@ -100,7 +100,7 @@ func TestQuickCoarsenHierarchyInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		h := quickHG(rng)
-		levels := coarsen(h, rng, 20, newWorkspace())
+		levels := coarsen(h, rng, 20, new(workspace))
 		for i := 0; i < len(levels); i++ {
 			if levels[i].h.TotalWeight() != h.TotalWeight() {
 				return false

@@ -102,26 +102,3 @@ func levelViewWithOriginalFixed(orig *hypergraph.Hypergraph, level *hypergraph.H
 	}
 	return level.WithFixed(fixed)
 }
-
-// PartitionWithVCycles runs Partition and then the given number of
-// refinement V-cycles; each cycle never worsens the cut. It is exposed as
-// the A6 ablation and as a quality knob for users with time to spare.
-func PartitionWithVCycles(h *hypergraph.Hypergraph, opt Options, cycles int) (partition.Partition, error) {
-	p, err := Partition(h, opt)
-	if err != nil || cycles <= 0 || opt.K < 2 || h.NumVertices() == 0 {
-		return p, err
-	}
-	opt = opt.WithDefaults()
-	rng := rand.New(rand.NewSource(opt.Seed ^ 0x5eed))
-	best := partition.CutSize(h, p)
-	for c := 0; c < cycles; c++ {
-		trial := append([]int32(nil), p.Parts...)
-		vCycle(h, trial, opt.K, rng, opt)
-		cut := partition.CutSize(h, partition.Partition{Parts: trial, K: opt.K})
-		if cut < best {
-			best = cut
-			copy(p.Parts, trial)
-		}
-	}
-	return p, nil
-}

@@ -54,8 +54,6 @@ type workspace struct {
 // every kernel fully (re)initializes the state it reads.
 var wsPool = sync.Pool{New: func() any { return new(workspace) }}
 
-func newWorkspace() *workspace { return new(workspace) }
-
 // startRNG returns the workspace's generator re-seeded with seed: the
 // stream of rand.New(rand.NewSource(seed)) without allocating a source per
 // coarse start. It stays valid until the next startRNG call on ws.

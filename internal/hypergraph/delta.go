@@ -43,9 +43,6 @@ const DeltaVersion = 1
 // back to a full resync.
 var ErrBaseMismatch = errors.New("hypergraph: delta base fingerprint mismatch")
 
-// IsBaseMismatch reports whether err is (or wraps) ErrBaseMismatch.
-func IsBaseMismatch(err error) bool { return errors.Is(err, ErrBaseMismatch) }
-
 // Delta describes the transition from a base hypergraph to a successor.
 // The zero value (plus Version and Base) is the empty delta: applying it
 // reproduces the base exactly.
@@ -88,10 +85,6 @@ type Delta struct {
 	CostIDs    []int32
 	CostVals   []int64
 }
-
-// Identity reports whether the delta keeps the base structure unchanged
-// (both maps nil): only weights, sizes and costs may differ.
-func (d *Delta) Identity() bool { return d.VertexMap == nil && d.NetMap == nil }
 
 // NumNew returns the number of brand-new vertices and nets the delta
 // introduces.

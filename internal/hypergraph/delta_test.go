@@ -2,6 +2,7 @@ package hypergraph
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -58,7 +59,7 @@ func TestDeltaBaseMismatch(t *testing.T) {
 	d := &Delta{Version: DeltaVersion, Base: "hbfp1:deadbeef"}
 	if _, err := d.Apply(h); err == nil {
 		t.Fatal("want base mismatch error")
-	} else if !IsBaseMismatch(err) {
+	} else if !errors.Is(err, ErrBaseMismatch) {
 		t.Fatalf("want ErrBaseMismatch, got %v", err)
 	}
 }
@@ -72,7 +73,7 @@ func TestDeltaApplyFrame(t *testing.T) {
 	if !ok {
 		t.Fatal("cost drift should be delta-able")
 	}
-	if _, err := d.ApplyFrame(Frame{H: h, FP: "hbfp1:deadbeef"}); !IsBaseMismatch(err) {
+	if _, err := d.ApplyFrame(Frame{H: h, FP: "hbfp1:deadbeef"}); !errors.Is(err, ErrBaseMismatch) {
 		t.Fatalf("stale frame: want ErrBaseMismatch, got %v", err)
 	}
 	got, err := d.ApplyFrame(Frame{H: h, FP: fp})
@@ -133,7 +134,7 @@ func TestDeltaWeightDrift(t *testing.T) {
 	if !ok {
 		t.Fatal("weight drift should be delta-able")
 	}
-	if !d.Identity() {
+	if d.VertexMap != nil || d.NetMap != nil {
 		t.Fatalf("weight drift should keep identity maps: %+v", d)
 	}
 	if len(d.WeightIDs) != 2 || len(d.SizeIDs) != 1 {

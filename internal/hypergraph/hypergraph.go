@@ -258,17 +258,6 @@ func (h *Hypergraph) TotalCost() int64 {
 	return t
 }
 
-// MaxDegree returns the maximum vertex degree, 0 for an empty hypergraph.
-func (h *Hypergraph) MaxDegree() int {
-	m := 0
-	for v := 0; v < h.NumVertices(); v++ {
-		if d := h.Degree(v); d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 // Clone returns a deep copy of h. The fixed labels, if any, are copied too.
 func (h *Hypergraph) Clone() *Hypergraph {
 	c := &Hypergraph{

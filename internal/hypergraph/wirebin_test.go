@@ -238,7 +238,7 @@ func TestDeltaBinaryRoundTrip(t *testing.T) {
 			if d.Digest() != got.Digest() {
 				t.Fatal("digest changed across round trip")
 			}
-			// Nil-ness is load-bearing (Identity(), Digest()): it must
+			// Nil-ness is load-bearing (Apply, Digest()): it must
 			// survive the wire exactly.
 			if (d.VertexMap == nil) != (got.VertexMap == nil) || (d.NetMap == nil) != (got.NetMap == nil) {
 				t.Fatal("map nil-ness not preserved")

@@ -159,20 +159,3 @@ func Execute(c *mpi.Comm, p *Plan, store Store) (int, error) {
 	}
 	return received, firstErr
 }
-
-// BuildStores constructs per-part stores with synthetic payloads sized by
-// each vertex's Size (one byte per size unit), for tests and simulations.
-func BuildStores(h *hypergraph.Hypergraph, owner partition.Partition) []Store {
-	stores := make([]Store, owner.K)
-	for i := range stores {
-		stores[i] = make(Store)
-	}
-	for v := 0; v < h.NumVertices(); v++ {
-		payload := make([]byte, h.Size(v))
-		for i := range payload {
-			payload[i] = byte(v)
-		}
-		stores[owner.Parts[v]][int32(v)] = payload
-	}
-	return stores
-}

@@ -10,6 +10,23 @@ import (
 	"hyperbal/internal/partition"
 )
 
+// BuildStores constructs per-part stores with synthetic payloads sized by
+// each vertex's Size (one byte per size unit).
+func BuildStores(h *hypergraph.Hypergraph, owner partition.Partition) []Store {
+	stores := make([]Store, owner.K)
+	for i := range stores {
+		stores[i] = make(Store)
+	}
+	for v := 0; v < h.NumVertices(); v++ {
+		payload := make([]byte, h.Size(v))
+		for i := range payload {
+			payload[i] = byte(v)
+		}
+		stores[owner.Parts[v]][int32(v)] = payload
+	}
+	return stores
+}
+
 func sampleHG(n int) *hypergraph.Hypergraph {
 	b := hypergraph.NewBuilder(n)
 	for v := 0; v < n; v++ {

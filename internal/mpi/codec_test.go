@@ -371,9 +371,6 @@ func TestCollectivesOverTransport(t *testing.T) {
 		if got := AllreduceSlice(c, []float64{float64(r), 1}, func(a, b float64) float64 { return a + b }); !reflect.DeepEqual(got, []float64{3, 3}) {
 			return fmt.Errorf("AllreduceSlice = %v", got)
 		}
-		if got := ExclusiveScan(c, r+1, func(a, b int) int { return a + b }); got != r*(r+1)/2 {
-			return fmt.Errorf("ExclusiveScan = %d", got)
-		}
 		send := make([]string, np)
 		for q := range send {
 			send[q] = fmt.Sprint(r, ">", q)
@@ -384,7 +381,12 @@ func TestCollectivesOverTransport(t *testing.T) {
 		if got := AllreduceMinLoc(c, int64(10-r)); got != (MinLoc{Key: 8, Rank: 2}) {
 			return fmt.Errorf("AllreduceMinLoc = %+v", got)
 		}
-		c.Barrier()
+		// A nil payload crosses as the empty body an untyped Recv accepts.
+		if r == 0 {
+			c.Send(1, 9, nil)
+		} else if r == 1 {
+			c.Recv(0, 9)
+		}
 		sub := c.Split(r%2, -r)
 		if want := []int{2, 1}[r%2]; sub.Size() != want {
 			return fmt.Errorf("Split size = %d, want %d", sub.Size(), want)

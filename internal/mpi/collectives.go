@@ -126,22 +126,6 @@ func AllreduceSlice[T any](c *Comm, v []T, op func(T, T) T) []T {
 	return BcastSlice(c, 0, acc)
 }
 
-// ExclusiveScan returns the prefix fold of v over ranks below the caller
-// (the zero value on rank 0), like MPI_Exscan.
-func ExclusiveScan[T any](c *Comm, v T, op func(T, T) T) T {
-	defer c.collective("exscan")()
-	all := Allgather(c, v)
-	var acc T
-	for r := 0; r < c.rank; r++ {
-		if r == 0 {
-			acc = all[0]
-		} else {
-			acc = op(acc, all[r])
-		}
-	}
-	return acc
-}
-
 // Alltoall delivers sendbuf[r] to rank r; returns the values received,
 // indexed by source rank.
 func Alltoall[T any](c *Comm, sendbuf []T) []T {
@@ -189,14 +173,6 @@ func SumInt64(a, b int64) int64 { return a + b }
 // MaxInt64 is the int64 max operator for reductions.
 func MaxInt64(a, b int64) int64 {
 	if a > b {
-		return a
-	}
-	return b
-}
-
-// MinInt64 is the int64 min operator for reductions.
-func MinInt64(a, b int64) int64 {
-	if a < b {
 		return a
 	}
 	return b

@@ -24,9 +24,6 @@ func TestCollectivesSizeOneWorld(t *testing.T) {
 		if got := Allgather(c, 7); !reflect.DeepEqual(got, []int{7}) {
 			t.Errorf("Allgather = %v, want [7]", got)
 		}
-		if got := ExclusiveScan(c, 5, SumInt64); got != 0 {
-			t.Errorf("ExclusiveScan on rank 0 = %d, want zero value", got)
-		}
 		if got := Allreduce(c, int64(9), SumInt64); got != 9 {
 			t.Errorf("Allreduce = %d, want 9", got)
 		}
@@ -38,22 +35,6 @@ func TestCollectivesSizeOneWorld(t *testing.T) {
 		}
 		if got := AllreduceMinLoc(c, 11); got.Key != 11 || got.Rank != 0 {
 			t.Errorf("AllreduceMinLoc = %+v, want {11 0}", got)
-		}
-		return nil
-	})
-}
-
-func TestExclusiveScanPrefixes(t *testing.T) {
-	// Exscan semantics: rank r sees the fold of ranks [0, r); rank 0 the
-	// zero value — even when contributions are zero.
-	runEdge(t, 4, func(c *Comm) error {
-		got := ExclusiveScan(c, int64(c.Rank()+1), SumInt64)
-		var want int64
-		for r := 1; r <= c.Rank(); r++ {
-			want += int64(r)
-		}
-		if got != want {
-			t.Errorf("rank %d: ExclusiveScan = %d, want %d", c.Rank(), got, want)
 		}
 		return nil
 	})

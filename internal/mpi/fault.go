@@ -91,7 +91,7 @@ type FaultPlan struct {
 type Event struct {
 	// Rank is the world rank performing the operation.
 	Rank int
-	// Op is "send", "recv", or a collective name ("barrier", "allreduce", ...).
+	// Op is "send", "recv", or a collective name ("bcast", "allreduce", ...).
 	Op string
 	// Peer is the world rank of the other side (-1 for collectives).
 	Peer int

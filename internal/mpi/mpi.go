@@ -42,7 +42,7 @@ type Stats struct {
 	Messages atomic.Int64
 	Bytes    atomic.Int64
 	// Collectives counts top-level collective operations entered, summed
-	// over ranks (a Barrier on an 8-rank world adds 8). Collectives
+	// over ranks (an Allreduce on an 8-rank world adds 8). Collectives
 	// implemented in terms of other collectives count once.
 	Collectives atomic.Int64
 	// MaxStall is the longest time, in nanoseconds, any rank spent blocked
@@ -91,9 +91,6 @@ func (c *Comm) Rank() int { return c.rank }
 
 // Size returns the number of ranks in the communicator.
 func (c *Comm) Size() int { return c.size }
-
-// Stats returns the world-level traffic counters.
-func (c *Comm) Stats() *Stats { return c.w.stats }
 
 // worldRank translates a comm-local rank to its world rank.
 func (c *Comm) worldRank(r int) int {
@@ -298,8 +295,8 @@ func (c *Comm) flushHeld() {
 //
 // Over a Transport a payload arrives encoded and only a receive that
 // knows its type can decode it — recvAs, which every collective uses — so
-// there Recv accepts just the empty body of a nil message (Barrier's
-// token) and fails the rank on anything else.
+// there Recv accepts just the empty body of a nil message (a bare
+// synchronisation token) and fails the rank on anything else.
 func (c *Comm) Recv(src, tag int) any {
 	if c.tr != nil {
 		c.recvWire(src, tag, nil)
@@ -576,26 +573,7 @@ type splitEntry struct{ Color, Key, Rank int }
 // the strict matched-order discipline).
 const (
 	tagSplit = -1000 - iota
-	tagBarrier
+	_        // retired; kept so the tags below, and the frame bytes that carry them, do not move
 	tagGather
 	tagBcast
 )
-
-// Barrier blocks until every rank of c has entered it.
-func (c *Comm) Barrier() {
-	defer c.collective("barrier")()
-	if c.size == 1 {
-		return
-	}
-	if c.rank == 0 {
-		for r := 1; r < c.size; r++ {
-			c.Recv(r, tagBarrier)
-		}
-		for r := 1; r < c.size; r++ {
-			c.Send(r, tagBarrier, nil)
-		}
-	} else {
-		c.Send(0, tagBarrier, nil)
-		c.Recv(0, tagBarrier)
-	}
-}

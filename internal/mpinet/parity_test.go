@@ -199,21 +199,10 @@ func init() {
 		if got := mpi.Allgather(c, 7); !reflect.DeepEqual(got, []int{7}) {
 			return nil, fmt.Errorf("Allgather = %v, want [7]", got)
 		}
-		if got := mpi.ExclusiveScan(c, 5, mpi.SumInt64); got != 0 {
-			return nil, fmt.Errorf("ExclusiveScan on rank 0 = %d, want zero value", got)
-		}
 		if got := mpi.AllreduceMinLoc(c, 11); got.Key != 11 || got.Rank != 0 {
 			return nil, fmt.Errorf("AllreduceMinLoc = %+v, want {11 0}", got)
 		}
 		return nil, nil
-	})
-	mpinet.RegisterJob("parity.exscan", func(c *mpi.Comm, _ []byte) ([]byte, error) {
-		got := mpi.ExclusiveScan(c, int64(c.Rank()+1), mpi.SumInt64)
-		var want int64
-		for r := 1; r <= c.Rank(); r++ {
-			want += int64(r)
-		}
-		return nil, edgeErr(got == want, "rank %d: ExclusiveScan = %d, want %d", c.Rank(), got, want)
 	})
 	mpinet.RegisterJob("parity.allreduce-empty", func(c *mpi.Comm, _ []byte) ([]byte, error) {
 		if got := mpi.AllreduceSlice(c, nil, mpi.SumInt64); len(got) != 0 {
@@ -276,7 +265,6 @@ func TestTransportCollectiveEdgeCases(t *testing.T) {
 		ranks int
 	}{
 		{"parity.size1", 1},
-		{"parity.exscan", 4},
 		{"parity.allreduce-empty", 3},
 		{"parity.alltoall-empty", 3},
 		{"parity.gather-empty", 4},

@@ -26,9 +26,6 @@ type Matrix struct {
 	Symmetric      bool
 }
 
-// NumEntries returns the number of stored (expanded) entries.
-func (m *Matrix) NumEntries() int { return len(m.RowIdx) }
-
 // Read parses a MatrixMarket coordinate file. Value fields (real, integer,
 // complex) are accepted and ignored; only the pattern matters for
 // partitioning. Supported qualifiers: general, symmetric (expanded),

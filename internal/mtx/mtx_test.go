@@ -4,6 +4,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"hyperbal/internal/hgp"
+	"hyperbal/internal/partition"
 )
 
 const general = `%%MatrixMarket matrix coordinate real general
@@ -28,7 +31,7 @@ func TestReadGeneral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Rows != 4 || m.Cols != 4 || m.NumEntries() != 5 {
+	if m.Rows != 4 || m.Cols != 4 || len(m.RowIdx) != 5 {
 		t.Fatalf("parsed %+v", m)
 	}
 	if m.Symmetric {
@@ -42,8 +45,8 @@ func TestReadSymmetricExpands(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 2 off-diagonal entries expand to 4, diagonal stays 1.
-	if m.NumEntries() != 5 {
-		t.Fatalf("entries = %d, want 5", m.NumEntries())
+	if len(m.RowIdx) != 5 {
+		t.Fatalf("entries = %d, want 5", len(m.RowIdx))
 	}
 	if !m.Symmetric {
 		t.Fatal("symmetric flag lost")
@@ -109,7 +112,9 @@ func TestToHypergraphRectangular(t *testing.T) {
 }
 
 func TestRoundTripThroughPartitioner(t *testing.T) {
-	// A banded 20x20 matrix: the column-net hypergraph partitions cleanly.
+	// A banded 20x20 matrix. Its column nets are the windows
+	// {j-1, j, j+1}, so any split into two non-empty parts cuts at least
+	// two of them: the balanced bisection's optimum is 10/10 with cut 2.
 	var sb strings.Builder
 	sb.WriteString("%%MatrixMarket matrix coordinate pattern general\n20 20 38\n")
 	for i := 1; i < 20; i++ {
@@ -124,8 +129,18 @@ func TestRoundTripThroughPartitioner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.NumVertices() != 20 {
-		t.Fatalf("vertices = %d", h.NumVertices())
+	if h.NumVertices() != 20 || h.NumNets() != 20 {
+		t.Fatalf("vertices = %d, nets = %d, want 20 and 20", h.NumVertices(), h.NumNets())
+	}
+	p, err := hgp.Partition(h, hgp.Options{K: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := partition.Weights(h, p); w[0] != 10 || w[1] != 10 {
+		t.Fatalf("part weights %v, want [10 10]", w)
+	}
+	if cut := partition.CutSize(h, p); cut != 2 {
+		t.Fatalf("cut = %d, want the optimum 2", cut)
 	}
 }
 

@@ -136,14 +136,6 @@ type metric struct {
 	h      *Histogram
 }
 
-// key returns the registry key (family plus label block).
-func (m *metric) key() string {
-	if m.labels == "" {
-		return m.family
-	}
-	return m.family + "{" + m.labels + "}"
-}
-
 // Registry holds named metrics. The zero value is not usable; call
 // NewRegistry (or use Default).
 type Registry struct {

@@ -19,20 +19,6 @@ import (
 //
 // Remap returns a new Partition; the input is not modified.
 func Remap(h *hypergraph.Hypergraph, old, fresh Partition) Partition {
-	sizes := make([]int64, h.NumVertices())
-	for v := range sizes {
-		sizes[v] = h.Size(v)
-	}
-	return remapBySizes(sizes, old, fresh)
-}
-
-// RemapBySizes is Remap with explicit per-vertex data sizes, usable for
-// graph partitions as well.
-func RemapBySizes(sizes []int64, old, fresh Partition) Partition {
-	return remapBySizes(sizes, old, fresh)
-}
-
-func remapBySizes(sizes []int64, old, fresh Partition) Partition {
 	if len(old.Parts) != len(fresh.Parts) {
 		panic("partition: Remap over different vertex sets")
 	}
@@ -46,7 +32,7 @@ func remapBySizes(sizes []int64, old, fresh Partition) Partition {
 		overlap[p] = make([]int64, k)
 	}
 	for v := range fresh.Parts {
-		overlap[old.Parts[v]][fresh.Parts[v]] += sizes[v]
+		overlap[old.Parts[v]][fresh.Parts[v]] += h.Size(v)
 	}
 
 	type entry struct {

@@ -88,7 +88,7 @@ func oracleBestLocalBid(g *graph.Graph, match, samePart []int32, cand, lo, hi in
 		if v < lo || v >= hi || match[v] != -1 {
 			continue
 		}
-		if samePart != nil && samePart[cand] != samePart[v] {
+		if samePart[cand] != samePart[v] {
 			continue
 		}
 		if wts[i] > bid.Score || (wts[i] == bid.Score && bid.Match >= 0 && u < bid.Match) {
@@ -147,8 +147,10 @@ func checkHEMAgainstOracle(t *testing.T, np int, g *graph.Graph, samePart []int3
 }
 
 // TestParallelHEMMatchesOracle covers every dataset analogue at
-// p ∈ {1, 2, 3, 4} × three seeds, from scratch (nil samePart) and adaptive
-// (labels from a previous partition, so the label filter takes part).
+// p ∈ {1, 2, 3, 4} × three seeds, with labels from a previous partition
+// (adaptive=true, so the label filter takes part) and with one label for
+// every vertex (adaptive=false: an old partition with everything in one
+// part, so the filter never rejects a partner).
 func TestParallelHEMMatchesOracle(t *testing.T) {
 	const k = 4
 	for _, name := range datasets.Names() {
@@ -160,10 +162,11 @@ func TestParallelHEMMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		oneLabel := make([]int32, g.NumVertices())
 		for _, np := range []int{1, 2, 3, 4} {
 			for _, seed := range []int64{1, 2, 3} {
 				for _, adaptive := range []bool{false, true} {
-					var samePart []int32
+					samePart := oneLabel
 					if adaptive {
 						samePart = old.Parts
 					}

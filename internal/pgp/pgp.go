@@ -1,9 +1,10 @@
-// Package pgp is the parallel counterpart of internal/gp: a ParMETIS-like
-// parallel multilevel graph partitioner and adaptive repartitioner running
-// SPMD over the internal/mpi substrate. It completes the Figures 7-8
+// Package pgp is the parallel counterpart of internal/gp's adaptive
+// repartitioner: a ParMETIS-like parallel multilevel graph repartitioner
+// running SPMD over the internal/mpi substrate. It completes the Figures 7-8
 // comparison so the hypergraph (phg) and graph (pgp) pipelines are timed
-// under the same execution model: candidate-round matching, replicated
-// coarse solve with a MinLoc reduction, propose/exchange refinement.
+// under the same execution model: candidate-round matching restricted to
+// equal old-part labels, the inherited old partition as the coarse
+// solution, propose/exchange refinement.
 //
 // The graph pipeline stays deliberately lighter-weight than phg —
 // adjacency-array scoring rather than net traversal — preserving the
@@ -33,25 +34,15 @@ const (
 	refineRounds = 12
 )
 
-// Partition computes a k-way partition from scratch in parallel. Every
-// rank calls with identical arguments and receives the identical result.
-func Partition(c *mpi.Comm, g *graph.Graph, opt gp.Options) (partition.Partition, error) {
-	return run(c, g, nil, 1, opt)
-}
-
 // AdaptiveRepart runs the unified adaptive repartitioning scheme in
 // parallel: partition-respecting coarsening, inherited coarse solution,
-// combined-objective (itr) refinement.
+// combined-objective (itr) refinement. Every rank calls with identical
+// arguments and receives the identical result.
 func AdaptiveRepart(c *mpi.Comm, g *graph.Graph, old partition.Partition, itr int64, opt gp.Options) (partition.Partition, error) {
 	if len(old.Parts) != g.NumVertices() {
 		return partition.Partition{}, fmt.Errorf("pgp: old partition covers %d vertices, graph has %d",
 			len(old.Parts), g.NumVertices())
 	}
-	oldParts := append([]int32(nil), old.Parts...)
-	return run(c, g, oldParts, itr, opt)
-}
-
-func run(c *mpi.Comm, g *graph.Graph, oldPart []int32, itr int64, opt gp.Options) (partition.Partition, error) {
 	k := opt.K
 	if k < 1 {
 		return partition.Partition{}, fmt.Errorf("pgp: K must be >= 1")
@@ -60,6 +51,7 @@ func run(c *mpi.Comm, g *graph.Graph, oldPart []int32, itr int64, opt gp.Options
 	if k == 1 || g.NumVertices() == 0 {
 		return p, nil
 	}
+	oldPart := old.Parts
 	rng := rand.New(rand.NewSource(opt.Seed*999983 + int64(c.Rank())))
 
 	def := opt.WithDefaults()
@@ -85,27 +77,9 @@ func run(c *mpi.Comm, g *graph.Graph, oldPart []int32, itr int64, opt gp.Options
 		cur, curOld = coarse, coarseOld
 	}
 
-	// Coarse solve.
-	coarsest := levels[len(levels)-1]
-	var parts []int32
-	if oldPart != nil {
-		// Adaptive: inherit the coarse old partition (identical on every
-		// rank — no election needed).
-		parts = append([]int32(nil), coarsest.oldPart...)
-	} else {
-		// Scratch: replicated multi-start via per-rank serial solves.
-		solveStart := time.Now()
-		so := opt
-		so.Seed = opt.Seed*6361 + int64(c.Rank()+1)
-		cp, err := gp.Partition(coarsest.g, so)
-		if err != nil {
-			return partition.Partition{}, err
-		}
-		myCut := partition.EdgeCut(coarsest.g, cp)
-		winner := mpi.AllreduceMinLoc(c, myCut)
-		parts = mpi.BcastSlice(c, winner.Rank, cp.Parts)
-		obsCoarseSolveNs.ObserveSince(solveStart)
-	}
+	// The coarse solution is the contracted old partition, identical on
+	// every rank.
+	parts := append([]int32(nil), levels[len(levels)-1].oldPart...)
 
 	caps := partition.Caps(g.TotalWeight(), k, def.Imbalance)
 	for i := len(levels) - 1; i >= 0; i-- {

@@ -60,25 +60,6 @@ func runParallelFault(t *testing.T, np int, plan *mpi.FaultPlan, fn func(c *mpi.
 	return results[0]
 }
 
-func TestParallelScratch(t *testing.T) {
-	g := grid(20, 20)
-	for _, np := range []int{1, 2, 4} {
-		p := runParallel(t, np, func(c *mpi.Comm) (partition.Partition, error) {
-			return Partition(c, g, gp.Options{K: 4, Imbalance: 0.05, Seed: 1})
-		})
-		if err := p.Validate(); err != nil {
-			t.Fatalf("np=%d: %v", np, err)
-		}
-		w := partition.GraphWeights(g, p)
-		if !partition.IsBalanced(w, 0.15) {
-			t.Fatalf("np=%d imbalanced: %v", np, w)
-		}
-		if cut := partition.EdgeCut(g, p); cut > 200 {
-			t.Fatalf("np=%d cut %d too high", np, cut)
-		}
-	}
-}
-
 func TestParallelAdaptiveAnchorsAtLowITR(t *testing.T) {
 	g := grid(16, 16)
 	old, err := gp.Partition(g, gp.Options{K: 4, Seed: 3})
@@ -146,7 +127,7 @@ func TestParallelAdaptiveValidation(t *testing.T) {
 func TestParallelK1(t *testing.T) {
 	g := grid(4, 4)
 	p := runParallel(t, 2, func(c *mpi.Comm) (partition.Partition, error) {
-		return Partition(c, g, gp.Options{K: 1})
+		return AdaptiveRepart(c, g, partition.New(g.NumVertices(), 1), 1, gp.Options{K: 1})
 	})
 	for _, q := range p.Parts {
 		if q != 0 {

@@ -18,8 +18,7 @@ type matchBid struct {
 
 // parallelHEM runs candidate-round heavy-edge matching: each rank
 // nominates unmatched vertices from its block; all ranks bid their best
-// local unmatched neighbor (restricted to equal samePart labels when
-// adaptive); an elementwise reduction picks the heaviest edge; matches
+// local unmatched neighbor with an equal samePart label; an elementwise reduction picks the heaviest edge; matches
 // finalize deterministically on every rank. As in phg's IPM, a level's
 // rounds end at the matching fixpoint and only viable nominees are sent;
 // both leave the match vector and the rng stream exactly as running all
@@ -106,10 +105,10 @@ func parallelHEM(c *mpi.Comm, g *graph.Graph, samePart []int32, rng *rand.Rand) 
 	return match
 }
 
-// eligible reports whether v is a possible partner for cand: unmatched and,
-// when adaptive, carrying cand's samePart label.
+// eligible reports whether v is a possible partner for cand: unmatched and
+// carrying cand's samePart label.
 func eligible(match, samePart []int32, cand, v int) bool {
-	return match[v] == -1 && (samePart == nil || samePart[cand] == samePart[v])
+	return match[v] == -1 && samePart[cand] == samePart[v]
 }
 
 // viable reports whether v is unmatched and has an eligible neighbour
@@ -152,8 +151,7 @@ type moveProposal struct {
 }
 
 // parallelRefine improves parts in place with propose/exchange/apply
-// rounds under the combined objective itr*edgecut + migration (pure edge
-// cut when oldPart is nil).
+// rounds under the combined objective itr*edgecut + migration.
 func parallelRefine(c *mpi.Comm, g *graph.Graph, k int, parts []int32, oldPart []int32, itr int64, caps []int64) {
 	if itr < 1 {
 		itr = 1
@@ -180,13 +178,11 @@ func parallelRefine(c *mpi.Comm, g *graph.Graph, k int, parts []int32, oldPart [
 			}
 		}
 		gain := itr * (connTo - connFrom)
-		if oldPart != nil {
-			if from == oldPart[v] {
-				gain -= g.Size(v)
-			}
-			if to == oldPart[v] {
-				gain += g.Size(v)
-			}
+		if from == oldPart[v] {
+			gain -= g.Size(v)
+		}
+		if to == oldPart[v] {
+			gain += g.Size(v)
 		}
 		return gain
 	}
@@ -212,13 +208,11 @@ func parallelRefine(c *mpi.Comm, g *graph.Graph, k int, parts []int32, oldPart [
 					continue
 				}
 				gain := itr * (conn[q] - conn[from])
-				if oldPart != nil {
-					if from == oldPart[v] {
-						gain -= g.Size(v)
-					}
-					if q == oldPart[v] {
-						gain += g.Size(v)
-					}
+				if from == oldPart[v] {
+					gain -= g.Size(v)
+				}
+				if q == oldPart[v] {
+					gain += g.Size(v)
 				}
 				if gain > bestGain || (overFrom && bestTo == -1) {
 					bestGain = gain

@@ -120,13 +120,3 @@ func (c *partitionCache) put(key string, res core.Result) {
 		delete(c.m, last.Value.(*cacheEntry).key)
 	}
 }
-
-// len returns the current entry count.
-func (c *partitionCache) len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}

@@ -81,7 +81,7 @@ func TestWireDifferential(t *testing.T) {
 	if !ok {
 		t.Fatal("h3 -> h4 not delta-able")
 	}
-	want, refErr = ref.RebalanceWarm(core.Problem{H: h4}, d.DirtyVertices(h3, h4))
+	want, refErr = ref.RebalanceWarmInherited(core.Problem{H: h4}, ref.Current(), d.DirtyVertices(h3, h4))
 	check("warm delta", err, refErr, res.Partition.Parts, want.Partition.Parts)
 	if res.Warm != want.Warm {
 		t.Fatalf("warm delta: served warm=%v, in-process %v", res.Warm, want.Warm)

@@ -207,19 +207,9 @@ func (s *Server) Drain(ctx context.Context) error {
 	return err
 }
 
-// Draining reports whether Drain has started.
-func (s *Server) Draining() bool { return s.adm.isDraining() }
-
 // Close stops background goroutines (the TTL janitor). The handler stays
 // functional for reads.
 func (s *Server) Close() { s.store.close() }
-
-// Sessions returns the number of live sessions (for tests and health).
-func (s *Server) Sessions() int { return s.store.len() }
-
-// CacheLen returns the partition cache's current entry count (for tests
-// asserting gauge consistency).
-func (s *Server) CacheLen() int { return s.cache.len() }
 
 // statusWriter records the response code for the per-route metrics.
 type statusWriter struct {
