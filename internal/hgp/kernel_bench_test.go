@@ -176,3 +176,48 @@ func firstBisectionCoarsest(tb testing.TB, ds string, n int, seed int64) (*hyper
 	levels := coarsen(h.WithFixed(free), rng, opt.CoarsenTo, new(workspace))
 	return levels[len(levels)-1].h, rng
 }
+
+// BenchmarkPartitionWarmLocalized measures one localized PartitionWarm
+// call on a golden-style input: the xyce680s analogue at benchScale and
+// the golden dataset seed 5, with every 13th vertex fixed (goldenFixed),
+// its cold k = 8 partition, and every 10th vertex dirty and rotated to the
+// next part. The rotation puts a part over its cap, so the balance repair
+// moves vertices before the region and polish sweeps.
+func BenchmarkPartitionWarmLocalized(b *testing.B) {
+	const k = 8
+	g, err := datasets.Generate("xyce680s", kernelBenchScale, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := goldenFixed(graph.ToHypergraph(g), k)
+	opt := Options{K: k, Seed: 11}
+	cold, err := Partition(h, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	inherited := cold.Parts
+	dirty := make([]bool, len(inherited))
+	for v := 0; v < len(inherited); v += 10 {
+		dirty[v] = true
+		inherited[v] = (inherited[v] + 1) % k
+	}
+	spec := WarmSpec{Parts: inherited, Dirty: dirty}
+	// PartitionWarm's seed: fixed labels win over the inherited parts.
+	seeded := append([]int32(nil), inherited...)
+	for v := range seeded {
+		if f := h.Fixed(v); f != hypergraph.Free {
+			seeded[v] = f
+		}
+	}
+	if feasible(h, seeded, partition.Caps(h.TotalWeight(), k, opt.WithDefaults().Imbalance)) {
+		b.Fatal("the rotated partition is feasible: the repair would not run")
+	}
+	if _, stats, err := PartitionWarm(h, opt, spec); err != nil || stats.Mode != "localized" {
+		b.Fatalf("warm call: mode %q, err %v; want localized", stats.Mode, err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		PartitionWarm(h, opt, spec)
+	}
+}

@@ -15,9 +15,12 @@ type KwayState struct {
 	// lambda[n] = current connectivity of net n
 	lambda []int32
 	w      []int64
-	// AdjacentParts' scratch: the candidate buffer and its dedup marks.
+	// gains' scratch: the candidate buffer, its dedup marks, and acc[q],
+	// the cost of v's nets that already have a pin in candidate q. acc is
+	// all zero between calls.
 	cands []int32
 	mark  []bool
+	acc   []int64
 }
 
 func NewKwayState(h *hypergraph.Hypergraph, k int, parts []int32) *KwayState {
@@ -30,6 +33,7 @@ func NewKwayState(h *hypergraph.Hypergraph, k int, parts []int32) *KwayState {
 		w:        make([]int64, k),
 		cands:    make([]int32, 0, k),
 		mark:     make([]bool, k),
+		acc:      make([]int64, k),
 	}
 	s.accumulate()
 	return s
@@ -110,25 +114,49 @@ func (s *KwayState) Move(v int, to int32) {
 	}
 }
 
-// AdjacentParts collects the parts that nets of v touch (excluding v's own
-// part), bounded by k; used to restrict candidate destinations. The
-// returned slice is the state's scratch, valid until the next call.
-func (s *KwayState) AdjacentParts(v int) []int32 {
-	buf, mark := s.cands[:0], s.mark
+// gains scores every destination of v in one pass over its nets. It
+// returns base, the cut v's nets lose when it leaves its part minus the
+// cost of all of them, and the parts its nets touch besides its own, in
+// the order the first net touching each lists them (then ascending). For
+// every q other than v's part, MoveGain(v, q) = base + s.acc[q]: acc[q]
+// refunds the nets that already have a pin in q, and is zero for every
+// part not returned. The caller zeroes acc over the returned parts. The
+// slice is the state's scratch, valid until the next call.
+func (s *KwayState) gains(v int) (base int64, cands []int32) {
+	cands, mark, acc := s.cands[:0], s.mark, s.acc
 	from := s.parts[v]
 	for _, nn := range s.h.Nets(v) {
-		base := int(nn) * s.k
-		for p := 0; p < s.k; p++ {
-			if int32(p) != from && s.pinCount[base+p] > 0 && !mark[p] {
+		n := int(nn)
+		row := s.pinCount[n*s.k : (n+1)*s.k]
+		c := s.h.Cost(n)
+		if row[from] == 1 {
+			base += c
+		}
+		base -= c
+		// A net inside v's part touches no other part.
+		lam := s.lambda[n]
+		if lam == 1 {
+			continue
+		}
+		for p, seen := 0, int32(0); seen < lam; p++ {
+			if row[p] == 0 {
+				continue
+			}
+			seen++
+			if int32(p) == from {
+				continue
+			}
+			acc[p] += c
+			if !mark[p] {
 				mark[p] = true
-				buf = append(buf, int32(p))
+				cands = append(cands, int32(p))
 			}
 		}
 	}
-	for _, p := range buf {
+	for _, p := range cands {
 		mark[p] = false
 	}
-	return buf
+	return base, cands
 }
 
 // refineKway performs greedy k-way refinement: up to passes kwaySweep
@@ -146,20 +174,11 @@ func refineKway(h *hypergraph.Hypergraph, k int, parts []int32, caps []int64, pa
 }
 
 // kwaySweep is one greedy k-way pass over live state: each free vertex, in
-// index order, moves to its BestMove destination when that strictly lowers
-// the cut, or — when its part is over its cap — when it does not raise it.
-// Every gain is read after the moves before it. Returns the number of
-// moves.
+// index order, takes its sweepMove. Returns the number of moves.
 func kwaySweep(s *KwayState, caps []int64) int {
-	h := s.h
 	moves := 0
-	for v := 0; v < h.NumVertices(); v++ {
-		if h.Fixed(v) != hypergraph.Free {
-			continue
-		}
-		from := s.parts[v]
-		if to, gain := s.BestMove(v, caps); to >= 0 && (gain > 0 || gain == 0 && s.w[from] > caps[from]) {
-			s.Move(v, to)
+	for v := 0; v < s.h.NumVertices(); v++ {
+		if s.h.Fixed(v) == hypergraph.Free && s.sweepMove(v, caps) {
 			moves++
 		}
 	}
@@ -168,17 +187,49 @@ func kwaySweep(s *KwayState, caps []int64) int {
 	return moves
 }
 
+// regionSweep is kwaySweep over region, an ascending list of free
+// vertices: the same pass on a view of h that fixes every other vertex to
+// its part.
+func regionSweep(s *KwayState, caps []int64, region []int32) int {
+	moves := 0
+	for _, v := range region {
+		if s.sweepMove(int(v), caps) {
+			moves++
+		}
+	}
+	obsKwayPasses.Inc()
+	obsKwayMoves.Add(int64(moves))
+	return moves
+}
+
+// sweepMove moves v to its BestMove destination when that strictly lowers
+// the cut, or — when v's part is over its cap — when it does not raise it.
+// The gain is read after every move before it. Reports whether v moved.
+func (s *KwayState) sweepMove(v int, caps []int64) bool {
+	from := s.parts[v]
+	to, gain := s.BestMove(v, caps)
+	if to < 0 || !(gain > 0 || gain == 0 && s.w[from] > caps[from]) {
+		return false
+	}
+	s.Move(v, to)
+	return true
+}
+
 // BestMove returns the destination of v that fits under caps with the
 // highest cut gain, among the parts v's nets touch, and that gain. The
-// first candidate wins a tie. It returns to = -1 when no candidate fits.
+// first candidate in gains' order wins a tie. It returns to = -1 when no
+// candidate fits.
 func (s *KwayState) BestMove(v int, caps []int64) (to int32, gain int64) {
 	to = -1
 	wv := s.h.Weight(v)
-	for _, q := range s.AdjacentParts(v) {
+	base, cands := s.gains(v)
+	for _, q := range cands {
+		g := base + s.acc[q]
+		s.acc[q] = 0
 		if s.w[q]+wv > caps[q] {
 			continue
 		}
-		if g := s.MoveGain(v, q); to < 0 || g > gain {
+		if to < 0 || g > gain {
 			to, gain = q, g
 		}
 	}

@@ -24,17 +24,19 @@ func RefineKwayWithMigration(h *hypergraph.Hypergraph, k int, parts []int32, old
 				continue
 			}
 			from := s.PartOf(v)
-			cands := s.AdjacentParts(v)
+			base, cands := s.gains(v)
 			var bestTo int32 = -1
 			var bestGain int64
 			overFrom := s.PartWeight(from) > caps[from]
 			var forcedTo int32 = -1
 			var forcedGain int64
 			for _, to := range cands {
+				cut := base + s.acc[to]
+				s.acc[to] = 0
 				if s.PartWeight(to)+h.Weight(v) > caps[to] {
 					continue
 				}
-				gain := alpha * s.MoveGain(v, to)
+				gain := alpha * cut
 				if oldPart != nil {
 					if from == oldPart[v] {
 						gain -= h.Size(v)

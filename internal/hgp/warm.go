@@ -111,45 +111,48 @@ func PartitionWarm(h *hypergraph.Hypergraph, opt Options, spec WarmSpec) (partit
 	switch {
 	case spec.Dirty != nil && dirtyFrac <= warmVCycleFraction:
 		stats.Mode = "localized"
-		// The inherited solution can be arbitrarily imbalanced on the new
-		// weights (adaptive refinement scales vertices in place). Repair
-		// at the finest level with least-cut-damage moves; the moved
-		// vertices join the refinement region below.
-		moved := repairBalance(h, opt.K, p.Parts, caps, ws)
-		region := expandDirty(h, spec.Dirty)
-		for _, v := range moved {
-			region[v] = true
-		}
-		// Restrict refinement to the halo: clean vertices are temporarily
-		// fixed to their inherited parts, so only the region moves.
-		restricted := make([]int32, n)
-		for v := 0; v < n; v++ {
-			if region[v] {
-				restricted[v] = h.Fixed(v) // original label (usually Free)
-			} else {
-				restricted[v] = p.Parts[v]
+		// One k-way state serves the repair, the region sweeps and the
+		// polish. The inherited solution can be arbitrarily imbalanced on
+		// the new weights (adaptive refinement scales vertices in place).
+		// Repair at the finest level with least-cut-damage moves; the
+		// moved vertices join the refinement region below.
+		s := ws.kwayState(h, opt.K, p.Parts)
+		region := warmRegion(h, spec.Dirty, repairBalance(s, caps))
+		// Refine only the region; every other vertex keeps its part.
+		for pass := 0; pass < opt.RefinePasses; pass++ {
+			if regionSweep(s, caps, region) == 0 {
+				break
 			}
 		}
-		hr := h.WithFixed(restricted)
-		refineKway(hr, opt.K, p.Parts, caps, opt.RefinePasses, ws)
 		// Global polish against the original fixed labels: cheap O(V)
 		// sweeps that clean up region-boundary myopia and finish any
-		// balance repair the restricted pass could not complete.
-		stats.Cut = warmPolish(h, opt, p.Parts, caps, ws)
+		// balance repair the region sweeps could not complete.
+		for pass := 0; pass < opt.RefinePasses; pass++ {
+			if kwaySweep(s, caps) == 0 {
+				break
+			}
+		}
+		stats.Cut = s.Cut()
+		s.release()
 		if !feasible(h, p.Parts, caps) {
 			// The dirty region did not hold enough movable weight;
 			// escalate to the seeded V-cycle.
 			stats.Mode = "vcycle"
 			rng := rand.New(rand.NewSource(opt.Seed ^ 0x77a7))
 			vCycle(h, p.Parts, opt.K, rng, opt)
-			stats.Cut = warmPolish(h, opt, p.Parts, caps, ws)
+			stats.Cut = refineKway(h, opt.K, p.Parts, caps, opt.RefinePasses, ws)
 		}
 	case spec.Dirty != nil && dirtyFrac <= warmColdFraction:
 		stats.Mode = "vcycle"
-		repairBalance(h, opt.K, p.Parts, caps, ws)
+		// A feasible input needs no repair: skip the O(pins) state build.
+		if !feasible(h, p.Parts, caps) {
+			s := ws.kwayState(h, opt.K, p.Parts)
+			repairBalance(s, caps)
+			s.release()
+		}
 		rng := rand.New(rand.NewSource(opt.Seed ^ 0x77a7))
 		vCycle(h, p.Parts, opt.K, rng, opt)
-		stats.Cut = warmPolish(h, opt, p.Parts, caps, ws)
+		stats.Cut = refineKway(h, opt.K, p.Parts, caps, opt.RefinePasses, ws)
 	default:
 		// Unknown or large drift: the seed is stale — run cold.
 		stats.Mode = "cold"
@@ -180,23 +183,17 @@ func PartitionWarm(h *hypergraph.Hypergraph, opt Options, spec WarmSpec) (partit
 	return p, stats, nil
 }
 
-// warmPolish runs unrestricted k-way refinement sweeps on the full
-// hypergraph (original fixed labels only) and returns the cut.
-func warmPolish(h *hypergraph.Hypergraph, opt Options, parts []int32, caps []int64, ws *workspace) int64 {
-	hv := h
-	if !h.HasFixed() {
-		hv = h.WithoutFixed()
-	}
-	return refineKway(hv, opt.K, parts, caps, opt.RefinePasses, ws)
-}
-
-// expandDirty grows the dirty set by one net hop: every vertex sharing a
-// net with a dirty vertex joins the region, so refinement can move the
-// immediate neighborhood of a change, not just the changed vertices.
-func expandDirty(h *hypergraph.Hypergraph, dirty []bool) []bool {
+// warmRegion returns the ascending free vertices of the localized tier's
+// refinement region: the dirty set grown by one net hop (so refinement can
+// move the immediate neighborhood of a change, not just the changed
+// vertices), plus the vertices the balance repair moved.
+func warmRegion(h *hypergraph.Hypergraph, dirty []bool, moved []int32) []int32 {
 	n := h.NumVertices()
-	region := make([]bool, n)
-	copy(region, dirty)
+	in := make([]bool, n)
+	copy(in, dirty)
+	for _, v := range moved {
+		in[v] = true
+	}
 	touched := make([]bool, h.NumNets())
 	for v := 0; v < n; v++ {
 		if !dirty[v] {
@@ -211,7 +208,20 @@ func expandDirty(h *hypergraph.Hypergraph, dirty []bool) []bool {
 			continue
 		}
 		for _, pin := range h.Pins(nn) {
-			region[pin] = true
+			in[pin] = true
+		}
+	}
+	size := 0
+	for v := range in {
+		in[v] = in[v] && h.Fixed(v) == hypergraph.Free
+		if in[v] {
+			size++
+		}
+	}
+	region := make([]int32, 0, size)
+	for v := 0; v < n; v++ {
+		if in[v] {
+			region = append(region, int32(v))
 		}
 	}
 	return region
@@ -223,20 +233,16 @@ func expandDirty(h *hypergraph.Hypergraph, dirty []bool) []bool {
 // the least connectivity-1 cut is moved to the lightest part that can
 // take it. Repairing before the V-cycle matters because its
 // partition-restricted coarsening would freeze an overload into coarse
-// mega-vertices no refinement pass can move. Returns the moved vertices
-// (for the caller to include in its refinement region).
+// mega-vertices no refinement pass can move. It moves vertices through s
+// and returns them in move order (for the caller to include in its
+// refinement region).
 //
-// Each move scans every (vertex, destination) candidate in index order and
-// keeps the best gain, then the lightest destination; on a full tie the
-// lowest vertex id wins.
-func repairBalance(h *hypergraph.Hypergraph, k int, parts []int32, caps []int64, ws *workspace) []int32 {
-	if feasible(h, parts, caps) {
-		// The loop below would stop before its first move; skip the
-		// O(pins) state build.
-		return nil
-	}
-	s := ws.kwayState(h, k, parts)
-	defer s.release()
+// Each move scores every free vertex of the overloaded part, in index
+// order, in one gains pass over its nets, then tries every destination
+// 0..k-1 that fits. It keeps the best gain, then the lightest
+// destination; on a full tie the lowest vertex id wins.
+func repairBalance(s *KwayState, caps []int64) []int32 {
+	h, k := s.h, s.k
 	n := h.NumVertices()
 	var moved []int32
 	for len(moved) <= n {
@@ -257,15 +263,19 @@ func repairBalance(h *hypergraph.Hypergraph, k int, parts []int32, caps []int64,
 				continue
 			}
 			wt := h.Weight(v)
+			base, cands := s.gains(v)
 			for p := 0; p < k; p++ {
 				to := int32(p)
 				if to == src || s.w[p]+wt > caps[p] {
 					continue
 				}
-				g := s.MoveGain(v, to)
+				g := base + s.acc[p]
 				if bestV < 0 || g > bestGain || (g == bestGain && s.w[to] < s.w[bestTo]) {
 					bestV, bestTo, bestGain = int32(v), to, g
 				}
+			}
+			for _, q := range cands {
+				s.acc[q] = 0
 			}
 		}
 		if bestV < 0 {

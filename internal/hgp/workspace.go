@@ -38,7 +38,7 @@ type workspace struct {
 	// FM move selection (ghg2 / fm2)
 	tree gaintree.Tree
 
-	// k-way state (refineKway)
+	// k-way state (refineKway, the warm tiers)
 	kstate KwayState
 
 	// recursive bisection
@@ -125,6 +125,8 @@ func (ws *workspace) kwayState(h *hypergraph.Hypergraph, k int, parts []int32) *
 	clear(s.w)
 	s.cands = growI32(s.cands, k)[:0]
 	s.mark = growBool(s.mark, k)
+	s.acc = growI64(s.acc, k)
+	clear(s.acc)
 	s.accumulate()
 	return s
 }
