@@ -159,7 +159,9 @@ func BenchmarkFig8RuntimeAuto(b *testing.B)  { benchRuntime(b, "auto") }
 // during refinement — both the hypergraph refine-only ablation and the
 // ParMETIS-style unified scheme. Reports each method's α=1 total cost
 // after a structural perturbation (the regime where refinement-only gets
-// stuck in the inherited partition's local minimum).
+// stuck in the inherited partition's local minimum). The timed loop
+// repartitions at epoch i; the reported cost is the mean over epochs 0–4,
+// computed after the timer stops, so it does not depend on -benchtime.
 func BenchmarkAblationModelVsRefineOnly(b *testing.B) {
 	g, err := datasets.Generate("auto", benchScale, 5)
 	if err != nil {
@@ -182,16 +184,23 @@ func BenchmarkAblationModelVsRefineOnly(b *testing.B) {
 			for v := 0; v < len(old.Parts); v += 7 {
 				old.Parts[v] = int32((int(old.Parts[v]) + 1 + v%3) % 8)
 			}
-			var total int64
-			var res hyperbal.Result
-			for i := 0; i < b.N; i++ {
-				res, err = bal.Repartition(prob, old, int64(i))
+			run := func(epoch int64) hyperbal.Result {
+				res, err := bal.Repartition(prob, old, epoch)
 				if err != nil {
 					b.Fatal(err)
 				}
-				total = res.TotalCost(1)
+				return res
 			}
-			b.ReportMetric(float64(total), "totalcost@a1")
+			for i := 0; i < b.N; i++ {
+				run(int64(i))
+			}
+			b.StopTimer()
+			const epochs = 5
+			var total int64
+			for epoch := int64(0); epoch < epochs; epoch++ {
+				total += run(epoch).TotalCost(1)
+			}
+			b.ReportMetric(float64(total)/epochs, "totalcost@a1")
 		})
 	}
 }

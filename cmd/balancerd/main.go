@@ -61,9 +61,8 @@ func main() {
 
 		metricsAddr = flag.String("metrics-addr", "", "additionally serve the obs debug server (/metrics, /debug/pprof) on this address")
 
-		self        = flag.String("self", "", "this replica's externally reachable base URL (enables cache peering / drain handoff with -peers)")
-		peers       = flag.String("peers", "", "comma-separated replica base URLs, including -self")
-		peerTimeout = flag.Duration("peer-timeout", 75*time.Millisecond, "bound on a peer cache lookup before solving locally (<0 disables peering lookups)")
+		self  = flag.String("self", "", "this replica's externally reachable base URL (enables drain handoff with -peers)")
+		peers = flag.String("peers", "", "comma-separated replica base URLs, including -self")
 
 		gateway    = flag.Bool("gateway", false, "run as a routing gateway over -replicas instead of a replica")
 		replicas   = flag.String("replicas", "", "gateway: comma-separated replica base URLs")
@@ -85,7 +84,6 @@ func main() {
 		MaxBodyBytes: *maxBody,
 		Self:         *self,
 		Peers:        splitURLs(*peers),
-		PeerTimeout:  *peerTimeout,
 		Logf:         logger.Printf,
 	}
 	if cfg.Self != "" && len(cfg.Peers) > 0 {

@@ -26,13 +26,11 @@ type partitionCache struct {
 	m   map[string]*list.Element
 }
 
+// cacheEntry keeps the whole result, provenance (Warm, RepartTime)
+// included, so a hit reports what the leader's solve reported.
 type cacheEntry struct {
-	key   string
-	parts []int32
-	k     int
-	comm  int64
-	mig   int64
-	moved int
+	key string
+	res core.Result
 }
 
 func newPartitionCache(max int) *partitionCache {
@@ -77,13 +75,8 @@ func (c *partitionCache) get(key string) (core.Result, bool) {
 		return core.Result{}, false
 	}
 	c.ll.MoveToFront(el)
-	e := el.Value.(*cacheEntry)
-	res := core.Result{
-		Partition:       partition.Partition{Parts: append([]int32(nil), e.parts...), K: e.k},
-		CommVolume:      e.comm,
-		MigrationVolume: e.mig,
-		Moved:           e.moved,
-	}
+	res := el.Value.(*cacheEntry).res
+	res.Partition = res.Partition.Clone()
 	c.mu.Unlock()
 	obsCacheHits.Inc()
 	return res, true
@@ -105,15 +98,8 @@ func (c *partitionCache) put(key string, res core.Result) {
 		c.ll.MoveToFront(el)
 		return
 	}
-	e := &cacheEntry{
-		key:   key,
-		parts: append([]int32(nil), res.Partition.Parts...),
-		k:     res.Partition.K,
-		comm:  res.CommVolume,
-		mig:   res.MigrationVolume,
-		moved: res.Moved,
-	}
-	c.m[key] = c.ll.PushFront(e)
+	res.Partition = res.Partition.Clone()
+	c.m[key] = c.ll.PushFront(&cacheEntry{key: key, res: res})
 	for c.ll.Len() > c.max {
 		last := c.ll.Back()
 		c.ll.Remove(last)

@@ -150,6 +150,51 @@ func TestDeltaEpochWarm(t *testing.T) {
 	}
 }
 
+// TestCacheHitKeepsProvenance: a cache hit must report what the leader's
+// solve reported. Two sessions with identical content run the same warm
+// PATCH epochs on one server; every response of the second is a cache hit
+// carrying the first's warm flag and repartition time, as a singleflight
+// follower sharing the leader's result would.
+func TestCacheHitKeepsProvenance(t *testing.T) {
+	_, _, client := newTestServer(t, server.Config{})
+	ctx := context.Background()
+	cfg := core.Config{K: 4, Alpha: 50, Seed: 37, Method: core.HypergraphRepart}
+	g, err := datasets.Generate("xyce680s", 300, 37)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := graph.ToHypergraph(g)
+	run := func() []hyperbal.RemoteResult {
+		sess, first, err := client.CreateSession(ctx, cfg, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := []hyperbal.RemoteResult{first}
+		for e := int64(1); e <= 3; e++ {
+			res, err := sess.SubmitEpochDelta(ctx, reweighted(h, e), true)
+			if err != nil {
+				t.Fatalf("epoch %d: %v", e, err)
+			}
+			out = append(out, res)
+		}
+		return out
+	}
+	leader, hit := run(), run()
+	for e := range leader {
+		l, c := leader[e], hit[e]
+		if l.Cached || !c.Cached {
+			t.Fatalf("epoch %d: cached %v then %v, want a solve then a hit", e, l.Cached, c.Cached)
+		}
+		if e > 0 && !l.Warm {
+			t.Errorf("epoch %d: warm delta not reported warm", e)
+		}
+		if c.Warm != l.Warm || c.RepartMs != l.RepartMs {
+			t.Errorf("epoch %d: cache hit reports warm=%v repart_ms=%g, the solve reported warm=%v repart_ms=%g",
+				e, c.Warm, c.RepartMs, l.Warm, l.RepartMs)
+		}
+	}
+}
+
 // patchDelta submits d as a raw delta epoch tagged with epoch (0:
 // untagged), without client-side retries or fallbacks.
 func patchDelta(t *testing.T, baseURL, id string, d *hypergraph.Delta, epoch int64) (int, server.SessionResponse, server.ErrorResponse) {

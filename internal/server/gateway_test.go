@@ -1,22 +1,24 @@
 package server_test
 
 // End-to-end tests for the distributed serving tier: a gateway sharding
-// sessions across replicas, fingerprint-keyed cache peering between the
-// replicas, and drain-time session handoff. The acceptance bar mirrors the
-// single-replica e2e suite: partitions served by an N-replica deployment
-// must be byte-identical to the single-process core.Session run.
+// sessions across replicas, and drain-time session handoff between them.
+// The acceptance bar mirrors the single-replica e2e suite: partitions
+// served by an N-replica deployment must be byte-identical to the
+// single-process core.Session run.
 
 import (
 	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"testing"
 	"time"
 
 	"hyperbal"
 	"hyperbal/internal/core"
 	"hyperbal/internal/datasets"
+	"hyperbal/internal/dynamics"
 	"hyperbal/internal/graph"
 	"hyperbal/internal/obs"
 	"hyperbal/internal/server"
@@ -171,67 +173,163 @@ func TestDrainHandoffLosesNoSessions(t *testing.T) {
 // session after preEpochs epochs, then continues for postEpochs more.
 func runRemoteWithDrain(t *testing.T, rs *replicaSet, cfg core.Config, dsName string, n int, seed int64, preEpochs, postEpochs int, dynamic string) epochTrace {
 	t.Helper()
+	return runTierWithDrain(t, rs, cfg, dsName, n, []int64{seed}, preEpochs, postEpochs, dynamic).traces[0]
+}
+
+// tierPass is what runTierWithDrain saw: one trace per session, the wall
+// time of every epoch submitted before and after the drain, and how many
+// sessions the drained replica held.
+type tierPass struct {
+	traces    []epochTrace
+	pre, post []time.Duration
+	drained   int
+}
+
+// runTierWithDrain drives one session per dataset seed through rs's
+// gateway in lockstep: preEpochs epochs each, then a drain of the replica
+// holding the most sessions, then postEpochs more. Every epoch must report
+// the next epoch number, and the drain must keep every session.
+func runTierWithDrain(t *testing.T, rs *replicaSet, cfg core.Config, dsName string, n int, seeds []int64, preEpochs, postEpochs int, dynamic string) tierPass {
+	t.Helper()
 	ctx := context.Background()
-	g, err := datasets.Generate(dsName, n, seed)
-	if err != nil {
-		t.Fatal(err)
+	type live struct {
+		sess *hyperbal.RemoteSession
+		gen  dynamics.Generator
 	}
-	h := graph.ToHypergraph(g)
-	sess, first, err := rs.client.CreateSession(ctx, cfg, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := epochTrace{parts: [][]int32{first.Partition.Parts}}
-	gen := newGen(t, dynamic, g, first.Partition, cfg.K, seed)
-	submit := func(e int) {
-		prob, old := gen.Next()
-		res, err := sess.SubmitEpochInherited(ctx, prob.H, old)
+	var pass tierPass
+	var ls []live
+	for _, seed := range seeds {
+		g, err := datasets.Generate(dsName, n, seed)
 		if err != nil {
-			t.Fatalf("epoch %d: %v", e, err)
-		}
-		tr.parts = append(tr.parts, res.Partition.Parts)
-		if err := gen.Observe(res.Partition); err != nil {
 			t.Fatal(err)
+		}
+		sess, first, err := rs.client.CreateSession(ctx, cfg, graph.ToHypergraph(g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pass.traces = append(pass.traces, epochTrace{parts: [][]int32{first.Partition.Parts}})
+		ls = append(ls, live{sess, newGen(t, dynamic, g, first.Partition, cfg.K, seed)})
+	}
+	submit := func(e int, lat *[]time.Duration) {
+		for i, l := range ls {
+			prob, old := l.gen.Next()
+			start := time.Now()
+			res, err := l.sess.SubmitEpochInherited(ctx, prob.H, old)
+			if err != nil {
+				t.Fatalf("session %d epoch %d: %v", i, e, err)
+			}
+			*lat = append(*lat, time.Since(start))
+			if res.Epoch != int64(e) {
+				t.Fatalf("session %d epoch %d: server reports epoch %d", i, e, res.Epoch)
+			}
+			pass.traces[i].parts = append(pass.traces[i].parts, res.Partition.Parts)
+			if err := l.gen.Observe(res.Partition); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	for e := 1; e <= preEpochs; e++ {
-		submit(e)
+		submit(e, &pass.pre)
 	}
 
-	// Drain the replica holding the session: it must hand the session to a
-	// ring successor, and the gateway must find it there.
+	// Drain the busiest replica: it must hand every session to a ring
+	// successor, and the gateway must find them there.
 	before := rs.totalSessions()
-	drained := false
+	victim := 0
 	for i, srv := range rs.servers {
-		if srv.Sessions() == 0 {
-			continue
+		if srv.Sessions() > rs.servers[victim].Sessions() {
+			victim = i
 		}
-		dctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-		err := srv.Drain(dctx)
-		cancel()
-		if err != nil {
-			t.Fatalf("drain replica %d: %v", i, err)
-		}
-		if srv.Sessions() != 0 {
-			t.Fatalf("replica %d still holds %d sessions after drain", i, srv.Sessions())
-		}
-		drained = true
-		break
 	}
-	if !drained {
-		t.Fatal("no replica held the session")
+	srv := rs.servers[victim]
+	pass.drained = srv.Sessions()
+	if pass.drained == 0 {
+		t.Fatal("no replica held a session")
+	}
+	dctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	err := srv.Drain(dctx)
+	cancel()
+	if err != nil {
+		t.Fatalf("drain replica %d: %v", victim, err)
+	}
+	if srv.Sessions() != 0 {
+		t.Fatalf("replica %d still holds %d sessions after drain", victim, srv.Sessions())
 	}
 	if got := rs.totalSessions(); got != before {
 		t.Fatalf("sessions lost in handoff: %d before drain, %d after", before, got)
 	}
 
 	for e := preEpochs + 1; e <= preEpochs+postEpochs; e++ {
-		submit(e)
+		submit(e, &pass.post)
 	}
-	if err := sess.Close(ctx); err != nil {
-		t.Fatal(err)
+	for _, l := range ls {
+		if err := l.sess.Close(ctx); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return tr
+	return pass
+}
+
+// TestReplicaTierDrainMeasured: a pass of sessions over three replicas
+// behind the gateway, with the busiest replica drained halfway, once with
+// a distinct dataset seed per session and once with one shared seed. The
+// handoff must keep every session at its epoch and byte-identical to an
+// in-process run; the log records what the drain cost (sessions handed
+// off, owner redirects followed, epoch latency before and after).
+func TestReplicaTierDrainMeasured(t *testing.T) {
+	const sessions, n, preEpochs, postEpochs = 12, 300, 2, 2
+	for _, tc := range []struct {
+		name   string
+		shared bool
+	}{{"distinct-seeds", false}, {"shared-seed", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rs := newReplicaSet(t, 3, server.Config{SessionTTL: -1})
+			cfg := core.Config{K: 4, Alpha: 50, Seed: 29, Method: core.HypergraphRepart}
+			seeds := make([]int64, sessions)
+			for i := range seeds {
+				seeds[i] = 60
+				if !tc.shared {
+					seeds[i] += int64(i)
+				}
+			}
+			counters := []string{"server_handoff_sessions_total", "server_owner_redirects_total", "client_owner_redirects_total"}
+			before := make([]int64, len(counters))
+			for i, name := range counters {
+				before[i] = counterValue(name)
+			}
+			pass := runTierWithDrain(t, rs, cfg, "xyce680s", n, seeds, preEpochs, postEpochs, "weights")
+			delta := make([]int64, len(counters))
+			for i, name := range counters {
+				delta[i] = counterValue(name) - before[i]
+			}
+
+			local := map[int64]epochTrace{}
+			for i, seed := range seeds {
+				want, ok := local[seed]
+				if !ok {
+					want = runLocal(t, cfg, "xyce680s", n, seed, preEpochs+postEpochs, "weights")
+					local[seed] = want
+				}
+				for e := range want.parts {
+					if !int32Equal(pass.traces[i].parts[e], want.parts[e]) {
+						t.Errorf("session %d epoch %d: partition differs from the in-process run", i, e)
+					}
+				}
+			}
+			if delta[0] != int64(pass.drained) {
+				t.Errorf("%d sessions handed off, the drained replica held %d", delta[0], pass.drained)
+			}
+			t.Logf("%d sessions x %d epochs: handed off %d, owner redirects served %d, followed by the client %d; epoch p90 %s before the drain, %s after",
+				sessions, preEpochs+postEpochs, delta[0], delta[1], delta[2], p90(pass.pre), p90(pass.post))
+		})
+	}
+}
+
+// p90 returns the 90th-percentile (nearest-rank) duration of ds.
+func p90(ds []time.Duration) time.Duration {
+	s := append([]time.Duration(nil), ds...)
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	return s[(len(s)*9+9)/10-1]
 }
 
 // TestOwnerRedirectFollowedByClient: with no gateway in the path, a client
@@ -279,87 +377,6 @@ func TestOwnerRedirectFollowedByClient(t *testing.T) {
 	}
 	if got := counterValue("client_owner_redirects_total"); got <= hopsBefore {
 		t.Error("the client never followed an owner redirect")
-	}
-}
-
-// TestPeerCacheHit: a workload already solved on one replica must be
-// adopted over the peering protocol when replayed on another replica, for
-// every cache key the first replica owns on the ring.
-func TestPeerCacheHit(t *testing.T) {
-	rs := newReplicaSet(t, 2, server.Config{SessionTTL: -1})
-	ctx := context.Background()
-	cfg := hyperbal.BalancerConfig{K: 2, Alpha: 50, Seed: 41, Method: core.HypergraphRepart}
-
-	hitsBefore := counterValue("server_peer_hits_total")
-	servedBefore := counterValue("server_peer_served_total")
-
-	a := hyperbal.NewClient(rs.urls[0], hyperbal.ClientOptions{Backoff: 5 * time.Millisecond})
-	b := hyperbal.NewClient(rs.urls[1], hyperbal.ClientOptions{Backoff: 5 * time.Millisecond})
-
-	// Solve a spread of distinct problems on replica 0, then replay each on
-	// replica 1: keys owned by replica 0 come back over peering (about half
-	// the seeds, so a dozen attempts always exercises it), and the adopted
-	// results must be byte-identical to the original solves.
-	for seed := int64(0); seed < 12; seed++ {
-		h := genHypergraph(t, 100, 100+seed)
-		sa, ra, err := a.CreateSession(ctx, cfg, h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sb, rb, err := b.CreateSession(ctx, cfg, h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !int32Equal(ra.Partition.Parts, rb.Partition.Parts) {
-			t.Fatalf("seed %d: peer-adopted result differs from the original solve", seed)
-		}
-		_ = sa.Close(ctx)
-		_ = sb.Close(ctx)
-	}
-	if got := counterValue("server_peer_hits_total"); got <= hitsBefore {
-		t.Error("no peer cache hit across 12 distinct keys — peering is not being consulted")
-	}
-	if got := counterValue("server_peer_served_total"); got <= servedBefore {
-		t.Error("no replica served a peer lookup")
-	}
-}
-
-// TestPeerTimeoutDegradesToLocalSolve: a hung peer must cost at most
-// PeerTimeout — the replica then solves locally and the request succeeds.
-func TestPeerTimeoutDegradesToLocalSolve(t *testing.T) {
-	// A peer that accepts connections and never answers.
-	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		<-r.Context().Done()
-	}))
-	defer hung.Close()
-
-	srv := server.New(server.Config{SessionTTL: -1, PeerTimeout: 20 * time.Millisecond})
-	ts := httptest.NewServer(srv.Handler())
-	defer func() { ts.Close(); srv.Close() }()
-	srv.SetPeering(ts.URL, []string{ts.URL, hung.URL})
-
-	timeoutsBefore := counterValue("server_peer_timeouts_total")
-
-	client := hyperbal.NewClient(ts.URL, hyperbal.ClientOptions{Backoff: 5 * time.Millisecond})
-	cfg := hyperbal.BalancerConfig{K: 2, Alpha: 50, Seed: 7, Method: core.HypergraphRepart}
-	ctx := context.Background()
-	for seed := int64(0); seed < 12; seed++ {
-		h := genHypergraph(t, 100, 200+seed)
-		start := time.Now()
-		sess, res, err := client.CreateSession(ctx, cfg, h)
-		if err != nil {
-			t.Fatalf("seed %d: create failed instead of degrading: %v", seed, err)
-		}
-		if len(res.Partition.Parts) != 100 {
-			t.Fatalf("seed %d: degenerate result", seed)
-		}
-		if d := time.Since(start); d > 5*time.Second {
-			t.Fatalf("seed %d: create took %s — peer timeout not bounding the lookup", seed, d)
-		}
-		_ = sess.Close(ctx)
-	}
-	if got := counterValue("server_peer_timeouts_total"); got <= timeoutsBefore {
-		t.Error("no peer timeout recorded across 12 keys — the hung peer was never consulted")
 	}
 }
 

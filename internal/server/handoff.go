@@ -1,22 +1,12 @@
 package server
 
-// Cache peering and drain-time session handoff: the replica-to-replica
-// half of the distributed serving tier.
+// Drain-time session handoff: the replica-to-replica half of the
+// distributed serving tier.
 //
-// Peering: every replica knows the full replica list and the same
-// consistent-hash ring, so for any partition-cache key all replicas agree
-// on one owner. On a local cache miss the solving replica asks the owner
-// (GET /internal/cache/{key}, binary frame) before cold-solving; the
-// parallelism-invariance property guarantees the owner's entry for that
-// key is byte-identical to what the local solve would produce, so adopting
-// it is exactly as safe as a local cache hit. The lookup is bounded by a
-// short PeerTimeout and every failure mode (miss, timeout, transport or
-// decode error) degrades to the local cold solve — peering can only remove
-// work, never add failures.
-//
-// Handoff: when a replica drains (SIGTERM), it serializes every live
-// session — base hypergraph, fingerprint, epoch counter, last result —
-// into a binary frame and POSTs it to the session's ring successor, which
+// Every replica knows the full replica list and the same consistent-hash
+// ring. When a replica drains (SIGTERM), it serializes every live session
+// — base hypergraph, fingerprint, epoch counter, last result — into a
+// binary frame and POSTs it to the session's ring successor, which
 // restores the session under the same id at the same epoch. The draining
 // replica keeps a forwarding tombstone and answers subsequent requests for
 // the session with 307 + X-Hyperbal-Owner, which both the gateway and the
@@ -27,7 +17,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -38,19 +27,6 @@ import (
 	"hyperbal/internal/hypergraph"
 	"hyperbal/internal/partition"
 )
-
-// The two replica-to-replica messages, framed like every other message
-// (wirebin.go).
-
-// cacheResult is a peer-cache lookup answer: the cached repartition
-// result for one cache key, enough for the asking replica to adopt it as
-// if it had solved locally (parallelism invariance makes the adoption
-// byte-identical). Provenance travels with the entry: the adopter
-// republishes it into its own cache, and later responses report the
-// owner's warm-start flag and solve time, not a zeroed one.
-type cacheResult struct{ core.Result }
-
-func (m cacheResult) validate() error { return check("partition", len(m.Partition.Parts), maxParts) }
 
 // handoffState is one serialized session crossing replicas at drain time:
 // everything a successor needs to continue the epoch sequence
@@ -116,96 +92,6 @@ func (s *Server) peerTopology() (string, *ring) {
 	s.peerMu.RLock()
 	defer s.peerMu.RUnlock()
 	return s.self, s.peerRing
-}
-
-// cacheKeyOwner returns the peer that owns a cache key, or "" when this
-// replica owns it (or peering is off).
-func (s *Server) cacheKeyOwner(key string) string {
-	self, r := s.peerTopology()
-	if r == nil {
-		return ""
-	}
-	owner := r.owner(key)
-	if owner == "" || owner == self {
-		return ""
-	}
-	return owner
-}
-
-// peerFetch asks the key's owner replica for its cached result. The lookup
-// is bounded by PeerTimeout; every failure mode returns (_, false) and the
-// caller cold-solves locally.
-func (s *Server) peerFetch(ctx context.Context, key string) (core.Result, bool) {
-	if s.cfg.PeerTimeout <= 0 {
-		return core.Result{}, false
-	}
-	owner := s.cacheKeyOwner(key)
-	if owner == "" {
-		return core.Result{}, false
-	}
-	pctx, cancel := context.WithTimeout(ctx, s.cfg.PeerTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodGet,
-		owner+"/internal/cache/"+hex.EncodeToString([]byte(key)), nil)
-	if err != nil {
-		obsPeerErrors.Inc()
-		return core.Result{}, false
-	}
-	resp, err := s.peerHTTP.Do(req)
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || pctx.Err() != nil {
-			obsPeerTimeouts.Inc()
-			s.cfg.Logf("server: peer cache lookup at %s timed out after %s; solving locally", owner, s.cfg.PeerTimeout)
-		} else {
-			obsPeerErrors.Inc()
-		}
-		return core.Result{}, false
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusNotFound:
-		obsPeerMisses.Inc()
-		return core.Result{}, false
-	default:
-		obsPeerErrors.Inc()
-		return core.Result{}, false
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		obsPeerErrors.Inc()
-		return core.Result{}, false
-	}
-	var m cacheResult
-	if err := decodeMsg(data, &m); err != nil {
-		obsPeerErrors.Inc()
-		return core.Result{}, false
-	}
-	obsPeerHits.Inc()
-	return m.Result, true
-}
-
-// handlePeerCache serves GET /internal/cache/{key}: the peer side of
-// peerFetch. Always binary (replicas speak the wire protocol natively),
-// never admission-controlled (a lookup is a map read).
-func (s *Server) handlePeerCache(w http.ResponseWriter, r *http.Request) {
-	key, err := hex.DecodeString(r.PathValue("key"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "cache key must be hex")
-		return
-	}
-	res, ok := s.cache.get(string(key))
-	if !ok {
-		writeError(w, http.StatusNotFound, "not_found", "no cache entry")
-		return
-	}
-	obsPeerServed.Inc()
-	bp, buf := getWireBuf()
-	buf = appendMsg(buf, cacheResult{res})
-	w.Header().Set("Content-Type", ContentTypeBinary)
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(buf)
-	putWireBuf(bp, buf)
 }
 
 // handleHandoff serves POST /internal/handoff: adopt a session serialized

@@ -375,37 +375,6 @@ func TestPostHandoffDeliversLargeFrames(t *testing.T) {
 	}
 }
 
-// TestCacheResultCodecRoundTrip covers the peer-cache wire frame.
-func TestCacheResultCodecRoundTrip(t *testing.T) {
-	want := core.Result{
-		Partition:       partition.Partition{Parts: []int32{1, 0, 1}, K: 2},
-		CommVolume:      11,
-		MigrationVolume: 4,
-		Moved:           3,
-		RepartTime:      1700 * time.Microsecond,
-		Warm:            true,
-	}
-	var m cacheResult
-	if err := decodeMsg(appendMsg(nil, cacheResult{want}), &m); err != nil {
-		t.Fatal(err)
-	}
-	got := m.Result
-	if !int32SliceEqual(got.Partition.Parts, want.Partition.Parts) ||
-		got.Partition.K != want.Partition.K ||
-		got.CommVolume != want.CommVolume ||
-		got.MigrationVolume != want.MigrationVolume ||
-		got.Moved != want.Moved {
-		t.Fatalf("round trip mismatch: %+v vs %+v", got, want)
-	}
-	// Warm-start provenance must survive adoption: a peer-adopted entry is
-	// republished into the local cache, so dropping these fields misreports
-	// warm=false / repart_ms=0 for every later hit on the adopted entry.
-	if got.RepartTime != want.RepartTime || got.Warm != want.Warm {
-		t.Fatalf("provenance lost in round trip: warm=%v repart=%s, want warm=%v repart=%s",
-			got.Warm, got.RepartTime, want.Warm, want.RepartTime)
-	}
-}
-
 func int32SliceEqual(a, b []int32) bool {
 	if len(a) != len(b) {
 		return false

@@ -55,21 +55,10 @@ var (
 	// volley).
 	obsSingleflightRetries = obs.Default().Counter("server_singleflight_retries_total")
 
-	// Cache peering and drain handoff (the distributed serving tier).
-	// peer_hits: partition-cache misses answered by the key's owner replica
-	// (byte-identical by parallelism invariance, adopted without a solve).
-	// peer_misses: owner asked but had no entry; peer_timeouts: owner did
-	// not answer within PeerTimeout (degraded to a local solve);
-	// peer_errors: transport/decode failures, same degradation.
-	// peer_served: lookups this replica answered for its peers.
-	obsPeerHits     = obs.Default().Counter("server_peer_hits_total")
-	obsPeerMisses   = obs.Default().Counter("server_peer_misses_total")
-	obsPeerTimeouts = obs.Default().Counter("server_peer_timeouts_total")
-	obsPeerErrors   = obs.Default().Counter("server_peer_errors_total")
-	obsPeerServed   = obs.Default().Counter("server_peer_served_total")
-	// Drain-time session-state handoff: sessions serialized to a successor
-	// replica, sessions adopted from a draining peer, and sessions that
-	// could not be placed anywhere (kept locally, at risk of loss).
+	// Drain-time session-state handoff (the distributed serving tier):
+	// sessions serialized to a successor replica, sessions adopted from a
+	// draining peer, and sessions that could not be placed anywhere (kept
+	// locally, at risk of loss).
 	obsHandoffSent     = obs.Default().Counter("server_handoff_sessions_total")
 	obsHandoffReceived = obs.Default().Counter("server_handoff_received_total")
 	obsHandoffFailed   = obs.Default().Counter("server_handoff_failed_total")

@@ -13,9 +13,9 @@ import (
 // clockwise from the key's point. Two properties matter:
 //
 //   - Determinism: every node (gateway or replica) given the same replica
-//     list computes the same candidate order for every key, so the gateway's
-//     routing, a replica's cache-key ownership, and a draining replica's
-//     handoff successor all agree without coordination.
+//     list computes the same candidate order for every key, so the
+//     gateway's routing and a draining replica's handoff successor agree
+//     without coordination.
 //   - Stability: removing a replica only reroutes the keys it owned — each
 //     moves to the next candidate on its own walk, which is exactly where
 //     drain-time handoff sent the session.
@@ -56,7 +56,7 @@ func newRing(urls []string) *ring {
 	return r
 }
 
-// hashKey maps an arbitrary key (session id, cache key) to its ring point.
+// hashKey maps a key (a session id) to its ring point.
 func hashKey(key string) uint64 {
 	sum := sha256.Sum256([]byte(key))
 	return binary.BigEndian.Uint64(sum[:8])
@@ -81,15 +81,6 @@ func (r *ring) candidates(key string) []int {
 		}
 	}
 	return order
-}
-
-// owner returns the first candidate URL for key, "" for an empty ring.
-func (r *ring) owner(key string) string {
-	c := r.candidates(key)
-	if len(c) == 0 {
-		return ""
-	}
-	return r.urls[c[0]]
 }
 
 // pickBounded returns the first alive candidate for key whose load is

@@ -13,10 +13,12 @@ func testURLs(n int) []string {
 	return urls
 }
 
+// owner returns the first candidate URL for key.
+func owner(r *ring, key string) string { return r.urls[r.candidates(key)[0]] }
+
 // TestRingDeterminism: every node given the same replica list must compute
-// the same candidate order for every key — this is what lets the gateway,
-// the cache-peering owner lookup, and the drain handoff agree without
-// coordination.
+// the same candidate order for every key — this is what lets the gateway
+// and the drain handoff agree without coordination.
 func TestRingDeterminism(t *testing.T) {
 	a, b := newRing(testURLs(5)), newRing(testURLs(5))
 	for i := 0; i < 200; i++ {
@@ -35,7 +37,7 @@ func TestRingDeterminism(t *testing.T) {
 			}
 			seen[ca[j]] = true
 		}
-		if a.owner(key) != b.owner(key) {
+		if owner(a, key) != owner(b, key) {
 			t.Fatalf("key %s: owner diverges", key)
 		}
 	}
@@ -48,7 +50,7 @@ func TestRingOwnershipSpread(t *testing.T) {
 	counts := map[string]int{}
 	const keys = 4000
 	for i := 0; i < keys; i++ {
-		counts[r.owner(fmt.Sprintf("s-%032x", i))]++
+		counts[owner(r, fmt.Sprintf("s-%032x", i))]++
 	}
 	for u, c := range counts {
 		if c < keys/4/3 || c > keys/4*3 {
@@ -68,7 +70,7 @@ func TestRingStability(t *testing.T) {
 	const keys = 1000
 	for i := 0; i < keys; i++ {
 		key := fmt.Sprintf("s-%032x", i)
-		was, now := full.owner(key), reduced.owner(key)
+		was, now := owner(full, key), owner(reduced, key)
 		if was != urls[3] {
 			if was != now {
 				t.Fatalf("key %s: owner moved from %s to %s though its replica survived", key, was, now)

@@ -16,7 +16,6 @@
 //	DELETE /v1/sessions/{id}           close a session
 //	GET    /healthz                    liveness + drain state
 //	GET    /metrics, /metrics.json     the internal/obs registry
-//	GET    /internal/cache/{key}       replica-to-replica: partition-cache lookup
 //	POST   /internal/handoff           replica-to-replica: adopt a drained session
 //
 // POST and PATCH epochs differ only in how the epoch's hypergraph reaches
@@ -78,14 +77,11 @@ type Config struct {
 
 	// Self is this replica's externally reachable base URL; Peers is the
 	// full replica list (including Self). When both are set the replica
-	// participates in cache peering and drain-time session handoff
-	// (see peering.go). Tests that only learn their URL after binding can
-	// leave these empty and call SetPeering instead.
+	// hands its sessions to a ring successor when it drains (see
+	// handoff.go). Tests that only learn their URL after binding can leave
+	// these empty and call SetPeering instead.
 	Self  string
 	Peers []string
-	// PeerTimeout bounds a peer cache lookup; past it the replica solves
-	// locally (default 75ms; negative disables peering lookups).
-	PeerTimeout time.Duration
 	// HandoffTimeout bounds one drain-time session handoff POST
 	// (default 5s).
 	HandoffTimeout time.Duration
@@ -116,9 +112,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 64 << 20
 	}
-	if c.PeerTimeout == 0 {
-		c.PeerTimeout = 75 * time.Millisecond
-	}
 	if c.HandoffTimeout <= 0 {
 		c.HandoffTimeout = 5 * time.Second
 	}
@@ -141,9 +134,9 @@ type Server struct {
 	// faultJobs numbers this server's partitioning jobs for Config.Fault.
 	faultJobs atomic.Int64
 
-	// Replica-set state (peering.go): the consistent-hash ring over the
-	// replica URLs, this replica's own URL, the HTTP client used for peer
-	// lookups and handoffs, and the post-handoff forwarding tombstones.
+	// Replica-set state (handoff.go): the consistent-hash ring over the
+	// replica URLs, this replica's own URL, the HTTP client used for
+	// handoffs, and the post-handoff forwarding tombstones.
 	peerMu   sync.RWMutex
 	self     string
 	peerRing *ring
@@ -174,7 +167,6 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("GET /v1/sessions/{id}/partition", s.route("partition", s.handlePartition))
 	mux.HandleFunc("DELETE /v1/sessions/{id}", s.route("delete", s.handleDelete))
 	mux.HandleFunc("GET /healthz", s.route("healthz", s.handleHealthz))
-	mux.HandleFunc("GET /internal/cache/{key}", s.route("peer_cache", s.handlePeerCache))
 	mux.HandleFunc("POST /internal/handoff", s.route("handoff", s.handleHandoff))
 	mux.Handle("GET /metrics", obs.Handler(obs.Default()))
 	mux.HandleFunc("GET /metrics.json", func(w http.ResponseWriter, r *http.Request) {
@@ -190,11 +182,11 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Drain stops admitting new partitioning work (subsequent submissions get
 // 503) and waits, bounded by ctx, for every in-flight and queued epoch to
-// complete; with peering configured it then hands every live session to
-// its ring successor so a rolling restart loses no session state. Read
-// endpoints keep serving (handed-off sessions answer 307 +
-// X-Hyperbal-Owner); call the http.Server's Shutdown after Drain to close
-// the listener.
+// complete; in a replica set (Self and Peers, or SetPeering) it then
+// hands every live session to its ring successor so a rolling restart
+// loses no session state. Read endpoints keep serving (handed-off sessions
+// answer 307 + X-Hyperbal-Owner); call the http.Server's Shutdown after
+// Drain to close the listener.
 func (s *Server) Drain(ctx context.Context) error {
 	s.cfg.Logf("server: draining (completing in-flight epochs)")
 	err := s.adm.drain(ctx)

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"hyperbal/internal/core"
-	"hyperbal/internal/partition"
 )
 
 // flightGroup coalesces concurrent cold solves that share a cache key. The
@@ -40,16 +39,14 @@ const (
 	originLeader solveOrigin = iota // this caller ran fn
 	originShared                    // adopted a concurrent leader's result
 	originCached                    // served from the partition cache
-	originPeer                      // adopted from a peer replica's cache
 )
 
 // solveShared returns the result for key, consulting the partition cache
-// first, then a peer replica's cache (when cache peering is configured and
-// another replica owns the key — see peering.go), then coalescing
-// concurrent misses: one caller (the leader) runs fn — which must also
-// publish to the cache on success — and every concurrent caller with the
-// same key waits and shares the byte-identical result. Followers receive a
-// cloned partition so no two sessions alias part storage.
+// first, then coalescing concurrent misses: one caller (the leader) runs
+// fn — which must also publish to the cache on success — and every
+// concurrent caller with the same key waits and shares the byte-identical
+// result. Followers receive a cloned partition so no two sessions alias
+// part storage.
 //
 // Two liveness properties of the follower wait:
 //
@@ -86,28 +83,15 @@ func (s *Server) solveShared(ctx context.Context, key string, fn func() (core.Re
 				continue // race to become the new leader and retry the solve
 			}
 			res := f.res
-			res.Partition = partition.Partition{
-				Parts: append([]int32(nil), f.res.Partition.Parts...),
-				K:     f.res.Partition.K,
-			}
+			res.Partition = res.Partition.Clone()
 			return res, originShared, nil
 		}
 		f := &flight{done: make(chan struct{})}
 		g.m[key] = f
 		g.mu.Unlock()
 
-		origin := originLeader
-		if res, ok := s.peerFetch(ctx, key); ok {
-			// The key's owner replica already holds the byte-identical
-			// result; adopt it and publish locally so followers (and later
-			// arrivals) share it without a solve.
-			origin = originPeer
-			s.cache.put(key, res)
-			f.res, f.err = res, nil
-		} else {
-			obsSingleflightLeaders.Inc()
-			f.res, f.err = fn()
-		}
+		obsSingleflightLeaders.Inc()
+		f.res, f.err = fn()
 
 		// fn published to the cache before this point, so a caller arriving
 		// after the delete below misses the flight but hits the cache.
@@ -115,9 +99,6 @@ func (s *Server) solveShared(ctx context.Context, key string, fn func() (core.Re
 		delete(g.m, key)
 		g.mu.Unlock()
 		close(f.done)
-		if f.err != nil {
-			return core.Result{}, origin, f.err
-		}
-		return f.res, origin, nil
+		return f.res, originLeader, f.err
 	}
 }

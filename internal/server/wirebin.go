@@ -36,11 +36,13 @@ const (
 	msgSessionResponse
 	msgPartitionResponse
 	msgSessionInfo
-	// Replica-to-replica messages of the distributed serving tier: a
-	// peer-cache lookup answer (GET /internal/cache/{key}) and a drain-time
-	// session-state handoff (POST /internal/handoff).
-	msgCacheResult
-	msgHandoff
+	// Type 7 is retired; a frame carrying it is refused like any unknown
+	// type.
+
+	// msgHandoff is the replica-to-replica drain-time session-state
+	// handoff (POST /internal/handoff). It keeps type 8, so replicas of
+	// different builds still hand sessions to each other.
+	msgHandoff byte = 8
 )
 
 // message is one declared message: its header type and the checks its
@@ -162,7 +164,6 @@ func (deltaRequest) wireType() byte      { return msgDelta }
 func (SessionResponse) wireType() byte   { return msgSessionResponse }
 func (PartitionResponse) wireType() byte { return msgPartitionResponse }
 func (SessionInfo) wireType() byte       { return msgSessionInfo }
-func (cacheResult) wireType() byte       { return msgCacheResult }
 func (handoffState) wireType() byte      { return msgHandoff }
 
 func (m createRequest) validate() error { return m.Config.validate() }

@@ -2,13 +2,12 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
-	"time"
 
-	"hyperbal/internal/core"
 	"hyperbal/internal/hypergraph"
-	"hyperbal/internal/partition"
+	"hyperbal/internal/wire"
 )
 
 // messages returns a fresh zero message of every type, by header type.
@@ -20,7 +19,6 @@ func messages() map[byte]message {
 		msgSessionResponse:   new(SessionResponse),
 		msgPartitionResponse: new(PartitionResponse),
 		msgSessionInfo:       new(SessionInfo),
-		msgCacheResult:       new(cacheResult),
 		msgHandoff:           new(handoffState),
 	}
 }
@@ -43,7 +41,6 @@ func seedMessages() []message {
 		SessionResponse{SessionID: "s-0123456789abcdef0123456789abcdef", Result: res},
 		PartitionResponse{SessionID: "s-1", Epoch: 3, K: 2, Parts: res.Parts, Migration: mig},
 		SessionInfo{SessionID: "s-1", Config: cfg, Epoch: 3, HistoryLen: 3, TotalCost: 40, Last: res},
-		cacheResult{core.Result{Partition: partition.Partition{Parts: []int32{1, 0}, K: 2}, CommVolume: 7, RepartTime: time.Millisecond, Warm: true}},
 		handoffState{ID: "s-1", Config: cfg, Epoch: 3, Last: res, Mig: mig, Base: hypergraph.Frame{H: h}},
 	}
 }
@@ -80,6 +77,39 @@ func TestMessageRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMessageTypeBytes pins every message's header type byte. Replicas of
+// different builds meet during a rolling restart, so a renumbered handoff
+// type would strand the sessions of a draining replica. Type 7, the
+// retired peer-cache answer, is refused like any unknown type.
+func TestMessageTypeBytes(t *testing.T) {
+	want := map[string]byte{
+		"createRequest": 1, "epochRequest": 2, "deltaRequest": 3,
+		"SessionResponse": 4, "PartitionResponse": 5, "SessionInfo": 6,
+		"handoffState": 8,
+	}
+	seeds := seedMessages()
+	if len(seeds) != len(want) {
+		t.Fatalf("%d message types, %d pinned", len(seeds), len(want))
+	}
+	for _, m := range seeds {
+		name := reflect.TypeOf(m).Name()
+		if got := appendMsg(nil, m)[4]; got != want[name] {
+			t.Errorf("%s: type byte %d, want %d", name, got, want[name])
+		}
+	}
+
+	if _, ok := messages()[7]; ok {
+		t.Fatal("type 7 is retired but still has a decoder")
+	}
+	frame := appendMsg(nil, seeds[len(seeds)-1])
+	frame[4] = 7
+	for typ, m := range messages() {
+		if err := decodeMsg(frame, m); !errors.Is(err, wire.ErrMalformed) {
+			t.Errorf("type 7 frame decoded as type %d: err = %v, want a malformed-frame error", typ, err)
+		}
+	}
+}
+
 // FuzzMessageDecode drives every message decoder (picked by the header's
 // type byte) with hostile frames: any input yields a clean error, or a
 // message whose encoding decodes and re-encodes to the same bytes.
@@ -91,6 +121,10 @@ func FuzzMessageDecode(f *testing.F) {
 	f.Add([]byte{'H', 'B', 'W', wireVersion, msgPartitionResponse, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x7f})
 	create := appendMsg(nil, seedMessages()[0])
 	f.Add(create[:len(create)/2])
+	// A handoff frame relabelled with the retired type 7.
+	retired := appendMsg(nil, seedMessages()[len(seedMessages())-1])
+	retired[4] = 7
+	f.Add(retired)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 5 {
