@@ -205,42 +205,6 @@ func BenchmarkAblationModelVsRefineOnly(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRBvsKway (A3): recursive bisection (Zoltan's driver) vs
-// direct k-way. The timed loop partitions with seed i; the reported cut is
-// the mean over seeds 0–4, computed after the timer stops, so it does not
-// depend on -benchtime.
-func BenchmarkAblationRBvsKway(b *testing.B) {
-	g, err := datasets.Generate("cage14", benchScale, 9)
-	if err != nil {
-		b.Fatal(err)
-	}
-	h := hyperbal.GraphToHypergraph(g)
-	for _, tc := range []struct {
-		name   string
-		direct bool
-	}{{"recursive-bisection", false}, {"direct-kway", true}} {
-		b.Run(tc.name, func(b *testing.B) {
-			run := func(seed int64) partition.Partition {
-				p, err := hgp.Partition(h, hgp.Options{K: 8, Seed: seed, DirectKway: tc.direct})
-				if err != nil {
-					b.Fatal(err)
-				}
-				return p
-			}
-			for i := 0; i < b.N; i++ {
-				run(int64(i))
-			}
-			b.StopTimer()
-			const seeds = 5
-			var cut int64
-			for seed := int64(0); seed < seeds; seed++ {
-				cut += partition.CutSize(h, run(seed))
-			}
-			b.ReportMetric(float64(cut)/seeds, "cut")
-		})
-	}
-}
-
 // BenchmarkAblationRemap (A4): scratch repartitioning with and without the
 // maximal-matching part remap. Reports the migration volume each incurs.
 func BenchmarkAblationRemap(b *testing.B) {

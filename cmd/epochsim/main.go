@@ -23,7 +23,6 @@ import (
 	"hyperbal/internal/datasets"
 	"hyperbal/internal/dynamics"
 	"hyperbal/internal/graph"
-	"hyperbal/internal/hypergraph"
 	"hyperbal/internal/obs"
 	"hyperbal/internal/partition"
 )
@@ -97,9 +96,9 @@ func runCampaign(g *graph.Graph, m core.Method, k int, alpha int64, epochs, iter
 	var gen dynamics.Generator
 	switch dynamic {
 	case "structure":
-		gen, err = dynamics.NewStructural(g, static.Partition, k, 0.25, 0.5, seed*3+1)
+		gen, err = dynamics.NewStructural(g, static.Partition, k, dynamics.StructureVertices, dynamics.StructureParts, seed*3+1)
 	case "weights":
-		gen, err = dynamics.NewRefinement(g, static.Partition, k, 0.1, 1.5, 7.5, seed*3+2)
+		gen, err = dynamics.NewRefinement(g, static.Partition, k, dynamics.RefinedParts, dynamics.RefineMinFactor, dynamics.RefineMaxFactor, seed*3+2)
 	default:
 		err = fmt.Errorf("unknown dynamic %q", dynamic)
 	}
@@ -114,34 +113,15 @@ func runCampaign(g *graph.Graph, m core.Method, k int, alpha int64, epochs, iter
 	// Warm mode rebuilds each epoch transition as a hypergraph delta and
 	// seeds the repartition from the inherited distribution plus the
 	// delta's dirty region.
-	base := prob.H
-	var prevIDs []int32
+	var deltas *dynamics.Transitions
 	if warm {
-		prevIDs = make([]int32, g.NumVertices())
-		for i := range prevIDs {
-			prevIDs[i] = int32(i)
-		}
+		deltas = dynamics.NewTransitions(gen, prob.H)
 	}
 	for e := 1; e <= epochs; e++ {
 		eprob, old := gen.Next()
 		var res core.Result
 		if warm {
-			var d *hypergraph.Delta
-			var ok bool
-			if st, isStruct := gen.(*dynamics.Structural); isStruct {
-				curIDs := st.AliveMap()
-				vmap := hypergraph.VertexMapFromIDs(prevIDs, curIDs)
-				d, ok = hypergraph.ComputeDeltaMapped(base, eprob.H, vmap)
-				prevIDs = append(prevIDs[:0], curIDs...)
-			} else {
-				d, ok = hypergraph.ComputeDelta(base, eprob.H)
-			}
-			var dirty []bool
-			if ok {
-				dirty = d.DirtyVertices(base, eprob.H)
-			}
-			res, err = bal.RepartitionWarm(eprob, old, int64(e), dirty)
-			base = eprob.H
+			res, err = bal.RepartitionWarm(eprob, old, int64(e), deltas.Dirty(eprob.H))
 		} else {
 			res, err = bal.Repartition(eprob, old, int64(e))
 		}

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	hgpart -k 8 [-eps 0.05] [-seed 1] [-ranks 4] [-direct] [-mtx] [-o out.part] input.hgr
+//	hgpart -k 8 [-eps 0.05] [-seed 1] [-ranks 4] [-mtx] [-o out.part] input.hgr
 //	hgpart -worker ADDR [-metrics-addr ADDR]
 //
 // With -ranks > 1 the parallel partitioner runs on that many in-process
@@ -49,7 +49,6 @@ func main() {
 		eps         = flag.Float64("eps", 0.05, "allowed imbalance (Eq. 1 epsilon)")
 		seed        = flag.Int64("seed", 1, "random seed")
 		ranks       = flag.Int("ranks", 1, "in-process ranks (>1 uses the parallel partitioner)")
-		direct      = flag.Bool("direct", false, "direct k-way instead of recursive bisection")
 		out         = flag.String("o", "", "write part ids to this file")
 		parallelism = flag.Int("parallelism", 0, "worker goroutines for the serial partitioner (0 = GOMAXPROCS; results identical for every value)")
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -114,7 +113,7 @@ func main() {
 	fmt.Printf("hypergraph: %d vertices, %d nets, %d pins (avg degree %.1f)\n",
 		stats.NumVertices, stats.NumNets, stats.NumPins, stats.AvgDegree)
 
-	opts := hgp.Options{K: *k, Imbalance: *eps, Seed: *seed, DirectKway: *direct, Parallelism: *parallelism}
+	opts := hgp.Options{K: *k, Imbalance: *eps, Seed: *seed, Parallelism: *parallelism}
 	start := time.Now()
 	var p partition.Partition
 	if *netWorkers != "" {

@@ -333,9 +333,9 @@ func runSession(client *hyperbal.Client, dataset string, n, k int, alpha int64, 
 	var gen dynamics.Generator
 	switch dynamic {
 	case "structure":
-		gen, err = dynamics.NewStructural(g, first.Partition, k, 0.25, 0.5, seed*3+1)
+		gen, err = dynamics.NewStructural(g, first.Partition, k, dynamics.StructureVertices, dynamics.StructureParts, seed*3+1)
 	case "weights":
-		gen, err = dynamics.NewRefinement(g, first.Partition, k, 0.1, 1.5, 7.5, seed*3+2)
+		gen, err = dynamics.NewRefinement(g, first.Partition, k, dynamics.RefinedParts, dynamics.RefineMinFactor, dynamics.RefineMaxFactor, seed*3+2)
 	default:
 		err = fmt.Errorf("unknown dynamic %q", dynamic)
 	}

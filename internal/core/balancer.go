@@ -75,6 +75,10 @@ func ParseMethod(s string) (Method, error) {
 	return 0, fmt.Errorf("core: unknown method %q (want Zoltan-repart, Zoltan-scratch, ParMETIS-repart, ParMETIS-scratch or Zoltan-refineonly)", s)
 }
 
+// maxClique bounds clique expansion when deriving a graph from a
+// hypergraph for the graph-based methods.
+const maxClique = 32
+
 // Config parameterizes a Balancer.
 type Config struct {
 	K         int     // number of parts (processors)
@@ -82,13 +86,6 @@ type Config struct {
 	Imbalance float64 // Eq. 1 epsilon (default 0.05)
 	Seed      int64
 	Method    Method
-	// MaxClique bounds clique expansion when deriving a graph from a
-	// hypergraph for the graph-based methods (default 32).
-	MaxClique int
-	// Tuning knobs forwarded to the partitioners (0 = their defaults).
-	CoarsenTo     int
-	InitialStarts int
-	RefinePasses  int
 	// Parallelism bounds the worker goroutines of each hypergraph
 	// partitioning call; results are identical for every value
 	// (0 = the partitioner's default, GOMAXPROCS).
@@ -101,9 +98,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Alpha < 1 {
 		c.Alpha = 1
-	}
-	if c.MaxClique <= 0 {
-		c.MaxClique = 32
 	}
 	return c
 }
@@ -307,29 +301,23 @@ func (b *Balancer) graphOf(p Problem) *graph.Graph {
 	if p.G != nil {
 		return p.G
 	}
-	return graph.FromHypergraph(p.H, b.cfg.MaxClique)
+	return graph.FromHypergraph(p.H, maxClique)
 }
 
 func (b *Balancer) hgpOptions(epoch int64) hgp.Options {
 	return hgp.Options{
-		K:             b.cfg.K,
-		Imbalance:     b.cfg.Imbalance,
-		Seed:          b.cfg.Seed + epoch*7919,
-		CoarsenTo:     b.cfg.CoarsenTo,
-		InitialStarts: b.cfg.InitialStarts,
-		RefinePasses:  b.cfg.RefinePasses,
-		Parallelism:   b.cfg.Parallelism,
+		K:           b.cfg.K,
+		Imbalance:   b.cfg.Imbalance,
+		Seed:        b.cfg.Seed + epoch*7919,
+		Parallelism: b.cfg.Parallelism,
 	}
 }
 
 func (b *Balancer) gpOptions(epoch int64) gp.Options {
 	return gp.Options{
-		K:             b.cfg.K,
-		Imbalance:     b.cfg.Imbalance,
-		Seed:          b.cfg.Seed + epoch*7919,
-		CoarsenTo:     b.cfg.CoarsenTo,
-		InitialStarts: b.cfg.InitialStarts,
-		RefinePasses:  b.cfg.RefinePasses,
+		K:         b.cfg.K,
+		Imbalance: b.cfg.Imbalance,
+		Seed:      b.cfg.Seed + epoch*7919,
 	}
 }
 

@@ -25,7 +25,20 @@ import (
 
 	"hyperbal/internal/core"
 	"hyperbal/internal/graph"
+	"hyperbal/internal/hypergraph"
 	"hyperbal/internal/partition"
+)
+
+// The paper's configuration of the two dynamics (Section 5): the
+// structural one deletes StructureVertices of |V| drawn from
+// StructureParts of the parts; the refinement one scales the vertices of
+// RefinedParts of the parts by U(RefineMinFactor, RefineMaxFactor).
+const (
+	StructureVertices = 0.25
+	StructureParts    = 0.5
+	RefinedParts      = 0.1
+	RefineMinFactor   = 1.5
+	RefineMaxFactor   = 7.5
 )
 
 // Generator is the epoch-sequence protocol shared by both dynamics.
@@ -246,4 +259,49 @@ func (r *Refinement) Observe(p partition.Partition) error {
 	}
 	copy(r.lastPart, p.Parts)
 	return nil
+}
+
+// Transitions expresses a generator's epoch transitions as hypergraph
+// deltas, for warm repartitioning: each epoch's hypergraph is diffed
+// against the previous epoch's, through the structural dynamic's
+// AliveMap when vertices come and go.
+type Transitions struct {
+	gen     Generator
+	base    *hypergraph.Hypergraph
+	prevIDs []int32 // base's original vertex ids (structural dynamic only)
+}
+
+// NewTransitions starts the sequence at base, the hypergraph of the
+// original problem gen was built over.
+func NewTransitions(gen Generator, base *hypergraph.Hypergraph) *Transitions {
+	t := &Transitions{gen: gen, base: base}
+	if _, ok := gen.(*Structural); ok {
+		t.prevIDs = make([]int32, base.NumVertices())
+		for i := range t.prevIDs {
+			t.prevIDs[i] = int32(i)
+		}
+	}
+	return t
+}
+
+// Dirty returns the vertices of next, the hypergraph of gen's latest
+// Next, that the delta from the previous epoch's hypergraph touches, or
+// nil when no delta expresses the transition. next becomes the previous
+// epoch's hypergraph of the following call.
+func (t *Transitions) Dirty(next *hypergraph.Hypergraph) []bool {
+	var d *hypergraph.Delta
+	var ok bool
+	if st, isStruct := t.gen.(*Structural); isStruct {
+		curIDs := st.AliveMap()
+		d, ok = hypergraph.ComputeDeltaMapped(t.base, next, hypergraph.VertexMapFromIDs(t.prevIDs, curIDs))
+		t.prevIDs = append(t.prevIDs[:0], curIDs...)
+	} else {
+		d, ok = hypergraph.ComputeDelta(t.base, next)
+	}
+	base := t.base
+	t.base = next
+	if !ok {
+		return nil
+	}
+	return d.DirtyVertices(base, next)
 }

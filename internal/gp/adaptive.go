@@ -43,18 +43,18 @@ func AdaptiveRepart(g *graph.Graph, oldPart partition.Partition, itr int64, opt 
 	rng := rand.New(rand.NewSource(opt.Seed))
 
 	old := append([]int32(nil), oldPart.Parts...)
-	levels := coarsen(g, rng, max(opt.CoarsenTo, 2*k), old)
+	levels := coarsen(g, rng, max(CoarsenTo, 2*k), old)
 
 	// Inherited coarse solution.
 	coarsest := levels[len(levels)-1]
 	parts := append([]int32(nil), coarsest.oldPart...)
 	caps := partition.Caps(coarsest.g.TotalWeight(), k, opt.Imbalance)
-	RefineKway(coarsest.g, k, parts, coarsest.oldPart, itr, caps, opt.RefinePasses*2)
+	RefineKway(coarsest.g, k, parts, coarsest.oldPart, itr, caps, RefinePasses*2)
 
 	for i := len(levels) - 2; i >= 0; i-- {
 		parts = Project(levels[i].cmap, parts)
 		caps := partition.Caps(levels[i].g.TotalWeight(), k, opt.Imbalance)
-		RefineKway(levels[i].g, k, parts, levels[i].oldPart, itr, caps, opt.RefinePasses)
+		RefineKway(levels[i].g, k, parts, levels[i].oldPart, itr, caps, RefinePasses)
 	}
 	copy(out.Parts, parts)
 	return out, nil

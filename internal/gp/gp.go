@@ -29,14 +29,21 @@ import (
 // less than this fraction.
 const MinShrink = 0.10
 
+// CoarsenTo stops coarsening at this many vertices (2K when that is more,
+// in the adaptive repartitioner and pgp).
+const CoarsenTo = 100
+
+// InitialStarts is the multi-start count at the coarsest level.
+const InitialStarts = 8
+
+// RefinePasses bounds FM passes per level.
+const RefinePasses = 4
+
 // Options control the multilevel graph partitioner.
 type Options struct {
-	K             int
-	Imbalance     float64 // Eq. 1 epsilon
-	Seed          int64
-	CoarsenTo     int // stop coarsening at this many vertices (default 100)
-	InitialStarts int // multi-start count at the coarsest level (default 8)
-	RefinePasses  int // FM pass bound per level (default 4)
+	K         int
+	Imbalance float64 // Eq. 1 epsilon
+	Seed      int64
 }
 
 // WithDefaults returns o with every unset field at its default, for this
@@ -47,15 +54,6 @@ func (o Options) WithDefaults() Options {
 	}
 	if o.Imbalance <= 0 {
 		o.Imbalance = 0.05
-	}
-	if o.CoarsenTo <= 0 {
-		o.CoarsenTo = 100
-	}
-	if o.InitialStarts <= 0 {
-		o.InitialStarts = 8
-	}
-	if o.RefinePasses <= 0 {
-		o.RefinePasses = 4
 	}
 	return o
 }
@@ -78,7 +76,7 @@ func Partition(g *graph.Graph, opt Options) (partition.Partition, error) {
 	}
 	recursiveBisect(g, vs, 0, opt.K, p.Parts, rng, opt)
 	caps := partition.Caps(g.TotalWeight(), opt.K, opt.Imbalance)
-	RefineKway(g, opt.K, p.Parts, nil, 0, caps, opt.RefinePasses)
+	RefineKway(g, opt.K, p.Parts, nil, 0, caps, RefinePasses)
 	return p, nil
 }
 
@@ -112,7 +110,7 @@ func recursiveBisect(sub *graph.Graph, vs []int32, lo, hi int, out []int32, rng 
 
 // bisect runs the multilevel 2-way pipeline on g.
 func bisect(g *graph.Graph, rng *rand.Rand, frac0 float64, opt Options) []int32 {
-	levels := coarsen(g, rng, max(opt.CoarsenTo, 4), nil)
+	levels := coarsen(g, rng, CoarsenTo, nil)
 	coarsest := levels[len(levels)-1].g
 
 	total := coarsest.TotalWeight()
@@ -126,9 +124,9 @@ func bisect(g *graph.Graph, rng *rand.Rand, frac0 float64, opt Options) []int32 
 	ord.Build(coarsest.Weights())
 	var best []int32
 	var bestCut int64 = -1
-	for s := 0; s < opt.InitialStarts; s++ {
+	for s := 0; s < InitialStarts; s++ {
 		parts := ggp2(coarsest, rng, target0, cap0, &ord)
-		cut := fm2(coarsest, parts, cap0, cap1, opt.RefinePasses, &ord)
+		cut := fm2(coarsest, parts, cap0, cap1, RefinePasses, &ord)
 		if bestCut < 0 || cut < bestCut {
 			bestCut = cut
 			best = append(best[:0], parts...)
@@ -141,7 +139,7 @@ func bisect(g *graph.Graph, rng *rand.Rand, frac0 float64, opt Options) []int32 
 		lc0 := int64(float64(lt) * frac0 * (1 + eps))
 		lc1 := int64(float64(lt) * (1 - frac0) * (1 + eps))
 		ord.Build(levels[i].g.Weights())
-		fm2(levels[i].g, parts, lc0, lc1, opt.RefinePasses, &ord)
+		fm2(levels[i].g, parts, lc0, lc1, RefinePasses, &ord)
 	}
 	return parts
 }

@@ -17,7 +17,6 @@ import (
 	"hyperbal/internal/datasets"
 	"hyperbal/internal/dynamics"
 	"hyperbal/internal/graph"
-	"hyperbal/internal/hypergraph"
 	"hyperbal/internal/partition"
 )
 
@@ -33,15 +32,6 @@ type Config struct {
 	Trials  int // paper: 20; default 3
 	Epochs  int // repartitions per trial; default 3
 	Seed    int64
-	// Imbalance is Eq. 1 epsilon (default 0.05).
-	Imbalance float64
-	// Dynamics parameters; zero values select the paper's configuration
-	// (structure: half the parts lose/gain 25% of vertices; weights: 10% of
-	// parts scale by U(1.5, 7.5)).
-	VertexFrac float64
-	PartFrac   float64
-	ScaleMin   float64
-	ScaleMax   float64
 	// Parallelism bounds the worker goroutines sweeping (procs, alpha,
 	// method, trial) cells. Every value produces identical reports; 1
 	// forces the serial sweep. Default runtime.GOMAXPROCS(0).
@@ -70,33 +60,11 @@ func (c Config) withDefaults() Config {
 	if len(c.Methods) == 0 {
 		c.Methods = append([]core.Method(nil), core.Methods...)
 	}
-	if c.Imbalance <= 0 {
-		c.Imbalance = 0.05
-	}
 	if c.Dynamic == "" {
 		c.Dynamic = "structure"
 	}
 	if c.Parallelism <= 0 {
 		c.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	switch c.Dynamic {
-	case "structure":
-		if c.VertexFrac <= 0 {
-			c.VertexFrac = 0.25
-		}
-		if c.PartFrac <= 0 {
-			c.PartFrac = 0.5
-		}
-	case "weights":
-		if c.PartFrac <= 0 {
-			c.PartFrac = 0.1
-		}
-		if c.ScaleMin <= 0 {
-			c.ScaleMin = 1.5
-		}
-		if c.ScaleMax <= 0 {
-			c.ScaleMax = 7.5
-		}
 	}
 	return c
 }
@@ -258,8 +226,7 @@ func runSequence(cfg Config, g *graph.Graph, procs int, alpha int64, m core.Meth
 	// every worker busy with whole cells, and nested workers would only
 	// oversubscribe. Results are identical either way.
 	bal, err := core.NewBalancer(core.Config{
-		K: procs, Alpha: alpha, Imbalance: cfg.Imbalance,
-		Seed: seed*31 + int64(m), Method: m, Parallelism: 1,
+		K: procs, Alpha: alpha, Seed: seed*31 + int64(m), Method: m, Parallelism: 1,
 	})
 	if err != nil {
 		return err
@@ -276,36 +243,16 @@ func runSequence(cfg Config, g *graph.Graph, procs int, alpha int64, m core.Meth
 	}
 	method := m.String()
 	// Warm mode expresses each transition as a delta against the previous
-	// epoch's hypergraph; prevIDs tracks stable vertex ids for the
-	// structural dynamic's vertex-space translation.
-	base := prob.H
-	var prevIDs []int32
+	// epoch's hypergraph.
+	var deltas *dynamics.Transitions
 	if cfg.Warm {
-		prevIDs = make([]int32, g.NumVertices())
-		for i := range prevIDs {
-			prevIDs[i] = int32(i)
-		}
+		deltas = dynamics.NewTransitions(gen, prob.H)
 	}
 	for epoch := 1; epoch <= cfg.Epochs; epoch++ {
 		eprob, old := gen.Next()
 		var res core.Result
 		if cfg.Warm {
-			var d *hypergraph.Delta
-			var ok bool
-			if st, isStruct := gen.(*dynamics.Structural); isStruct {
-				curIDs := st.AliveMap()
-				vmap := hypergraph.VertexMapFromIDs(prevIDs, curIDs)
-				d, ok = hypergraph.ComputeDeltaMapped(base, eprob.H, vmap)
-				prevIDs = append(prevIDs[:0], curIDs...)
-			} else {
-				d, ok = hypergraph.ComputeDelta(base, eprob.H)
-			}
-			var dirty []bool
-			if ok {
-				dirty = d.DirtyVertices(base, eprob.H)
-			}
-			res, err = bal.RepartitionWarm(eprob, old, int64(epoch), dirty)
-			base = eprob.H
+			res, err = bal.RepartitionWarm(eprob, old, int64(epoch), deltas.Dirty(eprob.H))
 		} else {
 			res, err = bal.Repartition(eprob, old, int64(epoch))
 		}
@@ -329,9 +276,9 @@ func runSequence(cfg Config, g *graph.Graph, procs int, alpha int64, m core.Meth
 func newGenerator(cfg Config, g *graph.Graph, init partition.Partition, k int, seed int64) (dynamics.Generator, error) {
 	switch cfg.Dynamic {
 	case "structure":
-		return dynamics.NewStructural(g, init, k, cfg.VertexFrac, cfg.PartFrac, seed*17+3)
+		return dynamics.NewStructural(g, init, k, dynamics.StructureVertices, dynamics.StructureParts, seed*17+3)
 	case "weights":
-		return dynamics.NewRefinement(g, init, k, cfg.PartFrac, cfg.ScaleMin, cfg.ScaleMax, seed*17+5)
+		return dynamics.NewRefinement(g, init, k, dynamics.RefinedParts, dynamics.RefineMinFactor, dynamics.RefineMaxFactor, seed*17+5)
 	default:
 		return nil, fmt.Errorf("harness: unknown dynamic %q", cfg.Dynamic)
 	}

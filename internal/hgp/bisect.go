@@ -20,13 +20,9 @@ import (
 // start index only — and the winner is chosen by an index-ordered scan
 // (lowest cut, then lowest balance deviation, then lowest start index), so
 // the result is bit-identical for every Parallelism value.
-func bisect(h *hypergraph.Hypergraph, rng *rand.Rand, fixedSide []int32, frac0, eps float64, opt Options, px *parctx, ws *workspace) []int32 {
+func bisect(h *hypergraph.Hypergraph, rng *rand.Rand, fixedSide []int32, frac0, eps float64, px *parctx, ws *workspace) []int32 {
 	hf := h.WithFixed(fixedSide)
-	coarsenTo := opt.CoarsenTo
-	if coarsenTo < 4 {
-		coarsenTo = 4
-	}
-	levels := coarsen(hf, rng, coarsenTo, ws)
+	levels := coarsen(hf, rng, CoarsenTo, ws)
 
 	// Coarsest-level solve: multi-start GHG + FM, keep the best.
 	coarsest := levels[len(levels)-1].h
@@ -41,7 +37,7 @@ func bisect(h *hypergraph.Hypergraph, rng *rand.Rand, fixedSide []int32, frac0, 
 	}
 	baseSeed := rng.Int63()
 	solveStart := time.Now()
-	outs := coarseStarts(coarsest, cFixed, ct0, cc0, cc1, baseSeed, opt, px, ws)
+	outs := coarseStarts(coarsest, cFixed, ct0, cc0, cc1, baseSeed, px, ws)
 	obsCoarseSolveNs.ObserveSince(solveStart)
 	best := 0
 	for s := 1; s < len(outs); s++ {
@@ -61,7 +57,7 @@ func bisect(h *hypergraph.Hypergraph, rng *rand.Rand, fixedSide []int32, frac0, 
 		lt := levels[i].h.TotalWeight()
 		lc0 := int64(float64(lt) * frac0 * (1 + eps))
 		lc1 := int64(float64(lt) * (1 - frac0) * (1 + eps))
-		fm2(levels[i].h, parts, lf, lc0, lc1, opt.RefinePasses, MaxNetSize, ws.weightOrder(levels[i].h), ws)
+		fm2(levels[i].h, parts, lf, lc0, lc1, RefinePasses, MaxNetSize, ws.weightOrder(levels[i].h), ws)
 		obsRefineNs.At(i).ObserveSince(refineStart)
 	}
 	return parts
@@ -74,7 +70,7 @@ type startOut struct {
 	dev   int64 // |side-0 weight - target|, the balance tiebreak
 }
 
-// coarseStarts runs the coarse solve's opt.InitialStarts starts on h, the
+// coarseStarts runs the coarse solve's InitialStarts starts on h, the
 // coarsest level: start s grows a partition by ghg2 from the level's
 // shared start state with the generator startSeed(baseSeed, s), and fm2
 // refines it from the state ghg2 hands over. t0 is side 0's target
@@ -86,14 +82,14 @@ type startOut struct {
 // registered takes that start's result, and once a start has grown without
 // drawing, every start not yet grown takes its result without growing.
 // Starts that share a result share its partition slice.
-func coarseStarts(h *hypergraph.Hypergraph, fixedSide []int32, t0, c0, c1, baseSeed int64, opt Options, px *parctx, ws *workspace) []startOut {
-	outs := make([]startOut, opt.InitialStarts)
+func coarseStarts(h *hypergraph.Hypergraph, fixedSide []int32, t0, c0, c1, baseSeed int64, px *parctx, ws *workspace) []startOut {
+	outs := make([]startOut, InitialStarts)
 	// One leaf order and one start state per level: the starts share them
 	// read-only.
 	ord := ws.weightOrder(h)
 	st := ws.coarseStart(h, fixedSide, c0, c1, MaxNetSize)
-	reg := ws.startRegistry(opt.InitialStarts, h.NumVertices())
-	px.forEach(opt.InitialStarts, ws, func(i int, sws *workspace) {
+	reg := ws.startRegistry(InitialStarts, h.NumVertices())
+	px.forEach(InitialStarts, ws, func(i int, sws *workspace) {
 		if reg.settled(i) {
 			return
 		}
@@ -101,7 +97,7 @@ func coarseStarts(h *hypergraph.Hypergraph, fixedSide []int32, t0, c0, c1, baseS
 		if !reg.claim(i, s.parts, drew) {
 			return
 		}
-		cut := fm2From(&s, fixedSide, opt.RefinePasses, ord, sws)
+		cut := fm2From(&s, fixedSide, RefinePasses, ord, sws)
 		dev := s.w[0] - t0
 		if dev < 0 {
 			dev = -dev

@@ -95,7 +95,6 @@ func TestCoarseStartHandOff(t *testing.T) {
 		t0, c0, c1 int64
 		maxNet     int
 	}
-	opt := Options{}.WithDefaults()
 	var cases []instance
 	for _, ds := range datasets.Names() {
 		coarsest, _ := firstBisectionCoarsest(t, ds, kernelBenchScale, 1)
@@ -120,11 +119,11 @@ func TestCoarseStartHandOff(t *testing.T) {
 		wantGains := slices.Clone(st.gains)
 		checkExactState(t, c.name+" shared start", &st.s, st.gains)
 
-		px.forEach(opt.InitialStarts, ws, func(i int, sws *workspace) {
+		px.forEach(InitialStarts, ws, func(i int, sws *workspace) {
 			name := fmt.Sprintf("%s start %d", c.name, i)
 			s, _ := ghg2(st, sws.startRNG(startSeed(int64(ci), i)), c.fixed, c.t0, ord, sws)
 			checkExactState(t, name+" after ghg2", &s, sws.gains)
-			if cut := fm2From(&s, c.fixed, opt.RefinePasses, ord, sws); cut != s.cut {
+			if cut := fm2From(&s, c.fixed, RefinePasses, ord, sws); cut != s.cut {
 				t.Errorf("%s: fm2 returned cut %d, its state holds %d", name, cut, s.cut)
 			}
 			checkExactState(t, name+" after fm2", &s, sws.gains)

@@ -155,7 +155,6 @@ func checkFM2(t *testing.T, name string, h *hypergraph.Hypergraph, parts, fixed 
 // partitions.
 func TestDatasetCoarseOracle(t *testing.T) {
 	ws, rws, rs := new(workspace), new(workspace), new(refScratch)
-	opt := Options{}.WithDefaults()
 	var drawFree, duplicated, distinct int
 	for _, ds := range datasets.Names() {
 		coarsest, rng := firstBisectionCoarsest(t, ds, kernelBenchScale, 1)
@@ -163,11 +162,11 @@ func TestDatasetCoarseOracle(t *testing.T) {
 		baseSeed := rng.Int63()
 		for _, k := range []int{0, 2, 8} {
 			fixed := coarseOracleSides(coarsest, k)
-			drew, grown := grownStarts(t, coarsest, fixed, t0, c0, c1, baseSeed, opt, ws)
+			drew, grown := grownStarts(t, coarsest, fixed, t0, c0, c1, baseSeed, ws)
 			if !drew {
 				drawFree++
 			}
-			if drew && grown < opt.InitialStarts {
+			if drew && grown < InitialStarts {
 				duplicated++
 			}
 			if drew && grown >= 2 {
@@ -179,10 +178,10 @@ func TestDatasetCoarseOracle(t *testing.T) {
 			}
 			for _, par := range []int{1, 4} {
 				name := fmt.Sprintf("%s %s, Parallelism %d", ds, sides, par)
-				outs := coarseStarts(coarsest, fixed, t0, c0, c1, baseSeed, opt, newParctx(par), ws)
+				outs := coarseStarts(coarsest, fixed, t0, c0, c1, baseSeed, newParctx(par), ws)
 				for s, out := range outs {
 					want := refGHG2(coarsest, rand.New(rand.NewSource(startSeed(baseSeed, s))), fixed, t0, c0, c1, MaxNetSize, rws, rs)
-					wantCut := refFM2(coarsest, want, fixed, c0, c1, opt.RefinePasses, MaxNetSize, rws, rs)
+					wantCut := refFM2(coarsest, want, fixed, c0, c1, RefinePasses, MaxNetSize, rws, rs)
 					if out.cut != wantCut || !slices.Equal(out.parts, want) {
 						t.Fatalf("%s start %d: coarse-solve cut %d differs from the reference kernels' %d, or its parts do", name, s, out.cut, wantCut)
 					}
@@ -216,10 +215,10 @@ func coarseOracleSides(h *hypergraph.Hypergraph, k int) []int32 {
 // whether the starts drew and how many distinct partitions they grew. The
 // starts must agree on drawing, and starts that drew nothing must all grow
 // one partition.
-func grownStarts(t *testing.T, h *hypergraph.Hypergraph, fixed []int32, t0, c0, c1, baseSeed int64, opt Options, ws *workspace) (drew bool, distinct int) {
+func grownStarts(t *testing.T, h *hypergraph.Hypergraph, fixed []int32, t0, c0, c1, baseSeed int64, ws *workspace) (drew bool, distinct int) {
 	t.Helper()
 	var grown [][]int32
-	for s := 0; s < opt.InitialStarts; s++ {
+	for s := 0; s < InitialStarts; s++ {
 		st, sDrew := ghg2(ws.coarseStart(h, fixed, c0, c1, MaxNetSize), ws.startRNG(startSeed(baseSeed, s)), fixed, t0, ws.weightOrder(h), ws)
 		if s == 0 {
 			drew = sDrew
@@ -231,7 +230,7 @@ func grownStarts(t *testing.T, h *hypergraph.Hypergraph, fixed []int32, t0, c0, 
 		}
 	}
 	if !drew && len(grown) != 1 {
-		t.Fatalf("%d starts grew without drawing, %d distinct partitions", opt.InitialStarts, len(grown))
+		t.Fatalf("%d starts grew without drawing, %d distinct partitions", InitialStarts, len(grown))
 	}
 	return drew, len(grown)
 }

@@ -22,11 +22,10 @@ import (
 // imbalance columns make such a change's quality trade readable as a diff.
 const goldenFile = "testdata/partition_golden.txt"
 
-// TestPartitionGolden runs the cold pipelines (recursive bisection and the
-// direct k-way driver) and the warm path (localized and V-cycle tiers) with
-// the options production runs on every dataset analogue at k = 2 and 8,
-// with fixed vertices, and compares each partition's digest with
-// goldenFile.
+// TestPartitionGolden runs the cold pipeline (recursive bisection) and the
+// warm path (localized and V-cycle tiers) with the options production runs
+// on every dataset analogue at k = 2 and 8, with fixed vertices, and
+// compares each partition's digest with goldenFile.
 func TestPartitionGolden(t *testing.T) {
 	raw, err := os.ReadFile(goldenFile)
 	if err != nil {
@@ -67,7 +66,6 @@ func goldenDigests(t *testing.T) []string {
 			opt := Options{K: k, Seed: 11}
 			rb := mustPartition(t, hf, opt)
 			line("rb", rb)
-			line("direct", mustPartition(t, hf, Options{K: k, Seed: 11, DirectKway: true}))
 			// The warm inputs rotate the dirty vertices of the cold solution
 			// to the next part: a tenth of them stays on the localized tier,
 			// a third escalates to the seeded V-cycle.

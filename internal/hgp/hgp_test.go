@@ -105,21 +105,6 @@ func TestPartitionK1(t *testing.T) {
 	}
 }
 
-func TestPartitionDirectKway(t *testing.T) {
-	h := grid2D(12, 12)
-	p, err := Partition(h, Options{K: 4, Imbalance: 0.05, Seed: 5, DirectKway: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := partition.Weights(h, p)
-	if !partition.IsBalanced(w, 0.15) {
-		t.Fatalf("direct k-way imbalanced: %v", w)
-	}
-	if cut := partition.CutSize(h, p); cut > 150 {
-		t.Fatalf("direct k-way cut = %d too high", cut)
-	}
-}
-
 func TestFixedVerticesRespected(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	h := randomHG(rng, 120, 200, 5)
@@ -144,29 +129,6 @@ func TestFixedVerticesRespected(t *testing.T) {
 	for v, want := range fixedSet {
 		if p.Of(v) != want {
 			t.Fatalf("fixed vertex %d moved: fixed to %d, assigned %d", v, want, p.Of(v))
-		}
-	}
-}
-
-func TestFixedVerticesRespectedDirectKway(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	h := randomHG(rng, 100, 150, 4)
-	k := 3
-	fixed := make([]int32, h.NumVertices())
-	for v := range fixed {
-		fixed[v] = hypergraph.Free
-	}
-	for v := 0; v < 15; v++ {
-		fixed[v] = int32(v % k)
-	}
-	hf := h.WithFixed(fixed)
-	p, err := Partition(hf, Options{K: k, Imbalance: 0.10, Seed: 9, DirectKway: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < 15; v++ {
-		if p.Of(v) != v%k {
-			t.Fatalf("fixed vertex %d at %d, want %d", v, p.Of(v), v%k)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"hyperbal/internal/datasets"
 	"hyperbal/internal/graph"
+	"hyperbal/internal/hypergraph"
 	"hyperbal/internal/partition"
 )
 
@@ -111,21 +112,51 @@ func TestKernelAllocGuards(t *testing.T) {
 	// start closure and each grown partition, one per start that ran ghg2
 	// (all 8 free; only the first with fixed sides). The registry of grown
 	// partitions allocates nothing once the workspace is warm.
-	opt := Options{}.WithDefaults()
 	px := newParctx(1)
 	for _, c := range []struct {
 		name  string
 		fixed []int32
 		want  float64
 	}{
-		{"free", cfixed, 2 + float64(opt.InitialStarts)},
+		{"free", cfixed, 2 + InitialStarts},
 		{"fixed", coarseOracleSides(coarsest, 2), 2 + 1},
 	} {
-		coarseStarts(coarsest, c.fixed, t0, c0, c1, seed, opt, px, ws)
+		coarseStarts(coarsest, c.fixed, t0, c0, c1, seed, px, ws)
 		if n := testing.AllocsPerRun(10, func() {
-			coarseStarts(coarsest, c.fixed, t0, c0, c1, seed, opt, px, ws)
+			coarseStarts(coarsest, c.fixed, t0, c0, c1, seed, px, ws)
 		}); n > c.want {
 			t.Errorf("coarseStarts %s: %.0f allocs/op, want <= %.0f", c.name, n, c.want)
 		}
 	}
+}
+
+// randomBalanced assigns free vertices in random order, each to the
+// lightest part (a balanced start), keeping fixed vertices at their parts.
+func randomBalanced(h *hypergraph.Hypergraph, k int, rng *rand.Rand) []int32 {
+	parts := make([]int32, h.NumVertices())
+	w := make([]int64, k)
+	for v := range parts {
+		if f := h.Fixed(v); f != hypergraph.Free {
+			parts[v] = f
+			w[f] += h.Weight(v)
+		} else {
+			parts[v] = -1
+		}
+	}
+	order := rng.Perm(h.NumVertices())
+	for _, v := range order {
+		if parts[v] != -1 {
+			continue
+		}
+		// the lightest part, lowest index first
+		best := 0
+		for p := 1; p < k; p++ {
+			if w[p] < w[best] {
+				best = p
+			}
+		}
+		parts[v] = int32(best)
+		w[best] += h.Weight(v)
+	}
+	return parts
 }

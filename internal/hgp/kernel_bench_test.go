@@ -122,7 +122,6 @@ func BenchmarkFM2Dense(b *testing.B) {
 func BenchmarkCoarseSolve(b *testing.B) {
 	coarsest, rng := firstBisectionCoarsest(b, "xyce680s", kernelBenchScale, 1)
 	t0, c0, c1 := bisectCaps(coarsest, 0.5, 0.05)
-	opt := Options{}.WithDefaults()
 	baseSeed := rng.Int63()
 	px := newParctx(1)
 	for _, c := range []struct {
@@ -136,7 +135,7 @@ func BenchmarkCoarseSolve(b *testing.B) {
 			ws := new(workspace)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				coarseStarts(coarsest, c.fixed, t0, c0, c1, baseSeed, opt, px, ws)
+				coarseStarts(coarsest, c.fixed, t0, c0, c1, baseSeed, px, ws)
 			}
 		})
 	}
@@ -167,13 +166,12 @@ func firstBisectionCoarsest(tb testing.TB, ds string, n int, seed int64) (*hyper
 		tb.Fatal(err)
 	}
 	h := graph.ToHypergraph(g)
-	opt := Options{K: 2, Seed: seed}.WithDefaults()
-	rng := rand.New(rand.NewSource(opt.Seed))
+	rng := rand.New(rand.NewSource(seed))
 	free := make([]int32, h.NumVertices())
 	for v := range free {
 		free[v] = hypergraph.Free
 	}
-	levels := coarsen(h.WithFixed(free), rng, opt.CoarsenTo, new(workspace))
+	levels := coarsen(h.WithFixed(free), rng, CoarsenTo, new(workspace))
 	return levels[len(levels)-1].h, rng
 }
 

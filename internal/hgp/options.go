@@ -3,9 +3,9 @@
 // (IPM) coarsening with the fixed-compatibility match filter always on,
 // randomized greedy hypergraph growing for the coarse solution,
 // Fiduccia–Mattheyses refinement with pass-pairs, and k-way partitioning
-// via recursive bisection with fixed-label folding (Zoltan's approach) or
-// a direct k-way driver. Every k-way refinement, cold polish and warm
-// path alike, is the greedy boundary sweep of refineKway.
+// via recursive bisection with fixed-label folding (Zoltan's approach).
+// Every k-way refinement, cold polish and warm path alike, is the greedy
+// boundary sweep of refineKway.
 package hgp
 
 import (
@@ -22,6 +22,17 @@ const MinShrink = 0.10
 // time). The cut metric always counts them.
 const MaxNetSize = 500
 
+// CoarsenTo stops coarsening when the hypergraph has at most this many
+// vertices (2K when that is more, in the warm V-cycle and phg).
+const CoarsenTo = 100
+
+// InitialStarts is the number of randomized greedy-growing starts at the
+// coarsest level of each bisection.
+const InitialStarts = 8
+
+// RefinePasses bounds FM pass-pairs per level.
+const RefinePasses = 4
+
 // Options control the multilevel partitioner.
 type Options struct {
 	// K is the number of parts. Required, >= 1.
@@ -30,17 +41,6 @@ type Options struct {
 	Imbalance float64
 	// Seed makes runs deterministic.
 	Seed int64
-	// CoarsenTo stops coarsening when the hypergraph has at most this many
-	// vertices (before the 2K floor). Default 100.
-	CoarsenTo int
-	// InitialStarts is the number of randomized greedy-growing starts at the
-	// coarsest level. Default 8.
-	InitialStarts int
-	// RefinePasses bounds FM pass-pairs per level. Default 4.
-	RefinePasses int
-	// DirectKway selects the direct k-way driver instead of recursive
-	// bisection. Recursive bisection is the default (as in Zoltan).
-	DirectKway bool
 	// Parallelism bounds the worker goroutines of one Partition call: one
 	// token pool runs its RB sides and coarse multi-starts, so the call
 	// never runs more than Parallelism goroutines no matter how they nest.
@@ -63,23 +63,14 @@ type Options struct {
 }
 
 // WithDefaults returns o with every unset field at its default. It is
-// the one place the defaults live: phg reads its coarsening and Eq. 1
-// settings from it too.
+// the one place the defaults live: phg reads its Eq. 1 setting from it
+// too.
 func (o Options) WithDefaults() Options {
 	if o.K <= 0 {
 		o.K = 1
 	}
 	if o.Imbalance <= 0 {
 		o.Imbalance = 0.05
-	}
-	if o.CoarsenTo <= 0 {
-		o.CoarsenTo = 100
-	}
-	if o.InitialStarts <= 0 {
-		o.InitialStarts = 8
-	}
-	if o.RefinePasses <= 0 {
-		o.RefinePasses = 4
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)

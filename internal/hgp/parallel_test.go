@@ -25,16 +25,8 @@ func partitionBytes(t *testing.T, h *hypergraph.Hypergraph, opt Options) []byte 
 
 // TestPartitionParallelismDeterminism verifies the core contract of the
 // parallel pipeline: every Parallelism value produces a bit-identical
-// partition, across drivers (recursive bisection, direct k-way) and with
-// fixed vertices present.
+// partition, with fixed vertices present.
 func TestPartitionParallelismDeterminism(t *testing.T) {
-	variants := []struct {
-		name string
-		mod  func(*Options)
-	}{
-		{"rb", func(o *Options) {}},
-		{"direct-kway", func(o *Options) { o.DirectKway = true }},
-	}
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed * 977))
 		h := quickHG(rng)
@@ -47,18 +39,13 @@ func TestPartitionParallelismDeterminism(t *testing.T) {
 			}
 		}
 		hf := h.WithFixed(fixed)
-		for _, variant := range variants {
-			opt := Options{K: k, Imbalance: 0.10, Seed: seed}
-			variant.mod(&opt)
-			opt.Parallelism = 1
-			ref := partitionBytes(t, hf, opt)
-			for _, par := range []int{2, 4, 8} {
-				opt.Parallelism = par
-				got := partitionBytes(t, hf, opt)
-				if !bytes.Equal(ref, got) {
-					t.Errorf("seed %d %s: Parallelism=%d diverges from Parallelism=1",
-						seed, variant.name, par)
-				}
+		opt := Options{K: k, Imbalance: 0.10, Seed: seed, Parallelism: 1}
+		ref := partitionBytes(t, hf, opt)
+		for _, par := range []int{2, 4, 8} {
+			opt.Parallelism = par
+			got := partitionBytes(t, hf, opt)
+			if !bytes.Equal(ref, got) {
+				t.Errorf("seed %d: Parallelism=%d diverges from Parallelism=1", seed, par)
 			}
 		}
 	}

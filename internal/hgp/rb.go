@@ -18,7 +18,7 @@ import (
 // Each side receives an RNG seeded from the parent's stream in a fixed
 // order (left first), and the sides write disjoint ranges of out, so the
 // result does not depend on the interleaving.
-func recursiveBisect(sub *hypergraph.Hypergraph, vs []int32, lo, hi int, out []int32, rng *rand.Rand, eps float64, opt Options, px *parctx, ws *workspace) {
+func recursiveBisect(sub *hypergraph.Hypergraph, vs []int32, lo, hi int, out []int32, rng *rand.Rand, eps float64, px *parctx, ws *workspace) {
 	k := hi - lo
 	if k <= 1 || sub.NumVertices() == 0 {
 		for _, v := range vs {
@@ -48,7 +48,7 @@ func recursiveBisect(sub *hypergraph.Hypergraph, vs []int32, lo, hi int, out []i
 		}
 	}
 
-	sides := bisect(sub, rng, fixedSide, frac0, eps, opt, px, ws)
+	sides := bisect(sub, rng, fixedSide, frac0, eps, px, ws)
 
 	if k == 2 {
 		for i, v := range vs {
@@ -61,9 +61,9 @@ func recursiveBisect(sub *hypergraph.Hypergraph, vs []int32, lo, hi int, out []i
 	seedL := rng.Int63()
 	seedR := rng.Int63()
 	join := px.fork(func(ws2 *workspace) {
-		recursiveBisect(left, leftVs, lo, mid, out, rand.New(rand.NewSource(seedL)), eps, opt, px, ws2)
+		recursiveBisect(left, leftVs, lo, mid, out, rand.New(rand.NewSource(seedL)), eps, px, ws2)
 	})
-	recursiveBisect(right, rightVs, mid, hi, out, rand.New(rand.NewSource(seedR)), eps, opt, px, ws)
+	recursiveBisect(right, rightVs, mid, hi, out, rand.New(rand.NewSource(seedR)), eps, px, ws)
 	join()
 }
 

@@ -27,11 +27,7 @@ func vCycle(h *hypergraph.Hypergraph, parts []int32, k int, rng *rand.Rand, opt 
 	copy(restricted, parts)
 	hr := h.WithFixed(restricted)
 
-	coarsenTo := opt.CoarsenTo
-	if coarsenTo < 2*k {
-		coarsenTo = 2 * k
-	}
-	levels := coarsen(hr, rng, coarsenTo, ws)
+	levels := coarsen(hr, rng, max(CoarsenTo, 2*k), ws)
 
 	// Project the current partition down the hierarchy. Because matching
 	// never crosses parts, every coarse vertex has a well-defined part.
@@ -58,7 +54,7 @@ func vCycle(h *hypergraph.Hypergraph, parts []int32, k int, rng *rand.Rand, opt 
 		}
 		partsAt[i] = cur
 		view := levelViewWithOriginalFixed(h, levels[i].h, levels, i)
-		refineKway(view, k, cur, caps, opt.RefinePasses, ws)
+		refineKway(view, k, cur, caps, RefinePasses, ws)
 	}
 	copy(parts, partsAt[0])
 }

@@ -119,7 +119,7 @@ func PartitionWarm(h *hypergraph.Hypergraph, opt Options, spec WarmSpec) (partit
 		s := ws.kwayState(h, opt.K, p.Parts)
 		region := warmRegion(h, spec.Dirty, repairBalance(s, caps))
 		// Refine only the region; every other vertex keeps its part.
-		for pass := 0; pass < opt.RefinePasses; pass++ {
+		for pass := 0; pass < RefinePasses; pass++ {
 			if regionSweep(s, caps, region) == 0 {
 				break
 			}
@@ -127,7 +127,7 @@ func PartitionWarm(h *hypergraph.Hypergraph, opt Options, spec WarmSpec) (partit
 		// Global polish against the original fixed labels: cheap O(V)
 		// sweeps that clean up region-boundary myopia and finish any
 		// balance repair the region sweeps could not complete.
-		for pass := 0; pass < opt.RefinePasses; pass++ {
+		for pass := 0; pass < RefinePasses; pass++ {
 			if kwaySweep(s, caps) == 0 {
 				break
 			}
@@ -140,7 +140,7 @@ func PartitionWarm(h *hypergraph.Hypergraph, opt Options, spec WarmSpec) (partit
 			stats.Mode = "vcycle"
 			rng := rand.New(rand.NewSource(opt.Seed ^ 0x77a7))
 			vCycle(h, p.Parts, opt.K, rng, opt)
-			stats.Cut = refineKway(h, opt.K, p.Parts, caps, opt.RefinePasses, ws)
+			stats.Cut = refineKway(h, opt.K, p.Parts, caps, RefinePasses, ws)
 		}
 	case spec.Dirty != nil && dirtyFrac <= warmColdFraction:
 		stats.Mode = "vcycle"
@@ -152,7 +152,7 @@ func PartitionWarm(h *hypergraph.Hypergraph, opt Options, spec WarmSpec) (partit
 		}
 		rng := rand.New(rand.NewSource(opt.Seed ^ 0x77a7))
 		vCycle(h, p.Parts, opt.K, rng, opt)
-		stats.Cut = refineKway(h, opt.K, p.Parts, caps, opt.RefinePasses, ws)
+		stats.Cut = refineKway(h, opt.K, p.Parts, caps, RefinePasses, ws)
 	default:
 		// Unknown or large drift: the seed is stale — run cold.
 		stats.Mode = "cold"

@@ -18,7 +18,8 @@ import (
 // oldPHGPayload is the launch payload's layout before hgp.Options lost
 // four fields (MinShrink and MaxNetSize became constants; the gain-ordered
 // k-way polish and the match-filter switch were deleted): twelve serial
-// fields, LocalIPM, then the frame.
+// fields, LocalIPM, then the frame. Direct is the direct k-way driver's
+// switch; the codec lays fields out by position, not by name.
 type oldPHGPayload struct {
 	Opt struct {
 		Serial struct {
@@ -30,10 +31,31 @@ type oldPHGPayload struct {
 			InitialStarts   int
 			RefinePasses    int
 			MaxNetSize      int
-			DirectKway      bool
+			Direct          bool
 			GainOrderedKway bool
 			UnfilteredMatch bool
 			Parallelism     int
+		}
+		LocalIPM bool
+	}
+	Graph hypergraph.Frame
+}
+
+// eightFieldPHGPayload is the launch payload's layout before the tuning
+// knobs became constants and the direct k-way driver was deleted: eight
+// serial fields (K, Imbalance, Seed, CoarsenTo, InitialStarts,
+// RefinePasses, Direct, Parallelism), LocalIPM, then the frame.
+type eightFieldPHGPayload struct {
+	Opt struct {
+		Serial struct {
+			K             int
+			Imbalance     float64
+			Seed          int64
+			CoarsenTo     int
+			InitialStarts int
+			RefinePasses  int
+			Direct        bool
+			Parallelism   int
 		}
 		LocalIPM bool
 	}
@@ -71,6 +93,13 @@ func TestPayloadsAreReadWhole(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var eight eightFieldPHGPayload
+	eight.Opt.Serial.K, eight.Opt.Serial.Seed = 2, 1
+	eight.Graph.H = graph.ToHypergraph(g)
+	eightPayload, err := wire.Varint.Append(nil, eight)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name, job string
 		payload   []byte
@@ -80,6 +109,7 @@ func TestPayloadsAreReadWhole(t *testing.T) {
 		{"phg trailing bytes", jobs.PHGPartition, append(append([]byte(nil), phgPayload...), 0xAA), "trailing bytes"},
 		{"phg truncated", jobs.PHGPartition, phgPayload[:len(phgPayload)-1], "truncated"},
 		{"phg old options layout", jobs.PHGPartition, oldPayload, "malformed frame"},
+		{"phg eight-field options layout", jobs.PHGPartition, eightPayload, "malformed frame"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

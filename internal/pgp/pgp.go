@@ -55,7 +55,7 @@ func AdaptiveRepart(c *mpi.Comm, g *graph.Graph, old partition.Partition, itr in
 	rng := rand.New(rand.NewSource(opt.Seed*999983 + int64(c.Rank())))
 
 	def := opt.WithDefaults()
-	coarsenTo := max(def.CoarsenTo, 2*k)
+	coarsenTo := max(gp.CoarsenTo, 2*k)
 
 	type level struct {
 		g       *graph.Graph

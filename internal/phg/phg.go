@@ -50,7 +50,7 @@ import (
 
 // Options extends the serial options with the one parallel switch.
 type Options struct {
-	// Serial carries K, Imbalance, Seed, CoarsenTo, etc. The coarsest-level
+	// Serial carries K, Imbalance, Seed and Parallelism. The coarsest-level
 	// solve uses these options verbatim (with per-rank seeds).
 	Serial hgp.Options
 	// LocalIPM restricts inner-product matching to each rank's own vertex
@@ -103,7 +103,7 @@ func Partition(c *mpi.Comm, h *hypergraph.Hypergraph, opt Options) (partition.Pa
 
 	// ---- Parallel coarsening ----
 	def := opt.Serial.WithDefaults()
-	coarsenTo := max(def.CoarsenTo, 2*k)
+	coarsenTo := max(hgp.CoarsenTo, 2*k)
 	type level struct {
 		h    *hypergraph.Hypergraph
 		cmap []int32

@@ -49,9 +49,8 @@ func newPartitionCache(max int) *partitionCache {
 // additionally depends on the delta's dirty region.
 func cacheKey(cfg core.Config, epoch int64, fp string, old partition.Partition, warm string) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "k=%d a=%d eps=%g seed=%d m=%d mc=%d ct=%d is=%d rp=%d epoch=%d oldk=%d fp=%s warm=%s;",
+	fmt.Fprintf(h, "k=%d a=%d eps=%g seed=%d m=%d epoch=%d oldk=%d fp=%s warm=%s;",
 		cfg.K, cfg.Alpha, cfg.Imbalance, cfg.Seed, cfg.Method,
-		cfg.MaxClique, cfg.CoarsenTo, cfg.InitialStarts, cfg.RefinePasses,
 		epoch, old.K, fp, warm)
 	var buf [4]byte
 	for _, p := range old.Parts {

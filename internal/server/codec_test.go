@@ -170,11 +170,15 @@ func TestMalformedBinaryFrames(t *testing.T) {
 	ver[3] = 0xEE
 	post("bad-version", ver)
 
-	// Version 1 laid messages out by hand; its frames are refused, never
-	// mis-decoded as version 2.
+	// Version 1 laid messages out by hand, and version 2's configuration
+	// carried four more fields; their frames are refused, never
+	// mis-decoded as version 3.
 	v1 := append([]byte(nil), valid...)
 	v1[3] = 1
 	post("version-1", v1)
+	v2 := append([]byte(nil), valid...)
+	v2[3] = 2
+	post("version-2", v2)
 
 	typ := append([]byte(nil), valid...)
 	typ[4] = 0x7F

@@ -55,6 +55,8 @@ const (
 	// SessionIDHeader lets a gateway pre-assign the session id on create so
 	// routing (hash of the id) and storage agree on the same replica.
 	SessionIDHeader = "X-Hyperbal-Session-ID"
+	// handoffTimeout bounds one drain-time session handoff POST.
+	handoffTimeout = 5 * time.Second
 )
 
 // validSessionID accepts exactly the ids newSessionID generates:
@@ -208,8 +210,7 @@ func (s *Server) handoffSession(ctx context.Context, entry *session, self string
 }
 
 func (s *Server) postHandoff(ctx context.Context, url string, frame []byte) bool {
-	timeout := s.cfg.HandoffTimeout
-	hctx, cancel := context.WithTimeout(ctx, timeout)
+	hctx, cancel := context.WithTimeout(ctx, handoffTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(hctx, http.MethodPost, url+"/internal/handoff", bytes.NewReader(frame))
 	if err != nil {

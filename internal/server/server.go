@@ -82,9 +82,6 @@ type Config struct {
 	// these empty and call SetPeering instead.
 	Self  string
 	Peers []string
-	// HandoffTimeout bounds one drain-time session handoff POST
-	// (default 5s).
-	HandoffTimeout time.Duration
 
 	// Logf, when non-nil, receives one line per notable server event.
 	Logf func(format string, args ...any)
@@ -111,9 +108,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 64 << 20
-	}
-	if c.HandoffTimeout <= 0 {
-		c.HandoffTimeout = 5 * time.Second
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}

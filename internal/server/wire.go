@@ -22,30 +22,22 @@ import (
 // WireConfig is the wire form of core.Config; Method uses the paper name
 // ("Zoltan-repart" by default).
 type WireConfig struct {
-	K             int     `json:"k"`
-	Alpha         int64   `json:"alpha,omitempty"`
-	Imbalance     float64 `json:"imbalance,omitempty"`
-	Seed          int64   `json:"seed,omitempty"`
-	Method        string  `json:"method,omitempty"`
-	MaxClique     int     `json:"max_clique,omitempty"`
-	CoarsenTo     int     `json:"coarsen_to,omitempty"`
-	InitialStarts int     `json:"initial_starts,omitempty"`
-	RefinePasses  int     `json:"refine_passes,omitempty"`
-	Parallelism   int     `json:"parallelism,omitempty"`
+	K           int     `json:"k"`
+	Alpha       int64   `json:"alpha,omitempty"`
+	Imbalance   float64 `json:"imbalance,omitempty"`
+	Seed        int64   `json:"seed,omitempty"`
+	Method      string  `json:"method,omitempty"`
+	Parallelism int     `json:"parallelism,omitempty"`
 }
 
 // ToCore resolves the wire configuration into a core.Config.
 func (w WireConfig) ToCore() (core.Config, error) {
 	cfg := core.Config{
-		K:             w.K,
-		Alpha:         w.Alpha,
-		Imbalance:     w.Imbalance,
-		Seed:          w.Seed,
-		MaxClique:     w.MaxClique,
-		CoarsenTo:     w.CoarsenTo,
-		InitialStarts: w.InitialStarts,
-		RefinePasses:  w.RefinePasses,
-		Parallelism:   w.Parallelism,
+		K:           w.K,
+		Alpha:       w.Alpha,
+		Imbalance:   w.Imbalance,
+		Seed:        w.Seed,
+		Parallelism: w.Parallelism,
 	}
 	if w.Method != "" {
 		m, err := core.ParseMethod(w.Method)
@@ -60,16 +52,12 @@ func (w WireConfig) ToCore() (core.Config, error) {
 // WireConfigFrom renders a core.Config in wire form.
 func WireConfigFrom(cfg core.Config) WireConfig {
 	return WireConfig{
-		K:             cfg.K,
-		Alpha:         cfg.Alpha,
-		Imbalance:     cfg.Imbalance,
-		Seed:          cfg.Seed,
-		Method:        cfg.Method.String(),
-		MaxClique:     cfg.MaxClique,
-		CoarsenTo:     cfg.CoarsenTo,
-		InitialStarts: cfg.InitialStarts,
-		RefinePasses:  cfg.RefinePasses,
-		Parallelism:   cfg.Parallelism,
+		K:           cfg.K,
+		Alpha:       cfg.Alpha,
+		Imbalance:   cfg.Imbalance,
+		Seed:        cfg.Seed,
+		Method:      cfg.Method.String(),
+		Parallelism: cfg.Parallelism,
 	}
 }
 
@@ -165,7 +153,7 @@ func (m SessionInfo) validate() error {
 }
 
 func (c WireConfig) validate() error {
-	for _, v := range []int{c.K, c.MaxClique, c.CoarsenTo, c.InitialStarts, c.RefinePasses, c.Parallelism} {
+	for _, v := range []int{c.K, c.Parallelism} {
 		if v != int(int32(v)) {
 			return fmt.Errorf("%w: config field %d out of range", wire.ErrMalformed, v)
 		}

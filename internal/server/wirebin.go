@@ -24,9 +24,10 @@ import (
 // ContentTypeBinary is the media type of the binary wire protocol.
 const ContentTypeBinary = "application/x-hyperbal"
 
-// wireVersion is the fourth header byte. Version 2 is the codec-derived
-// layout; a version-1 frame is refused like any malformed one.
-const wireVersion = 2
+// wireVersion is the fourth header byte. Version 3 is the codec-derived
+// layout with the six-field configuration; a version-1 or version-2 frame
+// is refused like any malformed one.
+const wireVersion = 3
 
 // Message types (fifth header byte).
 const (
@@ -41,7 +42,9 @@ const (
 
 	// msgHandoff is the replica-to-replica drain-time session-state
 	// handoff (POST /internal/handoff). It keeps type 8, so replicas of
-	// different builds still hand sessions to each other.
+	// one wire version hand sessions to each other across builds; a frame
+	// of another version is refused, and the draining replica keeps the
+	// session.
 	msgHandoff byte = 8
 )
 
