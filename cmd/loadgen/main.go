@@ -56,7 +56,6 @@ import (
 	"hyperbal/internal/datasets"
 	"hyperbal/internal/dynamics"
 	"hyperbal/internal/graph"
-	"hyperbal/internal/hypergraph"
 	"hyperbal/internal/obs"
 )
 
@@ -343,17 +342,6 @@ func runSession(client *hyperbal.Client, dataset string, n, k int, alpha int64, 
 		return err
 	}
 
-	// prevIDs tracks the stable vertex ids of the last submitted epoch so
-	// structural deltas can translate the base vertex space; epoch 0 is the
-	// identity (every generator vertex alive, in order).
-	var prevIDs []int32
-	if useDelta && dynamic == "structure" {
-		prevIDs = make([]int32, g.NumVertices())
-		for i := range prevIDs {
-			prevIDs[i] = int32(i)
-		}
-	}
-
 	for e := 1; e <= epochs; e++ {
 		if think > 0 {
 			time.Sleep(think)
@@ -362,10 +350,7 @@ func runSession(client *hyperbal.Client, dataset string, n, k int, alpha int64, 
 		var res hyperbal.RemoteResult
 		switch {
 		case useDelta && dynamic == "structure":
-			st := gen.(*dynamics.Structural)
-			curIDs := st.AliveMap()
-			vmap := hypergraph.VertexMapFromIDs(prevIDs, curIDs)
-			prevIDs = append(prevIDs[:0], curIDs...)
+			vmap := gen.(*dynamics.Structural).VertexMap()
 			res, err = sess.SubmitEpochDeltaMapped(ctx, prob.H, vmap, old, warm)
 		case useDelta:
 			res, err = sess.SubmitEpochDelta(ctx, prob.H, warm)

@@ -61,6 +61,7 @@ type Structural struct {
 
 	lastPart []int32 // per original vertex: last known part
 	alive    []int32 // current epoch: epoch vertex -> original vertex
+	prev     []int32 // previous epoch's alive; epoch 0's is every vertex
 }
 
 // NewStructural creates the structural perturbation generator. init is a
@@ -77,6 +78,10 @@ func NewStructural(orig *graph.Graph, init partition.Partition, k int, vertFrac,
 	if partFrac <= 0 || partFrac > 1 {
 		return nil, fmt.Errorf("dynamics: part fraction %v out of (0,1]", partFrac)
 	}
+	all := make([]int32, orig.NumVertices())
+	for v := range all {
+		all[v] = int32(v)
+	}
 	return &Structural{
 		orig:     orig,
 		k:        k,
@@ -84,6 +89,7 @@ func NewStructural(orig *graph.Graph, init partition.Partition, k int, vertFrac,
 		partFrac: partFrac,
 		rng:      rand.New(rand.NewSource(seed)),
 		lastPart: append([]int32(nil), init.Parts...),
+		alive:    all,
 	}, nil
 }
 
@@ -119,7 +125,7 @@ func (s *Structural) Next() (core.Problem, partition.Partition) {
 	}
 
 	// Build the induced subgraph on alive vertices.
-	s.alive = s.alive[:0]
+	s.prev, s.alive = s.alive, s.prev[:0]
 	newID := make([]int32, n)
 	for v := 0; v < n; v++ {
 		if deleted[v] {
@@ -146,13 +152,28 @@ func (s *Structural) Next() (core.Problem, partition.Partition) {
 	return core.Problem{G: g, H: graph.ToHypergraph(g)}, inherited
 }
 
-// AliveMap returns the current epoch's vertex correspondence: entry i is
-// the original-graph vertex that became epoch vertex i. Valid after Next;
-// the slice is reused by the next Next call. Clients computing deltas
-// between consecutive epochs translate it into a base→successor vertex
-// map (two epochs' alive lists share original ids for surviving
-// vertices, and both are sorted by original id).
-func (s *Structural) AliveMap() []int32 { return s.alive }
+// VertexMap returns the vertex map of the latest Next's transition, the
+// hypergraph.Delta VertexMap from the previous epoch to this one: entry j
+// is the previous epoch's index of this epoch's vertex j, or -1 when the
+// vertex returns after a deletion. The first Next's previous epoch is the
+// original graph. Valid after Next; each call builds a fresh map.
+func (s *Structural) VertexMap() []int32 {
+	// Both alive lists hold original ids in increasing order, so one merge
+	// pass pairs the survivors.
+	vmap := make([]int32, len(s.alive))
+	i := 0
+	for j, id := range s.alive {
+		for i < len(s.prev) && s.prev[i] < id {
+			i++
+		}
+		if i < len(s.prev) && s.prev[i] == id {
+			vmap[j] = int32(i)
+		} else {
+			vmap[j] = -1
+		}
+	}
+	return vmap
+}
 
 // Observe records the epoch's computed partition back onto the original
 // vertex numbering.
@@ -264,24 +285,16 @@ func (r *Refinement) Observe(p partition.Partition) error {
 // Transitions expresses a generator's epoch transitions as hypergraph
 // deltas, for warm repartitioning: each epoch's hypergraph is diffed
 // against the previous epoch's, through the structural dynamic's
-// AliveMap when vertices come and go.
+// VertexMap when vertices come and go.
 type Transitions struct {
-	gen     Generator
-	base    *hypergraph.Hypergraph
-	prevIDs []int32 // base's original vertex ids (structural dynamic only)
+	gen  Generator
+	base *hypergraph.Hypergraph
 }
 
 // NewTransitions starts the sequence at base, the hypergraph of the
 // original problem gen was built over.
 func NewTransitions(gen Generator, base *hypergraph.Hypergraph) *Transitions {
-	t := &Transitions{gen: gen, base: base}
-	if _, ok := gen.(*Structural); ok {
-		t.prevIDs = make([]int32, base.NumVertices())
-		for i := range t.prevIDs {
-			t.prevIDs[i] = int32(i)
-		}
-	}
-	return t
+	return &Transitions{gen: gen, base: base}
 }
 
 // Dirty returns the vertices of next, the hypergraph of gen's latest
@@ -292,9 +305,7 @@ func (t *Transitions) Dirty(next *hypergraph.Hypergraph) []bool {
 	var d *hypergraph.Delta
 	var ok bool
 	if st, isStruct := t.gen.(*Structural); isStruct {
-		curIDs := st.AliveMap()
-		d, ok = hypergraph.ComputeDeltaMapped(t.base, next, hypergraph.VertexMapFromIDs(t.prevIDs, curIDs))
-		t.prevIDs = append(t.prevIDs[:0], curIDs...)
+		d, ok = hypergraph.ComputeDeltaMapped(t.base, next, st.VertexMap())
 	} else {
 		d, ok = hypergraph.ComputeDelta(t.base, next)
 	}

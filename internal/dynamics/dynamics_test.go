@@ -78,6 +78,62 @@ type coreProblem struct {
 	}
 }
 
+// TestStructuralVertexMap checks each epoch's VertexMap against a brute
+// force that looks every vertex's original id up in the previous epoch's
+// alive list (every vertex, in order, before the first epoch). Each epoch
+// deletes a fresh subset, so some vertices return (-1 entries) and some
+// previous vertices are dropped (base indices no entry names).
+func TestStructuralVertexMap(t *testing.T) {
+	const n, epochs = 256, 5
+	for _, seed := range []int64{1, 2, 3, 20070326} {
+		s, err := NewStructural(grid(16, 16), stripes(n, 4), 4, 0.25, 0.5, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev := make([]int32, n)
+		for v := range prev {
+			prev[v] = int32(v)
+		}
+		returned, dropped := 0, 0
+		for epoch := 1; epoch <= epochs; epoch++ {
+			_, inherited := s.Next()
+			got := s.VertexMap()
+			if len(got) != len(s.alive) {
+				t.Fatalf("seed %d epoch %d: map has %d entries, epoch has %d vertices", seed, epoch, len(got), len(s.alive))
+			}
+			kept := make([]bool, len(prev))
+			for j, id := range s.alive {
+				want := int32(-1)
+				for i, pid := range prev {
+					if pid == id {
+						want = int32(i)
+					}
+				}
+				if got[j] != want {
+					t.Fatalf("seed %d epoch %d: vertex %d maps to %d, want %d", seed, epoch, j, got[j], want)
+				}
+				if want < 0 {
+					returned++
+				} else {
+					kept[want] = true
+				}
+			}
+			for _, k := range kept {
+				if !k {
+					dropped++
+				}
+			}
+			prev = append(prev[:0], s.alive...)
+			if err := s.Observe(inherited); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if returned == 0 || dropped == 0 {
+			t.Fatalf("seed %d: %d returned and %d dropped vertices over %d epochs, want both > 0", seed, returned, dropped, epochs)
+		}
+	}
+}
+
 func TestStructuralObserveLengthCheck(t *testing.T) {
 	g := grid(8, 8)
 	s, _ := NewStructural(g, stripes(64, 2), 2, 0.25, 0.5, 2)

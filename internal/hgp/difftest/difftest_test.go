@@ -62,19 +62,12 @@ func walk(t *testing.T, ds, dynamic string, k int, seed int64, epochs int, init 
 		t.Fatal(err)
 	}
 	base := h0
-	prevIDs := make([]int32, g.NumVertices())
-	for i := range prevIDs {
-		prevIDs[i] = int32(i)
-	}
 	for e := 1; e <= epochs; e++ {
 		prob, old := gen.Next()
 		var d *hypergraph.Delta
 		var ok bool
 		if st, isStruct := gen.(*dynamics.Structural); isStruct {
-			curIDs := st.AliveMap()
-			vmap := hypergraph.VertexMapFromIDs(prevIDs, curIDs)
-			d, ok = hypergraph.ComputeDeltaMapped(base, prob.H, vmap)
-			prevIDs = append(prevIDs[:0], curIDs...)
+			d, ok = hypergraph.ComputeDeltaMapped(base, prob.H, st.VertexMap())
 		} else {
 			d, ok = hypergraph.ComputeDelta(base, prob.H)
 		}

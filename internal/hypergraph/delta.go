@@ -701,26 +701,3 @@ func pinsEqual(a, b []int32) bool {
 	}
 	return true
 }
-
-// VertexMapFromIDs derives a base→successor VertexMap from per-epoch
-// stable-id lists: baseIDs[i] is the stable id of base vertex i, nextIDs[j]
-// the stable id of successor vertex j, both strictly increasing. The result
-// has one entry per successor vertex: the base index carrying the same id,
-// or -1 when the id is absent from the base (a new vertex). This is the
-// shape produced by structural dynamics that track an "alive" list of
-// original-graph vertices per epoch.
-func VertexMapFromIDs(baseIDs, nextIDs []int32) []int32 {
-	vmap := make([]int32, len(nextIDs))
-	i := 0
-	for j, id := range nextIDs {
-		for i < len(baseIDs) && baseIDs[i] < id {
-			i++
-		}
-		if i < len(baseIDs) && baseIDs[i] == id {
-			vmap[j] = int32(i)
-		} else {
-			vmap[j] = -1
-		}
-	}
-	return vmap
-}

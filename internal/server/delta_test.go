@@ -26,7 +26,7 @@ import (
 // runRemoteDelta mirrors runRemote but ships every epoch as a delta
 // against the previous one. For the weights dynamic the vertex set is
 // unchanged (SubmitEpochDelta); for the structure dynamic the vertex map
-// is derived from consecutive alive lists (SubmitEpochDeltaMapped).
+// is the generator's (SubmitEpochDeltaMapped).
 func runRemoteDelta(t *testing.T, client *hyperbal.Client, cfg core.Config, dsName string, n int, seed int64, epochs int, dynamic string, warm bool) (epochTrace, []bool) {
 	t.Helper()
 	ctx := context.Background()
@@ -42,18 +42,11 @@ func runRemoteDelta(t *testing.T, client *hyperbal.Client, cfg core.Config, dsNa
 	tr := epochTrace{parts: [][]int32{first.Partition.Parts}, cached: []bool{first.Cached}}
 	warms := []bool{first.Warm}
 	gen := newGen(t, dynamic, g, first.Partition, cfg.K, seed)
-	prevIDs := make([]int32, g.NumVertices())
-	for i := range prevIDs {
-		prevIDs[i] = int32(i)
-	}
 	for e := 1; e <= epochs; e++ {
 		prob, old := gen.Next()
 		var res hyperbal.RemoteResult
 		if st, ok := gen.(*dynamics.Structural); ok {
-			curIDs := st.AliveMap()
-			vmap := hypergraph.VertexMapFromIDs(prevIDs, curIDs)
-			res, err = sess.SubmitEpochDeltaMapped(ctx, prob.H, vmap, old, warm)
-			prevIDs = append(prevIDs[:0], curIDs...)
+			res, err = sess.SubmitEpochDeltaMapped(ctx, prob.H, st.VertexMap(), old, warm)
 		} else {
 			res, err = sess.SubmitEpochDelta(ctx, prob.H, warm)
 		}
