@@ -114,6 +114,14 @@ var guards = []guard{
 		pattern: `\bma[p]\[`, paths: []string{"internal/hypergraph/delta.go", "internal/hypergraph/fingerprint.go"}},
 	{name: "cache-peering", removedBy: []string{"e99adc7"}, why: "no replica asks another for a cache entry; the handoff is the one replica-to-replica path",
 		pattern: `internal/cach[e]|PeerTimeou[t]|peer-timeou[t]|server_peer[_]|cacheResul[t]|func \(r \*ring\) owne[r]\(`, paths: repoGo},
+	{name: "unread-metrics-partitioners", removedBy: []string{"child of 47c1ba3"}, why: "a family stays only while a bench metric, a test assertion, a CI step or a command's output reads it (TestMetricFamiliesHaveReaders)",
+		pattern: `core_comm_volume_tota[l]|core_migration_volume_tota[l]|harness_repart_n[s]|hgp_final_cu[t]|hgp_fm2_passes_tota[l]|hgp_level_shrink_permill[e]|mpi_collective_ops_tota[l]|pgp_coarsen_n[s]|pgp_refine_n[s]|pgp_hem_rounds_tota[l]|pgp_candidates_tota[l]|pgp_refine_proposals_tota[l]|phg_bids_tota[l]|phg_candidates_tota[l]|phg_ipm_rounds_tota[l]|phg_refine_proposals_tota[l]`,
+		paths:   repoDocs},
+	{name: "unread-metrics-serving", removedBy: []string{"child of 47c1ba3"}, why: "a family stays only while a bench metric, a test assertion, a CI step or a command's output reads it (TestMetricFamiliesHaveReaders)",
+		pattern: `gateway_placed_session[s]|gateway_replicas_aliv[e]|gateway_replica_down_tota[l]|server_requests_tota[l]|server_responses_tota[l]|server_rejected_draining_tota[l]|server_sessions_(activ[e]|created_tota[l]|evicted_tota[l]|closed_tota[l])|server_epochs_tota[l]|server_epochs_skipped_tota[l]|server_fault_delay_n[s]|server_delta_bytes_tota[l]|server_delta_fingerprint_mismatches_tota[l]|server_delta_dirty_permill[e]|server_singleflight_retries_tota[l]|server_handoff_(received|failed)_tota[l]`,
+		paths:   repoDocs},
+	{name: "histogram-buckets", removedBy: []string{"child of 47c1ba3"}, why: "a histogram is an atomic (count, sum) pair; every reader takes its sum",
+		pattern: `DurationBound[s]|ExpBound[s]|LinBound[s]|BucketSnapsho[t]|_bucke[t]|\bBucket[s]\b`, paths: repoGo},
 }
 
 func TestRemovedNamesStayGone(t *testing.T) {
@@ -317,4 +325,107 @@ func (g guard) scan() ([]string, error) {
 		}
 	}
 	return hits, nil
+}
+
+// TestMetricFamiliesHaveReaders keeps every registered metric family read.
+// A family stays only while a bench/ metric, a test asserting its value, a
+// CI step or a command's printed output reads it; schema goldens and the
+// family lists in DESIGN.md and README.md do not count. Each family
+// registered in non-test Go has one row naming its reader: a file and a
+// token that file must contain (the family name, or the handle read).
+// ROADMAP.md rows are readers a planned bench row will be. The test fails
+// on a family with no row, a row with no family, or a reader that no
+// longer names its token. Run: go test -run TestMetricFamiliesHaveReaders .
+func TestMetricFamiliesHaveReaders(t *testing.T) {
+	const bench, loadgen = "bench/measure.go", "cmd/loadgen/main.go"
+	readers := []struct{ family, file, token string }{
+		{"client_retries_total", bench, "client_retries_total"},
+		{"client_owner_redirects_total", "internal/server/gateway_test.go", "client_owner_redirects_total"},
+		{"client_bytes_sent_total", loadgen, `localCounter("client_bytes_sent_total"`},
+		{"client_delta_fallbacks_total", bench, "client_delta_fallbacks_total"},
+		{"loadgen_epochs_ok_total", "cmd/loadgen/main_test.go", "lgEpochsOK.Load()"},
+		{"loadgen_epochs_cached_total", loadgen, "lgCached.Load()"},
+		{"loadgen_epochs_dropped_total", "cmd/loadgen/main_test.go", "lgDropped.Load()"},
+		{"server_request_ns", bench, "server_request_ns"},
+		{"server_inflight_epochs", "internal/server/schema_test.go", "server_inflight_epochs"},
+		{"server_queue_depth", "internal/server/schema_test.go", "server_queue_depth"},
+		{"server_rejected_busy_total", bench, "server_rejected_busy_total"},
+		{"server_cache_hits_total", bench, "server_cache_hits_total"},
+		{"server_cache_misses_total", bench, "server_cache_misses_total"},
+		{"server_cache_entries", "internal/server/schema_test.go", "server_cache_entries"},
+		{"server_delta_epochs_total", "cmd/loadgen/main_test.go", "server_delta_epochs_total"},
+		{"server_epoch_warm_ns", bench, "server_epoch_warm_ns"},
+		{"server_epoch_cold_ns", bench, "server_epoch_cold_ns"},
+		{"server_wire_rx_bytes_total", bench, "server_wire_rx_bytes_total"},
+		{"server_wire_tx_bytes_total", bench, "server_wire_tx_bytes_total"},
+		{"server_codec_ns", bench, "server_codec_ns"},
+		{"server_singleflight_leaders_total", "cmd/loadgen/main_test.go", "server_singleflight_leaders_total"},
+		{"server_singleflight_shared_total", loadgen, `counterDiff(before, snap, "server_singleflight_shared_total")`},
+		{"server_handoff_sessions_total", "internal/server/gateway_test.go", "server_handoff_sessions_total"},
+		{"server_owner_redirects_total", "internal/server/gateway_test.go", "server_owner_redirects_total"},
+		{"gateway_retargets_total", loadgen, `counterDiff(before, snap, "gateway_retargets_total")`},
+		{"mpinet_frames_total", ".github/workflows/ci.yml", "mpinet_frames_total"},
+		{"mpinet_bytes_total", bench, "mpinet_bytes_total"},
+		{"phg_coarsen_ns", "ROADMAP.md", "phg_coarsen_ns"},
+		{"phg_coarse_solve_ns", "ROADMAP.md", "phg_coarse_solve_ns"},
+		{"phg_refine_ns", "ROADMAP.md", "phg_refine_ns"},
+		{"phg_coarse_solve_serialized_total", "internal/phg/options_test.go", "obsOversubGuarded.Load()"},
+		{"mpi_messages_total", bench, "mpi_messages_total"},
+		{"mpi_bytes_total", bench, "mpi_bytes_total"},
+		{"mpi_collectives_total", bench, "mpi_collectives_total"},
+		{"hgp_coarsen_levels_total", bench, "hgp_coarsen_levels_total"},
+		{"hgp_coarsen_ns", bench, "hgp_coarsen_ns"},
+		{"hgp_coarse_solve_ns", bench, "hgp_coarse_solve_ns"},
+		{"hgp_refine_ns", bench, "hgp_refine_ns"},
+		{"hgp_kway_polish_ns", bench, "hgp_kway_polish_ns"},
+		{"hgp_fm2_moves_total", bench, "hgp_fm2_moves_total"},
+		{"hgp_kway_passes_total", bench, "hgp_kway_passes_total"},
+		{"hgp_kway_moves_total", bench, "hgp_kway_moves_total"},
+		{"hgp_kernel_worker_items_total", bench, "hgp_kernel_worker_items_total"},
+		{"hgp_warm_partitions_total", bench, "hgp_warm_partitions_total"},
+		{"hgp_warm_partition_ns", bench, "hgp_warm_partition_ns"},
+		{"core_repart_ns", bench, "core_repart_ns"},
+	}
+
+	registration := regexp.MustCompile(`\.(Counter|Gauge|Histogram)(Vec)?\("([a-z0-9_]+)"`)
+	registered := map[string]string{} // family -> a file registering it
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		for _, m := range registration.FindAllSubmatch(data, -1) {
+			registered[string(m[3])] = path
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rows := map[string]bool{}
+	for _, r := range readers {
+		if rows[r.family] {
+			t.Errorf("%s: two rows", r.family)
+		}
+		rows[r.family] = true
+		if _, ok := registered[r.family]; !ok {
+			t.Errorf("%s: a row, but no non-test Go file registers the family", r.family)
+		}
+		if r.file == "README.md" || r.file == "DESIGN.md" || strings.HasSuffix(r.file, "_schema.json") {
+			t.Errorf("%s: %s lists families; it reads none", r.family, r.file)
+			continue
+		}
+		data, err := os.ReadFile(r.file)
+		if err != nil {
+			t.Errorf("%s: reader %v", r.family, err)
+		} else if !strings.Contains(string(data), r.token) {
+			t.Errorf("%s: reader %s no longer contains %s", r.family, r.file, r.token)
+		}
+	}
+	for family, path := range registered {
+		if !rows[family] {
+			t.Errorf("%s (registered in %s): no reader row; a family nothing reads goes", family, path)
+		}
+	}
 }

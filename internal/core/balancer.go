@@ -174,7 +174,6 @@ func (b *Balancer) Partition(p Problem) (Result, error) {
 		CommVolume: partition.CutSize(p.H, newP),
 		RepartTime: time.Since(start),
 	}
-	obsCommVolume.With(b.cfg.Method.String()).Add(res.CommVolume)
 	return res, nil
 }
 
@@ -222,10 +221,7 @@ func (b *Balancer) Repartition(p Problem, old partition.Partition, epoch int64) 
 		Moved:           mig.Moved,
 		RepartTime:      time.Since(start),
 	}
-	method := b.cfg.Method.String()
-	obsRepartNs.With(method).Observe(int64(res.RepartTime))
-	obsCommVolume.With(method).Add(res.CommVolume)
-	obsMigVolume.With(method).Add(res.MigrationVolume)
+	obsRepartNs.With(b.cfg.Method.String()).Observe(int64(res.RepartTime))
 	return res, nil
 }
 
@@ -275,10 +271,7 @@ func (b *Balancer) RepartitionWarm(p Problem, old partition.Partition, epoch int
 		RepartTime:      time.Since(start),
 		Warm:            true,
 	}
-	method := b.cfg.Method.String()
-	obsRepartNs.With(method).Observe(int64(res.RepartTime))
-	obsCommVolume.With(method).Add(res.CommVolume)
-	obsMigVolume.With(method).Add(res.MigrationVolume)
+	obsRepartNs.With(b.cfg.Method.String()).Observe(int64(res.RepartTime))
 	return res, nil
 }
 

@@ -241,7 +241,6 @@ func runSequence(cfg Config, g *graph.Graph, procs int, alpha int64, m core.Meth
 	if err != nil {
 		return err
 	}
-	method := m.String()
 	// Warm mode expresses each transition as a delta against the previous
 	// epoch's hypergraph.
 	var deltas *dynamics.Transitions
@@ -268,7 +267,6 @@ func runSequence(cfg Config, g *graph.Graph, procs int, alpha int64, m core.Meth
 		cell.Imbalance += partition.Imbalance(w)
 		cell.RepartTime += res.RepartTime
 		cell.Epochs++
-		obsRepartNs.With(method).Observe(int64(res.RepartTime))
 	}
 	return nil
 }

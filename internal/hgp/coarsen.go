@@ -28,7 +28,6 @@ func coarsen(h *hypergraph.Hypergraph, rng *rand.Rand, coarsenTo int, ws *worksp
 		shrink := 1 - float64(coarse.NumVertices())/float64(cur.NumVertices())
 		lvl := len(levels) - 1
 		obsCoarsenNs.At(lvl).ObserveSince(start)
-		obsLevelShrink.At(lvl).Observe(int64(shrink * 1000))
 		if shrink < MinShrink {
 			break // unsuccessful coarsening; stop early
 		}

@@ -99,7 +99,6 @@ func fm2From(s *bisectState, fixedSide []int32, maxPasses int, ord *gaintree.Ord
 		for i := len(moved) - 1; i >= bestPrefix; i-- {
 			s.move(int(moved[i]), g)
 		}
-		obsFM2Passes.Inc()
 		obsFM2Moves.Add(int64(bestPrefix))
 		if bestPrefixCut >= passStartCut {
 			break // no improvement this pass

@@ -38,9 +38,8 @@ func Partition(h *hypergraph.Hypergraph, opt Options) (partition.Partition, erro
 	// Final k-way polish pass to recover from per-bisection myopia.
 	caps := partition.Caps(h.TotalWeight(), opt.K, opt.Imbalance)
 	polishStart := time.Now()
-	cut := refineKway(h, opt.K, p.Parts, caps, RefinePasses, ws)
+	refineKway(h, opt.K, p.Parts, caps, RefinePasses, ws)
 	obsPolishNs.ObserveSince(polishStart)
-	obsFinalCut.Set(cut)
 	return p, nil
 }
 

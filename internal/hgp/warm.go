@@ -179,7 +179,6 @@ func PartitionWarm(h *hypergraph.Hypergraph, opt Options, spec WarmSpec) (partit
 
 	obsWarmPartitions.With(stats.Mode).Inc()
 	obsWarmNs.ObserveSince(start)
-	obsFinalCut.Set(stats.Cut)
 	return p, stats, nil
 }
 

@@ -383,7 +383,6 @@ func (c *Comm) collective(name string) func() {
 		return func() { w.colDepth[wr]-- }
 	}
 	w.stats.Collectives.Add(1)
-	obsCollectiveOps.With(name).Inc()
 	if w.opt.OnEvent == nil {
 		return func() { w.colDepth[wr]-- }
 	}

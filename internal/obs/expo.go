@@ -17,16 +17,8 @@ type Snapshot struct {
 
 // HistogramSnapshot is one histogram's cumulative state.
 type HistogramSnapshot struct {
-	Count   int64            `json:"count"`
-	Sum     int64            `json:"sum"`
-	Buckets []BucketSnapshot `json:"buckets"`
-}
-
-// BucketSnapshot is one non-cumulative bucket. Le is the upper bound;
-// the +Inf bucket is rendered with Le = -1.
-type BucketSnapshot struct {
-	Le    int64 `json:"le"`
 	Count int64 `json:"count"`
+	Sum   int64 `json:"sum"`
 }
 
 // Snapshot copies the registry's current values.
@@ -47,15 +39,7 @@ func (r *Registry) Snapshot() Snapshot {
 		case kindGauge:
 			s.Gauges[key] = m.g.Load()
 		case kindHistogram:
-			hs := HistogramSnapshot{Count: m.h.Count(), Sum: m.h.Sum()}
-			for i := range m.h.counts {
-				le := int64(-1)
-				if i < len(m.h.bounds) {
-					le = m.h.bounds[i]
-				}
-				hs.Buckets = append(hs.Buckets, BucketSnapshot{Le: le, Count: m.h.counts[i].Load()})
-			}
-			s.Histograms[key] = hs
+			s.Histograms[key] = HistogramSnapshot{Count: m.h.Count(), Sum: m.h.Sum()}
 		}
 	}
 	return s
@@ -86,8 +70,8 @@ func labelsOf(key string) string {
 }
 
 // WritePrometheus writes the registry in the Prometheus text exposition
-// format. Histograms use cumulative buckets with an integer `le` (stage
-// timers are in nanoseconds, hence the *_ns families).
+// format. A histogram is a summary without quantiles: its _sum and _count
+// lines (stage timers are in nanoseconds, hence the *_ns families).
 func (r *Registry) WritePrometheus(w io.Writer) {
 	// Group series by family so each family gets exactly one TYPE line.
 	type series struct {
@@ -121,31 +105,12 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 				fmt.Fprintf(w, "%s %d\n", s.key, s.m.g.Load())
 			}
 		case kindHistogram:
-			fmt.Fprintf(w, "# TYPE %s histogram\n", fam)
+			fmt.Fprintf(w, "# TYPE %s summary\n", fam)
 			for _, s := range ss {
-				h := s.m.h
 				labels := labelsOf(s.key)
-				var cum int64
-				for i := range h.counts {
-					cum += h.counts[i].Load()
-					le := "+Inf"
-					if i < len(h.bounds) {
-						le = fmt.Sprintf("%d", h.bounds[i])
-					}
-					fmt.Fprintf(w, "%s_bucket%s %d\n", fam, mergeLabels(labels, `le="`+le+`"`), cum)
-				}
-				fmt.Fprintf(w, "%s_sum%s %d\n", fam, labels, h.Sum())
-				fmt.Fprintf(w, "%s_count%s %d\n", fam, labels, h.Count())
+				fmt.Fprintf(w, "%s_sum%s %d\n", fam, labels, s.m.h.Sum())
+				fmt.Fprintf(w, "%s_count%s %d\n", fam, labels, s.m.h.Count())
 			}
 		}
 	}
-}
-
-// mergeLabels merges an existing label block (possibly "") with one more
-// rendered label.
-func mergeLabels(block, extra string) string {
-	if block == "" {
-		return "{" + extra + "}"
-	}
-	return block[:len(block)-1] + "," + extra + "}"
 }

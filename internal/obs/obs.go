@@ -1,5 +1,5 @@
 // Package obs is the pipeline-wide observability layer: a lightweight
-// metrics subsystem with atomic counters, gauges and fixed-bucket
+// metrics subsystem with atomic counters, gauges and (count, sum)
 // histograms in a named registry, plus stage-scoped timing helpers.
 //
 // Design constraints, in order:
@@ -60,23 +60,16 @@ func (g *Gauge) Set(n int64) { g.v.Store(n) }
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
 
-// Histogram is a fixed-bucket cumulative histogram over int64 samples.
-// Bounds are upper bucket edges (ascending); an implicit +Inf bucket
-// catches the rest. Observe is lock- and allocation-free.
+// Histogram is an atomic (count, sum) pair over int64 samples: the stage
+// timers' readers want totals and means, not distributions. Observe is
+// lock- and allocation-free.
 type Histogram struct {
-	bounds []int64
-	counts []atomic.Int64 // len(bounds)+1; the last is the +Inf bucket
-	sum    atomic.Int64
-	count  atomic.Int64
+	sum   atomic.Int64
+	count atomic.Int64
 }
 
 // Observe records one sample.
 func (h *Histogram) Observe(v int64) {
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.counts[i].Add(1)
 	h.sum.Add(v)
 	h.count.Add(1)
 }
@@ -92,30 +85,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the sum of all observed samples.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
-// ExpBounds returns n exponential bucket bounds start, start*factor, ...
-func ExpBounds(start, factor int64, n int) []int64 {
-	bounds := make([]int64, n)
-	b := start
-	for i := range bounds {
-		bounds[i] = b
-		b *= factor
-	}
-	return bounds
-}
-
-// LinBounds returns n linear bucket bounds start, start+step, ...
-func LinBounds(start, step int64, n int) []int64 {
-	bounds := make([]int64, n)
-	for i := range bounds {
-		bounds[i] = start + int64(i)*step
-	}
-	return bounds
-}
-
-// DurationBounds covers 1µs .. ~8.6s in doubling nanosecond buckets, the
-// default for *_ns stage timers.
-var DurationBounds = ExpBounds(1000, 2, 24)
 
 // metricKind discriminates registry entries.
 type metricKind int
@@ -221,16 +190,11 @@ func (r *Registry) Gauge(name string, kv ...string) *Gauge {
 	return m.g
 }
 
-// Histogram returns (registering if needed) the named histogram. The
-// bounds of the first registration win; later calls may pass nil.
-func (r *Registry) Histogram(name string, bounds []int64, kv ...string) *Histogram {
+// Histogram returns (registering if needed) the named histogram.
+func (r *Registry) Histogram(name string, kv ...string) *Histogram {
 	labels := renderLabels(kv)
 	m := r.lookup(name, labels, kindHistogram, func() *metric {
-		if len(bounds) == 0 {
-			bounds = DurationBounds
-		}
-		h := &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
-		return &metric{family: name, labels: labels, kind: kindHistogram, h: h}
+		return &metric{family: name, labels: labels, kind: kindHistogram, h: &Histogram{}}
 	})
 	return m.h
 }
@@ -247,9 +211,6 @@ func (r *Registry) Reset() {
 		case kindGauge:
 			m.g.v.Store(0)
 		case kindHistogram:
-			for i := range m.h.counts {
-				m.h.counts[i].Store(0)
-			}
 			m.h.sum.Store(0)
 			m.h.count.Store(0)
 		}
@@ -307,18 +268,17 @@ func (v *CounterVec) With(value string) *Counter {
 // addressed by small integer (At) are cached in a slice, so per-level
 // stage timers are allocation-free after first use of each level.
 type HistogramVec struct {
-	r      *Registry
-	name   string
-	label  string
-	bounds []int64
-	mu     sync.RWMutex
-	m      map[string]*Histogram
-	byIdx  []*Histogram
+	r     *Registry
+	name  string
+	label string
+	mu    sync.RWMutex
+	m     map[string]*Histogram
+	byIdx []*Histogram
 }
 
 // HistogramVec returns a histogram family keyed by one label.
-func (r *Registry) HistogramVec(name, label string, bounds []int64) *HistogramVec {
-	return &HistogramVec{r: r, name: name, label: label, bounds: bounds, m: map[string]*Histogram{}}
+func (r *Registry) HistogramVec(name, label string) *HistogramVec {
+	return &HistogramVec{r: r, name: name, label: label, m: map[string]*Histogram{}}
 }
 
 // With returns the child histogram for the given label value.
@@ -329,7 +289,7 @@ func (v *HistogramVec) With(value string) *Histogram {
 	if h != nil {
 		return h
 	}
-	h = v.r.Histogram(v.name, v.bounds, v.label, value)
+	h = v.r.Histogram(v.name, v.label, value)
 	v.mu.Lock()
 	v.m[value] = h
 	v.mu.Unlock()

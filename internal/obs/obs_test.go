@@ -29,17 +29,12 @@ func TestCounterGaugeHistogram(t *testing.T) {
 		t.Fatalf("gauge after Set(7) = %d, want 7", got)
 	}
 
-	h := r.Histogram("test_latency_ns", []int64{10, 100, 1000})
+	h := r.Histogram("test_latency_ns")
 	for _, v := range []int64{5, 50, 500, 5000} {
 		h.Observe(v)
 	}
 	if h.Count() != 4 || h.Sum() != 5555 {
 		t.Fatalf("histogram count=%d sum=%d, want 4/5555", h.Count(), h.Sum())
-	}
-	for i, want := range []int64{1, 1, 1, 1} {
-		if got := h.counts[i].Load(); got != want {
-			t.Fatalf("bucket %d = %d, want %d", i, got, want)
-		}
 	}
 }
 
@@ -69,7 +64,7 @@ func TestLabelsAndVecs(t *testing.T) {
 		t.Fatal("CounterVec.With is not cached")
 	}
 
-	hv := r.HistogramVec("vec_ns", "level", []int64{10, 100})
+	hv := r.HistogramVec("vec_ns", "level")
 	hv.At(0).Observe(5)
 	hv.At(3).Observe(50)
 	if hv.At(3) != hv.With("3") {
@@ -84,7 +79,7 @@ func TestLabelsAndVecs(t *testing.T) {
 func TestConcurrentUse(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("conc_total")
-	hv := r.HistogramVec("conc_ns", "level", []int64{1, 10, 100})
+	hv := r.HistogramVec("conc_ns", "level")
 	var wg sync.WaitGroup
 	const workers, per = 8, 1000
 	for w := 0; w < workers; w++ {
@@ -113,8 +108,8 @@ func TestConcurrentUse(t *testing.T) {
 func TestHotPathAllocationFree(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("alloc_total")
-	h := r.Histogram("alloc_ns", DurationBounds)
-	hv := r.HistogramVec("alloc_vec_ns", "level", DurationBounds)
+	h := r.Histogram("alloc_ns")
+	hv := r.HistogramVec("alloc_vec_ns", "level")
 	hv.At(2) // warm the index cache
 	if n := testing.AllocsPerRun(100, func() {
 		c.Add(1)
@@ -129,7 +124,7 @@ func TestPrometheusOutput(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("out_total").Add(3)
 	r.Gauge("out_depth").Set(-2)
-	h := r.Histogram("out_ns", []int64{10, 100}, "level", "0")
+	h := r.Histogram("out_ns", "level", "0")
 	h.Observe(5)
 	h.Observe(500)
 	var b strings.Builder
@@ -140,10 +135,7 @@ func TestPrometheusOutput(t *testing.T) {
 		"out_total 3",
 		"# TYPE out_depth gauge",
 		"out_depth -2",
-		"# TYPE out_ns histogram",
-		`out_ns_bucket{level="0",le="10"} 1`,
-		`out_ns_bucket{level="0",le="100"} 1`,
-		`out_ns_bucket{level="0",le="+Inf"} 2`,
+		"# TYPE out_ns summary",
 		`out_ns_sum{level="0"} 505`,
 		`out_ns_count{level="0"} 2`,
 	} {
@@ -151,7 +143,7 @@ func TestPrometheusOutput(t *testing.T) {
 			t.Fatalf("prometheus output missing %q:\n%s", want, out)
 		}
 	}
-	if strings.Count(out, "# TYPE out_ns histogram") != 1 {
+	if strings.Count(out, "# TYPE out_ns summary") != 1 {
 		t.Fatalf("duplicate TYPE lines:\n%s", out)
 	}
 }
@@ -159,7 +151,7 @@ func TestPrometheusOutput(t *testing.T) {
 func TestJSONSnapshotRoundtrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("json_total").Add(9)
-	r.Histogram("json_ns", []int64{10}).Observe(4)
+	r.Histogram("json_ns").Observe(4)
 	var b strings.Builder
 	if err := r.WriteJSON(&b); err != nil {
 		t.Fatal(err)
@@ -172,7 +164,7 @@ func TestJSONSnapshotRoundtrip(t *testing.T) {
 		t.Fatalf("roundtrip counter = %d, want 9", snap.Counters["json_total"])
 	}
 	h := snap.Histograms["json_ns"]
-	if h.Count != 1 || h.Sum != 4 || len(h.Buckets) != 2 {
+	if h.Count != 1 || h.Sum != 4 {
 		t.Fatalf("roundtrip histogram = %+v", h)
 	}
 }
@@ -181,7 +173,7 @@ func TestSchemaCheck(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("sch_ops_total").Add(1)
 	r.Counter("sch_zero_total")
-	r.Histogram("sch_stage_ns", []int64{10}, "level", "0").Observe(25)
+	r.Histogram("sch_stage_ns", "level", "0").Observe(25)
 	snap := r.Snapshot()
 
 	good := Schema{
@@ -213,7 +205,7 @@ func TestReset(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("reset_total")
 	c.Add(5)
-	h := r.Histogram("reset_ns", []int64{10})
+	h := r.Histogram("reset_ns")
 	h.Observe(3)
 	r.Reset()
 	if c.Load() != 0 || h.Count() != 0 || h.Sum() != 0 {
@@ -274,7 +266,7 @@ func TestHandlerAndServe(t *testing.T) {
 
 func TestObserveSince(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("since_ns", DurationBounds)
+	h := r.Histogram("since_ns")
 	start := time.Now()
 	h.ObserveSince(start)
 	if h.Count() != 1 || h.Sum() < 0 {

@@ -15,7 +15,6 @@ package pgp
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"hyperbal/internal/gp"
 	"hyperbal/internal/graph"
@@ -65,10 +64,8 @@ func AdaptiveRepart(c *mpi.Comm, g *graph.Graph, old partition.Partition, itr in
 	levels := []level{{g: g, oldPart: oldPart}}
 	cur, curOld := g, oldPart
 	for cur.NumVertices() > coarsenTo {
-		start := time.Now()
 		match := parallelHEM(c, cur, curOld, rng)
 		coarse, cmap, coarseOld := gp.Contract(cur, match, curOld)
-		obsCoarsenNs.At(len(levels) - 1).ObserveSince(start)
 		if 1-float64(coarse.NumVertices())/float64(cur.NumVertices()) < gp.MinShrink {
 			break
 		}
@@ -83,12 +80,10 @@ func AdaptiveRepart(c *mpi.Comm, g *graph.Graph, old partition.Partition, itr in
 
 	caps := partition.Caps(g.TotalWeight(), k, def.Imbalance)
 	for i := len(levels) - 1; i >= 0; i-- {
-		refineStart := time.Now()
 		if i < len(levels)-1 {
 			parts = gp.Project(levels[i].cmap, parts)
 		}
 		parallelRefine(c, levels[i].g, k, parts, levels[i].oldPart, itr, caps)
-		obsRefineNs.At(i).ObserveSince(refineStart)
 	}
 	copy(p.Parts, parts)
 	return p, nil

@@ -67,13 +67,9 @@ func parallelHEM(c *mpi.Comm, g *graph.Graph, samePart []int32, rng *rand.Rand) 
 				break
 			}
 		}
-		obsCandidates.Add(int64(len(local)))
 		cands, _ := mpi.AllgatherSlice(c, local)
 		if len(cands) == 0 {
 			continue // no viable nominee this round
-		}
-		if c.Rank() == 0 {
-			obsHEMRounds.Inc()
 		}
 		bids := make([]matchBid, len(cands))
 		for i, cand := range cands {
@@ -226,7 +222,6 @@ func parallelRefine(c *mpi.Comm, g *graph.Graph, k int, parts []int32, oldPart [
 				proposals = append(proposals, moveProposal{V: int32(v), To: bestTo, Gain: bestGain})
 			}
 		}
-		obsProposals.Add(int64(len(proposals)))
 		all, _ := mpi.AllgatherSlice(c, proposals)
 		if len(all) == 0 {
 			break

@@ -97,13 +97,9 @@ func ipmRounds(c *mpi.Comm, h *hypergraph.Hypergraph, rng *rand.Rand, maxNetSize
 				break
 			}
 		}
-		obsCandidates.Add(int64(len(local)))
 		cands, _ := mpi.AllgatherSlice(c, local)
 		if len(cands) == 0 {
 			continue // no viable nominee this round; a later draw may find one
-		}
-		if c.Rank() == 0 {
-			obsIPMRounds.Inc()
 		}
 
 		// 2. Compute this rank's best bid for each candidate, restricted to
@@ -111,14 +107,9 @@ func ipmRounds(c *mpi.Comm, h *hypergraph.Hypergraph, rng *rand.Rand, maxNetSize
 		// compatibility filter. (All scores are computed; infeasible pairs
 		// are filtered at selection, as in Zoltan.)
 		bids := make([]matchBid, len(cands))
-		feasible := 0
 		for i, cand := range cands {
 			bids[i] = bestLocalBid(h, match, int(cand), lo, hi, maxNetSize, score, &touched)
-			if bids[i].Match >= 0 {
-				feasible++
-			}
 		}
-		obsBids.Add(int64(feasible))
 
 		// 3. Global best bid per candidate.
 		best := mpi.AllreduceSlice(c, bids, func(a, b matchBid) matchBid {

@@ -36,8 +36,6 @@ func parallelRefine(c *mpi.Comm, h *hypergraph.Hypergraph, k int, parts []int32,
 			}
 		}
 
-		obsProposals.Add(int64(len(proposals)))
-
 		// 2. Exchange proposals (rank order — deterministic).
 		all, _ := mpi.AllgatherSlice(c, proposals)
 		if len(all) == 0 {

@@ -49,7 +49,6 @@ func (a *admission) acquire(ctx context.Context) (release func(), err error) {
 	a.mu.Lock()
 	if a.draining {
 		a.mu.Unlock()
-		obsRejectedDraining.Inc()
 		return nil, errDraining
 	}
 	if a.admitted >= a.limit {

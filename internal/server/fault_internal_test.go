@@ -16,9 +16,9 @@ import (
 // the server's own job count. Two servers share one seed; server A's k-th
 // job must draw the delay a fresh server draws for its k-th job, whether
 // or not server B ran jobs in between and whether or not the shared
-// metrics registry was reset. Pre-fix the job index was read from the
-// process-global created/epoch counters, so in-process replicas shifted
-// each other's schedules and obs.Default().Reset() rewound them.
+// metrics registry was reset. Pre-fix the job index was read from
+// process-global registry counters, so in-process replicas shifted each
+// other's schedules and obs.Default().Reset() rewound them.
 func TestFaultDelayScheduleIsPerServer(t *testing.T) {
 	cfg := Config{SessionTTL: -1, Fault: &mpi.FaultPlan{Seed: 42, MaxDelay: 5 * time.Millisecond}}
 	draw := func(s *Server) time.Duration {
@@ -46,7 +46,7 @@ func TestFaultDelayScheduleIsPerServer(t *testing.T) {
 	ts := httptest.NewServer(b.Handler())
 	defer ts.Close()
 	// bServe runs a create and an epoch on B: two partitioning jobs that
-	// also advance the process-global session and epoch counters.
+	// also advance the process-global registry.
 	bServe := func() {
 		t.Helper()
 		id := newSessionID()

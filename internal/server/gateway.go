@@ -108,7 +108,6 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		down:  make([]bool, len(cfg.Replicas)),
 		stop:  make(chan struct{}),
 	}
-	obsGwReplicaAlive.Set(int64(len(cfg.Replicas)))
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sessions", g.handleCreate)
 	mux.HandleFunc("GET /v1/sessions/{id}", g.proxySession)
@@ -176,14 +175,7 @@ func (g *Gateway) setAlive(i int, alive bool) {
 	g.mu.Lock()
 	changed := g.down[i] == alive
 	g.down[i] = !alive
-	n := 0
-	for _, d := range g.down {
-		if !d {
-			n++
-		}
-	}
 	g.mu.Unlock()
-	obsGwReplicaAlive.Set(int64(n))
 	if changed {
 		if alive {
 			g.cfg.Logf("gateway: replica %s is back", g.cfg.Replicas[i])
@@ -191,11 +183,6 @@ func (g *Gateway) setAlive(i int, alive bool) {
 			g.cfg.Logf("gateway: replica %s is down", g.cfg.Replicas[i])
 		}
 	}
-}
-
-func (g *Gateway) markDown(i int) {
-	obsGwReplicaDown.Inc()
-	g.setAlive(i, false)
 }
 
 // --- placement bookkeeping ---
@@ -218,9 +205,7 @@ func (g *Gateway) setPlacement(id string, idx int) {
 	}
 	g.place[id] = idx
 	g.loads[idx]++
-	n := len(g.place)
 	g.mu.Unlock()
-	obsGwPlaced.Set(int64(n))
 }
 
 func (g *Gateway) dropPlacement(id string) {
@@ -229,9 +214,7 @@ func (g *Gateway) dropPlacement(id string) {
 		g.loads[old]--
 		delete(g.place, id)
 	}
-	n := len(g.place)
 	g.mu.Unlock()
-	obsGwPlaced.Set(int64(n))
 }
 
 // replicaIndex maps a base URL back to its index, -1 when unknown.
@@ -318,7 +301,7 @@ func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request) {
 	for hops := 0; hops < maxHops; hops++ {
 		resp, err := g.forward(r, g.cfg.Replicas[idx], body)
 		if err != nil {
-			g.markDown(idx)
+			g.setAlive(idx, false)
 			obsGwRetargets.Inc()
 			// The unreachable replica may have processed the create with only
 			// the response lost; blindly re-sending the same id elsewhere
@@ -440,7 +423,7 @@ func (g *Gateway) proxySession(w http.ResponseWriter, r *http.Request) {
 		hops++
 		resp, err := g.forward(r, g.cfg.Replicas[idx], body)
 		if err != nil {
-			g.markDown(idx)
+			g.setAlive(idx, false)
 			obsGwRetargets.Inc()
 			continue
 		}

@@ -143,7 +143,6 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	}
 	s.clearHandoff(st.ID) // a session may return to a revived replica
 	s.store.add(entry)
-	obsHandoffReceived.Inc()
 	s.cfg.Logf("server: adopted session %s at epoch %d via handoff (|V|=%d)",
 		st.ID, st.Epoch, st.Base.H.NumVertices())
 	w.WriteHeader(http.StatusNoContent)
@@ -165,8 +164,6 @@ func (s *Server) handoffAll(ctx context.Context) {
 	for _, entry := range sessions {
 		if s.handoffSession(ctx, entry, self, r) {
 			handed++
-		} else {
-			obsHandoffFailed.Inc()
 		}
 	}
 	s.cfg.Logf("server: drain handoff moved %d/%d sessions", handed, len(sessions))

@@ -197,27 +197,11 @@ func (s *Server) Drain(ctx context.Context) error {
 // functional for reads.
 func (s *Server) Close() { s.store.close() }
 
-// statusWriter records the response code for the per-route metrics.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// route wraps a handler with request counting, latency observation and
-// response-class accounting.
+// route wraps a handler with the per-route latency observation.
 func (s *Server) route(name string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		obsRequests.With(name).Inc()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		h(sw, r)
-		obsRequestNs.With(name).ObserveSince(start)
-		obsResponses.With(fmt.Sprintf("%dxx", sw.code/100)).Inc()
+		defer obsRequestNs.With(name).ObserveSince(time.Now())
+		h(w, r)
 	}
 }
 
@@ -253,7 +237,6 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func(), 
 // faultDelay applies the configured seeded delay to one partitioning job.
 func (s *Server) faultDelay() {
 	if d, ok := s.nextFaultDelay(); ok {
-		obsFaultDelayNs.Observe(int64(d))
 		time.Sleep(d)
 	}
 }
@@ -374,33 +357,32 @@ func writeSessionResponse(w http.ResponseWriter, r *http.Request, status int, id
 // body in server_wire_rx_bytes_total, times the decode in
 // server_codec_ns, and answers itself when the body is refused: 415 for
 // any Content-Type but application/x-hyperbal (before the body is read),
-// 400 when it does not decode. n is the body size.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, m message) (n int64, ok bool) {
+// 400 when it does not decode.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, m message) bool {
 	if !isBinaryRequest(r) {
 		writeError(w, http.StatusUnsupportedMediaType, "unsupported_media_type",
 			"request bodies must be "+ContentTypeBinary)
-		return 0, false
+		return false
 	}
 	body, release, ok := s.readBody(w, r)
 	if !ok {
-		return 0, false
+		return false
 	}
 	defer release()
-	n = int64(len(body))
-	obsWireRxBytes.With("binary").Add(n)
+	obsWireRxBytes.With("binary").Add(int64(len(body)))
 	start := time.Now()
 	err := decodeMsg(body, m)
 	obsCodecNs.With("binary_decode").ObserveSince(start)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "binary: "+err.Error())
-		return n, false
+		return false
 	}
-	return n, true
+	return true
 }
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req createRequest
-	if _, ok := s.decodeBody(w, r, &req); !ok {
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	cfg, err := req.Config.ToCore()
@@ -463,7 +445,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "duplicate_session", "session id already exists")
 		return
 	}
-	obsSessionsCreated.Inc()
 	s.cfg.Logf("server: session %s created (k=%d method=%s |V|=%d cached=%v)",
 		entry.id, eff.K, eff.Method, req.Graph.H.NumVertices(), cached)
 	writeSessionResponse(w, r, http.StatusCreated, entry.id, wireResult(0, res, cached, true))
@@ -508,8 +489,7 @@ func (s *Server) serveEpoch(w http.ResponseWriter, r *http.Request, req submitte
 		return
 	}
 	defer releaseSess()
-	bodyBytes, ok := s.decodeBody(w, r, req)
-	if !ok {
+	if !s.decodeBody(w, r, req) {
 		return
 	}
 	sub := req.submission()
@@ -547,7 +527,6 @@ func (s *Server) serveEpoch(w http.ResponseWriter, r *http.Request, req submitte
 		// the delta, or the server lost the base) carries the current base:
 		// the client's hard signal to fall back to a full epoch submission.
 		if entry.base.H == nil || d.Base != entry.base.FP {
-			obsDeltaMismatches.Inc()
 			writeJSON(w, http.StatusConflict, ErrorResponse{
 				Error: fmt.Sprintf("delta base %s does not match session base %s; resubmit a full epoch", d.Base, entry.base.FP),
 				Code:  "fingerprint_mismatch",
@@ -593,7 +572,6 @@ func (s *Server) serveEpoch(w http.ResponseWriter, r *http.Request, req submitte
 			return
 		}
 		if !should {
-			obsEpochSkipped.Inc()
 			unchanged := core.Result{Partition: old, CommVolume: partition.CutSize(h, old)}
 			writeSessionResponse(w, r, http.StatusOK, entry.id, wireResult(epoch, unchanged, false, false))
 			return
@@ -607,15 +585,6 @@ func (s *Server) serveEpoch(w http.ResponseWriter, r *http.Request, req submitte
 		dirty = sub.Delta.DirtyVertices(entry.base.H, h)
 		warmKey = "warm:" + sub.Delta.Digest()
 		solveNs = obsEpochWarmNs
-		d := 0
-		for _, b := range dirty {
-			if b {
-				d++
-			}
-		}
-		if n := h.NumVertices(); n > 0 {
-			obsDeltaDirtyPermille.Observe(int64(d * 1000 / n))
-		}
 	}
 
 	key := cacheKey(entry.cfg, epoch+1, fp, inherited, warmKey)
@@ -645,10 +614,8 @@ func (s *Server) serveEpoch(w http.ResponseWriter, r *http.Request, req submitte
 	if cached {
 		entry.sess.Adopt(res)
 	}
-	obsEpochs.Inc()
 	if sub.Delta != nil {
 		obsDeltaEpochs.Inc()
-		obsDeltaBytes.Add(bodyBytes)
 	}
 	entry.base = hypergraph.Frame{H: h, FP: fp}
 	entry.lastMig = migrationSummary(h, inherited, res.Partition)
@@ -743,7 +710,6 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	if s.store.remove(r.PathValue("id")) {
-		obsSessionsClosed.Inc()
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}

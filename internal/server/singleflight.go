@@ -79,7 +79,6 @@ func (s *Server) solveShared(ctx context.Context, key string, fn func() (core.Re
 			case <-f.done:
 			}
 			if f.err != nil {
-				obsSingleflightRetries.Inc()
 				continue // race to become the new leader and retry the solve
 			}
 			res := f.res

@@ -90,10 +90,8 @@ func (st *store) sweep(now time.Time) {
 		}
 		if s.lastAccess.Load() < cutoff {
 			delete(st.m, id)
-			obsSessionsEvicted.Inc()
 		}
 	}
-	obsSessionsActive.Set(int64(len(st.m)))
 	st.mu.Unlock()
 }
 
@@ -101,7 +99,6 @@ func (st *store) add(s *session) {
 	s.touch()
 	st.mu.Lock()
 	st.m[s.id] = s
-	obsSessionsActive.Set(int64(len(st.m)))
 	st.mu.Unlock()
 }
 
@@ -117,7 +114,6 @@ func (st *store) addIfAbsent(s *session) bool {
 		return false
 	}
 	st.m[s.id] = s
-	obsSessionsActive.Set(int64(len(st.m)))
 	st.mu.Unlock()
 	return true
 }
@@ -169,7 +165,6 @@ func (st *store) remove(id string) bool {
 	st.mu.Lock()
 	_, ok := st.m[id]
 	delete(st.m, id)
-	obsSessionsActive.Set(int64(len(st.m)))
 	st.mu.Unlock()
 	return ok
 }
