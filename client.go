@@ -111,11 +111,9 @@ type RemoteResult struct {
 	Moved           int
 	Epoch           int64
 	RepartMs        float64
-	// Cached reports the server answered from its repartition cache.
+	// Cached reports the server answered without running the partitioner:
+	// from its result memo, or from a concurrent identical solve.
 	Cached bool
-	// Rebalanced is false when an only-if-unbalanced submission was
-	// skipped because the drift was within threshold.
-	Rebalanced bool
 	// Warm reports the server warm-started the partitioner from the
 	// previous distribution (delta epochs submitted with warm=true).
 	Warm bool
@@ -130,7 +128,6 @@ func remoteResult(r server.WireResult) RemoteResult {
 		Epoch:           r.Epoch,
 		RepartMs:        r.RepartMs,
 		Cached:          r.Cached,
-		Rebalanced:      r.Rebalanced,
 		Warm:            r.Warm,
 	}
 }
@@ -359,20 +356,13 @@ func (c *Client) Session(ctx context.Context, id string) (*RemoteSession, error)
 // SubmitEpoch submits a drifted hypergraph with an unchanged vertex set;
 // the server rebalances against the session's current distribution.
 func (s *RemoteSession) SubmitEpoch(ctx context.Context, h *Hypergraph) (RemoteResult, error) {
-	return s.submit(ctx, h, nil, false)
+	return s.submit(ctx, h, nil)
 }
 
 // SubmitEpochInherited submits a structurally changed hypergraph with the
 // inherited assignment over the new vertex set.
 func (s *RemoteSession) SubmitEpochInherited(ctx context.Context, h *Hypergraph, inherited Partition) (RemoteResult, error) {
-	return s.submit(ctx, h, inherited.Parts, false)
-}
-
-// SubmitEpochIfUnbalanced is SubmitEpoch with the server-side trigger: the
-// result has Rebalanced == false (and the unchanged distribution) when the
-// drift was still within the session threshold.
-func (s *RemoteSession) SubmitEpochIfUnbalanced(ctx context.Context, h *Hypergraph) (RemoteResult, error) {
-	return s.submit(ctx, h, nil, true)
+	return s.submit(ctx, h, inherited.Parts)
 }
 
 // SubmitEpochDelta submits a drifted hypergraph with an unchanged vertex
@@ -408,9 +398,9 @@ func (s *RemoteSession) SubmitEpochDeltaMapped(ctx context.Context, h *Hypergrap
 }
 
 // submit sends h as a full epoch submission (POST).
-func (s *RemoteSession) submit(ctx context.Context, h *Hypergraph, inherited []int32, onlyIfUnbalanced bool) (RemoteResult, error) {
+func (s *RemoteSession) submit(ctx context.Context, h *Hypergraph, inherited []int32) (RemoteResult, error) {
 	epoch := s.epoch + 1
-	body := server.AppendEpochRequestBinary(nil, h, inherited, epoch, onlyIfUnbalanced)
+	body := server.AppendEpochRequestBinary(nil, h, inherited, epoch)
 	return s.send(ctx, "epoch", http.MethodPost, body, epoch, h)
 }
 
@@ -425,7 +415,7 @@ func (s *RemoteSession) submitDelta(ctx context.Context, h *Hypergraph, d *hyper
 	var apiErr *APIError
 	if errors.As(err, &apiErr) && apiErr.Code == "fingerprint_mismatch" {
 		obsClientDeltaFallbacks.Inc()
-		return s.submit(ctx, h, inherited, false)
+		return s.submit(ctx, h, inherited)
 	}
 	return res, err
 }
@@ -449,10 +439,8 @@ func (s *RemoteSession) send(ctx context.Context, op, method string, body []byte
 		return RemoteResult{}, err
 	}
 	res := remoteResult(resp.Result)
-	if res.Rebalanced {
-		s.epoch = res.Epoch
-		s.baseH = h
-	}
+	s.epoch = res.Epoch
+	s.baseH = h
 	return res, nil
 }
 

@@ -1,8 +1,9 @@
 // Command balancerd is the hyperbal load-balancing service daemon: it
-// serves the core.Balancer/core.Session epoch lifecycle over HTTP,
-// multiplexing many concurrent adaptive-application sessions over a
-// bounded worker pool with admission control, TTL-evicted session state,
-// and a fingerprint-keyed repartition-result cache.
+// serves the core.Balancer epoch lifecycle over HTTP, multiplexing many
+// concurrent adaptive-application sessions over a bounded worker pool
+// with admission control, TTL-evicted session state, and a
+// fingerprint-keyed result memo that serves repeated solves and
+// coalesces concurrent ones.
 //
 // Usage:
 //
@@ -20,10 +21,9 @@
 //
 // Distributed serving: start N replicas, each with -self set to its own
 // reachable URL and -peers to the full replica list, then a gateway with
-// -gateway -replicas pointing at the same list. Replicas answer each
-// other's partition-cache lookups and hand their sessions to a ring
-// successor when drained; the gateway shards session ids across the
-// replicas by consistent hashing with bounded loads.
+// -gateway -replicas pointing at the same list. Replicas hand their
+// sessions to a ring successor when drained; the gateway shards session
+// ids across the replicas by consistent hashing with bounded loads.
 package main
 
 import (
@@ -52,7 +52,7 @@ func main() {
 		workers  = flag.Int("workers", 0, "concurrently running partitioning jobs (0 = GOMAXPROCS)")
 		queue    = flag.Int("queue", 256, "queued jobs beyond the running ones before 429 backpressure")
 		ttl      = flag.Duration("session-ttl", 15*time.Minute, "evict sessions idle longer than this (<0 disables)")
-		cache    = flag.Int("cache", 4096, "repartition-result cache entries (<0 disables)")
+		cache    = flag.Int("cache", 4096, "solved results kept for reuse (<0 keeps none; concurrent identical solves still coalesce)")
 		maxBody  = flag.Int64("max-body", 64<<20, "maximum request body bytes")
 		drainT   = flag.Duration("drain-timeout", 30*time.Second, "bound on completing in-flight epochs at shutdown")
 

@@ -89,7 +89,7 @@ var guards = []guard{
 	{name: "pgp-partition-func", removedBy: []string{"a70d873"}, why: "pgp is the adaptive repartitioner only; its scratch mode stays gone",
 		pattern: `func Partitio[n]\(`, paths: []string{"internal/pgp"}},
 	{name: "test-only-funcs", removedBy: []string{"a70d873"}, why: "accessors only tests read live in _test.go files (server's export_test.go)",
-		pattern: `func (BuildStore[s]|fitsWeigh[t]|ove[r]|newWorkspac[e])\(|func \(s \*Server\) (Drainin[g]|Session[s]|CacheLe[n])\(|func \(c \*partitionCache\) le[n]\(|func \(s \*Session\) Balance[r]\(|func \(t \*Tree\) To[p]\(|func \(d \*Delta\) Identit[y]\(|func \(h \*Hypergraph\) MaxDegre[e]\(|func \(s \*bisectState\) Mov[e]\(|func \(r Result\) NormalizedCos[t]\(|func \(m \*metric\) ke[y]\(`,
+		pattern: `func (BuildStore[s]|fitsWeigh[t]|ove[r]|newWorkspac[e])\(|func \(s \*Server\) (Drainin[g]|Session[s]|CacheLe[n])\(|func \(c \*(partitionCach[e]|resultMem[o])\) le[n]\(|func \(s \*Session\) Balance[r]\(|func \(t \*Tree\) To[p]\(|func \(d \*Delta\) Identit[y]\(|func \(h \*Hypergraph\) MaxDegre[e]\(|func \(s \*bisectState\) Mov[e]\(|func \(r Result\) NormalizedCos[t]\(|func \(m \*metric\) ke[y]\(`,
 		paths:   []string{"internal"}, include: "*.go", exclude: "*_test.go"},
 	{name: "shard-dispatch", removedBy: []string{"2e41c84", "c57fd0a", "7087cc0"}, why: "hgp kernels run one schedule: no intra-level shard dispatch, part-size option or propose-resolve rounds",
 		pattern: `kernelShard[s]|shardRang[e]|contractShar[d]|efficiencyPermill[e]|TargetFraction[s]|proposeMove[s]|proposeMatche[s]|ws\.kt[o]|ws\.proposa[l]|ws\.kgai[n]|hgp_kernel_round[s]|hgp_kernel_conflict[s]`,
@@ -120,6 +120,12 @@ var guards = []guard{
 	{name: "unread-metrics-serving", removedBy: []string{"child of 47c1ba3"}, why: "a family stays only while a bench metric, a test assertion, a CI step or a command's output reads it (TestMetricFamiliesHaveReaders)",
 		pattern: `gateway_placed_session[s]|gateway_replicas_aliv[e]|gateway_replica_down_tota[l]|server_requests_tota[l]|server_responses_tota[l]|server_rejected_draining_tota[l]|server_sessions_(activ[e]|created_tota[l]|evicted_tota[l]|closed_tota[l])|server_epochs_tota[l]|server_epochs_skipped_tota[l]|server_fault_delay_n[s]|server_delta_bytes_tota[l]|server_delta_fingerprint_mismatches_tota[l]|server_delta_dirty_permill[e]|server_singleflight_retries_tota[l]|server_handoff_(received|failed)_tota[l]`,
 		paths:   repoDocs},
+	{name: "result-memo", removedBy: []string{"child of 980e28a"}, why: "one memo (internal/server/memo.go) holds pending and done results; no separate cache and flight group",
+		pattern: `flightGrou[p]|partitionCach[e]`, paths: repoDocs},
+	{name: "session-install", removedBy: []string{"child of 980e28a"}, why: "balancerd keeps its own epoch state and drives core.Balancer; core.Session has no serving-only entry points",
+		pattern: `NewSessionA[t]|NewSessionWit[h]|Adop[t]\(|RebalanceWarmInherite[d]|HistoryLe[n]|history_le[n]|LastResul[t]\(`, paths: repoDocs},
+	{name: "only-if-unbalanced", removedBy: []string{"child of 980e28a"}, why: "every served epoch rebalances; the rebalance trigger is core.Session's alone",
+		pattern: `SubmitEpochIfUnbalance[d]|OnlyIfUnbalance[d]|onlyIfUnbalance[d]|only_if_unbalance[d]|\bRebalance[d]\b`, paths: repoDocs},
 	{name: "histogram-buckets", removedBy: []string{"child of 47c1ba3"}, why: "a histogram is an atomic (count, sum) pair; every reader takes its sum",
 		pattern: `DurationBound[s]|ExpBound[s]|LinBound[s]|BucketSnapsho[t]|_bucke[t]|\bBucket[s]\b`, paths: repoGo},
 }

@@ -204,7 +204,7 @@ func (b *Balancer) Repartition(p Problem, old partition.Partition, epoch int64) 
 		}
 	case HypergraphRefineOnly:
 		newP = old.Clone()
-		caps := refineCaps(p.H, b.cfg.K, b.cfg.Imbalance)
+		caps := partition.Caps(p.H.TotalWeight(), b.cfg.K, b.cfg.Imbalance)
 		hgp.RefineKwayWithMigration(p.H.WithoutFixed(), b.cfg.K, newP.Parts,
 			old.Parts, b.cfg.Alpha, caps, 8)
 	default:
@@ -312,18 +312,4 @@ func (b *Balancer) gpOptions(epoch int64) gp.Options {
 		Imbalance: b.cfg.Imbalance,
 		Seed:      b.cfg.Seed + epoch*7919,
 	}
-}
-
-// refineCaps returns per-part weight caps for the refine-only ablation.
-func refineCaps(h *hypergraph.Hypergraph, k int, eps float64) []int64 {
-	total := h.TotalWeight()
-	capv := int64(float64(total) / float64(k) * (1 + eps))
-	if capv < 1 {
-		capv = 1
-	}
-	caps := make([]int64, k)
-	for p := range caps {
-		caps[p] = capv
-	}
-	return caps
 }

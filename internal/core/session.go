@@ -17,14 +17,13 @@ import (
 //
 // Every Session method is safe for concurrent use: an internal mutex
 // serializes them, so two concurrent Rebalance calls execute one after the
-// other with consistent epoch numbering (this is what the balancerd
-// session store relies on in addition to its own per-session queueing).
-// The mutex does NOT make concurrent lifecycles meaningful — a caller that
-// interleaves ShouldRebalance and Rebalance from different goroutines gets
-// serialized but arbitrary ordering; coordinate epochs above the Session
-// if ordering matters. The exported Threshold and History fields are NOT
-// guarded: mutate Threshold and read History only while no method call is
-// in flight, or use the HistoryLen/LastResult accessors.
+// other with consistent epoch numbering. The mutex does NOT make
+// concurrent lifecycles meaningful — a caller that interleaves
+// ShouldRebalance and Rebalance from different goroutines gets serialized
+// but arbitrary ordering; coordinate epochs above the Session if ordering
+// matters. The exported Threshold and History fields are NOT guarded:
+// mutate Threshold and read History only while no method call is in
+// flight.
 type Session struct {
 	mu    sync.Mutex
 	bal   *Balancer
@@ -49,34 +48,13 @@ func NewSession(bal *Balancer, p Problem) (*Session, Result, error) {
 	if err != nil {
 		return nil, Result{}, err
 	}
-	return NewSessionWith(bal, res), res, nil
-}
-
-// NewSessionWith returns a running session seeded with a previously
-// computed epoch-1 result — the cache-hit path of a serving layer that
-// already holds the static partition for this problem and configuration.
-// The result must come from a Balancer with the same configuration.
-func NewSessionWith(bal *Balancer, res Result) *Session {
 	s := &Session{
 		bal:       bal,
 		cur:       res.Partition.Clone(),
 		Threshold: 2 * bal.Config().Imbalance,
+		History:   []Result{res},
 	}
-	s.History = append(s.History, res)
-	return s
-}
-
-// NewSessionAt returns a running session restored at a given epoch — the
-// handoff path of a distributed serving tier adopting a session serialized
-// by another replica. res must be the session's last load-balance result
-// (its partition becomes the current distribution) and epoch the number of
-// completed operations; the next Rebalance then runs with exactly the
-// inputs the originating replica would have used, so post-handoff results
-// stay byte-identical to an uninterrupted run. History starts over at res.
-func NewSessionAt(bal *Balancer, res Result, epoch int64) *Session {
-	s := NewSessionWith(bal, res)
-	s.epoch = epoch
-	return s
+	return s, res, nil
 }
 
 // Current returns the session's current distribution. The returned
@@ -94,21 +72,6 @@ func (s *Session) Epoch() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.epoch
-}
-
-// HistoryLen returns the number of recorded load-balance operations
-// (including the initial partition).
-func (s *Session) HistoryLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.History)
-}
-
-// LastResult returns the most recent load-balance result.
-func (s *Session) LastResult() Result {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.History[len(s.History)-1]
 }
 
 // ShouldRebalance reports whether the current distribution has drifted out
@@ -150,58 +113,16 @@ func (s *Session) RebalanceInherited(p Problem, inherited partition.Partition) (
 	return s.rebalance(p, inherited)
 }
 
-// RebalanceWarmInherited is RebalanceInherited with a warm-started
-// partitioner: the epoch's solve is seeded from the inherited assignment
-// and, when dirty is non-nil (e.g. from hypergraph.Delta.DirtyVertices),
-// restricted to the dirty region. Methods without warm support fall back
-// to the cold path; see Balancer.RepartitionWarm.
-func (s *Session) RebalanceWarmInherited(p Problem, inherited partition.Partition, dirty []bool) (Result, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(inherited.Parts) != p.H.NumVertices() {
-		return Result{}, fmt.Errorf("core: inherited partition covers %d vertices, problem has %d",
-			len(inherited.Parts), p.H.NumVertices())
-	}
-	s.epoch++
-	res, err := s.bal.RepartitionWarm(p, inherited, s.epoch, dirty)
-	if err != nil {
-		s.epoch--
-		return Result{}, err
-	}
-	s.install(res)
-	return res, nil
-}
-
-// Adopt installs a previously computed rebalance result as the next epoch
-// without running the partitioner — the cache-hit path of a serving layer.
-// The result must be exactly what Rebalance would have produced for the
-// session's next epoch (same problem fingerprint, configuration, epoch
-// seed and previous distribution); the caller is responsible for that
-// equivalence, typically via a fingerprint-keyed cache.
-func (s *Session) Adopt(res Result) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.epoch++
-	s.install(res)
-}
-
 // rebalance runs with s.mu held.
 func (s *Session) rebalance(p Problem, old partition.Partition) (Result, error) {
-	s.epoch++
-	res, err := s.bal.Repartition(p, old, s.epoch)
+	res, err := s.bal.Repartition(p, old, s.epoch+1)
 	if err != nil {
-		s.epoch--
 		return Result{}, err
 	}
-	s.install(res)
-	return res, nil
-}
-
-// install records a completed epoch result (s.mu held, epoch already
-// advanced).
-func (s *Session) install(res Result) {
+	s.epoch++
 	s.cur = res.Partition.Clone()
 	s.History = append(s.History, res)
+	return res, nil
 }
 
 // TotalCost sums α·comm + mig over the session's history (the objective

@@ -39,8 +39,6 @@ func TestSessionConcurrentRebalance(t *testing.T) {
 				}
 				_ = s.Current()
 				_ = s.Epoch()
-				_ = s.LastResult()
-				_ = s.HistoryLen()
 				_ = s.TotalCost(10)
 			}
 		}()
@@ -55,7 +53,7 @@ func TestSessionConcurrentRebalance(t *testing.T) {
 	if s.Epoch() != wantEpoch {
 		t.Fatalf("epoch = %d, want %d (lost update under concurrency)", s.Epoch(), wantEpoch)
 	}
-	if got := s.HistoryLen(); int64(got) != wantEpoch+1 {
+	if got := len(s.History); int64(got) != wantEpoch+1 {
 		t.Fatalf("history len = %d, want %d", got, wantEpoch+1)
 	}
 }

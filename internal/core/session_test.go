@@ -97,105 +97,3 @@ func TestSessionStructuralChange(t *testing.T) {
 		t.Fatal("expected inherited-length error")
 	}
 }
-
-// reweight returns p with per-vertex weights from f, structure unchanged.
-func reweight(p Problem, f func(v int) int64) Problem {
-	n := p.H.NumVertices()
-	hb := hypergraph.NewBuilder(n)
-	for v := 0; v < n; v++ {
-		hb.SetWeight(v, f(v))
-	}
-	for net := 0; net < p.H.NumNets(); net++ {
-		pins := p.H.Pins(net)
-		ip := make([]int, len(pins))
-		for i, pin := range pins {
-			ip[i] = int(pin)
-		}
-		hb.AddNet(p.H.Cost(net), ip...)
-	}
-	return Problem{H: hb.Build()}
-}
-
-// TestNewSessionAt: a session restored from another replica's serialized
-// state (last result + epoch) must continue byte-identically to the
-// uninterrupted original — the correctness property of drain handoff.
-func TestNewSessionAt(t *testing.T) {
-	p := mesh(12, 12)
-	drift1 := reweight(p, func(v int) int64 {
-		if v < 36 {
-			return 5
-		}
-		return 1
-	})
-	drift2 := reweight(p, func(v int) int64 {
-		if v >= 108 {
-			return 7
-		}
-		return 1
-	})
-	cfg := Config{K: 4, Alpha: 10, Seed: 9, Method: HypergraphRepart}
-
-	balA, err := NewBalancer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig, _, err := NewSession(balA, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := orig.Rebalance(drift1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Hand off: a fresh balancer (the receiving replica builds its own from
-	// the wire config) restored at epoch 1 with the last result.
-	balB, err := NewBalancer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored := NewSessionAt(balB, r1, orig.Epoch())
-	if restored.Epoch() != 1 {
-		t.Fatalf("restored epoch = %d, want 1", restored.Epoch())
-	}
-	if restored.HistoryLen() != 1 {
-		t.Fatalf("restored history length = %d, want 1 (history restarts at the handoff)", restored.HistoryLen())
-	}
-	if !int32Equal(restored.Current().Parts, r1.Partition.Parts) {
-		t.Fatal("restored current distribution differs from the handed-off result")
-	}
-	if !int32Equal(restored.LastResult().Partition.Parts, r1.Partition.Parts) {
-		t.Fatal("restored last result differs from the handed-off result")
-	}
-
-	// Both sessions see the same next drift; results must stay identical.
-	wantR2, err := orig.Rebalance(drift2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotR2, err := restored.Rebalance(drift2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Epoch() != orig.Epoch() {
-		t.Fatalf("epoch diverged: restored %d vs original %d", restored.Epoch(), orig.Epoch())
-	}
-	if !int32Equal(gotR2.Partition.Parts, wantR2.Partition.Parts) {
-		t.Fatal("post-handoff rebalance diverged from the uninterrupted session")
-	}
-	if gotR2.CommVolume != wantR2.CommVolume || gotR2.Moved != wantR2.Moved {
-		t.Fatalf("post-handoff result stats diverged: %+v vs %+v", gotR2, wantR2)
-	}
-}
-
-func int32Equal(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}

@@ -88,7 +88,7 @@ func TestSessionBaseFingerprintIsCurrent(t *testing.T) {
 	check("create", a, id, h0)
 
 	h1 := drift(h0, 1, false)
-	submit("POST epoch", http.MethodPost, id, AppendEpochRequestBinary(nil, h1, nil, 1, false))
+	submit("POST epoch", http.MethodPost, id, AppendEpochRequestBinary(nil, h1, nil, 1))
 	check("POST epoch", a, id, h1)
 
 	h2 := drift(h1, 2, false)

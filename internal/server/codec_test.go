@@ -9,6 +9,7 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -25,10 +26,10 @@ import (
 )
 
 // TestWireDifferential drives one session lifecycle — create, full epoch,
-// inherited epoch, only-if-unbalanced epoch, warm delta epoch, info,
-// partition, close — through the client and requires every served
-// partition to be byte-identical to an in-process core.Session taking the
-// same steps. It is the only test of SubmitEpochIfUnbalanced.
+// inherited epoch, warm delta epoch, info, partition, close — through the
+// client and requires every served partition to be byte-identical to an
+// in-process core.Session taking the same steps (the warm delta epoch
+// through Balancer.RepartitionWarm at the session's next epoch).
 func TestWireDifferential(t *testing.T) {
 	_, _, client := newTestServer(t, server.Config{})
 	ctx := context.Background()
@@ -62,26 +63,14 @@ func TestWireDifferential(t *testing.T) {
 	want, refErr = ref.RebalanceInherited(core.Problem{H: h3}, want.Partition)
 	check("inherited", err, refErr, res.Partition.Parts, want.Partition.Parts)
 
-	// The server's trigger must agree with the session's; a skipped epoch
-	// returns the unchanged distribution.
-	res, err = sess.SubmitEpochIfUnbalanced(ctx, h3)
-	should, refErr := ref.ShouldRebalance(core.Problem{H: h3})
-	if err == nil && refErr == nil && res.Rebalanced != should {
-		t.Fatalf("if-unbalanced: served rebalanced=%v, in-process trigger %v", res.Rebalanced, should)
-	}
-	if should {
-		_, refErr = ref.Rebalance(core.Problem{H: h3})
-	}
-	check("if-unbalanced", err, refErr, res.Partition.Parts, ref.Current().Parts)
-
-	// The client's delta base is h3 whether or not the last epoch ran.
+	// The client's delta base is h3, the last accepted epoch.
 	h4 := codecTestHypergraph(4)
 	res, err = sess.SubmitEpochDelta(ctx, h4, true)
 	d, ok := hypergraph.ComputeDelta(h3, h4)
 	if !ok {
 		t.Fatal("h3 -> h4 not delta-able")
 	}
-	want, refErr = ref.RebalanceWarmInherited(core.Problem{H: h4}, ref.Current(), d.DirtyVertices(h3, h4))
+	want, refErr = bal.RepartitionWarm(core.Problem{H: h4}, ref.Current(), ref.Epoch()+1, d.DirtyVertices(h3, h4))
 	check("warm delta", err, refErr, res.Partition.Parts, want.Partition.Parts)
 	if res.Warm != want.Warm {
 		t.Fatalf("warm delta: served warm=%v, in-process %v", res.Warm, want.Warm)
@@ -92,11 +81,11 @@ func TestWireDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatalf("info: %v", err)
 	}
-	if sess2.Epoch() != ref.Epoch() || sess.Epoch() != ref.Epoch() {
-		t.Fatalf("info: epoch %d (client view %d), in-process %d", sess2.Epoch(), sess.Epoch(), ref.Epoch())
+	if sess2.Epoch() != ref.Epoch()+1 || sess.Epoch() != ref.Epoch()+1 {
+		t.Fatalf("info: epoch %d (client view %d), in-process %d", sess2.Epoch(), sess.Epoch(), ref.Epoch()+1)
 	}
 	part, _, err := sess.Partition(ctx)
-	check("partition", err, nil, part.Parts, ref.Current().Parts)
+	check("partition", err, nil, part.Parts, want.Partition.Parts)
 	if err := sess.Close(ctx); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -170,15 +159,15 @@ func TestMalformedBinaryFrames(t *testing.T) {
 	ver[3] = 0xEE
 	post("bad-version", ver)
 
-	// Version 1 laid messages out by hand, and version 2's configuration
-	// carried four more fields; their frames are refused, never
-	// mis-decoded as version 3.
-	v1 := append([]byte(nil), valid...)
-	v1[3] = 1
-	post("version-1", v1)
-	v2 := append([]byte(nil), valid...)
-	v2[3] = 2
-	post("version-2", v2)
+	// Version 1 laid messages out by hand, version 2's configuration
+	// carried four more fields, and version 3 had the only-if-unbalanced
+	// flag and a handoff without the cost account; their frames are
+	// refused, never mis-decoded as version 4.
+	for v := byte(1); v <= 3; v++ {
+		old := append([]byte(nil), valid...)
+		old[3] = v
+		post(fmt.Sprintf("version-%d", v), old)
+	}
 
 	typ := append([]byte(nil), valid...)
 	typ[4] = 0x7F
@@ -197,12 +186,22 @@ func TestMalformedBinaryFrames(t *testing.T) {
 // TestSingleflightCollapse fires identical create requests concurrently
 // at a server whose solver is artificially slowed: exactly the concurrent
 // duplicates must coalesce onto one leader (obs counters prove it), and
-// every response must carry the byte-identical partition.
+// every response must carry the byte-identical partition. A server that
+// keeps no results (CacheEntries < 0) must coalesce all the same.
 func TestSingleflightCollapse(t *testing.T) {
+	for _, entries := range []int{0, -1} {
+		t.Run(fmt.Sprintf("cache-entries=%d", entries), func(t *testing.T) {
+			testSingleflightCollapse(t, entries)
+		})
+	}
+}
+
+func testSingleflightCollapse(t *testing.T, cacheEntries int) {
 	const concurrency = 6
 	_, ts, _ := newTestServer(t, server.Config{
-		Workers: concurrency + 2,
-		Fault:   &mpi.FaultPlan{Seed: 9, MaxDelay: 150 * time.Millisecond},
+		Workers:      concurrency + 2,
+		CacheEntries: cacheEntries,
+		Fault:        &mpi.FaultPlan{Seed: 9, MaxDelay: 150 * time.Millisecond},
 	})
 	h := codecTestHypergraph(1)
 	sfLeaders := obs.Default().Counter("server_singleflight_leaders_total")
@@ -210,8 +209,8 @@ func TestSingleflightCollapse(t *testing.T) {
 
 	// The fault delay is pseudorandom per job, so one volley could in
 	// principle finish its leader before any follower arrives (cache hits
-	// all round, shared == 0). Distinct seeds give each attempt a fresh
-	// cache key; one collapsing volley proves the property.
+	// or fresh leaders all round, shared == 0). Distinct seeds give each
+	// attempt a fresh cache key; one collapsing volley proves the property.
 	for attempt := 0; attempt < 5; attempt++ {
 		cfg := core.Config{K: 4, Alpha: 100, Seed: int64(5 + attempt)}
 		leadersBefore, sharedBefore := sfLeaders.Load(), sfShared.Load()

@@ -234,8 +234,8 @@ func TestDeltaFingerprintMismatch(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("valid delta: status %d code %q", status, fail.Code)
 	}
-	if okResp.Result.Epoch != 1 || !okResp.Result.Rebalanced {
-		t.Errorf("valid delta: epoch %d rebalanced %v, want 1 true", okResp.Result.Epoch, okResp.Result.Rebalanced)
+	if okResp.Result.Epoch != 1 {
+		t.Errorf("valid delta: epoch %d, want 1", okResp.Result.Epoch)
 	}
 }
 
@@ -283,8 +283,8 @@ func TestDeltaClientFallback(t *testing.T) {
 	if err != nil {
 		t.Fatalf("delta with stale base: %v", err)
 	}
-	if res.Epoch != 2 || !res.Rebalanced {
-		t.Fatalf("fallback result: epoch %d rebalanced %v, want 2 true", res.Epoch, res.Rebalanced)
+	if res.Epoch != 2 {
+		t.Fatalf("fallback result: epoch %d, want 2", res.Epoch)
 	}
 
 	// The fallback resynced the base: the next delta goes through as a

@@ -8,14 +8,11 @@ func (s *Server) Draining() bool { return s.adm.isDraining() }
 // Sessions returns the number of live sessions.
 func (s *Server) Sessions() int { return s.store.len() }
 
-// CacheLen returns the partition cache's current entry count.
-func (s *Server) CacheLen() int { return s.cache.len() }
+// CacheLen returns the number of done entries the result memo keeps.
+func (s *Server) CacheLen() int { return s.memo.len() }
 
-// len returns the current entry count.
-func (c *partitionCache) len() int {
-	if c == nil {
-		return 0
-	}
+// len returns the number of done entries.
+func (c *resultMemo) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()

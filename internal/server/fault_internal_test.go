@@ -55,7 +55,7 @@ func TestFaultDelayScheduleIsPerServer(t *testing.T) {
 		if resp.StatusCode != http.StatusCreated {
 			t.Fatalf("B create: status %d", resp.StatusCode)
 		}
-		body := AppendEpochRequestBinary(nil, testHypergraph(t), nil, 1, false)
+		body := AppendEpochRequestBinary(nil, testHypergraph(t), nil, 1)
 		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/sessions/"+id+"/epochs", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

@@ -8,6 +8,7 @@ package server_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -30,6 +31,7 @@ type replicaSet struct {
 	listen  []*httptest.Server
 	urls    []string
 	gw      *server.Gateway
+	gwURL   string
 	client  *hyperbal.Client
 }
 
@@ -57,7 +59,7 @@ func newReplicaSet(t *testing.T, n int, cfg server.Config) *replicaSet {
 	}
 	gts := httptest.NewServer(gw.Handler())
 	t.Cleanup(func() { gts.Close(); gw.Close() })
-	rs.gw = gw
+	rs.gw, rs.gwURL = gw, gts.URL
 	rs.client = hyperbal.NewClient(gts.URL, hyperbal.ClientOptions{MaxRetries: 3, Backoff: 5 * time.Millisecond})
 	return rs
 }
@@ -167,6 +169,84 @@ func TestDrainHandoffLosesNoSessions(t *testing.T) {
 	if got := counterValue("server_handoff_sessions_total"); got <= sentBefore {
 		t.Error("no session was handed off — the drain path did not exercise handoff")
 	}
+}
+
+// TestDrainHandoffKeepsSessionInfo: GET /v1/sessions/{id} on the replica
+// that adopted a drained session must report what an uninterrupted run of
+// the same epochs reports — the epoch, the last result and the running
+// cost account of every epoch, not only of those since the handoff.
+func TestDrainHandoffKeepsSessionInfo(t *testing.T) {
+	ctx := context.Background()
+	cfg := core.Config{K: 4, Alpha: 50, Seed: 31, Method: core.HypergraphRepart}
+	h := genHypergraph(t, 300, 31)
+	// run creates a session through client and submits a full epoch and a
+	// warm delta epoch, then calls between before one more delta epoch.
+	run := func(client *hyperbal.Client, between func()) string {
+		t.Helper()
+		sess, _, err := client.CreateSession(ctx, cfg, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.SubmitEpoch(ctx, reweighted(h, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.SubmitEpochDelta(ctx, reweighted(h, 2), true); err != nil {
+			t.Fatal(err)
+		}
+		between()
+		if _, err := sess.SubmitEpochDelta(ctx, reweighted(h, 3), true); err != nil {
+			t.Fatal(err)
+		}
+		return sess.ID
+	}
+
+	_, ts, client := newTestServer(t, server.Config{SessionTTL: -1})
+	want := sessionInfo(t, ts.URL, run(client, func() {}))
+
+	rs := newReplicaSet(t, 3, server.Config{SessionTTL: -1})
+	id := run(rs.client, func() {
+		for _, srv := range rs.servers {
+			if srv.Sessions() == 0 {
+				continue
+			}
+			dctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+			defer cancel()
+			if err := srv.Drain(dctx); err != nil || srv.Sessions() != 0 {
+				t.Fatalf("drain: %v, %d sessions left", err, srv.Sessions())
+			}
+			return
+		}
+		t.Fatal("no replica holds the session")
+	})
+	got := sessionInfo(t, rs.gwURL, id)
+
+	if got.Epoch != want.Epoch || got.TotalCost != want.TotalCost {
+		t.Errorf("after the handoff: epoch %d total_cost %d, uninterrupted: epoch %d total_cost %d",
+			got.Epoch, got.TotalCost, want.Epoch, want.TotalCost)
+	}
+	g, w := got.Last, want.Last
+	if !int32Equal(g.Parts, w.Parts) || g.CommVolume != w.CommVolume || g.MigrationVolume != w.MigrationVolume ||
+		g.Moved != w.Moved || g.Warm != w.Warm {
+		t.Errorf("after the handoff the last result is %+v, uninterrupted %+v", g, w)
+	}
+}
+
+// sessionInfo reads GET /v1/sessions/{id} as JSON.
+func sessionInfo(t *testing.T, baseURL, id string) server.SessionInfo {
+	t.Helper()
+	resp, err := http.Get(baseURL + "/v1/sessions/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var info server.SessionInfo
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("session info: status %d", resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+		t.Fatal(err)
+	}
+	return info
 }
 
 // runRemoteWithDrain mirrors runRemote, but drains the replica holding the

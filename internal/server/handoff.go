@@ -5,14 +5,14 @@ package server
 //
 // Every replica knows the full replica list and the same consistent-hash
 // ring. When a replica drains (SIGTERM), it serializes every live session
-// — base hypergraph, fingerprint, epoch counter, last result — into a
-// binary frame and POSTs it to the session's ring successor, which
-// restores the session under the same id at the same epoch. The draining
-// replica keeps a forwarding tombstone and answers subsequent requests for
-// the session with 307 + X-Hyperbal-Owner, which both the gateway and the
-// client follow. The successor choice (first ring candidate after self)
-// matches where the gateway re-routes the session id once the replica is
-// gone, so routing converges without coordination.
+// — base hypergraph, fingerprint, epoch counter, last result, running
+// cost — into a binary frame and POSTs it to the session's ring
+// successor, which restores the session under the same id at the same
+// epoch. The draining replica keeps a forwarding tombstone and answers
+// subsequent requests for the session with 307 + X-Hyperbal-Owner, which
+// both the gateway and the client follow. The successor choice (first ring
+// candidate after self) matches where the gateway re-routes the session id
+// once the replica is gone, so routing converges without coordination.
 
 import (
 	"bytes"
@@ -30,7 +30,8 @@ import (
 
 // handoffState is one serialized session crossing replicas at drain time:
 // everything a successor needs to continue the epoch sequence
-// byte-identically — the effective config, the epoch counter, the last
+// byte-identically — the effective config, the epoch counter, the running
+// cost account (GET /v1/sessions/{id} reports it as total_cost), the last
 // result (its partition is the current distribution), the latest migration
 // summary, and the base hypergraph the next delta applies against (its
 // fingerprint is recomputed during decode, so it cannot drift in transit).
@@ -38,6 +39,7 @@ type handoffState struct {
 	ID     string
 	Config WireConfig
 	Epoch  int64
+	Total  int64
 	Last   WireResult
 	Mig    *MigrationSummary
 	Base   hypergraph.Frame
@@ -126,18 +128,19 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", "handoff config: "+err.Error())
 		return
 	}
-	res := core.Result{
-		Partition:       partition.Partition{Parts: st.Last.Parts, K: st.Last.K},
-		CommVolume:      st.Last.CommVolume,
-		MigrationVolume: st.Last.MigrationVolume,
-		Moved:           st.Last.Moved,
-		RepartTime:      time.Duration(st.Last.RepartMs * 1e6),
-		Warm:            st.Last.Warm,
-	}
 	entry := &session{
-		id:      st.ID,
-		cfg:     bal.Config(),
-		sess:    core.NewSessionAt(bal, res, st.Epoch),
+		id:    st.ID,
+		bal:   bal,
+		epoch: st.Epoch,
+		last: core.Result{
+			Partition:       partition.Partition{Parts: st.Last.Parts, K: st.Last.K},
+			CommVolume:      st.Last.CommVolume,
+			MigrationVolume: st.Last.MigrationVolume,
+			Moved:           st.Last.Moved,
+			RepartTime:      time.Duration(st.Last.RepartMs * 1e6),
+			Warm:            st.Last.Warm,
+		},
+		total:   st.Total,
 		base:    st.Base,
 		lastMig: st.Mig,
 	}
@@ -173,12 +176,12 @@ func (s *Server) handoffAll(ctx context.Context) {
 // order, and tombstones it on success.
 func (s *Server) handoffSession(ctx context.Context, entry *session, self string, r *ring) bool {
 	entry.mu.Lock()
-	last := entry.sess.LastResult()
 	st := handoffState{
 		ID:     entry.id,
-		Config: WireConfigFrom(entry.cfg),
-		Epoch:  entry.sess.Epoch(),
-		Last:   wireResult(entry.sess.Epoch(), last, false, true),
+		Config: WireConfigFrom(entry.bal.Config()),
+		Epoch:  entry.epoch,
+		Total:  entry.total,
+		Last:   wireResult(entry.epoch, entry.last, false),
 		Mig:    entry.lastMig,
 		Base:   entry.base,
 	}

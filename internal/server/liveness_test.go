@@ -8,8 +8,7 @@ package server
 //     leader's transient error,
 //   - the admission gauges being derived from the racy channel length
 //     instead of locked bookkeeping,
-//   - partitionCache.put leaving the entries gauge stale on the
-//     existing-key early return.
+//   - the cache-entries gauge going stale relative to the entries kept.
 
 import (
 	"bytes"
@@ -120,20 +119,20 @@ func TestAddIfAbsentAdmitsExactlyOne(t *testing.T) {
 	}
 }
 
-// waitForFlight blocks until key has an in-flight solve registered.
-func waitForFlight(t *testing.T, s *Server, key string) {
+// waitForPending blocks until key has a pending memo entry.
+func waitForPending(t *testing.T, c *resultMemo, key string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		s.flights.mu.Lock()
-		_, ok := s.flights.m[key]
-		s.flights.mu.Unlock()
-		if ok {
+		c.mu.Lock()
+		e, ok := c.m[key]
+		c.mu.Unlock()
+		if ok && e.el == nil {
 			return
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatal("leader flight never registered")
+	t.Fatal("leader's pending entry never registered")
 }
 
 // TestSolveSharedFollowerCancel: a follower whose request context is
@@ -141,27 +140,24 @@ func waitForFlight(t *testing.T, s *Server, key string) {
 // leader's wall clock. Pre-fix the follower waited on the flight's done
 // channel unconditionally.
 func TestSolveSharedFollowerCancel(t *testing.T) {
-	s := New(Config{SessionTTL: -1})
-	defer s.Close()
+	c := newResultMemo(8)
 	const key = "cancel-test-key"
 
 	block := make(chan struct{})
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		_, _, _ = s.solveShared(context.Background(), key, func() (core.Result, error) {
+		_, _, _ = c.do(context.Background(), key, func() (core.Result, error) {
 			<-block
-			res := testResult(0, 1)
-			s.cache.put(key, res)
-			return res, nil
+			return testResult(0, 1), nil
 		})
 	}()
-	waitForFlight(t, s, key)
+	waitForPending(t, c, key)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	followerErr := make(chan error, 1)
 	go func() {
-		_, _, err := s.solveShared(ctx, key, func() (core.Result, error) {
+		_, _, err := c.do(ctx, key, func() (core.Result, error) {
 			t.Error("canceled follower must not run the solve")
 			return core.Result{}, nil
 		})
@@ -182,24 +178,23 @@ func TestSolveSharedFollowerCancel(t *testing.T) {
 }
 
 // TestSolveSharedLeaderErrorRetry: a leader's transient error must not fan
-// out to every follower as a 5xx volley — one follower re-races the flight
-// map and retries the solve; the rest share its result. Pre-fix every
-// follower adopted the leader's error.
+// out to every follower as a 5xx volley — exactly one follower becomes the
+// new leader and retries the solve; the rest share its result. Pre-fix
+// every follower adopted the leader's error.
 func TestSolveSharedLeaderErrorRetry(t *testing.T) {
-	s := New(Config{SessionTTL: -1})
-	defer s.Close()
+	c := newResultMemo(8)
 	const key = "retry-test-key"
 
 	block := make(chan struct{})
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, _, err := s.solveShared(context.Background(), key, func() (core.Result, error) {
+		_, _, err := c.do(context.Background(), key, func() (core.Result, error) {
 			<-block
 			return core.Result{}, errors.New("transient solve failure")
 		})
 		leaderErr <- err
 	}()
-	waitForFlight(t, s, key)
+	waitForPending(t, c, key)
 
 	var retrySolves atomic.Int32
 	var wg sync.WaitGroup
@@ -209,11 +204,9 @@ func TestSolveSharedLeaderErrorRetry(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, _, err := s.solveShared(context.Background(), key, func() (core.Result, error) {
+			res, _, err := c.do(context.Background(), key, func() (core.Result, error) {
 				retrySolves.Add(1)
-				r := testResult(1, 0)
-				s.cache.put(key, r)
-				return r, nil
+				return testResult(1, 0), nil
 			})
 			followerErrs[i], followerParts[i] = err, res.Partition.Parts
 		}(i)
@@ -233,8 +226,8 @@ func TestSolveSharedLeaderErrorRetry(t *testing.T) {
 			t.Fatalf("follower %d got no result", i)
 		}
 	}
-	if n := retrySolves.Load(); n < 1 || n > 2 {
-		t.Fatalf("retry solves = %d, want 1 (new leader) or 2 (cache race)", n)
+	if n := retrySolves.Load(); n != 1 {
+		t.Fatalf("retry solves = %d, want 1 (the new leader)", n)
 	}
 }
 
@@ -274,28 +267,66 @@ func TestAdmissionGaugesFromBookkeeping(t *testing.T) {
 	}
 }
 
-// TestCacheGaugeRefreshedOnDuplicatePut: put must refresh the entries
-// gauge on every path, including the existing-key early return — the gauge
-// is process-global, so a duplicate put on one cache must restore its view
-// after another cache moved the gauge. Pre-fix the early return skipped
-// the refresh and the gauge kept the other cache's count.
-func TestCacheGaugeRefreshedOnDuplicatePut(t *testing.T) {
-	res := testResult(0, 1)
-	c1 := newPartitionCache(8)
-	c1.put("a", res)
-	c1.put("b", res)
-	c2 := newPartitionCache(8)
-	c2.put("x", res) // gauge now reflects c2 (1 entry)
+// TestMemoGaugeCountsDoneEntries: server_cache_entries counts the done
+// entries of the memo that last changed them — pending and failed solves
+// never count, eviction past the bound does, and a memo that keeps nothing
+// leaves the gauge alone. The gauge is process-global, so a memo's next
+// solve must restore its own count after another memo moved the gauge.
+func TestMemoGaugeCountsDoneEntries(t *testing.T) {
+	ctx := context.Background()
+	solve := func(c *resultMemo, key string, err error) {
+		t.Helper()
+		if _, _, got := c.do(ctx, key, func() (core.Result, error) { return testResult(0, 1), err }); got != err {
+			t.Fatalf("solve %q: err %v, want %v", key, got, err)
+		}
+	}
+	check := func(stage string, c *resultMemo, want int) {
+		t.Helper()
+		if c.len() != want || obsCacheEntries.Load() != int64(want) {
+			t.Fatalf("%s: memo keeps %d, gauge %d, want %d", stage, c.len(), obsCacheEntries.Load(), want)
+		}
+	}
 
-	c1.put("a", res) // duplicate: early return, but the gauge must refresh
-	if got := obsCacheEntries.Load(); got != int64(c1.len()) {
-		t.Fatalf("entries gauge = %d after duplicate put, want %d", got, c1.len())
+	c1 := newResultMemo(2)
+	solve(c1, "a", nil)
+	check("one solve", c1, 1)
+
+	block := make(chan struct{})
+	solved := make(chan struct{})
+	go func() {
+		defer close(solved)
+		_, _, _ = c1.do(ctx, "pending", func() (core.Result, error) {
+			<-block
+			return testResult(0, 1), nil
+		})
+	}()
+	waitForPending(t, c1, "pending")
+	check("pending solve", c1, 1)
+	close(block)
+	<-solved
+	check("pending solve done", c1, 2)
+
+	solve(c1, "failed", errors.New("transient solve failure"))
+	check("failed solve", c1, 2)
+
+	c2 := newResultMemo(8)
+	solve(c2, "x", nil)
+	check("another memo", c2, 1)
+
+	solve(c1, "b", nil)
+	check("past the bound", c1, 2)
+
+	off := newResultMemo(-1)
+	solve(off, "d", nil)
+	if off.len() != 0 || obsCacheEntries.Load() != 2 {
+		t.Fatalf("a memo that keeps nothing: keeps %d, gauge %d, want 0 and the last memo's 2", off.len(), obsCacheEntries.Load())
 	}
 }
 
 // TestHandoffCodecRoundTrip: the drain-handoff frame must reproduce the
-// session state exactly — config, epoch, last result, migration summary,
-// and a hypergraph whose recomputed fingerprint matches the recorded one.
+// session state exactly — config, epoch, cost account, last result,
+// migration summary, and a hypergraph whose recomputed fingerprint matches
+// the recorded one.
 func TestHandoffCodecRoundTrip(t *testing.T) {
 	h := testHypergraph(t)
 	bal, err := core.NewBalancer(core.Config{K: 2, Alpha: 25, Seed: 3, Method: core.HypergraphRepart})
@@ -307,10 +338,11 @@ func TestHandoffCodecRoundTrip(t *testing.T) {
 		ID:     "s-0123456789abcdef0123456789abcdef",
 		Config: WireConfigFrom(cfg),
 		Epoch:  4,
+		Total:  123,
 		Last: WireResult{
 			Epoch: 4, K: 2, Parts: []int32{0, 1, 1, 0},
 			CommVolume: 9, MigrationVolume: 3, Moved: 2, RepartMs: 1.5,
-			Rebalanced: true, Warm: true,
+			Warm: true,
 		},
 		Mig:  &MigrationSummary{Moves: 2, TotalVolume: 3, MaxOutbound: 2, MaxInbound: 1, Volume: [][]int64{{0, 2}, {1, 0}}},
 		Base: hypergraph.Frame{H: h, FP: h.Fingerprint()},
@@ -319,7 +351,7 @@ func TestHandoffCodecRoundTrip(t *testing.T) {
 	if err := decodeMsg(appendMsg(nil, st), &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.ID != st.ID || got.Epoch != st.Epoch || got.Base.FP != st.Base.FP {
+	if got.ID != st.ID || got.Epoch != st.Epoch || got.Total != st.Total || got.Base.FP != st.Base.FP {
 		t.Fatalf("identity fields corrupted: %+v", got)
 	}
 	if got.Config != st.Config {

@@ -1,10 +1,15 @@
 // Package server is the balancerd serving tier: a stdlib-only HTTP
-// service that exposes the core.Balancer / core.Session epoch lifecycle as
-// a long-running daemon. It multiplexes many concurrent sessions over a
-// bounded worker pool (admission control with queueing and backpressure),
-// serializes epoch submissions per session, evicts idle sessions by TTL,
-// and serves identical epoch submissions from a repartition-result cache
-// keyed by the hypergraph content fingerprint.
+// service that runs the epoch lifecycle of many load-balancing sessions as
+// a long-running daemon. It multiplexes sessions over a bounded worker
+// pool (admission control with queueing and backpressure), serializes
+// epoch submissions per session, and evicts idle sessions by TTL.
+//
+// A served epoch is one keyed solve. The repartition at epoch j depends
+// only on the epoch's hypergraph, the inherited distribution, the
+// configuration and the epoch number, so each handler computes its cache
+// key, asks the result memo (memo.go) for that key — a kept result, a
+// concurrent leader's result, or its own core.Balancer call — and then
+// installs the result into the session the same way whatever its origin.
 //
 // Endpoints:
 //
@@ -61,8 +66,9 @@ type Config struct {
 	// SessionTTL evicts sessions idle longer than this (default 15m;
 	// negative disables eviction).
 	SessionTTL time.Duration
-	// CacheEntries bounds the repartition-result cache (default 4096;
-	// negative disables the cache).
+	// CacheEntries bounds the solved results the result memo keeps
+	// (default 4096; negative keeps none, though concurrent identical
+	// solves still coalesce).
 	CacheEntries int
 	// MaxBodyBytes bounds request bodies (default 64 MiB).
 	MaxBodyBytes int64
@@ -119,12 +125,11 @@ func (c Config) withDefaults() Config {
 // builds it, Handler returns the routed mux, Drain implements graceful
 // shutdown, Close releases background resources.
 type Server struct {
-	cfg     Config
-	store   *store
-	adm     *admission
-	cache   *partitionCache
-	flights *flightGroup
-	mux     *http.ServeMux
+	cfg   Config
+	store *store
+	adm   *admission
+	memo  *resultMemo
+	mux   *http.ServeMux
 	// faultJobs numbers this server's partitioning jobs for Config.Fault.
 	faultJobs atomic.Int64
 
@@ -146,8 +151,7 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		store:    newStore(cfg.SessionTTL),
 		adm:      newAdmission(cfg.Workers, cfg.QueueDepth),
-		cache:    newPartitionCache(cfg.CacheEntries),
-		flights:  newFlightGroup(),
+		memo:     newResultMemo(cfg.CacheEntries),
 		peerHTTP: &http.Client{},
 	}
 	if cfg.Self != "" && len(cfg.Peers) > 0 {
@@ -419,13 +423,9 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 
 	eff := bal.Config()
 	key := cacheKey(eff, 0, req.Graph.FP, partition.Partition{}, "")
-	res, origin, err := s.solveShared(r.Context(), key, func() (core.Result, error) {
+	res, cached, err := s.memo.do(r.Context(), key, func() (core.Result, error) {
 		s.faultDelay()
-		_, res, err := core.NewSession(bal, core.Problem{H: req.Graph.H})
-		if err == nil {
-			s.cache.put(key, res)
-		}
-		return res, err
+		return bal.Partition(core.Problem{H: req.Graph.H})
 	})
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "internal", err.Error())
@@ -433,10 +433,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	// Every origin takes the same construction path, so a session built
 	// from a cached, shared or freshly solved result is byte-identical.
-	sess := core.NewSessionWith(bal, res)
-	cached := origin != originLeader
-
-	entry := &session{id: id, cfg: eff, sess: sess, base: req.Graph}
+	entry := &session{id: id, bal: bal, last: res, total: res.TotalCost(eff.Alpha), base: req.Graph}
 	s.clearHandoff(id)
 	// The pre-solve duplicate check is only a cheap fast path; the insert
 	// itself must be atomic or two concurrent creates with the same
@@ -447,21 +444,20 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	s.cfg.Logf("server: session %s created (k=%d method=%s |V|=%d cached=%v)",
 		entry.id, eff.K, eff.Method, req.Graph.H.NumVertices(), cached)
-	writeSessionResponse(w, r, http.StatusCreated, entry.id, wireResult(0, res, cached, true))
+	writeSessionResponse(w, r, http.StatusCreated, entry.id, wireResult(0, res, cached))
 }
 
 // submission is one decoded epoch submission, the same whatever route
 // carried it. The epoch's hypergraph arrives whole on POST (Graph, with
 // the fingerprint computed during decode) or as Delta against the
 // session's last accepted hypergraph on PATCH; exactly one of the two is
-// set. Only the POST wire has OnlyIfUnbalanced, only the PATCH wire Warm.
+// set. Only the PATCH wire has Warm.
 type submission struct {
-	Graph            hypergraph.Frame
-	Delta            *hypergraph.Delta
-	Inherited        []int32
-	Epoch            int64
-	OnlyIfUnbalanced bool
-	Warm             bool
+	Graph     hypergraph.Frame
+	Delta     *hypergraph.Delta
+	Inherited []int32
+	Epoch     int64
+	Warm      bool
 }
 
 // handleEpoch is the full epoch submission: the body carries the epoch's
@@ -480,8 +476,8 @@ func (s *Server) handleDeltaEpoch(w http.ResponseWriter, r *http.Request) {
 // serveEpoch is the one epoch pipeline behind both submission routes, which
 // differ only in the request they decode. The stages run in this order:
 // decode, admit, session lock, epoch-conflict check, materialise the
-// hypergraph, settle the inherited assignment, only-if-unbalanced skip,
-// solve, commit, respond.
+// hypergraph, settle the inherited assignment, solve through the result
+// memo, install, respond.
 func (s *Server) serveEpoch(w http.ResponseWriter, r *http.Request, req submitter) {
 	entry, releaseSess := s.store.acquire(r.PathValue("id"))
 	if entry == nil {
@@ -507,7 +503,7 @@ func (s *Server) serveEpoch(w http.ResponseWriter, r *http.Request, req submitte
 	entry.mu.Lock()
 	defer entry.mu.Unlock()
 
-	epoch := entry.sess.Epoch()
+	bal, epoch := entry.bal, entry.epoch
 	if sub.Epoch > 0 && sub.Epoch != epoch+1 {
 		conflict := ErrorResponse{
 			Error: fmt.Sprintf("expected epoch %d, session is at %d", sub.Epoch, epoch),
@@ -543,12 +539,12 @@ func (s *Server) serveEpoch(w http.ResponseWriter, r *http.Request, req submitte
 		fp = h.Fingerprint()
 	}
 
-	old := entry.sess.Current()
+	old := entry.last.Partition
 	structural := h.NumVertices() != len(old.Parts)
 	inherited := old
 	switch {
 	case len(sub.Inherited) > 0:
-		inherited = partition.Partition{Parts: sub.Inherited, K: entry.cfg.K}
+		inherited = partition.Partition{Parts: sub.Inherited, K: bal.Config().K}
 		if err := checkInherited(inherited, h.NumVertices()); err != nil {
 			writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 			return
@@ -557,25 +553,12 @@ func (s *Server) serveEpoch(w http.ResponseWriter, r *http.Request, req submitte
 		// Derive the inherited assignment from the delta's vertex map:
 		// mapped vertices keep their parts; new vertices go to the
 		// currently lightest part (deterministic: ties break low).
-		inherited = deriveInherited(h, old, sub.Delta, entry.cfg.K)
+		inherited = deriveInherited(h, old, sub.Delta, bal.Config().K)
 	case structural:
 		writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf(
 			"vertex set changed (%d -> %d); submit `inherited` with one part per new vertex",
 			len(old.Parts), h.NumVertices()))
 		return
-	}
-
-	if sub.OnlyIfUnbalanced && !structural {
-		should, err := entry.sess.ShouldRebalance(core.Problem{H: h})
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "internal", err.Error())
-			return
-		}
-		if !should {
-			unchanged := core.Result{Partition: old, CommVolume: partition.CutSize(h, old)}
-			writeSessionResponse(w, r, http.StatusOK, entry.id, wireResult(epoch, unchanged, false, false))
-			return
-		}
 	}
 
 	var dirty []bool
@@ -587,20 +570,22 @@ func (s *Server) serveEpoch(w http.ResponseWriter, r *http.Request, req submitte
 		solveNs = obsEpochWarmNs
 	}
 
-	key := cacheKey(entry.cfg, epoch+1, fp, inherited, warmKey)
-	res, origin, err := s.solveShared(r.Context(), key, func() (core.Result, error) {
+	// The solve reads only what the key pins, so any caller with the same
+	// key computes the same result; it leaves the session alone.
+	next := epoch + 1
+	key := cacheKey(bal.Config(), next, fp, inherited, warmKey)
+	res, cached, err := s.memo.do(r.Context(), key, func() (core.Result, error) {
 		s.faultDelay()
 		start := time.Now()
 		var res core.Result
 		var err error
 		if sub.Warm {
-			res, err = entry.sess.RebalanceWarmInherited(core.Problem{H: h}, inherited, dirty)
+			res, err = bal.RepartitionWarm(core.Problem{H: h}, inherited, next, dirty)
 		} else {
-			res, err = entry.sess.RebalanceInherited(core.Problem{H: h}, inherited)
+			res, err = bal.Repartition(core.Problem{H: h}, inherited, next)
 		}
 		if err == nil {
 			solveNs.ObserveSince(start)
-			s.cache.put(key, res)
 		}
 		return res, err
 	})
@@ -608,18 +593,11 @@ func (s *Server) serveEpoch(w http.ResponseWriter, r *http.Request, req submitte
 		writeError(w, http.StatusInternalServerError, "internal", err.Error())
 		return
 	}
-	// The leader's solve already advanced the session; every other origin
-	// installs the byte-identical result without running the partitioner.
-	cached := origin != originLeader
-	if cached {
-		entry.sess.Adopt(res)
-	}
 	if sub.Delta != nil {
 		obsDeltaEpochs.Inc()
 	}
-	entry.base = hypergraph.Frame{H: h, FP: fp}
-	entry.lastMig = migrationSummary(h, inherited, res.Partition)
-	writeSessionResponse(w, r, http.StatusOK, entry.id, wireResult(entry.sess.Epoch(), res, cached, true))
+	entry.install(res, hypergraph.Frame{H: h, FP: fp}, migrationSummary(h, inherited, res.Partition))
+	writeSessionResponse(w, r, http.StatusOK, entry.id, wireResult(entry.epoch, res, cached))
 }
 
 // checkInherited validates a submitted inherited assignment: one part in
@@ -676,14 +654,12 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	defer releaseSess()
 	entry.mu.Lock()
 	defer entry.mu.Unlock()
-	last := entry.sess.LastResult()
 	info := SessionInfo{
-		SessionID:  entry.id,
-		Config:     WireConfigFrom(entry.cfg),
-		Epoch:      entry.sess.Epoch(),
-		HistoryLen: entry.sess.HistoryLen(),
-		TotalCost:  entry.sess.TotalCost(entry.cfg.Alpha),
-		Last:       wireResult(entry.sess.Epoch(), last, false, true),
+		SessionID: entry.id,
+		Config:    WireConfigFrom(entry.bal.Config()),
+		Epoch:     entry.epoch,
+		TotalCost: entry.total,
+		Last:      wireResult(entry.epoch, entry.last, false),
 	}
 	writeNegotiated(w, r, http.StatusOK, info, func(buf []byte) []byte { return appendMsg(buf, info) })
 }
@@ -697,10 +673,10 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	defer releaseSess()
 	entry.mu.Lock()
 	defer entry.mu.Unlock()
-	cur := entry.sess.Current()
+	cur := entry.last.Partition
 	resp := PartitionResponse{
 		SessionID: entry.id,
-		Epoch:     entry.sess.Epoch(),
+		Epoch:     entry.epoch,
 		K:         cur.K,
 		Parts:     cur.Parts,
 		Migration: entry.lastMig,
@@ -728,8 +704,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // wireResult renders a core.Result. Warm comes from the result itself: a
 // cold solve never sets it, and the cache key's "warm:" component keeps a
-// cold submission from adopting a warm entry.
-func wireResult(epoch int64, res core.Result, cached, rebalanced bool) WireResult {
+// cold submission from sharing a warm entry.
+func wireResult(epoch int64, res core.Result, cached bool) WireResult {
 	return WireResult{
 		Epoch:           epoch,
 		K:               res.Partition.K,
@@ -739,7 +715,6 @@ func wireResult(epoch int64, res core.Result, cached, rebalanced bool) WireResul
 		Moved:           res.Moved,
 		RepartMs:        float64(res.RepartTime.Microseconds()) / 1000,
 		Cached:          cached,
-		Rebalanced:      rebalanced,
 		Warm:            res.Warm,
 	}
 }

@@ -239,7 +239,7 @@ func rawSubmit(t *testing.T, method, url string, body []byte) (status int, ok se
 // postEpoch submits h as a raw full epoch tagged with epoch (0: untagged).
 func postEpoch(t *testing.T, baseURL, id string, h *hypergraph.Hypergraph, epoch int64) (int, server.SessionResponse, server.ErrorResponse) {
 	t.Helper()
-	body := server.AppendEpochRequestBinary(nil, h, nil, epoch, false)
+	body := server.AppendEpochRequestBinary(nil, h, nil, epoch)
 	return rawSubmit(t, http.MethodPost, baseURL+"/v1/sessions/"+id+"/epochs", body)
 }
 
@@ -543,7 +543,7 @@ func TestBadRequests(t *testing.T) {
 		for _, ct := range contentTypes {
 			for _, tc := range cases {
 				t.Run(route+" "+ct.name+" "+tc.name, func(t *testing.T) {
-					body := server.AppendEpochRequestBinary(nil, h, tc.inherited, tc.epoch, false)
+					body := server.AppendEpochRequestBinary(nil, h, tc.inherited, tc.epoch)
 					if route == http.MethodPatch {
 						body = server.AppendDeltaRequestBinary(nil, identity, tc.inherited, tc.epoch, false)
 					}

@@ -11,21 +11,31 @@ import (
 	"hyperbal/internal/hypergraph"
 )
 
-// session is one served core.Session plus its serving state: the
+// session is one served epoch sequence: the balancer that solves it, the
+// state each epoch's solve reads and the install advances (epoch counter,
+// last result, running cost, base hypergraph, migration summary), the
 // per-session mutex that serializes epoch submissions (so two concurrent
 // submissions for the same session execute in some order, never
-// interleaved), the effective configuration for cache keying, and the
-// latest migration plan summary for GET /partition.
+// interleaved), and the TTL bookkeeping.
 type session struct {
-	id   string
-	cfg  core.Config // effective (defaulted) balancer configuration
-	sess *core.Session
+	id  string
+	bal *core.Balancer
 
-	mu      sync.Mutex // serializes epoch work on this session
+	mu sync.Mutex // serializes epoch work on this session and guards the fields below
+	// epoch counts completed load-balance operations after the initial
+	// partition; the next solve runs at epoch+1, the number its cache key
+	// carries.
+	epoch int64
+	// last is the most recent load-balance result; its partition is the
+	// current distribution.
+	last core.Result
+	// total is the running α·comm + mig over every installed result, the
+	// initial partition included.
+	total   int64
 	lastMig *MigrationSummary
 	// base is the last accepted epoch hypergraph with its fingerprint —
 	// the base the next delta submission applies against, never hashed
-	// again. Guarded by mu.
+	// again.
 	base hypergraph.Frame
 
 	lastAccess atomic.Int64 // unix nanos, for TTL eviction
@@ -37,6 +47,18 @@ type session struct {
 	// 404'd and the result was orphaned. Incremented under the store's read
 	// lock (sweep holds the write lock, so it never observes a torn state).
 	busy atomic.Int32
+}
+
+// install records one solved epoch, whatever its origin (leader, shared or
+// cached): res becomes the current distribution and joins the running
+// cost, h the base of the next delta, mig the latest migration summary.
+// Called with mu held.
+func (s *session) install(res core.Result, h hypergraph.Frame, mig *MigrationSummary) {
+	s.epoch++
+	s.last = res
+	s.total += res.TotalCost(s.bal.Config().Alpha)
+	s.base = h
+	s.lastMig = mig
 }
 
 func (s *session) touch() { s.lastAccess.Store(time.Now().UnixNano()) }

@@ -70,12 +70,10 @@ type WireResult struct {
 	MigrationVolume int64   `json:"migration_volume"`
 	Moved           int     `json:"moved"`
 	RepartMs        float64 `json:"repart_ms"`
-	// Cached reports that the partition was served from the
-	// fingerprint-keyed result cache without running the partitioner.
+	// Cached reports that this request did not run the partitioner: the
+	// result was kept by the fingerprint-keyed result memo, or shared from
+	// a concurrent request's solve of the same key.
 	Cached bool `json:"cached,omitempty"`
-	// Rebalanced is false only for only_if_unbalanced submissions whose
-	// drift was still within threshold (the epoch did not advance).
-	Rebalanced bool `json:"rebalanced"`
 	// Warm reports that the partitioner was warm-started from the previous
 	// distribution (delta epochs with warm=true).
 	Warm bool `json:"warm,omitempty"`
@@ -109,13 +107,14 @@ type PartitionResponse struct {
 }
 
 // SessionInfo is the body of GET /v1/sessions/{id}.
+// TotalCost is α·comm + mig summed over every load-balance operation of
+// the session, the initial partition included; it survives drain handoff.
 type SessionInfo struct {
-	SessionID  string     `json:"session_id"`
-	Config     WireConfig `json:"config"`
-	Epoch      int64      `json:"epoch"`
-	HistoryLen int        `json:"history_len"`
-	TotalCost  int64      `json:"total_cost"`
-	Last       WireResult `json:"last"`
+	SessionID string     `json:"session_id"`
+	Config    WireConfig `json:"config"`
+	Epoch     int64      `json:"epoch"`
+	TotalCost int64      `json:"total_cost"`
+	Last      WireResult `json:"last"`
 }
 
 // ErrorResponse is the body of every non-2xx response. Code is a stable

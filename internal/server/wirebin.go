@@ -24,10 +24,12 @@ import (
 // ContentTypeBinary is the media type of the binary wire protocol.
 const ContentTypeBinary = "application/x-hyperbal"
 
-// wireVersion is the fourth header byte. Version 3 is the codec-derived
-// layout with the six-field configuration; a version-1 or version-2 frame
-// is refused like any malformed one.
-const wireVersion = 3
+// wireVersion is the fourth header byte. Version 4 is the codec-derived
+// layout with the six-field configuration, epoch submissions without the
+// only-if-unbalanced flag, results without the rebalanced flag, and a
+// handoff that carries the session's running cost; a frame of any earlier
+// version is refused like any malformed one.
+const wireVersion = 4
 
 // Message types (fifth header byte).
 const (
@@ -98,22 +100,18 @@ func AppendCreateRequestBinary(buf []byte, cfg WireConfig, h *hypergraph.Hypergr
 
 // epochRequest is the body of POST /v1/sessions/{id}/epochs.
 type epochRequest struct {
-	Graph            hypergraph.Frame
-	Inherited        []int32
-	Epoch            int64
-	OnlyIfUnbalanced bool
+	Graph     hypergraph.Frame
+	Inherited []int32
+	Epoch     int64
 }
 
 // AppendEpochRequestBinary renders POST /v1/sessions/{id}/epochs: the
 // epoch's drifted hypergraph, plus the inherited assignment when the
 // vertex set changed. epoch, when positive, is the expected epoch number
 // of this submission (current+1); a mismatch is rejected with 409 so a
-// retried submission cannot advance a session twice. onlyIfUnbalanced
-// asks the server to first evaluate the session's rebalance trigger and
-// return the unchanged distribution (rebalanced=false) if the drift is
-// still within threshold.
-func AppendEpochRequestBinary(buf []byte, h *hypergraph.Hypergraph, inherited []int32, epoch int64, onlyIfUnbalanced bool) []byte {
-	return appendMsg(buf, epochRequest{hypergraph.Frame{H: h}, inherited, epoch, onlyIfUnbalanced})
+// retried submission cannot advance a session twice.
+func AppendEpochRequestBinary(buf []byte, h *hypergraph.Hypergraph, inherited []int32, epoch int64) []byte {
+	return appendMsg(buf, epochRequest{hypergraph.Frame{H: h}, inherited, epoch})
 }
 
 // deltaRequest is the body of PATCH /v1/sessions/{id}/epochs.
@@ -144,7 +142,7 @@ type submitter interface {
 }
 
 func (m *epochRequest) submission() *submission {
-	return &submission{Graph: m.Graph, Inherited: m.Inherited, Epoch: m.Epoch, OnlyIfUnbalanced: m.OnlyIfUnbalanced}
+	return &submission{Graph: m.Graph, Inherited: m.Inherited, Epoch: m.Epoch}
 }
 
 func (m *deltaRequest) submission() *submission {

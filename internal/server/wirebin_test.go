@@ -32,16 +32,16 @@ func seedMessages() []message {
 	h := b.Build()
 	d := &hypergraph.Delta{Version: hypergraph.DeltaVersion, Base: h.Fingerprint(), WeightIDs: []int32{1}, WeightVals: []int64{5}}
 	cfg := WireConfig{K: 2, Alpha: 10, Imbalance: 0.05, Seed: -3, Method: "Zoltan-repart", Parallelism: 2}
-	res := WireResult{Epoch: 3, K: 2, Parts: []int32{0, 1, 1, 0}, CommVolume: 4, MigrationVolume: 2, Moved: 1, RepartMs: 1.5, Cached: true, Rebalanced: true}
+	res := WireResult{Epoch: 3, K: 2, Parts: []int32{0, 1, 1, 0}, CommVolume: 4, MigrationVolume: 2, Moved: 1, RepartMs: 1.5, Cached: true, Warm: true}
 	mig := &MigrationSummary{Moves: 1, TotalVolume: 2, MaxOutbound: 2, MaxInbound: 2, Volume: [][]int64{{0, 2}, {0, 0}}}
 	return []message{
 		createRequest{cfg, hypergraph.Frame{H: h}},
-		epochRequest{hypergraph.Frame{H: h}, []int32{0, 1, 0, 1}, 4, true},
+		epochRequest{hypergraph.Frame{H: h}, []int32{0, 1, 0, 1}, 4},
 		deltaRequest{*d, nil, 5, true},
 		SessionResponse{SessionID: "s-0123456789abcdef0123456789abcdef", Result: res},
 		PartitionResponse{SessionID: "s-1", Epoch: 3, K: 2, Parts: res.Parts, Migration: mig},
-		SessionInfo{SessionID: "s-1", Config: cfg, Epoch: 3, HistoryLen: 3, TotalCost: 40, Last: res},
-		handoffState{ID: "s-1", Config: cfg, Epoch: 3, Last: res, Mig: mig, Base: hypergraph.Frame{H: h}},
+		SessionInfo{SessionID: "s-1", Config: cfg, Epoch: 3, TotalCost: 40, Last: res},
+		handoffState{ID: "s-1", Config: cfg, Epoch: 3, Total: 40, Last: res, Mig: mig, Base: hypergraph.Frame{H: h}},
 	}
 }
 
