@@ -100,7 +100,8 @@ func TestRunLoadFailsOnServerError(t *testing.T) {
 
 // TestReplicaKillNeedsDeliveredSignal: every op served is not enough for
 // the replica-kill drill; a SIGTERM that never reached the replica (pid
-// gone, or the run over before -kill-after) fails the pass.
+// gone, or the run over before -kill-after) fails the pass, and so does a
+// delivered one that no op noticed (no retarget, redirect or retry).
 func TestReplicaKillNeedsDeliveredSignal(t *testing.T) {
 	srv := server.New(server.Config{})
 	defer srv.Close()
@@ -111,14 +112,23 @@ func TestReplicaKillNeedsDeliveredSignal(t *testing.T) {
 	if err := gone.Run(); err != nil {
 		t.Fatal(err)
 	}
+	// A bystander process takes the SIGTERM: delivered, but the server the
+	// sessions talk to never drains.
+	bystander := exec.Command("sleep", "30")
+	if err := bystander.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer bystander.Wait()
+	defer bystander.Process.Kill()
 	for name, set := range map[string]func(rc *loadRun){
-		"pid-gone": func(rc *loadRun) { rc.killPid, rc.think = gone.Process.Pid, 20*time.Millisecond },
-		"too-late": func(rc *loadRun) { rc.killPid, rc.killAfter = os.Getpid(), time.Hour },
+		"pid-gone":   func(rc *loadRun) { rc.killPid, rc.think = gone.Process.Pid, 20*time.Millisecond },
+		"too-late":   func(rc *loadRun) { rc.killPid, rc.killAfter = os.Getpid(), time.Hour },
+		"no-handoff": func(rc *loadRun) { rc.killPid, rc.think = bystander.Process.Pid, 20*time.Millisecond },
 	} {
 		rc := testRun(ts.URL)
 		set(&rc)
 		if runLoad(rc) {
-			t.Errorf("%s: verdict true though no SIGTERM was delivered", name)
+			t.Errorf("%s: verdict true though the drill saw no handoff", name)
 		}
 		if dropped := lgDropped.Load(); dropped != 0 {
 			t.Errorf("%s: %d ops dropped, want the signal to be the only failure", name, dropped)

@@ -128,6 +128,8 @@ var guards = []guard{
 		pattern: `SubmitEpochIfUnbalance[d]|OnlyIfUnbalance[d]|onlyIfUnbalance[d]|only_if_unbalance[d]|\bRebalance[d]\b`, paths: repoDocs},
 	{name: "histogram-buckets", removedBy: []string{"child of 47c1ba3"}, why: "a histogram is an atomic (count, sum) pair; every reader takes its sum",
 		pattern: `DurationBound[s]|ExpBound[s]|LinBound[s]|BucketSnapsho[t]|_bucke[t]|\bBucket[s]\b`, paths: repoGo},
+	{name: "warm-vcycle", removedBy: []string{"child of e02e836"}, why: "the warm path has two tiers: localized refinement, else one call of the cold partitioner; no partition-seeded V-cycle",
+		pattern: `vCycl[e]\(|levelViewWithOriginalFixe[d]|warmColdFractio[n]|"vcycl[e]"`, paths: repoGo},
 }
 
 func TestRemovedNamesStayGone(t *testing.T) {

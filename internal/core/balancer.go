@@ -124,8 +124,9 @@ type Result struct {
 	Moved int
 	// RepartTime is the wall-clock time of the load-balance operation.
 	RepartTime time.Duration
-	// Warm reports that the partitioner was warm-started from the previous
-	// distribution (RepartitionWarm with a method that supports it).
+	// Warm reports that the warm path ran (RepartitionWarm with a method
+	// that supports it). That path still runs the cold partitioner when
+	// the drift is large or the dirty set unknown.
 	Warm bool
 }
 
@@ -227,8 +228,8 @@ func (b *Balancer) Repartition(p Problem, old partition.Partition, epoch int64) 
 
 // RepartitionWarm rebalances like Repartition but warm-starts the
 // partitioner from the previous assignment, restricting work to the dirty
-// region when one is given (nil dirty = everything changed; the seeded
-// V-cycle still skips the from-scratch coarse solve). Only the
+// region when it is small (nil dirty = everything changed, and the cold
+// partitioner runs on the augmented hypergraph). Only the
 // hypergraph-repartitioning method can honor a warm start — it seeds the
 // augmented hypergraph H̄ with the inherited parts — so every other method
 // falls back to the cold Repartition path; check Result.Warm to see which

@@ -251,8 +251,8 @@ func TestWarmParallelismInvariance(t *testing.T) {
 // TestWarmModesCovered: the harness must exercise the warm tiers — the
 // refinement dynamic's small dirty sets the localized path, the
 // structural dynamic's churn the cold escalation — otherwise the quality
-// assertions above prove less than they claim. (The mid-drift V-cycle
-// tier is covered deterministically by the hgp unit tests.)
+// assertions above prove less than they claim. (The localized tier's
+// infeasible-result fallback is covered by the hgp unit tests.)
 func TestWarmModesCovered(t *testing.T) {
 	modes := map[string]bool{}
 	for _, dynamic := range []string{"weights", "structure"} {

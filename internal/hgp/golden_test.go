@@ -23,7 +23,7 @@ import (
 const goldenFile = "testdata/partition_golden.txt"
 
 // TestPartitionGolden runs the cold pipeline (recursive bisection) and the
-// warm path (localized and V-cycle tiers) with the options production runs
+// warm path (its localized tier and its cold fallback) with the options production runs
 // on every dataset analogue at k = 2 and 8, with fixed vertices, and
 // compares each partition's digest with goldenFile.
 func TestPartitionGolden(t *testing.T) {
@@ -68,7 +68,7 @@ func goldenDigests(t *testing.T) []string {
 			line("rb", rb)
 			// The warm inputs rotate the dirty vertices of the cold solution
 			// to the next part: a tenth of them stays on the localized tier,
-			// a third escalates to the seeded V-cycle.
+			// a third is past it and runs cold, matching the rb line.
 			for _, every := range []int{10, 3} {
 				inherited := append([]int32(nil), rb...)
 				dirty := make([]bool, len(rb))

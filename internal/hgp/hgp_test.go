@@ -519,65 +519,3 @@ func TestSingleVertex(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// partitionWithVCycles runs Partition and then cycles raw vCycle calls on
-// its parts, keeping every cycle's result (vCycle alone must never worsen
-// the cut).
-func partitionWithVCycles(t *testing.T, h *hypergraph.Hypergraph, opt Options, cycles int) partition.Partition {
-	t.Helper()
-	p, err := Partition(h, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt = opt.WithDefaults()
-	rng := rand.New(rand.NewSource(opt.Seed ^ 0x5eed))
-	for c := 0; c < cycles; c++ {
-		vCycle(h, p.Parts, opt.K, rng, opt)
-	}
-	return p
-}
-
-func TestVCycleNeverWorsens(t *testing.T) {
-	rng := rand.New(rand.NewSource(70))
-	for trial := 0; trial < 5; trial++ {
-		h := randomHG(rng, 200, 350, 5)
-		k := 2 + rng.Intn(4)
-		p, err := Partition(h, Options{K: k, Seed: int64(trial)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		before := partition.CutSize(h, p)
-		pv := partitionWithVCycles(t, h, Options{K: k, Seed: int64(trial)}, 2)
-		after := partition.CutSize(h, pv)
-		if after > before {
-			t.Fatalf("trial %d: V-cycles worsened cut %d -> %d", trial, before, after)
-		}
-		if err := pv.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		w := partition.Weights(h, pv)
-		if !partition.IsBalanced(w, 0.25) {
-			t.Fatalf("trial %d: V-cycle output imbalanced %v", trial, w)
-		}
-	}
-}
-
-func TestVCycleRespectsFixed(t *testing.T) {
-	rng := rand.New(rand.NewSource(72))
-	h := randomHG(rng, 150, 220, 5)
-	k := 3
-	fixed := make([]int32, 150)
-	for v := range fixed {
-		fixed[v] = hypergraph.Free
-	}
-	for v := 0; v < 24; v++ {
-		fixed[v] = int32(v % k)
-	}
-	hf := h.WithFixed(fixed)
-	p := partitionWithVCycles(t, hf, Options{K: k, Seed: 73}, 2)
-	for v := 0; v < 24; v++ {
-		if p.Of(v) != v%k {
-			t.Fatalf("V-cycle moved fixed vertex %d to %d", v, p.Of(v))
-		}
-	}
-}

@@ -27,7 +27,7 @@ var (
 	// a spawned worker goroutine (stays 0 under the rank-local SPMD pin).
 	obsKernelWorkerItems = obs.Default().Counter("hgp_kernel_worker_items_total")
 
-	// Warm-start path: calls by mode (localized / vcycle / trivial) and
+	// Warm-start path: calls by mode (localized / cold / trivial) and
 	// the wall time of the whole warm partition (the cold analogue is the
 	// sum of the stage timers above).
 	obsWarmPartitions = obs.Default().CounterVec("hgp_warm_partitions_total", "mode")

@@ -23,7 +23,7 @@ const MinShrink = 0.10
 const MaxNetSize = 500
 
 // CoarsenTo stops coarsening when the hypergraph has at most this many
-// vertices (2K when that is more, in the warm V-cycle and phg).
+// vertices (2K when that is more, in phg).
 const CoarsenTo = 100
 
 // InitialStarts is the number of randomized greedy-growing starts at the

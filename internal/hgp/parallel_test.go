@@ -77,21 +77,3 @@ func TestKernelWorkersRespectSerialPin(t *testing.T) {
 		t.Fatal("Parallelism=4 spawned no kernel worker items; spill accounting is dead")
 	}
 }
-
-// TestPartitionWithVCyclesParallelismDeterminism covers vCycle after
-// Partition, which shares the workspace-threaded kernels.
-func TestPartitionWithVCyclesParallelismDeterminism(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	h := quickHG(rng)
-	opt := Options{K: 4, Imbalance: 0.10, Seed: 7, Parallelism: 1}
-	ref := partitionWithVCycles(t, h, opt, 2)
-	for _, par := range []int{2, 4, 8} {
-		opt.Parallelism = par
-		got := partitionWithVCycles(t, h, opt, 2)
-		for v := range ref.Parts {
-			if ref.Parts[v] != got.Parts[v] {
-				t.Fatalf("Parallelism=%d diverges from 1 at vertex %d", par, v)
-			}
-		}
-	}
-}

@@ -2,7 +2,6 @@ package hgp
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"hyperbal/internal/hypergraph"
@@ -15,31 +14,23 @@ type WarmSpec struct {
 	// [0,K)). It is not mutated.
 	Parts []int32
 	// Dirty marks the vertices touched by the epoch transition (from
-	// hypergraph.Delta.DirtyVertices). Nil means unknown — the whole
-	// hypergraph is treated as dirty and the full seeded V-cycle runs.
+	// hypergraph.Delta.DirtyVertices). Nil means unknown: the inherited
+	// solution cannot be trusted anywhere and the cold partitioner runs.
 	Dirty []bool
 }
 
-// warmVCycleFraction is the dirty fraction above which localized
-// refinement stops paying for itself and the warm path escalates to a
-// partition-seeded V-cycle. Past roughly a quarter of the vertices, the
-// 1-hop halo covers most of the hypergraph anyway.
-const warmVCycleFraction = 0.25
-
-// warmColdFraction is the dirty fraction above which the inherited
-// solution carries too little signal to be worth seeding from at all: the
-// V-cycle's partition-restricted coarsening would mostly preserve a
-// stale structure, so the warm path runs the cold partitioner instead —
-// warm-starting is an optimization for small transitions, not a license
-// to degrade quality on large ones.
-const warmColdFraction = 0.4
+// warmLocalizedFraction is the largest dirty fraction the localized tier
+// takes. Past roughly a quarter of the vertices the 1-hop halo covers most
+// of the hypergraph anyway, and the inherited solution carries too little
+// signal to be worth seeding from: the warm path runs the cold partitioner
+// instead.
+const warmLocalizedFraction = 0.25
 
 // WarmStats reports what the warm path actually did.
 type WarmStats struct {
-	// Mode is "localized" (dirty-region refinement only), "vcycle"
-	// (partition-seeded V-cycle), "cold" (drift too large or warm result
-	// infeasible — the cold partitioner ran) or "trivial" (K < 2 or empty
-	// hypergraph).
+	// Mode is "localized" (dirty-region refinement only), "cold" (drift
+	// too large, no dirty set, or the localized result infeasible — the
+	// cold partitioner ran) or "trivial" (K < 2 or empty hypergraph).
 	Mode string
 	// DirtyFraction is the fraction of vertices marked dirty (1 when the
 	// spec carried no dirty set).
@@ -49,14 +40,15 @@ type WarmStats struct {
 }
 
 // PartitionWarm computes a k-way partition of h seeded from an inherited
-// solution instead of from scratch: it skips the multi-start coarse solve
-// and recursive bisection entirely, repairs balance, and re-refines only
-// the dirty region (plus a 1-hop halo) when the epoch transition touched
-// a small part of the hypergraph — escalating to a full partition-seeded
-// V-cycle when it did not. Fixed vertices are honored throughout.
+// solution instead of from scratch: when the epoch transition touched a
+// small part of the hypergraph it skips the multi-start coarse solve and
+// recursive bisection entirely, repairs balance, and re-refines only the
+// dirty region (plus a 1-hop halo). Larger drift, a nil dirty set, and a
+// localized result that is still infeasible run the cold partitioner,
+// whose result equals Partition(h, opt). Fixed vertices are honored
+// throughout.
 //
-// The warm tiers (balance repair, the restricted dirty∪halo refinement,
-// the seeded V-cycle) run serially, so Options.Parallelism only reaches
+// The localized tier runs serially, so Options.Parallelism only reaches
 // the cold fallback, whose result is bit-identical for every value. Like
 // Partition it satisfies Eq. 1 on all but pathological inputs; callers can
 // check with partition.IsBalanced.
@@ -102,15 +94,11 @@ func PartitionWarm(h *hypergraph.Hypergraph, opt Options, spec WarmSpec) (partit
 		dirtyFrac = float64(d) / float64(n)
 	}
 
-	ws := wsPool.Get().(*workspace)
-	defer wsPool.Put(ws)
-	caps := partition.Caps(h.TotalWeight(), opt.K, opt.Imbalance)
-
-	var stats WarmStats
-	stats.DirtyFraction = dirtyFrac
-	switch {
-	case spec.Dirty != nil && dirtyFrac <= warmVCycleFraction:
+	stats := WarmStats{Mode: "cold", DirtyFraction: dirtyFrac}
+	if spec.Dirty != nil && dirtyFrac <= warmLocalizedFraction {
 		stats.Mode = "localized"
+		ws := wsPool.Get().(*workspace)
+		caps := partition.Caps(h.TotalWeight(), opt.K, opt.Imbalance)
 		// One k-way state serves the repair, the region sweeps and the
 		// polish. The inherited solution can be arbitrarily imbalanced on
 		// the new weights (adaptive refinement scales vertices in place).
@@ -134,46 +122,24 @@ func PartitionWarm(h *hypergraph.Hypergraph, opt Options, spec WarmSpec) (partit
 		}
 		stats.Cut = s.Cut()
 		s.release()
+		wsPool.Put(ws)
 		if !feasible(h, p.Parts, caps) {
-			// The dirty region did not hold enough movable weight;
-			// escalate to the seeded V-cycle.
-			stats.Mode = "vcycle"
-			rng := rand.New(rand.NewSource(opt.Seed ^ 0x77a7))
-			vCycle(h, p.Parts, opt.K, rng, opt)
-			stats.Cut = refineKway(h, opt.K, p.Parts, caps, RefinePasses, ws)
+			// The dirty region did not hold enough movable weight.
+			// Warm-starting is an optimization, never a license to ship
+			// an infeasible distribution.
+			stats.Mode = "cold"
 		}
-	case spec.Dirty != nil && dirtyFrac <= warmColdFraction:
-		stats.Mode = "vcycle"
-		// A feasible input needs no repair: skip the O(pins) state build.
-		if !feasible(h, p.Parts, caps) {
-			s := ws.kwayState(h, opt.K, p.Parts)
-			repairBalance(s, caps)
-			s.release()
-		}
-		rng := rand.New(rand.NewSource(opt.Seed ^ 0x77a7))
-		vCycle(h, p.Parts, opt.K, rng, opt)
-		stats.Cut = refineKway(h, opt.K, p.Parts, caps, RefinePasses, ws)
-	default:
-		// Unknown or large drift: the seed is stale — run cold.
-		stats.Mode = "cold"
-		cold, err := Partition(h, opt)
-		if err != nil {
-			return partition.Partition{}, WarmStats{}, err
-		}
-		copy(p.Parts, cold.Parts)
-		stats.Cut = partition.CutSize(h, p)
 	}
 
-	if stats.Mode != "cold" && !feasible(h, p.Parts, caps) {
-		// Safety net: warm-starting is an optimization, never a license to
-		// ship an infeasible distribution. Fall back to the cold
-		// partitioner, which is what the caller would have run anyway.
+	if stats.Mode == "cold" {
+		// Unknown or large drift, or an infeasible localized result: run
+		// the cold partitioner, which is what the caller would have run
+		// anyway.
 		cold, err := Partition(h, opt)
 		if err != nil {
 			return partition.Partition{}, WarmStats{}, err
 		}
-		copy(p.Parts, cold.Parts)
-		stats.Mode = "cold"
+		p = cold
 		stats.Cut = partition.CutSize(h, p)
 	}
 
@@ -230,11 +196,8 @@ func warmRegion(h *hypergraph.Hypergraph, dirty []bool, moved []int32) []int32 {
 // least-cut-damage move at a time: while some part exceeds its cap, the
 // free vertex of the most overloaded part whose best relocation loses
 // the least connectivity-1 cut is moved to the lightest part that can
-// take it. Repairing before the V-cycle matters because its
-// partition-restricted coarsening would freeze an overload into coarse
-// mega-vertices no refinement pass can move. It moves vertices through s
-// and returns them in move order (for the caller to include in its
-// refinement region).
+// take it. It moves vertices through s and returns them in move order
+// (for the caller to include in its refinement region).
 //
 // Each move scores every free vertex of the overloaded part, in index
 // order, in one gains pass over its nets, then tries every destination

@@ -2,6 +2,7 @@ package hgp
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hyperbal/internal/hypergraph"
@@ -65,25 +66,56 @@ func TestPartitionWarmNilDirtyRunsCold(t *testing.T) {
 	}
 }
 
-// TestPartitionWarmMediumDriftVCycle: a dirty fraction between the
-// localized and cold thresholds must take the seeded V-cycle.
-func TestPartitionWarmMediumDriftVCycle(t *testing.T) {
+// TestPartitionWarmMediumDriftRunsCold: a dirty fraction past the
+// localized threshold must run the cold partitioner, and its result must be
+// exactly Partition's.
+func TestPartitionWarmMediumDriftRunsCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	h, cold, _ := warmSeed(t, rng, 200, 4)
 	dirty := make([]bool, 200)
-	for v := 0; v < 80; v++ { // 40%: past localized, under cold
+	for v := 0; v < 80; v++ { // 40%: past localized
 		dirty[v] = true
 	}
-	p, st, err := PartitionWarm(h, Options{K: 4, Imbalance: 0.05, Seed: 9}, WarmSpec{Parts: cold.Parts, Dirty: dirty})
+	requireCold(t, h, Options{K: 4, Imbalance: 0.05, Seed: 9}, WarmSpec{Parts: cold.Parts, Dirty: dirty})
+}
+
+// requireCold runs PartitionWarm and requires the cold tier, with exactly
+// Partition's result.
+func requireCold(t *testing.T, h *hypergraph.Hypergraph, opt Options, spec WarmSpec) {
+	t.Helper()
+	p, st, err := PartitionWarm(h, opt, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Mode != "vcycle" {
-		t.Fatalf("medium drift should take the seeded V-cycle, got %q", st.Mode)
+	if st.Mode != "cold" {
+		t.Fatalf("want the cold tier, got %q (dirty fraction %.3f)", st.Mode, st.DirtyFraction)
 	}
-	if !partition.IsBalanced(partition.Weights(h, p), 0.05) {
-		t.Fatal("warm V-cycle partition imbalanced")
+	want, err := Partition(h, opt)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if !slices.Equal(p.Parts, want.Parts) {
+		t.Fatal("warm-path cold run differs from Partition(h, opt)")
+	}
+}
+
+// TestPartitionWarmInfeasibleLocalizedRunsCold: when the localized tier
+// cannot restore balance (no vertex of the overloaded part fits anywhere),
+// the warm path must run the cold partitioner and return exactly its
+// result. Weights 4,5,5,4,2 (then zero-weight vertices) all start on part
+// 0 under a cap of 10: the repair moves 4 and 5, and then nothing fits.
+func TestPartitionWarmInfeasibleLocalizedRunsCold(t *testing.T) {
+	const n = 20
+	b := hypergraph.NewBuilder(n)
+	for v, w := range []int64{4, 5, 5, 4, 2} {
+		b.SetWeight(v, w)
+	}
+	for v := 5; v < n; v++ {
+		b.SetWeight(v, 0)
+	}
+	dirty := make([]bool, n)
+	dirty[0] = true
+	requireCold(t, b.Build(), Options{K: 2, Imbalance: 0.01, Seed: 9}, WarmSpec{Parts: make([]int32, n), Dirty: dirty})
 }
 
 // TestPartitionWarmParallelismInvariant: the warm path runs the repair and

@@ -43,20 +43,12 @@ type Options struct {
 	// operation. It is called concurrently from rank goroutines and must
 	// be safe for concurrent use.
 	OnEvent func(Event)
-	// ChanCap is the per-pair send buffer capacity in messages; 0 means
-	// DefaultChanCap. A send beyond this capacity blocks the sender (and
-	// counts in Stats.BlockedSends). Network transports mirror it as their
-	// flow-control window.
-	ChanCap int
 }
 
-// normalized arms the default watchdog for crash plans and fills defaults.
+// normalized arms the default watchdog for crash plans.
 func (o Options) normalized() Options {
 	if o.Watchdog <= 0 && o.Fault != nil && len(o.Fault.Crash) > 0 {
 		o.Watchdog = DefaultWatchdog
-	}
-	if o.ChanCap <= 0 {
-		o.ChanCap = DefaultChanCap
 	}
 	return o
 }

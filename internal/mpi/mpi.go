@@ -50,7 +50,7 @@ type Stats struct {
 	// plain Run/RunStats callers get honest stall numbers too.
 	MaxStall atomic.Int64
 	// BlockedSends counts sends that could not complete immediately —
-	// in-process: the destination channel was full (capacity Options.ChanCap);
+	// in-process: the destination channel was full (capacity DefaultChanCap);
 	// over a Transport: the flow-control window was exhausted. A nonzero
 	// count means receivers are falling behind the senders.
 	BlockedSends atomic.Int64
@@ -100,10 +100,10 @@ func (c *Comm) worldRank(r int) int {
 	return c.worldOf[r]
 }
 
-// DefaultChanCap is the default per-pair send buffer capacity (messages),
-// used when Options.ChanCap is zero. A network transport should mirror the
-// effective value as its flow-control window so backpressure behaves the
-// same on both substrates.
+// DefaultChanCap is the per-pair send buffer capacity (messages) of every
+// in-process world. A send beyond it blocks the sender (and counts in
+// Stats.BlockedSends). A network transport mirrors it as its flow-control
+// window so backpressure behaves the same on both substrates.
 const DefaultChanCap = 1024
 
 // newComm wires a communicator of the given world. Each Comm instance
@@ -143,7 +143,7 @@ func RunWith(n int, opt Options, fn func(c *Comm) error) (*Stats, error) {
 	}
 	opt = opt.normalized()
 	w := newWorld(n, opt)
-	chans := newChanMatrix(n, opt.ChanCap)
+	chans := newChanMatrix(n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for r := 0; r < n; r++ {
@@ -188,15 +188,12 @@ func RunWith(n int, opt Options, fn func(c *Comm) error) (*Stats, error) {
 	return w.stats, first
 }
 
-func newChanMatrix(n, cap int) [][]chan message {
-	if cap <= 0 {
-		cap = DefaultChanCap
-	}
+func newChanMatrix(n int) [][]chan message {
 	chans := make([][]chan message, n)
 	for i := range chans {
 		chans[i] = make([]chan message, n)
 		for j := range chans[i] {
-			chans[i][j] = make(chan message, cap)
+			chans[i][j] = make(chan message, DefaultChanCap)
 		}
 	}
 	return chans
@@ -556,7 +553,7 @@ func (c *Comm) Split(color, key int) *Comm {
 	// The split communicator gets fresh channels. Build them cooperatively:
 	// the lowest old rank of each color allocates and distributes.
 	if newRank == 0 {
-		sub.chans = newChanMatrix(len(members), c.w.opt.ChanCap)
+		sub.chans = newChanMatrix(len(members))
 		for i := 1; i < len(members); i++ {
 			c.Send(members[i].Rank, tagSplit, sub.chans)
 		}

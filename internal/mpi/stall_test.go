@@ -27,14 +27,14 @@ func TestMaxStallRecordedWithoutWatchdog(t *testing.T) {
 	}
 }
 
-// Options.ChanCap bounds the per-pair send buffer, and sends that hit the
+// DefaultChanCap bounds the per-pair send buffer, and sends that hit the
 // bound count in Stats.BlockedSends.
-func TestChanCapOptionAndBlockedSends(t *testing.T) {
-	const msgs = 8
-	stats, err := RunWith(2, Options{ChanCap: 1}, func(c *Comm) error {
+func TestChanCapBoundsBlockedSends(t *testing.T) {
+	const msgs = DefaultChanCap + 8
+	stats, err := RunStats(2, func(c *Comm) error {
 		if c.Rank() == 0 {
-			// Outrun the receiver: with capacity 1, at least one of these
-			// sends must block until rank 1 drains.
+			// Outrun the receiver: past DefaultChanCap messages, at least
+			// one of these sends must block until rank 1 drains.
 			for i := 0; i < msgs; i++ {
 				c.Send(1, 3, int32(i))
 			}
@@ -52,7 +52,7 @@ func TestChanCapOptionAndBlockedSends(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := stats.BlockedSends.Load(); got < 1 {
-		t.Fatalf("BlockedSends = %d with ChanCap 1 and a slow receiver, want >= 1", got)
+		t.Fatalf("BlockedSends = %d with DefaultChanCap+8 sends to a slow receiver, want >= 1", got)
 	}
 	if got := stats.MaxStallDuration(); got <= 0 {
 		t.Fatalf("MaxStall = %v after blocked sends, want > 0", got)
