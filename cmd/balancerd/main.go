@@ -8,8 +8,7 @@
 // Usage:
 //
 //	balancerd [-addr :8080] [-workers N] [-queue 256] [-session-ttl 15m]
-//	          [-cache 4096] [-drain-timeout 30s] [-addr-file path]
-//	          [-fault-max-delay 0] [-fault-seed 1] [-metrics-addr ""]
+//	          [-cache 4096] [-drain-timeout 30s] [-addr-file path] [-metrics-addr ""]
 //	          [-self URL -peers URL,URL,...]
 //	balancerd -gateway -replicas URL,URL,... [-addr :8080]
 //
@@ -40,7 +39,6 @@ import (
 	"syscall"
 	"time"
 
-	"hyperbal/internal/mpi"
 	"hyperbal/internal/obs"
 	"hyperbal/internal/server"
 )
@@ -55,9 +53,6 @@ func main() {
 		cache    = flag.Int("cache", 4096, "solved results kept for reuse (<0 keeps none; concurrent identical solves still coalesce)")
 		maxBody  = flag.Int64("max-body", 64<<20, "maximum request body bytes")
 		drainT   = flag.Duration("drain-timeout", 30*time.Second, "bound on completing in-flight epochs at shutdown")
-
-		faultMaxDelay = flag.Duration("fault-max-delay", 0, "fault injection: seeded pseudorandom delay in [0, d) per partitioning job (mpi.FaultPlan knob at the serving tier)")
-		faultSeed     = flag.Int64("fault-seed", 1, "fault injection: seed for -fault-max-delay")
 
 		metricsAddr = flag.String("metrics-addr", "", "additionally serve the obs debug server (/metrics, /debug/pprof) on this address")
 
@@ -88,10 +83,6 @@ func main() {
 	}
 	if cfg.Self != "" && len(cfg.Peers) > 0 {
 		logger.Printf("replica set: self=%s peers=%v", cfg.Self, cfg.Peers)
-	}
-	if *faultMaxDelay > 0 {
-		cfg.Fault = &mpi.FaultPlan{Seed: *faultSeed, MaxDelay: *faultMaxDelay}
-		logger.Printf("fault injection armed: max-delay=%s seed=%d", *faultMaxDelay, *faultSeed)
 	}
 	srv := server.New(cfg)
 	defer srv.Close()

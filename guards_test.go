@@ -130,6 +130,8 @@ var guards = []guard{
 		pattern: `DurationBound[s]|ExpBound[s]|LinBound[s]|BucketSnapsho[t]|_bucke[t]|\bBucket[s]\b`, paths: repoGo},
 	{name: "warm-vcycle", removedBy: []string{"child of e02e836"}, why: "the warm path has two tiers: localized refinement, else one call of the cold partitioner; no partition-seeded V-cycle",
 		pattern: `vCycl[e]\(|levelViewWithOriginalFixe[d]|warmColdFractio[n]|"vcycl[e]"`, paths: repoGo},
+	{name: "bulk-frames", removedBy: []string{"child of cf61472"}, why: "the hypergraph and delta frames are declared structs internal/wire lays out, validated and built by the unexported buildFromWire; balancerd's fault delay is set by tests only",
+		pattern: `BinaryFrameVersio[n]|DeltaFrameVersio[n]|binFla[g]|deltaFla[g]|deltaSectio[n]|\bBuildFromWir[e]|fault-max-dela[y]|fault-see[d]`, paths: repoDocs},
 }
 
 func TestRemovedNamesStayGone(t *testing.T) {

@@ -32,7 +32,7 @@ import (
 // Deltas carry the base fingerprint and Apply enforces it: a mismatch
 // returns ErrBaseMismatch, the signal for the caller to fall back to a
 // full resync (ship the whole hypergraph). The wire form is the binary
-// delta frame (AppendBinary / DecodeDeltaBinary); Version guards format
+// delta frame (AppendBinary / DecodeWire); Version guards format
 // evolution.
 
 // DeltaVersion is the current delta wire format version.
@@ -58,8 +58,8 @@ type Delta struct {
 	// are removed. Nil means the identity map (vertex set unchanged).
 	VertexMap []int32
 	// NewWeights / NewSizes / NewFixed give the weight, size and fixed
-	// label of each -1 entry of VertexMap, in order of appearance. Nil
-	// NewWeights/NewSizes default to 1; nil NewFixed means all free.
+	// label of each -1 entry of VertexMap, in order of appearance. Empty
+	// NewWeights/NewSizes default to 1; empty NewFixed means all free.
 	NewWeights []int64
 	NewSizes   []int64
 	NewFixed   []int32
@@ -260,14 +260,14 @@ func (d *Delta) apply(base *Hypergraph) (*Hypergraph, error) {
 			fixed[v] = base.Fixed(int(b))
 		} else {
 			weights[v], sizes[v] = 1, 1
-			if d.NewWeights != nil {
+			if len(d.NewWeights) > 0 {
 				weights[v] = d.NewWeights[newIdx]
 			}
-			if d.NewSizes != nil {
+			if len(d.NewSizes) > 0 {
 				sizes[v] = d.NewSizes[newIdx]
 			}
 			fixed[v] = Free
-			if d.NewFixed != nil {
+			if len(d.NewFixed) > 0 {
 				fixed[v] = d.NewFixed[newIdx]
 			}
 			newIdx++

@@ -3,8 +3,6 @@ package hypergraph
 import (
 	"math/rand"
 	"testing"
-
-	"hyperbal/internal/wire"
 )
 
 // FuzzDeltaApply drives the delta pipeline two ways from one input:
@@ -14,7 +12,7 @@ import (
 //     ComputeDeltaMapped, apply it, and assert the applied result is
 //     fingerprint-identical to the from-scratch rebuild with all CSR
 //     invariants intact (Validate). Each delta crosses its binary frame
-//     (AppendBinary / DecodeDeltaBinary), the form PATCH epochs carry.
+//     (AppendBinary / DecodeWire), the form PATCH epochs carry.
 //  2. Hostile path: decode `raw` as a binary delta frame and apply it
 //     against the chain's final hypergraph — it must either fail cleanly
 //     or yield a hypergraph that passes Validate; it must never panic or
@@ -26,6 +24,8 @@ func FuzzDeltaApply(f *testing.F) {
 	f.Add(int64(42), uint8(8), frame(Delta{Version: 1, WeightIDs: []int32{0}, WeightVals: []int64{5}}))
 	f.Add(int64(3), uint8(2), frame(Delta{Version: 1, VertexMap: []int32{1, 0, -1}, NetMap: []int32{-1},
 		NewNetPins: [][]int32{{0, 2}}, NewNetCosts: []int64{2}}))
+	// A new vertex with a present but empty weight section.
+	f.Add(int64(5), uint8(1), frame(Delta{Version: 1, VertexMap: []int32{0, 1, 2, 3, -1}, NewWeights: []int64{}}))
 	f.Fuzz(func(t *testing.T, seed int64, steps uint8, raw []byte) {
 		rng := rand.New(rand.NewSource(seed))
 		nv := 4 + rng.Intn(30)
@@ -41,7 +41,7 @@ func FuzzDeltaApply(f *testing.F) {
 				t.Fatalf("step %d: ComputeDeltaMapped refused its own mutation", i)
 			}
 			// The delta must survive its wire form.
-			dw, err := DecodeDeltaBinary(wire.NewReader(d.AppendBinary(nil)))
+			dw, err := decodeDelta(d.AppendBinary(nil))
 			if err != nil {
 				t.Fatalf("step %d: decode: %v", i, err)
 			}
@@ -59,7 +59,7 @@ func FuzzDeltaApply(f *testing.F) {
 		}
 
 		// Hostile delta: an arbitrary frame against the current base.
-		hostile, err := DecodeDeltaBinary(wire.NewReader(raw))
+		hostile, err := decodeDelta(raw)
 		if err != nil {
 			return
 		}

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
-
-	"hyperbal/internal/wire"
 )
 
 // deltaBase builds a small hypergraph with varied weights/sizes/costs.
@@ -92,7 +90,7 @@ func TestDeltaEmptySuccessor(t *testing.T) {
 	if !ok {
 		t.Fatal("an empty successor should be delta-able")
 	}
-	dw, err := DecodeDeltaBinary(wire.NewReader(d.AppendBinary(nil)))
+	dw, err := decodeDelta(d.AppendBinary(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,6 +99,38 @@ func TestDeltaEmptySuccessor(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSame(t, next, got)
+}
+
+// TestDeltaNewVertexEmptyAttributes: a new vertex whose NewWeights,
+// NewSizes or NewFixed section is present but empty gets the defaults (1,
+// 1, free), as with a nil section, instead of an index into the empty
+// slice. The codec decodes an empty section as nil, so the delta is built
+// directly to reach apply.
+func TestDeltaNewVertexEmptyAttributes(t *testing.T) {
+	base := deltaBase()
+	grow := Delta{Version: DeltaVersion, Base: base.Fingerprint(), VertexMap: []int32{0, 1, 2, 3, 4, 5, -1}}
+	want, err := grow.Apply(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		set  func(*Delta)
+	}{
+		{"weights", func(d *Delta) { d.NewWeights = []int64{} }},
+		{"sizes", func(d *Delta) { d.NewSizes = []int64{} }},
+		{"fixed", func(d *Delta) { d.NewFixed = []int32{} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := grow
+			tc.set(&d)
+			got, err := d.Apply(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSame(t, want, got)
+		})
+	}
 }
 
 func TestDeltaBadVersion(t *testing.T) {

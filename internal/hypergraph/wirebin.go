@@ -1,40 +1,28 @@
 package hypergraph
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
-	"reflect"
 
 	"hyperbal/internal/wire"
 )
 
-// Binary wire codec for hypergraphs and deltas (HBW frames): the two bulk
-// formats that keep a hand-tuned layout inside the repo's one message
-// codec (internal/wire). A message declares a Frame or Delta field and
-// the codec hands these frames its reader. A hypergraph frame
-// carries the CSR form directly (net sizes, flat pin stream, costs, then
-// optional per-vertex sections), so encoding is a single pass over the CSR
-// arrays with no intermediate per-net structures, and decoding rebuilds
-// the CSR with one allocation per section. Uniform all-1 weight/size
-// vectors — the common case for the paper's dynamics — are elided behind a
-// flags byte, which on top of varint packing keeps a typical epoch body
-// small.
+// Binary wire codec for hypergraphs and deltas (HBW frames). Both frames
+// are declared structs laid out by the repo's one message codec
+// (internal/wire, Varint integers): a message declares a Frame or Delta
+// field and the codec lays out frameWire or deltaWire in its place. A
+// hypergraph frame carries the CSR arrays as they are (net offsets, flat
+// pin stream, costs, then the per-vertex sections), so encoding copies no
+// array and decoding builds the CSR in place. A per-vertex section
+// that is all 1s (weights, sizes) or all free (fixed labels) — the common
+// case for the paper's dynamics — is sent as an empty slice.
 //
-// The decoder funnels into BuildFromWire, the single validation + build +
-// fingerprint path.
-//
-// Every length prefix a decoder reads is checked against both an absolute
-// cap and the bytes remaining in the frame (each counted element occupies
-// at least one encoded byte), so a hostile frame cannot make the decoder
-// allocate more than O(frame size) before failing.
+// The codec bounds every count by the bytes present before it allocates;
+// the checks here are the ones it cannot express (the MaxWire* caps, and
+// a vertex count no larger than the frame can pay for). The decoder then
+// funnels into buildFromWire, the single validation + build + fingerprint
+// path.
 
 const (
-	// BinaryFrameVersion tags hypergraph binary frames.
-	BinaryFrameVersion = 1
-	// DeltaFrameVersion tags delta binary frames.
-	DeltaFrameVersion = 1
-
 	// MaxWireVertices / MaxWireNets / MaxWirePins cap the dimensions a
 	// wire decoder will accept.
 	MaxWireVertices = 1 << 24
@@ -42,37 +30,30 @@ const (
 	MaxWirePins     = 1 << 26
 )
 
-// Hypergraph frame flags: which optional per-vertex sections are present.
-const (
-	binFlagWeights byte = 1 << iota
-	binFlagSizes
-	binFlagFixed
-)
-
-// Delta frame flags: which optional Delta fields are present (distinguishing
-// nil from empty, which Digest and Identity care about).
-const (
-	deltaFlagVertexMap byte = 1 << iota
-	deltaFlagNewWeights
-	deltaFlagNewSizes
-	deltaFlagNewFixed
-	deltaFlagNetMap
-	deltaFlagNewNetCosts
-	deltaFlagNewNetPins
-)
-
-// NewBinReader wraps one frame for DecodeBinary / DecodeDeltaBinary. Only
-// the benchmark's decode probe (bench/run.go) calls it; everything else
-// calls wire.NewReader.
+// NewBinReader wraps one frame for DecodeBinary. Only the benchmark's
+// decode probe (bench/run.go) calls it; everything else calls
+// wire.NewReader.
 func NewBinReader(data []byte) *wire.Reader { return wire.NewReader(data) }
 
 // Frame is a hypergraph as one field of a codec-declared message
 // (internal/wire): its HBW frame on the wire, and after decoding the
-// fingerprint BuildFromWire computed, carried next to H so a decoded
+// fingerprint buildFromWire computed, carried next to H so a decoded
 // hypergraph is fingerprinted exactly once. FP is not encoded.
 type Frame struct {
 	H  *Hypergraph
 	FP string
+}
+
+// frameWire is the hypergraph frame's layout. Weights and Sizes are empty
+// when every entry is 1, Fixed when no vertex is fixed.
+type frameWire struct {
+	NumVertices int
+	NetStart    []int32
+	Pins        []int32
+	Costs       []int64
+	Weights     []int64
+	Sizes       []int64
+	Fixed       []int32
 }
 
 // AppendWire appends H's binary frame.
@@ -80,226 +61,92 @@ func (f *Frame) AppendWire(buf []byte) []byte { return f.H.AppendBinary(buf) }
 
 // DecodeWire reads one hypergraph frame into H and its fingerprint into FP.
 func (f *Frame) DecodeWire(r *wire.Reader) (err error) {
-	f.H, f.FP, err = DecodeBinary(r)
-	return err
-}
-
-// AppendWire appends d's binary frame, so a Delta can be a field of a
-// codec-declared message.
-func (d *Delta) AppendWire(buf []byte) []byte { return d.AppendBinary(buf) }
-
-// DecodeWire reads one delta frame into d.
-func (d *Delta) DecodeWire(r *wire.Reader) error {
-	got, err := DecodeDeltaBinary(r)
-	if err == nil {
-		*d = *got
+	start := r.Rem()
+	var w frameWire
+	if err := wire.Varint.Read(r, &w); err != nil {
+		return err
 	}
-	return err
+	switch {
+	case w.NumVertices > MaxWireVertices:
+		return fmt.Errorf("%w: num_vertices %d exceeds limit %d", wire.ErrMalformed, w.NumVertices, MaxWireVertices)
+	case len(w.NetStart) > MaxWireNets+1:
+		return fmt.Errorf("%w: %d nets exceed limit %d", wire.ErrMalformed, len(w.NetStart)-1, MaxWireNets)
+	case len(w.Pins) > MaxWirePins:
+		return fmt.Errorf("%w: %d pins exceed limit %d", wire.ErrMalformed, len(w.Pins), MaxWirePins)
+	// The per-vertex sections may be empty, so bound |V| by the frame
+	// size: a frame describing v vertices with any content at all spends
+	// bytes proportional to them, and a tiny hostile frame cannot make
+	// buildFromWire allocate 2^24 bare vertices.
+	case w.NumVertices > 64+16*(start-r.Rem()):
+		return fmt.Errorf("%w: num_vertices %d exceeds frame budget", wire.ErrMalformed, w.NumVertices)
+	}
+	if f.H, f.FP, err = buildFromWire(w); err != nil {
+		return fmt.Errorf("%w: %v", wire.ErrMalformed, err)
+	}
+	return nil
 }
 
 // AppendBinary appends h's binary frame to buf and returns the extended
 // slice. The frame is canonical: equal hypergraphs (same fingerprint)
-// encode to identical bytes. All-unit weight/size vectors and absent fixed
-// labels are elided.
+// encode to identical bytes.
 func (h *Hypergraph) AppendBinary(buf []byte) []byte {
-	nv, nn := h.NumVertices(), h.NumNets()
-	var flags byte
-	for _, w := range h.weights {
-		if w != 1 {
-			flags |= binFlagWeights
+	w := frameWire{
+		NumVertices: h.NumVertices(),
+		NetStart:    h.netStart,
+		Pins:        h.netPins,
+		Costs:       h.costs,
+		Fixed:       h.fixed,
+	}
+	for _, x := range h.weights {
+		if x != 1 {
+			w.Weights = h.weights
 			break
 		}
 	}
-	for _, s := range h.sizes {
-		if s != 1 {
-			flags |= binFlagSizes
+	for _, x := range h.sizes {
+		if x != 1 {
+			w.Sizes = h.sizes
 			break
 		}
 	}
-	if h.fixed != nil {
-		flags |= binFlagFixed
-	}
-	buf = append(buf, BinaryFrameVersion)
-	buf = binary.AppendUvarint(buf, uint64(nv))
-	buf = binary.AppendUvarint(buf, uint64(nn))
-	buf = binary.AppendUvarint(buf, uint64(h.NumPins()))
-	buf = append(buf, flags)
-	for n := 0; n < nn; n++ {
-		buf = binary.AppendUvarint(buf, uint64(h.netStart[n+1]-h.netStart[n]))
-	}
-	for _, p := range h.netPins {
-		buf = binary.AppendUvarint(buf, uint64(uint32(p)))
-	}
-	for _, c := range h.costs {
-		buf = binary.AppendUvarint(buf, uint64(c))
-	}
-	if flags&binFlagWeights != 0 {
-		for _, w := range h.weights {
-			buf = binary.AppendUvarint(buf, uint64(w))
-		}
-	}
-	if flags&binFlagSizes != 0 {
-		for _, s := range h.sizes {
-			buf = binary.AppendUvarint(buf, uint64(s))
-		}
-	}
-	if flags&binFlagFixed != 0 {
-		for _, f := range h.fixed {
-			buf = binary.AppendUvarint(buf, uint64(f-Free)) // Free maps to 0
-		}
-	}
+	buf, _ = wire.Varint.Append(buf, w) // a declared struct always has a layout
 	return buf
 }
 
 // DecodeBinary reads one hypergraph frame from r, validating through
-// BuildFromWire, and returns the hypergraph together with its content
+// buildFromWire, and returns the hypergraph together with its content
 // fingerprint (computed once, during decode). Trailing message fields stay
 // unread in r.
 func DecodeBinary(r *wire.Reader) (*Hypergraph, string, error) {
-	ver, err := r.Byte()
-	if err != nil {
-		return nil, "", err
-	}
-	if ver != BinaryFrameVersion {
-		return nil, "", fmt.Errorf("%w: hypergraph frame version %d (want %d)", wire.ErrMalformed, ver, BinaryFrameVersion)
-	}
-	nvU, err := r.Uvarint()
-	if err != nil {
-		return nil, "", err
-	}
-	if nvU > MaxWireVertices {
-		return nil, "", fmt.Errorf("%w: num_vertices %d exceeds limit %d", wire.ErrMalformed, nvU, MaxWireVertices)
-	}
-	nv := int(nvU)
-	nn, err := r.Count(MaxWireNets)
-	if err != nil {
-		return nil, "", err
-	}
-	np, err := r.Count(MaxWirePins)
-	if err != nil {
-		return nil, "", err
-	}
-	flags, err := r.Byte()
-	if err != nil {
-		return nil, "", err
-	}
-	if flags&^(binFlagWeights|binFlagSizes|binFlagFixed) != 0 {
-		return nil, "", fmt.Errorf("%w: unknown hypergraph flags %#x", wire.ErrMalformed, flags)
-	}
-	// Per-vertex allocations are not count-checked field by field (the
-	// sections may legitimately be elided), so bound |V| by the frame size:
-	// a frame describing v vertices with any content at all spends bytes
-	// proportional to them, and a tiny hostile frame cannot declare 2^24
-	// bare vertices.
-	if nv > 64+16*r.Rem() {
-		return nil, "", fmt.Errorf("%w: num_vertices %d exceeds frame budget", wire.ErrMalformed, nv)
-	}
-	netSizes := make([]int32, nn)
-	for i := range netSizes {
-		v, err := r.Uvarint()
-		if err != nil {
-			return nil, "", err
-		}
-		if v > uint64(np) {
-			return nil, "", fmt.Errorf("%w: net %d size %d exceeds pin count %d", wire.ErrMalformed, i, v, np)
-		}
-		netSizes[i] = int32(v)
-	}
-	pins := make([]int32, np)
-	for i := range pins {
-		v, err := r.Uvarint()
-		if err != nil {
-			return nil, "", err
-		}
-		if v > math.MaxInt32 {
-			return nil, "", fmt.Errorf("%w: pin %d overflows int32", wire.ErrMalformed, v)
-		}
-		pins[i] = int32(v)
-	}
-	costs := make([]int64, nn)
-	for i := range costs {
-		v, err := r.Uvarint()
-		if err != nil {
-			return nil, "", err
-		}
-		if v > math.MaxInt64 {
-			return nil, "", fmt.Errorf("%w: net %d cost overflows int64", wire.ErrMalformed, i)
-		}
-		costs[i] = int64(v)
-	}
-	var weights, sizes []int64
-	var fixed []int32
-	if flags&binFlagWeights != 0 {
-		weights = make([]int64, nv)
-		for i := range weights {
-			v, err := r.Uvarint()
-			if err != nil {
-				return nil, "", err
-			}
-			if v > math.MaxInt64 {
-				return nil, "", fmt.Errorf("%w: vertex %d weight overflows int64", wire.ErrMalformed, i)
-			}
-			weights[i] = int64(v)
-		}
-	}
-	if flags&binFlagSizes != 0 {
-		sizes = make([]int64, nv)
-		for i := range sizes {
-			v, err := r.Uvarint()
-			if err != nil {
-				return nil, "", err
-			}
-			if v > math.MaxInt64 {
-				return nil, "", fmt.Errorf("%w: vertex %d size overflows int64", wire.ErrMalformed, i)
-			}
-			sizes[i] = int64(v)
-		}
-	}
-	if flags&binFlagFixed != 0 {
-		fixed = make([]int32, nv)
-		for i := range fixed {
-			v, err := r.Uvarint()
-			if err != nil {
-				return nil, "", err
-			}
-			if v > math.MaxInt32 {
-				return nil, "", fmt.Errorf("%w: vertex %d fixed label overflows int32", wire.ErrMalformed, i)
-			}
-			fixed[i] = int32(v) + Free // 0 maps back to Free
-		}
-	}
-	return BuildFromWire(nv, costs, netSizes, pins, weights, sizes, fixed)
+	var f Frame
+	err := f.DecodeWire(r)
+	return f.H, f.FP, err
 }
 
-// BuildFromWire validates wire-shaped hypergraph data, builds the CSR form
+// buildFromWire validates a decoded hypergraph frame, builds the CSR form
 // and returns the content fingerprint computed from the freshly built
-// hypergraph — the one validation path behind DecodeBinary. It takes
-// ownership of every slice argument.
+// hypergraph. It takes ownership of w's slices.
 //
-// weights, sizes and fixed may be nil (unit weights/sizes, all vertices
-// free); a fixed vector with no non-Free entry is normalized away, exactly
-// as the Builder does, so the decoded hypergraph fingerprints like a built
-// one. pins is
-// the concatenation of each net's pin list in net order, netSizes the
-// per-net lengths; duplicate pins within a net are dropped preserving
-// first-occurrence order (matching Builder.AddNet). The validation errors
-// use the wire field names (num_vertices, weights, ...) since they surface
-// verbatim in 400 responses.
-func BuildFromWire(numVertices int, costs []int64, netSizes []int32, pins []int32, weights, sizes []int64, fixed []int32) (*Hypergraph, string, error) {
+// Empty weights and sizes mean all 1s; a fixed vector with no non-Free
+// entry is normalized away, exactly as the Builder does, so the decoded
+// hypergraph fingerprints like a built one. Pins is the concatenation of
+// each net's pin list in net order and NetStart[n] the offset of net n's
+// list (NetStart[0] = 0, the last entry the pin count), as in the CSR;
+// duplicate pins within a net are dropped preserving first-occurrence
+// order (matching Builder.AddNet). The validation errors use the wire
+// field names (num_vertices, weights, ...) since they surface verbatim in
+// 400 responses.
+func buildFromWire(w frameWire) (*Hypergraph, string, error) {
+	numVertices, netStart, pins, costs := w.NumVertices, w.NetStart, w.Pins, w.Costs
+	weights, sizes, fixed := w.Weights, w.Sizes, w.Fixed
 	if numVertices < 0 {
 		return nil, "", fmt.Errorf("num_vertices is negative")
 	}
-	if numVertices > MaxWireVertices {
-		return nil, "", fmt.Errorf("num_vertices %d exceeds limit %d", numVertices, MaxWireVertices)
+	if len(netStart) == 0 || netStart[0] != 0 {
+		return nil, "", fmt.Errorf("net_start does not begin at 0")
 	}
-	if len(netSizes) > MaxWireNets {
-		return nil, "", fmt.Errorf("%d nets exceed limit %d", len(netSizes), MaxWireNets)
-	}
-	if len(pins) > MaxWirePins {
-		return nil, "", fmt.Errorf("%d pins exceed limit %d", len(pins), MaxWirePins)
-	}
-	if len(costs) != len(netSizes) {
-		return nil, "", fmt.Errorf("nets have %d costs for %d pin lists", len(costs), len(netSizes))
+	if len(costs) != len(netStart)-1 {
+		return nil, "", fmt.Errorf("nets have %d costs for %d pin lists", len(costs), len(netStart)-1)
 	}
 	if weights != nil && len(weights) != numVertices {
 		return nil, "", fmt.Errorf("weights has %d entries, want 0 or %d", len(weights), numVertices)
@@ -352,17 +199,16 @@ func BuildFromWire(numVertices int, costs []int64, netSizes []int32, pins []int3
 
 	// One pass over the flat pin stream: range-check, dedup within each net
 	// via a stamp array (no per-net map), compact in place.
-	netStart := make([]int32, len(netSizes)+1)
 	stamp := make([]int32, numVertices)
 	for i := range stamp {
 		stamp[i] = -1
 	}
 	read, write := 0, 0
-	for n, sz32 := range netSizes {
+	for n := range costs {
 		if costs[n] < 0 {
 			return nil, "", fmt.Errorf("net %d has negative cost %d", n, costs[n])
 		}
-		sz := int(sz32)
+		sz := int(netStart[n+1]) - read // netStart[n+1] is still as decoded
 		if sz <= 0 {
 			return nil, "", fmt.Errorf("net %d is empty", n)
 		}
@@ -391,116 +237,90 @@ func BuildFromWire(numVertices int, costs []int64, netSizes []int32, pins []int3
 	return h, h.Fingerprint(), nil
 }
 
-// deltaSection is one Delta slice of a delta frame: its presence flag (0
-// for the sparse override streams, which are always written and decode
-// empty as nil), the field (*[]int32, *[]int64 or *[][]int32) and its cap.
-type deltaSection struct {
-	flag  byte
-	field any
-	limit int
+// deltaWire is the delta frame's layout: Delta's fields in order. Only
+// for the two maps does nil (identity) differ from empty (no vertices,
+// every net removed), so only they sit behind a presence byte; every
+// other section decodes empty as nil.
+type deltaWire struct {
+	Version     int
+	Base        string
+	VertexMap   *[]int32
+	NewWeights  []int64
+	NewSizes    []int64
+	NewFixed    []int32
+	NetMap      *[]int32
+	NewNetCosts []int64
+	NewNetPins  [][]int32
+	WeightIDs   []int32
+	WeightVals  []int64
+	SizeIDs     []int32
+	SizeVals    []int64
+	CostIDs     []int32
+	CostVals    []int64
 }
 
-// sections lists d's slices in frame order.
-func (d *Delta) sections() []deltaSection {
-	return []deltaSection{
-		{deltaFlagVertexMap, &d.VertexMap, MaxWireVertices},
-		{deltaFlagNewWeights, &d.NewWeights, MaxWireVertices},
-		{deltaFlagNewSizes, &d.NewSizes, MaxWireVertices},
-		{deltaFlagNewFixed, &d.NewFixed, MaxWireVertices},
-		{deltaFlagNetMap, &d.NetMap, MaxWireNets},
-		{deltaFlagNewNetCosts, &d.NewNetCosts, MaxWireNets},
-		{deltaFlagNewNetPins, &d.NewNetPins, MaxWireNets},
-		{0, &d.WeightIDs, MaxWireVertices},
-		{0, &d.WeightVals, MaxWireVertices},
-		{0, &d.SizeIDs, MaxWireVertices},
-		{0, &d.SizeVals, MaxWireVertices},
-		{0, &d.CostIDs, MaxWireNets},
-		{0, &d.CostVals, MaxWireNets},
-	}
-}
-
-// AppendBinary appends d's binary frame to buf: a header, then each
-// section as the codec's Varint slice (count, zigzag values). Field
-// presence is recorded in a flags byte so nil-ness — which Identity and
-// Digest distinguish from empty — survives the round trip exactly; sparse
-// override streams encode nil and empty identically (Digest already
-// treats them as equal).
+// AppendBinary appends d's binary frame to buf.
 func (d *Delta) AppendBinary(buf []byte) []byte {
-	buf = append(buf, DeltaFrameVersion)
-	buf = binary.AppendUvarint(buf, uint64(d.Version))
-	buf = binary.AppendUvarint(buf, uint64(len(d.Base)))
-	buf = append(buf, d.Base...)
-	sections := d.sections()
-	var flags byte
-	for _, s := range sections {
-		if !reflect.ValueOf(s.field).Elem().IsNil() {
-			flags |= s.flag
-		}
+	w := deltaWire{
+		d.Version, d.Base, nil, d.NewWeights, d.NewSizes, d.NewFixed, nil, d.NewNetCosts, d.NewNetPins,
+		d.WeightIDs, d.WeightVals, d.SizeIDs, d.SizeVals, d.CostIDs, d.CostVals,
 	}
-	buf = append(buf, flags)
-	for _, s := range sections {
-		if s.flag == 0 || flags&s.flag != 0 {
-			buf, _ = wire.Varint.Append(buf, reflect.ValueOf(s.field).Elem().Interface()) // slices always have a layout
-		}
+	if d.VertexMap != nil {
+		w.VertexMap = &d.VertexMap
 	}
+	if d.NetMap != nil {
+		w.NetMap = &d.NetMap
+	}
+	buf, _ = wire.Varint.Append(buf, w) // a declared struct always has a layout
 	return buf
 }
 
-// DecodeDeltaBinary reads one delta frame from r. Semantic validation
-// (map ranges, parallel lengths, ...) stays in Delta.Apply, so a hostile
-// frame that decodes structurally still fails there (FuzzDeltaApply).
-func DecodeDeltaBinary(r *wire.Reader) (*Delta, error) {
-	tag, err := r.Byte()
-	if err != nil {
-		return nil, err
+// AppendWire appends d's binary frame, so a Delta can be a field of a
+// codec-declared message.
+func (d *Delta) AppendWire(buf []byte) []byte { return d.AppendBinary(buf) }
+
+// DecodeWire reads one delta frame into d. Semantic validation (map
+// ranges, parallel lengths, ...) stays in Delta.Apply, so a hostile frame
+// that decodes structurally still fails there (FuzzDeltaApply).
+func (d *Delta) DecodeWire(r *wire.Reader) error {
+	var w deltaWire
+	if err := wire.Varint.Read(r, &w); err != nil {
+		return err
 	}
-	if tag != DeltaFrameVersion {
-		return nil, fmt.Errorf("%w: delta frame version %d (want %d)", wire.ErrMalformed, tag, DeltaFrameVersion)
+	*d = Delta{ // field for field
+		w.Version, w.Base, present(w.VertexMap), w.NewWeights, w.NewSizes, w.NewFixed, present(w.NetMap),
+		w.NewNetCosts, w.NewNetPins, w.WeightIDs, w.WeightVals, w.SizeIDs, w.SizeVals, w.CostIDs, w.CostVals,
 	}
-	ver, err := r.Uvarint()
-	if err != nil {
-		return nil, err
+	if len(d.Base) > 256 {
+		return fmt.Errorf("%w: delta base of %d bytes exceeds 256", wire.ErrMalformed, len(d.Base))
 	}
-	if ver > 255 {
-		return nil, fmt.Errorf("%w: delta version %d out of range", wire.ErrMalformed, ver)
-	}
-	blen, err := r.Count(256)
-	if err != nil {
-		return nil, err
-	}
-	base, err := r.Bytes(blen)
-	if err != nil {
-		return nil, err
-	}
-	flags, err := r.Byte()
-	if err != nil {
-		return nil, err
-	}
-	const known = deltaFlagVertexMap | deltaFlagNewWeights | deltaFlagNewSizes |
-		deltaFlagNewFixed | deltaFlagNetMap | deltaFlagNewNetCosts | deltaFlagNewNetPins
-	if flags&^known != 0 {
-		return nil, fmt.Errorf("%w: unknown delta flags %#x", wire.ErrMalformed, flags)
-	}
-	d := &Delta{Version: int(ver), Base: string(base)}
-	for _, s := range d.sections() {
-		if s.flag != 0 && flags&s.flag == 0 {
-			continue
+	for _, n := range [...]int{len(d.VertexMap), len(d.NewWeights), len(d.NewSizes), len(d.NewFixed),
+		len(d.WeightIDs), len(d.WeightVals), len(d.SizeIDs), len(d.SizeVals)} {
+		if n > MaxWireVertices {
+			return fmt.Errorf("%w: delta section of %d vertices exceeds %d", wire.ErrMalformed, n, MaxWireVertices)
 		}
-		if err := wire.Varint.Read(r, s.field); err != nil {
-			return nil, err
-		}
-		v := reflect.ValueOf(s.field).Elem()
-		if v.Len() > s.limit {
-			return nil, fmt.Errorf("%w: delta section of %d entries exceeds %d", wire.ErrMalformed, v.Len(), s.limit)
-		}
-		if s.flag != 0 && v.IsNil() {
-			v.Set(reflect.MakeSlice(v.Type(), 0, 0)) // present, if empty
+	}
+	for _, n := range [...]int{len(d.NetMap), len(d.NewNetCosts), len(d.NewNetPins), len(d.CostIDs), len(d.CostVals)} {
+		if n > MaxWireNets {
+			return fmt.Errorf("%w: delta section of %d nets exceeds %d", wire.ErrMalformed, n, MaxWireNets)
 		}
 	}
 	for _, pins := range d.NewNetPins {
 		if len(pins) > MaxWirePins {
-			return nil, fmt.Errorf("%w: new net of %d pins exceeds %d", wire.ErrMalformed, len(pins), MaxWirePins)
+			return fmt.Errorf("%w: new net of %d pins exceeds %d", wire.ErrMalformed, len(pins), MaxWirePins)
 		}
 	}
-	return d, nil
+	return nil
+}
+
+// present is a decoded map: nil when absent, non-nil (if empty) when
+// present.
+func present(m *[]int32) []int32 {
+	switch {
+	case m == nil:
+		return nil
+	case *m == nil:
+		return []int32{}
+	}
+	return *m
 }

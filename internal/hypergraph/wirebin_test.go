@@ -101,8 +101,8 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryUniformElision checks the wire-byte win the codec is built
-// around: all-1 weight/size sections are elided behind the flags byte.
+// TestBinaryUniformElision checks the wire-byte win the frame is built
+// around: all-1 weight/size sections are sent empty.
 func TestBinaryUniformElision(t *testing.T) {
 	uniform := NewBuilder(100)
 	weighted := NewBuilder(100)
@@ -114,20 +114,20 @@ func TestBinaryUniformElision(t *testing.T) {
 		weighted.AddNet(1, n, n+1)
 	}
 	u, w := uniform.Build().AppendBinary(nil), weighted.Build().AppendBinary(nil)
-	if len(u) >= len(w) {
-		t.Fatalf("uniform graph (%d B) should encode smaller than weighted (%d B)", len(u), len(w))
+	if len(w)-len(u) < 100 {
+		t.Fatalf("uniform graph (%d B) should encode at least a byte per vertex smaller than weighted (%d B)", len(u), len(w))
 	}
 }
 
-// TestBuildFromWire checks the shared validation path both codecs funnel
+// TestBuildFromWire checks the validation path every decoded frame funnels
 // through: Builder-equivalent pin dedup (first occurrence wins), all-Free
-// fixed arrays normalized to nil, and nil weight/size defaulting.
+// fixed arrays normalized to nil, and empty weight/size defaulting.
 func TestBuildFromWire(t *testing.T) {
 	// Duplicate pins collapse exactly like Builder.AddNet.
 	b := NewBuilder(4)
 	b.AddNet(2, 1, 3, 1, 0, 3)
 	want := b.Build()
-	got, fp, err := BuildFromWire(4, []int64{2}, []int32{5}, []int32{1, 3, 1, 0, 3}, nil, nil, nil)
+	got, fp, err := buildFromWire(frameWire{NumVertices: 4, NetStart: []int32{0, 5}, Pins: []int32{1, 3, 1, 0, 3}, Costs: []int64{2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestBuildFromWire(t *testing.T) {
 	sameHypergraph(t, want, got)
 
 	// An all-Free fixed array means "no fixed vertices".
-	got, _, err = BuildFromWire(3, []int64{1}, []int32{2}, []int32{0, 1}, nil, nil, []int32{Free, Free, Free})
+	got, _, err = buildFromWire(frameWire{NumVertices: 3, NetStart: []int32{0, 2}, Pins: []int32{0, 1}, Costs: []int64{1}, Fixed: []int32{Free, Free, Free}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,23 +148,25 @@ func TestBuildFromWire(t *testing.T) {
 
 func TestBuildFromWireErrors(t *testing.T) {
 	cases := []struct {
-		name string
-		nv   int
-		cost []int64
-		size []int32
-		pins []int32
-		want string
+		name  string
+		nv    int
+		cost  []int64
+		start []int32
+		pins  []int32
+		want  string
 	}{
-		{"negative-nv", -1, nil, nil, nil, "num_vertices is negative"},
-		{"empty-net", 2, []int64{1}, []int32{0}, nil, "net 0 is empty"},
-		{"pin-range", 2, []int64{1}, []int32{1}, []int32{5}, "pin 5 out of range"},
-		{"pin-deficit", 2, []int64{1}, []int32{3}, []int32{0, 1}, "nets declare 3 pins, only 2 provided"},
-		{"pin-surplus", 2, []int64{1}, []int32{1}, []int32{0, 1}, "nets declare 1 pins, 2 provided"},
-		{"negative-cost", 2, []int64{-1}, []int32{1}, []int32{0}, "net 0 has negative cost"},
+		{"negative-nv", -1, nil, []int32{0}, nil, "num_vertices is negative"},
+		{"no-net-start", 2, nil, nil, nil, "net_start does not begin at 0"},
+		{"net-start-offset", 2, []int64{1}, []int32{1, 2}, []int32{0, 1}, "net_start does not begin at 0"},
+		{"empty-net", 2, []int64{1}, []int32{0, 0}, nil, "net 0 is empty"},
+		{"pin-range", 2, []int64{1}, []int32{0, 1}, []int32{5}, "pin 5 out of range"},
+		{"pin-deficit", 2, []int64{1}, []int32{0, 3}, []int32{0, 1}, "nets declare 3 pins, only 2 provided"},
+		{"pin-surplus", 2, []int64{1}, []int32{0, 1}, []int32{0, 1}, "nets declare 1 pins, 2 provided"},
+		{"negative-cost", 2, []int64{-1}, []int32{0, 1}, []int32{0}, "net 0 has negative cost"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := BuildFromWire(tc.nv, tc.cost, tc.size, tc.pins, nil, nil, nil)
+			_, _, err := buildFromWire(frameWire{NumVertices: tc.nv, NetStart: tc.start, Pins: tc.pins, Costs: tc.cost})
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("got %v, want error containing %q", err, tc.want)
 			}
@@ -173,11 +175,12 @@ func TestBuildFromWireErrors(t *testing.T) {
 }
 
 // TestDecodeBinaryMalformed feeds the decoder adversarial frames: every
-// truncation point of a valid frame, a wrong version byte, unknown flag
-// bits, and a length prefix claiming far more elements than the frame
-// carries (the alloc-bomb shape) — all must error, never panic, and the
-// bomb must be rejected by the length-vs-remaining-bytes check rather
-// than by attempting the allocation.
+// truncation point of a valid frame, bytes after a frame that is a whole
+// message, a vertex count no frame of that size can pay for, and a
+// length prefix claiming far more elements than the frame carries (the
+// alloc-bomb shape). All must error, never panic, and the bombs must be
+// refused by the caps and the length-vs-remaining-bytes check, before
+// anything of their size is allocated.
 func TestDecodeBinaryMalformed(t *testing.T) {
 	h := binTestGraphs()["weighted"]
 	enc := h.AppendBinary(nil)
@@ -186,27 +189,40 @@ func TestDecodeBinaryMalformed(t *testing.T) {
 			t.Fatalf("truncation at %d/%d bytes decoded successfully", i, len(enc))
 		}
 	}
-
-	bad := append([]byte(nil), enc...)
-	bad[0] = 99 // version
-	if _, _, err := DecodeBinary(wire.NewReader(bad)); err == nil {
-		t.Fatal("wrong version byte accepted")
+	if err := wire.Varint.Decode(append(enc, 0), new(Frame)); err == nil || !strings.Contains(err.Error(), "trailing bytes") {
+		t.Fatalf("a frame with a trailing byte: %v, want a trailing-bytes error", err)
 	}
 
-	// nv claims 2^24 vertices in a 3-byte frame: must fail fast on the
-	// frame-budget check, not allocate gigabytes.
-	bomb := []byte{BinaryFrameVersion, 0x80, 0x80, 0x80, 0x08, 0, 0, 0}
-	if _, _, err := DecodeBinary(wire.NewReader(bomb)); err == nil {
-		t.Fatal("vertex-count bomb accepted")
+	refused := func(name string, frame []byte, want string) {
+		t.Helper()
+		_, _, err := DecodeBinary(wire.NewReader(frame))
+		if !errors.Is(err, wire.ErrMalformed) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s (% x): %v, want a malformed-frame error containing %q", name, frame, err, want)
+		}
 	}
+	// nv claims 2^24 vertices in a 10-byte frame: refused on the
+	// frame-budget check, before buildFromWire allocates per vertex.
+	bomb, _ := wire.Varint.Append(nil, frameWire{NumVertices: MaxWireVertices})
+	refused("vertex-count bomb", bomb, "frame budget")
+	over, _ := wire.Varint.Append(nil, frameWire{NumVertices: MaxWireVertices + 1})
+	refused("vertex count over the cap", over, "exceeds limit")
 
 	// Pin-count prefix larger than the remaining bytes.
-	var pinBomb []byte
-	pinBomb = append(pinBomb, BinaryFrameVersion, 2, 1)     // nv=2, nn=1
-	pinBomb = append(pinBomb, 0xFF, 0xFF, 0xFF, 0xFF, 0x07) // np bomb
-	if _, _, err := DecodeBinary(wire.NewReader(pinBomb)); err == nil {
-		t.Fatal("pin-count bomb accepted")
+	pinBomb, _ := wire.Varint.Append(nil, struct {
+		NumVertices int
+		NetStart    []int32
+	}{2, []int32{0, 2}})
+	pinBomb = append(pinBomb, 0xFF, 0xFF, 0xFF, 0xFF, 0x07)
+	refused("pin-count bomb", pinBomb, "length prefix")
+}
+
+// decodeDelta reads one delta frame from the start of b.
+func decodeDelta(b []byte) (*Delta, error) {
+	var d Delta
+	if err := d.DecodeWire(wire.NewReader(b)); err != nil {
+		return nil, err
 	}
+	return &d, nil
 }
 
 func TestDeltaBinaryRoundTrip(t *testing.T) {
@@ -217,6 +233,9 @@ func TestDeltaBinaryRoundTrip(t *testing.T) {
 			WeightIDs: []int32{0, 3}, WeightVals: []int64{5, 9},
 			CostIDs: []int32{1}, CostVals: []int64{7},
 		},
+		// Present but empty maps: a successor with no vertices and no
+		// nets, not the identity.
+		"empty-maps": {Version: DeltaVersion, Base: "hbfp1:abc", VertexMap: []int32{}, NetMap: []int32{}},
 		"structural": {
 			Version: DeltaVersion, Base: "hbfp1:def",
 			VertexMap:  []int32{0, 2, -1},
@@ -228,7 +247,7 @@ func TestDeltaBinaryRoundTrip(t *testing.T) {
 	for name, d := range deltas {
 		t.Run(name, func(t *testing.T) {
 			enc := d.AppendBinary(nil)
-			got, err := DecodeDeltaBinary(wire.NewReader(enc))
+			got, err := decodeDelta(enc)
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
@@ -241,10 +260,11 @@ func TestDeltaBinaryRoundTrip(t *testing.T) {
 			// Nil-ness is load-bearing (Apply, Digest()): it must
 			// survive the wire exactly.
 			if (d.VertexMap == nil) != (got.VertexMap == nil) || (d.NetMap == nil) != (got.NetMap == nil) {
-				t.Fatal("map nil-ness not preserved")
+				t.Fatalf("map nil-ness not preserved: vertex map %v -> %v, net map %v -> %v",
+					d.VertexMap == nil, got.VertexMap == nil, d.NetMap == nil, got.NetMap == nil)
 			}
 			for i := 0; i < len(enc); i++ {
-				if _, err := DecodeDeltaBinary(wire.NewReader(enc[:i])); err == nil {
+				if _, err := decodeDelta(enc[:i]); err == nil {
 					t.Fatalf("truncation at %d/%d bytes decoded successfully", i, len(enc))
 				}
 			}
@@ -262,7 +282,7 @@ func TestDeltaBinaryMatchesApply(t *testing.T) {
 	if !ok {
 		t.Fatal("identity delta not computable")
 	}
-	got, err := DecodeDeltaBinary(wire.NewReader(d.AppendBinary(nil)))
+	got, err := decodeDelta(d.AppendBinary(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +311,7 @@ func TestBinReaderTruncationErrors(t *testing.T) {
 
 // TestFrameCarriesDecodeFingerprint: as a field of a codec-declared
 // message, a Frame writes exactly the hypergraph's HBW frame (FP is not
-// encoded) and decodes with the fingerprint BuildFromWire computed, so the
+// encoded) and decodes with the fingerprint buildFromWire computed, so the
 // receiver never fingerprints the hypergraph again; a Delta field writes
 // its delta frame.
 func TestFrameCarriesDecodeFingerprint(t *testing.T) {
@@ -335,7 +355,8 @@ func FuzzBinaryCodec(f *testing.F) {
 	}
 	d := Delta{Version: DeltaVersion, Base: "hbfp1:seed", WeightIDs: []int32{1}, WeightVals: []int64{3}}
 	f.Add(d.AppendBinary(nil))
-	f.Add([]byte{BinaryFrameVersion, 0x80, 0x80, 0x80, 0x08})
+	bomb, _ := wire.Varint.Append(nil, frameWire{NumVertices: MaxWireVertices})
+	f.Add(bomb)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if h, fp, err := DecodeBinary(wire.NewReader(data)); err == nil {
 			enc := h.AppendBinary(nil)
@@ -350,9 +371,9 @@ func FuzzBinaryCodec(f *testing.F) {
 				t.Fatal("encoding not canonical")
 			}
 		}
-		if d, err := DecodeDeltaBinary(wire.NewReader(data)); err == nil {
+		if d, err := decodeDelta(data); err == nil {
 			enc := d.AppendBinary(nil)
-			d2, err := DecodeDeltaBinary(wire.NewReader(enc))
+			d2, err := decodeDelta(enc)
 			if err != nil {
 				t.Fatalf("delta re-decode failed: %v", err)
 			}

@@ -21,11 +21,13 @@
 // allocation-pinned hot path and stays hand-written. The transport never
 // looks inside the payload: the sender writes header, fields and payload
 // into one buffer sized up front, and the receiver hands the tail of the
-// frame body to the typed receive that knows what it holds. Version 4
-// dropped the launch body's send window, now a constant; version 3 moved
-// the control bodies onto the codec; version 2 had dropped the
-// per-message type name (and the gob stream behind it) of version 1. An
-// older frame is rejected at its version byte, never mis-decoded.
+// frame body to the typed receive that knows what it holds. Version 5
+// lays out the hypergraph frame inside a phg launch payload with the
+// codec; version 4 dropped the launch body's send window, now a constant;
+// version 3 moved the control bodies onto the codec; version 2 had
+// dropped the per-message type name (and the gob stream behind it) of
+// version 1. An older frame is rejected at its version byte, never
+// mis-decoded.
 package mpinet
 
 import (
@@ -41,7 +43,7 @@ import (
 
 const (
 	frameMagic   = "HBN"
-	frameVersion = 4
+	frameVersion = 5
 )
 
 // Frame kinds. hello/helloAck establish mesh connections between rank

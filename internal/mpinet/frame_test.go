@@ -54,6 +54,8 @@ func TestFrameStreamRoundTrip(t *testing.T) {
 // a clean end (io.EOF); any other short header is malformed.
 func TestFrameHostileInput(t *testing.T) {
 	valid := seedFrames()["msg"]
+	v4Launch := append([]byte(nil), seedFrames()["launch"]...)
+	v4Launch[3] = 4
 	cases := []struct {
 		name string
 		data []byte
@@ -70,8 +72,12 @@ func TestFrameHostileInput(t *testing.T) {
 		// at the version byte, never parsed as a newer body.
 		{"version 2", []byte("HBN\x02\x01\f\nw-deadbeef\x02"), errMalformed},
 		// A version-3 launch, which still carried a send window (1 024):
-		// refused at the version byte, never parsed as a version-4 body.
+		// refused at the version byte, never parsed as a newer body.
 		{"version 3", []byte("HBN\x03\x03\\\nw-deadbeef\x02\x06\rphg.partition\x03\x0f127.0.0.1:19091\x0f127.0.0.1:19092\x0f127.0.0.1:19093\x80\x10\x80\xc0\xf5\x88\xfe\x06\x80\x89z\x0e\x03\x01\x02\x03"), errMalformed},
+		// A launch stamped version 4, whose job payload carried the
+		// hypergraph in its hand-written frame: refused at the version
+		// byte, never handed to the job.
+		{"version 4", v4Launch, errMalformed},
 		{"kind zero", []byte{'H', 'B', 'N', frameVersion, 0, 0}, errMalformed},
 		{"kind out of range", []byte{'H', 'B', 'N', frameVersion, 0x63, 0}, errMalformed},
 		{"missing length", []byte{'H', 'B', 'N', frameVersion, 1}, errMalformed},

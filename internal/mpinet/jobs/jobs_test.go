@@ -2,6 +2,7 @@ package jobs_test
 
 import (
 	"context"
+	"encoding/binary"
 	"net"
 	"strings"
 	"testing"
@@ -62,11 +63,36 @@ type eightFieldPHGPayload struct {
 	Graph hypergraph.Frame
 }
 
+// v4Frame appends h's hypergraph frame as wire version 4 wrote it by
+// hand: a frame-version byte (1), the vertex, net and pin counts, a flags
+// byte (0: unit weights and sizes, no fixed vertex), then the net sizes,
+// the pins and the costs as bare uvarints.
+func v4Frame(buf []byte, h *hypergraph.Hypergraph) []byte {
+	buf = append(buf, 1)
+	for _, n := range []int{h.NumVertices(), h.NumNets(), h.NumPins()} {
+		buf = binary.AppendUvarint(buf, uint64(n))
+	}
+	buf = append(buf, 0)
+	for n := 0; n < h.NumNets(); n++ {
+		buf = binary.AppendUvarint(buf, uint64(len(h.Pins(n))))
+	}
+	for n := 0; n < h.NumNets(); n++ {
+		for _, p := range h.Pins(n) {
+			buf = binary.AppendUvarint(buf, uint64(p))
+		}
+	}
+	for n := 0; n < h.NumNets(); n++ {
+		buf = binary.AppendUvarint(buf, uint64(h.Cost(n)))
+	}
+	return buf
+}
+
 // TestPayloadsAreReadWhole runs the job on one in-process worker and
 // requires it to refuse a payload that does not decode to exactly one
 // well-formed input: bytes after the problem frame and a payload missing
 // its last byte must each fail the world with an error that names the
-// problem, and so must a payload in the options layout of an older build.
+// problem, and so must a payload in the options layout of an older build
+// and one whose hypergraph frame is in version 4's hand-written layout.
 // The unmodified payload must succeed.
 func TestPayloadsAreReadWhole(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -100,6 +126,11 @@ func TestPayloadsAreReadWhole(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	opts, err := wire.Varint.Append(nil, phg.Options{Serial: hgp.Options{K: 2, Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v4Payload := v4Frame(opts, graph.ToHypergraph(g))
 	cases := []struct {
 		name, job string
 		payload   []byte
@@ -110,6 +141,7 @@ func TestPayloadsAreReadWhole(t *testing.T) {
 		{"phg truncated", jobs.PHGPartition, phgPayload[:len(phgPayload)-1], "truncated"},
 		{"phg old options layout", jobs.PHGPartition, oldPayload, "malformed frame"},
 		{"phg eight-field options layout", jobs.PHGPartition, eightPayload, "malformed frame"},
+		{"phg version-4 frame layout", jobs.PHGPartition, v4Payload, "malformed frame"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -93,7 +93,7 @@ func TestWireDifferential(t *testing.T) {
 
 // TestBinaryRejectsInvalidHypergraph: a create whose hypergraph names a
 // pin out of range is a 400 whose error body carries the failure
-// hypergraph.BuildFromWire reported.
+// the hypergraph frame's validation reported.
 func TestBinaryRejectsInvalidHypergraph(t *testing.T) {
 	_, ts, _ := newTestServer(t, server.Config{})
 	resp, err := http.Post(ts.URL+"/v1/sessions", server.ContentTypeBinary, bytes.NewReader(badPinCreateBody()))
@@ -112,13 +112,14 @@ func TestBinaryRejectsInvalidHypergraph(t *testing.T) {
 
 // badPinCreateBody is a binary create request whose one net names pin 7 of
 // a 3-vertex hypergraph: the valid one-pin variant, encoded, with the pin
-// patched (the frame ends on that net's pin and cost).
+// patched (the frame ends on that net's pin, its cost and the three empty
+// per-vertex sections; 14 is 7 zigzagged).
 func badPinCreateBody() []byte {
 	tiny := hypergraph.NewBuilder(3)
 	tiny.AddNet(1, 0)
 	body := server.AppendCreateRequestBinary(nil,
 		server.WireConfigFrom(core.Config{K: 2, Alpha: 10}), tiny.Build())
-	body[len(body)-2] = 7
+	body[len(body)-6] = 14
 	return body
 }
 
@@ -160,10 +161,11 @@ func TestMalformedBinaryFrames(t *testing.T) {
 	post("bad-version", ver)
 
 	// Version 1 laid messages out by hand, version 2's configuration
-	// carried four more fields, and version 3 had the only-if-unbalanced
-	// flag and a handoff without the cost account; their frames are
-	// refused, never mis-decoded as version 4.
-	for v := byte(1); v <= 3; v++ {
+	// carried four more fields, version 3 had the only-if-unbalanced flag
+	// and a handoff without the cost account, and version 4 wrote the
+	// hypergraph and delta frames by hand; their frames are refused, never
+	// mis-decoded as version 5.
+	for v := byte(1); v <= 4; v++ {
 		old := append([]byte(nil), valid...)
 		old[3] = v
 		post(fmt.Sprintf("version-%d", v), old)

@@ -78,7 +78,8 @@ type Config struct {
 	// timeout/retry paths deterministically. The delay is a function of
 	// Seed and the job's index among this Server's jobs, so other servers
 	// in the process cannot shift the schedule. Other FaultPlan fields are
-	// message-level and ignored here.
+	// message-level and ignored here. Tests set it; balancerd has no flag
+	// for it.
 	Fault *mpi.FaultPlan
 
 	// Self is this replica's externally reachable base URL; Peers is the

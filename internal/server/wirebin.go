@@ -24,12 +24,13 @@ import (
 // ContentTypeBinary is the media type of the binary wire protocol.
 const ContentTypeBinary = "application/x-hyperbal"
 
-// wireVersion is the fourth header byte. Version 4 is the codec-derived
-// layout with the six-field configuration, epoch submissions without the
+// wireVersion is the fourth header byte. Version 5 lays the hypergraph
+// and delta frames out with the codec, like every other field; version 4
+// brought the six-field configuration, epoch submissions without the
 // only-if-unbalanced flag, results without the rebalanced flag, and a
-// handoff that carries the session's running cost; a frame of any earlier
+// handoff that carries the session's running cost. A frame of any earlier
 // version is refused like any malformed one.
-const wireVersion = 4
+const wireVersion = 5
 
 // Message types (fifth header byte).
 const (

@@ -9,14 +9,13 @@ import (
 // ErrTruncated reports a frame that ended mid-field.
 var ErrTruncated = errors.New("wire: truncated frame")
 
-// ErrMalformed reports a frame with an invalid field (bad version, unknown
-// flags, a value out of range, or a length prefix that cannot be
-// satisfied).
+// ErrMalformed reports a frame with an invalid field (bad version, a value
+// out of range, or a length prefix that cannot be satisfied).
 var ErrMalformed = errors.New("wire: malformed frame")
 
-// Reader is a bounds-checked cursor over one frame. The codec and the
-// hand-tuned frames it embeds (hypergraph and delta HBW frames) share one
-// Reader across a whole message.
+// Reader is a bounds-checked cursor over one frame. The codec shares one
+// Reader across a whole message, the Framer fields it hands it to
+// included.
 type Reader struct {
 	data []byte
 	off  int
