@@ -21,8 +21,9 @@
 // Distributed serving: start N replicas, each with -self set to its own
 // reachable URL and -peers to the full replica list, then a gateway with
 // -gateway -replicas pointing at the same list. Replicas hand their
-// sessions to a ring successor when drained; the gateway shards session
-// ids across the replicas by consistent hashing with bounded loads.
+// sessions to a ring successor when drained; the gateway mints each
+// session id onto the least-loaded accepting replica and routes every
+// session request by consistent hashing of its id.
 package main
 
 import (
@@ -59,15 +60,14 @@ func main() {
 		self  = flag.String("self", "", "this replica's externally reachable base URL (enables drain handoff with -peers)")
 		peers = flag.String("peers", "", "comma-separated replica base URLs, including -self")
 
-		gateway    = flag.Bool("gateway", false, "run as a routing gateway over -replicas instead of a replica")
-		replicas   = flag.String("replicas", "", "gateway: comma-separated replica base URLs")
-		loadFactor = flag.Float64("load-factor", 1.25, "gateway: bounded-load placement factor")
+		gateway  = flag.Bool("gateway", false, "run as a routing gateway over -replicas instead of a replica")
+		replicas = flag.String("replicas", "", "gateway: comma-separated replica base URLs")
 	)
 	flag.Parse()
 	logger := log.New(os.Stderr, "balancerd: ", log.LstdFlags|log.Lmicroseconds)
 
 	if *gateway {
-		runGateway(logger, *addr, *addrFile, *replicas, *loadFactor, *drainT)
+		runGateway(logger, *addr, *addrFile, *replicas, *drainT)
 		return
 	}
 
@@ -162,15 +162,14 @@ func splitURLs(s string) []string {
 }
 
 // runGateway is the -gateway mode: a routing tier over -replicas.
-func runGateway(logger *log.Logger, addr, addrFile, replicas string, loadFactor float64, drainT time.Duration) {
+func runGateway(logger *log.Logger, addr, addrFile, replicas string, drainT time.Duration) {
 	urls := splitURLs(replicas)
 	if len(urls) == 0 {
 		logger.Fatalf("-gateway requires -replicas URL,URL,...")
 	}
 	gw, err := server.NewGateway(server.GatewayConfig{
-		Replicas:   urls,
-		LoadFactor: loadFactor,
-		Logf:       logger.Printf,
+		Replicas: urls,
+		Logf:     logger.Printf,
 	})
 	if err != nil {
 		logger.Fatalf("gateway: %v", err)

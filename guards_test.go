@@ -132,6 +132,8 @@ var guards = []guard{
 		pattern: `vCycl[e]\(|levelViewWithOriginalFixe[d]|warmColdFractio[n]|"vcycl[e]"`, paths: repoGo},
 	{name: "bulk-frames", removedBy: []string{"child of cf61472"}, why: "the hypergraph and delta frames are declared structs internal/wire lays out, validated and built by the unexported buildFromWire; balancerd's fault delay is set by tests only",
 		pattern: `BinaryFrameVersio[n]|DeltaFrameVersio[n]|binFla[g]|deltaFla[g]|deltaSectio[n]|\bBuildFromWir[e]|fault-max-dela[y]|fault-see[d]`, paths: repoDocs},
+	{name: "gateway-placement", removedBy: []string{"child of 528edaa"}, why: "the gateway mints each id onto a least-loaded accepting replica and routes by the id alone: no placement map, bounded loads or caller-assigned ids",
+		pattern: `pickBounde[d]|LoadFacto[r]|load-facto[r]|setPlacemen[t]|dropPlacemen[t]|probeSessio[n]`, paths: repoDocs},
 }
 
 func TestRemovedNamesStayGone(t *testing.T) {

@@ -1,36 +1,32 @@
 package server
 
-// Gateway is the routing tier of the distributed serving mode: a thin,
-// stateless-except-for-placement HTTP proxy that shards sessions across N
-// balancerd replicas.
+// Gateway is the routing tier of the distributed serving mode: a thin HTTP
+// proxy that shards sessions across N balancerd replicas. It holds no
+// per-session state: where a session lives is a function of its id.
 //
-//   - Creates: the gateway pre-generates the session id, picks a replica by
-//     consistent hashing with bounded loads (so one hot ring segment cannot
-//     overload a replica), and forwards the create with X-Hyperbal-Session-ID.
-//     A create retargeted after a transport error never reuses a
-//     gateway-generated id (the dead replica may have processed it); a
-//     caller-assigned id is first probed across the ring candidates and
-//     answered 409 if the create already landed. Caller-assigned creates are
-//     therefore at-most-once: a copy held only by the unreachable replica is
-//     invisible to the probe and left to TTL eviction.
-//   - Session requests: routed to the placed replica; on a transport error
-//     the replica is marked down and the request is retried on the id's
-//     next ring candidate — which is exactly where drain-time handoff moved
-//     the session, so a rolling restart is invisible to clients beyond one
-//     retargeted request.
+//   - Creates: the gateway mints the session id (ring.mint) so that the
+//     id's first alive ring candidate is a least-loaded replica that
+//     accepts sessions, and forwards the create there with
+//     X-Hyperbal-Session-ID. Session counts come from each replica's
+//     /healthz, plus the creates routed since the last poll. A create
+//     retargeted after a transport error runs under a fresh id (the dead
+//     replica may have processed the original). A create that arrives
+//     with an id of its own is refused 400: only minted ids route.
+//   - Session requests: walk the id's ring candidates, skipping replicas
+//     that are down. A transport error marks the replica down and moves
+//     on, which is exactly where drain-time handoff moved the session, so
+//     a rolling restart is invisible to clients beyond one retargeted
+//     request. A 404 moves on too: a replica back from a restart no longer
+//     holds the sessions it handed off, so those pay one 404 hop.
 //   - 307 + X-Hyperbal-Owner answers (a drained replica's forwarding
-//     tombstone) are followed transparently and the placement is updated.
-//   - 404 from the expected replica triggers a probe of the remaining
-//     candidates before giving up, covering placements lost to a gateway
-//     restart.
+//     tombstone) are followed transparently.
 //
-// The gateway holds no session state, only the placement map as a routing
-// cache; every placement decision is recomputable from the session id and
-// the replica list, so a restarted gateway converges by probing.
+// A restarted gateway routes as the old one did: there is nothing to lose.
 
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -44,10 +40,6 @@ import (
 type GatewayConfig struct {
 	// Replicas is the full replica base-URL list (required, len >= 1).
 	Replicas []string
-	// LoadFactor is the bounded-load factor c: a replica accepts new
-	// sessions while its placement count is under ceil(c·(total+1)/alive)
-	// (default 1.25).
-	LoadFactor float64
 	// HealthInterval is the replica health-poll period (default 500ms;
 	// negative disables the poller — tests drive PollHealth directly).
 	HealthInterval time.Duration
@@ -60,9 +52,6 @@ type GatewayConfig struct {
 }
 
 func (c GatewayConfig) withDefaults() GatewayConfig {
-	if c.LoadFactor <= 0 {
-		c.LoadFactor = 1.25
-	}
 	if c.HealthInterval == 0 {
 		c.HealthInterval = 500 * time.Millisecond
 	}
@@ -84,10 +73,8 @@ type Gateway struct {
 	ring *ring
 	mux  *http.ServeMux
 
-	mu    sync.Mutex
-	place map[string]int // session id -> replica index
-	loads []int          // placements per replica
-	down  []bool
+	mu   sync.Mutex
+	reps []replicaView
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -101,12 +88,13 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		return nil, fmt.Errorf("gateway: no replicas configured")
 	}
 	g := &Gateway{
-		cfg:   cfg,
-		ring:  newRing(cfg.Replicas),
-		place: make(map[string]int),
-		loads: make([]int, len(cfg.Replicas)),
-		down:  make([]bool, len(cfg.Replicas)),
-		stop:  make(chan struct{}),
+		cfg:  cfg,
+		ring: newRing(cfg.Replicas),
+		reps: make([]replicaView, len(cfg.Replicas)),
+		stop: make(chan struct{}),
+	}
+	for i := range g.reps {
+		g.reps[i] = replicaView{alive: true, accepting: true}
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sessions", g.handleCreate)
@@ -134,7 +122,7 @@ func (g *Gateway) Handler() http.Handler { return g.mux }
 // Close stops the health poller.
 func (g *Gateway) Close() { g.stopOnce.Do(func() { close(g.stop) }) }
 
-// --- replica liveness ---
+// --- replica state and minting ---
 
 func (g *Gateway) healthLoop() {
 	t := time.NewTicker(g.cfg.HealthInterval)
@@ -149,72 +137,78 @@ func (g *Gateway) healthLoop() {
 	}
 }
 
-// PollHealth probes every replica's /healthz once and updates liveness. A
-// replica is alive when it answers at all — a draining replica (503) still
-// serves reads and handoff redirects, so it stays routable until the
-// listener closes.
+// PollHealth GETs every replica's /healthz once. A replica that answers at
+// all is alive (a draining replica still serves reads and handoff
+// redirects, so it stays routable until its listener closes); one that
+// answers 200 accepts new sessions; the sessions it reports replace its
+// count.
 func (g *Gateway) PollHealth(ctx context.Context) {
 	for i, u := range g.cfg.Replicas {
-		pctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-		req, err := http.NewRequestWithContext(pctx, http.MethodGet, u+"/healthz", nil)
-		alive := false
-		if err == nil {
-			resp, err := g.cfg.HTTPClient.Do(req)
-			if err == nil {
-				_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<12))
-				resp.Body.Close()
-				alive = true
-			}
+		v := g.pollReplica(ctx, u)
+		g.mu.Lock()
+		changed := g.reps[i].alive != v.alive
+		g.reps[i] = v
+		g.mu.Unlock()
+		if changed {
+			g.logAlive(i, v.alive)
 		}
-		cancel()
-		g.setAlive(i, alive)
 	}
 }
 
-func (g *Gateway) setAlive(i int, alive bool) {
+func (g *Gateway) pollReplica(ctx context.Context, base string) replicaView {
+	pctx, cancel := context.WithTimeout(ctx, 2*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(pctx, http.MethodGet, base+"/healthz", nil)
+	if err != nil {
+		return replicaView{}
+	}
+	resp, err := g.cfg.HTTPClient.Do(req)
+	if err != nil {
+		return replicaView{}
+	}
+	defer resp.Body.Close()
+	var health struct {
+		Sessions int `json:"sessions"`
+	}
+	_ = json.NewDecoder(io.LimitReader(resp.Body, 1<<12)).Decode(&health)
+	return replicaView{sessions: health.Sessions, alive: true, accepting: resp.StatusCode == http.StatusOK}
+}
+
+// markDown records a transport error from replica i.
+func (g *Gateway) markDown(i int) {
 	g.mu.Lock()
-	changed := g.down[i] == alive
-	g.down[i] = !alive
+	changed := g.reps[i].alive
+	g.reps[i].alive = false
 	g.mu.Unlock()
 	if changed {
-		if alive {
-			g.cfg.Logf("gateway: replica %s is back", g.cfg.Replicas[i])
-		} else {
-			g.cfg.Logf("gateway: replica %s is down", g.cfg.Replicas[i])
-		}
+		g.logAlive(i, false)
 	}
 }
 
-// --- placement bookkeeping ---
+func (g *Gateway) logAlive(i int, alive bool) {
+	if alive {
+		g.cfg.Logf("gateway: replica %s is back", g.cfg.Replicas[i])
+	} else {
+		g.cfg.Logf("gateway: replica %s is down", g.cfg.Replicas[i])
+	}
+}
 
-func (g *Gateway) placed(id string) (int, bool) {
+func (g *Gateway) alive(i int) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	i, ok := g.place[id]
-	return i, ok
+	return g.reps[i].alive
 }
 
-func (g *Gateway) setPlacement(id string, idx int) {
+// mint picks a fresh session id and its replica (ring.mint) and counts the
+// create against that replica until the next poll corrects the count.
+func (g *Gateway) mint() (string, int) {
 	g.mu.Lock()
-	if old, ok := g.place[id]; ok {
-		if old == idx {
-			g.mu.Unlock()
-			return
-		}
-		g.loads[old]--
+	defer g.mu.Unlock()
+	id, idx := g.ring.mint(g.reps, newSessionID)
+	if idx >= 0 {
+		g.reps[idx].sessions++
 	}
-	g.place[id] = idx
-	g.loads[idx]++
-	g.mu.Unlock()
-}
-
-func (g *Gateway) dropPlacement(id string) {
-	g.mu.Lock()
-	if old, ok := g.place[id]; ok {
-		g.loads[old]--
-		delete(g.place, id)
-	}
-	g.mu.Unlock()
+	return id, idx
 }
 
 // replicaIndex maps a base URL back to its index, -1 when unknown.
@@ -274,146 +268,51 @@ func relay(w http.ResponseWriter, resp *http.Response) {
 const maxHops = 6
 
 func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request) {
+	if r.Header.Get(SessionIDHeader) != "" {
+		writeError(w, http.StatusBadRequest, "bad_request", "the gateway mints session ids: a create must not carry "+SessionIDHeader)
+		return
+	}
 	body, ok := g.bufferBody(w, r)
 	if !ok {
 		return
 	}
-	// Pre-assign the id so the replica stores the session under the same
-	// key the gateway hashes for routing. A client-supplied id (gateway
-	// behind gateway, or tests) is honored as-is.
-	id := r.Header.Get(SessionIDHeader)
-	callerAssigned := id != ""
-	if !callerAssigned {
-		id = newSessionID()
-	}
-	r.Header.Set(SessionIDHeader, id)
-
-	g.mu.Lock()
-	idx := g.ring.pickBounded(id,
-		func(i int) int { return g.loads[i] },
-		func(i int) bool { return !g.down[i] },
-		g.cfg.LoadFactor)
-	g.mu.Unlock()
-	if idx < 0 {
-		writeError(w, http.StatusServiceUnavailable, "no_replicas", "no replica is alive")
-		return
-	}
 	for hops := 0; hops < maxHops; hops++ {
+		id, idx := g.mint()
+		if idx < 0 {
+			writeError(w, http.StatusServiceUnavailable, "no_replicas", "no replica is accepting sessions")
+			return
+		}
+		// The replica stores the session under the id the ring routes on.
+		r.Header.Set(SessionIDHeader, id)
 		resp, err := g.forward(r, g.cfg.Replicas[idx], body)
-		if err != nil {
-			g.setAlive(idx, false)
-			obsGwRetargets.Inc()
-			// The unreachable replica may have processed the create with only
-			// the response lost; blindly re-sending the same id elsewhere
-			// would fork the id across two replicas, and a later gateway
-			// restart's ring probe could resurrect the stale epoch-0 copy.
-			if callerAssigned {
-				// The caller knows this id, so it cannot be swapped. If a
-				// surviving candidate already holds the session, the create
-				// landed: answer 409 exactly as the replica would on a
-				// duplicate, and let the caller recover through GET. If no
-				// survivor holds it, retrying elsewhere is safe against every
-				// replica we can see — a copy on the unreachable replica
-				// itself is the residual at-most-once window, and it can only
-				// idle out by TTL (it is never routed to: the placement below
-				// pins the retry's replica).
-				if oi := g.probeSession(r.Context(), id); oi >= 0 {
-					g.setPlacement(id, oi)
-					g.cfg.Logf("gateway: create for %s already landed on %s; answering duplicate", id, g.cfg.Replicas[oi])
-					writeError(w, http.StatusConflict, "duplicate_session", "session id already exists")
-					return
-				}
-			} else {
-				// The caller never saw the gateway-generated id: retry under a
-				// fresh one, so a maybe-processed create on the unreachable
-				// replica cannot diverge with the retry. The orphan, if any,
-				// is unroutable and idles out by TTL.
-				id = newSessionID()
-				r.Header.Set(SessionIDHeader, id)
-			}
-			g.mu.Lock()
-			idx = g.ring.pickBounded(id,
-				func(i int) int { return g.loads[i] },
-				func(i int) bool { return !g.down[i] },
-				g.cfg.LoadFactor)
-			g.mu.Unlock()
-			if idx < 0 {
-				writeError(w, http.StatusServiceUnavailable, "no_replicas", "no replica is alive")
-				return
-			}
-			continue
+		if err == nil {
+			relay(w, resp)
+			return
 		}
-		if resp.StatusCode == http.StatusCreated {
-			g.setPlacement(id, idx)
-		}
-		relay(w, resp)
-		return
+		// The unreachable replica may have processed the create with only
+		// the response lost. The next pass mints a fresh id, so such a copy
+		// cannot diverge from the retry: the caller never saw its id, and it
+		// idles out by TTL.
+		g.markDown(idx)
+		obsGwRetargets.Inc()
 	}
 	writeError(w, http.StatusBadGateway, "routing_loop", "create exceeded retarget budget")
 }
 
-// probeSession asks the id's live ring candidates whether one already
-// holds the session, returning its replica index or -1. Used before
-// retargeting a caller-assigned create whose replica died mid-request: a
-// 200 from a candidate proves the create landed and the retry must not run.
-func (g *Gateway) probeSession(ctx context.Context, id string) int {
-	for _, idx := range g.ring.candidates(id) {
-		g.mu.Lock()
-		dead := g.down[idx]
-		g.mu.Unlock()
-		if dead {
-			continue
-		}
-		pctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-		req, err := http.NewRequestWithContext(pctx, http.MethodGet, g.cfg.Replicas[idx]+"/v1/sessions/"+id, nil)
-		if err != nil {
-			cancel()
-			continue
-		}
-		resp, err := g.cfg.HTTPClient.Do(req)
-		cancel()
-		if err != nil {
-			continue
-		}
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			return idx
-		}
-	}
-	return -1
-}
-
-// proxySession routes a request for an existing session: placed replica
-// first, then the id's ring candidates. 307+Owner answers are followed,
-// transport errors retarget, 404s probe the remaining candidates.
+// proxySession routes a request for an existing session along the id's
+// ring candidates: 307+Owner answers are followed, transport errors and
+// 404s move to the next alive candidate.
 func (g *Gateway) proxySession(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	body, ok := g.bufferBody(w, r)
 	if !ok {
 		return
 	}
-
-	// Candidate order: placement cache first, then ring order (skipping the
-	// cached entry), so a stale placement degrades to the ring walk.
-	var order []int
-	if idx, ok := g.placed(id); ok {
-		order = append(order, idx)
-	}
-	for _, c := range g.ring.candidates(id) {
-		if len(order) > 0 && c == order[0] {
-			continue
-		}
-		order = append(order, c)
-	}
-
 	hops := 0
 	var lastNotFound *http.Response
-	for _, idx := range order {
-		g.mu.Lock()
-		dead := g.down[idx]
-		g.mu.Unlock()
-		if dead {
+	for _, idx := range g.ring.candidates(id) {
+		if !g.alive(idx) {
+			obsGwRetargets.Inc()
 			continue
 		}
 	retry:
@@ -423,7 +322,7 @@ func (g *Gateway) proxySession(w http.ResponseWriter, r *http.Request) {
 		hops++
 		resp, err := g.forward(r, g.cfg.Replicas[idx], body)
 		if err != nil {
-			g.setAlive(idx, false)
+			g.markDown(idx)
 			obsGwRetargets.Inc()
 			continue
 		}
@@ -431,60 +330,53 @@ func (g *Gateway) proxySession(w http.ResponseWriter, r *http.Request) {
 		case resp.StatusCode == http.StatusTemporaryRedirect && resp.Header.Get(OwnerHeader) != "":
 			// Forwarding tombstone on a drained replica: the session moved.
 			owner := resp.Header.Get(OwnerHeader)
-			_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<12))
-			resp.Body.Close()
+			discard(resp)
 			obsGwRetargets.Inc()
 			if oi := g.replicaIndex(owner); oi >= 0 {
 				g.cfg.Logf("gateway: session %s moved to %s", id, owner)
-				g.setPlacement(id, oi)
 				idx = oi
 				goto retry
 			}
 			writeError(w, http.StatusBadGateway, "unknown_owner", "handoff owner "+owner+" is not a configured replica")
 			return
 		case resp.StatusCode == http.StatusNotFound:
-			// Maybe a stale placement — probe the remaining candidates, but
-			// keep one 404 to relay if nobody holds the session.
+			// Not here: a restarted replica, or a session placed while an
+			// earlier candidate was down. Keep one 404 to relay if no
+			// candidate holds the session.
 			if lastNotFound != nil {
-				_, _ = io.Copy(io.Discard, io.LimitReader(lastNotFound.Body, 1<<12))
-				lastNotFound.Body.Close()
+				discard(lastNotFound)
 			}
 			lastNotFound = resp
 			obsGwRetargets.Inc()
 			continue
-		default:
-			if resp.StatusCode < 300 {
-				if r.Method == http.MethodDelete {
-					g.dropPlacement(id)
-				} else {
-					g.setPlacement(id, idx)
-				}
-			}
-			if lastNotFound != nil {
-				_, _ = io.Copy(io.Discard, io.LimitReader(lastNotFound.Body, 1<<12))
-				lastNotFound.Body.Close()
-			}
-			relay(w, resp)
-			return
 		}
+		if lastNotFound != nil {
+			discard(lastNotFound)
+		}
+		relay(w, resp)
+		return
 	}
 	if lastNotFound != nil {
-		g.dropPlacement(id)
 		relay(w, lastNotFound)
 		return
 	}
 	writeError(w, http.StatusServiceUnavailable, "no_replicas", "no replica could serve the session")
 }
 
+// discard drains and closes a replica response the gateway does not relay.
+func discard(resp *http.Response) {
+	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<12))
+	resp.Body.Close()
+}
+
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	g.mu.Lock()
 	alive := 0
-	for _, d := range g.down {
-		if !d {
+	for _, v := range g.reps {
+		if v.alive {
 			alive++
 		}
 	}
-	placed := len(g.place)
 	g.mu.Unlock()
 	status, code := "ok", http.StatusOK
 	if alive == 0 {
@@ -494,6 +386,5 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"status":   status,
 		"replicas": len(g.cfg.Replicas),
 		"alive":    alive,
-		"placed":   placed,
 	})
 }

@@ -1,21 +1,22 @@
 package server
 
-// Regression tests for the gateway's create-retarget path. Pre-fix, a
-// create whose replica died mid-request was retried on another replica
-// under the same pre-assigned id — if the first replica had actually
-// processed the request and only the response was lost, two replicas held
-// divergent sessions under one id, and a gateway restart's ring probe
-// could later resurrect the stale epoch-0 copy.
+// Tests for the gateway's create path. A create whose replica died
+// mid-request was once retried on another replica under the same
+// pre-assigned id: if the first replica had processed the request and only
+// the response was lost, two replicas held divergent sessions under one
+// id, and the ring walk could later reach the stale epoch-0 copy. The
+// gateway now mints every id, retries under a fresh one, and refuses a
+// create that brings its own.
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 )
 
 // binCreateBody renders a minimal binary create request.
@@ -133,49 +134,21 @@ func TestGatewayCreateRetargetUsesFreshID(t *testing.T) {
 	t.Fatal("no create was routed to the broken replica across 40 attempts")
 }
 
-// TestGatewayCreateCallerAssignedProbes409: a caller-assigned id cannot be
-// swapped on retarget, so before retrying the gateway must probe the id's
-// candidates — if the create already landed on a survivor, the answer is
-// 409 duplicate_session, not a second session under the same id.
-func TestGatewayCreateCallerAssignedProbes409(t *testing.T) {
-	srv := New(Config{SessionTTL: -1})
-	defer srv.Close()
-	live := httptest.NewServer(srv.Handler())
-	defer live.Close()
-
-	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	dead.Close() // connection refused from the first request
-
-	urls := []string{dead.URL, live.URL}
-	// Pick an id the ring routes to the dead replica first, so the create
-	// takes the transport-error path before probing.
-	r := newRing(urls)
-	var id string
-	for i := 0; ; i++ {
-		id = newSessionID()
-		if r.candidates(id)[0] == 0 {
-			break
-		}
-		if i > 1000 {
-			t.Fatal("no id hashed to the dead replica first")
-		}
+// TestGatewayCreateRefusesCallerAssignedID: the gateway routes only ids it
+// minted, so a create carrying X-Hyperbal-Session-ID is answered 400
+// bad_request and reaches no replica.
+func TestGatewayCreateRefusesCallerAssignedID(t *testing.T) {
+	var servers []*Server
+	var urls []string
+	for i := 0; i < 2; i++ {
+		srv := New(Config{SessionTTL: -1})
+		defer srv.Close()
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		servers = append(servers, srv)
+		urls = append(urls, ts.URL)
 	}
-
-	body := binCreateBody(t)
-	// Seed the "create landed, response lost" state: the session already
-	// exists under id on the surviving candidate.
-	resp := postCreate(t, http.DefaultClient, live.URL, id, body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("seeding create: status %d", resp.StatusCode)
-	}
-
-	g, err := NewGateway(GatewayConfig{
-		Replicas:       urls,
-		HealthInterval: -1,
-		HTTPClient:     &http.Client{Timeout: 5 * time.Second},
-		Logf:           t.Logf,
-	})
+	g, err := NewGateway(GatewayConfig{Replicas: urls, HealthInterval: -1, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,24 +156,69 @@ func TestGatewayCreateCallerAssignedProbes409(t *testing.T) {
 	gts := httptest.NewServer(g.Handler())
 	defer gts.Close()
 
-	resp = postCreate(t, http.DefaultClient, gts.URL, id, body)
+	resp := postCreate(t, http.DefaultClient, gts.URL, newSessionID(), binCreateBody(t))
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("create after transport error: status %d, want 409 (the session already landed)", resp.StatusCode)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("caller-assigned create: status %d, want 400", resp.StatusCode)
 	}
 	var er ErrorResponse
 	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
 		t.Fatal(err)
 	}
-	if er.Code != "duplicate_session" {
-		t.Fatalf("error code %q, want duplicate_session", er.Code)
+	if er.Code != "bad_request" {
+		t.Fatalf("error code %q, want bad_request", er.Code)
 	}
-	if srv.Sessions() != 1 {
-		t.Fatalf("survivor holds %d sessions, want the single seeded one", srv.Sessions())
+	for i, srv := range servers {
+		if n := srv.Sessions(); n != 0 {
+			t.Fatalf("replica %d holds %d sessions after a refused create", i, n)
+		}
 	}
-	// The probe pins the placement, so follow-up requests route straight to
-	// the surviving owner.
-	if idx, ok := g.placed(id); !ok || idx != 1 {
-		t.Fatalf("placement after probe = (%d,%v), want the survivor", idx, ok)
+}
+
+// TestGatewayCountsSkippedDownReplica: a request that passes over a
+// replica already known to be down has moved past its first choice, and
+// gateway_retargets_total must say so. CI's replica-kill drill reads that
+// counter: once a health poll marks the killed replica down, the handed-off
+// sessions reach their successor without a transport error or a redirect.
+func TestGatewayCountsSkippedDownReplica(t *testing.T) {
+	srv := New(Config{SessionTTL: -1})
+	defer srv.Close()
+	live := httptest.NewServer(srv.Handler())
+	defer live.Close()
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+
+	urls := []string{dead.URL, live.URL}
+	r := newRing(urls)
+	id := newSessionID()
+	for r.candidates(id)[0] != 0 {
+		id = newSessionID()
+	}
+	resp := postCreate(t, http.DefaultClient, live.URL, id, binCreateBody(t))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create on the live replica: status %d", resp.StatusCode)
+	}
+
+	g, err := NewGateway(GatewayConfig{Replicas: urls, HealthInterval: -1, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	g.PollHealth(context.Background())
+	gts := httptest.NewServer(g.Handler())
+	defer gts.Close()
+
+	before := obsGwRetargets.Load()
+	resp, err = http.Get(gts.URL + "/v1/sessions/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("session through the gateway: status %d", resp.StatusCode)
+	}
+	if got := obsGwRetargets.Load() - before; got < 1 {
+		t.Fatalf("gateway_retargets_total rose by %d past a down first candidate, want at least 1", got)
 	}
 }

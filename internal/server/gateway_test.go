@@ -7,12 +7,15 @@ package server_test
 // single-process core.Session run.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -37,8 +40,18 @@ type replicaSet struct {
 
 func newReplicaSet(t *testing.T, n int, cfg server.Config) *replicaSet {
 	t.Helper()
+	cfgs := make([]server.Config, n)
+	for i := range cfgs {
+		cfgs[i] = cfg
+	}
+	return newReplicaSetOf(t, cfgs)
+}
+
+// newReplicaSetOf is newReplicaSet with one config per replica.
+func newReplicaSetOf(t *testing.T, cfgs []server.Config) *replicaSet {
+	t.Helper()
 	rs := &replicaSet{}
-	for i := 0; i < n; i++ {
+	for _, cfg := range cfgs {
 		srv := server.New(cfg)
 		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(func() { ts.Close(); srv.Close() })
@@ -515,5 +528,127 @@ func TestGatewayReplicaDeathFailover(t *testing.T) {
 	}
 	if served != len(handles)-most {
 		t.Errorf("%d sessions served, want %d", served, len(handles)-most)
+	}
+}
+
+// postCreates sends n binary creates straight to the gateway (no client
+// retries) from three goroutines at once and returns their status codes,
+// 0 for a transport error.
+func postCreates(t *testing.T, rs *replicaSet, n int) []int {
+	t.Helper()
+	body := server.AppendCreateRequestBinary(nil, server.WireConfig{K: 2, Alpha: 10}, genHypergraph(t, 60, 5))
+	codes := make([]int, n)
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < n; i += 3 {
+				resp, err := http.Post(rs.gwURL+"/v1/sessions", server.ContentTypeBinary, bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					continue
+				}
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				codes[i] = resp.StatusCode
+			}
+		}()
+	}
+	wg.Wait()
+	return codes
+}
+
+// TestGatewayCreateSkipsDrainingReplica: a replica that is draining with
+// its listener still open answers /healthz 503, and the gateway must mint
+// no id onto it. When the gateway balanced by its own placement counts, a
+// draining replica never gained one (it answers every create 503), so it
+// drew most creates.
+func TestGatewayCreateSkipsDrainingReplica(t *testing.T) {
+	rs := newReplicaSet(t, 3, server.Config{SessionTTL: -1})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := rs.servers[0].Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	rs.gw.PollHealth(ctx)
+	// Polls race the creates: each one re-reads the session counts.
+	polled := make(chan struct{})
+	go func() {
+		defer close(polled)
+		for i := 0; i < 5; i++ {
+			rs.gw.PollHealth(ctx)
+		}
+	}()
+	codes := postCreates(t, rs, 30)
+	<-polled
+	refused := 0
+	for _, code := range codes {
+		if code != http.StatusCreated {
+			refused++
+		}
+	}
+	if refused > 0 {
+		t.Errorf("%d of 30 creates were not answered 201", refused)
+	}
+	if n := rs.servers[0].Sessions(); n != 0 {
+		t.Errorf("the draining replica holds %d sessions", n)
+	}
+	if got := rs.totalSessions(); got != 30-refused {
+		t.Errorf("replicas hold %d sessions, %d creates succeeded", got, 30-refused)
+	}
+}
+
+// TestGatewayBalancesLiveSessions: the gateway balances the sessions the
+// replicas hold, not the ones it once routed. Replica 0 evicts its first
+// wave by TTL; the second wave must refill it, leaving the live counts
+// within 10 % of their mean. The gateway's /healthz reports no
+// per-session state.
+func TestGatewayBalancesLiveSessions(t *testing.T) {
+	const ttl = 500 * time.Millisecond
+	rs := newReplicaSetOf(t, []server.Config{{SessionTTL: ttl}, {SessionTTL: -1}, {SessionTTL: -1}})
+	ctx := context.Background()
+	wave := func() {
+		t.Helper()
+		for i, code := range postCreates(t, rs, 30) {
+			if code != http.StatusCreated {
+				t.Fatalf("create %d: status %d", i, code)
+			}
+		}
+	}
+	wave()
+	for deadline := time.Now().Add(2 * time.Second); rs.servers[0].Sessions() > 0; time.Sleep(20 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("replica 0 still holds %d sessions past its TTL", rs.servers[0].Sessions())
+		}
+	}
+	rs.gw.PollHealth(ctx)
+	start := time.Now()
+	wave()
+	if d := time.Since(start); d >= ttl {
+		t.Fatalf("the second wave took %s, past replica 0's TTL: its live count is not the wave's", d)
+	}
+
+	counts := make([]int, len(rs.servers))
+	hi, total := 0, 0
+	for i, srv := range rs.servers {
+		counts[i] = srv.Sessions()
+		hi, total = max(hi, counts[i]), total+counts[i]
+	}
+	if mean := float64(total) / float64(len(counts)); float64(hi) > 1.1*mean {
+		t.Errorf("live sessions per replica %v: max / mean %.2f, want <= 1.1", counts, float64(hi)/mean)
+	}
+
+	resp, err := http.Get(rs.gwURL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var health map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := health["placed"]; ok {
+		t.Errorf("gateway /healthz reports per-session state: %v", health)
 	}
 }

@@ -42,7 +42,8 @@ var (
 )
 
 // obsGwRetargets counts gateway proxy attempts that moved past their
-// first-choice replica: transport errors (replica marked down), 404 probes
-// across ring candidates, and 307 owner redirects followed. The routing
+// first-choice replica: candidates skipped as down, transport errors
+// (replica marked down), 404s along the ring walk, and 307 owner
+// redirects followed. The routing
 // tier shares the registry; a process is either a gateway or a replica.
 var obsGwRetargets = obs.Default().Counter("gateway_retargets_total")

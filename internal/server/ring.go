@@ -20,10 +20,9 @@ import (
 //     moves to the next candidate on its own walk, which is exactly where
 //     drain-time handoff sent the session.
 //
-// Bounded-load placement (pickBounded) is the Consistent Hashing with
-// Bounded Loads policy: walk the key's candidates and take the first whose
-// current load is under ceil(c · total/alive), so one hot ring segment
-// cannot overload a single replica while placements stay ring-affine.
+// The gateway mints each session id to fit the ring (mint): of the ids it
+// draws, it keeps one whose first alive candidate is a least-loaded
+// accepting replica, so routing needs nothing but the id.
 type ring struct {
 	urls   []string
 	points []ringPoint // sorted by hash
@@ -83,37 +82,65 @@ func (r *ring) candidates(key string) []int {
 	return order
 }
 
-// pickBounded returns the first alive candidate for key whose load is
-// within the bounded-load cap ceil(factor · (total+1)/alive), falling back
-// to the least-loaded alive candidate when every one is at the cap (only
-// possible with factor <= 1). Returns -1 when no candidate is alive.
-func (r *ring) pickBounded(key string, load func(int) int, alive func(int) bool, factor float64) int {
-	if factor <= 0 {
-		factor = 1.25
-	}
-	total, nAlive := 0, 0
-	for i := range r.urls {
-		if alive(i) {
-			nAlive++
-			total += load(i)
+// replicaView is what the gateway knows of one replica when it mints an
+// id: its session count (from /healthz, plus creates routed since), and
+// whether it answered at all (alive) and answered 200 (accepting; a
+// draining replica answers 503).
+type replicaView struct {
+	sessions  int
+	alive     bool
+	accepting bool
+}
+
+// mintDraws caps the ids one create draws. A draw's first candidate is a
+// given replica with probability about 1/n (its ring share), so at 16
+// replicas with a single least-loaded one, 64 draws all miss it with
+// probability (15/16)^64 ≈ 1.6 % (at 8 replicas, 0.02 %). A miss costs
+// balance only: the best id seen is taken. A draw is one SHA-256 and a
+// ring walk, far below the solve a create runs.
+const mintDraws = 64
+
+// mint draws ids from draw and returns the first whose first alive
+// candidate is accepting and holds the fewest sessions among accepting
+// replicas, with that replica's index. After mintDraws draws it returns
+// the best id seen: fewest sessions on its first alive accepting
+// candidate, preferring ids no alive non-accepting candidate precedes
+// (those cost a 404 hop until the draining replica leaves). It returns
+// ("", -1) when no alive replica is accepting.
+func (r *ring) mint(reps []replicaView, draw func() string) (string, int) {
+	least := -1
+	for _, v := range reps {
+		if v.alive && v.accepting && (least < 0 || v.sessions < least) {
+			least = v.sessions
 		}
 	}
-	if nAlive == 0 {
-		return -1
+	if least < 0 {
+		return "", -1
 	}
-	cap_ := int(math.Ceil(factor * float64(total+1) / float64(nAlive)))
-	best, bestLoad := -1, math.MaxInt
-	for _, c := range r.candidates(key) {
-		if !alive(c) {
-			continue
-		}
-		l := load(c)
-		if l < cap_ {
-			return c
-		}
-		if l < bestLoad {
-			best, bestLoad = c, l
+	bestID, best, bestRank := "", -1, 0
+	for d := 0; d < mintDraws; d++ {
+		id := draw()
+		hop := false
+		for _, c := range r.candidates(id) {
+			if !reps[c].alive {
+				continue
+			}
+			if !reps[c].accepting {
+				hop = true
+				continue
+			}
+			if !hop && reps[c].sessions == least {
+				return id, c
+			}
+			rank := reps[c].sessions // an id without a 404 hop ranks first
+			if hop {
+				rank += math.MaxInt32
+			}
+			if best < 0 || rank < bestRank {
+				bestID, best, bestRank = id, c, rank
+			}
+			break
 		}
 	}
-	return best
+	return bestID, best
 }

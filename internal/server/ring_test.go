@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -97,39 +98,104 @@ func TestRingStability(t *testing.T) {
 	}
 }
 
-// TestRingPickBounded: bounded-load placement must respect liveness and
-// keep the max load within the cap factor of the mean.
-func TestRingPickBounded(t *testing.T) {
-	r := newRing(testURLs(4))
-	loads := make([]int, 4)
-	alive := []bool{true, true, false, true} // replica 2 is down
-	const sessions = 900
-	for i := 0; i < sessions; i++ {
-		idx := r.pickBounded(fmt.Sprintf("s-%032x", i),
-			func(j int) int { return loads[j] },
-			func(j int) bool { return alive[j] },
-			1.25)
-		if idx < 0 {
-			t.Fatal("pickBounded found no replica with three alive")
-		}
-		if !alive[idx] {
-			t.Fatalf("pickBounded placed a session on dead replica %d", idx)
-		}
-		loads[idx]++
+// seededIDs is a deterministic stand-in for newSessionID.
+func seededIDs(seed int64) func() string {
+	rng := rand.New(rand.NewSource(seed))
+	return func() string { return fmt.Sprintf("s-%016x%016x", rng.Uint64(), rng.Uint64()) }
+}
+
+// TestRingMint: every minted id must route, on its first alive candidate,
+// to the replica it was minted for; that replica must be accepting; and
+// the accepting replicas' session counts must stay within 2 of each other.
+// A dead or draining replica gets no session, an id past a draining
+// first candidate is taken only when no draw did better, and with no
+// replica accepting, mint answers no replica.
+func TestRingMint(t *testing.T) {
+	const dead, draining = "dead", "draining"
+	type row struct {
+		replicas, creates int
+		down              string // replica 1's state: "", dead or draining
 	}
-	if loads[2] != 0 {
-		t.Fatalf("dead replica received %d sessions", loads[2])
-	}
-	mean := sessions / 3
-	for i, l := range loads {
-		if alive[i] && l > mean*14/10 {
-			t.Errorf("replica %d load %d exceeds 1.4x mean %d — bounded-load cap not enforced", i, l, mean)
+	var rows []row
+	for _, n := range []int{3, 8} {
+		for _, creates := range []int{18, 100, 1000} {
+			for _, down := range []string{"", dead, draining} {
+				rows = append(rows, row{n, creates, down})
+			}
 		}
+	}
+	for _, tc := range rows {
+		t.Run(fmt.Sprintf("%dx%d%s", tc.replicas, tc.creates, tc.down), func(t *testing.T) {
+			r := newRing(testURLs(tc.replicas))
+			reps := make([]replicaView, tc.replicas)
+			for i := range reps {
+				reps[i] = replicaView{alive: true, accepting: true}
+			}
+			switch tc.down {
+			case dead:
+				reps[1].alive = false
+			case draining:
+				reps[1].accepting = false
+			}
+			draws := 0
+			ids := seededIDs(int64(tc.replicas*10000 + tc.creates))
+			counted := func() string { draws++; return ids() }
+			for i := 0; i < tc.creates; i++ {
+				id, idx := r.mint(reps, counted)
+				if idx < 0 {
+					t.Fatalf("create %d: no replica", i)
+				}
+				if !reps[idx].alive || !reps[idx].accepting {
+					t.Fatalf("create %d: minted for replica %d (%+v)", i, idx, reps[idx])
+				}
+				first := -1
+				for _, c := range r.candidates(id) {
+					if reps[c].alive {
+						first = c
+						break
+					}
+				}
+				if first != idx {
+					t.Fatalf("create %d: id %s minted for replica %d, its first alive candidate is %d", i, id, idx, first)
+				}
+				reps[idx].sessions++
+			}
+			lo, hi, total := tc.creates, 0, 0
+			for i, v := range reps {
+				if !v.alive || !v.accepting {
+					if v.sessions != 0 {
+						t.Fatalf("%s replica %d got %d sessions", tc.down, i, v.sessions)
+					}
+					continue
+				}
+				lo, hi, total = min(lo, v.sessions), max(hi, v.sessions), total+v.sessions
+			}
+			if hi-lo > 2 {
+				t.Errorf("accepting replicas hold %d to %d sessions, want a spread of at most 2", lo, hi)
+			}
+			t.Logf("max %d, min %d, %.2f draws per create", hi, lo, float64(draws)/float64(tc.creates))
+		})
 	}
 
-	// All dead: no placement.
-	none := r.pickBounded("s-x", func(int) int { return 0 }, func(int) bool { return false }, 1.25)
-	if none != -1 {
-		t.Fatalf("pickBounded returned %d with every replica dead, want -1", none)
+	// Every draw's first alive candidate is draining: after mintDraws
+	// draws, mint takes the id's first accepting candidate, which the
+	// route reaches after one 404 hop.
+	r := newRing(testURLs(3))
+	id := seededIDs(7)()
+	cands := r.candidates(id)
+	reps := []replicaView{{alive: true, accepting: true}, {alive: true, accepting: true}, {alive: true, accepting: true}}
+	reps[cands[0]].accepting = false
+	draws := 0
+	got, idx := r.mint(reps, func() string { draws++; return id })
+	if got != id || idx != cands[1] || draws != mintDraws {
+		t.Fatalf("mint past a draining first candidate = (%q, %d) after %d draws, want (%q, %d) after %d", got, idx, draws, id, cands[1], mintDraws)
+	}
+
+	// No accepting replica: no id.
+	for _, v := range []replicaView{{alive: false, accepting: true}, {alive: true, accepting: false}} {
+		reps := []replicaView{v, v, v}
+		if id, idx := newRing(testURLs(3)).mint(reps, seededIDs(1)); idx != -1 || id != "" {
+			t.Fatalf("mint over %+v replicas = (%q, %d), want no replica", v, id, idx)
+		}
 	}
 }
