@@ -23,6 +23,8 @@
 // start barrier at once, all with the same seed: the server's singleflight
 // group and partition cache collapse the identical cold solves, and the
 // pass fails unless the server led fewer solves than ops were issued.
+// A gateway (its /healthz body has a replicas field) moves no server_*
+// counter, so against one loadgen prints none and this scenario fails.
 //
 // -scenario replica-kill drives a distributed deployment (-addr pointing at
 // the gateway) and SIGTERMs the balancerd replica with pid -kill-pid after
@@ -182,6 +184,11 @@ type loadRun struct {
 // assertion did not hold.
 func runLoad(rc loadRun) bool {
 	obs.Default().Reset()
+	gateway := isGateway(rc.addr)
+	if rc.barrier && gateway {
+		fmt.Fprintf(os.Stderr, "loadgen: FAILED: concurrent-identical: %s is a gateway, and singleflight counters are per replica; point -addr at a replica\n", rc.addr)
+		return false
+	}
 	before := fetchServerMetrics(rc.addr)
 
 	client := hyperbal.NewClient(rc.addr, hyperbal.ClientOptions{
@@ -248,7 +255,9 @@ func runLoad(rc loadRun) bool {
 	}
 
 	snap := fetchServerMetrics(rc.addr)
-	if snap != nil {
+	if gateway {
+		fmt.Println("  server counters  per replica (-addr is a gateway): read each replica's /metrics")
+	} else if snap != nil {
 		fmt.Printf("  server cache     %d hits, %d misses\n",
 			counterDiff(before, snap, "server_cache_hits_total"),
 			counterDiff(before, snap, "server_cache_misses_total"))
@@ -380,16 +389,28 @@ func runSession(client *hyperbal.Client, dataset string, n, k int, alpha int64, 
 	return sess.Close(ctx)
 }
 
+// getJSON decodes the body of GET base+path into v, reporting success.
+func getJSON(base, path string, v any) bool {
+	resp, err := http.Get(strings.TrimRight(base, "/") + path)
+	if err != nil {
+		return false
+	}
+	defer resp.Body.Close()
+	return json.NewDecoder(resp.Body).Decode(v) == nil
+}
+
+// isGateway reports whether base is a balancerd gateway: its /healthz
+// body has a replicas field, a replica's does not.
+func isGateway(base string) bool {
+	var health struct{ Replicas *int }
+	return getJSON(base, "/healthz", &health) && health.Replicas != nil
+}
+
 // fetchServerMetrics pulls the server's obs snapshot (nil when
 // unavailable).
 func fetchServerMetrics(base string) *obs.Snapshot {
-	resp, err := http.Get(strings.TrimRight(base, "/") + "/metrics.json")
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
 	var snap obs.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+	if !getJSON(base, "/metrics.json", &snap) {
 		return nil
 	}
 	return &snap

@@ -81,6 +81,45 @@ func TestRunLoadPasses(t *testing.T) {
 	}
 }
 
+// TestRunLoadAgainstGateway: loadgen tells a gateway from a replica by
+// its /healthz body. In one process the gateway and its replica share one
+// obs registry, so counter values cannot show which one -addr names. A
+// plain pass through the gateway passes; a concurrent-identical pass there
+// fails before any op, because singleflight counters are per replica and
+// 0 leaders would pass it vacuously.
+func TestRunLoadAgainstGateway(t *testing.T) {
+	srv := server.New(server.Config{})
+	defer srv.Close()
+	replica := httptest.NewServer(srv.Handler())
+	defer replica.Close()
+	gw, err := server.NewGateway(server.GatewayConfig{Replicas: []string{replica.URL}, HealthInterval: -1, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	ts := httptest.NewServer(gw.Handler())
+	defer ts.Close()
+
+	if isGateway(replica.URL) || !isGateway(ts.URL) {
+		t.Fatalf("isGateway: replica %v, gateway %v; want false, true", isGateway(replica.URL), isGateway(ts.URL))
+	}
+	rc := testRun(ts.URL)
+	if !runLoad(rc) {
+		t.Fatal("runLoad verdict false through a healthy gateway")
+	}
+	ops := int64(rc.sessions * (rc.epochs + 1))
+	if ok, dropped := lgEpochsOK.Load(), lgDropped.Load(); ok != ops || dropped != 0 {
+		t.Errorf("ops ok/dropped = %d/%d, want %d/0", ok, dropped, ops)
+	}
+	rc.barrier = true
+	if runLoad(rc) {
+		t.Fatal("concurrent-identical verdict true through a gateway")
+	}
+	if ok := lgEpochsOK.Load(); ok != 0 {
+		t.Errorf("%d ops ran; a concurrent-identical pass through a gateway must fail before any", ok)
+	}
+}
+
 // TestRunLoadFailsOnServerError: a server answering 500 drops every create,
 // and the verdict must say so.
 func TestRunLoadFailsOnServerError(t *testing.T) {

@@ -73,7 +73,7 @@ func main() {
 			imb, hyperbal.Imbalance(nw))
 	}
 	fmt.Printf("\n%d rebalances over %d steps; session total cost(α=%d) = %d\n",
-		rebalances, steps, alpha, sess.TotalCost(alpha))
+		rebalances, steps, alpha, sess.TotalCost())
 }
 
 // rebuildWithWeights clones the hypergraph structure with new weights.

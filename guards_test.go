@@ -122,7 +122,7 @@ var guards = []guard{
 		paths:   repoDocs},
 	{name: "result-memo", removedBy: []string{"child of 980e28a"}, why: "one memo (internal/server/memo.go) holds pending and done results; no separate cache and flight group",
 		pattern: `flightGrou[p]|partitionCach[e]`, paths: repoDocs},
-	{name: "session-install", removedBy: []string{"child of 980e28a"}, why: "balancerd keeps its own epoch state and drives core.Balancer; core.Session has no serving-only entry points",
+	{name: "session-install", removedBy: []string{"child of 980e28a"}, why: "balancerd keeps a core.Account and drives core.Balancer; core.Session has no serving-only entry points",
 		pattern: `NewSessionA[t]|NewSessionWit[h]|Adop[t]\(|RebalanceWarmInherite[d]|HistoryLe[n]|history_le[n]|LastResul[t]\(`, paths: repoDocs},
 	{name: "only-if-unbalanced", removedBy: []string{"child of 980e28a"}, why: "every served epoch rebalances; the rebalance trigger is core.Session's alone",
 		pattern: `SubmitEpochIfUnbalance[d]|OnlyIfUnbalance[d]|onlyIfUnbalance[d]|only_if_unbalance[d]|\bRebalance[d]\b`, paths: repoDocs},
@@ -134,6 +134,8 @@ var guards = []guard{
 		pattern: `BinaryFrameVersio[n]|DeltaFrameVersio[n]|binFla[g]|deltaFla[g]|deltaSectio[n]|\bBuildFromWir[e]|fault-max-dela[y]|fault-see[d]`, paths: repoDocs},
 	{name: "gateway-placement", removedBy: []string{"child of 528edaa"}, why: "the gateway mints each id onto a least-loaded accepting replica and routes by the id alone: no placement map, bounded loads or caller-assigned ids",
 		pattern: `pickBounde[d]|LoadFacto[r]|load-facto[r]|setPlacemen[t]|dropPlacemen[t]|probeSessio[n]`, paths: repoDocs},
+	{name: "session-history", removedBy: []string{"child of 29f8df7"}, why: "a session keeps a core.Account (epoch, last result, running total), not every epoch's result",
+		pattern: `\.Histor[y]\b|History:? +\[\]Resul[t]`, paths: repoGo},
 }
 
 func TestRemovedNamesStayGone(t *testing.T) {

@@ -262,7 +262,8 @@ func NewRefinementDynamics(orig *Graph, init Partition, k int, partFrac, minF, m
 // ---- Epoch session management ----
 
 // Session owns an adaptive application's epoch lifecycle: current
-// distribution, rebalance triggering, accumulated history.
+// distribution, rebalance triggering, and the account of the run (epoch
+// count, last result, running α·comm + mig).
 type Session = core.Session
 
 // NewSession computes the epoch-1 static partition and returns the

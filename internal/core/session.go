@@ -7,11 +7,34 @@ import (
 	"hyperbal/internal/partition"
 )
 
+// Account is the t_tot account of an epoch sequence (Section 1): the
+// load-balance operations after the initial partition, the last result
+// (its partition is the current distribution) and the running α·comm + mig
+// over every result, the initial one included.
+type Account struct {
+	Epoch int64
+	Last  Result
+	Total int64
+}
+
+// StartAccount opens the account of a sequence at its initial partition.
+func StartAccount(first Result, alpha int64) Account {
+	return Account{Last: first, Total: first.TotalCost(alpha)}
+}
+
+// Install records one load-balance operation: res becomes the current
+// distribution and joins the running total.
+func (a *Account) Install(res Result, alpha int64) {
+	a.Epoch++
+	a.Last = res
+	a.Total += res.TotalCost(alpha)
+}
+
 // Session manages the epoch lifecycle of an adaptive application: it owns
 // the current distribution, decides when rebalancing is worthwhile (the
 // "even if the original problem is well balanced ... the computation may
-// become unbalanced over time" motivation of Section 1), and accumulates
-// per-epoch results for the t_tot accounting.
+// become unbalanced over time" motivation of Section 1), and keeps the
+// Account of the run for the t_tot accounting.
 //
 // # Concurrency contract
 //
@@ -21,24 +44,17 @@ import (
 // concurrent lifecycles meaningful — a caller that interleaves
 // ShouldRebalance and Rebalance from different goroutines gets serialized
 // but arbitrary ordering; coordinate epochs above the Session if ordering
-// matters. The exported Threshold and History fields are NOT guarded:
-// mutate Threshold and read History only while no method call is in
-// flight.
+// matters. The exported Threshold field is NOT guarded: mutate it only
+// while no method call is in flight.
 type Session struct {
-	mu    sync.Mutex
-	bal   *Balancer
-	cur   partition.Partition
-	epoch int64
+	mu   sync.Mutex
+	bal  *Balancer
+	acct Account // Last holds the session's own copy of the partition
 
 	// Threshold is the imbalance above which ShouldRebalance fires
 	// (default: 2x the balancer's epsilon). Set it before sharing the
 	// session across goroutines.
 	Threshold float64
-
-	// History records every load-balance operation of the session. Safe to
-	// read only while no method call is in flight (see the concurrency
-	// contract above).
-	History []Result
 }
 
 // NewSession computes the epoch-1 static partition of the problem and
@@ -48,12 +64,9 @@ func NewSession(bal *Balancer, p Problem) (*Session, Result, error) {
 	if err != nil {
 		return nil, Result{}, err
 	}
-	s := &Session{
-		bal:       bal,
-		cur:       res.Partition.Clone(),
-		Threshold: 2 * bal.Config().Imbalance,
-		History:   []Result{res},
-	}
+	s := &Session{bal: bal, Threshold: 2 * bal.Config().Imbalance}
+	s.acct = StartAccount(res, bal.Config().Alpha)
+	s.acct.Last.Partition = res.Partition.Clone() // a caller's edit of res cannot reach the session
 	return s, res, nil
 }
 
@@ -63,7 +76,7 @@ func NewSession(bal *Balancer, p Problem) (*Session, Result, error) {
 func (s *Session) Current() partition.Partition {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.cur
+	return s.acct.Last.Partition
 }
 
 // Epoch returns the number of completed load-balance operations after the
@@ -71,7 +84,7 @@ func (s *Session) Current() partition.Partition {
 func (s *Session) Epoch() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.epoch
+	return s.acct.Epoch
 }
 
 // ShouldRebalance reports whether the current distribution has drifted out
@@ -81,10 +94,10 @@ func (s *Session) Epoch() int64 {
 func (s *Session) ShouldRebalance(p Problem) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if p.H.NumVertices() != len(s.cur.Parts) {
+	if p.H.NumVertices() != len(s.acct.Last.Partition.Parts) {
 		return true, nil // structure changed: rebalance unconditionally
 	}
-	w := partition.Weights(p.H, s.cur)
+	w := partition.Weights(p.H, s.acct.Last.Partition)
 	return partition.Imbalance(w) > s.Threshold, nil
 }
 
@@ -93,11 +106,11 @@ func (s *Session) ShouldRebalance(p Problem) (bool, error) {
 func (s *Session) Rebalance(p Problem) (Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if p.H.NumVertices() != len(s.cur.Parts) {
+	if p.H.NumVertices() != len(s.acct.Last.Partition.Parts) {
 		return Result{}, fmt.Errorf("core: vertex set changed (%d -> %d); use RebalanceInherited with the epoch's inherited partition",
-			len(s.cur.Parts), p.H.NumVertices())
+			len(s.acct.Last.Partition.Parts), p.H.NumVertices())
 	}
-	return s.rebalance(p, s.cur)
+	return s.rebalance(p, s.acct.Last.Partition)
 }
 
 // RebalanceInherited repartitions a structurally changed problem given the
@@ -115,24 +128,20 @@ func (s *Session) RebalanceInherited(p Problem, inherited partition.Partition) (
 
 // rebalance runs with s.mu held.
 func (s *Session) rebalance(p Problem, old partition.Partition) (Result, error) {
-	res, err := s.bal.Repartition(p, old, s.epoch+1)
+	res, err := s.bal.Repartition(p, old, s.acct.Epoch+1)
 	if err != nil {
 		return Result{}, err
 	}
-	s.epoch++
-	s.cur = res.Partition.Clone()
-	s.History = append(s.History, res)
+	s.acct.Install(res, s.bal.Config().Alpha)
+	s.acct.Last.Partition = res.Partition.Clone()
 	return res, nil
 }
 
-// TotalCost sums α·comm + mig over the session's history (the objective
-// the paper minimizes, accumulated over the whole run).
-func (s *Session) TotalCost(alpha int64) int64 {
+// TotalCost returns the running α·comm + mig of the session under its
+// balancer's α, the initial partition included: the objective the paper
+// minimizes, accumulated over the whole run.
+func (s *Session) TotalCost() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var t int64
-	for _, r := range s.History {
-		t += r.TotalCost(alpha)
-	}
-	return t
+	return s.acct.Total
 }

@@ -17,7 +17,7 @@ func TestSessionLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.MigrationVolume != 0 || len(s.History) != 1 || s.Epoch() != 0 {
+	if first.MigrationVolume != 0 || s.Epoch() != 0 || s.TotalCost() != first.TotalCost(10) {
 		t.Fatalf("fresh session state wrong: %+v", s)
 	}
 	// Balanced unchanged problem: no rebalance needed.
@@ -53,14 +53,14 @@ func TestSessionLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Epoch() != 1 || len(s.History) != 2 {
+	if s.Epoch() != 1 {
 		t.Fatal("session bookkeeping wrong after rebalance")
 	}
 	w := partition.Weights(hot.H, res.Partition)
 	if partition.Imbalance(w) > 0.25 {
 		t.Fatalf("rebalance left imbalance %.3f", partition.Imbalance(w))
 	}
-	if s.TotalCost(10) != first.TotalCost(10)+res.TotalCost(10) {
+	if s.TotalCost() != first.TotalCost(10)+res.TotalCost(10) {
 		t.Fatal("TotalCost accumulation wrong")
 	}
 }
@@ -68,7 +68,7 @@ func TestSessionLifecycle(t *testing.T) {
 func TestSessionStructuralChange(t *testing.T) {
 	p := mesh(10, 10)
 	bal, _ := NewBalancer(Config{K: 2, Seed: 3, Method: HypergraphRepart})
-	s, _, err := NewSession(bal, p)
+	s, first, err := NewSession(bal, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +86,17 @@ func TestSessionStructuralChange(t *testing.T) {
 	for v := 0; v < 81; v++ {
 		inherited.Assign(v, v%2)
 	}
-	if _, err := s.RebalanceInherited(smaller, inherited); err != nil {
+	res, err := s.RebalanceInherited(smaller, inherited)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(s.Current().Parts) != 81 {
 		t.Fatal("current partition not updated to new vertex set")
+	}
+	// A refused Rebalance installs nothing; the structural one counts once.
+	alpha := bal.Config().Alpha
+	if s.Epoch() != 1 || s.TotalCost() != first.TotalCost(alpha)+res.TotalCost(alpha) {
+		t.Fatalf("epoch %d, total %d after one structural rebalance", s.Epoch(), s.TotalCost())
 	}
 	// Length validation on inherited.
 	if _, err := s.RebalanceInherited(p, inherited); err == nil {

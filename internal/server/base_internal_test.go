@@ -3,9 +3,12 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
+	"time"
 
 	"hyperbal/internal/hypergraph"
 )
@@ -113,4 +116,71 @@ func TestSessionBaseFingerprintIsCurrent(t *testing.T) {
 		t.Fatal("handoff to the peer failed")
 	}
 	check("handoff adoption", b, id, h3)
+}
+
+// TestHandoffKeepsAccountExactly: the drain handoff carries the session's
+// core.Account as it stands, so the adopted account equals the origin's
+// and GET /v1/sessions/{id} reads the same on both replicas. A handoff
+// that shipped the last result in wire form and rebuilt it lost
+// precision: a RepartTime of 1001 µs came back as 1.000999 ms, and the
+// adopted session read repart_ms 1 instead of 1.001.
+func TestHandoffKeepsAccountExactly(t *testing.T) {
+	a, b := New(Config{SessionTTL: -1}), New(Config{SessionTTL: -1})
+	defer a.Close()
+	defer b.Close()
+	tsA, tsB := httptest.NewServer(a.Handler()), httptest.NewServer(b.Handler())
+	defer tsA.Close()
+	defer tsB.Close()
+
+	info := func(base, id string) SessionInfo {
+		t.Helper()
+		resp, err := http.Get(base + "/v1/sessions/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d", base, resp.StatusCode)
+		}
+		var got SessionInfo
+		if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+
+	id := newSessionID()
+	resp := postCreate(t, tsA.Client(), tsA.URL, id, binCreateBody(t))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: status %d", resp.StatusCode)
+	}
+	entry := a.store.get(id)
+	entry.mu.Lock()
+	entry.Last.RepartTime = 1001 * time.Microsecond
+	want := entry.Account
+	entry.mu.Unlock()
+	before := info(tsA.URL, id)
+	if before.Last.RepartMs != 1.001 {
+		t.Fatalf("origin repart_ms %v, want 1.001", before.Last.RepartMs)
+	}
+
+	a.SetPeering(tsA.URL, []string{tsA.URL, tsB.URL})
+	self, r := a.peerTopology()
+	if !a.handoffSession(context.Background(), entry, self, r) {
+		t.Fatal("handoff to the peer failed")
+	}
+	adopted := b.store.get(id)
+	if adopted == nil {
+		t.Fatal("peer did not adopt the session")
+	}
+	adopted.mu.Lock()
+	got := adopted.Account
+	adopted.mu.Unlock()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("adopted account %+v (RepartTime %v), want %+v (RepartTime %v)", got, got.Last.RepartTime, want, want.Last.RepartTime)
+	}
+	if after := info(tsB.URL, id); !reflect.DeepEqual(after, before) {
+		t.Fatalf("adopted session reads %+v, origin read %+v", after, before)
+	}
 }

@@ -162,10 +162,11 @@ func TestMalformedBinaryFrames(t *testing.T) {
 
 	// Version 1 laid messages out by hand, version 2's configuration
 	// carried four more fields, version 3 had the only-if-unbalanced flag
-	// and a handoff without the cost account, and version 4 wrote the
-	// hypergraph and delta frames by hand; their frames are refused, never
-	// mis-decoded as version 5.
-	for v := byte(1); v <= 4; v++ {
+	// and a handoff without the cost account, version 4 wrote the
+	// hypergraph and delta frames by hand, and version 5 handed a session
+	// off with its last result in wire form; their frames are refused,
+	// never mis-decoded as version 6.
+	for v := byte(1); v <= 5; v++ {
 		old := append([]byte(nil), valid...)
 		old[3] = v
 		post(fmt.Sprintf("version-%d", v), old)

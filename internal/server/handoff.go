@@ -5,10 +5,10 @@ package server
 //
 // Every replica knows the full replica list and the same consistent-hash
 // ring. When a replica drains (SIGTERM), it serializes every live session
-// — base hypergraph, fingerprint, epoch counter, last result, running
-// cost — into a binary frame and POSTs it to the session's ring
-// successor, which restores the session under the same id at the same
-// epoch. The draining replica keeps a forwarding tombstone and answers
+// — base hypergraph, fingerprint and core.Account (epoch counter, last
+// result, running cost) — into a binary frame and POSTs it to the
+// session's ring successor, which restores the session under the same id
+// at the same epoch. The draining replica keeps a forwarding tombstone and answers
 // subsequent requests for the session with 307 + X-Hyperbal-Owner, which
 // both the gateway and the client follow. The successor choice (first ring
 // candidate after self) matches where the gateway re-routes the session id
@@ -25,29 +25,26 @@ import (
 
 	"hyperbal/internal/core"
 	"hyperbal/internal/hypergraph"
-	"hyperbal/internal/partition"
 )
 
 // handoffState is one serialized session crossing replicas at drain time:
 // everything a successor needs to continue the epoch sequence
-// byte-identically — the effective config, the epoch counter, the running
-// cost account (GET /v1/sessions/{id} reports it as total_cost), the last
-// result (its partition is the current distribution), the latest migration
-// summary, and the base hypergraph the next delta applies against (its
-// fingerprint is recomputed during decode, so it cannot drift in transit).
+// byte-identically — the effective config, the session's core.Account as
+// it stands (epoch counter, last result, running cost), the latest
+// migration summary, and the base hypergraph the next delta applies
+// against (its fingerprint is recomputed during decode, so it cannot drift
+// in transit). The receiver copies the account in; nothing is rebuilt.
 type handoffState struct {
-	ID     string
-	Config WireConfig
-	Epoch  int64
-	Total  int64
-	Last   WireResult
-	Mig    *MigrationSummary
-	Base   hypergraph.Frame
+	ID      string
+	Config  WireConfig
+	Account core.Account
+	Mig     *MigrationSummary
+	Base    hypergraph.Frame
 }
 
 func (m handoffState) validate() error {
 	return errors.Join(check("session id", len(m.ID), 256), m.Config.validate(),
-		check("partition", len(m.Last.Parts), maxParts), m.Mig.validate())
+		check("partition", len(m.Account.Last.Partition.Parts), maxParts), m.Mig.validate())
 }
 
 const (
@@ -128,26 +125,11 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", "handoff config: "+err.Error())
 		return
 	}
-	entry := &session{
-		id:    st.ID,
-		bal:   bal,
-		epoch: st.Epoch,
-		last: core.Result{
-			Partition:       partition.Partition{Parts: st.Last.Parts, K: st.Last.K},
-			CommVolume:      st.Last.CommVolume,
-			MigrationVolume: st.Last.MigrationVolume,
-			Moved:           st.Last.Moved,
-			RepartTime:      time.Duration(st.Last.RepartMs * 1e6),
-			Warm:            st.Last.Warm,
-		},
-		total:   st.Total,
-		base:    st.Base,
-		lastMig: st.Mig,
-	}
+	entry := &session{id: st.ID, bal: bal, Account: st.Account, base: st.Base, lastMig: st.Mig}
 	s.clearHandoff(st.ID) // a session may return to a revived replica
 	s.store.add(entry)
 	s.cfg.Logf("server: adopted session %s at epoch %d via handoff (|V|=%d)",
-		st.ID, st.Epoch, st.Base.H.NumVertices())
+		st.ID, st.Account.Epoch, st.Base.H.NumVertices())
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -177,20 +159,15 @@ func (s *Server) handoffAll(ctx context.Context) {
 func (s *Server) handoffSession(ctx context.Context, entry *session, self string, r *ring) bool {
 	entry.mu.Lock()
 	st := handoffState{
-		ID:     entry.id,
-		Config: WireConfigFrom(entry.bal.Config()),
-		Epoch:  entry.epoch,
-		Total:  entry.total,
-		Last:   wireResult(entry.epoch, entry.last, false),
-		Mig:    entry.lastMig,
-		Base:   entry.base,
+		ID:      entry.id,
+		Config:  WireConfigFrom(entry.bal.Config()),
+		Account: entry.Account,
+		Mig:     entry.lastMig,
+		Base:    entry.base,
 	}
 	entry.mu.Unlock()
 	if st.Base.H == nil {
-		// A session created but never submitted to still has no base; its
-		// initial hypergraph is the base recorded at create time, so this
-		// only happens for the zero value. Nothing to hand off.
-		return false
+		return false // every created session has a base; the zero value has nothing to hand off
 	}
 	frame := appendMsg(nil, st)
 	for _, cand := range r.candidates(entry.id) {
@@ -202,7 +179,7 @@ func (s *Server) handoffSession(ctx context.Context, entry *session, self string
 			s.store.remove(entry.id)
 			s.recordHandoff(entry.id, url)
 			obsHandoffSent.Inc()
-			s.cfg.Logf("server: handed session %s (epoch %d) to %s", entry.id, st.Epoch, url)
+			s.cfg.Logf("server: handed session %s (epoch %d) to %s", entry.id, st.Account.Epoch, url)
 			return true
 		}
 	}

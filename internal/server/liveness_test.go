@@ -17,6 +17,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -337,13 +338,11 @@ func TestHandoffCodecRoundTrip(t *testing.T) {
 	st := handoffState{
 		ID:     "s-0123456789abcdef0123456789abcdef",
 		Config: WireConfigFrom(cfg),
-		Epoch:  4,
-		Total:  123,
-		Last: WireResult{
-			Epoch: 4, K: 2, Parts: []int32{0, 1, 1, 0},
-			CommVolume: 9, MigrationVolume: 3, Moved: 2, RepartMs: 1.5,
+		Account: core.Account{Epoch: 4, Total: 123, Last: core.Result{
+			Partition:  partition.Partition{Parts: []int32{0, 1, 1, 0}, K: 2},
+			CommVolume: 9, MigrationVolume: 3, Moved: 2, RepartTime: 1500 * time.Microsecond,
 			Warm: true,
-		},
+		}},
 		Mig:  &MigrationSummary{Moves: 2, TotalVolume: 3, MaxOutbound: 2, MaxInbound: 1, Volume: [][]int64{{0, 2}, {1, 0}}},
 		Base: hypergraph.Frame{H: h, FP: h.Fingerprint()},
 	}
@@ -351,15 +350,14 @@ func TestHandoffCodecRoundTrip(t *testing.T) {
 	if err := decodeMsg(appendMsg(nil, st), &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.ID != st.ID || got.Epoch != st.Epoch || got.Total != st.Total || got.Base.FP != st.Base.FP {
+	if got.ID != st.ID || got.Base.FP != st.Base.FP {
 		t.Fatalf("identity fields corrupted: %+v", got)
 	}
 	if got.Config != st.Config {
 		t.Fatalf("config mismatch: %+v vs %+v", got.Config, st.Config)
 	}
-	if !int32SliceEqual(got.Last.Parts, st.Last.Parts) || got.Last.CommVolume != st.Last.CommVolume ||
-		got.Last.Warm != st.Last.Warm || got.Last.Moved != st.Last.Moved {
-		t.Fatalf("last result mismatch: %+v vs %+v", got.Last, st.Last)
+	if !reflect.DeepEqual(got.Account, st.Account) {
+		t.Fatalf("account mismatch: %+v vs %+v", got.Account, st.Account)
 	}
 	if got.Mig == nil || got.Mig.Moves != 2 || len(got.Mig.Volume) != 2 {
 		t.Fatalf("migration summary mismatch: %+v", got.Mig)
@@ -405,16 +403,4 @@ func TestPostHandoffDeliversLargeFrames(t *testing.T) {
 	if !bytes.Equal(got, frame) {
 		t.Fatal("peer received corrupted frame bytes")
 	}
-}
-
-func int32SliceEqual(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

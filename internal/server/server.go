@@ -434,7 +434,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	// Every origin takes the same construction path, so a session built
 	// from a cached, shared or freshly solved result is byte-identical.
-	entry := &session{id: id, bal: bal, last: res, total: res.TotalCost(eff.Alpha), base: req.Graph}
+	entry := &session{id: id, bal: bal, Account: core.StartAccount(res, eff.Alpha), base: req.Graph}
 	s.clearHandoff(id)
 	// The pre-solve duplicate check is only a cheap fast path; the insert
 	// itself must be atomic or two concurrent creates with the same
@@ -504,7 +504,7 @@ func (s *Server) serveEpoch(w http.ResponseWriter, r *http.Request, req submitte
 	entry.mu.Lock()
 	defer entry.mu.Unlock()
 
-	bal, epoch := entry.bal, entry.epoch
+	bal, epoch := entry.bal, entry.Epoch
 	if sub.Epoch > 0 && sub.Epoch != epoch+1 {
 		conflict := ErrorResponse{
 			Error: fmt.Sprintf("expected epoch %d, session is at %d", sub.Epoch, epoch),
@@ -540,7 +540,7 @@ func (s *Server) serveEpoch(w http.ResponseWriter, r *http.Request, req submitte
 		fp = h.Fingerprint()
 	}
 
-	old := entry.last.Partition
+	old := entry.Last.Partition
 	structural := h.NumVertices() != len(old.Parts)
 	inherited := old
 	switch {
@@ -598,7 +598,7 @@ func (s *Server) serveEpoch(w http.ResponseWriter, r *http.Request, req submitte
 		obsDeltaEpochs.Inc()
 	}
 	entry.install(res, hypergraph.Frame{H: h, FP: fp}, migrationSummary(h, inherited, res.Partition))
-	writeSessionResponse(w, r, http.StatusOK, entry.id, wireResult(entry.epoch, res, cached))
+	writeSessionResponse(w, r, http.StatusOK, entry.id, wireResult(entry.Epoch, res, cached))
 }
 
 // checkInherited validates a submitted inherited assignment: one part in
@@ -658,9 +658,9 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	info := SessionInfo{
 		SessionID: entry.id,
 		Config:    WireConfigFrom(entry.bal.Config()),
-		Epoch:     entry.epoch,
-		TotalCost: entry.total,
-		Last:      wireResult(entry.epoch, entry.last, false),
+		Epoch:     entry.Epoch,
+		TotalCost: entry.Total,
+		Last:      wireResult(entry.Epoch, entry.Last, false),
 	}
 	writeNegotiated(w, r, http.StatusOK, info, func(buf []byte) []byte { return appendMsg(buf, info) })
 }
@@ -674,10 +674,10 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	defer releaseSess()
 	entry.mu.Lock()
 	defer entry.mu.Unlock()
-	cur := entry.last.Partition
+	cur := entry.Last.Partition
 	resp := PartitionResponse{
 		SessionID: entry.id,
-		Epoch:     entry.epoch,
+		Epoch:     entry.Epoch,
 		K:         cur.K,
 		Parts:     cur.Parts,
 		Migration: entry.lastMig,

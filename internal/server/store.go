@@ -12,26 +12,20 @@ import (
 )
 
 // session is one served epoch sequence: the balancer that solves it, the
-// state each epoch's solve reads and the install advances (epoch counter,
-// last result, running cost, base hypergraph, migration summary), the
-// per-session mutex that serializes epoch submissions (so two concurrent
-// submissions for the same session execute in some order, never
-// interleaved), and the TTL bookkeeping.
+// state each epoch's solve reads and the install advances (the t_tot
+// account, base hypergraph, migration summary), the per-session mutex that
+// serializes epoch submissions (so two concurrent submissions for the same
+// session execute in some order, never interleaved), and the TTL
+// bookkeeping.
 type session struct {
 	id  string
 	bal *core.Balancer
 
 	mu sync.Mutex // serializes epoch work on this session and guards the fields below
-	// epoch counts completed load-balance operations after the initial
-	// partition; the next solve runs at epoch+1, the number its cache key
-	// carries.
-	epoch int64
-	// last is the most recent load-balance result; its partition is the
+	// Account's Epoch is the number of the last solve (the next runs at
+	// Epoch+1, the number its cache key carries) and Last.Partition the
 	// current distribution.
-	last core.Result
-	// total is the running α·comm + mig over every installed result, the
-	// initial partition included.
-	total   int64
+	core.Account
 	lastMig *MigrationSummary
 	// base is the last accepted epoch hypergraph with its fingerprint —
 	// the base the next delta submission applies against, never hashed
@@ -50,13 +44,10 @@ type session struct {
 }
 
 // install records one solved epoch, whatever its origin (leader, shared or
-// cached): res becomes the current distribution and joins the running
-// cost, h the base of the next delta, mig the latest migration summary.
-// Called with mu held.
+// cached): res goes into the account, h becomes the base of the next
+// delta, mig the latest migration summary. Called with mu held.
 func (s *session) install(res core.Result, h hypergraph.Frame, mig *MigrationSummary) {
-	s.epoch++
-	s.last = res
-	s.total += res.TotalCost(s.bal.Config().Alpha)
+	s.Install(res, s.bal.Config().Alpha)
 	s.base = h
 	s.lastMig = mig
 }

@@ -24,13 +24,10 @@ import (
 // ContentTypeBinary is the media type of the binary wire protocol.
 const ContentTypeBinary = "application/x-hyperbal"
 
-// wireVersion is the fourth header byte. Version 5 lays the hypergraph
-// and delta frames out with the codec, like every other field; version 4
-// brought the six-field configuration, epoch submissions without the
-// only-if-unbalanced flag, results without the rebalanced flag, and a
-// handoff that carries the session's running cost. A frame of any earlier
-// version is refused like any malformed one.
-const wireVersion = 5
+// wireVersion is the fourth header byte. Version 6 hands a session off as
+// its core.Account; DESIGN.md §12.1 lists what every version changed. A
+// frame of any other version is refused like any malformed one.
+const wireVersion = 6
 
 // Message types (fifth header byte).
 const (

@@ -2,11 +2,16 @@ package server
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
+	"hyperbal/internal/core"
 	"hyperbal/internal/hypergraph"
+	"hyperbal/internal/partition"
 	"hyperbal/internal/wire"
 )
 
@@ -34,6 +39,10 @@ func seedMessages() []message {
 	cfg := WireConfig{K: 2, Alpha: 10, Imbalance: 0.05, Seed: -3, Method: "Zoltan-repart", Parallelism: 2}
 	res := WireResult{Epoch: 3, K: 2, Parts: []int32{0, 1, 1, 0}, CommVolume: 4, MigrationVolume: 2, Moved: 1, RepartMs: 1.5, Cached: true, Warm: true}
 	mig := &MigrationSummary{Moves: 1, TotalVolume: 2, MaxOutbound: 2, MaxInbound: 2, Volume: [][]int64{{0, 2}, {0, 0}}}
+	acct := core.Account{Epoch: 3, Total: 40, Last: core.Result{
+		Partition: partition.Partition{Parts: res.Parts, K: 2}, CommVolume: 4, MigrationVolume: 2, Moved: 1,
+		RepartTime: 1001 * time.Microsecond, Warm: true,
+	}}
 	return []message{
 		createRequest{cfg, hypergraph.Frame{H: h}},
 		epochRequest{hypergraph.Frame{H: h}, []int32{0, 1, 0, 1}, 4},
@@ -41,7 +50,7 @@ func seedMessages() []message {
 		SessionResponse{SessionID: "s-0123456789abcdef0123456789abcdef", Result: res},
 		PartitionResponse{SessionID: "s-1", Epoch: 3, K: 2, Parts: res.Parts, Migration: mig},
 		SessionInfo{SessionID: "s-1", Config: cfg, Epoch: 3, TotalCost: 40, Last: res},
-		handoffState{ID: "s-1", Config: cfg, Epoch: 3, Total: 40, Last: res, Mig: mig, Base: hypergraph.Frame{H: h}},
+		handoffState{ID: "s-1", Config: cfg, Account: acct, Mig: mig, Base: hypergraph.Frame{H: h}},
 	}
 }
 
@@ -77,15 +86,25 @@ func TestMessageRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMessageTypeBytes pins every message's header type byte. Replicas of
-// different builds meet during a rolling restart, so a renumbered handoff
-// type would strand the sessions of a draining replica. Type 7, the
-// retired peer-cache answer, is refused like any unknown type.
+// TestMessageTypeBytes pins every message's header type byte and the
+// SHA-256 of its whole seed frame. Replicas of different builds meet
+// during a rolling restart, so a renumbered handoff type would strand the
+// sessions of a draining replica, and a layout change under an unchanged
+// version (a field added to core.Result reaches the handoff frame) would
+// be mis-decoded instead of refused. Type 7, the retired peer-cache
+// answer, is refused like any unknown type.
 func TestMessageTypeBytes(t *testing.T) {
-	want := map[string]byte{
-		"createRequest": 1, "epochRequest": 2, "deltaRequest": 3,
-		"SessionResponse": 4, "PartitionResponse": 5, "SessionInfo": 6,
-		"handoffState": 8,
+	want := map[string]struct {
+		typ    byte
+		sha256 string
+	}{
+		"createRequest":     {1, "b7f977e8da435430ef52f101d8791828fabf84ecce2c0d74fb5bf32de68552d1"},
+		"epochRequest":      {2, "a1d686e663ea3282eef56b74290a98219d1a74a6aa8554f8ef0ba7cf488968dd"},
+		"deltaRequest":      {3, "6c5d40bc5b31f392acea44e555d65c50198033569dce49e7563bc4baab946bef"},
+		"SessionResponse":   {4, "68fbb1d24cfae1035046b485f2db1ccc78a2a92cf33d15f98efedd18d817b79d"},
+		"PartitionResponse": {5, "dfb09d34af9ef5644051984392396c3dc52889b16fb01dfef5ad190ab930cd53"},
+		"SessionInfo":       {6, "88963be76069be2bdde33d3677435646c1d493e7fea98218ed4244f03ea29ac8"},
+		"handoffState":      {8, "11c13f8a02bfab83598aaa4f727bc400c0412e2a9de8d76045224df0acce5c16"},
 	}
 	seeds := seedMessages()
 	if len(seeds) != len(want) {
@@ -93,8 +112,13 @@ func TestMessageTypeBytes(t *testing.T) {
 	}
 	for _, m := range seeds {
 		name := reflect.TypeOf(m).Name()
-		if got := appendMsg(nil, m)[4]; got != want[name] {
-			t.Errorf("%s: type byte %d, want %d", name, got, want[name])
+		frame := appendMsg(nil, m)
+		if got := frame[4]; got != want[name].typ {
+			t.Errorf("%s: type byte %d, want %d", name, got, want[name].typ)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(frame)); got != want[name].sha256 {
+			t.Errorf("%s: frame SHA-256 %s, want %s (wire version %d); a layout change bumps wireVersion, then re-pin every digest",
+				name, got, want[name].sha256, wireVersion)
 		}
 	}
 
