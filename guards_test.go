@@ -136,6 +136,8 @@ var guards = []guard{
 		pattern: `pickBounde[d]|LoadFacto[r]|load-facto[r]|setPlacemen[t]|dropPlacemen[t]|probeSessio[n]`, paths: repoDocs},
 	{name: "session-history", removedBy: []string{"child of 29f8df7"}, why: "a session keeps a core.Account (epoch, last result, running total), not every epoch's result",
 		pattern: `\.Histor[y]\b|History:? +\[\]Resul[t]`, paths: repoGo},
+	{name: "hash-rule", removedBy: []string{"child of d23b308"}, why: "a content id is the SHA-256 of the canonical HBW frame (hbfp2, hbdd2); the tagged fingerprint encoder and its prefixes stay gone",
+		pattern: `hbfp[1]:|hbdd[1]:|hyperbal-hg-v[1]|putEncode[r]`, paths: repoDocs},
 }
 
 func TestRemovedNamesStayGone(t *testing.T) {

@@ -3,7 +3,6 @@ package hypergraph
 import (
 	"errors"
 	"fmt"
-	"strconv"
 )
 
 // The delta epoch format: instead of shipping a full hypergraph every
@@ -209,15 +208,20 @@ func (d *Delta) Apply(base *Hypergraph) (*Hypergraph, error) {
 	return d.ApplyFrame(Frame{H: base, FP: base.Fingerprint()})
 }
 
-// ApplyFrame is Apply against a base whose fingerprint the caller already
-// holds (base.FP must be base.H.Fingerprint()), so the base is not hashed
-// again: a server applying a delta to its session's last hypergraph
-// checks d.Base against the fingerprint it kept.
+// ApplyFrame is Apply against a base whose content id the caller already
+// holds (base.FP: a decoded frame's, or base.H.Fingerprint()), so the base
+// is not hashed again: a server applying a delta to its session's last
+// hypergraph checks d.Base against the id it kept. A decoded base is
+// built (base.Build) only once the ids agree.
 func (d *Delta) ApplyFrame(base Frame) (*Hypergraph, error) {
 	if base.FP != d.Base {
 		return nil, fmt.Errorf("%w: delta base %s, hypergraph is %s", ErrBaseMismatch, d.Base, base.FP)
 	}
-	return d.apply(base.H)
+	h, err := base.Build()
+	if err != nil {
+		return nil, err
+	}
+	return d.apply(h)
 }
 
 // apply builds the successor of a base whose fingerprint ApplyFrame has
@@ -360,38 +364,14 @@ func (d *Delta) apply(base *Hypergraph) (*Hypergraph, error) {
 
 // Digest returns a stable content hash of the delta — combined with the
 // base fingerprint it keys delta-epoch caches without materializing the
-// applied hypergraph. The encoding is section-tagged and length-prefixed
-// like Fingerprint's.
+// applied hypergraph. It is the SHA-256 of the delta's frame
+// (AppendBinary), which carries Base, so the digest covers the base too.
 func (d *Delta) Digest() string {
-	e := getEncoder()
-	defer putEncoder(e)
-	e.str("hyperbal-delta-v")
-	e.str(strconv.Itoa(d.Version))
-	e.str(";base=")
-	e.str(d.Base)
-	e.str(";")
-	if d.VertexMap != nil {
-		e.put32('V', d.VertexMap)
-		e.put64('w', d.NewWeights)
-		e.put64('s', d.NewSizes)
-		e.put32('f', d.NewFixed)
-	}
-	if d.NetMap != nil {
-		e.put32('N', d.NetMap)
-		e.put64('c', d.NewNetCosts)
-		e.byte('P')
-		e.u64(uint64(len(d.NewNetPins)))
-		for _, pins := range d.NewNetPins {
-			e.put32('p', pins)
-		}
-	}
-	e.put32('W', d.WeightIDs)
-	e.put64('X', d.WeightVals)
-	e.put32('S', d.SizeIDs)
-	e.put64('Y', d.SizeVals)
-	e.put32('C', d.CostIDs)
-	e.put64('Z', d.CostVals)
-	return e.sum("hbdd1:")
+	s := getScratch()
+	s.buf = d.appendFrame(s.buf[:0], &s.delta)
+	id := contentID(digestPrefix, s.buf)
+	s.put()
+	return id
 }
 
 // DirtyVertices marks the successor vertices whose local neighborhood the

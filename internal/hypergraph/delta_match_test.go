@@ -1,13 +1,8 @@
 package hypergraph
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
-	"fmt"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -49,44 +44,6 @@ func TestComputeDeltaMappedMatchesMapReference(t *testing.T) {
 	}
 	if refused < 100 || structural < 500 {
 		t.Fatalf("generator coverage too thin: %d refused, %d with a net map", refused, structural)
-	}
-}
-
-// TestEncoderMatchesPerValueReference checks Fingerprint and Digest
-// against the per-value encoders they replaced on random inputs, some
-// with sections longer than the encoder's chunk.
-func TestEncoderMatchesPerValueReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for iter := 0; iter < 200; iter++ {
-		base, next, vmap := randomDeltaPair(rng)
-		if iter%50 == 0 {
-			base = randomHypergraph(rng, 2000+rng.Intn(3000), 1500)
-		}
-		for _, h := range []*Hypergraph{base, next} {
-			if got, want := h.Fingerprint(), fingerprintRef(h); got != want {
-				t.Fatalf("iter %d: Fingerprint = %s, reference %s", iter, got, want)
-			}
-		}
-		if d, ok := computeDeltaMappedRef(base, next, vmap); ok {
-			d.Version = rng.Intn(3) - 1
-			if got, want := d.Digest(), digestRef(d); got != want {
-				t.Fatalf("iter %d: Digest = %s, reference %s", iter, got, want)
-			}
-		}
-	}
-	// Every byte offset of a section start against the chunk end: the base
-	// string shifts what follows by one byte per character, each n by 12.
-	for shift := 0; shift < 16; shift++ {
-		for n := 330; n < 345; n++ {
-			d := &Delta{Version: DeltaVersion, Base: strings.Repeat("x", shift),
-				WeightIDs: make([]int32, n), WeightVals: make([]int64, n), SizeIDs: []int32{int32(n)}, SizeVals: []int64{1}}
-			for i := range d.WeightIDs {
-				d.WeightIDs[i], d.WeightVals[i] = rng.Int31(), rng.Int63()
-			}
-			if got, want := d.Digest(), digestRef(d); got != want {
-				t.Fatalf("shift %d, n %d: Digest = %s, reference %s", shift, n, got, want)
-			}
-		}
 	}
 }
 
@@ -396,77 +353,4 @@ func computeDeltaMappedRef(base, next *Hypergraph, vmap []int32) (*Delta, bool) 
 		d.NetMap = netMap
 	}
 	return d, true
-}
-
-// refEncoder is the per-value canonical encoder Fingerprint and Digest
-// used before the buffered one: one Write per value.
-type refEncoder struct {
-	hw  interface{ Write([]byte) (int, error) }
-	buf [8]byte
-}
-
-func (e *refEncoder) put32(tag byte, xs []int32) {
-	e.hw.Write([]byte{tag})
-	binary.LittleEndian.PutUint64(e.buf[:], uint64(len(xs)))
-	e.hw.Write(e.buf[:])
-	for _, x := range xs {
-		binary.LittleEndian.PutUint32(e.buf[:4], uint32(x))
-		e.hw.Write(e.buf[:4])
-	}
-}
-
-func (e *refEncoder) put64(tag byte, xs []int64) {
-	e.hw.Write([]byte{tag})
-	binary.LittleEndian.PutUint64(e.buf[:], uint64(len(xs)))
-	e.hw.Write(e.buf[:])
-	for _, x := range xs {
-		binary.LittleEndian.PutUint64(e.buf[:], uint64(x))
-		e.hw.Write(e.buf[:])
-	}
-}
-
-func fingerprintRef(h *Hypergraph) string {
-	hw := sha256.New()
-	e := &refEncoder{hw: hw}
-	hw.Write([]byte("hyperbal-hg-v1"))
-	binary.LittleEndian.PutUint64(e.buf[:], uint64(h.NumVertices()))
-	hw.Write(e.buf[:])
-	e.put32('N', h.netStart)
-	e.put32('P', h.netPins)
-	e.put64('C', h.costs)
-	e.put64('W', h.weights)
-	e.put64('S', h.sizes)
-	if h.fixed != nil {
-		e.put32('F', h.fixed)
-	}
-	return "hbfp1:" + hex.EncodeToString(hw.Sum(nil))
-}
-
-func digestRef(d *Delta) string {
-	hw := sha256.New()
-	e := &refEncoder{hw: hw}
-	fmt.Fprintf(hw, "hyperbal-delta-v%d;base=%s;", d.Version, d.Base)
-	if d.VertexMap != nil {
-		e.put32('V', d.VertexMap)
-		e.put64('w', d.NewWeights)
-		e.put64('s', d.NewSizes)
-		e.put32('f', d.NewFixed)
-	}
-	if d.NetMap != nil {
-		e.put32('N', d.NetMap)
-		e.put64('c', d.NewNetCosts)
-		hw.Write([]byte{'P'})
-		binary.LittleEndian.PutUint64(e.buf[:], uint64(len(d.NewNetPins)))
-		hw.Write(e.buf[:])
-		for _, pins := range d.NewNetPins {
-			e.put32('p', pins)
-		}
-	}
-	e.put32('W', d.WeightIDs)
-	e.put64('X', d.WeightVals)
-	e.put32('S', d.SizeIDs)
-	e.put64('Y', d.SizeVals)
-	e.put32('C', d.CostIDs)
-	e.put64('Z', d.CostVals)
-	return "hbdd1:" + hex.EncodeToString(hw.Sum(nil))
 }

@@ -54,7 +54,7 @@ func TestDeltaEmptyRoundTrip(t *testing.T) {
 
 func TestDeltaBaseMismatch(t *testing.T) {
 	h := deltaBase()
-	d := &Delta{Version: DeltaVersion, Base: "hbfp1:deadbeef"}
+	d := &Delta{Version: DeltaVersion, Base: "hbfp2:deadbeef"}
 	if _, err := d.Apply(h); err == nil {
 		t.Fatal("want base mismatch error")
 	} else if !errors.Is(err, ErrBaseMismatch) {
@@ -71,7 +71,7 @@ func TestDeltaApplyFrame(t *testing.T) {
 	if !ok {
 		t.Fatal("cost drift should be delta-able")
 	}
-	if _, err := d.ApplyFrame(Frame{H: h, FP: "hbfp1:deadbeef"}); !errors.Is(err, ErrBaseMismatch) {
+	if _, err := d.ApplyFrame(Frame{H: h, FP: "hbfp2:deadbeef"}); !errors.Is(err, ErrBaseMismatch) {
 		t.Fatalf("stale frame: want ErrBaseMismatch, got %v", err)
 	}
 	got, err := d.ApplyFrame(Frame{H: h, FP: fp})

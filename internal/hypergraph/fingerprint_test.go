@@ -5,6 +5,7 @@ package hypergraph_test
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -28,7 +29,7 @@ func TestFingerprintRoundTripStable(t *testing.T) {
 			}
 			h := graph.ToHypergraph(g)
 			fp := h.Fingerprint()
-			if !strings.HasPrefix(fp, "hbfp1:") {
+			if !strings.HasPrefix(fp, "hbfp2:") {
 				t.Fatalf("fingerprint missing version prefix: %q", fp)
 			}
 
@@ -115,10 +116,156 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}
 }
 
+// TestFingerprintCanonicalFrame: the fingerprint hashes the canonical
+// frame, so it names the hypergraph, not the way it was spelled. Over
+// random Builder outputs, each second spelling of the same hypergraph —
+// explicit all-1 weights or sizes against the default, duplicate pins
+// within a net, an all-Free fixed vector against none — fingerprints
+// equal, and so does a received frame that spells it so once it is built
+// and re-hashed; changing one cost, pin, weight, size or fixed label, or
+// adding one isolated vertex, changes the fingerprint.
+func TestFingerprintCanonicalFrame(t *testing.T) {
+	type vertex struct {
+		weight, size int64
+		fixed        int32
+	}
+	type net struct {
+		cost int64
+		pins []int
+	}
+	build := func(vs []vertex, ns []net, spell func(b *hypergraph.Builder)) *hypergraph.Hypergraph {
+		b := hypergraph.NewBuilder(len(vs))
+		for v, x := range vs {
+			if x.weight != 1 {
+				b.SetWeight(v, x.weight)
+			}
+			if x.size != 1 {
+				b.SetSize(v, x.size)
+			}
+			if x.fixed != hypergraph.Free {
+				b.Fix(v, int(x.fixed))
+			}
+		}
+		for _, n := range ns {
+			b.AddNet(n.cost, n.pins...)
+		}
+		if spell != nil {
+			spell(b)
+		}
+		return b.Build()
+	}
+	rng := rand.New(rand.NewSource(20070326))
+	for iter := 0; iter < 200; iter++ {
+		nv := 2 + rng.Intn(30)
+		vs := make([]vertex, nv)
+		for v := range vs {
+			vs[v] = vertex{1, 1, hypergraph.Free}
+			if rng.Intn(3) == 0 {
+				vs[v].weight = 1 + rng.Int63n(5)
+			}
+			if rng.Intn(3) == 0 {
+				vs[v].size = 1 + rng.Int63n(5)
+			}
+			if rng.Intn(6) == 0 {
+				vs[v].fixed = int32(rng.Intn(3))
+			}
+		}
+		ns := make([]net, 1+rng.Intn(20))
+		for i := range ns {
+			ns[i].cost = 1 + rng.Int63n(4)
+			for _, p := range rng.Perm(nv)[:1+rng.Intn(min(nv, 5))] {
+				ns[i].pins = append(ns[i].pins, p)
+			}
+		}
+		h := build(vs, ns, nil)
+		fp := h.Fingerprint()
+
+		same := map[string]*hypergraph.Hypergraph{
+			"explicit unit weights": build(vs, ns, func(b *hypergraph.Builder) {
+				for v, x := range vs {
+					if x.weight == 1 {
+						b.SetWeight(v, 1)
+					}
+				}
+			}),
+			"explicit unit sizes": build(vs, ns, func(b *hypergraph.Builder) {
+				for v, x := range vs {
+					if x.size == 1 {
+						b.SetSize(v, 1)
+					}
+				}
+			}),
+			"all-Free fixed vector": h.WithoutFixed().WithFixed(fixedOf(h)),
+		}
+		dup := append([]net(nil), ns...)
+		k := rng.Intn(len(dup))
+		dup[k].pins = append(append([]int(nil), dup[k].pins...), dup[k].pins[0])
+		same["duplicate pin"] = build(vs, dup, nil)
+		for name, g := range same {
+			if g.Fingerprint() != fp {
+				t.Fatalf("iter %d: %s fingerprints %s, want %s", iter, name, g.Fingerprint(), fp)
+			}
+		}
+
+		changed := map[string]*hypergraph.Hypergraph{
+			"isolated vertex": build(append(append([]vertex(nil), vs...), vertex{1, 1, hypergraph.Free}), ns, nil),
+		}
+		v := rng.Intn(nv)
+		for name, edit := range map[string]func(*vertex){
+			"weight": func(x *vertex) { x.weight++ },
+			"size":   func(x *vertex) { x.size++ },
+			"fixed":  func(x *vertex) { x.fixed = (x.fixed + 2) % 4 }, // Free -> 1, p -> another label or Free
+		} {
+			ws := append([]vertex(nil), vs...)
+			edit(&ws[v])
+			changed[name] = build(ws, ns, nil)
+		}
+		cs := append([]net(nil), ns...)
+		cs[k].cost++
+		changed["cost"] = build(vs, cs, nil)
+		ps := append([]net(nil), ns...)
+		ps[k].pins = append([]int(nil), ps[k].pins...)
+		if u := pickOther(ps[k].pins, nv, rng); u >= 0 {
+			ps[k].pins[0] = u
+		} else {
+			ps[k].pins = ps[k].pins[1:] // the net holds every vertex, and at least two
+		}
+		changed["pin"] = build(vs, ps, nil)
+		for name, g := range changed {
+			if g.Fingerprint() == fp {
+				t.Fatalf("iter %d: changing one %s left the fingerprint %s", iter, name, fp)
+			}
+		}
+	}
+}
+
+// fixedOf returns h's fixed labels, all Free when it has none.
+func fixedOf(h *hypergraph.Hypergraph) []int32 {
+	fixed := make([]int32, h.NumVertices())
+	for v := range fixed {
+		fixed[v] = int32(h.Fixed(v))
+	}
+	return fixed
+}
+
+// pickOther returns a vertex below nv that is not among pins, or -1 when
+// every vertex is a pin.
+func pickOther(pins []int, nv int, rng *rand.Rand) int {
+	in := make(map[int]bool, len(pins))
+	for _, p := range pins {
+		in[p] = true
+	}
+	for _, v := range rng.Perm(nv) {
+		if !in[v] {
+			return v
+		}
+	}
+	return -1
+}
+
 // goldenHypergraphs are fixed inputs whose fingerprints are pinned as
-// literals in TestGoldenDigests. "long net" has one 3 000-pin net (12 000
-// bytes of pins), longer than any encoder chunk, and weights, sizes and
-// costs that need all 64 bits.
+// literals in TestGoldenDigests. "long net" has one 3 000-pin net and
+// weights, sizes and costs that need all 64 bits.
 func goldenHypergraphs() map[string]*hypergraph.Hypergraph {
 	small := func(fix bool) *hypergraph.Hypergraph {
 		b := hypergraph.NewBuilder(7)
@@ -164,7 +311,7 @@ func goldenHypergraphs() map[string]*hypergraph.Hypergraph {
 // goldenDeltas are fixed deltas whose digests TestGoldenDigests pins. The
 // base is a literal string: Digest hashes it as given.
 func goldenDeltas() map[string]*hypergraph.Delta {
-	const base = "hbfp1:00112233445566778899aabbccddeeff00112233445566778899aabbccddeeff"
+	const base = "hbfp2:00112233445566778899aabbccddeeff00112233445566778899aabbccddeeff"
 	return map[string]*hypergraph.Delta{
 		"identity": {Version: hypergraph.DeltaVersion, Base: base},
 		"structural": {
@@ -193,16 +340,17 @@ func goldenDeltas() map[string]*hypergraph.Delta {
 	}
 }
 
-// TestGoldenDigests pins Fingerprint and Delta.Digest to the bytes of the
-// original per-value encoder, recorded before the buffered encoder
-// replaced it: both hashes key caches that must survive the rewrite, so a
-// change here is a cache-key change, not a refactor.
+// TestGoldenDigests pins Fingerprint and Delta.Digest, the SHA-256 of the
+// canonical hypergraph and delta frames: both key caches, and a
+// fingerprint is what a delta names its base by, so a change here is a
+// cache-key and wire change (a new prefix and wire version), not a
+// refactor.
 func TestGoldenDigests(t *testing.T) {
 	wantFP := map[string]string{
-		"empty":    "hbfp1:1c01e48c12a733442df52d89b0d86c022248a561f6e255316e00e09d2e855d49",
-		"free":     "hbfp1:c9de3fefd03345f64b8c5277ebee26040c50549506019b7bb942e7decd2fcb56",
-		"fixed":    "hbfp1:02e23b1059a6f258160bc4a2a89243d3c4fe7c9992a7dece9cc0331aa5d73c3e",
-		"long net": "hbfp1:810a7d8d60058df0dd9a4134e1b1d0f7dabebcf5a80a6108bb4a75b2dc134b44",
+		"empty":    "hbfp2:2e22fd435060cd5d3cf5e3ef39f79e198b35bd2c4af31974db36601b3a2f4c91",
+		"free":     "hbfp2:97a76e409f22f62ea85c30d1b04f83c134221dfe6cd185d804e4590e5a7becb9",
+		"fixed":    "hbfp2:fe01f49ebcdc3fdb6aa0b76ea03f4ab8cafe8d9746475e78fc86a52ebb155543",
+		"long net": "hbfp2:6d86fcbfa254b5a25a8f270d288f606a2235b1877df5d20830cf94bc27b539d7",
 	}
 	for name, h := range goldenHypergraphs() {
 		if got := h.Fingerprint(); got != wantFP[name] {
@@ -210,9 +358,9 @@ func TestGoldenDigests(t *testing.T) {
 		}
 	}
 	wantDigest := map[string]string{
-		"identity":         "hbdd1:2a1ace2498d7fe4ac9a695f20d337d52c1d9e2b2b3a235d91567044e7104b567",
-		"structural":       "hbdd1:e7c6aa6a851face807f43618d9c36d6119940528da8388fb2fa96cb08d94a3d5",
-		"warm weight-only": "hbdd1:5d8d1b2cb385ac56568c9f180a79ee5501911dd342d894a9ad95fc4805fba32f",
+		"identity":         "hbdd2:3381ddc1cb04e9b35cd2ce1b10deda3ad408d9242f7f3de2a0b75fa6496a9d17",
+		"structural":       "hbdd2:a25a1b6cb45c09a8a4cd834a31726c753e3d9bcc8753df4fc79619f15c83a4cf",
+		"warm weight-only": "hbdd2:1df8ceb4c9c1b500eebe1eae60cabbde4862d562040ac527c01c602e6d2c55ac",
 	}
 	for name, d := range goldenDeltas() {
 		if got := d.Digest(); got != wantDigest[name] {

@@ -1,6 +1,8 @@
 package hypergraph
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"hyperbal/internal/wire"
@@ -8,19 +10,22 @@ import (
 
 // Binary wire codec for hypergraphs and deltas (HBW frames). Both frames
 // are declared structs laid out by the repo's one message codec
-// (internal/wire, Varint integers): a message declares a Frame or Delta
-// field and the codec lays out frameWire or deltaWire in its place. A
-// hypergraph frame carries the CSR arrays as they are (net offsets, flat
-// pin stream, costs, then the per-vertex sections), so encoding copies no
-// array and decoding builds the CSR in place. A per-vertex section
-// that is all 1s (weights, sizes) or all free (fixed labels) — the common
-// case for the paper's dynamics — is sent as an empty slice.
+// (internal/wire, Varint integers). A hypergraph frame carries the CSR
+// arrays as they are (net offsets, flat pin stream, costs, then the
+// per-vertex sections), so encoding copies no array and decoding builds
+// the CSR in place. A per-vertex section that is all 1s (weights, sizes)
+// or all free (fixed labels) — the common case for the paper's dynamics —
+// is sent as an empty slice.
 //
-// The codec bounds every count by the bytes present before it allocates;
-// the checks here are the ones it cannot express (the MaxWire* caps, and
-// a vertex count no larger than the frame can pay for). The decoder then
-// funnels into buildFromWire, the single validation + build + fingerprint
-// path.
+// As a field of a message, a hypergraph travels as its length-prefixed
+// frame (Frame), which the receiver keeps as bytes and hashes: the content
+// id is the SHA-256 of the frame (fingerprint.go), so a receiver knows
+// what it holds before it builds anything, and builds only when it needs
+// the hypergraph. The codec bounds every count by the bytes present
+// before it allocates; the checks in readHypergraph are the ones it cannot
+// express (the MaxWire* caps, and a vertex count no larger than the frame
+// can pay for). Every build then funnels into buildFromWire, the single
+// validation + build path.
 
 const (
 	// MaxWireVertices / MaxWireNets / MaxWirePins cap the dimensions a
@@ -36,12 +41,20 @@ const (
 func NewBinReader(data []byte) *wire.Reader { return wire.NewReader(data) }
 
 // Frame is a hypergraph as one field of a codec-declared message
-// (internal/wire): its HBW frame on the wire, and after decoding the
-// fingerprint buildFromWire computed, carried next to H so a decoded
-// hypergraph is fingerprinted exactly once. FP is not encoded.
+// (internal/wire). On the wire it is its HBW frame, length-prefixed.
+// Decoding keeps the frame's bytes and their content id as FP and builds
+// nothing; Build validates and builds H from the bytes on demand, once.
+//
+// FP identifies the bytes as they came. For a canonical frame (every frame
+// AppendBinary writes) it equals H.Fingerprint(). A peer that spells one
+// hypergraph another way (explicit all-1 weights, duplicate pins, ...)
+// gets another FP, so a cache keyed on FP only misses for it; it never
+// hits another hypergraph's entry. A Frame made in process sets H, and FP
+// when it knows it, and encodes H.
 type Frame struct {
-	H  *Hypergraph
-	FP string
+	H   *Hypergraph
+	FP  string
+	raw []byte // the decoded frame; nil for a Frame made from H
 }
 
 // frameWire is the hypergraph frame's layout. Weights and Sizes are empty
@@ -56,46 +69,113 @@ type frameWire struct {
 	Fixed       []int32
 }
 
-// AppendWire appends H's binary frame.
-func (f *Frame) AppendWire(buf []byte) []byte { return f.H.AppendBinary(buf) }
+// AppendWire appends the frame, length-prefixed: the decoded bytes as they
+// came, or H's encoding.
+func (f *Frame) AppendWire(buf []byte) []byte {
+	if f.raw != nil {
+		return append(binary.AppendUvarint(buf, uint64(len(f.raw))), f.raw...)
+	}
+	s := getScratch() // the length is known once H is encoded
+	s.buf = f.H.appendFrame(s.buf[:0], &s.frame)
+	buf = append(binary.AppendUvarint(buf, uint64(len(s.buf))), s.buf...)
+	s.put()
+	return buf
+}
 
-// DecodeWire reads one hypergraph frame into H and its fingerprint into FP.
-func (f *Frame) DecodeWire(r *wire.Reader) (err error) {
+// DecodeWire reads one length-prefixed hypergraph frame, keeping a copy of
+// its bytes and their content id as FP. It builds nothing, so a frame
+// whose content is invalid decodes here and is refused by Build.
+func (f *Frame) DecodeWire(r *wire.Reader) error {
+	n, err := r.Uvarint()
+	if err != nil {
+		return err
+	}
+	if n > uint64(r.Rem()) {
+		return fmt.Errorf("%w: hypergraph frame of %d bytes, %d left", wire.ErrTruncated, n, r.Rem())
+	}
+	b, _ := r.Bytes(int(n))
+	*f = Frame{FP: contentID(fingerprintPrefix, b), raw: append(make([]byte, 0, n), b...)}
+	return nil
+}
+
+// Build returns the frame's hypergraph. The first call on a decoded frame
+// validates and builds it from the bytes (a malformed one is a
+// wire.ErrMalformed error) and keeps it in H, so later calls on this Frame
+// build nothing.
+func (f *Frame) Build() (*Hypergraph, error) {
+	switch {
+	case f.H != nil:
+		return f.H, nil
+	case f.raw == nil:
+		return nil, fmt.Errorf("%w: no hypergraph frame", wire.ErrMalformed)
+	}
+	r := wire.NewReader(f.raw)
+	h, err := readHypergraph(r)
+	switch {
+	case errors.Is(err, wire.ErrTruncated): // the length prefix promised a whole frame
+		return nil, fmt.Errorf("%w: %v", wire.ErrMalformed, err)
+	case err != nil:
+		return nil, err
+	case r.Rem() != 0:
+		return nil, fmt.Errorf("%w: %d trailing bytes after the hypergraph frame", wire.ErrMalformed, r.Rem())
+	}
+	f.H = h
+	return h, nil
+}
+
+// readHypergraph reads one unprefixed hypergraph frame from r and builds it
+// through buildFromWire.
+func readHypergraph(r *wire.Reader) (*Hypergraph, error) {
 	start := r.Rem()
 	var w frameWire
 	if err := wire.Varint.Read(r, &w); err != nil {
-		return err
+		return nil, err
 	}
 	switch {
 	case w.NumVertices > MaxWireVertices:
-		return fmt.Errorf("%w: num_vertices %d exceeds limit %d", wire.ErrMalformed, w.NumVertices, MaxWireVertices)
+		return nil, fmt.Errorf("%w: num_vertices %d exceeds limit %d", wire.ErrMalformed, w.NumVertices, MaxWireVertices)
 	case len(w.NetStart) > MaxWireNets+1:
-		return fmt.Errorf("%w: %d nets exceed limit %d", wire.ErrMalformed, len(w.NetStart)-1, MaxWireNets)
+		return nil, fmt.Errorf("%w: %d nets exceed limit %d", wire.ErrMalformed, len(w.NetStart)-1, MaxWireNets)
 	case len(w.Pins) > MaxWirePins:
-		return fmt.Errorf("%w: %d pins exceed limit %d", wire.ErrMalformed, len(w.Pins), MaxWirePins)
+		return nil, fmt.Errorf("%w: %d pins exceed limit %d", wire.ErrMalformed, len(w.Pins), MaxWirePins)
 	// The per-vertex sections may be empty, so bound |V| by the frame
 	// size: a frame describing v vertices with any content at all spends
 	// bytes proportional to them, and a tiny hostile frame cannot make
 	// buildFromWire allocate 2^24 bare vertices.
 	case w.NumVertices > 64+16*(start-r.Rem()):
-		return fmt.Errorf("%w: num_vertices %d exceeds frame budget", wire.ErrMalformed, w.NumVertices)
+		return nil, fmt.Errorf("%w: num_vertices %d exceeds frame budget", wire.ErrMalformed, w.NumVertices)
 	}
-	if f.H, f.FP, err = buildFromWire(w); err != nil {
-		return fmt.Errorf("%w: %v", wire.ErrMalformed, err)
+	h, err := buildFromWire(w)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", wire.ErrMalformed, err)
 	}
-	return nil
+	return h, nil
 }
 
 // AppendBinary appends h's binary frame to buf and returns the extended
 // slice. The frame is canonical: equal hypergraphs (same fingerprint)
 // encode to identical bytes.
 func (h *Hypergraph) AppendBinary(buf []byte) []byte {
-	w := frameWire{
+	s := getScratch()
+	buf = h.appendFrame(buf, &s.frame)
+	s.put()
+	return buf
+}
+
+// appendFrame lays h out in w, which holds no other value, and appends
+// the frame.
+func (h *Hypergraph) appendFrame(buf []byte, w *frameWire) []byte {
+	*w = frameWire{
 		NumVertices: h.NumVertices(),
 		NetStart:    h.netStart,
 		Pins:        h.netPins,
 		Costs:       h.costs,
-		Fixed:       h.fixed,
+	}
+	for _, x := range h.fixed {
+		if x != Free {
+			w.Fixed = h.fixed
+			break
+		}
 	}
 	for _, x := range h.weights {
 		if x != 1 {
@@ -109,23 +189,26 @@ func (h *Hypergraph) AppendBinary(buf []byte) []byte {
 			break
 		}
 	}
-	buf, _ = wire.Varint.Append(buf, w) // a declared struct always has a layout
+	buf, _ = wire.Varint.AppendPointee(buf, w) // a declared struct always has a layout
 	return buf
 }
 
-// DecodeBinary reads one hypergraph frame from r, validating through
-// buildFromWire, and returns the hypergraph together with its content
-// fingerprint (computed once, during decode). Trailing message fields stay
-// unread in r.
+// DecodeBinary reads one unprefixed hypergraph frame (AppendBinary's
+// bytes) from r, validating through buildFromWire, and returns the
+// hypergraph together with the content id of the bytes it read — h's
+// fingerprint when the frame is canonical — hashed, not computed from h.
+// Trailing message fields stay unread in r.
 func DecodeBinary(r *wire.Reader) (*Hypergraph, string, error) {
-	var f Frame
-	err := f.DecodeWire(r)
-	return f.H, f.FP, err
+	frame := r.Rest()
+	h, err := readHypergraph(r)
+	if err != nil {
+		return nil, "", err
+	}
+	return h, contentID(fingerprintPrefix, frame[:len(frame)-r.Rem()]), nil
 }
 
-// buildFromWire validates a decoded hypergraph frame, builds the CSR form
-// and returns the content fingerprint computed from the freshly built
-// hypergraph. It takes ownership of w's slices.
+// buildFromWire validates a decoded hypergraph frame and builds the CSR
+// form. It takes ownership of w's slices.
 //
 // Empty weights and sizes mean all 1s; a fixed vector with no non-Free
 // entry is normalized away, exactly as the Builder does, so the decoded
@@ -136,26 +219,26 @@ func DecodeBinary(r *wire.Reader) (*Hypergraph, string, error) {
 // order (matching Builder.AddNet). The validation errors use the wire
 // field names (num_vertices, weights, ...) since they surface verbatim in
 // 400 responses.
-func buildFromWire(w frameWire) (*Hypergraph, string, error) {
+func buildFromWire(w frameWire) (*Hypergraph, error) {
 	numVertices, netStart, pins, costs := w.NumVertices, w.NetStart, w.Pins, w.Costs
 	weights, sizes, fixed := w.Weights, w.Sizes, w.Fixed
 	if numVertices < 0 {
-		return nil, "", fmt.Errorf("num_vertices is negative")
+		return nil, fmt.Errorf("num_vertices is negative")
 	}
 	if len(netStart) == 0 || netStart[0] != 0 {
-		return nil, "", fmt.Errorf("net_start does not begin at 0")
+		return nil, fmt.Errorf("net_start does not begin at 0")
 	}
 	if len(costs) != len(netStart)-1 {
-		return nil, "", fmt.Errorf("nets have %d costs for %d pin lists", len(costs), len(netStart)-1)
+		return nil, fmt.Errorf("nets have %d costs for %d pin lists", len(costs), len(netStart)-1)
 	}
 	if weights != nil && len(weights) != numVertices {
-		return nil, "", fmt.Errorf("weights has %d entries, want 0 or %d", len(weights), numVertices)
+		return nil, fmt.Errorf("weights has %d entries, want 0 or %d", len(weights), numVertices)
 	}
 	if sizes != nil && len(sizes) != numVertices {
-		return nil, "", fmt.Errorf("sizes has %d entries, want 0 or %d", len(sizes), numVertices)
+		return nil, fmt.Errorf("sizes has %d entries, want 0 or %d", len(sizes), numVertices)
 	}
 	if fixed != nil && len(fixed) != numVertices {
-		return nil, "", fmt.Errorf("fixed has %d entries, want 0 or %d", len(fixed), numVertices)
+		return nil, fmt.Errorf("fixed has %d entries, want 0 or %d", len(fixed), numVertices)
 	}
 	if weights == nil {
 		weights = make([]int64, numVertices)
@@ -165,7 +248,7 @@ func buildFromWire(w frameWire) (*Hypergraph, string, error) {
 	} else {
 		for i, v := range weights {
 			if v < 0 {
-				return nil, "", fmt.Errorf("vertex %d has negative weight %d", i, v)
+				return nil, fmt.Errorf("vertex %d has negative weight %d", i, v)
 			}
 		}
 	}
@@ -177,7 +260,7 @@ func buildFromWire(w frameWire) (*Hypergraph, string, error) {
 	} else {
 		for i, v := range sizes {
 			if v < 0 {
-				return nil, "", fmt.Errorf("vertex %d has negative size %d", i, v)
+				return nil, fmt.Errorf("vertex %d has negative size %d", i, v)
 			}
 		}
 	}
@@ -188,7 +271,7 @@ func buildFromWire(w frameWire) (*Hypergraph, string, error) {
 				continue
 			}
 			if p < 0 {
-				return nil, "", fmt.Errorf("vertex %d has invalid fixed label %d", i, p)
+				return nil, fmt.Errorf("vertex %d has invalid fixed label %d", i, p)
 			}
 			hasFixed = true
 		}
@@ -206,19 +289,19 @@ func buildFromWire(w frameWire) (*Hypergraph, string, error) {
 	read, write := 0, 0
 	for n := range costs {
 		if costs[n] < 0 {
-			return nil, "", fmt.Errorf("net %d has negative cost %d", n, costs[n])
+			return nil, fmt.Errorf("net %d has negative cost %d", n, costs[n])
 		}
 		sz := int(netStart[n+1]) - read // netStart[n+1] is still as decoded
 		if sz <= 0 {
-			return nil, "", fmt.Errorf("net %d is empty", n)
+			return nil, fmt.Errorf("net %d is empty", n)
 		}
 		if read+sz > len(pins) {
-			return nil, "", fmt.Errorf("nets declare %d pins, only %d provided", read+sz, len(pins))
+			return nil, fmt.Errorf("nets declare %d pins, only %d provided", read+sz, len(pins))
 		}
 		for k := 0; k < sz; k++ {
 			p := pins[read+k]
 			if p < 0 || int(p) >= numVertices {
-				return nil, "", fmt.Errorf("net %d: pin %d out of range [0,%d)", n, p, numVertices)
+				return nil, fmt.Errorf("net %d: pin %d out of range [0,%d)", n, p, numVertices)
 			}
 			if stamp[p] == int32(n) {
 				continue // duplicate pin within the net
@@ -231,10 +314,9 @@ func buildFromWire(w frameWire) (*Hypergraph, string, error) {
 		netStart[n+1] = int32(write)
 	}
 	if read != len(pins) {
-		return nil, "", fmt.Errorf("nets declare %d pins, %d provided", read, len(pins))
+		return nil, fmt.Errorf("nets declare %d pins, %d provided", read, len(pins))
 	}
-	h := FromCSR(netStart, pins[:write], costs, weights, sizes, fixed)
-	return h, h.Fingerprint(), nil
+	return FromCSR(netStart, pins[:write], costs, weights, sizes, fixed), nil
 }
 
 // deltaWire is the delta frame's layout: Delta's fields in order. Only
@@ -261,7 +343,16 @@ type deltaWire struct {
 
 // AppendBinary appends d's binary frame to buf.
 func (d *Delta) AppendBinary(buf []byte) []byte {
-	w := deltaWire{
+	s := getScratch()
+	buf = d.appendFrame(buf, &s.delta)
+	s.put()
+	return buf
+}
+
+// appendFrame lays d out in w, which holds no other value, and appends
+// the frame.
+func (d *Delta) appendFrame(buf []byte, w *deltaWire) []byte {
+	*w = deltaWire{
 		d.Version, d.Base, nil, d.NewWeights, d.NewSizes, d.NewFixed, nil, d.NewNetCosts, d.NewNetPins,
 		d.WeightIDs, d.WeightVals, d.SizeIDs, d.SizeVals, d.CostIDs, d.CostVals,
 	}
@@ -271,7 +362,7 @@ func (d *Delta) AppendBinary(buf []byte) []byte {
 	if d.NetMap != nil {
 		w.NetMap = &d.NetMap
 	}
-	buf, _ = wire.Varint.Append(buf, w) // a declared struct always has a layout
+	buf, _ = wire.Varint.AppendPointee(buf, w) // a declared struct always has a layout
 	return buf
 }
 

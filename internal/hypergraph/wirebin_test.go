@@ -127,17 +127,14 @@ func TestBuildFromWire(t *testing.T) {
 	b := NewBuilder(4)
 	b.AddNet(2, 1, 3, 1, 0, 3)
 	want := b.Build()
-	got, fp, err := buildFromWire(frameWire{NumVertices: 4, NetStart: []int32{0, 5}, Pins: []int32{1, 3, 1, 0, 3}, Costs: []int64{2}})
+	got, err := buildFromWire(frameWire{NumVertices: 4, NetStart: []int32{0, 5}, Pins: []int32{1, 3, 1, 0, 3}, Costs: []int64{2}})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if fp != want.Fingerprint() {
-		t.Fatalf("fingerprint %s != %s", fp, want.Fingerprint())
 	}
 	sameHypergraph(t, want, got)
 
 	// An all-Free fixed array means "no fixed vertices".
-	got, _, err = buildFromWire(frameWire{NumVertices: 3, NetStart: []int32{0, 2}, Pins: []int32{0, 1}, Costs: []int64{1}, Fixed: []int32{Free, Free, Free}})
+	got, err = buildFromWire(frameWire{NumVertices: 3, NetStart: []int32{0, 2}, Pins: []int32{0, 1}, Costs: []int64{1}, Fixed: []int32{Free, Free, Free}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +163,7 @@ func TestBuildFromWireErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := buildFromWire(frameWire{NumVertices: tc.nv, NetStart: tc.start, Pins: tc.pins, Costs: tc.cost})
+			_, err := buildFromWire(frameWire{NumVertices: tc.nv, NetStart: tc.start, Pins: tc.pins, Costs: tc.cost})
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("got %v, want error containing %q", err, tc.want)
 			}
@@ -189,7 +186,8 @@ func TestDecodeBinaryMalformed(t *testing.T) {
 			t.Fatalf("truncation at %d/%d bytes decoded successfully", i, len(enc))
 		}
 	}
-	if err := wire.Varint.Decode(append(enc, 0), new(Frame)); err == nil || !strings.Contains(err.Error(), "trailing bytes") {
+	prefixed := (&Frame{H: h}).AppendWire(nil)
+	if err := wire.Varint.Decode(append(prefixed, 0), new(Frame)); err == nil || !strings.Contains(err.Error(), "trailing bytes") {
 		t.Fatalf("a frame with a trailing byte: %v, want a trailing-bytes error", err)
 	}
 
@@ -227,17 +225,17 @@ func decodeDelta(b []byte) (*Delta, error) {
 
 func TestDeltaBinaryRoundTrip(t *testing.T) {
 	deltas := map[string]*Delta{
-		"identity": {Version: DeltaVersion, Base: "hbfp1:abc"},
+		"identity": {Version: DeltaVersion, Base: "hbfp2:abc"},
 		"sparse": {
-			Version: DeltaVersion, Base: "hbfp1:abc",
+			Version: DeltaVersion, Base: "hbfp2:abc",
 			WeightIDs: []int32{0, 3}, WeightVals: []int64{5, 9},
 			CostIDs: []int32{1}, CostVals: []int64{7},
 		},
 		// Present but empty maps: a successor with no vertices and no
 		// nets, not the identity.
-		"empty-maps": {Version: DeltaVersion, Base: "hbfp1:abc", VertexMap: []int32{}, NetMap: []int32{}},
+		"empty-maps": {Version: DeltaVersion, Base: "hbfp2:abc", VertexMap: []int32{}, NetMap: []int32{}},
 		"structural": {
-			Version: DeltaVersion, Base: "hbfp1:def",
+			Version: DeltaVersion, Base: "hbfp2:def",
 			VertexMap:  []int32{0, 2, -1},
 			NewWeights: []int64{4}, NewSizes: []int64{2}, NewFixed: []int32{Free},
 			NetMap:      []int32{0, -1},
@@ -310,10 +308,10 @@ func TestBinReaderTruncationErrors(t *testing.T) {
 }
 
 // TestFrameCarriesDecodeFingerprint: as a field of a codec-declared
-// message, a Frame writes exactly the hypergraph's HBW frame (FP is not
-// encoded) and decodes with the fingerprint buildFromWire computed, so the
-// receiver never fingerprints the hypergraph again; a Delta field writes
-// its delta frame.
+// message, a Frame writes the hypergraph's HBW frame behind its length
+// (FP is not encoded) and decodes to those bytes and their hash, building
+// nothing; Build then builds the hypergraph once. A Delta field writes its
+// delta frame.
 func TestFrameCarriesDecodeFingerprint(t *testing.T) {
 	type msg struct {
 		Epoch int64
@@ -326,17 +324,30 @@ func TestFrameCarriesDecodeFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := d.AppendBinary(h.AppendBinary([]byte{14}))
+	frame := h.AppendBinary(nil)
+	want := d.AppendBinary(append([]byte{14, byte(len(frame))}, frame...))
 	if !bytes.Equal(enc, want) {
-		t.Fatalf("message encodes to % x, want the epoch then the two HBW frames % x", enc, want)
+		t.Fatalf("message encodes to % x, want the epoch, the prefixed hypergraph frame and the delta frame % x", enc, want)
 	}
 	var got msg
 	if err := wire.Varint.Decode(enc, &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.Epoch != 7 || got.G.FP != h.Fingerprint() || got.G.H.Fingerprint() != got.G.FP || got.D.Digest() != d.Digest() {
-		t.Fatalf("decoded epoch %d, fingerprint %q (want %q), delta digest %s (want %s)",
-			got.Epoch, got.G.FP, h.Fingerprint(), got.D.Digest(), d.Digest())
+	if got.Epoch != 7 || got.G.FP != h.Fingerprint() || got.G.H != nil || got.D.Digest() != d.Digest() {
+		t.Fatalf("decoded epoch %d, fingerprint %q (want %q), built %v (want nothing built), delta digest %s (want %s)",
+			got.Epoch, got.G.FP, h.Fingerprint(), got.G.H != nil, got.D.Digest(), d.Digest())
+	}
+	built, err := got.G.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameHypergraph(t, h, built)
+	if again, _ := got.G.Build(); again != built {
+		t.Fatal("a second Build built the hypergraph again")
+	}
+	// The decoded bytes re-encode as they came.
+	if re, _ := wire.Varint.Append(nil, got); !bytes.Equal(re, enc) {
+		t.Fatalf("decoded message re-encodes to % x, want % x", re, enc)
 	}
 	for i := range enc {
 		if err := wire.Varint.Decode(enc[:i], new(msg)); err == nil {
@@ -345,27 +356,63 @@ func TestFrameCarriesDecodeFingerprint(t *testing.T) {
 	}
 }
 
+// TestFrameBuildRefusesMalformed: a frame whose length prefix holds is
+// decoded without a look at its content, so Build is where a malformed
+// hypergraph is refused — invalid content, a frame cut short inside its
+// prefix, or bytes after the frame — always as wire.ErrMalformed, and a
+// refused Frame stays unbuilt.
+func TestFrameBuildRefusesMalformed(t *testing.T) {
+	valid := binTestGraphs()["weighted"].AppendBinary(nil)
+	badPin, _ := wire.Varint.Append(nil, frameWire{NumVertices: 2, NetStart: []int32{0, 1}, Pins: []int32{5}, Costs: []int64{1}})
+	for name, body := range map[string][]byte{
+		"pin out of range": badPin,
+		"cut short":        valid[:len(valid)-1],
+		"trailing byte":    append(append([]byte(nil), valid...), 0),
+		"empty":            {},
+	} {
+		var f Frame
+		prefixed := append([]byte{byte(len(body))}, body...)
+		if err := wire.Varint.Decode(prefixed, &f); err != nil {
+			t.Fatalf("%s: the prefixed frame does not decode: %v", name, err)
+		}
+		if f.FP == "" {
+			t.Fatalf("%s: decoded without a content id", name)
+		}
+		if h, err := f.Build(); !errors.Is(err, wire.ErrMalformed) || h != nil || f.H != nil {
+			t.Fatalf("%s: Build = %v, %v; want a malformed-frame error and nothing built", name, h != nil, err)
+		}
+	}
+	if _, err := new(Frame).Build(); !errors.Is(err, wire.ErrMalformed) {
+		t.Fatalf("the zero Frame built: %v", err)
+	}
+}
+
 // FuzzBinaryCodec exercises both frame decoders on arbitrary input. The
 // parsers must never panic, and any frame that decodes successfully must
-// re-encode canonically: encode(decode(data)) decodes to the same
-// fingerprint and re-encodes to identical bytes.
+// re-encode canonically: encode(decode(data)) decodes to a fingerprint
+// that is the hypergraph's own, re-encodes to identical bytes, and equals
+// the id of the input exactly when the input was the canonical frame.
 func FuzzBinaryCodec(f *testing.F) {
 	for _, h := range binTestGraphs() {
 		f.Add(h.AppendBinary(nil))
 	}
-	d := Delta{Version: DeltaVersion, Base: "hbfp1:seed", WeightIDs: []int32{1}, WeightVals: []int64{3}}
+	d := Delta{Version: DeltaVersion, Base: "hbfp2:seed", WeightIDs: []int32{1}, WeightVals: []int64{3}}
 	f.Add(d.AppendBinary(nil))
 	bomb, _ := wire.Varint.Append(nil, frameWire{NumVertices: MaxWireVertices})
 	f.Add(bomb)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if h, fp, err := DecodeBinary(wire.NewReader(data)); err == nil {
+		r := wire.NewReader(data)
+		if h, fp, err := DecodeBinary(r); err == nil {
 			enc := h.AppendBinary(nil)
 			h2, fp2, err := DecodeBinary(wire.NewReader(enc))
 			if err != nil {
 				t.Fatalf("re-decode failed: %v", err)
 			}
-			if fp2 != fp {
-				t.Fatalf("fingerprint drifted across round trip: %s != %s", fp2, fp)
+			if fp2 != h.Fingerprint() || fp2 != h2.Fingerprint() {
+				t.Fatalf("fingerprint drifted across round trip: %s, %s, %s", fp2, h.Fingerprint(), h2.Fingerprint())
+			}
+			if canonical := bytes.Equal(data[:len(data)-r.Rem()], enc); canonical != (fp == fp2) {
+				t.Fatalf("canonical input %v, but decode id %s vs re-encoded id %s", canonical, fp, fp2)
 			}
 			if !bytes.Equal(h2.AppendBinary(nil), enc) {
 				t.Fatal("encoding not canonical")

@@ -21,9 +21,9 @@
 // allocation-pinned hot path and stays hand-written. The transport never
 // looks inside the payload: the sender writes header, fields and payload
 // into one buffer sized up front, and the receiver hands the tail of the
-// frame body to the typed receive that knows what it holds. Version 5
-// lays out the hypergraph frame inside a phg launch payload with the
-// codec; version 4 dropped the launch body's send window, now a constant;
+// frame body to the typed receive that knows what it holds. Version 6
+// length-prefixes the hypergraph frame inside a phg launch payload;
+// version 5 laid it out with the codec; version 4 dropped the launch body's send window, now a constant;
 // version 3 moved the control bodies onto the codec; version 2 had
 // dropped the per-message type name (and the gob stream behind it) of
 // version 1. An older frame is rejected at its version byte, never
@@ -43,7 +43,7 @@ import (
 
 const (
 	frameMagic   = "HBN"
-	frameVersion = 5
+	frameVersion = 6
 )
 
 // Frame kinds. hello/helloAck establish mesh connections between rank

@@ -4,8 +4,8 @@
 // makes a process able to serve as any rank of that world.
 //
 // A job payload is a self-contained declared struct in the internal/wire
-// codec's Varint layout: the options, then the hypergraph as its own HBW
-// frame, so the coordinator ships the exact problem every rank needs and
+// codec's Varint layout: the options, then the hypergraph as its own
+// length-prefixed HBW frame, so the coordinator ships the exact problem every rank needs and
 // nothing else, and a payload with bytes left over or cut short is
 // refused. The result is the partition vector in the same layout (rank 0
 // only; other ranks return nothing, since every rank computes the
@@ -67,7 +67,11 @@ func partitionPHG(c *mpi.Comm, payload []byte) ([]byte, error) {
 	if err := decode(payload, &in); err != nil {
 		return nil, err
 	}
-	p, err := phg.Partition(c, in.Graph.H, in.Opt)
+	h, err := in.Graph.Build()
+	if err != nil {
+		return nil, fmt.Errorf("jobs: phg payload: %w", err)
+	}
+	p, err := phg.Partition(c, h, in.Opt)
 	if err != nil || c.Rank() != 0 {
 		return nil, err
 	}

@@ -163,10 +163,11 @@ func TestMalformedBinaryFrames(t *testing.T) {
 	// Version 1 laid messages out by hand, version 2's configuration
 	// carried four more fields, version 3 had the only-if-unbalanced flag
 	// and a handoff without the cost account, version 4 wrote the
-	// hypergraph and delta frames by hand, and version 5 handed a session
-	// off with its last result in wire form; their frames are refused,
-	// never mis-decoded as version 6.
-	for v := byte(1); v <= 5; v++ {
+	// hypergraph and delta frames by hand, version 5 handed a session off
+	// with its last result in wire form, and version 6 sent a hypergraph
+	// frame without its length; their frames are refused, never
+	// mis-decoded as version 7.
+	for v := byte(1); v <= 6; v++ {
 		old := append([]byte(nil), valid...)
 		old[3] = v
 		post(fmt.Sprintf("version-%d", v), old)

@@ -217,7 +217,7 @@ func TestDeltaFingerprintMismatch(t *testing.T) {
 
 	// Stale base: the delta's fingerprint gate must fire.
 	stale := *d
-	stale.Base = "hbfp1:0000000000000000000000000000000000000000000000000000000000000000"
+	stale.Base = "hbfp2:0000000000000000000000000000000000000000000000000000000000000000"
 	status, _, fail := patchDelta(t, ts.URL, id, &stale, 1)
 	if status != http.StatusConflict || fail.Code != "fingerprint_mismatch" {
 		t.Fatalf("stale delta: status %d code %q, want 409 fingerprint_mismatch", status, fail.Code)
@@ -320,7 +320,7 @@ func TestConcurrentDeltaEpochs(t *testing.T) {
 		t.Fatal("identity transition not delta-able")
 	}
 	stale := *identity
-	stale.Base = "hbfp1:1111111111111111111111111111111111111111111111111111111111111111"
+	stale.Base = "hbfp2:1111111111111111111111111111111111111111111111111111111111111111"
 
 	const callers, rounds = 4, 3
 	var mu sync.Mutex

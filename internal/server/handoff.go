@@ -32,8 +32,10 @@ import (
 // byte-identically — the effective config, the session's core.Account as
 // it stands (epoch counter, last result, running cost), the latest
 // migration summary, and the base hypergraph the next delta applies
-// against (its fingerprint is recomputed during decode, so it cannot drift
-// in transit). The receiver copies the account in; nothing is rebuilt.
+// against, as its frame (the receiver hashes the bytes it got, so the
+// base's id cannot drift in transit, and builds them at adoption, so a
+// base that does not build is refused there). The receiver copies the
+// account in; nothing else is rebuilt.
 type handoffState struct {
 	ID      string
 	Config  WireConfig
@@ -125,6 +127,10 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", "handoff config: "+err.Error())
 		return
 	}
+	if _, err := st.Base.Build(); err != nil {
+		writeError(w, http.StatusBadRequest, "bad_request", "handoff base: "+err.Error())
+		return
+	}
 	entry := &session{id: st.ID, bal: bal, Account: st.Account, base: st.Base, lastMig: st.Mig}
 	s.clearHandoff(st.ID) // a session may return to a revived replica
 	s.store.add(entry)
@@ -166,7 +172,7 @@ func (s *Server) handoffSession(ctx context.Context, entry *session, self string
 		Base:    entry.base,
 	}
 	entry.mu.Unlock()
-	if st.Base.H == nil {
+	if st.Base.FP == "" {
 		return false // every created session has a base; the zero value has nothing to hand off
 	}
 	frame := appendMsg(nil, st)

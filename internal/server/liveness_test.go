@@ -148,9 +148,9 @@ func TestSolveSharedFollowerCancel(t *testing.T) {
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		_, _, _ = c.do(context.Background(), key, func() (core.Result, error) {
+		_, _, _ = c.do(context.Background(), key, func() (solved, error) {
 			<-block
-			return testResult(0, 1), nil
+			return solved{res: testResult(0, 1)}, nil
 		})
 	}()
 	waitForPending(t, c, key)
@@ -158,9 +158,9 @@ func TestSolveSharedFollowerCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	followerErr := make(chan error, 1)
 	go func() {
-		_, _, err := c.do(ctx, key, func() (core.Result, error) {
+		_, _, err := c.do(ctx, key, func() (solved, error) {
 			t.Error("canceled follower must not run the solve")
-			return core.Result{}, nil
+			return solved{}, nil
 		})
 		followerErr <- err
 	}()
@@ -189,9 +189,9 @@ func TestSolveSharedLeaderErrorRetry(t *testing.T) {
 	block := make(chan struct{})
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, _, err := c.do(context.Background(), key, func() (core.Result, error) {
+		_, _, err := c.do(context.Background(), key, func() (solved, error) {
 			<-block
-			return core.Result{}, errors.New("transient solve failure")
+			return solved{}, errors.New("transient solve failure")
 		})
 		leaderErr <- err
 	}()
@@ -205,11 +205,11 @@ func TestSolveSharedLeaderErrorRetry(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, _, err := c.do(context.Background(), key, func() (core.Result, error) {
+			res, _, err := c.do(context.Background(), key, func() (solved, error) {
 				retrySolves.Add(1)
-				return testResult(1, 0), nil
+				return solved{res: testResult(1, 0)}, nil
 			})
-			followerErrs[i], followerParts[i] = err, res.Partition.Parts
+			followerErrs[i], followerParts[i] = err, res.res.Partition.Parts
 		}(i)
 	}
 	time.Sleep(5 * time.Millisecond) // let both followers reach the wait
@@ -277,7 +277,7 @@ func TestMemoGaugeCountsDoneEntries(t *testing.T) {
 	ctx := context.Background()
 	solve := func(c *resultMemo, key string, err error) {
 		t.Helper()
-		if _, _, got := c.do(ctx, key, func() (core.Result, error) { return testResult(0, 1), err }); got != err {
+		if _, _, got := c.do(ctx, key, func() (solved, error) { return solved{res: testResult(0, 1)}, err }); got != err {
 			t.Fatalf("solve %q: err %v, want %v", key, got, err)
 		}
 	}
@@ -293,18 +293,18 @@ func TestMemoGaugeCountsDoneEntries(t *testing.T) {
 	check("one solve", c1, 1)
 
 	block := make(chan struct{})
-	solved := make(chan struct{})
+	finished := make(chan struct{})
 	go func() {
-		defer close(solved)
-		_, _, _ = c1.do(ctx, "pending", func() (core.Result, error) {
+		defer close(finished)
+		_, _, _ = c1.do(ctx, "pending", func() (solved, error) {
 			<-block
-			return testResult(0, 1), nil
+			return solved{res: testResult(0, 1)}, nil
 		})
 	}()
 	waitForPending(t, c1, "pending")
 	check("pending solve", c1, 1)
 	close(block)
-	<-solved
+	<-finished
 	check("pending solve done", c1, 2)
 
 	solve(c1, "failed", errors.New("transient solve failure"))
@@ -326,8 +326,8 @@ func TestMemoGaugeCountsDoneEntries(t *testing.T) {
 
 // TestHandoffCodecRoundTrip: the drain-handoff frame must reproduce the
 // session state exactly — config, epoch, cost account, last result,
-// migration summary, and a hypergraph whose recomputed fingerprint matches
-// the recorded one.
+// migration summary, and a base whose id, hashed from the bytes received,
+// matches the recorded one and which builds to the same hypergraph.
 func TestHandoffCodecRoundTrip(t *testing.T) {
 	h := testHypergraph(t)
 	bal, err := core.NewBalancer(core.Config{K: 2, Alpha: 25, Seed: 3, Method: core.HypergraphRepart})
@@ -362,8 +362,8 @@ func TestHandoffCodecRoundTrip(t *testing.T) {
 	if got.Mig == nil || got.Mig.Moves != 2 || len(got.Mig.Volume) != 2 {
 		t.Fatalf("migration summary mismatch: %+v", got.Mig)
 	}
-	if got.Base.H.Fingerprint() != h.Fingerprint() {
-		t.Fatal("hypergraph fingerprint changed across the handoff codec")
+	if gh, err := got.Base.Build(); err != nil || gh.Fingerprint() != h.Fingerprint() {
+		t.Fatalf("hypergraph changed across the handoff codec (build: %v)", err)
 	}
 }
 

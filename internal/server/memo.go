@@ -5,7 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
+	"strconv"
 	"sync"
 
 	"hyperbal/internal/core"
@@ -15,12 +15,18 @@ import (
 // resultMemo is the one place a served load-balance result lives between
 // its solve and its install: one entry per cache key, either pending (its
 // leader is solving) or done (a kept result). The key covers everything
-// that determines the result — the hypergraph content fingerprint, the
-// effective configuration, the epoch number (it seeds the partitioner), the
-// previous distribution and, for warm delta epochs, the delta's digest —
-// so every caller with an equal key would compute the byte-identical
-// result. Config.Parallelism is deliberately excluded: results are
-// identical for every parallelism value.
+// that determines the result — the content id of the hypergraph's frame,
+// the effective configuration, the epoch number (it seeds the
+// partitioner), the previous distribution and, for warm delta epochs, the
+// delta's digest — so every caller with an equal key would compute the
+// byte-identical result. Config.Parallelism is deliberately excluded:
+// results are identical for every parallelism value.
+//
+// A key is asked before anything is built: the id hashes the bytes a
+// client sent, and only a leader builds and validates the hypergraph
+// (failing, its entry is dropped). So a kept entry proves its key sound —
+// identical bytes, with the same inherited distribution, were built and
+// solved — and a hit needs no hypergraph at all.
 //
 // A done entry is a hit; a pending entry makes the caller wait for its
 // leader; a missing entry makes the caller the leader. Done entries are
@@ -38,15 +44,23 @@ type resultMemo struct {
 	ll  *list.List // done entries, front = most recently used
 }
 
-// memoEntry is pending until done is closed. A done entry keeps the whole
-// result, provenance (Warm, RepartTime) included, so a hit reports what
-// the leader's solve reported.
+// memoEntry is pending until done is closed.
 type memoEntry struct {
 	key  string
 	done chan struct{}
-	res  core.Result
+	val  solved
 	err  error
 	el   *list.Element // set once the entry is done and kept
+}
+
+// solved is what a done entry keeps: the whole result, provenance (Warm,
+// RepartTime) included, so a hit reports what the leader's solve
+// reported, and the migration summary from the inherited distribution to
+// the result (nil for a create). Both are functions of the key, so a hit
+// installs them as they are and builds nothing.
+type solved struct {
+	res core.Result
+	mig *MigrationSummary
 }
 
 func newResultMemo(max int) *resultMemo {
@@ -60,17 +74,35 @@ func newResultMemo(max int) *resultMemo {
 // hypergraph would, so the two share entries — and "warm:"+delta.Digest()
 // for warm-started delta epochs, whose result additionally depends on the
 // delta's dirty region.
+//
+// The hashed stream is the header
+// "k=%d a=%d eps=%g seed=%d m=%d epoch=%d oldk=%d fp=%s warm=%s;" and then
+// each old part as 4 little-endian bytes, appended into one chunk and
+// hashed a chunk per Write.
 func cacheKey(cfg core.Config, epoch int64, fp string, old partition.Partition, warm string) string {
+	var chunk [1024]byte
+	b := append(chunk[:0], "k="...)
+	b = strconv.AppendInt(b, int64(cfg.K), 10)
+	b = strconv.AppendInt(append(b, " a="...), cfg.Alpha, 10)
+	b = strconv.AppendFloat(append(b, " eps="...), cfg.Imbalance, 'g', -1, 64)
+	b = strconv.AppendInt(append(b, " seed="...), cfg.Seed, 10)
+	b = strconv.AppendInt(append(b, " m="...), int64(cfg.Method), 10)
+	b = strconv.AppendInt(append(b, " epoch="...), epoch, 10)
+	b = strconv.AppendInt(append(b, " oldk="...), int64(old.K), 10)
+	b = append(append(b, " fp="...), fp...)
+	b = append(append(b, " warm="...), warm...)
+	b = append(b, ';')
 	h := sha256.New()
-	fmt.Fprintf(h, "k=%d a=%d eps=%g seed=%d m=%d epoch=%d oldk=%d fp=%s warm=%s;",
-		cfg.K, cfg.Alpha, cfg.Imbalance, cfg.Seed, cfg.Method,
-		epoch, old.K, fp, warm)
-	var buf [4]byte
 	for _, p := range old.Parts {
-		binary.LittleEndian.PutUint32(buf[:], uint32(p))
-		h.Write(buf[:])
+		if len(b)+4 > len(chunk) {
+			h.Write(b)
+			b = chunk[:0]
+		}
+		b = binary.LittleEndian.AppendUint32(b, uint32(p))
 	}
-	return string(h.Sum(nil))
+	h.Write(b)
+	var sum [sha256.Size]byte
+	return string(h.Sum(sum[:0]))
 }
 
 // do returns the result for key and whether it came from a done entry or
@@ -92,10 +124,10 @@ func cacheKey(cfg core.Config, epoch int64, fp string, old partition.Partition, 
 //     hit its kept result. Each round retires
 //     the caller that ran solve (it returns its own result or error), so
 //     the retry cascade is bounded by the concurrent caller count.
-func (c *resultMemo) do(ctx context.Context, key string, solve func() (core.Result, error)) (res core.Result, cached bool, err error) {
+func (c *resultMemo) do(ctx context.Context, key string, solve func() (solved, error)) (val solved, cached bool, err error) {
 	for {
 		if err := ctx.Err(); err != nil {
-			return core.Result{}, true, err
+			return solved{}, true, err
 		}
 		c.mu.Lock()
 		e, ok := c.m[key]
@@ -103,9 +135,9 @@ func (c *resultMemo) do(ctx context.Context, key string, solve func() (core.Resu
 			c.ll.MoveToFront(e.el)
 			c.mu.Unlock()
 			obsCacheHits.Inc()
-			res = e.res
-			res.Partition = res.Partition.Clone()
-			return res, true, nil
+			val = e.val
+			val.res.Partition = val.res.Partition.Clone()
+			return val, true, nil
 		}
 		if c.max > 0 {
 			obsCacheMisses.Inc()
@@ -115,24 +147,24 @@ func (c *resultMemo) do(ctx context.Context, key string, solve func() (core.Resu
 			obsSingleflightShared.Inc()
 			select {
 			case <-ctx.Done():
-				return core.Result{}, true, ctx.Err()
+				return solved{}, true, ctx.Err()
 			case <-e.done:
 			}
 			if e.err != nil {
 				continue // race to become the new leader and retry the solve
 			}
-			res = e.res
-			res.Partition = res.Partition.Clone()
-			return res, true, nil
+			val = e.val
+			val.res.Partition = val.res.Partition.Clone()
+			return val, true, nil
 		}
 		e = &memoEntry{key: key, done: make(chan struct{})}
 		c.m[key] = e
 		c.mu.Unlock()
 
 		obsSingleflightLeaders.Inc()
-		res, err = solve()
-		c.finish(e, res, err)
-		return res, false, err
+		val, err = solve()
+		c.finish(e, val, err)
+		return val, false, err
 	}
 }
 
@@ -140,14 +172,14 @@ func (c *resultMemo) do(ctx context.Context, key string, solve func() (core.Resu
 // dropped, a solved one is kept (with its own partition copy, evicting the
 // least recently used done entry past the bound) or, with no bound,
 // dropped once its waiters have their result.
-func (c *resultMemo) finish(e *memoEntry, res core.Result, err error) {
+func (c *resultMemo) finish(e *memoEntry, val solved, err error) {
 	c.mu.Lock()
-	e.res, e.err = res, err
+	e.val, e.err = val, err
 	switch {
 	case err != nil || c.max <= 0:
 		delete(c.m, e.key)
 	default:
-		e.res.Partition = res.Partition.Clone()
+		e.val.res.Partition = val.res.Partition.Clone()
 		e.el = c.ll.PushFront(e)
 		for c.ll.Len() > c.max {
 			delete(c.m, c.ll.Remove(c.ll.Back()).(*memoEntry).key)

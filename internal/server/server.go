@@ -422,16 +422,25 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// The key names the frame's bytes, so it is asked before anything is
+	// built: a hit installs the kept result, and only a leader builds the
+	// hypergraph.
 	eff := bal.Config()
 	key := cacheKey(eff, 0, req.Graph.FP, partition.Partition{}, "")
-	res, cached, err := s.memo.do(r.Context(), key, func() (core.Result, error) {
+	out, cached, err := s.memo.do(r.Context(), key, func() (solved, error) {
+		h, err := buildFrame(&req.Graph)
+		if err != nil {
+			return solved{}, err
+		}
 		s.faultDelay()
-		return bal.Partition(core.Problem{H: req.Graph.H})
+		res, err := bal.Partition(core.Problem{H: h})
+		return solved{res: res}, err
 	})
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "internal", err.Error())
+		writeSolveError(w, err)
 		return
 	}
+	res := out.res
 	// Every origin takes the same construction path, so a session built
 	// from a cached, shared or freshly solved result is byte-identical.
 	entry := &session{id: id, bal: bal, Account: core.StartAccount(res, eff.Alpha), base: req.Graph}
@@ -444,15 +453,15 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.cfg.Logf("server: session %s created (k=%d method=%s |V|=%d cached=%v)",
-		entry.id, eff.K, eff.Method, req.Graph.H.NumVertices(), cached)
+		entry.id, eff.K, eff.Method, len(res.Partition.Parts), cached)
 	writeSessionResponse(w, r, http.StatusCreated, entry.id, wireResult(0, res, cached))
 }
 
 // submission is one decoded epoch submission, the same whatever route
-// carried it. The epoch's hypergraph arrives whole on POST (Graph, with
-// the fingerprint computed during decode) or as Delta against the
-// session's last accepted hypergraph on PATCH; exactly one of the two is
-// set. Only the PATCH wire has Warm.
+// carried it. The epoch's hypergraph arrives whole on POST (Graph: its
+// frame's bytes and their content id, built only by a memo leader) or as
+// Delta against the session's last accepted hypergraph on PATCH; exactly
+// one of the two is set. Only the PATCH wire has Warm.
 type submission struct {
 	Graph     hypergraph.Frame
 	Delta     *hypergraph.Delta
@@ -476,9 +485,11 @@ func (s *Server) handleDeltaEpoch(w http.ResponseWriter, r *http.Request) {
 
 // serveEpoch is the one epoch pipeline behind both submission routes, which
 // differ only in the request they decode. The stages run in this order:
-// decode, admit, session lock, epoch-conflict check, materialise the
-// hypergraph, settle the inherited assignment, solve through the result
-// memo, install, respond.
+// decode, admit, session lock, epoch-conflict check, apply a delta, settle
+// the inherited assignment, solve through the result memo, install,
+// respond. A full epoch's hypergraph is built only by the memo leader,
+// which also checks it against the inherited assignment; a hit builds
+// nothing.
 func (s *Server) serveEpoch(w http.ResponseWriter, r *http.Request, req submitter) {
 	entry, releaseSess := s.store.acquire(r.PathValue("id"))
 	if entry == nil {
@@ -518,97 +529,152 @@ func (s *Server) serveEpoch(w http.ResponseWriter, r *http.Request, req submitte
 		return
 	}
 
-	h, fp := sub.Graph.H, sub.Graph.FP
+	frame := sub.Graph
+	old := entry.Last.Partition
+	inherited := old
+	if len(sub.Inherited) > 0 {
+		inherited = partition.Partition{Parts: sub.Inherited, K: bal.Config().K}
+	}
+	var baseH *hypergraph.Hypergraph // a warm delta's base, for its dirty region
+	warmKey := ""
+	solveNs := obsEpochColdNs
 	if d := sub.Delta; d != nil {
 		// A base mismatch (the session advanced since the client computed
 		// the delta, or the server lost the base) carries the current base:
 		// the client's hard signal to fall back to a full epoch submission.
-		if entry.base.H == nil || d.Base != entry.base.FP {
+		// A base kept as its frame's bytes (a full epoch that hit the memo,
+		// or an adopted one) is built here, once. One that does not build
+		// (the frame budget refuses some valid hypergraphs, and a hit
+		// skips that check) is a lost base too.
+		var base *hypergraph.Hypergraph
+		var buildErr error
+		if entry.base.FP != "" && d.Base == entry.base.FP {
+			base, buildErr = entry.base.Build()
+		}
+		if base == nil {
+			why := fmt.Sprintf("delta base %s does not match session base %s", d.Base, entry.base.FP)
+			if buildErr != nil {
+				why = "session base does not build: " + buildErr.Error()
+			}
 			writeJSON(w, http.StatusConflict, ErrorResponse{
-				Error: fmt.Sprintf("delta base %s does not match session base %s; resubmit a full epoch", d.Base, entry.base.FP),
+				Error: why + "; resubmit a full epoch",
 				Code:  "fingerprint_mismatch",
 				Epoch: epoch,
 				Base:  entry.base.FP,
 			})
 			return
 		}
-		var err error
-		if h, err = d.ApplyFrame(entry.base); err != nil {
+		h, err := d.ApplyFrame(entry.base)
+		if err != nil {
 			writeError(w, http.StatusBadRequest, "bad_request", "delta: "+err.Error())
 			return
 		}
-		fp = h.Fingerprint()
-	}
-
-	old := entry.Last.Partition
-	structural := h.NumVertices() != len(old.Parts)
-	inherited := old
-	switch {
-	case len(sub.Inherited) > 0:
-		inherited = partition.Partition{Parts: sub.Inherited, K: bal.Config().K}
-		if err := checkInherited(inherited, h.NumVertices()); err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", err.Error())
-			return
+		frame = hypergraph.Frame{H: h, FP: h.Fingerprint()}
+		if len(sub.Inherited) == 0 && h.NumVertices() != len(old.Parts) {
+			// Derive the inherited assignment from the delta's vertex map:
+			// mapped vertices keep their parts; new vertices go to the
+			// currently lightest part (deterministic: ties break low).
+			inherited = deriveInherited(h, old, d, bal.Config().K)
 		}
-	case structural && sub.Delta != nil:
-		// Derive the inherited assignment from the delta's vertex map:
-		// mapped vertices keep their parts; new vertices go to the
-		// currently lightest part (deterministic: ties break low).
-		inherited = deriveInherited(h, old, sub.Delta, bal.Config().K)
-	case structural:
-		writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf(
-			"vertex set changed (%d -> %d); submit `inherited` with one part per new vertex",
-			len(old.Parts), h.NumVertices()))
-		return
-	}
-
-	var dirty []bool
-	warmKey := ""
-	solveNs := obsEpochColdNs
-	if sub.Warm {
-		dirty = sub.Delta.DirtyVertices(entry.base.H, h)
-		warmKey = "warm:" + sub.Delta.Digest()
-		solveNs = obsEpochWarmNs
+		if sub.Warm {
+			baseH = base
+			warmKey = "warm:" + d.Digest()
+			solveNs = obsEpochWarmNs
+		}
 	}
 
 	// The solve reads only what the key pins, so any caller with the same
 	// key computes the same result; it leaves the session alone.
 	next := epoch + 1
-	key := cacheKey(bal.Config(), next, fp, inherited, warmKey)
-	res, cached, err := s.memo.do(r.Context(), key, func() (core.Result, error) {
+	key := cacheKey(bal.Config(), next, frame.FP, inherited, warmKey)
+	out, cached, err := s.memo.do(r.Context(), key, func() (solved, error) {
+		h, err := buildFrame(&frame)
+		if err != nil {
+			return solved{}, err
+		}
+		if err := checkInherited(inherited, h.NumVertices(), len(sub.Inherited) > 0); err != nil {
+			return solved{}, err
+		}
+		var dirty []bool
+		if sub.Warm {
+			dirty = sub.Delta.DirtyVertices(baseH, h)
+		}
 		s.faultDelay()
 		start := time.Now()
 		var res core.Result
-		var err error
 		if sub.Warm {
 			res, err = bal.RepartitionWarm(core.Problem{H: h}, inherited, next, dirty)
 		} else {
 			res, err = bal.Repartition(core.Problem{H: h}, inherited, next)
 		}
-		if err == nil {
-			solveNs.ObserveSince(start)
+		if err != nil {
+			return solved{}, err
 		}
-		return res, err
+		solveNs.ObserveSince(start)
+		return solved{res, migrationSummary(h, inherited, res.Partition)}, nil
 	})
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "internal", err.Error())
+		writeSolveError(w, err)
 		return
 	}
 	if sub.Delta != nil {
 		obsDeltaEpochs.Inc()
 	}
-	entry.install(res, hypergraph.Frame{H: h, FP: fp}, migrationSummary(h, inherited, res.Partition))
-	writeSessionResponse(w, r, http.StatusOK, entry.id, wireResult(entry.Epoch, res, cached))
+	entry.install(out.res, frame, out.mig)
+	writeSessionResponse(w, r, http.StatusOK, entry.id, wireResult(entry.Epoch, out.res, cached))
 }
 
-// checkInherited validates a submitted inherited assignment: one part in
-// [0, k) for each of the epoch hypergraph's n vertices.
-func checkInherited(inherited partition.Partition, n int) error {
-	if len(inherited.Parts) != n {
-		return fmt.Errorf("inherited covers %d vertices, the epoch's hypergraph has %d", len(inherited.Parts), n)
+// badRequest is a memo leader's refusal of what the client sent: a frame
+// that does not build, or an inherited assignment that does not fit the
+// hypergraph. It answers 400; any other solve error answers 500.
+type badRequest struct{ msg string }
+
+func (e badRequest) Error() string { return e.msg }
+
+func writeSolveError(w http.ResponseWriter, err error) {
+	var bad badRequest
+	if errors.As(err, &bad) {
+		writeError(w, http.StatusBadRequest, "bad_request", bad.msg)
+		return
+	}
+	writeError(w, http.StatusInternalServerError, "internal", err.Error())
+}
+
+// buildFrame returns a submitted frame's hypergraph for a memo leader,
+// building it from the frame's bytes on first use. The build is the
+// decode work the request's decode deferred (it only hashed the bytes),
+// so it is timed as server_codec_ns{op="binary_decode"}; a frame that does
+// not build is a badRequest.
+func buildFrame(f *hypergraph.Frame) (*hypergraph.Hypergraph, error) {
+	if f.H != nil {
+		return f.H, nil
+	}
+	start := time.Now()
+	h, err := f.Build()
+	obsCodecNs.With("binary_decode").ObserveSince(start)
+	if err != nil {
+		return nil, badRequest{"binary: " + err.Error()}
+	}
+	return h, nil
+}
+
+// checkInherited checks, for the memo leader, that the inherited
+// assignment fits the epoch hypergraph's n vertices: a submitted one needs
+// one part in [0, k) per vertex, and without one the vertex set must not
+// have changed.
+func checkInherited(inherited partition.Partition, n int, submitted bool) error {
+	switch {
+	case !submitted && len(inherited.Parts) != n:
+		return badRequest{fmt.Sprintf(
+			"vertex set changed (%d -> %d); submit `inherited` with one part per new vertex",
+			len(inherited.Parts), n)}
+	case !submitted:
+		return nil
+	case len(inherited.Parts) != n:
+		return badRequest{fmt.Sprintf("inherited covers %d vertices, the epoch's hypergraph has %d", len(inherited.Parts), n)}
 	}
 	if err := inherited.Validate(); err != nil {
-		return fmt.Errorf("inherited: %w", err)
+		return badRequest{"inherited: " + err.Error()}
 	}
 	return nil
 }

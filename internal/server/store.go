@@ -27,9 +27,10 @@ type session struct {
 	// current distribution.
 	core.Account
 	lastMig *MigrationSummary
-	// base is the last accepted epoch hypergraph with its fingerprint —
-	// the base the next delta submission applies against, never hashed
-	// again.
+	// base is the last accepted epoch hypergraph with its content id — the
+	// base the next delta submission applies against, never hashed again.
+	// A full epoch that hit the memo keeps it as its frame's bytes, built
+	// (once) only when a delta or a handoff adoption needs it.
 	base hypergraph.Frame
 
 	lastAccess atomic.Int64 // unix nanos, for TTL eviction

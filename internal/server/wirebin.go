@@ -12,7 +12,8 @@ import (
 // the internal/wire codec with Varint integers: zigzag/uvarint integers,
 // 8-byte floats, count-prefixed strings and slices, a presence byte before
 // an optional struct, and hypergraphs and deltas as their own HBW frames
-// (hypergraph.Frame and hypergraph.Delta fields). Each message's validate
+// (hypergraph.Frame fields length-prefixed, hypergraph.Delta fields as
+// they are). Each message's validate
 // holds the bounds the codec cannot express. It is the only request codec:
 // create, epoch and delta bodies must carry Content-Type
 // application/x-hyperbal (anything else is 415). Responses are binary when
@@ -24,10 +25,11 @@ import (
 // ContentTypeBinary is the media type of the binary wire protocol.
 const ContentTypeBinary = "application/x-hyperbal"
 
-// wireVersion is the fourth header byte. Version 6 hands a session off as
-// its core.Account; DESIGN.md §12.1 lists what every version changed. A
-// frame of any other version is refused like any malformed one.
-const wireVersion = 6
+// wireVersion is the fourth header byte. Version 7 carries each
+// hypergraph as its length-prefixed frame, whose SHA-256 is its content id
+// (hbfp2); DESIGN.md §12.1 lists what every version changed. A frame of
+// any other version is refused like any malformed one.
+const wireVersion = 7
 
 // Message types (fifth header byte).
 const (

@@ -55,8 +55,8 @@ func seedMessages() []message {
 }
 
 // TestMessageRoundTrip: every message type survives the codec field for
-// field, and a decoded hypergraph arrives with the fingerprint computed
-// while decoding.
+// field, and a decoded hypergraph arrives as its bytes' id, unbuilt, and
+// builds to a hypergraph of that fingerprint.
 func TestMessageRoundTrip(t *testing.T) {
 	for _, m := range seedMessages() {
 		got := messages()[m.wireType()]
@@ -68,8 +68,11 @@ func TestMessageRoundTrip(t *testing.T) {
 		for i := 0; i < want.NumField(); i++ {
 			if f, ok := want.Field(i).Interface().(hypergraph.Frame); ok {
 				g := gotv.Field(i).Interface().(hypergraph.Frame)
-				if g.FP != f.H.Fingerprint() || g.H.Fingerprint() != g.FP {
-					t.Errorf("%T: hypergraph arrived with fingerprint %q, want %q", m, g.FP, f.H.Fingerprint())
+				if g.FP != f.H.Fingerprint() || g.H != nil {
+					t.Errorf("%T: hypergraph arrived with id %q (built %v), want %q and nothing built", m, g.FP, g.H != nil, f.H.Fingerprint())
+				}
+				if gh, err := g.Build(); err != nil || gh.Fingerprint() != g.FP {
+					t.Errorf("%T: the arrived hypergraph does not build to its id (%v)", m, err)
 				}
 				continue
 			}
@@ -98,13 +101,13 @@ func TestMessageTypeBytes(t *testing.T) {
 		typ    byte
 		sha256 string
 	}{
-		"createRequest":     {1, "b7f977e8da435430ef52f101d8791828fabf84ecce2c0d74fb5bf32de68552d1"},
-		"epochRequest":      {2, "a1d686e663ea3282eef56b74290a98219d1a74a6aa8554f8ef0ba7cf488968dd"},
-		"deltaRequest":      {3, "6c5d40bc5b31f392acea44e555d65c50198033569dce49e7563bc4baab946bef"},
-		"SessionResponse":   {4, "68fbb1d24cfae1035046b485f2db1ccc78a2a92cf33d15f98efedd18d817b79d"},
-		"PartitionResponse": {5, "dfb09d34af9ef5644051984392396c3dc52889b16fb01dfef5ad190ab930cd53"},
-		"SessionInfo":       {6, "88963be76069be2bdde33d3677435646c1d493e7fea98218ed4244f03ea29ac8"},
-		"handoffState":      {8, "11c13f8a02bfab83598aaa4f727bc400c0412e2a9de8d76045224df0acce5c16"},
+		"createRequest":     {1, "cc90713ba0b480b5dca11a5d12b060b6917b7a24d43e2a745785a4f8168cc9e0"},
+		"epochRequest":      {2, "1304aa31e745c0240c21a67d959517e935079c2948080c496c87579881872bf7"},
+		"deltaRequest":      {3, "c574346fc0d2d9b590d5f992330be66492db90ec82e2aa11931a8b2c8c25f389"},
+		"SessionResponse":   {4, "a25e313dda05f3529ef8d07b99261b57c0dad149afa978e4a545a5bb15bd34eb"},
+		"PartitionResponse": {5, "f898efc36b426c614076161a873e33670f803f1c4a1f1c03659fce30abf6d1a0"},
+		"SessionInfo":       {6, "a5a1a70e1c404538cb5ef27bdebe3c5eab255db9cf6a0a71b297ad195bb84afc"},
+		"handoffState":      {8, "b3e8d41d5596dbec45b9453269c9c41a7e2c6f287e5ec374f514448fad14eaf9"},
 	}
 	seeds := seedMessages()
 	if len(seeds) != len(want) {

@@ -522,6 +522,21 @@ func (ints Ints) Append(b []byte, v any) ([]byte, error) {
 	return p.append(b, val, ints), nil
 }
 
+// AppendPointee appends *v, v a non-nil pointer, exactly as Append(b, *v)
+// would, but encodes *v where it lies instead of through a copy: a caller
+// that keeps the value in reused memory encodes it without allocating.
+func (ints Ints) AppendPointee(b []byte, v any) ([]byte, error) {
+	val := reflect.ValueOf(v)
+	if val.Kind() != reflect.Pointer || val.IsNil() {
+		return b, fmt.Errorf("wire: AppendPointee needs a non-nil pointer, not %T", v)
+	}
+	p, err := planOf(val.Type().Elem())
+	if err != nil {
+		return b, err
+	}
+	return p.append(b, val.Elem(), ints), nil
+}
+
 // Read decodes one value from r into the value into points to, leaving
 // what follows it unread.
 func (ints Ints) Read(r *Reader, into any) error {

@@ -70,6 +70,9 @@ func roundTrip[T any](t *testing.T, ints Ints, v T) T {
 	if err != nil {
 		t.Fatalf("Append(%#v): %v", v, err)
 	}
+	if in, err := ints.AppendPointee(nil, &v); err != nil || !bytes.Equal(in, enc) {
+		t.Fatalf("AppendPointee(&%#v) = %v, %v; Append gave %v", v, in, err, enc)
+	}
 	if ints == Fixed {
 		p, err := Prepare(v)
 		if err != nil || len(enc) != p.Size() || !bytes.Equal(p.AppendTo(nil), enc) {
@@ -299,6 +302,11 @@ func TestPayloadClosedSet(t *testing.T) {
 			if err := ints.Decode([]byte{0}, reflect.New(typ).Interface()); err == nil {
 				t.Errorf("Decode accepted %v", typ)
 			}
+		}
+	}
+	for _, v := range []any{int32(1), (*int32)(nil), nil} {
+		if _, err := Varint.AppendPointee(nil, v); err == nil {
+			t.Errorf("AppendPointee accepted %#v, which is no non-nil pointer", v)
 		}
 	}
 }
