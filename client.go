@@ -38,9 +38,6 @@ import (
 // of the pipeline.
 var (
 	obsClientRetries = obs.Default().Counter("client_retries_total")
-	// 307 + X-Hyperbal-Owner answers followed to a session's new replica
-	// (the serving tier handed the session off during a drain).
-	obsClientOwnerHops = obs.Default().Counter("client_owner_redirects_total")
 	// Request-body bytes per operation: the "epoch" vs "delta" split is the
 	// wire-savings measurement the delta-drift benchmark reports.
 	obsClientBytesSent = obs.Default().CounterVec("client_bytes_sent_total", "op")
@@ -181,39 +178,13 @@ func backoffDelay(attempt int, base, max time.Duration, u float64) time.Duration
 
 // do performs one API call with the retry/backoff policy. body is a
 // pre-rendered binary request frame (nil for GET/DELETE); a nil out skips
-// decoding. owner, when non-nil, is the session's redirect override:
-// 307 + X-Hyperbal-Owner answers update it and the call is re-issued at
-// the new owner; a transport error at an owner falls back to the primary
-// base URL.
-func (c *Client) do(ctx context.Context, op, method, path string, body []byte, out any, owner *string) error {
+// decoding.
+func (c *Client) do(ctx context.Context, op, method, path string, body []byte, out any) error {
 	if body != nil {
 		obsClientBytesSent.With(op).Add(int64(len(body)))
 	}
-	hops := 0
-	for attempt := 0; ; {
-		base := c.base
-		if owner != nil && *owner != "" {
-			base = *owner
-		}
-		status, moved, err := c.attempt(ctx, base, method, path, body, out)
-		if moved != "" {
-			if owner == nil {
-				// No redirect override to update (a create has no session to
-				// chase): out was never decoded, so falling through to success
-				// would hand the caller a zero-valued response.
-				return &APIError{Status: status, Code: "moved",
-					Msg: "unexpected owner redirect to " + moved}
-			}
-			// The replica handed the session off; chase the new owner
-			// without consuming a retry or backing off.
-			hops++
-			if hops > 4 {
-				return &APIError{Status: status, Code: "moved", Msg: "redirect loop chasing session owner"}
-			}
-			obsClientOwnerHops.Inc()
-			*owner = strings.TrimRight(moved, "/")
-			continue
-		}
+	for attempt := 0; ; attempt++ {
+		err := c.attempt(ctx, method, path, body, out)
 		if err == nil {
 			return nil
 		}
@@ -221,12 +192,6 @@ func (c *Client) do(ctx context.Context, op, method, path string, body []byte, o
 			return nr.err
 		}
 		// Transport error or retryable API status.
-		if status == 0 && owner != nil && *owner != "" {
-			// The handed-off owner is unreachable (it may have finished
-			// shutting down); fall back to the primary base, which can
-			// answer or re-redirect.
-			*owner = ""
-		}
 		if attempt >= c.opt.MaxRetries {
 			return err
 		}
@@ -236,24 +201,22 @@ func (c *Client) do(ctx context.Context, op, method, path string, body []byte, o
 			return ctx.Err()
 		case <-time.After(backoffDelay(attempt, c.opt.Backoff, c.opt.MaxBackoff, rand.Float64())):
 		}
-		attempt++
 	}
 }
 
-// attempt performs one HTTP round trip against base. Retryable failures
-// come back as a non-nil error; non-retryable API errors are decoded into
-// *APIError and returned with err == nil so do() stops retrying. moved
-// carries the X-Hyperbal-Owner target of a 307 handoff redirect.
-func (c *Client) attempt(ctx context.Context, base, method, path string, body []byte, out any) (status int, moved string, err error) {
+// attempt performs one HTTP round trip. Retryable failures come back as a
+// plain error; non-retryable API errors as an errNonRetryable wrapping
+// the *APIError, so do() stops retrying.
+func (c *Client) attempt(ctx context.Context, method, path string, body []byte, out any) error {
 	actx, cancel := context.WithTimeout(ctx, c.opt.RequestTimeout)
 	defer cancel()
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(actx, method, base+path, rd)
+	req, err := http.NewRequestWithContext(actx, method, c.base+path, rd)
 	if err != nil {
-		return 0, "", err
+		return err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", server.ContentTypeBinary)
@@ -261,15 +224,9 @@ func (c *Client) attempt(ctx context.Context, base, method, path string, body []
 	req.Header.Set("Accept", server.ContentTypeBinary)
 	resp, err := c.opt.HTTPClient.Do(req)
 	if err != nil {
-		return 0, "", err // transport error: retry
+		return err // transport error: retry
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusTemporaryRedirect {
-		if o := resp.Header.Get(server.OwnerHeader); o != "" {
-			_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<12))
-			return resp.StatusCode, o, nil
-		}
-	}
 	if resp.StatusCode >= 300 {
 		var apiErr server.ErrorResponse
 		data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
@@ -279,20 +236,20 @@ func (c *Client) attempt(ctx context.Context, base, method, path string, body []
 		}
 		e := &APIError{Status: resp.StatusCode, Code: apiErr.Code, Msg: apiErr.Error}
 		if retryable(resp.StatusCode) {
-			return resp.StatusCode, "", e // plain error: do() retries
+			return e // plain error: do() retries
 		}
-		return resp.StatusCode, "", errNonRetryable{e}
+		return errNonRetryable{e}
 	}
 	if out != nil {
 		data, err := io.ReadAll(resp.Body)
 		if err != nil {
-			return resp.StatusCode, "", fmt.Errorf("balancerd: reading response: %w", err)
+			return fmt.Errorf("balancerd: reading response: %w", err)
 		}
 		if err := decodeResponse(resp.Header.Get("Content-Type"), data, out); err != nil {
-			return resp.StatusCode, "", fmt.Errorf("balancerd: decoding response: %w", err)
+			return fmt.Errorf("balancerd: decoding response: %w", err)
 		}
 	}
-	return resp.StatusCode, "", nil
+	return nil
 }
 
 // decodeResponse decodes a binary success payload; any other Content-Type
@@ -317,10 +274,6 @@ func (e errNonRetryable) Error() string { return e.err.Error() }
 type RemoteSession struct {
 	c  *Client
 	ID string
-	// owner, when non-empty, is the base URL of the replica this session
-	// was handed off to (learned from a 307 + X-Hyperbal-Owner answer);
-	// requests go there until it becomes unreachable.
-	owner string
 	// epoch mirrors the server-side epoch for conflict-checked submissions.
 	epoch int64
 	// baseH is the last hypergraph this client successfully submitted —
@@ -335,7 +288,7 @@ type RemoteSession struct {
 func (c *Client) CreateSession(ctx context.Context, cfg BalancerConfig, h *Hypergraph) (*RemoteSession, RemoteResult, error) {
 	body := server.AppendCreateRequestBinary(nil, server.WireConfigFrom(cfg), h)
 	var resp server.SessionResponse
-	if err := c.do(ctx, "create", http.MethodPost, "/v1/sessions", body, &resp, nil); err != nil {
+	if err := c.do(ctx, "create", http.MethodPost, "/v1/sessions", body, &resp); err != nil {
 		return nil, RemoteResult{}, err
 	}
 	return &RemoteSession{c: c, ID: resp.SessionID, baseH: h}, remoteResult(resp.Result), nil
@@ -346,7 +299,7 @@ func (c *Client) CreateSession(ctx context.Context, cfg BalancerConfig, h *Hyper
 func (c *Client) Session(ctx context.Context, id string) (*RemoteSession, error) {
 	s := &RemoteSession{c: c, ID: id}
 	var info server.SessionInfo
-	if err := c.do(ctx, "info", http.MethodGet, "/v1/sessions/"+id, nil, &info, &s.owner); err != nil {
+	if err := c.do(ctx, "info", http.MethodGet, "/v1/sessions/"+id, nil, &info); err != nil {
 		return nil, err
 	}
 	s.epoch = info.Epoch
@@ -425,7 +378,7 @@ func (s *RemoteSession) submitDelta(ctx context.Context, h *Hypergraph, d *hyper
 // the answer: h becomes the base once the server has accepted it.
 func (s *RemoteSession) send(ctx context.Context, op, method string, body []byte, epoch int64, h *Hypergraph) (RemoteResult, error) {
 	var resp server.SessionResponse
-	err := s.c.do(ctx, op, method, "/v1/sessions/"+s.ID+"/epochs", body, &resp, &s.owner)
+	err := s.c.do(ctx, op, method, "/v1/sessions/"+s.ID+"/epochs", body, &resp)
 	if err != nil {
 		var apiErr *APIError
 		if errors.As(err, &apiErr) && apiErr.Code == "epoch_conflict" {
@@ -449,7 +402,7 @@ func (s *RemoteSession) send(ctx context.Context, op, method string, body []byte
 // the expected epoch, its last result IS our submission's result.
 func (s *RemoteSession) reconcile(ctx context.Context, expected int64) (RemoteResult, error) {
 	var info server.SessionInfo
-	if err := s.c.do(ctx, "info", http.MethodGet, "/v1/sessions/"+s.ID, nil, &info, &s.owner); err != nil {
+	if err := s.c.do(ctx, "info", http.MethodGet, "/v1/sessions/"+s.ID, nil, &info); err != nil {
 		return RemoteResult{}, err
 	}
 	if expected == 0 || info.Epoch != expected {
@@ -467,7 +420,7 @@ func (s *RemoteSession) Epoch() int64 { return s.epoch }
 // plan summary of the latest epoch (nil before the first rebalance).
 func (s *RemoteSession) Partition(ctx context.Context) (Partition, *RemoteMigration, error) {
 	var resp server.PartitionResponse
-	if err := s.c.do(ctx, "partition", http.MethodGet, "/v1/sessions/"+s.ID+"/partition", nil, &resp, &s.owner); err != nil {
+	if err := s.c.do(ctx, "partition", http.MethodGet, "/v1/sessions/"+s.ID+"/partition", nil, &resp); err != nil {
 		return Partition{}, nil, err
 	}
 	return Partition{Parts: resp.Parts, K: resp.K}, resp.Migration, nil
@@ -475,5 +428,5 @@ func (s *RemoteSession) Partition(ctx context.Context) (Partition, *RemoteMigrat
 
 // Close deletes the server-side session.
 func (s *RemoteSession) Close(ctx context.Context) error {
-	return s.c.do(ctx, "delete", http.MethodDelete, "/v1/sessions/"+s.ID, nil, nil, &s.owner)
+	return s.c.do(ctx, "delete", http.MethodDelete, "/v1/sessions/"+s.ID, nil, nil)
 }

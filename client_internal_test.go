@@ -7,15 +7,8 @@ package hyperbal
 // while decorrelating the herd.
 
 import (
-	"context"
-	"errors"
-	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
-
-	"hyperbal/internal/hypergraph"
-	"hyperbal/internal/server"
 )
 
 func TestBackoffDelayFullJitter(t *testing.T) {
@@ -58,31 +51,6 @@ func TestBackoffDelayCap(t *testing.T) {
 		if d := backoffDelay(attempt, base, max, 0.999); d < max/2 {
 			t.Fatalf("attempt %d: delay %s for u=0.999 — jitter window collapsed", attempt, d)
 		}
-	}
-}
-
-// TestOwnerRedirectWithoutSessionErrors: a 307 + X-Hyperbal-Owner answer
-// on a call that has no session to chase (CreateSession passes a nil owner
-// override) must surface as an error. Pre-fix the moved branch was skipped
-// and do() fell through to success with the response never decoded — the
-// caller got a zero-valued SessionResponse (empty session id).
-func TestOwnerRedirectWithoutSessionErrors(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(server.OwnerHeader, "http://elsewhere.invalid")
-		w.WriteHeader(http.StatusTemporaryRedirect)
-	}))
-	defer ts.Close()
-
-	c := NewClient(ts.URL, ClientOptions{MaxRetries: 1, Backoff: time.Millisecond})
-	b := hypergraph.NewBuilder(2)
-	b.AddNet(1, 0, 1)
-	sess, _, err := c.CreateSession(context.Background(), BalancerConfig{K: 2, Alpha: 10}, b.Build())
-	if err == nil {
-		t.Fatalf("create against a redirecting server reported success (session %+v)", sess)
-	}
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) || apiErr.Code != "moved" {
-		t.Fatalf("create error = %v, want a non-retryable APIError with code \"moved\"", err)
 	}
 }
 

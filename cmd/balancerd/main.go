@@ -77,15 +77,14 @@ func main() {
 		SessionTTL:   *ttl,
 		CacheEntries: *cache,
 		MaxBodyBytes: *maxBody,
-		Self:         *self,
-		Peers:        splitURLs(*peers),
 		Logf:         logger.Printf,
-	}
-	if cfg.Self != "" && len(cfg.Peers) > 0 {
-		logger.Printf("replica set: self=%s peers=%v", cfg.Self, cfg.Peers)
 	}
 	srv := server.New(cfg)
 	defer srv.Close()
+	if peers := splitURLs(*peers); *self != "" && len(peers) > 0 {
+		logger.Printf("replica set: self=%s peers=%v", *self, peers)
+		srv.SetPeering(*self, peers)
+	}
 
 	if *metricsAddr != "" {
 		bound, shutdown, err := obs.Serve(*metricsAddr, obs.Default())

@@ -40,7 +40,7 @@ func main() {
 		seed    = flag.Int64("seed", 1, "random seed")
 		warm    = flag.Bool("warm", false, "repartition each epoch via the delta/warm-start path (hypergraph repartitioning only; others run normally)")
 
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (Prometheus text, ?format=json) and /debug/pprof on this address")
+		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (Prometheus text), /metrics.json and /debug/pprof on this address")
 		metricsJSON = flag.String("metrics-json", "", `write a JSON metrics snapshot to this file on exit ("-" = stdout)`)
 	)
 	flag.Parse()

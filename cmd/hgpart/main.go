@@ -54,7 +54,7 @@ func main() {
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (Prometheus text, ?format=json) and /debug/pprof on this address")
+		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (Prometheus text), /metrics.json and /debug/pprof on this address")
 		metricsJSON = flag.String("metrics-json", "", `write a JSON metrics snapshot to this file on exit ("-" = stdout)`)
 
 		worker     = flag.String("worker", "", "serve as a compute worker (mpinet rank endpoint) on this address instead of partitioning")

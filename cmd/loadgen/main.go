@@ -30,8 +30,8 @@
 // the gateway) and SIGTERMs the balancerd replica with pid -kill-pid after
 // -kill-after: the replica drains, hands its sessions to a ring successor,
 // and the pass must finish with zero dropped epochs, a delivered SIGTERM,
-// and at least one gateway retarget, client owner redirect or client retry
-// (without one, no op saw the handoff and the drill proved nothing).
+// and at least one gateway retarget or client retry (without one, no op
+// saw the handoff and the drill proved nothing).
 // -think paces each session between epochs so the run spans the kill.
 //
 // By default every session runs the identical workload (same seed), which
@@ -290,12 +290,11 @@ func runLoad(rc loadRun) bool {
 			fail("replica-kill: SIGTERM pid %d not delivered: %v", rc.killPid, err)
 		}
 		retargets := counterDiff(before, snap, "gateway_retargets_total")
-		redirects, retries := localCounter("client_owner_redirects_total"), localCounter("client_retries_total")
-		fmt.Printf("  replica kill     %d gateway retargets, %d client owner redirects, %d client retries\n",
-			retargets, redirects, retries)
-		if retargets == 0 && redirects == 0 && retries == 0 {
+		retries := localCounter("client_retries_total")
+		fmt.Printf("  replica kill     %d gateway retargets, %d client retries\n", retargets, retries)
+		if retargets == 0 && retries == 0 {
 			// No op noticed the replica leave: the run proved no handoff.
-			fail("replica-kill: no gateway retarget, owner redirect or client retry; the drain handed off no session this run touched")
+			fail("replica-kill: no gateway retarget or client retry; the drain handed off no session this run touched")
 		}
 	}
 	if rc.checkSchema != "" {

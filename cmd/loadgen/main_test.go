@@ -140,7 +140,7 @@ func TestRunLoadFailsOnServerError(t *testing.T) {
 // TestReplicaKillNeedsDeliveredSignal: every op served is not enough for
 // the replica-kill drill; a SIGTERM that never reached the replica (pid
 // gone, or the run over before -kill-after) fails the pass, and so does a
-// delivered one that no op noticed (no retarget, redirect or retry).
+// delivered one that no op noticed (no retarget or retry).
 func TestReplicaKillNeedsDeliveredSignal(t *testing.T) {
 	srv := server.New(server.Config{})
 	defer srv.Close()

@@ -46,7 +46,7 @@ func main() {
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 
-		metricsAddr   = flag.String("metrics-addr", "", "serve /metrics (Prometheus text, ?format=json) and /debug/pprof on this address (e.g. :9090)")
+		metricsAddr   = flag.String("metrics-addr", "", "serve /metrics (Prometheus text), /metrics.json and /debug/pprof on this address (e.g. :9090)")
 		metricsJSON   = flag.String("metrics-json", "", `write a JSON metrics snapshot to this file on exit ("-" = stdout)`)
 		metricsSchema = flag.String("metrics-schema", "", "validate the exit metrics snapshot against this schema file (CI golden check)")
 	)

@@ -21,13 +21,9 @@
 // allocation-pinned hot path and stays hand-written. The transport never
 // looks inside the payload: the sender writes header, fields and payload
 // into one buffer sized up front, and the receiver hands the tail of the
-// frame body to the typed receive that knows what it holds. Version 6
-// length-prefixes the hypergraph frame inside a phg launch payload;
-// version 5 laid it out with the codec; version 4 dropped the launch body's send window, now a constant;
-// version 3 moved the control bodies onto the codec; version 2 had
-// dropped the per-message type name (and the gob stream behind it) of
-// version 1. An older frame is rejected at its version byte, never
-// mis-decoded.
+// frame body to the typed receive that knows what it holds. A frame of
+// an older version is rejected at its version byte, never mis-decoded
+// (DESIGN §14.2 keeps the version history).
 package mpinet
 
 import (

@@ -9,29 +9,24 @@ import (
 	"time"
 )
 
-// Handler serves the registry: Prometheus text at the mount point, JSON
-// when the request has ?format=json.
-func Handler(r *Registry) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.URL.Query().Get("format") == "json" {
-			w.Header().Set("Content-Type", "application/json")
-			_ = r.WriteJSON(w)
-			return
-		}
+// Mount serves r on mux: Prometheus text at GET /metrics, the JSON
+// snapshot at GET /metrics.json.
+func Mount(mux *http.ServeMux, r *Registry) {
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		r.WritePrometheus(w)
 	})
-}
-
-// NewMux returns the debug mux: /metrics (Prometheus text, ?format=json
-// for JSON), /metrics.json, and the /debug/pprof endpoints.
-func NewMux(r *Registry) *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", Handler(r))
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, req *http.Request) {
+	mux.HandleFunc("GET /metrics.json", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		_ = r.WriteJSON(w)
 	})
+}
+
+// NewMux returns the debug mux: the registry (Mount) and the /debug/pprof
+// endpoints.
+func NewMux(r *Registry) *http.ServeMux {
+	mux := http.NewServeMux()
+	Mount(mux, r)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -241,8 +241,8 @@ func TestHandlerAndServe(t *testing.T) {
 	if out := get("/metrics.json"); !strings.Contains(out, `"http_total": 42`) {
 		t.Fatalf("/metrics.json missing counter:\n%s", out)
 	}
-	if out := get("/metrics?format=json"); !strings.Contains(out, `"http_total": 42`) {
-		t.Fatalf("/metrics?format=json missing counter:\n%s", out)
+	if out := get("/metrics?format=json"); !strings.Contains(out, "http_total 42") {
+		t.Fatalf("/metrics?format=json is not the Prometheus text; /metrics.json is the one JSON spelling:\n%s", out)
 	}
 	if out := get("/debug/pprof/cmdline"); out == "" {
 		t.Fatal("pprof cmdline empty")

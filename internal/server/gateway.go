@@ -16,10 +16,10 @@ package server
 //     that are down. A transport error marks the replica down and moves
 //     on, which is exactly where drain-time handoff moved the session, so
 //     a rolling restart is invisible to clients beyond one retargeted
-//     request. A 404 moves on too: a replica back from a restart no longer
-//     holds the sessions it handed off, so those pay one 404 hop.
-//   - 307 + X-Hyperbal-Owner answers (a drained replica's forwarding
-//     tombstone) are followed transparently.
+//     request. A 404 moves on too: a draining replica keeps no trace of a
+//     session it handed off, and one back from a restart no longer holds
+//     them, so such a session costs one 404 hop. The walk visits each
+//     candidate once.
 //
 // A restarted gateway routes as the old one did: there is nothing to lose.
 
@@ -104,11 +104,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	mux.HandleFunc("GET /v1/sessions/{id}/partition", g.proxySession)
 	mux.HandleFunc("DELETE /v1/sessions/{id}", g.proxySession)
 	mux.HandleFunc("GET /healthz", g.handleHealthz)
-	mux.Handle("GET /metrics", obs.Handler(obs.Default()))
-	mux.HandleFunc("GET /metrics.json", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = obs.Default().WriteJSON(w)
-	})
+	obs.Mount(mux, obs.Default())
 	g.mux = mux
 	if cfg.HealthInterval > 0 {
 		go g.healthLoop()
@@ -138,8 +134,8 @@ func (g *Gateway) healthLoop() {
 }
 
 // PollHealth GETs every replica's /healthz once. A replica that answers at
-// all is alive (a draining replica still serves reads and handoff
-// redirects, so it stays routable until its listener closes); one that
+// all is alive (a draining replica still serves the sessions it has not
+// handed off, so it stays routable until its listener closes); one that
 // answers 200 accepts new sessions; the sessions it reports replace its
 // count.
 func (g *Gateway) PollHealth(ctx context.Context) {
@@ -211,16 +207,6 @@ func (g *Gateway) mint() (string, int) {
 	return id, idx
 }
 
-// replicaIndex maps a base URL back to its index, -1 when unknown.
-func (g *Gateway) replicaIndex(url string) int {
-	for i, u := range g.cfg.Replicas {
-		if u == url {
-			return i
-		}
-	}
-	return -1
-}
-
 // --- proxying ---
 
 // bufferBody slurps the request body so it can be replayed across
@@ -255,16 +241,14 @@ func (g *Gateway) forward(r *http.Request, base string, body []byte) (*http.Resp
 // relay copies a replica response to the client verbatim.
 func relay(w http.ResponseWriter, resp *http.Response) {
 	defer resp.Body.Close()
-	for _, h := range []string{"Content-Type", OwnerHeader} {
-		if v := resp.Header.Get(h); v != "" {
-			w.Header().Set(h, v)
-		}
+	if v := resp.Header.Get("Content-Type"); v != "" {
+		w.Header().Set("Content-Type", v)
 	}
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)
 }
 
-// maxHops bounds 307-owner and candidate-retarget chains per request.
+// maxHops bounds the ids one create tries after transport errors.
 const maxHops = 6
 
 func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request) {
@@ -300,49 +284,30 @@ func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request) {
 }
 
 // proxySession routes a request for an existing session along the id's
-// ring candidates: 307+Owner answers are followed, transport errors and
-// 404s move to the next alive candidate.
+// ring candidates, each once: transport errors and 404s move to the next
+// alive candidate.
 func (g *Gateway) proxySession(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	body, ok := g.bufferBody(w, r)
 	if !ok {
 		return
 	}
-	hops := 0
 	var lastNotFound *http.Response
 	for _, idx := range g.ring.candidates(id) {
 		if !g.alive(idx) {
 			obsGwRetargets.Inc()
 			continue
 		}
-	retry:
-		if hops >= maxHops {
-			break
-		}
-		hops++
 		resp, err := g.forward(r, g.cfg.Replicas[idx], body)
 		if err != nil {
 			g.markDown(idx)
 			obsGwRetargets.Inc()
 			continue
 		}
-		switch {
-		case resp.StatusCode == http.StatusTemporaryRedirect && resp.Header.Get(OwnerHeader) != "":
-			// Forwarding tombstone on a drained replica: the session moved.
-			owner := resp.Header.Get(OwnerHeader)
-			discard(resp)
-			obsGwRetargets.Inc()
-			if oi := g.replicaIndex(owner); oi >= 0 {
-				g.cfg.Logf("gateway: session %s moved to %s", id, owner)
-				idx = oi
-				goto retry
-			}
-			writeError(w, http.StatusBadGateway, "unknown_owner", "handoff owner "+owner+" is not a configured replica")
-			return
-		case resp.StatusCode == http.StatusNotFound:
-			// Not here: a restarted replica, or a session placed while an
-			// earlier candidate was down. Keep one 404 to relay if no
-			// candidate holds the session.
+		if resp.StatusCode == http.StatusNotFound {
+			// Not here: a session handed off by a draining or restarted
+			// replica, or one placed while an earlier candidate was down.
+			// Keep one 404 to relay if no candidate holds the session.
 			if lastNotFound != nil {
 				discard(lastNotFound)
 			}

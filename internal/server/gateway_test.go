@@ -367,8 +367,11 @@ func runTierWithDrain(t *testing.T, rs *replicaSet, cfg core.Config, dsName stri
 // behind the gateway, with the busiest replica drained halfway, once with
 // a distinct dataset seed per session and once with one shared seed. The
 // handoff must keep every session at its epoch and byte-identical to an
-// in-process run; the log records what the drain cost (sessions handed
-// off, owner redirects followed, epoch latency before and after).
+// in-process run. Every request for a handed-off session after the drain
+// (postEpochs epochs and the close) pays one gateway retarget: the 404 at
+// the drained replica, whose listener stays up. The log records what the
+// drain cost (sessions handed off, retargets, epoch latency before and
+// after).
 func TestReplicaTierDrainMeasured(t *testing.T) {
 	const sessions, n, preEpochs, postEpochs = 12, 300, 2, 2
 	for _, tc := range []struct {
@@ -385,7 +388,7 @@ func TestReplicaTierDrainMeasured(t *testing.T) {
 					seeds[i] += int64(i)
 				}
 			}
-			counters := []string{"server_handoff_sessions_total", "server_owner_redirects_total", "client_owner_redirects_total"}
+			counters := []string{"server_handoff_sessions_total", "gateway_retargets_total"}
 			before := make([]int64, len(counters))
 			for i, name := range counters {
 				before[i] = counterValue(name)
@@ -412,8 +415,11 @@ func TestReplicaTierDrainMeasured(t *testing.T) {
 			if delta[0] != int64(pass.drained) {
 				t.Errorf("%d sessions handed off, the drained replica held %d", delta[0], pass.drained)
 			}
-			t.Logf("%d sessions x %d epochs: handed off %d, owner redirects served %d, followed by the client %d; epoch p90 %s before the drain, %s after",
-				sessions, preEpochs+postEpochs, delta[0], delta[1], delta[2], p90(pass.pre), p90(pass.post))
+			if want := int64(pass.drained * (postEpochs + 1)); delta[1] != want {
+				t.Errorf("gateway_retargets_total +%d, want %d (one per post-drain request of a handed-off session)", delta[1], want)
+			}
+			t.Logf("%d sessions x %d epochs: handed off %d, gateway_retargets_total +%d; epoch p90 %s before the drain, %s after",
+				sessions, preEpochs+postEpochs, delta[0], delta[1], p90(pass.pre), p90(pass.post))
 		})
 	}
 }
@@ -425,52 +431,188 @@ func p90(ds []time.Duration) time.Duration {
 	return s[(len(s)*9+9)/10-1]
 }
 
-// TestOwnerRedirectFollowedByClient: with no gateway in the path, a client
-// whose replica drains must transparently follow the 307 +
-// X-Hyperbal-Owner tombstone to the session's new replica.
-func TestOwnerRedirectFollowedByClient(t *testing.T) {
-	rs := newReplicaSet(t, 2, server.Config{SessionTTL: -1})
+// TestGatewayWalkFindsHandedOffSessions: the ring walk alone finds a
+// handed-off session. One of three replicas drains with its listener
+// still up; every request for one of its sessions (info, full epoch, delta
+// epoch, partition, delete) must answer through the gateway at the cost of
+// one retarget, the 404 at the drained replica. With that listener closed,
+// the same requests take the transport-error path at one retarget each as
+// well: the first marks the replica down, the rest skip it.
+func TestGatewayWalkFindsHandedOffSessions(t *testing.T) {
+	rs := newReplicaSet(t, 3, server.Config{SessionTTL: -1})
 	ctx := context.Background()
-	h := genHypergraph(t, 150, 31)
-	cfg := hyperbal.BalancerConfig{K: 2, Alpha: 50, Seed: 13, Method: core.HypergraphRepart}
-
-	redirectsBefore := counterValue("server_owner_redirects_total")
-	hopsBefore := counterValue("client_owner_redirects_total")
-
-	// Talk to replica 0 directly, bypassing the gateway.
-	direct := hyperbal.NewClient(rs.urls[0], hyperbal.ClientOptions{MaxRetries: 3, Backoff: 5 * time.Millisecond})
-	sess, first, err := direct.CreateSession(ctx, cfg, h)
-	if err != nil {
-		t.Fatal(err)
+	h := genHypergraph(t, 120, 41)
+	cfg := hyperbal.BalancerConfig{K: 2, Alpha: 50, Seed: 7, Method: core.HypergraphRepart}
+	var all []*hyperbal.RemoteSession
+	for i := 0; i < 12; i++ {
+		sess, _, err := rs.client.CreateSession(ctx, cfg, h)
+		if err != nil {
+			t.Fatalf("create %d: %v", i, err)
+		}
+		all = append(all, sess)
 	}
-	if rs.servers[0].Sessions() != 1 {
-		t.Fatal("session not on replica 0")
+	victim := 0
+	for i, srv := range rs.servers {
+		if srv.Sessions() > rs.servers[victim].Sessions() {
+			victim = i
+		}
 	}
-
+	var held []*hyperbal.RemoteSession
+	for _, sess := range all {
+		resp, err := http.Get(rs.urls[victim] + "/v1/sessions/" + sess.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusOK {
+			held = append(held, sess)
+		}
+	}
+	if len(held) < 2 {
+		t.Fatalf("the busiest replica holds %d sessions, want at least 2", len(held))
+	}
 	dctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
-	if err := rs.servers[0].Drain(dctx); err != nil {
-		t.Fatal(err)
-	}
-	if rs.servers[1].Sessions() != 1 {
-		t.Fatalf("session was not handed to replica 1 (holds %d)", rs.servers[1].Sessions())
+	if err := rs.servers[victim].Drain(dctx); err != nil || rs.servers[victim].Sessions() != 0 {
+		t.Fatalf("drain: %v, %d sessions left", err, rs.servers[victim].Sessions())
 	}
 
-	// The client still points at replica 0; the partition fetch must chase
-	// the tombstone and return the exact pre-drain state.
-	p, _, err := sess.Partition(ctx)
+	// exercise sends every session route once per session and returns the
+	// number of requests sent.
+	exercise := func(sessions []*hyperbal.RemoteSession) int64 {
+		t.Helper()
+		for _, sess := range sessions {
+			if _, err := rs.client.Session(ctx, sess.ID); err != nil {
+				t.Fatalf("info: %v", err)
+			}
+			if res, err := sess.SubmitEpoch(ctx, reweighted(h, 1)); err != nil || res.Epoch != 1 {
+				t.Fatalf("full epoch: epoch %d, %v", res.Epoch, err)
+			}
+			if res, err := sess.SubmitEpochDelta(ctx, reweighted(h, 2), true); err != nil || res.Epoch != 2 {
+				t.Fatalf("delta epoch: epoch %d, %v", res.Epoch, err)
+			}
+			if _, _, err := sess.Partition(ctx); err != nil {
+				t.Fatalf("partition: %v", err)
+			}
+			if err := sess.Close(ctx); err != nil {
+				t.Fatalf("delete: %v", err)
+			}
+		}
+		return int64(5 * len(sessions))
+	}
+	half := len(held) / 2
+	for _, phase := range []struct {
+		name     string
+		sessions []*hyperbal.RemoteSession
+		before   func()
+	}{
+		{"listener up", held[:half], func() {}},
+		{"listener closed", held[half:], func() {
+			rs.listen[victim].CloseClientConnections()
+			rs.listen[victim].Close()
+		}},
+	} {
+		phase.before()
+		retargets, retries, fallbacks := counterValue("gateway_retargets_total"),
+			counterValue("client_retries_total"), counterValue("client_delta_fallbacks_total")
+		requests := exercise(phase.sessions)
+		if got := counterValue("gateway_retargets_total") - retargets; got != requests {
+			t.Errorf("%s: gateway_retargets_total +%d for %d requests, want one each", phase.name, got, requests)
+		}
+		if got := counterValue("client_retries_total") - retries; got != 0 {
+			t.Errorf("%s: the client retried %d times; the walk alone must find the sessions", phase.name, got)
+		}
+		if got := counterValue("client_delta_fallbacks_total") - fallbacks; got != 0 {
+			t.Errorf("%s: %d delta epochs fell back to full ones; the handoff kept the base", phase.name, got)
+		}
+	}
+	if got, want := rs.totalSessions(), len(all)-len(held); got != want {
+		t.Errorf("replicas hold %d sessions after the deletes, want %d", got, want)
+	}
+}
+
+// TestDeleteDuringDrainIsNeverUndone: a DELETE that races a drain's
+// handoff is never undone by it. The successor holds its /internal/handoff
+// open while a DELETE reaches the draining replica: the DELETE must answer
+// 503 draining (retryable), not a 204 that the handoff then reverses by
+// adopting the session at the successor, where the retry deletes it.
+func TestDeleteDuringDrainIsNeverUndone(t *testing.T) {
+	ctx := context.Background()
+	srcSrv, dstSrv := server.New(server.Config{SessionTTL: -1}), server.New(server.Config{SessionTTL: -1})
+	entered, release := make(chan struct{}), make(chan struct{})
+	var enter sync.Once
+	src := httptest.NewServer(srcSrv.Handler())
+	dst := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/internal/handoff" {
+			enter.Do(func() { close(entered) })
+			select {
+			case <-release:
+			case <-time.After(5 * time.Second):
+			}
+		}
+		dstSrv.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() { src.Close(); dst.Close(); srcSrv.Close(); dstSrv.Close() })
+	releaseHandoff := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(releaseHandoff)
+	urls := []string{src.URL, dst.URL}
+	srcSrv.SetPeering(src.URL, urls)
+	dstSrv.SetPeering(dst.URL, urls)
+
+	direct := hyperbal.NewClient(src.URL, hyperbal.ClientOptions{MaxRetries: 1, Backoff: 5 * time.Millisecond})
+	cfg := hyperbal.BalancerConfig{K: 2, Alpha: 50, Seed: 5, Method: core.HypergraphRepart}
+	sess, _, err := direct.CreateSession(ctx, cfg, genHypergraph(t, 100, 5))
 	if err != nil {
-		t.Fatalf("post-drain fetch through tombstone: %v", err)
+		t.Fatal(err)
 	}
-	if !int32Equal(p.Parts, first.Partition.Parts) {
-		t.Error("partition served by the new owner differs from pre-drain state")
+	drained := make(chan error, 1)
+	go func() {
+		dctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+		defer cancel()
+		drained <- srcSrv.Drain(dctx)
+	}()
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the drain sent no handoff to the successor")
 	}
-	if got := counterValue("server_owner_redirects_total"); got <= redirectsBefore {
-		t.Error("the drained replica answered without an owner redirect")
+
+	status, code := deleteSession(t, src.URL, sess.ID)
+	releaseHandoff()
+	if err := <-drained; err != nil {
+		t.Fatal(err)
 	}
-	if got := counterValue("client_owner_redirects_total"); got <= hopsBefore {
-		t.Error("the client never followed an owner redirect")
+	if status == http.StatusNoContent && dstSrv.Sessions() != 0 {
+		t.Fatal("a DELETE answered 204 during the drain, and the successor adopted the session afterwards")
 	}
+	if status != http.StatusServiceUnavailable || code != "draining" {
+		t.Fatalf("DELETE during the handoff: status %d code %q, want 503 draining", status, code)
+	}
+	if dstSrv.Sessions() != 1 {
+		t.Fatalf("the successor holds %d sessions after the handoff, want 1", dstSrv.Sessions())
+	}
+	if status, _ := deleteSession(t, dst.URL, sess.ID); status != http.StatusNoContent || dstSrv.Sessions() != 0 {
+		t.Fatalf("retried DELETE at the successor: status %d, %d sessions left", status, dstSrv.Sessions())
+	}
+}
+
+// deleteSession sends DELETE /v1/sessions/{id} and returns the status and
+// error code.
+func deleteSession(t *testing.T, baseURL, id string) (int, string) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodDelete, baseURL+"/v1/sessions/"+id, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var fail server.ErrorResponse
+	_ = json.NewDecoder(resp.Body).Decode(&fail)
+	return resp.StatusCode, fail.Code
 }
 
 // TestGatewayReplicaDeathFailover: when a replica dies without draining,

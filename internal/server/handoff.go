@@ -8,17 +8,16 @@ package server
 // — base hypergraph, fingerprint and core.Account (epoch counter, last
 // result, running cost) — into a binary frame and POSTs it to the
 // session's ring successor, which restores the session under the same id
-// at the same epoch. The draining replica keeps a forwarding tombstone and answers
-// subsequent requests for the session with 307 + X-Hyperbal-Owner, which
-// both the gateway and the client follow. The successor choice (first ring
-// candidate after self) matches where the gateway re-routes the session id
-// once the replica is gone, so routing converges without coordination.
+// at the same epoch. The draining replica keeps no trace of it: a later
+// request for the session answers 404 there like any unknown id, and the
+// gateway's walk of the id's ring candidates moves on to the next. The
+// successor choice (first accepting ring candidate after self) is where
+// that walk arrives, so routing converges without coordination.
 
 import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"time"
@@ -50,9 +49,6 @@ func (m handoffState) validate() error {
 }
 
 const (
-	// OwnerHeader carries the base URL of the replica that now owns a
-	// session, on 307 responses from the replica that handed it off.
-	OwnerHeader = "X-Hyperbal-Owner"
 	// SessionIDHeader lets a gateway pre-assign the session id on create so
 	// routing (hash of the id) and storage agree on the same replica.
 	SessionIDHeader = "X-Hyperbal-Session-ID"
@@ -132,7 +128,6 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	entry := &session{id: st.ID, bal: bal, Account: st.Account, base: st.Base, lastMig: st.Mig}
-	s.clearHandoff(st.ID) // a session may return to a revived replica
 	s.store.add(entry)
 	s.cfg.Logf("server: adopted session %s at epoch %d via handoff (|V|=%d)",
 		st.ID, st.Account.Epoch, st.Base.H.NumVertices())
@@ -161,9 +156,16 @@ func (s *Server) handoffAll(ctx context.Context) {
 }
 
 // handoffSession offers one session to the ring candidates after self, in
-// order, and tombstones it on success.
+// order, and drops it from the store on success. A session deleted since
+// the snapshot stays deleted: handleDelete removes it under entry.mu, and
+// refuses once the drain has begun, so the check below sees every
+// DELETE that answered 204.
 func (s *Server) handoffSession(ctx context.Context, entry *session, self string, r *ring) bool {
 	entry.mu.Lock()
+	if !s.store.holds(entry) {
+		entry.mu.Unlock()
+		return false
+	}
 	st := handoffState{
 		ID:      entry.id,
 		Config:  WireConfigFrom(entry.bal.Config()),
@@ -182,8 +184,7 @@ func (s *Server) handoffSession(ctx context.Context, entry *session, self string
 			continue
 		}
 		if s.postHandoff(ctx, url, frame) {
-			s.store.remove(entry.id)
-			s.recordHandoff(entry.id, url)
+			s.store.remove(entry)
 			obsHandoffSent.Inc()
 			s.cfg.Logf("server: handed session %s (epoch %d) to %s", entry.id, st.Account.Epoch, url)
 			return true
@@ -207,46 +208,4 @@ func (s *Server) postHandoff(ctx context.Context, url string, frame []byte) bool
 	defer resp.Body.Close()
 	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 	return resp.StatusCode == http.StatusNoContent
-}
-
-// recordHandoff remembers where a session went so later requests can be
-// pointed at the new owner (307 + X-Hyperbal-Owner).
-func (s *Server) recordHandoff(id, url string) {
-	s.handedMu.Lock()
-	if s.handed == nil {
-		s.handed = make(map[string]string)
-	}
-	s.handed[id] = url
-	s.handedMu.Unlock()
-}
-
-func (s *Server) clearHandoff(id string) {
-	s.handedMu.Lock()
-	delete(s.handed, id)
-	s.handedMu.Unlock()
-}
-
-// handoffOwner returns the post-handoff owner of a session, "" if never
-// handed off.
-func (s *Server) handoffOwner(id string) string {
-	s.handedMu.Lock()
-	defer s.handedMu.Unlock()
-	return s.handed[id]
-}
-
-// sessionGone answers a request for a session this replica does not hold:
-// 307 + X-Hyperbal-Owner when it was handed off (the caller re-issues the
-// request there — 307 preserves the method and body semantics), plain 404
-// otherwise.
-func (s *Server) sessionGone(w http.ResponseWriter, id string) {
-	if owner := s.handoffOwner(id); owner != "" {
-		obsOwnerRedirects.Inc()
-		w.Header().Set(OwnerHeader, owner)
-		writeJSON(w, http.StatusTemporaryRedirect, ErrorResponse{
-			Error: fmt.Sprintf("session %s was handed off to %s", id, owner),
-			Code:  "moved",
-		})
-		return
-	}
-	writeError(w, http.StatusNotFound, "not_found", "unknown session")
 }

@@ -35,15 +35,12 @@ var (
 	obsSingleflightShared  = obs.Default().Counter("server_singleflight_shared_total")
 
 	// Drain-time session-state handoff (the distributed serving tier):
-	// sessions serialized to a successor replica, and 307 answers pointing
-	// a caller at a session's post-handoff owner.
-	obsHandoffSent    = obs.Default().Counter("server_handoff_sessions_total")
-	obsOwnerRedirects = obs.Default().Counter("server_owner_redirects_total")
+	// sessions serialized to a successor replica.
+	obsHandoffSent = obs.Default().Counter("server_handoff_sessions_total")
 )
 
 // obsGwRetargets counts gateway proxy attempts that moved past their
 // first-choice replica: candidates skipped as down, transport errors
-// (replica marked down), 404s along the ring walk, and 307 owner
-// redirects followed. The routing
-// tier shares the registry; a process is either a gateway or a replica.
+// (replica marked down) and 404s along the ring walk. The routing tier
+// shares the registry; a process is either a gateway or a replica.
 var obsGwRetargets = obs.Default().Counter("gateway_retargets_total")

@@ -82,14 +82,6 @@ type Config struct {
 	// for it.
 	Fault *mpi.FaultPlan
 
-	// Self is this replica's externally reachable base URL; Peers is the
-	// full replica list (including Self). When both are set the replica
-	// hands its sessions to a ring successor when it drains (see
-	// handoff.go). Tests that only learn their URL after binding can leave
-	// these empty and call SetPeering instead.
-	Self  string
-	Peers []string
-
 	// Logf, when non-nil, receives one line per notable server event.
 	Logf func(format string, args ...any)
 }
@@ -135,14 +127,12 @@ type Server struct {
 	faultJobs atomic.Int64
 
 	// Replica-set state (handoff.go): the consistent-hash ring over the
-	// replica URLs, this replica's own URL, the HTTP client used for
-	// handoffs, and the post-handoff forwarding tombstones.
+	// replica URLs, this replica's own URL, and the HTTP client used for
+	// handoffs.
 	peerMu   sync.RWMutex
 	self     string
 	peerRing *ring
 	peerHTTP *http.Client
-	handedMu sync.Mutex
-	handed   map[string]string
 }
 
 // New builds a Server from cfg.
@@ -155,9 +145,6 @@ func New(cfg Config) *Server {
 		memo:     newResultMemo(cfg.CacheEntries),
 		peerHTTP: &http.Client{},
 	}
-	if cfg.Self != "" && len(cfg.Peers) > 0 {
-		s.SetPeering(cfg.Self, cfg.Peers)
-	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sessions", s.route("create", s.handleCreate))
 	mux.HandleFunc("GET /v1/sessions/{id}", s.route("info", s.handleInfo))
@@ -167,11 +154,7 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("DELETE /v1/sessions/{id}", s.route("delete", s.handleDelete))
 	mux.HandleFunc("GET /healthz", s.route("healthz", s.handleHealthz))
 	mux.HandleFunc("POST /internal/handoff", s.route("handoff", s.handleHandoff))
-	mux.Handle("GET /metrics", obs.Handler(obs.Default()))
-	mux.HandleFunc("GET /metrics.json", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = obs.Default().WriteJSON(w)
-	})
+	obs.Mount(mux, obs.Default())
 	s.mux = mux
 	return s
 }
@@ -181,11 +164,11 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Drain stops admitting new partitioning work (subsequent submissions get
 // 503) and waits, bounded by ctx, for every in-flight and queued epoch to
-// complete; in a replica set (Self and Peers, or SetPeering) it then
-// hands every live session to its ring successor so a rolling restart
-// loses no session state. Read endpoints keep serving (handed-off sessions
-// answer 307 + X-Hyperbal-Owner); call the http.Server's Shutdown after
-// Drain to close the listener.
+// complete; in a replica set (SetPeering) it then hands every live
+// session to its ring successor so a rolling restart loses no session
+// state. Read endpoints keep serving (a handed-off session answers 404,
+// and the gateway walks on to the successor); call the http.Server's
+// Shutdown after Drain to close the listener.
 func (s *Server) Drain(ctx context.Context) error {
 	s.cfg.Logf("server: draining (completing in-flight epochs)")
 	err := s.adm.drain(ctx)
@@ -220,6 +203,11 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // writeError maps an error to the wire.
 func writeError(w http.ResponseWriter, status int, code, msg string) {
 	writeJSON(w, status, ErrorResponse{Error: msg, Code: code})
+}
+
+// notFound answers a request for a session this replica does not hold.
+func notFound(w http.ResponseWriter) {
+	writeError(w, http.StatusNotFound, "not_found", "unknown session")
 }
 
 // admit runs the admission controller against the request, writing the
@@ -444,7 +432,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	// Every origin takes the same construction path, so a session built
 	// from a cached, shared or freshly solved result is byte-identical.
 	entry := &session{id: id, bal: bal, Account: core.StartAccount(res, eff.Alpha), base: req.Graph}
-	s.clearHandoff(id)
 	// The pre-solve duplicate check is only a cheap fast path; the insert
 	// itself must be atomic or two concurrent creates with the same
 	// pre-assigned id both pass it and the loser silently overwrites.
@@ -493,7 +480,7 @@ func (s *Server) handleDeltaEpoch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) serveEpoch(w http.ResponseWriter, r *http.Request, req submitter) {
 	entry, releaseSess := s.store.acquire(r.PathValue("id"))
 	if entry == nil {
-		s.sessionGone(w, r.PathValue("id"))
+		notFound(w)
 		return
 	}
 	defer releaseSess()
@@ -715,7 +702,7 @@ func deriveInherited(h *hypergraph.Hypergraph, old partition.Partition, d *hyper
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	entry, releaseSess := s.store.acquire(r.PathValue("id"))
 	if entry == nil {
-		s.sessionGone(w, r.PathValue("id"))
+		notFound(w)
 		return
 	}
 	defer releaseSess()
@@ -734,7 +721,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	entry, releaseSess := s.store.acquire(r.PathValue("id"))
 	if entry == nil {
-		s.sessionGone(w, r.PathValue("id"))
+		notFound(w)
 		return
 	}
 	defer releaseSess()
@@ -751,12 +738,27 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	writeNegotiated(w, r, http.StatusOK, resp, func(buf []byte) []byte { return appendMsg(buf, resp) })
 }
 
+// handleDelete closes a session. It removes the session under entry.mu
+// and refuses (503, retryable) once a drain has begun, so the drain's
+// handoff, which checks the store under the same lock, never hands on a
+// session that a 204 answered deleted; the retry finds the session where
+// the handoff put it.
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	if s.store.remove(r.PathValue("id")) {
-		w.WriteHeader(http.StatusNoContent)
+	entry := s.store.get(r.PathValue("id"))
+	if entry == nil {
+		notFound(w)
 		return
 	}
-	s.sessionGone(w, r.PathValue("id"))
+	entry.mu.Lock()
+	defer entry.mu.Unlock()
+	switch {
+	case s.adm.isDraining():
+		writeError(w, http.StatusServiceUnavailable, "draining", "server is draining; retry once its sessions are handed off")
+	case s.store.remove(entry):
+		w.WriteHeader(http.StatusNoContent)
+	default:
+		notFound(w)
+	}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -175,12 +175,22 @@ func (st *store) snapshot() []*session {
 	return out
 }
 
-func (st *store) remove(id string) bool {
+// holds reports whether s is the session the store keeps under its id.
+func (st *store) holds(s *session) bool {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return st.m[s.id] == s
+}
+
+// remove drops s, and reports false when the store no longer held it.
+func (st *store) remove(s *session) bool {
 	st.mu.Lock()
-	_, ok := st.m[id]
-	delete(st.m, id)
-	st.mu.Unlock()
-	return ok
+	defer st.mu.Unlock()
+	if st.m[s.id] != s {
+		return false
+	}
+	delete(st.m, s.id)
+	return true
 }
 
 func (st *store) len() int {
